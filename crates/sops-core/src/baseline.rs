@@ -23,7 +23,7 @@
 //! written and read back through the shared [`crate::wire`] machinery
 //! (the repo emits JSON by hand everywhere; `wire` is the matching
 //! reader, handling exactly the subset the writers produce plus standard
-//! escapes), so the baseline and checkpoint schemas can never drift
+//! escapes), so the baseline and cell-cache schemas can never drift
 //! apart in their float/string encodings.
 //!
 //! Quarantined cells ([`crate::scenario::CellStatus::Failed`]) never

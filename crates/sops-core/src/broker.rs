@@ -451,12 +451,7 @@ impl SweepBroker {
         }
         let measures: Vec<MeasureConfig> = job.cells.iter().map(|(_, m, _)| *m).collect();
         let labels = measure_labels(&measures);
-        let mut runner = self
-            .runners
-            .lock()
-            .unwrap()
-            .pop()
-            .unwrap_or_default();
+        let mut runner = self.runners.lock().unwrap().pop().unwrap_or_default();
         runner.retry = self.retry;
         let produced = runner.run_cells(
             &job.scenario,

@@ -20,25 +20,29 @@
 //!   bit-for-bit the cell that was measured. A cached run is therefore
 //!   byte-identical to an uncached one (`tests/sweep_cache.rs`).
 //! * **Crash safety** — [`CellCache::store`] writes a `.tmp` sibling and
-//!   atomically renames it over the entry (the [`crate::checkpoint`]
-//!   discipline). Because the cache is content-addressed, concurrent
-//!   writers of one key produce identical bytes, so the last rename
-//!   winning is harmless.
+//!   atomically renames it over the entry, so a kill at any instant
+//!   leaves either no entry or a complete one. Because the cache is
+//!   content-addressed, concurrent writers of one key produce identical
+//!   bytes, so the last rename winning is harmless.
 //! * **Bounded size** — the store is capped at
 //!   [`CellCache::with_max_bytes`] (default [`DEFAULT_MAX_BYTES`]);
 //!   exceeding it evicts least-recently-used entries (file mtime order;
 //!   hits touch the mtime). The just-written entry is never evicted.
-//! * **Never a poisoned hit** — a torn, hand-edited or foreign-schema
-//!   entry surfaces as a typed error from [`CellCache::load`]
-//!   ([`SweepError::Parse`] / [`SweepError::SchemaMismatch`]); the
-//!   runner-facing [`CellCache::lookup`] instead evicts the corrupt file
-//!   and reports a miss, so the cell is simply recomputed.
+//! * **Never a poisoned hit** — a torn, hand-edited, foreign-schema or
+//!   hostile (nesting-bomb) entry surfaces as a typed error from
+//!   [`CellCache::load`] ([`SweepError::Parse`] /
+//!   [`SweepError::SchemaMismatch`]); the runner-facing
+//!   [`CellCache::lookup`] instead evicts the corrupt file and reports a
+//!   miss, so the cell is simply recomputed.
 //!
-//! The cache is the storage layer under
+//! The cache is the repo's one persistence path for sweep cells: the
+//! storage layer under
 //! [`SweepRunner::run_with_cache`](crate::SweepRunner::run_with_cache)
-//! (CLI: `sops-repro sweep --cache DIR`) and the request-coalescing
+//! (CLI: `sops-repro sweep --cache DIR`, which is also how a killed sweep
+//! resumes) and under the request-coalescing
 //! [`crate::broker::SweepBroker`] behind `sops-serve` — one directory
-//! shared by offline runs and the service.
+//! shared by offline runs and the service. Its entry format is the
+//! repo's one exact [`PipelineResult`] codec.
 
 use crate::error::SweepError;
 use crate::pipeline::{MiSeries, PipelineResult};
@@ -467,6 +471,18 @@ mod tests {
         fs::rename(&path, cache.entry_path(4)).unwrap();
         assert!(matches!(cache.load(4), Err(SweepError::Parse { .. })));
         assert!(cache.lookup(4).is_none());
+        let _ = fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn nesting_bomb_entry_is_evicted_not_a_crash() {
+        let cache = tmp_cache("bomb");
+        let path = cache.entry_path(5);
+        fs::write(&path, "[".repeat(500_000)).unwrap();
+        assert!(matches!(cache.load(5), Err(SweepError::Parse { .. })));
+        assert!(cache.lookup(5).is_none());
+        assert!(!path.exists(), "hostile entry is evicted");
+        assert_eq!(cache.stats().evictions, 1);
         let _ = fs::remove_dir_all(cache.dir());
     }
 

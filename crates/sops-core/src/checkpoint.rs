@@ -1,49 +1,30 @@
-//! Crash-safe sweep checkpoints: the stable wire format behind
-//! bit-identical resume.
+//! Cell identity keys: the canonical wire form of what determines a
+//! sweep cell's result, and its stable hash.
 //!
-//! A [`SweepCheckpoint`] accumulates completed [`SweepCell`]s during a
-//! checkpointed sweep ([`crate::SweepRunner::run_with_checkpoint`]) and
-//! persists them after every ensemble under schema
-//! [`SCHEMA`] (`sops-sweep-checkpoint/v1`) — hand-rolled JSON in the
-//! same dependency-free writer/recursive-descent-parser style as the ΔI
-//! baseline ([`crate::baseline`]), sharing [`crate::wire`] so float and
-//! string encodings cannot drift between the two schemas. Three
-//! properties carry the fault-tolerance story:
+//! The determinism contract makes every sweep cell a pure function of
+//! its identity — the scenario's physics, schedule and seed plus the
+//! measure selection. [`cell_wire`] writes that identity down (schema
+//! [`CELL_SCHEMA`]) with the float and string encodings of
+//! [`crate::wire`], and [`cell_key`] hashes it with FNV-1a 64. The key is
+//! the address of an entry in the content-addressed cell cache
+//! ([`crate::cache::CellCache`]), which is also how an interrupted sweep
+//! resumes: a re-run over the same cache recomputes only the cells it
+//! does not find. [`ensemble_key`] hashes the scenario half alone — the
+//! identity of one (scenario, seed) ensemble that
+//! [`crate::broker::SweepBroker`] batches requests on.
 //!
-//! * **Crash safety** — [`SweepCheckpoint::save`] writes to a `.tmp`
-//!   sibling and atomically renames it over the target, so a kill at any
-//!   moment leaves either the previous complete checkpoint or the new
-//!   one, never a torn file (a torn `.tmp` is simply ignored).
-//! * **Bit-identity** — cell series are encoded with
-//!   [`wire::float_exact`] (17 significant digits, tagged non-finite
-//!   strings), so a restored cell is bit-for-bit the cell that was
-//!   measured; a resumed sweep is therefore byte-identical to an
-//!   uninterrupted one (`tests/sweep_resume.rs`).
-//! * **Plan binding** — the file stores [`plan_fingerprint`], FNV-1a 64
-//!   over the canonical plan wire form; [`SweepCheckpoint::load`]
-//!   rejects a checkpoint whose fingerprint does not match the live plan
-//!   ([`SweepError::FingerprintMismatch`]), so results from a drifted
-//!   experiment can never be silently mixed in. The fingerprint covers
-//!   everything that determines results — scenarios (model, force law,
-//!   integrator, reduction, observers, schedule), measures, and the seed
-//!   axis — and deliberately excludes every `threads` field (results are
-//!   bit-identical for any worker count, so resuming under a different
-//!   thread count is valid) and human-only scenario descriptions.
-//!
-//! Plans carrying a [`ForceModel::Custom`] law (an opaque closure) have
-//! no wire form; checkpointing such plans is rejected up front with
-//! [`SweepError::Unserializable`] rather than mis-fingerprinted. The
-//! canonical plan JSON is embedded in the file for human provenance but
-//! ignored on load — the fingerprint, not a parse-back, is what
-//! guarantees the in-memory plan matches, so stored cells reattach their
-//! [`MeasureConfig`] from the live plan by label.
+//! The wire form covers everything that determines results and excludes
+//! every knob that does not: all `threads` fields (results are
+//! bit-identical for any worker count), the ensemble storage policy and
+//! human-only scenario descriptions. Plans carrying a
+//! [`ForceModel::Custom`] law (an opaque closure) have no wire form and
+//! are rejected with [`SweepError::Unserializable`] rather than
+//! mis-keyed.
 
 use crate::error::SweepError;
-use crate::pipeline::{MiSeries, PipelineResult};
-use crate::scenario::{
-    measure_labels, CellProvenance, CellStatus, ScenarioSpec, SweepCell, SweepPlan,
-};
-use crate::wire::{self, Value};
+use crate::observers::ObserverMode;
+use crate::scenario::ScenarioSpec;
+use crate::wire;
 use sops_info::measure::MeasureConfig;
 use sops_math::PairMatrix;
 use sops_shape::ensemble::{ReduceConfig, ReduceMode};
@@ -51,18 +32,6 @@ use sops_sim::ensemble::EnsembleSpec;
 use sops_sim::force::ForceModel;
 use sops_sim::integrator::Scheme;
 use sops_sim::IntegratorConfig;
-use std::fmt::Write as _;
-use std::fs;
-use std::path::Path;
-
-use crate::observers::ObserverMode;
-
-/// Schema tag of the checkpoint wire format.
-pub const SCHEMA: &str = "sops-sweep-checkpoint/v1";
-
-// ---------------------------------------------------------------------
-// Canonical plan wire form (the fingerprint input)
-// ---------------------------------------------------------------------
 
 fn pairmat_wire(m: &PairMatrix) -> String {
     let n = m.types();
@@ -142,7 +111,7 @@ fn ensemble_wire(e: &EnsembleSpec) -> Result<String, SweepError> {
 }
 
 // `threads` is excluded: reduction results are bit-identical for any
-// worker count, so it must not bind the fingerprint.
+// worker count, so it must not bind the key.
 fn reduce_wire(r: &ReduceConfig) -> String {
     let mode = match r.mode {
         ReduceMode::Full => "full",
@@ -169,7 +138,7 @@ fn observers_wire(o: &ObserverMode) -> String {
 
 fn scenario_wire(sc: &ScenarioSpec) -> Result<String, SweepError> {
     // `description` is human-only and excluded: editing prose must not
-    // invalidate a checkpoint.
+    // change a key.
     Ok(format!(
         "{{\"name\":{},\"ensemble\":{},\"reduce\":{},\"observers\":{},\"eval_every\":{}}}",
         wire::string(&sc.name),
@@ -236,34 +205,6 @@ fn measure_wire(m: &MeasureConfig) -> String {
     }
 }
 
-/// The canonical wire form of a plan — the [`plan_fingerprint`] input,
-/// also embedded in checkpoint files as human-readable provenance.
-/// Covers everything that determines sweep results; excludes all
-/// `threads` fields and scenario descriptions. `Err` only for plans with
-/// no stable wire form ([`ForceModel::Custom`]).
-pub fn plan_wire(plan: &SweepPlan) -> Result<String, SweepError> {
-    let mut scenarios = String::new();
-    for sc in &plan.scenarios {
-        if !scenarios.is_empty() {
-            scenarios.push(',');
-        }
-        scenarios.push_str(&scenario_wire(sc)?);
-    }
-    let measures: Vec<String> = plan.measures.iter().map(measure_wire).collect();
-    let seeds: Vec<String> = plan.seeds.iter().map(|s| s.to_string()).collect();
-    Ok(format!(
-        "{{\"scenarios\":[{scenarios}],\"measures\":[{}],\"seeds\":[{}]}}",
-        measures.join(","),
-        seeds.join(",")
-    ))
-}
-
-/// FNV-1a 64 fingerprint of the canonical plan wire form: the token that
-/// binds a checkpoint to the exact experiment that produced it.
-pub fn plan_fingerprint(plan: &SweepPlan) -> Result<u64, SweepError> {
-    Ok(wire::fnv1a64(plan_wire(plan)?.as_bytes()))
-}
-
 /// Schema tag of the per-cell wire form ([`cell_wire`]) — bumped whenever
 /// the cell key's byte layout changes, so a new key schema can never
 /// collide with entries addressed under the old one.
@@ -275,15 +216,13 @@ pub const CELL_SCHEMA: &str = "sops-cell/v1";
 /// criterion), its shape reduction, observer construction and evaluation
 /// schedule, and the measure selection — and nothing that doesn't (every
 /// `threads` field, the ensemble storage policy and human-only scenario
-/// descriptions are excluded, exactly as in [`plan_wire`]; both forms are
-/// built from the same private wire helpers, so they cannot drift apart).
+/// descriptions are excluded).
 ///
-/// This is the shared identity layer under both persistence mechanisms:
-/// checkpoints bind whole plans via [`plan_fingerprint`], while the
-/// content-addressed cell cache ([`crate::cache::CellCache`]) addresses
-/// single cells via [`cell_key`] — so two different sweep plans that
-/// share a cell share its cache entry. The layout is pinned by a unit
-/// test against known key values; any change must bump [`CELL_SCHEMA`].
+/// The content-addressed cell cache ([`crate::cache::CellCache`])
+/// addresses single cells via [`cell_key`], so two different sweep plans
+/// that share a cell share its cache entry. The layout is pinned by a
+/// unit test against known key values; any change must bump
+/// [`CELL_SCHEMA`].
 ///
 /// `Err` only for cells with no stable wire form
 /// ([`ForceModel::Custom`], [`SweepError::Unserializable`]).
@@ -315,316 +254,10 @@ pub fn ensemble_key(scenario: &ScenarioSpec) -> Result<u64, SweepError> {
     Ok(wire::fnv1a64(scenario_wire(scenario)?.as_bytes()))
 }
 
-// ---------------------------------------------------------------------
-// The checkpoint store
-// ---------------------------------------------------------------------
-
-/// Completed cells of a checkpointed sweep, bound to one plan
-/// fingerprint. See the module docs for the wire format and guarantees.
-#[derive(Debug, Clone)]
-pub struct SweepCheckpoint {
-    fingerprint: u64,
-    cells: Vec<SweepCell>,
-}
-
-impl SweepCheckpoint {
-    /// An empty checkpoint bound to `plan`. `Err` if the plan has no
-    /// stable wire form ([`SweepError::Unserializable`]).
-    pub fn new(plan: &SweepPlan) -> Result<Self, SweepError> {
-        Ok(SweepCheckpoint {
-            fingerprint: plan_fingerprint(plan)?,
-            cells: Vec::new(),
-        })
-    }
-
-    /// The plan fingerprint this checkpoint is bound to.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// The stored cells, in recording order.
-    pub fn cells(&self) -> &[SweepCell] {
-        &self.cells
-    }
-
-    /// Records completed cells, replacing any stored cell with the same
-    /// (scenario, measure label, seed) coordinate.
-    pub fn record(&mut self, cells: &[SweepCell]) {
-        for cell in cells {
-            match self.cells.iter_mut().find(|c| {
-                c.scenario == cell.scenario
-                    && c.measure_label == cell.measure_label
-                    && c.seed == cell.seed
-            }) {
-                Some(slot) => *slot = cell.clone(),
-                None => self.cells.push(cell.clone()),
-            }
-        }
-    }
-
-    /// The stored cells of one (scenario, seed) ensemble in plan measure
-    /// order, with each cell's [`MeasureConfig`] reattached from the live
-    /// plan — or `None` unless *every* plan measure's cell is present
-    /// (partial ensembles are recomputed whole, preserving the
-    /// cells-per-ensemble atomicity the resume proof relies on).
-    pub fn ensemble_cells(
-        &self,
-        scenario: &str,
-        seed: u64,
-        labels: &[String],
-        measures: &[MeasureConfig],
-    ) -> Option<Vec<SweepCell>> {
-        let mut out = Vec::with_capacity(labels.len());
-        for (label, measure) in labels.iter().zip(measures) {
-            let stored = self
-                .cells
-                .iter()
-                .find(|c| c.scenario == scenario && c.seed == seed && &c.measure_label == label)?;
-            let mut cell = stored.clone();
-            cell.measure = *measure;
-            out.push(cell);
-        }
-        Some(out)
-    }
-
-    /// The checkpoint's wire form (schema, fingerprint, provenance plan,
-    /// cells).
-    pub fn to_json(&self, plan: &SweepPlan) -> Result<String, SweepError> {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema\": {},", wire::string(SCHEMA));
-        let _ = writeln!(out, "  \"fingerprint\": \"{:016x}\",", self.fingerprint);
-        let _ = writeln!(out, "  \"plan\": {},", plan_wire(plan)?);
-        out.push_str("  \"cells\": [\n");
-        for (i, cell) in self.cells.iter().enumerate() {
-            let sep = if i + 1 == self.cells.len() { "" } else { "," };
-            let _ = writeln!(out, "    {}{sep}", cell_json(cell));
-        }
-        out.push_str("  ]\n}\n");
-        Ok(out)
-    }
-
-    /// Atomically persists the checkpoint at `path`: the wire form is
-    /// written to a `.tmp` sibling and renamed over the target, so a kill
-    /// at any moment leaves a complete file (missing parent directories
-    /// are created).
-    pub fn save(&self, path: &Path, plan: &SweepPlan) -> Result<(), SweepError> {
-        let text = self.to_json(plan)?;
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                fs::create_dir_all(parent).map_err(|source| SweepError::Io {
-                    path: parent.to_path_buf(),
-                    op: "create directory",
-                    source,
-                })?;
-            }
-        }
-        let tmp = path.with_extension("json.tmp");
-        fs::write(&tmp, text).map_err(|source| SweepError::Io {
-            path: tmp.clone(),
-            op: "write",
-            source,
-        })?;
-        fs::rename(&tmp, path).map_err(|source| SweepError::Io {
-            path: path.to_path_buf(),
-            op: "rename",
-            source,
-        })
-    }
-
-    /// Reads and validates a checkpoint from `path` against `plan`
-    /// (schema tag, fingerprint, cell structure).
-    pub fn load(path: &Path, plan: &SweepPlan) -> Result<Self, SweepError> {
-        let text = fs::read_to_string(path).map_err(|source| SweepError::Io {
-            path: path.to_path_buf(),
-            op: "read",
-            source,
-        })?;
-        Self::parse(&text, plan).map_err(|e| match e {
-            SweepError::Parse { detail, .. } => SweepError::Parse {
-                what: format!("checkpoint {}", path.display()),
-                detail,
-            },
-            other => other,
-        })
-    }
-
-    /// Parses and validates checkpoint text against `plan`. A torn or
-    /// hand-edited file is [`SweepError::Parse`]; an unknown schema tag
-    /// is [`SweepError::SchemaMismatch`]; a checkpoint written for a
-    /// different plan is [`SweepError::FingerprintMismatch`].
-    pub fn parse(text: &str, plan: &SweepPlan) -> Result<Self, SweepError> {
-        let parse_err = |detail: String| SweepError::Parse {
-            what: "checkpoint".into(),
-            detail,
-        };
-        let root = wire::parse(text).map_err(parse_err)?;
-        let obj = root
-            .as_object()
-            .ok_or_else(|| parse_err("top level is not an object".into()))?;
-        let schema = wire::get(obj, "schema")
-            .map_err(parse_err)?
-            .as_str()
-            .ok_or_else(|| parse_err("'schema' is not a string".into()))?;
-        if schema != SCHEMA {
-            return Err(SweepError::SchemaMismatch {
-                expected: SCHEMA.into(),
-                found: schema.into(),
-            });
-        }
-        let fp_text = wire::get(obj, "fingerprint")
-            .map_err(parse_err)?
-            .as_str()
-            .ok_or_else(|| parse_err("'fingerprint' is not a string".into()))?;
-        let fingerprint = u64::from_str_radix(fp_text, 16)
-            .map_err(|_| parse_err(format!("'fingerprint' is not 16 hex digits: '{fp_text}'")))?;
-        let plan_fp = plan_fingerprint(plan)?;
-        if fingerprint != plan_fp {
-            return Err(SweepError::FingerprintMismatch {
-                plan: format!("{plan_fp:016x}"),
-                checkpoint: format!("{fingerprint:016x}"),
-            });
-        }
-        let labels = measure_labels(&plan.measures);
-        let cells_val = wire::get(obj, "cells")
-            .map_err(parse_err)?
-            .as_array()
-            .ok_or_else(|| parse_err("'cells' is not an array".into()))?;
-        let mut cells = Vec::with_capacity(cells_val.len());
-        for v in cells_val {
-            cells.push(cell_from_json(v, &labels, &plan.measures).map_err(parse_err)?);
-        }
-        Ok(SweepCheckpoint { fingerprint, cells })
-    }
-}
-
-fn cell_json(cell: &SweepCell) -> String {
-    let times: Vec<String> = cell.result.mi.times.iter().map(|t| t.to_string()).collect();
-    let mi: Vec<String> = cell
-        .result
-        .mi
-        .values
-        .iter()
-        .map(|&v| wire::float_exact(v))
-        .collect();
-    let cost: Vec<String> = cell
-        .result
-        .mean_icp_cost
-        .iter()
-        .map(|&v| wire::float_exact(v))
-        .collect();
-    let status = match &cell.status {
-        CellStatus::Ok => "\"status\": \"ok\"".to_string(),
-        CellStatus::Failed { reason } => {
-            format!(
-                "\"status\": \"failed\", \"reason\": {}",
-                wire::string(reason)
-            )
-        }
-    };
-    format!(
-        "{{\"scenario\": {}, \"measure\": {}, \"seed\": {}, {status}, \
-         \"times\": [{}], \"mi_bits\": [{}], \"mean_icp_cost\": [{}], \
-         \"equilibrated_fraction\": {}}}",
-        wire::string(&cell.scenario),
-        wire::string(&cell.measure_label),
-        cell.seed,
-        times.join(", "),
-        mi.join(", "),
-        cost.join(", "),
-        wire::float_exact(cell.result.equilibrated_fraction)
-    )
-}
-
-fn cell_from_json(
-    v: &Value,
-    labels: &[String],
-    measures: &[MeasureConfig],
-) -> Result<SweepCell, String> {
-    let obj = v.as_object().ok_or("cell is not an object")?;
-    let scenario = wire::get(obj, "scenario")?
-        .as_str()
-        .ok_or("cell 'scenario' is not a string")?
-        .to_string();
-    let label = wire::get(obj, "measure")?
-        .as_str()
-        .ok_or("cell 'measure' is not a string")?
-        .to_string();
-    let measure = labels
-        .iter()
-        .position(|l| l == &label)
-        .map(|i| measures[i])
-        .ok_or_else(|| format!("cell measure label '{label}' not in the plan's measure axis"))?;
-    let seed = wire::get(obj, "seed")?
-        .as_u64()
-        .ok_or("cell 'seed' is not an integer")?;
-    let status = match wire::get(obj, "status")?.as_str() {
-        Some("ok") => CellStatus::Ok,
-        Some("failed") => CellStatus::Failed {
-            reason: wire::get(obj, "reason")?
-                .as_str()
-                .ok_or("cell 'reason' is not a string")?
-                .to_string(),
-        },
-        _ => return Err("cell 'status' is not \"ok\" or \"failed\"".into()),
-    };
-    let usize_array = |key: &str| -> Result<Vec<usize>, String> {
-        wire::get(obj, key)?
-            .as_array()
-            .ok_or_else(|| format!("cell '{key}' is not an array"))?
-            .iter()
-            .map(|x| {
-                x.as_u64()
-                    .map(|v| v as usize)
-                    .ok_or_else(|| format!("cell '{key}' entry is not an integer"))
-            })
-            .collect()
-    };
-    let f64_array = |key: &str| -> Result<Vec<f64>, String> {
-        wire::get(obj, key)?
-            .as_array()
-            .ok_or_else(|| format!("cell '{key}' is not an array"))?
-            .iter()
-            .map(|x| {
-                x.as_f64()
-                    .ok_or_else(|| format!("cell '{key}' entry is not a number"))
-            })
-            .collect()
-    };
-    let times = usize_array("times")?;
-    let values = f64_array("mi_bits")?;
-    let mean_icp_cost = f64_array("mean_icp_cost")?;
-    if values.len() != times.len() || mean_icp_cost.len() != times.len() {
-        return Err(format!(
-            "cell series lengths disagree: {} times, {} mi_bits, {} mean_icp_cost",
-            times.len(),
-            values.len(),
-            mean_icp_cost.len()
-        ));
-    }
-    let equilibrated_fraction = wire::get(obj, "equilibrated_fraction")?
-        .as_f64()
-        .ok_or("cell 'equilibrated_fraction' is not a number")?;
-    Ok(SweepCell {
-        scenario,
-        measure,
-        measure_label: label,
-        seed,
-        status,
-        // Provenance is not part of the wire format (it is run metadata,
-        // not a result); a parsed cell is by definition a restored one.
-        provenance: CellProvenance::Restored,
-        result: PipelineResult {
-            mi: MiSeries { times, values },
-            mean_icp_cost,
-            equilibrated_fraction,
-        },
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{cell_sorting, mixing_null};
+    use crate::scenario::{cell_sorting, mixing_null, SweepPlan};
     use sops_info::ksg::KsgConfig;
     use sops_sim::force::ForceLaw;
 
@@ -646,201 +279,6 @@ mod tests {
         plan
     }
 
-    fn sample_cell(scenario: &str, label: &str, seed: u64, status: CellStatus) -> SweepCell {
-        SweepCell {
-            scenario: scenario.into(),
-            measure: MeasureConfig::Gaussian,
-            measure_label: label.into(),
-            seed,
-            status,
-            provenance: CellProvenance::Computed,
-            result: PipelineResult {
-                mi: MiSeries {
-                    times: vec![0, 4, 8],
-                    values: vec![0.25, f64::NAN, std::f64::consts::PI],
-                },
-                mean_icp_cost: vec![1.5e-300, f64::INFINITY, -0.0],
-                equilibrated_fraction: 0.75,
-            },
-        }
-    }
-
-    #[test]
-    fn round_trip_is_bit_exact() {
-        let plan = tiny_plan();
-        let mut ckpt = SweepCheckpoint::new(&plan).unwrap();
-        ckpt.record(&[
-            sample_cell("cell_sorting", "gaussian", 3, CellStatus::Ok),
-            sample_cell(
-                "cell_sorting",
-                "ksg",
-                3,
-                CellStatus::Failed {
-                    reason: "panicked on all 2 attempt(s): boom".into(),
-                },
-            ),
-        ]);
-        let text = ckpt.to_json(&plan).unwrap();
-        let back = SweepCheckpoint::parse(&text, &plan).unwrap();
-        assert_eq!(back.fingerprint(), ckpt.fingerprint());
-        assert_eq!(back.cells().len(), 2);
-        for (a, b) in ckpt.cells().iter().zip(back.cells()) {
-            assert_eq!(a.scenario, b.scenario);
-            assert_eq!(a.measure_label, b.measure_label);
-            assert_eq!(a.seed, b.seed);
-            assert_eq!(a.status, b.status);
-            assert_eq!(a.result.mi.times, b.result.mi.times);
-            for (x, y) in a.result.mi.values.iter().zip(&b.result.mi.values) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-            for (x, y) in a.result.mean_icp_cost.iter().zip(&b.result.mean_icp_cost) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-            assert_eq!(
-                a.result.equilibrated_fraction.to_bits(),
-                b.result.equilibrated_fraction.to_bits()
-            );
-        }
-        // The restored failed cell reattaches the plan's KSG config.
-        assert!(matches!(
-            back.cells()[1].measure,
-            MeasureConfig::Ksg(KsgConfig { k: 3, .. })
-        ));
-    }
-
-    #[test]
-    fn record_replaces_same_coordinate() {
-        let plan = tiny_plan();
-        let mut ckpt = SweepCheckpoint::new(&plan).unwrap();
-        ckpt.record(&[sample_cell(
-            "cell_sorting",
-            "gaussian",
-            3,
-            CellStatus::Failed {
-                reason: "first".into(),
-            },
-        )]);
-        ckpt.record(&[sample_cell("cell_sorting", "gaussian", 3, CellStatus::Ok)]);
-        assert_eq!(ckpt.cells().len(), 1);
-        assert!(ckpt.cells()[0].status.is_ok());
-    }
-
-    #[test]
-    fn ensemble_cells_requires_every_measure() {
-        let plan = tiny_plan();
-        let labels = measure_labels(&plan.measures);
-        let mut ckpt = SweepCheckpoint::new(&plan).unwrap();
-        ckpt.record(&[sample_cell("cell_sorting", "gaussian", 3, CellStatus::Ok)]);
-        // Only one of the two measures is stored → the ensemble is
-        // incomplete and must be recomputed whole.
-        assert!(ckpt
-            .ensemble_cells("cell_sorting", 3, &labels, &plan.measures)
-            .is_none());
-        ckpt.record(&[sample_cell("cell_sorting", "ksg", 3, CellStatus::Ok)]);
-        let cells = ckpt
-            .ensemble_cells("cell_sorting", 3, &labels, &plan.measures)
-            .unwrap();
-        assert_eq!(cells.len(), 2);
-        // Plan measure order, not recording order.
-        assert_eq!(cells[0].measure_label, "gaussian");
-        assert_eq!(cells[1].measure_label, "ksg");
-        assert!(ckpt
-            .ensemble_cells("cell_sorting", 4, &labels, &plan.measures)
-            .is_none());
-    }
-
-    #[test]
-    fn save_is_atomic_and_load_round_trips() {
-        let plan = tiny_plan();
-        let dir = std::env::temp_dir().join("sops_ckpt_test_save");
-        let _ = fs::remove_dir_all(&dir);
-        let path = dir.join("nested").join("sweep_checkpoint.json");
-        let mut ckpt = SweepCheckpoint::new(&plan).unwrap();
-        ckpt.record(&[sample_cell("cell_sorting", "gaussian", 3, CellStatus::Ok)]);
-        ckpt.save(&path, &plan).unwrap();
-        // No tmp sibling survives a successful save.
-        assert!(!path.with_extension("json.tmp").exists());
-        let back = SweepCheckpoint::load(&path, &plan).unwrap();
-        assert_eq!(back.cells().len(), 1);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn torn_schema_and_fingerprint_corruption_are_typed() {
-        let plan = tiny_plan();
-        let ckpt = SweepCheckpoint::new(&plan).unwrap();
-        let text = ckpt.to_json(&plan).unwrap();
-        // Torn write: the file cut mid-token.
-        let torn = &text[..text.len() / 2];
-        assert!(matches!(
-            SweepCheckpoint::parse(torn, &plan),
-            Err(SweepError::Parse { .. })
-        ));
-        // Unknown schema tag.
-        let other = text.replace(SCHEMA, "sops-sweep-checkpoint/v999");
-        assert!(matches!(
-            SweepCheckpoint::parse(&other, &plan),
-            Err(SweepError::SchemaMismatch { .. })
-        ));
-        // A checkpoint of a different plan (drifted seed axis).
-        let mut drifted = plan.clone();
-        drifted.seeds = vec![3, 4, 5];
-        let foreign = SweepCheckpoint::new(&drifted)
-            .unwrap()
-            .to_json(&drifted)
-            .unwrap();
-        assert!(matches!(
-            SweepCheckpoint::parse(&foreign, &plan),
-            Err(SweepError::FingerprintMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn fingerprint_ignores_threads_and_description_but_not_physics() {
-        let plan = tiny_plan();
-        let fp = plan_fingerprint(&plan).unwrap();
-        // Worker counts and prose never bind the fingerprint…
-        let mut retuned = plan.clone();
-        retuned.threads = 8;
-        retuned.scenarios[0].reduce.threads = 4;
-        retuned.scenarios[0].description = "edited prose".into();
-        retuned.storage = crate::scenario::EnsembleStorage::Retained;
-        assert_eq!(plan_fingerprint(&retuned).unwrap(), fp);
-        // …but every result-bearing knob does.
-        let mut drifted = plan.clone();
-        drifted.seeds = vec![3, 5];
-        assert_ne!(plan_fingerprint(&drifted).unwrap(), fp);
-        let mut rescheduled = plan.clone();
-        rescheduled.scenarios[0].eval_every = 7;
-        assert_ne!(plan_fingerprint(&rescheduled).unwrap(), fp);
-        let mut remoded = plan.clone();
-        remoded.scenarios[0].reduce.mode = sops_shape::ensemble::ReduceMode::Centred;
-        assert_ne!(plan_fingerprint(&remoded).unwrap(), fp);
-        let mut remeasured = plan.clone();
-        remeasured.measures[1] = MeasureConfig::Ksg(KsgConfig {
-            k: 5,
-            ..KsgConfig::default()
-        });
-        assert_ne!(plan_fingerprint(&remeasured).unwrap(), fp);
-        // A strided wrapper changes the fingerprint, and so does its
-        // stride — but not its `threads` field.
-        let strided = |every, threads| MeasureConfig::Strided {
-            family: sops_info::StridedFamily::Ksg(KsgConfig {
-                threads,
-                ..KsgConfig::default()
-            }),
-            every,
-        };
-        let mut restrided = plan.clone();
-        restrided.measures[1] = strided(2, 1);
-        let strided_fp = plan_fingerprint(&restrided).unwrap();
-        assert_ne!(strided_fp, fp);
-        restrided.measures[1] = strided(4, 1);
-        assert_ne!(plan_fingerprint(&restrided).unwrap(), strided_fp);
-        restrided.measures[1] = strided(2, 6);
-        assert_eq!(plan_fingerprint(&restrided).unwrap(), strided_fp);
-    }
-
     #[test]
     fn cell_key_excludes_result_invariant_knobs_and_binds_physics() {
         let plan = tiny_plan();
@@ -855,7 +293,7 @@ mod tests {
             cell_key(&sc, &plan.measures[0].with_threads(8)).unwrap(),
             key
         );
-        // …but seed, scale, schedule and measure all do.
+        // …but seed, scale, schedule, reduction mode and measure all do.
         assert_ne!(
             cell_key(&sc.clone().with_seed(99), &plan.measures[0]).unwrap(),
             key
@@ -867,7 +305,24 @@ mod tests {
         let mut rescheduled = sc.clone();
         rescheduled.eval_every = 7;
         assert_ne!(cell_key(&rescheduled, &plan.measures[0]).unwrap(), key);
+        let mut remoded = sc.clone();
+        remoded.reduce.mode = ReduceMode::Centred;
+        assert_ne!(cell_key(&remoded, &plan.measures[0]).unwrap(), key);
         assert_ne!(cell_key(&sc, &plan.measures[1]).unwrap(), key);
+        // A strided wrapper changes the key, and so does its stride — but
+        // not its `threads` field.
+        let strided = |every, threads| MeasureConfig::Strided {
+            family: sops_info::StridedFamily::Ksg(KsgConfig {
+                threads,
+                ..KsgConfig::default()
+            }),
+            every,
+        };
+        let plain = cell_key(&sc, &MeasureConfig::Ksg(KsgConfig::default())).unwrap();
+        let strided_key = cell_key(&sc, &strided(2, 1)).unwrap();
+        assert_ne!(strided_key, plain);
+        assert_ne!(cell_key(&sc, &strided(4, 1)).unwrap(), strided_key);
+        assert_eq!(cell_key(&sc, &strided(2, 6)).unwrap(), strided_key);
     }
 
     /// Pins the cell-key schema: these hex literals were computed once
@@ -911,7 +366,11 @@ mod tests {
         let law = ForceModel::Custom(std::sync::Arc::new(Zero));
         plan.scenarios[0].ensemble.model = sops_sim::Model::balanced(4, law, 1.0);
         assert!(matches!(
-            SweepCheckpoint::new(&plan),
+            cell_key(&plan.scenarios[0], &plan.measures[0]),
+            Err(SweepError::Unserializable(_))
+        ));
+        assert!(matches!(
+            ensemble_key(&plan.scenarios[0]),
             Err(SweepError::Unserializable(_))
         ));
     }

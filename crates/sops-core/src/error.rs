@@ -1,11 +1,11 @@
 //! The typed error spine of the sweep layer.
 //!
-//! Public entry points of the scenario/sweep/checkpoint/baseline stack
+//! Public entry points of the scenario/sweep/cache/baseline stack
 //! return [`SweepError`] instead of panicking (or stringly-typed
 //! `Result<_, String>`): callers like the `sops-repro` CLI map each
-//! variant to a one-line diagnostic and a documented exit code, and the
-//! fault-tolerant runner can distinguish a drifted checkpoint from a
-//! torn file from an I/O failure. Cell-level *panics* are not errors —
+//! variant to a one-line diagnostic and a documented exit code, and a
+//! persisted artifact's foreign schema, torn bytes and I/O failure stay
+//! distinguishable. Cell-level *panics* are not errors —
 //! they are quarantined into the report as
 //! [`crate::scenario::CellStatus::Failed`] so one poisoned cell can
 //! never abort a sweep.
@@ -34,7 +34,7 @@ pub enum SweepError {
     },
     /// The plan cannot be serialized to the stable wire format (e.g. a
     /// [`sops_sim::ForceModel::Custom`] law, which is an opaque
-    /// closure) — checkpointing is unavailable for such plans.
+    /// closure) — its cells have no cell key, so they cannot be cached.
     Unserializable(String),
     /// An I/O operation on a persisted artifact failed.
     Io {
@@ -46,9 +46,9 @@ pub enum SweepError {
         source: std::io::Error,
     },
     /// A persisted artifact does not parse (torn write, truncation,
-    /// hand-editing).
+    /// hand-editing, nesting past the parser's depth bound).
     Parse {
-        /// Which artifact (e.g. `"checkpoint results/ckpt.json"`).
+        /// Which artifact (e.g. `"cache entry cache/00ab….json"`).
         what: String,
         /// Parser detail.
         detail: String,
@@ -60,15 +60,6 @@ pub enum SweepError {
         expected: String,
         /// The schema tag found in the file.
         found: String,
-    },
-    /// A checkpoint was written for a different plan — resuming it would
-    /// silently mix results from two different experiments, so it is
-    /// rejected outright.
-    FingerprintMismatch {
-        /// Fingerprint of the plan being run (hex).
-        plan: String,
-        /// Fingerprint stored in the checkpoint (hex).
-        checkpoint: String,
     },
 }
 
@@ -97,12 +88,6 @@ impl std::fmt::Display for SweepError {
                     "unsupported schema '{found}' (this build reads '{expected}')"
                 )
             }
-            SweepError::FingerprintMismatch { plan, checkpoint } => write!(
-                f,
-                "checkpoint fingerprint {checkpoint} does not match this plan's {plan} \
-                 (the plan drifted since the checkpoint was written; delete it or \
-                 re-run the original plan)"
-            ),
         }
     }
 }
@@ -139,16 +124,12 @@ mod tests {
                 source: std::io::Error::new(std::io::ErrorKind::NotFound, "nope"),
             },
             SweepError::Parse {
-                what: "checkpoint c.json".into(),
+                what: "cache entry c.json".into(),
                 detail: "unterminated string".into(),
             },
             SweepError::SchemaMismatch {
-                expected: "sops-sweep-checkpoint/v1".into(),
+                expected: "sops-cell-cache/v1".into(),
                 found: "other/v9".into(),
-            },
-            SweepError::FingerprintMismatch {
-                plan: "00aa".into(),
-                checkpoint: "00bb".into(),
             },
         ];
         for e in &cases {

@@ -25,17 +25,16 @@
 //! [`baseline`] persists those numbers as a CI regression gate.
 //!
 //! The sweep layer is fault-tolerant: public entry points return the
-//! typed [`error::SweepError`], poisoned cells are quarantined under
-//! panic isolation as [`scenario::CellStatus::Failed`], and
-//! [`checkpoint`] persists completed cells (schema
-//! `sops-sweep-checkpoint/v1`, shared [`wire`] machinery) so an
-//! interrupted sweep resumes bit-identically.
+//! typed [`error::SweepError`], and poisoned cells are quarantined under
+//! panic isolation as [`scenario::CellStatus::Failed`].
 //!
 //! Determinism also makes every cell memoizable: [`cache`] is a
 //! content-addressed on-disk cell store (keyed by
-//! [`checkpoint::cell_key`]) that [`SweepRunner::run_with_cache`]
-//! consults before simulating, and [`broker`] coalesces concurrent sweep
-//! requests over it — same-cell requests dedupe to one computation,
+//! [`checkpoint::cell_key`], shared [`wire`] machinery) that
+//! [`SweepRunner::run_with_cache`] consults before simulating — the one
+//! persistence path, so an interrupted sweep re-run over the same cache
+//! resumes bit-identically — and [`broker`] coalesces concurrent sweep
+//! requests over it: same-cell requests dedupe to one computation,
 //! same-ensemble requests batch into one simulation pass. The
 //! `sops-serve` crate puts an HTTP front end on the broker.
 
@@ -57,7 +56,6 @@ pub mod wire;
 pub use baseline::SweepBaseline;
 pub use broker::{BrokerStats, SweepBroker};
 pub use cache::{CacheStats, CellCache};
-pub use checkpoint::SweepCheckpoint;
 pub use error::SweepError;
 pub use observers::ObserverMode;
 pub use pipeline::{evaluate_ensemble, run_pipeline, MiSeries, Pipeline, PipelineResult};

@@ -9,6 +9,7 @@
 
 use crate::scenario::SweepReport;
 use crate::summary::SweepSummary;
+use crate::wire;
 use sops_math::Vec2;
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -96,31 +97,14 @@ fn json_float(v: f64) -> String {
     }
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// The sweep-report JSON body: one object per grid cell carrying the
 /// scenario/measure/seed coordinates, the cell status (`"ok"`, or
 /// `"failed"` with the quarantine reason), the summary `delta_mi`
 /// (`I(t_last) − I(t_0)`) and the full per-time-step series.
 ///
 /// `include_provenance` appends each cell's `"provenance"` label and a
-/// `"cached"` boolean (`true` for any reused cell — cache hit, coalesced
-/// wait or checkpoint restore). The canonical `sweep.json`
+/// `"cached"` boolean (`true` for any reused cell — cache hit or
+/// coalesced wait). The canonical `sweep.json`
 /// ([`write_sweep_json`]) always omits them: provenance is run metadata,
 /// and the byte-identity contract (a cached, coalesced or resumed run
 /// writes the same `sweep.json` as a cold one) holds over the canonical
@@ -134,7 +118,7 @@ pub fn sweep_json(report: &SweepReport, include_provenance: bool) -> String {
             crate::scenario::CellStatus::Failed { reason } => {
                 format!(
                     "\"status\": \"failed\", \"reason\": {}",
-                    json_string(reason)
+                    wire::string(reason)
                 )
             }
         };
@@ -153,8 +137,8 @@ pub fn sweep_json(report: &SweepReport, include_provenance: bool) -> String {
              \"delta_mi\": {}, \
              \"equilibrated_fraction\": {}, \"times\": [{}], \"mi_bits\": [{}], \
              \"mean_icp_cost\": [{}]{provenance}}}{}",
-            json_string(&cell.scenario),
-            json_string(cell.measure.label()),
+            wire::string(&cell.scenario),
+            wire::string(cell.measure.label()),
             cell.seed,
             json_float(r.mi.increase()),
             json_float(r.equilibrated_fraction),
@@ -246,7 +230,7 @@ pub fn write_summary_json(path: &Path, summary: &SweepSummary) -> std::io::Resul
     let _ = writeln!(
         body,
         "  \"null_scenario\": {},",
-        json_string(&summary.null_scenario)
+        wire::string(&summary.null_scenario)
     );
     body.push_str("  \"groups\": [\n");
     for (i, g) in summary.groups.iter().enumerate() {
@@ -256,8 +240,8 @@ pub fn write_summary_json(path: &Path, summary: &SweepSummary) -> std::io::Resul
              \"delta_mi\": [{}], \"mean\": {}, \"std\": {}, \"se\": {}, \
              \"ci_lo\": {}, \"ci_hi\": {}, \"boot_lo\": {}, \"boot_hi\": {}, \
              \"p_vs_null\": {}, \"significant\": {}}}{}",
-            json_string(&g.scenario),
-            json_string(&g.measure),
+            wire::string(&g.scenario),
+            wire::string(&g.measure),
             g.n(),
             g.seeds
                 .iter()

@@ -42,12 +42,12 @@
 //! (per-measure results are bit-identical to the one-pass values by the
 //! engine's own contract). Public entry points return
 //! [`crate::error::SweepError`] instead of panicking, and
-//! [`SweepRunner::run_with_checkpoint`] persists completed cells through
-//! [`crate::checkpoint`] so an interrupted sweep resumes bit-identically
+//! [`SweepRunner::run_with_cache`] stores every healthy cell in a
+//! content-addressed [`CellCache`] as it completes, so an interrupted
+//! sweep re-run over the same cache resumes bit-identically
 //! (`tests/sweep_resume.rs`).
 
 use crate::cache::CellCache;
-use crate::checkpoint::SweepCheckpoint;
 use crate::error::SweepError;
 use crate::observers::{build_observers, ObserverMode};
 use crate::pipeline::{MiSeries, Pipeline, PipelineResult};
@@ -62,7 +62,6 @@ use sops_sim::streaming::{
 use sops_sim::{IntegratorConfig, Model};
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Once;
 
@@ -374,8 +373,9 @@ impl ScenarioRegistry {
 ///
 /// Results are **bit-identical across variants** — storage only decides
 /// which frames exist in memory, never their values — so, like `threads`,
-/// this field is excluded from the checkpoint fingerprint and a sweep may
-/// resume under a different storage policy.
+/// this field is excluded from the cell key
+/// ([`crate::checkpoint::cell_key`]) and a cached cell serves a sweep
+/// under either policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnsembleStorage {
     /// Retain every recorded step of every run (`m × (t_max+1) × n`
@@ -695,7 +695,7 @@ impl SweepRunner {
     /// per-cell panic isolation. `Err` only for an invalid *plan*; cell
     /// failures are quarantined into the report.
     pub fn run(&mut self, plan: &SweepPlan) -> Result<SweepReport, SweepError> {
-        self.run_core(plan, None, None)
+        self.run_core(plan, None)
     }
 
     /// [`SweepRunner::run`] consulting a content-addressed cell cache:
@@ -708,6 +708,22 @@ impl SweepRunner {
     /// the cache stores [`crate::wire::float_exact`] series keyed by
     /// everything that determines them.
     ///
+    /// This is also how a sweep resumes: each ensemble's healthy cells are
+    /// stored as soon as it completes, so a sweep killed at any point and
+    /// re-run over the same cache recomputes only what it does not find,
+    /// and its report is bit-identical to an uninterrupted run for any
+    /// worker count (`tests/sweep_resume.rs`). Resume semantics follow
+    /// from the cache being keyed per cell:
+    ///
+    /// * quarantined cells are never stored, so a re-run retries them
+    ///   under the runner's [`RetryPolicy`];
+    /// * a changed plan reuses every cell whose key did not change and
+    ///   computes only the rest;
+    /// * resume is per cell, not per ensemble: a kill between two stores
+    ///   of one ensemble leaves a partial ensemble, and the re-run
+    ///   computes only its missing measures (bit-identical by the
+    ///   engine's preparation-sharing contract).
+    ///
     /// `Err` for an invalid plan or one with no stable wire form
     /// ([`SweepError::Unserializable`]); cache I/O trouble never fails
     /// the sweep (corrupt entries are evicted and recomputed, store
@@ -717,52 +733,12 @@ impl SweepRunner {
         plan: &SweepPlan,
         cache: &CellCache,
     ) -> Result<SweepReport, SweepError> {
-        self.run_core(plan, None, Some(cache))
-    }
-
-    /// [`SweepRunner::run`] with per-cell checkpointing: ensembles whose
-    /// cells `checkpoint` already holds are restored (bit-identical —
-    /// the wire format round-trips every f64 exactly) instead of
-    /// recomputed, and each freshly completed ensemble's cells are
-    /// recorded and crash-safely saved to `path` before the next
-    /// ensemble starts. A sweep killed at any cell boundary and resumed
-    /// through its checkpoint is therefore bit-identical to an
-    /// uninterrupted run, for any worker count (`tests/sweep_resume.rs`).
-    ///
-    /// The checkpoint must carry this plan's fingerprint
-    /// ([`SweepCheckpoint::new`] / [`SweepCheckpoint::load`] against the
-    /// same plan); a drifted checkpoint is rejected with
-    /// [`SweepError::FingerprintMismatch`].
-    pub fn run_with_checkpoint(
-        &mut self,
-        plan: &SweepPlan,
-        checkpoint: &mut SweepCheckpoint,
-        path: &Path,
-    ) -> Result<SweepReport, SweepError> {
-        check_fingerprint(plan, checkpoint)?;
-        self.run_core(plan, Some((checkpoint, path)), None)
-    }
-
-    /// [`SweepRunner::run_with_checkpoint`] additionally consulting a
-    /// cell cache ([`SweepRunner::run_with_cache`]): checkpointed
-    /// ensembles are restored first (whole-ensemble atomicity), then the
-    /// cache serves individual cells, and only what is in neither gets
-    /// simulated. The combination the CLI's `--resume --cache` exposes.
-    pub fn run_with_checkpoint_and_cache(
-        &mut self,
-        plan: &SweepPlan,
-        checkpoint: &mut SweepCheckpoint,
-        path: &Path,
-        cache: &CellCache,
-    ) -> Result<SweepReport, SweepError> {
-        check_fingerprint(plan, checkpoint)?;
-        self.run_core(plan, Some((checkpoint, path)), Some(cache))
+        self.run_core(plan, Some(cache))
     }
 
     fn run_core(
         &mut self,
         plan: &SweepPlan,
-        mut checkpoint: Option<(&mut SweepCheckpoint, &Path)>,
         cache: Option<&CellCache>,
     ) -> Result<SweepReport, SweepError> {
         plan.validate()?;
@@ -777,17 +753,6 @@ impl SweepRunner {
             };
             for &seed in seeds {
                 let scenario = base.clone().with_seed(seed);
-                if let Some((ckpt, _)) = &checkpoint {
-                    if let Some(mut stored) =
-                        ckpt.ensemble_cells(&scenario.name, seed, &labels, &plan.measures)
-                    {
-                        for cell in &mut stored {
-                            cell.provenance = CellProvenance::Restored;
-                        }
-                        cells.extend(stored);
-                        continue;
-                    }
-                }
                 let produced = match cache {
                     Some(cache) => {
                         self.run_ensemble_cached(&scenario, seed, plan, &labels, cache)?
@@ -797,10 +762,6 @@ impl SweepRunner {
                         self.run_ensemble_cells(&scenario, seed, plan, &labels, &all)
                     }
                 };
-                if let Some((ckpt, path)) = &mut checkpoint {
-                    ckpt.record(&produced);
-                    ckpt.save(path, plan)?;
-                }
                 cells.extend(produced);
             }
         }
@@ -1093,18 +1054,6 @@ impl SweepRunner {
     }
 }
 
-/// Rejects a checkpoint whose fingerprint does not bind `plan`.
-fn check_fingerprint(plan: &SweepPlan, checkpoint: &SweepCheckpoint) -> Result<(), SweepError> {
-    let plan_fp = crate::checkpoint::plan_fingerprint(plan)?;
-    if checkpoint.fingerprint() != plan_fp {
-        return Err(SweepError::FingerprintMismatch {
-            plan: format!("{plan_fp:016x}"),
-            checkpoint: format!("{:016x}", checkpoint.fingerprint()),
-        });
-    }
-    Ok(())
-}
-
 /// Convenience: run `plan` on a throwaway [`SweepRunner`].
 pub fn run_sweep(plan: &SweepPlan) -> Result<SweepReport, SweepError> {
     SweepRunner::new().run(plan)
@@ -1153,8 +1102,8 @@ impl CellStatus {
 }
 
 /// How a cell's result entered the report: computed fresh this run,
-/// served from the content-addressed cell cache, coalesced onto another
-/// in-flight request's computation, or restored from a sweep checkpoint.
+/// served from the content-addressed cell cache, or coalesced onto
+/// another in-flight request's computation.
 ///
 /// Provenance is run metadata, not a result. The canonical `sweep.json`
 /// ([`crate::report::write_sweep_json`]) deliberately omits it so a
@@ -1171,24 +1120,20 @@ pub enum CellProvenance {
     /// Waited on another in-flight request's identical cell
     /// ([`crate::broker::SweepBroker`]) — never recomputed.
     Coalesced,
-    /// Restored from a sweep checkpoint ([`crate::checkpoint`]).
-    Restored,
 }
 
 impl CellProvenance {
-    /// Lowercase wire label: `"computed"`, `"cached"`, `"coalesced"` or
-    /// `"restored"`.
+    /// Lowercase wire label: `"computed"`, `"cached"` or `"coalesced"`.
     pub fn label(&self) -> &'static str {
         match self {
             CellProvenance::Computed => "computed",
             CellProvenance::Cached => "cached",
             CellProvenance::Coalesced => "coalesced",
-            CellProvenance::Restored => "restored",
         }
     }
 
-    /// `true` when the result was reused (cache, coalescing, checkpoint)
-    /// rather than computed in this run.
+    /// `true` when the result was reused (cache or coalescing) rather
+    /// than computed in this run.
     pub fn is_reused(&self) -> bool {
         !matches!(self, CellProvenance::Computed)
     }
@@ -1210,9 +1155,9 @@ pub struct SweepCell {
     pub seed: u64,
     /// Healthy, or quarantined with the panic reason.
     pub status: CellStatus,
-    /// How the result entered this report (computed / cached / coalesced
-    /// / restored). Metadata only — never part of the canonical
-    /// `sweep.json` bytes or the checkpoint wire format.
+    /// How the result entered this report (computed / cached /
+    /// coalesced). Metadata only — never part of the canonical
+    /// `sweep.json` bytes or a cache entry.
     pub provenance: CellProvenance,
     /// The measured series — bit-identical to the standalone
     /// [`crate::run_pipeline`] run of the same cell

@@ -3,11 +3,13 @@
 //! The repo emits JSON by hand everywhere (serde without a format crate
 //! buys nothing offline — see the vendored criterion shim) and reads it
 //! back with the minimal recursive-descent parser below: exactly the
-//! JSON subset the writers produce plus standard escapes. Both persisted
-//! schemas — the ΔI regression baseline ([`crate::baseline`],
-//! `sops-sweep-baseline/v1`) and the sweep checkpoint
-//! ([`crate::checkpoint`], `sops-sweep-checkpoint/v1`) — share this
-//! module, so their float/string encodings cannot drift apart:
+//! JSON subset the writers produce plus standard escapes. Every stable
+//! schema — the ΔI regression baseline ([`crate::baseline`],
+//! `sops-sweep-baseline/v1`), the cell-cache entries ([`crate::cache`],
+//! `sops-cell-cache/v1`) and the cell identity keys
+//! ([`crate::checkpoint`], `sops-cell/v1`) — and the report and service
+//! JSON share this module, so their float/string encodings cannot drift
+//! apart:
 //!
 //! * [`float_exact`] writes 17 significant digits (round-trips any f64
 //!   bit-exactly) and encodes non-finite values as the tagged strings
@@ -15,9 +17,12 @@
 //!   reference values must distinguish NaN from ±∞, which JSON `null`
 //!   cannot;
 //! * [`string`] applies standard JSON escaping;
-//! * [`fnv1a64`] is the stable fingerprint hash of the checkpoint layer
-//!   (dependency-free, byte-order independent, never `std::hash` — whose
-//!   output is explicitly unstable across releases).
+//! * [`fnv1a64`] is the stable hash behind cell keys (dependency-free,
+//!   byte-order independent, never `std::hash` — whose output is
+//!   explicitly unstable across releases);
+//! * [`parse`] reads untrusted bytes (HTTP bodies, cache files) and
+//!   bounds its nesting depth, so a hostile document is an `Err`, never a
+//!   stack overflow.
 
 use std::fmt::Write as _;
 
@@ -62,9 +67,9 @@ pub fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Result<&'a Value, Strin
 }
 
 /// 64-bit FNV-1a over a byte string — the stable, dependency-free hash
-/// behind plan fingerprints. (Never `DefaultHasher`: its output is
-/// documented as unstable across Rust releases, and a fingerprint that
-/// changes with the toolchain would reject every old checkpoint.)
+/// behind cell keys. (Never `DefaultHasher`: its output is documented as
+/// unstable across Rust releases, and a key that changes with the
+/// toolchain would orphan every cached cell.)
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -145,12 +150,19 @@ impl Value {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The repo's writers
+/// nest at most four levels (`{"cells":[{"times":[…]}]}`); the bound
+/// keeps the recursive descent far inside any thread's stack however
+/// deep a hostile document nests.
+const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON document (trailing whitespace allowed, nothing else
-/// after the value).
+/// after the value). Nesting deeper than 64 arrays/objects is an `Err`.
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -164,6 +176,7 @@ pub fn parse(text: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -201,8 +214,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -210,6 +223,24 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected byte at {}", self.pos)),
         }
+    }
+
+    /// Runs `container` one nesting level down, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, String>,
+    ) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -351,6 +382,25 @@ mod tests {
     }
 
     #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        // A 0.5 MB bomb fits under the service's 1 MiB body cap; unbounded,
+        // it would recurse once per byte and abort the process, so even on
+        // a small stack it must come back as a plain parse error.
+        let bomb = "[".repeat(500_000);
+        let result = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || parse(&bomb).map(|_| ()))
+            .unwrap()
+            .join()
+            .expect("parser thread must not overflow its stack");
+        assert!(result.unwrap_err().contains("nesting"));
+    }
+
+    #[test]
     fn float_exact_round_trips_every_class() {
         for v in [
             0.0,
@@ -381,8 +431,8 @@ mod tests {
 
     #[test]
     fn fnv1a64_is_stable_and_sensitive() {
-        // Reference vectors of the FNV-1a spec — pinned so the
-        // fingerprint can never silently change across PRs.
+        // Reference vectors of the FNV-1a spec — pinned so cell keys can
+        // never silently change.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_ne!(fnv1a64(b"plan-a"), fnv1a64(b"plan-b"));

@@ -6,7 +6,7 @@
 //! repro sweep [--scenario a[,b…]] [--measure ksg[,kde…]] [--seeds S1[,S2…]|A..B]
 //!             [--fast] [--threads T] [--out DIR] [--no-out] [--list]
 //!             [--save-baseline] [--check-baseline] [--baseline PATH]
-//!             [--checkpoint DIR] [--resume] [--cache DIR]
+//!             [--cache DIR]
 //! ```
 //!
 //! Without `--figure`, all figures run in order. `--fast` switches to the
@@ -26,27 +26,25 @@
 //! exits non-zero if any ΔI moved outside the stored seed-axis
 //! confidence interval — the CI regression gate.
 //!
-//! `--checkpoint DIR` saves `DIR/sweep_checkpoint.json` after every
-//! completed ensemble (crash-safe: temp file + atomic rename). With
-//! `--resume`, a checkpoint matching the plan fingerprint skips its
-//! completed ensembles; a missing, corrupt or mismatched checkpoint is
-//! reported on one line and the sweep recomputes from scratch. Resumed
-//! sweeps are bit-identical to uninterrupted ones for any `--threads`.
-//!
 //! `--cache DIR` keeps a content-addressed store of completed cells
 //! (`sops_core::cache`): each (scenario, measure, seed) cell is looked
 //! up by its [`sops_core::checkpoint::cell_key`] before simulating and
 //! reused on a hit, so repeated sweeps over overlapping grids only pay
 //! for the cells they have never seen. Sweep outputs are bit-identical
 //! with or without the cache; corrupt entries are evicted and
-//! recomputed, never served.
+//! recomputed, never served. The cache is also how a sweep resumes:
+//! every healthy cell is stored (temp file + atomic rename) as soon as
+//! its ensemble completes, so a killed `--cache DIR` sweep re-run with
+//! the same directory recomputes only the missing cells, bit-identically
+//! for any `--threads`. Quarantined cells are never stored and are
+//! retried on the re-run; a changed plan reuses every unchanged cell.
 //!
 //! Exit codes:
 //!
 //! | code | meaning                                                    |
 //! |------|------------------------------------------------------------|
 //! | 0    | success                                                    |
-//! | 1    | I/O or internal failure (write/read/checkpoint save)       |
+//! | 1    | I/O or internal failure (outputs, baseline, cache dir)     |
 //! | 2    | usage error, unknown name, or invalid plan                 |
 //! | 3    | sweep completed but one or more cells were quarantined     |
 //! | 4    | baseline check failed (takes precedence over 3)            |
@@ -55,9 +53,7 @@ use sops_core::report::{write_summary_csv, write_summary_json, write_sweep_csv, 
 use sops_core::scenario::{
     CellStatus, EnsembleStorage, ScenarioRegistry, ScenarioSpec, SweepPlan, SweepRunner,
 };
-use sops_core::{
-    figures, CellCache, RunOptions, SweepBaseline, SweepCheckpoint, SweepError, SweepSummary,
-};
+use sops_core::{figures, CellCache, RunOptions, SweepBaseline, SweepError, SweepSummary};
 use sops_info::MeasureConfig;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -79,17 +75,14 @@ fn usage_text() -> String {
          \x20      repro sweep [--scenario a[,b...]] [--measure m[,m2...]] [--seeds S1[,S2...]|A..B]\n\
          \x20                  [--fast] [--threads T] [--out DIR] [--no-out] [--list]\n\
          \x20                  [--save-baseline] [--check-baseline] [--baseline PATH]\n\
-         \x20                  [--checkpoint DIR] [--resume] [--retained] [--cache DIR]\n\
+         \x20                  [--cache DIR]\n\
          \x20      --seeds accepts inclusive ranges: 1..8 and 1..=8 both mean seeds 1-8\n\
-         \x20      --checkpoint saves DIR/sweep_checkpoint.json after every ensemble;\n\
-         \x20      --resume (requires --checkpoint) skips ensembles it already holds\n\
-         \x20      --retained materializes full trajectories (default streams only\n\
-         \x20      scheduled frames; results are bit-identical either way)\n\
          \x20      --measure NAME@EVERY subsamples every EVERY-th ensemble sample\n\
          \x20      before estimating (e.g. ksg@4; discrete has no strided form)\n\
          \x20      --cache DIR reuses content-addressed cell results across runs\n\
          \x20      (keyed by scenario physics x measure x seed; results are\n\
-         \x20      bit-identical with or without the cache)\n\
+         \x20      bit-identical with or without the cache); re-running a killed\n\
+         \x20      sweep with the same --cache DIR resumes it\n\
          figures:  {}\n\
          measures: {}\n\
          exit codes: 0 ok, 1 i/o, 2 usage, 3 quarantined cells, 4 baseline check failed",
@@ -230,9 +223,6 @@ struct SweepArgs {
     save_baseline: bool,
     check_baseline: bool,
     baseline_path: std::path::PathBuf,
-    checkpoint_dir: Option<std::path::PathBuf>,
-    resume: bool,
-    retained: bool,
     cache_dir: Option<std::path::PathBuf>,
 }
 
@@ -266,9 +256,6 @@ fn parse_sweep_args(argv: &[String]) -> SweepArgs {
         save_baseline: false,
         check_baseline: false,
         baseline_path: std::path::PathBuf::from("BASELINE_sweep.json"),
-        checkpoint_dir: None,
-        resume: false,
-        retained: false,
         cache_dir: None,
     };
     let csv = |value: &str| -> Vec<String> {
@@ -323,14 +310,6 @@ fn parse_sweep_args(argv: &[String]) -> SweepArgs {
                 args.baseline_path =
                     std::path::PathBuf::from(argv.get(i).unwrap_or_else(|| usage()));
             }
-            "--checkpoint" => {
-                i += 1;
-                args.checkpoint_dir = Some(std::path::PathBuf::from(
-                    argv.get(i).unwrap_or_else(|| usage()),
-                ));
-            }
-            "--resume" => args.resume = true,
-            "--retained" => args.retained = true,
             "--cache" => {
                 i += 1;
                 args.cache_dir = Some(std::path::PathBuf::from(
@@ -344,10 +323,6 @@ fn parse_sweep_args(argv: &[String]) -> SweepArgs {
             }
         }
         i += 1;
-    }
-    if args.resume && args.checkpoint_dir.is_none() {
-        eprintln!("--resume requires --checkpoint DIR");
-        usage();
     }
     args
 }
@@ -416,11 +391,7 @@ fn run_sweep_cmd(argv: &[String]) -> ExitCode {
         measures,
         seeds: args.seeds,
         threads: args.threads,
-        storage: if args.retained {
-            EnsembleStorage::Retained
-        } else {
-            EnsembleStorage::default()
-        },
+        storage: EnsembleStorage::default(),
     };
     println!(
         "sweep — {} scenario(s) × {} measure(s) × {} seed(s): {} cells over {} ensembles (each simulated once){}",
@@ -443,39 +414,9 @@ fn run_sweep_cmd(argv: &[String]) -> ExitCode {
     };
     let t0 = Instant::now();
     let mut runner = SweepRunner::new();
-    let run_result = match &args.checkpoint_dir {
-        Some(dir) => {
-            let path = dir.join("sweep_checkpoint.json");
-            let checkpoint = if args.resume && path.exists() {
-                match SweepCheckpoint::load(&path, &plan) {
-                    Ok(c) => {
-                        println!(
-                            "resuming from {} ({} completed cell(s))",
-                            path.display(),
-                            c.cells().len()
-                        );
-                        Some(c)
-                    }
-                    Err(e) => {
-                        eprintln!("ignoring checkpoint: {e}; recomputing from scratch");
-                        None
-                    }
-                }
-            } else {
-                None
-            };
-            match checkpoint.map_or_else(|| SweepCheckpoint::new(&plan), Ok) {
-                Ok(mut c) => match &cache {
-                    Some(cc) => runner.run_with_checkpoint_and_cache(&plan, &mut c, &path, cc),
-                    None => runner.run_with_checkpoint(&plan, &mut c, &path),
-                },
-                Err(e) => Err(e),
-            }
-        }
-        None => match &cache {
-            Some(cc) => runner.run_with_cache(&plan, cc),
-            None => runner.run(&plan),
-        },
+    let run_result = match &cache {
+        Some(cc) => runner.run_with_cache(&plan, cc),
+        None => runner.run(&plan),
     };
     let report = match run_result {
         Ok(r) => r,

@@ -530,4 +530,16 @@ mod tests {
         let stats = stats_json(&broker);
         assert!(stats.contains("\"cache\":null"), "uncached broker: {stats}");
     }
+
+    #[test]
+    fn nesting_bomb_is_a_400_not_a_stack_overflow() {
+        // 0.5 MB — under MAX_BODY_BYTES, so it reaches the parser.
+        let bomb = "[".repeat(500_000);
+        assert!(bomb.len() < MAX_BODY_BYTES);
+        let err = parse_plan(&bomb).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let response = route(&SweepBroker::new(), "POST", "/sweep", &bomb);
+        assert_eq!(response.status, 400);
+        assert!(response.body.contains("nesting"), "{}", response.body);
+    }
 }

@@ -65,8 +65,8 @@ pub mod prelude {
         evaluate_ensemble, run_pipeline, run_sweep, BrokerStats, CacheStats, CellCache,
         CellProvenance, CellStatus, EnsembleStorage, MiSeries, ObserverMode, Pipeline,
         PipelineResult, RetryPolicy, RunOptions, ScenarioRegistry, ScenarioSpec, SummaryConfig,
-        SweepBaseline, SweepBroker, SweepCell, SweepCheckpoint, SweepError, SweepPlan, SweepReport,
-        SweepRunner, SweepSummary,
+        SweepBaseline, SweepBroker, SweepCell, SweepError, SweepPlan, SweepReport, SweepRunner,
+        SweepSummary,
     };
     pub use sops_info::{
         InfoWorkspace, KnnMode, KsgConfig, KsgVariant, MeasureConfig, MeasureWorkspace, SampleView,

@@ -1,26 +1,31 @@
-//! Fault-tolerance contracts of the checkpointing sweep layer
-//! (`sops_core::checkpoint` + `sops_core::scenario`):
+//! Fault-tolerance contracts of the sweep layer: resume through the
+//! content-addressed cell cache (`sops_core::cache` +
+//! `SweepRunner::run_with_cache`) and panic quarantine
+//! (`sops_core::scenario`):
 //!
 //! * **bit-identical resume** — a sweep killed at *any* ensemble
-//!   boundary and resumed through its checkpoint produces the same
-//!   report, bit for bit, as an uninterrupted run, for evaluation
-//!   worker counts 1 and 8 (the serialized `sweep.json` artifact is
-//!   byte-identical too);
+//!   boundary, or mid-ensemble after only its first measure was stored,
+//!   and re-run over the same cache produces the same report, bit for
+//!   bit, and the same `sweep.json`, byte for byte, as an uncached run,
+//!   for evaluation worker counts 1 and 8; the cells stored before the
+//!   kill read `Cached` and the rest `Computed`;
 //! * **panic quarantine** — an injected panicking estimator cell is
 //!   recorded as `CellStatus::Failed` while every other cell completes
-//!   intact, the sweep returns `Ok`, and the quarantined cells survive a
-//!   checkpoint round-trip as-is (no recompute, no crash);
+//!   intact and the sweep returns `Ok`; quarantined cells are never
+//!   stored, so a re-run retries them and reproduces the same status and
+//!   bytes;
 //! * **simulation quarantine** — a panicking *simulation* quarantines
 //!   the whole ensemble with a `simulation …` reason, other ensembles
 //!   unaffected;
-//! * **corruption rejection** — a torn (truncated mid-token) checkpoint
-//!   and a wrong-fingerprint checkpoint are rejected with typed
-//!   `SweepError`s, and recomputing from scratch afterwards (the CLI's
-//!   `--resume` fallback) still yields the uninterrupted result.
+//! * **changed plans** — a plan with one scenario's horizon changed
+//!   computes only that scenario's cells and reuses every other one;
+//! * **corruption** — a cache entry truncated mid-token is evicted and
+//!   recomputed, and the `sweep.json` bytes do not change.
 
+use sops::core::checkpoint::cell_key;
+use sops::core::report::sweep_json;
 use sops::prelude::*;
 use sops::sim::force::{ForceLaw, ForceModel, LinearForce};
-use std::path::PathBuf;
 
 /// A small 2-type attracting system that visibly organizes.
 fn small_scenario(name: &str, seed: u64) -> ScenarioSpec {
@@ -58,12 +63,22 @@ fn resume_plan(threads: usize) -> SweepPlan {
     }
 }
 
-/// Fresh scratch directory per test (tests run in parallel).
-fn scratch(tag: &str) -> PathBuf {
+/// Fresh cache directory per test (tests run in parallel).
+fn fresh_cache(tag: &str) -> CellCache {
     let dir = std::env::temp_dir().join(format!("sops_sweep_resume_{tag}"));
     std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+    CellCache::open(dir).expect("temp cache dir")
+}
+
+/// The key `plan`'s runner looks `cell` up by: its scenario reseeded to
+/// the cell's seed, times the cell's measure.
+fn key_of(plan: &SweepPlan, cell: &SweepCell) -> u64 {
+    let base = plan
+        .scenarios
+        .iter()
+        .find(|sc| sc.name == cell.scenario)
+        .expect("cell scenario is in the plan");
+    cell_key(&base.clone().with_seed(cell.seed), &cell.measure).expect("serializable scenario")
 }
 
 fn assert_cells_bit_identical(a: &SweepReport, b: &SweepReport) {
@@ -94,68 +109,71 @@ fn assert_cells_bit_identical(a: &SweepReport, b: &SweepReport) {
     }
 }
 
-/// The headline invariant: for every prefix of completed ensembles —
-/// i.e. a kill at any ensemble boundary — resuming through the saved
-/// checkpoint reproduces the uninterrupted report bit for bit, and the
-/// serialized `sweep.json` byte for byte, for worker counts 1 and 8.
+/// The headline invariant: for every prefix of stored cells a kill can
+/// leave behind — every ensemble boundary, plus a kill mid-ensemble
+/// after only its first measure was stored — re-running over the cache
+/// reproduces the uncached report bit for bit and its `sweep.json` byte
+/// for byte, for worker counts 1 and 8, and computes only what was
+/// missing.
 #[test]
 fn kill_at_any_boundary_and_resume_is_bit_identical() {
     for threads in [1usize, 8] {
-        let dir = scratch(&format!("boundary_t{threads}"));
-        let path = dir.join("sweep_checkpoint.json");
         let plan = resume_plan(threads);
         let n_measures = plan.measures.len();
-
         let reference = run_sweep(&plan).expect("valid plan");
-        let ref_json = dir.join("reference_sweep.json");
-        sops::core::report::write_sweep_json(&ref_json, &reference).unwrap();
-        let ref_bytes = std::fs::read(&ref_json).unwrap();
+        let ref_bytes = sweep_json(&reference, false);
 
         let n_ensembles = reference.cells.len() / n_measures;
-        for prefix in 0..=n_ensembles {
-            // Simulate a run killed after `prefix` completed ensembles:
-            // the checkpoint on disk holds exactly their cells.
-            let mut partial = SweepCheckpoint::new(&plan).expect("serializable plan");
-            partial.record(&reference.cells[..prefix * n_measures]);
-            partial.save(&path, &plan).unwrap();
+        let mut kills: Vec<usize> = (0..=n_ensembles).map(|e| e * n_measures).collect();
+        kills.push(n_measures + 1);
+        for stored in kills {
+            // A run killed after storing its first `stored` cells.
+            let cache = fresh_cache(&format!("boundary_t{threads}_{stored}"));
+            for cell in &reference.cells[..stored] {
+                cache.store(key_of(&plan, cell), &cell.result);
+            }
 
-            // Resume: load from disk into a fresh runner.
-            let mut resumed_ckpt = SweepCheckpoint::load(&path, &plan).unwrap();
-            assert_eq!(resumed_ckpt.cells().len(), prefix * n_measures);
             let resumed = SweepRunner::new()
-                .run_with_checkpoint(&plan, &mut resumed_ckpt, &path)
+                .run_with_cache(&plan, &cache)
                 .expect("valid plan");
-
             assert_cells_bit_identical(&reference, &resumed);
-            let out = dir.join(format!("resumed_{prefix}.json"));
-            sops::core::report::write_sweep_json(&out, &resumed).unwrap();
             assert_eq!(
-                std::fs::read(&out).unwrap(),
+                sweep_json(&resumed, false),
                 ref_bytes,
-                "threads {threads}, prefix {prefix}: sweep.json diverged"
+                "threads {threads}, {stored} stored cell(s): sweep.json diverged"
             );
+            for (i, cell) in resumed.cells.iter().enumerate() {
+                let expected = if i < stored {
+                    CellProvenance::Cached
+                } else {
+                    CellProvenance::Computed
+                };
+                assert_eq!(
+                    cell.provenance, expected,
+                    "threads {threads}, {stored} stored cell(s), cell {i}"
+                );
+            }
+            std::fs::remove_dir_all(cache.dir()).ok();
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
 /// An estimator that panics on every cell (KSG with k ≥ samples) is
-/// quarantined per cell: the sweep completes with `Ok`, the healthy
-/// measure's cells are intact, and the failed cells survive a
-/// checkpoint round-trip unchanged instead of crashing the resume.
+/// quarantined per cell: the sweep completes with `Ok` and the healthy
+/// measure's cells are intact. Quarantined cells are never stored, so a
+/// re-run over the same cache serves the healthy cells, retries the
+/// poisoned ones, and reproduces the same statuses and bytes.
 #[test]
 fn panicking_estimator_is_quarantined_and_resumes_as_is() {
-    let dir = scratch("quarantine");
-    let path = dir.join("sweep_checkpoint.json");
     let mut plan = resume_plan(1);
     plan.measures[0] = MeasureConfig::Ksg(KsgConfig {
         k: 1000, // >= samples: panics in the KSG estimator
         ..KsgConfig::default()
     });
+    let cache = fresh_cache("quarantine");
 
-    let mut ckpt = SweepCheckpoint::new(&plan).expect("serializable plan");
     let report = SweepRunner::new()
-        .run_with_checkpoint(&plan, &mut ckpt, &path)
+        .run_with_cache(&plan, &cache)
         .expect("quarantine must not abort the sweep");
     assert_eq!(report.cells.len(), 8);
     assert!(report.has_failures());
@@ -192,15 +210,23 @@ fn panicking_estimator_is_quarantined_and_resumes_as_is() {
             bits(&clean_cell.result.mi.values)
         );
     }
+    // Only the four healthy cells reached the cache.
+    assert_eq!(cache.len(), 4);
 
-    // Resume from the saved checkpoint: the failed cells are restored
-    // as-is (status, reason and empty payload), not recomputed.
-    let mut resumed_ckpt = SweepCheckpoint::load(&path, &plan).unwrap();
-    let resumed = SweepRunner::new()
-        .run_with_checkpoint(&plan, &mut resumed_ckpt, &path)
+    let rerun = SweepRunner::new()
+        .run_with_cache(&plan, &cache)
         .expect("valid plan");
-    assert_cells_bit_identical(&report, &resumed);
-    std::fs::remove_dir_all(&dir).ok();
+    assert_cells_bit_identical(&report, &rerun);
+    assert_eq!(sweep_json(&rerun, false), sweep_json(&report, false));
+    for cell in &rerun.cells {
+        let expected = if cell.status.is_ok() {
+            CellProvenance::Cached
+        } else {
+            CellProvenance::Computed
+        };
+        assert_eq!(cell.provenance, expected, "{}", cell.measure_label);
+    }
+    std::fs::remove_dir_all(cache.dir()).ok();
 }
 
 /// A panicking *simulation* (a force law that detonates mid-sweep — the
@@ -273,42 +299,76 @@ fn invalid_integrator_is_a_typed_plan_error_not_a_quarantine() {
     );
 }
 
-/// Torn and drifted checkpoints are rejected with typed errors — and
-/// the CLI's fallback (recompute from scratch) still reproduces the
-/// uninterrupted result afterwards.
+/// A plan that changes one scenario's horizon reuses the other
+/// scenario's cells and computes only the changed ones — and matches an
+/// uncached run of the changed plan byte for byte.
 #[test]
-fn corrupted_or_drifted_checkpoints_are_rejected_then_recomputed() {
-    let dir = scratch("corruption");
-    let path = dir.join("sweep_checkpoint.json");
+fn changed_plan_recomputes_only_the_changed_scenario() {
     let plan = resume_plan(1);
+    let cache = fresh_cache("changed_plan");
+    SweepRunner::new()
+        .run_with_cache(&plan, &cache)
+        .expect("valid plan");
+    assert_eq!(cache.len(), 8);
 
-    let reference = run_sweep(&plan).expect("valid plan");
-    let mut ckpt = SweepCheckpoint::new(&plan).unwrap();
-    ckpt.record(&reference.cells);
-    ckpt.save(&path, &plan).unwrap();
+    let mut changed = plan.clone();
+    changed.scenarios[0].ensemble.t_max += 10;
+    let uncached = sweep_json(&run_sweep(&changed).expect("valid plan"), false);
+    let report = SweepRunner::new()
+        .run_with_cache(&changed, &cache)
+        .expect("valid plan");
+    assert_eq!(sweep_json(&report, false), uncached);
+    for cell in &report.cells {
+        let expected = if cell.scenario == "attract" {
+            CellProvenance::Computed
+        } else {
+            CellProvenance::Cached
+        };
+        assert_eq!(
+            cell.provenance, expected,
+            "{}/{}#{}",
+            cell.scenario, cell.measure_label, cell.seed
+        );
+    }
+    let stats = cache.stats();
+    assert_eq!((stats.hits, stats.stores), (4, 8 + 4));
+    std::fs::remove_dir_all(cache.dir()).ok();
+}
 
-    // Truncate mid-token: torn write → typed parse error.
+/// An entry torn mid-write (truncated mid-token) is a typed parse error;
+/// the re-run evicts it, recomputes that one cell, stores it back whole,
+/// and the `sweep.json` bytes do not change.
+#[test]
+fn truncated_cache_entry_is_evicted_and_recomputed() {
+    let plan = resume_plan(1);
+    let ref_bytes = sweep_json(&run_sweep(&plan).expect("valid plan"), false);
+    let cache = fresh_cache("truncated");
+    let cold = SweepRunner::new()
+        .run_with_cache(&plan, &cache)
+        .expect("valid plan");
+
+    let victim = 2;
+    let key = key_of(&plan, &cold.cells[victim]);
+    let path = cache.entry_path(key);
     let full = std::fs::read_to_string(&path).unwrap();
     std::fs::write(&path, &full[..full.len() * 2 / 3]).unwrap();
-    let err = SweepCheckpoint::load(&path, &plan).unwrap_err();
+    let err = cache.load(key).unwrap_err();
     assert!(matches!(err, SweepError::Parse { .. }), "{err}");
 
-    // Same bytes, drifted plan → fingerprint mismatch.
-    std::fs::write(&path, &full).unwrap();
-    let mut drifted = plan.clone();
-    drifted.scenarios[0].ensemble.t_max += 1;
-    let err = SweepCheckpoint::load(&path, &drifted).unwrap_err();
-    assert!(
-        matches!(err, SweepError::FingerprintMismatch { .. }),
-        "{err}"
-    );
-
-    // The CLI fallback after either rejection: start a fresh checkpoint
-    // and recompute — bit-identical to the uninterrupted run.
-    let mut fresh = SweepCheckpoint::new(&plan).unwrap();
-    let recomputed = SweepRunner::new()
-        .run_with_checkpoint(&plan, &mut fresh, &path)
+    let rerun = SweepRunner::new()
+        .run_with_cache(&plan, &cache)
         .expect("valid plan");
-    assert_cells_bit_identical(&reference, &recomputed);
-    std::fs::remove_dir_all(&dir).ok();
+    assert_cells_bit_identical(&cold, &rerun);
+    assert_eq!(sweep_json(&rerun, false), ref_bytes);
+    for (i, cell) in rerun.cells.iter().enumerate() {
+        let expected = if i == victim {
+            CellProvenance::Computed
+        } else {
+            CellProvenance::Cached
+        };
+        assert_eq!(cell.provenance, expected, "cell {i}");
+    }
+    assert_eq!(cache.stats().evictions, 1);
+    assert!(cache.load(key).expect("healthy entry").is_some());
+    std::fs::remove_dir_all(cache.dir()).ok();
 }
