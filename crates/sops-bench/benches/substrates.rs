@@ -1,11 +1,16 @@
 //! Substrate microbenches: spatial indexes, assignment, clustering,
-//! alignment and the scoped-thread parallel map.
+//! alignment, shape reduction and the scoped-thread parallel map.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sops_bench::{cloud, flat};
 use sops_cluster::{kmeans, KMeansConfig};
+use sops_core::scenario::cell_sorting;
 use sops_math::{SplitMix64, Vec2};
-use sops_shape::{hungarian, icp_align, IcpConfig, RigidTransform};
+use sops_shape::{
+    hungarian, icp_align, icp_align_with, reduce_configurations_with, IcpConfig, IcpScratch,
+    ReduceConfig, ReduceWorkspace, RigidTransform,
+};
+use sops_sim::run_ensemble;
 use sops_spatial::{brute, CellGrid, KdTree};
 use std::hint::black_box;
 
@@ -92,8 +97,9 @@ fn bench_kmeans(c: &mut Criterion) {
 }
 
 fn bench_icp_restarts(c: &mut Criterion) {
-    // Ablation: alignment cost of the restart grid (DESIGN.md substitution
-    // for PCL's single-run ICP).
+    // Ablation: alignment cost of the restart grid, which replaces the
+    // paper's single-run PCL ICP (one run from angle 0 gets stuck in a
+    // local optimum for near-π rotations).
     let mut group = c.benchmark_group("icp_restarts");
     group.sample_size(20);
     let reference = cloud(50, 5.0, 21);
@@ -125,6 +131,58 @@ fn bench_icp_restarts(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_reduce(c: &mut Criterion) {
+    // Shape reduction (paper §5.2). The ICP kernel at 20 points per type
+    // (the builtin scenarios' traffic) and at 128, past the crossover
+    // near 96 per type where its flat lane scan loses to a per-type
+    // kd-tree; then the whole single-thread reduction of one real slice:
+    // the final step of a full-scale 120-sample `cell_sorting` ensemble.
+    let mut group = c.benchmark_group("reduce");
+    group.sample_size(30);
+    for &per_type in &[20usize, 128] {
+        let n = 2 * per_type;
+        let reference = cloud(n, 0.6 * (n as f64).sqrt(), 31);
+        let types: Vec<u16> = (0..n).map(|i| (i % 2) as u16).collect();
+        let t = RigidTransform {
+            rotation: 2.3,
+            translation: Vec2::new(4.0, -1.0),
+        };
+        let mut rng = SplitMix64::new(32);
+        let moving: Vec<Vec2> = reference
+            .iter()
+            .map(|&p| {
+                t.apply(p) + Vec2::new(rng.next_range(-0.05, 0.05), rng.next_range(-0.05, 0.05))
+            })
+            .collect();
+        let mut scratch = IcpScratch::new();
+        group.bench_function(BenchmarkId::new("icp_align_with", per_type), |b| {
+            b.iter(|| {
+                icp_align_with(
+                    &mut scratch,
+                    black_box(&reference),
+                    black_box(&moving),
+                    &types,
+                    &IcpConfig::default(),
+                )
+            })
+        });
+    }
+    let spec = cell_sorting();
+    let ensemble = run_ensemble(&spec.ensemble, 0);
+    let slice = ensemble.at_time(spec.ensemble.t_max);
+    let types = spec.ensemble.model.types();
+    let cfg = ReduceConfig {
+        threads: 1,
+        ..spec.reduce
+    };
+    let mut ws = ReduceWorkspace::new();
+    group.bench_function(
+        BenchmarkId::new("reduce_configurations_with", "cell_sorting_m120"),
+        |b| b.iter(|| reduce_configurations_with(&mut ws, black_box(&slice), types, &cfg)),
+    );
+    group.finish();
+}
+
 fn bench_parallel_map(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_map");
     group.sample_size(20);
@@ -153,6 +211,7 @@ criterion_group!(
     bench_hungarian,
     bench_kmeans,
     bench_icp_restarts,
+    bench_reduce,
     bench_parallel_map
 );
 criterion_main!(benches);

@@ -19,15 +19,16 @@ use std::process::ExitCode;
 
 use sops_core::wire::{self, Value};
 
-/// The gated groups: the two hot kernels of the ΔI pipeline (force
-/// half-sweep, Chebyshev kNN), the pairwise-matrix driver that
-/// dominates figure reproduction, and the cell cache's warm-hit path
-/// (a hit regressing toward recompute cost defeats the cache; the
-/// compute-bound `cold_compute`/`coalesced_pair` cases are ungated
-/// context).
-const KERNEL_GROUPS: [&str; 4] = [
+/// The gated groups: the hot kernels of the ΔI pipeline (force
+/// half-sweep, Chebyshev kNN, shape reduction), the pairwise-matrix
+/// driver that dominates figure reproduction, and the cell cache's
+/// warm-hit path (a hit regressing toward recompute cost defeats the
+/// cache; the compute-bound `cold_compute`/`coalesced_pair` cases are
+/// ungated context).
+const KERNEL_GROUPS: [&str; 5] = [
     "net_forces/",
     "ksg_scaling/",
+    "reduce/",
     "pairwise_matrix/",
     "sweep_cache/warm_hit",
 ];
@@ -141,6 +142,11 @@ mod tests {
         assert!(is_kernel_case("ksg_scaling/m1000_n40"));
         assert!(is_kernel_case("pairwise_matrix/m600_n16"));
         assert!(is_kernel_case("sweep_cache/warm_hit"));
+        assert!(is_kernel_case("reduce/icp_align_with/20"));
+        assert!(is_kernel_case(
+            "reduce/reduce_configurations_with/cell_sorting_m120"
+        ));
+        assert!(!is_kernel_case("icp_restarts/8"));
         assert!(!is_kernel_case("sweep_cache/cold_compute"));
         assert!(!is_kernel_case("sweep_cache/coalesced_pair"));
         assert!(!is_kernel_case("ensemble/8"));

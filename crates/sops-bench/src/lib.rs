@@ -3,8 +3,8 @@
 //! Benchmarks live in `benches/`:
 //!
 //! * `substrates` — kd-tree vs brute force, cell grid, Hungarian
-//!   assignment, k-means, ICP (restart-count ablation), parallel map
-//!   scaling.
+//!   assignment, k-means, ICP (restart-count ablation), shape reduction
+//!   (the ICP kernel and a whole-slice reduction), parallel map scaling.
 //! * `estimators` — KSG variants (incl. the literal paper formula), k
 //!   sensitivity, KDE and shrinkage-binning baselines (§5.3 speed
 //!   comparison), Kozachenko–Leonenko entropy.

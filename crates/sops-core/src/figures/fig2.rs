@@ -68,7 +68,8 @@ impl Fig2Data {
             "{}",
             report::line_chart("Fig 2 — force-scaling functions", &[s1, s2], 64, 18)
         );
-        // Structural checks mirrored in EXPERIMENTS.md.
+        // The structure the paper's Fig. 2 shows: F1's zero crossing at
+        // the preferred distance, F2 repulsive everywhere.
         let zero_crossing = self
             .x
             .iter()

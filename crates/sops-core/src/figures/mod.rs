@@ -3,8 +3,7 @@
 //!
 //! Every module exposes `run(&RunOptions) -> FigNData`; the data structs
 //! render themselves (`print()`) and write CSV series (`write_csv()`)
-//! when an output directory is configured. `EXPERIMENTS.md` records the
-//! paper-vs-measured comparison for each.
+//! when an output directory is configured.
 //!
 //! Shared parameter conventions (see DESIGN.md "pinned interpretations"):
 //! noise std 0.05 (`NOISE_VARIANCE`), Euler–Maruyama `dt` per figure,

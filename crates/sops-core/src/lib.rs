@@ -17,8 +17,9 @@
 //! that fans each simulated ensemble over any number of measure
 //! selections — `run_pipeline` is its one-cell special case.
 //! [`figures`] packages one generator per figure of the paper's
-//! evaluation; the `sops-repro` binary drives them and `EXPERIMENTS.md`
-//! records paper-vs-measured outcomes. [`dynamics`] implements the §7.3
+//! evaluation; the `sops-repro` binary drives them, and
+//! `tests/paper_claims.rs` checks the paper's qualitative claims on them
+//! at smoke scale. [`dynamics`] implements the §7.3
 //! future-work proposal: transfer entropy between individual particles.
 //! [`summary`] folds a sweep's seed axis into per-(scenario, measure)
 //! statistics with confidence intervals and significance verdicts, and
@@ -69,7 +70,7 @@ pub use summary::{SummaryConfig, SummaryGroup, SweepSummary};
 #[derive(Debug, Clone)]
 pub struct RunOptions {
     /// Reduced sample counts / horizons for smoke-level runs (CI and the
-    /// Criterion benches use this; the recorded EXPERIMENTS.md numbers use
+    /// Criterion benches use this; full-scale reproductions use
     /// `fast = false`).
     pub fast: bool,
     /// Master seed for everything downstream.

@@ -51,8 +51,8 @@ pub struct ReducedSet {
     pub icp_costs: Vec<f64>,
 }
 
-/// Per-worker scratch of the reduction loop: ICP buffers and index,
-/// Hungarian matching buffers, and the moving-configuration staging
+/// Per-worker scratch of the reduction loop: ICP buffers and reference
+/// lanes, Hungarian matching buffers, and the moving-configuration staging
 /// vectors. Each worker reuses its scratch across every sample it claims.
 #[derive(Debug, Clone, Default)]
 struct ReduceScratch {

@@ -15,8 +15,8 @@
 //! The paper used the PCL ICP implementation with types embedded as a
 //! scaled third coordinate; per-type nearest-neighbour correspondence is
 //! mathematically identical once the type offset exceeds the collective's
-//! diameter (DESIGN.md, substitutions), and is what [`icp`] implements
-//! directly.
+//! diameter (the nearest neighbour of any point is then of its own
+//! type), and is what [`icp`] implements directly.
 
 pub mod assignment;
 pub mod distance;

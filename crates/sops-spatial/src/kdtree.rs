@@ -4,7 +4,8 @@
 //! Dimensions in this workspace are small (2 for particle positions, up to
 //! ~10 for coarse observer blocks), where kd-trees shine. Queries:
 //!
-//! * [`KdTree::nearest`] / [`KdTree::knn`] — used by ICP correspondences;
+//! * [`KdTree::nearest`] / [`KdTree::knn`] — nearest-neighbour queries,
+//!   e.g. the grid-regularity metrics of `sops_core::metrics`;
 //! * [`KdTree::count_within`] — the strict range count `cᵢ` of paper
 //!   Eq. 20 (one call per sample per observer inside the KSG estimator);
 //! * [`KdTree::range_indices`] — neighbourhood retrieval for diagnostics.
@@ -213,7 +214,8 @@ impl KdTree {
     }
 
     /// Index and squared distance of the nearest point to `query`,
-    /// excluding indices for which `skip` returns `true`.
+    /// excluding indices for which `skip` returns `true`. Exact distance
+    /// ties resolve to the smallest index, as in [`crate::brute::nearest`].
     pub fn nearest_excluding(
         &self,
         query: &[f64],
@@ -261,7 +263,10 @@ impl KdTree {
                     (*right, node + 1)
                 };
                 self.nearest_rec(near, query, skip, best);
-                if best.is_none_or(|(_, bd)| delta * delta < bd) {
+                // `<=`, as in `knn_rec`: an equal-distance point across
+                // the split may have the smaller, canonically winning
+                // index.
+                if best.is_none_or(|(_, bd)| delta * delta <= bd) {
                     self.nearest_rec(far, query, skip, best);
                 }
             }
@@ -679,8 +684,33 @@ mod tests {
         }
     }
 
+    // 13–32 points on a 5×5 integer lattice, repeats allowed.
+    prop_compose! {
+        fn arb_lattice_points()(n in 13..33usize)(
+            cells in proptest::collection::vec(0..5i32, n * 2)
+        ) -> Vec<f64> {
+            cells.into_iter().map(f64::from).collect()
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn nearest_index_matches_brute_on_lattice_ties(pts in arb_lattice_points()) {
+            // Half-integer queries over and around the lattice: exact
+            // distance ties everywhere, many of them across a split.
+            let t = KdTree::build(2, &pts);
+            for qx in -2..11 {
+                for qy in -2..11 {
+                    let q = [f64::from(qx) / 2.0, f64::from(qy) / 2.0];
+                    let got = t.nearest(&q).unwrap();
+                    let want = brute::nearest(2, &pts, &q).unwrap();
+                    prop_assert_eq!(got.0, want.0, "query {:?}", q);
+                    prop_assert_eq!(got.1.to_bits(), want.1.to_bits());
+                }
+            }
+        }
 
         #[test]
         fn nearest_matches_brute(pts in arb_points(120), qx in -60.0..60.0f64, qy in -60.0..60.0f64) {

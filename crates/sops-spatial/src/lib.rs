@@ -5,8 +5,9 @@
 //! * the **simulator** sums forces over all particles within the cut-off
 //!   radius `r_c` (paper Eq. 6) — served by [`CellGrid`], a uniform-grid
 //!   neighbour list rebuilt per step in `O(n)`;
-//! * the **ICP alignment** (paper §5.2) needs nearest neighbours between
-//!   2-D point sets — served by [`KdTree`];
+//! * the **grid-regularity metrics** (`sops_core::metrics`, Fig. 3) need
+//!   each particle's nearest other particle — served by
+//!   [`KdTree::nearest_excluding`];
 //! * the **KSG estimator** (paper Eq. 18–20) needs per-variable strict
 //!   range counts and joint-space k-NN under a max-over-blocks metric —
 //!   served by [`KdTree::count_within`] per block and, for the joint
@@ -17,6 +18,10 @@
 //!
 //! [`brute`] holds the obviously-correct `O(n²)` references that the
 //! property tests compare against and that small inputs fall back to.
+//!
+//! The ICP alignment (paper §5.2) is not a consumer: its per-type point
+//! sets hold at most 40 points in shipped use, where `sops_shape::icp`'s
+//! flat lane scan beats a kd-tree.
 
 pub mod block_max;
 pub mod brute;

@@ -1,6 +1,6 @@
 //! End-to-end determinism: the full pipeline must be bit-reproducible in
 //! its seed and independent of thread scheduling — the property that
-//! makes every number in EXPERIMENTS.md regenerable.
+//! makes every reported number regenerable from its seed.
 
 use sops::prelude::*;
 

@@ -1,6 +1,6 @@
 //! Smoke-scale verification of the paper's headline qualitative claims
-//! (§6, §7). Full-scale versions live in the `sops-repro` binary and
-//! EXPERIMENTS.md; these run in seconds and guard the claims in CI.
+//! (§6, §7). The full-scale versions are the `sops-repro` figure runs;
+//! these run in seconds and guard the claims in CI.
 
 use sops::core::figures;
 use sops::core::RunOptions;
