@@ -157,8 +157,8 @@ fn bench_force_families(c: &mut Criterion) {
 }
 
 fn bench_substeps_ablation(c: &mut Criterion) {
-    // Ablation for DESIGN.md #2: cost of integrating one recorded step at
-    // different substep counts (accuracy/stability trade-off).
+    // Ablation: cost of integrating one recorded step at different
+    // substep counts (accuracy/stability trade-off).
     let mut group = c.benchmark_group("integrator_substeps");
     group.sample_size(20);
     for &substeps in &[1usize, 2, 4, 8] {
@@ -306,6 +306,28 @@ fn bench_sweep_cache(c: &mut Criterion) {
             black_box(report.cells.len())
         })
     });
+
+    // The service's hit path in process: `sops_serve::route` parses a
+    // five-measure fast plan, keys its cells and answers all five from
+    // the warm cache (gated: a per-request gallery rebuild or a
+    // per-measure scenario serialization shows up here).
+    let broker = SweepBroker::new().with_cache(std::sync::Arc::new(
+        CellCache::open(&dir).expect("temp cache dir"),
+    ));
+    let body = "{\"scenarios\":[\"cell_sorting\"],\"measures\":[\"ksg\",\"kde\",\"binned\",\
+                \"discrete\",\"gaussian\"],\"seeds\":[1],\"fast\":true,\"threads\":1}";
+    assert_eq!(
+        sops_serve::route(&broker, "POST", "/sweep", body).status,
+        200
+    );
+    group.bench_function("route_hit", |b| {
+        b.iter(|| {
+            let response = sops_serve::route(&broker, "POST", "/sweep", black_box(body));
+            assert_eq!(response.status, 200);
+            black_box(response.body.len())
+        })
+    });
+    assert_eq!(broker.stats().cells_computed, 5, "every timed request hit");
 
     group.bench_function("coalesced_pair", |b| {
         // Uncached broker: each iteration recomputes, and the concurrent

@@ -22,15 +22,17 @@ use sops_core::wire::{self, Value};
 /// The gated groups: the hot kernels of the ΔI pipeline (force
 /// half-sweep, Chebyshev kNN, shape reduction), the pairwise-matrix
 /// driver that dominates figure reproduction, and the cell cache's
-/// warm-hit path (a hit regressing toward recompute cost defeats the
-/// cache; the compute-bound `cold_compute`/`coalesced_pair` cases are
-/// ungated context).
-const KERNEL_GROUPS: [&str; 5] = [
+/// warm-hit paths, through the runner and through the service's
+/// `route` (a hit regressing toward recompute cost defeats the cache;
+/// the compute-bound `cold_compute`/`coalesced_pair` cases are ungated
+/// context).
+const KERNEL_GROUPS: [&str; 6] = [
     "net_forces/",
     "ksg_scaling/",
     "reduce/",
     "pairwise_matrix/",
     "sweep_cache/warm_hit",
+    "sweep_cache/route_hit",
 ];
 
 /// Fail only above this fresh/committed median ratio.
@@ -142,6 +144,7 @@ mod tests {
         assert!(is_kernel_case("ksg_scaling/m1000_n40"));
         assert!(is_kernel_case("pairwise_matrix/m600_n16"));
         assert!(is_kernel_case("sweep_cache/warm_hit"));
+        assert!(is_kernel_case("sweep_cache/route_hit"));
         assert!(is_kernel_case("reduce/icp_align_with/20"));
         assert!(is_kernel_case(
             "reduce/reduce_configurations_with/cell_sorting_m120"

@@ -9,7 +9,8 @@
 //! Cross-sample correspondence of cluster means is established by
 //! canonical ordering (lexicographic by centre coordinates) — valid
 //! because every sample has already been ICP-aligned into a common frame
-//! when the approximation is applied (DESIGN.md, pinned interpretation #5).
+//! when the approximation is applied. The ordering is this library's
+//! choice; the paper does not specify one.
 
 use sops_math::{SplitMix64, Vec2};
 

@@ -33,7 +33,7 @@
 //! request.
 
 use crate::cache::{CacheStats, CellCache};
-use crate::checkpoint::{cell_key, ensemble_key};
+use crate::checkpoint::ScenarioKeys;
 use crate::error::SweepError;
 use crate::pipeline::PipelineResult;
 use crate::scenario::{
@@ -285,7 +285,8 @@ impl SweepBroker {
 
         // The request's cell coordinates in plan order, with their
         // identity keys (computing keys up front also validates that the
-        // plan has a stable wire form before any work is claimed).
+        // plan has a stable wire form before any work is claimed). Each
+        // ensemble's keys come from one scenario serialization.
         struct Coord {
             scenario_index: usize,
             measure_index: usize,
@@ -304,14 +305,15 @@ impl SweepBroker {
             };
             for &seed in seeds {
                 let scenario = base.clone().with_seed(seed);
-                let ensemble = ensemble_key(&scenario)?;
+                let keys = ScenarioKeys::new(&scenario)?;
+                let ensemble = keys.ensemble();
                 for (mi, measure) in plan.measures.iter().enumerate() {
                     coords.push(Coord {
                         scenario_index: scenarios.len(),
                         measure_index: mi,
                         seed,
                         ensemble,
-                        cell: cell_key(&scenario, measure)?,
+                        cell: keys.cell(measure),
                     });
                 }
                 scenarios.push(scenario);

@@ -13,6 +13,14 @@
 //! identity of one (scenario, seed) ensemble that
 //! [`crate::broker::SweepBroker`] batches requests on.
 //!
+//! Every key is derived through one code path, `ScenarioKeys`: the
+//! scenario is serialized once, and because FNV-1a is a streaming hash
+//! the cell-wire prefix every measure shares (schema tag and scenario
+//! wire) is hashed once and extended per measure. The bytes hashed are
+//! exactly [`cell_wire`]'s, so a five-measure ensemble costs one
+//! scenario serialization instead of six, and every key — and with it
+//! every cache entry — is unchanged.
+//!
 //! The wire form covers everything that determines results and excludes
 //! every knob that does not: all `threads` fields (results are
 //! bit-identical for any worker count), the ensemble storage policy and
@@ -210,6 +218,19 @@ fn measure_wire(m: &MeasureConfig) -> String {
 /// collide with entries addressed under the old one.
 pub const CELL_SCHEMA: &str = "sops-cell/v1";
 
+/// The bytes of [`cell_wire`] before the measure, given the scenario's
+/// wire form: everything a cell shares with the other measures of its
+/// ensemble. The measure's wire form and a closing `}` follow.
+fn cell_wire_head(scenario_wire: &str) -> [&str; 5] {
+    [
+        "{\"schema\":\"",
+        CELL_SCHEMA,
+        "\",\"scenario\":",
+        scenario_wire,
+        ",\"measure\":",
+    ]
+}
+
 /// The canonical wire form of one sweep cell's *identity*: everything
 /// that determines the cell's result — the scenario's physics (model,
 /// force law, integrator, init, horizon, samples, **seed**, equilibration
@@ -231,18 +252,18 @@ pub const CELL_SCHEMA: &str = "sops-cell/v1";
 /// callers sweeping a seed axis must pass the reseeded spec
 /// ([`ScenarioSpec::with_seed`]), as [`crate::SweepRunner`] does.
 pub fn cell_wire(scenario: &ScenarioSpec, measure: &MeasureConfig) -> Result<String, SweepError> {
-    Ok(format!(
-        "{{\"schema\":\"{CELL_SCHEMA}\",\"scenario\":{},\"measure\":{}}}",
-        scenario_wire(scenario)?,
-        measure_wire(measure)
-    ))
+    let mut cell = cell_wire_head(&scenario_wire(scenario)?).concat();
+    cell.push_str(&measure_wire(measure));
+    cell.push('}');
+    Ok(cell)
 }
 
 /// FNV-1a 64 over [`cell_wire`]: the content address of one sweep cell,
 /// shared by every plan that contains the cell. See [`cell_wire`] for
-/// what it covers.
+/// what it covers. Keying several measures of one ensemble goes through
+/// the crate's `ScenarioKeys`, which serializes the scenario once.
 pub fn cell_key(scenario: &ScenarioSpec, measure: &MeasureConfig) -> Result<u64, SweepError> {
-    Ok(wire::fnv1a64(cell_wire(scenario, measure)?.as_bytes()))
+    Ok(ScenarioKeys::new(scenario)?.cell(measure))
 }
 
 /// FNV-1a 64 over the scenario's canonical wire form: the identity of one
@@ -251,13 +272,55 @@ pub fn cell_key(scenario: &ScenarioSpec, measure: &MeasureConfig) -> Result<u64,
 /// requests with equal ensemble keys into one simulation pass. Same
 /// inclusion/exclusion rules as [`cell_wire`].
 pub fn ensemble_key(scenario: &ScenarioSpec) -> Result<u64, SweepError> {
-    Ok(wire::fnv1a64(scenario_wire(scenario)?.as_bytes()))
+    Ok(ScenarioKeys::new(scenario)?.ensemble())
+}
+
+/// Every identity key of one (scenario, seed) ensemble, derived from one
+/// serialization of the scenario — the one code path behind
+/// [`cell_key`] and [`ensemble_key`].
+///
+/// [`ScenarioKeys::new`] hashes the [`cell_wire`] prefix all measures
+/// share once; [`ScenarioKeys::cell`] extends that hash with one
+/// measure's wire form, so each cell key costs a measure serialization,
+/// not a scenario one. The bytes hashed are exactly [`cell_wire`]'s.
+pub(crate) struct ScenarioKeys {
+    scenario_wire: String,
+    cell_head: u64,
+}
+
+impl ScenarioKeys {
+    /// Serializes `scenario` once; `Err` only for a scenario with no
+    /// stable wire form ([`SweepError::Unserializable`]).
+    pub(crate) fn new(scenario: &ScenarioSpec) -> Result<Self, SweepError> {
+        let scenario_wire = scenario_wire(scenario)?;
+        let cell_head = cell_wire_head(&scenario_wire)
+            .iter()
+            .fold(wire::fnv1a64(b""), |h, part| {
+                wire::fnv1a64_extend(h, part.as_bytes())
+            });
+        Ok(ScenarioKeys {
+            scenario_wire,
+            cell_head,
+        })
+    }
+
+    /// The scenario's [`ensemble_key`].
+    pub(crate) fn ensemble(&self) -> u64 {
+        wire::fnv1a64(self.scenario_wire.as_bytes())
+    }
+
+    /// The [`cell_key`] of `measure` on this scenario.
+    pub(crate) fn cell(&self, measure: &MeasureConfig) -> u64 {
+        let h = wire::fnv1a64_extend(self.cell_head, measure_wire(measure).as_bytes());
+        wire::fnv1a64_extend(h, b"}")
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::{cell_sorting, mixing_null, SweepPlan};
+    use proptest::prelude::*;
     use sops_info::ksg::KsgConfig;
     use sops_sim::force::ForceLaw;
 
@@ -329,7 +392,9 @@ mod tests {
     /// from the v1 wire layout. If this test fails, the key schema
     /// drifted — existing cache entries would silently miss (or worse,
     /// collide with entries written under the old layout). Deliberate
-    /// changes must bump [`CELL_SCHEMA`] *and* re-pin these values.
+    /// changes must bump [`CELL_SCHEMA`] *and* re-pin these values. The
+    /// ensemble keys, which the broker batches on, are pinned the same
+    /// way.
     #[test]
     fn cell_key_values_are_pinned_against_schema_drift() {
         let plan = tiny_plan();
@@ -345,6 +410,71 @@ mod tests {
             ),
             "cell key schema drifted: got ({gaussian:#018x}, {ksg:#018x}, {null:#018x})"
         );
+        let sorting = ensemble_key(&plan.scenarios[0]).unwrap();
+        let null = ensemble_key(&plan.scenarios[1]).unwrap();
+        assert_eq!(
+            (sorting, null),
+            (0x6776_1928_d0b2_72fb, 0x629a_63ca_dd87_a7ab),
+            "ensemble key schema drifted: got ({sorting:#018x}, {null:#018x})"
+        );
+    }
+
+    /// The builtins and the XL tier, built once for the property test.
+    fn gallery_scenarios() -> &'static [ScenarioSpec] {
+        static GALLERY: std::sync::OnceLock<Vec<ScenarioSpec>> = std::sync::OnceLock::new();
+        GALLERY.get_or_init(|| {
+            crate::scenario::ScenarioRegistry::gallery()
+                .iter()
+                .cloned()
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The shared-serialization keys hash exactly the bytes of
+        /// [`cell_wire`] and of the scenario wire, for any scenario and
+        /// any measure list (strided and repeated measures included).
+        #[test]
+        fn shared_serialization_keys_equal_the_wire_hashes(
+            pick in 0usize..4,
+            seed in 0u64..u64::MAX,
+            samples in 1usize..300,
+            t_max in 1usize..400,
+            eval_every in 0usize..80,
+            centred in 0u8..2,
+            measures in proptest::collection::vec((0usize..5, 0usize..3), 1..7),
+        ) {
+            let mut sc = gallery_scenarios()[pick]
+                .clone()
+                .with_seed(seed)
+                .with_scale(samples, t_max);
+            sc.eval_every = eval_every;
+            sc.reduce.mode = if centred == 1 { ReduceMode::Centred } else { ReduceMode::Full };
+            let measures: Vec<MeasureConfig> = measures
+                .into_iter()
+                .map(|(family, stride)| {
+                    let family = MeasureConfig::FAMILIES[family];
+                    let name = match [0, 1, 4][stride] {
+                        0 => family.to_string(),
+                        every if family != "discrete" => format!("{family}@{every}"),
+                        _ => family.to_string(),
+                    };
+                    MeasureConfig::parse(&name).expect("a known measure name")
+                })
+                .collect();
+
+            let keys = ScenarioKeys::new(&sc).unwrap();
+            let scenario_bytes = scenario_wire(&sc).unwrap();
+            prop_assert_eq!(keys.ensemble(), wire::fnv1a64(scenario_bytes.as_bytes()));
+            prop_assert_eq!(ensemble_key(&sc).unwrap(), keys.ensemble());
+            for m in &measures {
+                let reference = wire::fnv1a64(cell_wire(&sc, m).unwrap().as_bytes());
+                prop_assert_eq!(keys.cell(m), reference);
+                prop_assert_eq!(cell_key(&sc, m).unwrap(), reference);
+            }
+        }
     }
 
     #[test]

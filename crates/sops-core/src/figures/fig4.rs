@@ -9,7 +9,8 @@
 //! The force family is not named in the caption; we use `F¹` with
 //! `k_{αβ} = 1`, which produces the cohesive sorted blob with
 //! membrane-like layers visible in the paper's snapshots (an `F²`
-//! collective cannot cohere — see DESIGN.md #3).
+//! collective cannot cohere: `F²` with `σ = 1 ≤ τ` repels everywhere, see
+//! `sops_sim::force`).
 
 use crate::pipeline::{run_pipeline, MiSeries, Pipeline};
 use crate::report::{self, Series};

@@ -5,9 +5,8 @@
 //! render themselves (`print()`) and write CSV series (`write_csv()`)
 //! when an output directory is configured.
 //!
-//! Shared parameter conventions (see DESIGN.md "pinned interpretations"):
-//! noise std 0.05 (`NOISE_VARIANCE`), Euler–Maruyama `dt` per figure,
-//! KSG k = 4 per §6.
+//! Shared parameter conventions: noise std 0.05 (`NOISE_VARIANCE`),
+//! Euler–Maruyama `dt` per figure, KSG k = 4 per §6.
 
 pub mod fig1;
 pub mod fig10;
@@ -25,8 +24,11 @@ pub mod fig9;
 use crate::RunOptions;
 use sops_sim::IntegratorConfig;
 
-/// Noise variance used by all figure reproductions: the σ = 0.05 reading
-/// of the paper's `w ~ N(0, 0.05)` (DESIGN.md #1).
+/// Noise variance used by all figure reproductions. The paper writes
+/// `w ~ N(0, 0.05)` without saying whether 0.05 is the variance or the
+/// standard deviation; the figures read it as the standard deviation
+/// (σ = 0.05, variance 0.0025), while the library default
+/// (`sops_sim::DEFAULT_NOISE_VARIANCE`) reads it as the variance.
 pub const NOISE_VARIANCE: f64 = 0.0025;
 
 /// Integrator used by the multi-type experiments (Figs. 1, 3, 4, 6, 8–12).

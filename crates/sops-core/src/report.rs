@@ -4,8 +4,8 @@
 //! The reproduction harness renders every figure both as a CSV (for
 //! external plotting) and as a terminal chart, so `cargo run -p
 //! sops-repro` is self-contained. Deliberately dependency-free (serde
-//! alone, without a format crate, buys nothing offline — see DESIGN.md);
-//! the JSON writer emits by hand, like the vendored criterion shim.
+//! alone, without a format crate, buys nothing offline); the JSON writer
+//! emits by hand, like the vendored criterion shim.
 
 use crate::scenario::SweepReport;
 use crate::summary::SweepSummary;

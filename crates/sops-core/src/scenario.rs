@@ -152,6 +152,19 @@ impl ScenarioSpec {
         self
     }
 
+    /// The smoke-scale ("fast") variant: at most 100 samples over at most
+    /// 40 steps. That is enough samples for every estimator to stay
+    /// defined (the Gaussian baseline needs more runs than the joint
+    /// dimension, 80 for the 40-particle scenarios) and a horizon short
+    /// enough for seconds-scale runs. `sops-repro sweep --fast` and
+    /// `sops-serve`'s `"fast": true` both apply it, so the two front ends
+    /// key the same fast cell identically.
+    pub fn with_fast_scale(self) -> Self {
+        let samples = self.ensemble.samples.min(100);
+        let t_max = self.ensemble.t_max.min(40);
+        self.with_scale(samples, t_max)
+    }
+
     /// The same scenario re-scaled to `n` particles: the model is rebuilt
     /// with a balanced type assignment over the same force law and
     /// cut-off, and the initial disc radius grows as `√(n/n_old)` so the
@@ -785,8 +798,9 @@ impl SweepRunner {
         let mut slots: Vec<Option<SweepCell>> = Vec::with_capacity(plan.measures.len());
         let mut keys = Vec::with_capacity(plan.measures.len());
         let mut missing = Vec::new();
+        let scenario_keys = crate::checkpoint::ScenarioKeys::new(scenario)?;
         for (mi, measure) in plan.measures.iter().enumerate() {
-            let key = crate::checkpoint::cell_key(scenario, measure)?;
+            let key = scenario_keys.cell(measure);
             keys.push(key);
             match cache.lookup(key) {
                 Some(result) => slots.push(Some(SweepCell {

@@ -71,7 +71,16 @@ pub fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Result<&'a Value, Strin
 /// unstable across Rust releases, and a key that changes with the
 /// toolchain would orphan every cached cell.)
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a 64 hash over `bytes` from `state`, the hash of
+/// what came before. FNV-1a is a streaming hash, so
+/// `fnv1a64_extend(fnv1a64(a), b) == fnv1a64(a ++ b)`: a prefix shared
+/// by many keys is hashed once ([`crate::checkpoint`] keys every measure
+/// of an ensemble this way).
+pub(crate) fn fnv1a64_extend(state: u64, bytes: &[u8]) -> u64 {
+    let mut h = state;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -436,5 +445,7 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_ne!(fnv1a64(b"plan-a"), fnv1a64(b"plan-b"));
+        assert_eq!(fnv1a64_extend(fnv1a64(b"foo"), b"bar"), fnv1a64(b"foobar"));
+        assert_eq!(fnv1a64_extend(fnv1a64(b"a"), b""), fnv1a64(b"a"));
     }
 }

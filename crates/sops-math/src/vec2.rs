@@ -137,8 +137,7 @@ impl Vec2 {
     /// Clamps the norm of the vector to at most `max_norm`.
     ///
     /// Used by the integrator to bound per-step displacements near the
-    /// `1/x` singularity of the F¹ force law (see DESIGN.md, pinned
-    /// interpretation #2).
+    /// `1/x` singularity of the F¹ force law.
     #[inline]
     pub fn clamp_norm(self, max_norm: f64) -> Vec2 {
         debug_assert!(max_norm >= 0.0);

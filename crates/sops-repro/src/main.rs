@@ -327,43 +327,23 @@ fn parse_sweep_args(argv: &[String]) -> SweepArgs {
     args
 }
 
-/// Smoke-scale transform for `sweep --fast`: enough samples that every
-/// estimator stays defined (the Gaussian baseline needs more runs than
-/// the joint dimension — 80 for the 40-particle scenarios), a horizon
-/// short enough for seconds-scale runs.
-fn fast_scenario(sc: ScenarioSpec) -> ScenarioSpec {
-    let samples = sc.ensemble.samples.min(100);
-    let t_max = sc.ensemble.t_max.min(40);
-    sc.with_scale(samples, t_max)
-}
-
-fn run_sweep_cmd(argv: &[String]) -> ExitCode {
-    let args = parse_sweep_args(argv);
-    // Scenario names resolve against the full gallery (builtins plus the
-    // large-scale tier); an argument-free sweep runs only the lab-sized
-    // builtins, so nobody simulates 10⁵ particles by accident.
-    let registry = ScenarioRegistry::gallery();
+/// The sweep plan `args` describe. Scenario names resolve against
+/// `registry` (the full gallery: builtins plus the large-scale tier); an
+/// argument-free sweep runs only the lab-sized builtins, so nobody
+/// simulates 10⁵ particles by accident. `Err` is a usage message.
+fn sweep_plan(args: &SweepArgs, registry: &ScenarioRegistry) -> Result<SweepPlan, String> {
     let builtin = ScenarioRegistry::builtin();
-    if args.list {
-        for sc in registry.iter() {
-            println!("{:<16} {}", sc.name, sc.description);
-        }
-        return ExitCode::SUCCESS;
-    }
     let names: Vec<&str> = if args.scenarios.is_empty() {
         builtin.names()
     } else {
         args.scenarios.iter().map(|s| s.as_str()).collect()
     };
-    let mut scenarios = match registry.select(&names) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
+    let mut scenarios = registry.select(&names).map_err(|e| e.to_string())?;
     if args.fast {
-        scenarios = scenarios.into_iter().map(fast_scenario).collect();
+        scenarios = scenarios
+            .into_iter()
+            .map(ScenarioSpec::with_fast_scale)
+            .collect();
     }
     let measure_names: Vec<String> = if args.measures.is_empty() {
         MeasureConfig::FAMILIES
@@ -375,23 +355,37 @@ fn run_sweep_cmd(argv: &[String]) -> ExitCode {
     };
     let mut measures = Vec::with_capacity(measure_names.len());
     for name in &measure_names {
-        match parse_measure(name) {
-            Some(m) => measures.push(m),
-            None => {
-                eprintln!(
-                    "unknown measure '{name}' (known: {})",
-                    MeasureConfig::FAMILIES.join(", ")
-                );
-                return ExitCode::from(2);
-            }
-        }
+        measures.push(parse_measure(name).ok_or_else(|| {
+            format!(
+                "unknown measure '{name}' (known: {})",
+                MeasureConfig::FAMILIES.join(", ")
+            )
+        })?);
     }
-    let plan = SweepPlan {
+    Ok(SweepPlan {
         scenarios,
         measures,
-        seeds: args.seeds,
+        seeds: args.seeds.clone(),
         threads: args.threads,
         storage: EnsembleStorage::default(),
+    })
+}
+
+fn run_sweep_cmd(argv: &[String]) -> ExitCode {
+    let args = parse_sweep_args(argv);
+    let registry = ScenarioRegistry::gallery();
+    if args.list {
+        for sc in registry.iter() {
+            println!("{:<16} {}", sc.name, sc.description);
+        }
+        return ExitCode::SUCCESS;
+    }
+    let plan = match sweep_plan(&args, &registry) {
+        Ok(plan) => plan,
+        Err(msg) => {
+            eprintln!("{msg}");
+            return ExitCode::from(2);
+        }
     };
     println!(
         "sweep — {} scenario(s) × {} measure(s) × {} seed(s): {} cells over {} ensembles (each simulated once){}",
@@ -581,6 +575,47 @@ mod tests {
         assert_eq!(error_exit_code(&unknown), 2);
         let invalid = SweepError::InvalidPlan("no measures".into());
         assert_eq!(error_exit_code(&invalid), 2);
+    }
+
+    #[test]
+    fn cli_and_service_fast_plans_key_cells_identically() {
+        let names = "cell_sorting,ring_formation,mixing_null,cell_sorting_xl";
+        let argv: Vec<String> = [
+            "--scenario",
+            names,
+            "--measure",
+            "ksg,gaussian@2",
+            "--seeds",
+            "1..2",
+            "--fast",
+        ]
+        .map(String::from)
+        .to_vec();
+        let cli = sweep_plan(&parse_sweep_args(&argv), &ScenarioRegistry::gallery()).unwrap();
+        let service = sops_serve::parse_plan(
+            "{\"scenarios\":[\"cell_sorting\",\"ring_formation\",\"mixing_null\",\"cell_sorting_xl\"],\
+             \"measures\":[\"ksg\",\"gaussian@2\"],\"seeds\":[1,2],\"fast\":true}",
+        )
+        .unwrap();
+        assert_eq!(
+            cli.scenarios[0].ensemble.samples, 100,
+            "fast clamps cell_sorting"
+        );
+        assert_eq!(cli.seeds, service.seeds);
+        let keys = |plan: &SweepPlan| -> Vec<u64> {
+            let mut keys = Vec::new();
+            for sc in &plan.scenarios {
+                for &seed in &plan.seeds {
+                    let sc = sc.clone().with_seed(seed);
+                    for m in &plan.measures {
+                        keys.push(sops_core::checkpoint::cell_key(&sc, m).unwrap());
+                    }
+                }
+            }
+            keys
+        };
+        assert_eq!(keys(&cli).len(), 16);
+        assert_eq!(keys(&cli), keys(&service));
     }
 
     #[test]

@@ -27,12 +27,13 @@
 //! ```
 //!
 //! `scenarios` and `measures` are required; everything else is
-//! optional (`fast` applies the smoke-scale transform, `samples` /
-//! `t_max` override the ensemble scale exactly, `seeds` defaults to
-//! each scenario's own seed, `threads` defaults to auto). The response
-//! is the sweep report in the `sweep.json` format plus per-cell
-//! `"provenance"` / `"cached"` fields, so callers can see which cells
-//! were computed, served from the cell cache, or coalesced onto a
+//! optional (`fast` applies the smoke-scale transform
+//! [`ScenarioSpec::with_fast_scale`], like `sops-repro sweep --fast`;
+//! `samples` / `t_max` override the ensemble scale exactly, `seeds`
+//! defaults to each scenario's own seed, `threads` defaults to auto).
+//! The response is the sweep report in the `sweep.json` format plus
+//! per-cell `"provenance"` / `"cached"` fields, so callers can see which
+//! cells were computed, served from the cell cache, or coalesced onto a
 //! concurrent request's simulation pass. Stripping those two metadata
 //! fields yields byte-identical bodies regardless of cache state —
 //! the broker inherits the sweep engine's determinism contract.
@@ -51,7 +52,7 @@ use sops_info::MeasureConfig;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread;
 
 /// Hard cap on request-body size; larger bodies get `413` without
@@ -90,24 +91,17 @@ impl HttpResponse {
     }
 
     /// Serializes the response onto `w` (HTTP/1.1, connection-close).
+    /// Head and body go out in one `write_all`, so an unbuffered socket
+    /// gets one send call instead of one per formatted fragment.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        write!(
-            w,
-            "HTTP/1.1 {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
+        let mut bytes = format!(
+            "HTTP/1.1 {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
             self.status_line(),
             self.body.len(),
-            self.body
-        )
+        );
+        bytes.push_str(&self.body);
+        w.write_all(bytes.as_bytes())
     }
-}
-
-/// Smoke-scale transform for `"fast": true` — the same clamp
-/// `sops-repro sweep --fast` applies, so the two front ends agree on
-/// what "fast" means (and produce identical cell keys for it).
-fn fast_scale(sc: ScenarioSpec) -> ScenarioSpec {
-    let samples = sc.ensemble.samples.min(100);
-    let t_max = sc.ensemble.t_max.min(40);
-    sc.with_scale(samples, t_max)
 }
 
 fn opt<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
@@ -144,10 +138,15 @@ fn usize_field(obj: &[(String, Value)], key: &str) -> Result<Option<usize>, Stri
 /// Parses a `/sweep` request body into a [`SweepPlan`].
 ///
 /// Scenario names resolve against the full
-/// [`ScenarioRegistry::gallery`]; measure selections go through the
+/// [`ScenarioRegistry::gallery`], built once per process on first use
+/// (its 10⁵-particle `cell_sorting_xl` entry costs more to build than a
+/// whole cache-hit request) and shared by every later call; only the
+/// selected scenarios are cloned. Measure selections go through the
 /// shared [`MeasureConfig::parse`]. Unknown fields are rejected so
 /// typos fail loudly instead of silently running a default sweep.
 pub fn parse_plan(body: &str) -> Result<SweepPlan, String> {
+    static GALLERY: OnceLock<ScenarioRegistry> = OnceLock::new();
+
     let parsed = wire::parse(body).map_err(|e| format!("invalid JSON: {e}"))?;
     let obj = parsed
         .as_object()
@@ -161,7 +160,8 @@ pub fn parse_plan(body: &str) -> Result<SweepPlan, String> {
 
     let names = string_array(obj, "scenarios")?;
     let name_refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-    let mut scenarios = ScenarioRegistry::gallery()
+    let mut scenarios = GALLERY
+        .get_or_init(ScenarioRegistry::gallery)
         .select(&name_refs)
         .map_err(|e| e.to_string())?;
 
@@ -171,7 +171,10 @@ pub fn parse_plan(body: &str) -> Result<SweepPlan, String> {
         Some(_) => return Err("'fast' must be a boolean".into()),
     };
     if fast {
-        scenarios = scenarios.into_iter().map(fast_scale).collect();
+        scenarios = scenarios
+            .into_iter()
+            .map(ScenarioSpec::with_fast_scale)
+            .collect();
     }
     let samples = usize_field(obj, "samples")?;
     let t_max = usize_field(obj, "t_max")?;
@@ -504,6 +507,121 @@ mod tests {
         ] {
             let err = parse_plan(body).unwrap_err();
             assert!(err.contains(needle), "body {body:?}: got error {err:?}");
+        }
+        // The unknown-scenario error lists every gallery name.
+        let err = parse_plan("{\"scenarios\":[\"bogus\"],\"measures\":[\"ksg\"]}").unwrap_err();
+        for name in ScenarioRegistry::gallery().names() {
+            assert!(err.contains(name), "missing {name}: {err}");
+        }
+    }
+
+    /// Cell keys of every (scenario, measure) pair of `plan`'s grid.
+    fn plan_keys(plan: &SweepPlan) -> Vec<u64> {
+        let mut keys = Vec::new();
+        for sc in &plan.scenarios {
+            for m in &plan.measures {
+                keys.push(
+                    sops_core::checkpoint::cell_key(sc, m).expect("gallery scenarios serialize"),
+                );
+            }
+        }
+        keys
+    }
+
+    /// The gallery `parse_plan` builds once must resolve every name, under
+    /// every scale transform, exactly as a freshly built one does.
+    #[test]
+    fn parse_plan_resolves_every_gallery_name_like_a_fresh_gallery() {
+        let gallery = ScenarioRegistry::gallery();
+        let names = gallery.names();
+        assert_eq!(
+            names.len(),
+            4,
+            "the gallery: three builtins and the XL tier"
+        );
+        let measures = vec![
+            MeasureConfig::Gaussian,
+            MeasureConfig::parse("ksg@4").unwrap(),
+        ];
+        for name in &names {
+            for (fast, samples, t_max) in [
+                (false, None, None),
+                (true, None, None),
+                (false, Some(12), None),
+                (true, None, Some(9)),
+                (true, Some(7), Some(5)),
+            ] {
+                let mut body = format!(
+                    "{{\"scenarios\":[\"{name}\"],\"measures\":[\"gaussian\",\"ksg@4\"],\"fast\":{fast}"
+                );
+                if let Some(s) = samples {
+                    body.push_str(&format!(",\"samples\":{s}"));
+                }
+                if let Some(t) = t_max {
+                    body.push_str(&format!(",\"t_max\":{t}"));
+                }
+                body.push('}');
+                let parsed = parse_plan(&body).unwrap();
+
+                let mut expected = ScenarioRegistry::gallery().select(&[name]).unwrap();
+                if fast {
+                    expected = expected
+                        .into_iter()
+                        .map(ScenarioSpec::with_fast_scale)
+                        .collect();
+                }
+                if samples.is_some() || t_max.is_some() {
+                    expected = expected
+                        .into_iter()
+                        .map(|sc| {
+                            let s = samples.unwrap_or(sc.ensemble.samples);
+                            let t = t_max.unwrap_or(sc.ensemble.t_max);
+                            sc.with_scale(s, t)
+                        })
+                        .collect();
+                }
+                let expected = SweepPlan::new(expected, measures.clone());
+                assert_eq!(plan_keys(&parsed), plan_keys(&expected), "{body}");
+            }
+        }
+    }
+
+    /// A writer that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write_of_the_exact_bytes() {
+        for response in [
+            HttpResponse::json(200, "{\"ok\":true}\n".to_string()),
+            HttpResponse::error(404, "no such endpoint: /nope"),
+        ] {
+            let mut w = CountingWriter::default();
+            response.write_to(&mut w).unwrap();
+            assert_eq!(w.writes, 1);
+            let expected = format!(
+                "HTTP/1.1 {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\
+                 Connection: close\r\n\r\n{}",
+                response.status_line(),
+                response.body.len(),
+                response.body
+            );
+            assert_eq!(String::from_utf8(w.bytes).unwrap(), expected);
         }
     }
 

@@ -16,7 +16,9 @@
 //!   single-type F² collectives relax into a regular, slowly expanding
 //!   disc-shaped grid (paper §6/§7.1). The "preferred distance" `r_{αβ}`
 //!   quoted for F² experiments is realized here as the repulsion *range*
-//!   via the mapping `τ = r²/2` (DESIGN.md, pinned interpretation #3).
+//!   via the mapping `τ = r²/2`: the paper gives `r` for F² runs but
+//!   never says how it enters Eq. 8, and `τ` is the parameter that sets
+//!   the range.
 
 use sops_math::{PairMatrix, SplitMix64};
 
@@ -104,7 +106,8 @@ impl GaussianForce {
     }
 
     /// Builds the law from preferred-distance radii `r_{αβ}` with the
-    /// paper's `σ = 1`, mapping `τ_{αβ} = r_{αβ}²/2` (DESIGN.md #3).
+    /// paper's `σ = 1`, mapping `τ_{αβ} = r_{αβ}²/2` (see the module
+    /// docs).
     pub fn from_preferred_distance(k: PairMatrix, r: &PairMatrix) -> Self {
         let types = k.types();
         assert_eq!(types, r.types(), "GaussianForce: k/r mismatch");

@@ -11,8 +11,9 @@
 //!   order 2 in the drift for additive noise — the `integrator` tests
 //!   verify its deterministic convergence advantage.
 //!
-//! `σ_w = √noise_variance` (the paper's `w ~ N(0, 0.05)`; see DESIGN.md
-//! #1 for the variance-vs-std reading). The per-substep *drift*
+//! `σ_w = √noise_variance` (the paper's `w ~ N(0, 0.05)`, which does not
+//! say whether 0.05 is the variance or the std; see
+//! [`crate::DEFAULT_NOISE_VARIANCE`]). The per-substep *drift*
 //! displacement is clamped to `max_step` to keep `F¹`'s `1/x` pole from
 //! catapulting particles in the rare event that two of them nearly
 //! coincide — the clamp engages only in that regime and is configurable

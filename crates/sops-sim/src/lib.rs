@@ -55,5 +55,7 @@ pub use streaming::{
 pub use workspace::ForceWorkspace;
 
 /// Default noise level: the paper's `w ~ N(0, 0.05)` read as *variance* per
-/// unit time (std ≈ 0.2236). See DESIGN.md, pinned interpretation #1.
+/// unit time (std ≈ 0.2236). The paper does not say which it means; the
+/// figure reproductions read it as the std instead
+/// (`sops_core::figures::NOISE_VARIANCE`).
 pub const DEFAULT_NOISE_VARIANCE: f64 = 0.05;

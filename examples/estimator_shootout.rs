@@ -8,7 +8,7 @@
 //!
 //! * the calibrated KSG variants track the truth closely and cheaply;
 //! * the literal Eq. 18–20 transcription carries a large positive bias
-//!   (why this library defaults to KSG1 — DESIGN.md #7);
+//!   (why this library defaults to KSG1);
 //! * the KDE baseline is orders of magnitude slower ("multiple orders of
 //!   magnitudes slower", §5.3);
 //! * the shrinkage binning baseline explodes in high dimension and

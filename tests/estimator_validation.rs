@@ -155,8 +155,8 @@ fn paper_533_comparison_ksg_beats_baselines_in_high_dimension() {
 
 #[test]
 fn literal_paper_formula_bias_is_the_documented_artifact() {
-    // DESIGN.md #7: verbatim Eq. 18-20 carries a positive bias that grows
-    // with observer count even on independent data.
+    // Verbatim Eq. 18-20 carries a positive bias that grows with observer
+    // count even on independent data (why the default variant is KSG1).
     const SIZES2: [usize; 2] = [1, 1];
     const SIZES6: [usize; 6] = [1; 6];
     let data2 = sample_gaussian(&Matrix::identity(2), 800, 21);
