@@ -343,6 +343,27 @@ fn bench_sweep_cache(c: &mut Criterion) {
             black_box(a.join().unwrap() + b2.join().unwrap())
         })
     });
+
+    // A miss's store: re-store one key into a cache pre-filled with 100 or
+    // 4,000 entries, so the entry count stays fixed. With the byte ledger
+    // a store under the cap touches only its own entry, so the two cases
+    // should cost the same; a per-store directory rescan grows with the
+    // entry count (ungated: the committed baselines predate these cases).
+    let result = cache.lookup(key).expect("the warm cell is stored");
+    for entries in [100u64, 4_000] {
+        let store_dir = std::env::temp_dir().join(format!("sops_bench_store_{entries}"));
+        let _ = std::fs::remove_dir_all(&store_dir);
+        let filled = CellCache::open(&store_dir).expect("temp cache dir");
+        for k in 0..entries {
+            filled.store(k, &result);
+        }
+        group.bench_function(format!("store_{entries}"), |b| {
+            b.iter(|| filled.store(black_box(entries / 2), black_box(&result)))
+        });
+        assert_eq!(filled.len() as u64, entries, "re-stores keep the count");
+        assert_eq!(filled.stats().store_errors, 0);
+        let _ = std::fs::remove_dir_all(&store_dir);
+    }
     group.finish();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -25,9 +25,20 @@
 //!   content-addressed, concurrent writers of one key produce identical
 //!   bytes, so the last rename winning is harmless.
 //! * **Bounded size** — the store is capped at
-//!   [`CellCache::with_max_bytes`] (default [`DEFAULT_MAX_BYTES`]);
-//!   exceeding it evicts least-recently-used entries (file mtime order;
-//!   hits touch the mtime). The just-written entry is never evicted.
+//!   [`CellCache::with_max_bytes`] (default [`DEFAULT_MAX_BYTES`]).
+//!   Each handle keeps an in-memory byte ledger of the directory:
+//!   [`CellCache::open`] scans once to seed it, a store adds the bytes it
+//!   wrote less those of any entry it replaced, and an eviction subtracts
+//!   what it removed, so a store costs O(1) filesystem calls whatever the
+//!   entry count. Only a store that takes the ledger past the cap scans
+//!   the directory: it evicts least-recently-used entries (file mtime
+//!   order, then name; hits touch the mtime), never the just-written one,
+//!   and resets the ledger to the bytes it left. One handle per
+//!   directory therefore keeps it at or under the cap exactly. With
+//!   several handles on one directory each enforces the cap against its
+//!   own view: the directory can exceed the cap by at most what the other
+//!   handles stored since this handle's last scan, until some handle's
+//!   ledger crosses the cap and its scan evicts the directory back under.
 //! * **Never a poisoned hit** — a torn, hand-edited, foreign-schema or
 //!   hostile (nesting-bomb) entry surfaces as a typed error from
 //!   [`CellCache::load`] ([`SweepError::Parse`] /
@@ -50,6 +61,7 @@ use crate::wire;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::SystemTime;
 
 /// Schema tag of cache entry files.
@@ -60,7 +72,7 @@ pub const SCHEMA: &str = "sops-cell-cache/v1";
 pub const DEFAULT_MAX_BYTES: u64 = 256 * 1024 * 1024;
 
 /// Hit/miss/store/eviction counters of one [`CellCache`] handle
-/// (process-lifetime, not persisted).
+/// (process-lifetime, not persisted), plus its byte ledger.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Served lookups.
@@ -75,16 +87,27 @@ pub struct CacheStats {
     /// Entries removed: LRU cap enforcement plus corrupt entries dropped
     /// by [`CellCache::lookup`].
     pub evictions: u64,
+    /// The handle's byte ledger: the entry bytes it believes the
+    /// directory holds. A gauge, not a counter — it falls on eviction.
+    /// It equals [`CellCache::total_bytes`] while this handle is the
+    /// directory's only writer (see the module docs for several).
+    pub bytes: u64,
 }
 
 /// A content-addressed cell store in one directory — see the module docs
-/// for the guarantees. Handles are cheap and safe to share across
-/// threads (`&self` methods, atomic counters); multiple handles or
-/// processes may point at one directory.
+/// for the guarantees. Handles are safe to share across threads (`&self`
+/// methods, atomic counters, a locked byte ledger); multiple handles or
+/// processes may point at one directory, each enforcing the byte cap
+/// against its own ledger (module docs, "Bounded size").
 #[derive(Debug)]
 pub struct CellCache {
     dir: PathBuf,
     max_bytes: u64,
+    /// Entry bytes this handle believes the directory holds: seeded by the
+    /// scan in `open`, kept by `store` and evictions, reset by each
+    /// over-cap scan. The lock also serializes a store's replace-and-count
+    /// step with that scan, so concurrent stores keep it exact.
+    ledger: Mutex<u64>,
     hits: AtomicU64,
     misses: AtomicU64,
     stores: AtomicU64,
@@ -94,7 +117,7 @@ pub struct CellCache {
 
 impl CellCache {
     /// Opens (creating if needed) the cache directory at `dir`, with the
-    /// default byte cap.
+    /// default byte cap, and scans it once to seed the byte ledger.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, SweepError> {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(|source| SweepError::Io {
@@ -102,20 +125,24 @@ impl CellCache {
             op: "create directory",
             source,
         })?;
-        Ok(CellCache {
+        let mut cache = CellCache {
             dir,
             max_bytes: DEFAULT_MAX_BYTES,
+            ledger: Mutex::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stores: AtomicU64::new(0),
             store_errors: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-        })
+        };
+        cache.ledger = Mutex::new(cache.total_bytes());
+        Ok(cache)
     }
 
-    /// The same cache with the byte-size cap replaced. A store that
-    /// pushes the directory past the cap evicts least-recently-used
-    /// entries until it fits again.
+    /// The same cache with the byte-size cap replaced. A store that takes
+    /// the handle's byte ledger past the cap scans the directory and
+    /// evicts least-recently-used entries (never the one it wrote) until
+    /// it fits again; stores under the cap touch no other entry.
     pub fn with_max_bytes(mut self, max_bytes: u64) -> Self {
         self.max_bytes = max_bytes;
         self
@@ -139,7 +166,16 @@ impl CellCache {
             stores: self.stores.load(Ordering::Relaxed),
             store_errors: self.store_errors.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
+            bytes: *self.ledger(),
         }
+    }
+
+    /// The byte ledger, locked. Every update is one assignment of a
+    /// plain integer, so a guard poisoned by a panicking holder still
+    /// holds a valid count and is recovered rather than failing the
+    /// cache.
+    fn ledger(&self) -> MutexGuard<'_, u64> {
+        self.ledger.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The entry file a key addresses: `DIR/<key as 16 hex digits>.json`.
@@ -168,8 +204,12 @@ impl CellCache {
                 None
             }
             Err(_) => {
-                if fs::remove_file(self.entry_path(key)).is_ok() {
+                let path = self.entry_path(key);
+                let mut ledger = self.ledger();
+                let bytes = entry_bytes(&path);
+                if fs::remove_file(&path).is_ok() {
                     self.evictions.fetch_add(1, Ordering::Relaxed);
+                    *ledger = ledger.saturating_sub(bytes);
                 }
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 None
@@ -206,24 +246,33 @@ impl CellCache {
     }
 
     /// Persists `result` under `key`: the entry is written to a `.tmp`
-    /// sibling and atomically renamed into place, then the byte cap is
-    /// enforced (LRU eviction, never of this entry). Best-effort: an I/O
-    /// failure is counted ([`CacheStats::store_errors`]) and swallowed —
-    /// a cache that cannot write must not fail the sweep that could.
-    /// Callers only store healthy cells; quarantined cells are
-    /// recomputed every run by design.
+    /// sibling and atomically renamed into place, and the byte ledger
+    /// gains its bytes less those of the entry it replaced (one `stat`).
+    /// Only when that takes the ledger past the cap does the store scan
+    /// the directory and evict least-recently-used entries, never this
+    /// one. Best-effort: an I/O failure is counted
+    /// ([`CacheStats::store_errors`]) and swallowed — a cache that cannot
+    /// write must not fail the sweep that could. Callers only store
+    /// healthy cells; quarantined cells are recomputed every run by
+    /// design.
     pub fn store(&self, key: u64, result: &PipelineResult) {
         let path = self.entry_path(key);
         let tmp = self.dir.join(format!("{key:016x}.json.tmp"));
-        let write = fs::write(&tmp, entry_json(key, result)).and_then(|()| fs::rename(&tmp, &path));
-        match write {
-            Ok(()) => {
-                self.stores.fetch_add(1, Ordering::Relaxed);
-                self.enforce_cap(&path);
-            }
-            Err(_) => {
-                self.store_errors.fetch_add(1, Ordering::Relaxed);
-            }
+        let text = entry_json(key, result);
+        if fs::write(&tmp, &text).is_err() {
+            self.store_errors.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        let mut ledger = self.ledger();
+        let replaced = entry_bytes(&path);
+        if fs::rename(&tmp, &path).is_err() {
+            self.store_errors.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        self.stores.fetch_add(1, Ordering::Relaxed);
+        *ledger = (*ledger + text.len() as u64).saturating_sub(replaced);
+        if *ledger > self.max_bytes {
+            *ledger = self.evict_to_cap(&path);
         }
     }
 
@@ -265,15 +314,14 @@ impl CellCache {
         entries
     }
 
-    /// Evicts least-recently-used entries until the directory fits the
+    /// The over-cap pass, run with the ledger locked: scans the
+    /// directory and evicts least-recently-used entries until it fits the
     /// byte cap again, never evicting `keep` (the entry just written — a
-    /// cap smaller than one hot entry must not thrash it).
-    fn enforce_cap(&self, keep: &Path) {
+    /// cap smaller than one hot entry must not thrash it). Returns the
+    /// bytes it left, the ledger's new value.
+    fn evict_to_cap(&self, keep: &Path) -> u64 {
         let entries = self.scan();
         let mut total: u64 = entries.iter().map(|e| e.bytes).sum();
-        if total <= self.max_bytes {
-            return;
-        }
         for entry in &entries {
             if total <= self.max_bytes {
                 break;
@@ -286,7 +334,13 @@ impl CellCache {
                 total -= entry.bytes;
             }
         }
+        total
     }
+}
+
+/// Size of the entry file at `path`, 0 when there is none.
+fn entry_bytes(path: &Path) -> u64 {
+    fs::metadata(path).map_or(0, |m| m.len())
 }
 
 struct Entry {
@@ -395,6 +449,7 @@ fn parse_entry(text: &str, key: u64) -> Result<PipelineResult, SweepError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tmp_cache(name: &str) -> CellCache {
         let dir = std::env::temp_dir().join(format!("sops_cell_cache_{name}"));
@@ -538,5 +593,106 @@ mod tests {
         assert!(cache.entry_path(9).exists());
         assert_eq!(cache.len(), 1);
         let _ = fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn open_seeds_the_ledger_from_the_directory() {
+        let cache = tmp_cache("ledger_seed");
+        cache.store(1, &sample_result(1.0));
+        cache.store(2, &sample_result(0.1));
+        let reopened = CellCache::open(cache.dir()).unwrap();
+        assert_eq!(reopened.stats().bytes, cache.total_bytes());
+        assert_eq!(cache.stats().bytes, cache.total_bytes());
+        let _ = fs::remove_dir_all(cache.dir());
+    }
+
+    /// Two handles on one directory: handle A does not count the entries
+    /// stored through handle B until A's own ledger crosses the cap, so
+    /// until then the directory exceeds the cap by what B stored. A's
+    /// next over-cap store scans the directory, B's entries included, and
+    /// brings it back under the cap.
+    #[test]
+    fn other_handles_stores_count_from_the_next_over_cap_scan() {
+        let result = sample_result(1.0);
+        let entry = entry_json(0, &result).len() as u64;
+        let cap = 3 * entry;
+        let a = tmp_cache("two_handles").with_max_bytes(cap);
+        let b = CellCache::open(a.dir()).unwrap().with_max_bytes(cap);
+        for key in 10..13 {
+            b.store(key, &result);
+        }
+        for key in 1..4 {
+            a.store(key, &result);
+        }
+        assert_eq!(a.stats().bytes, cap, "A counts only its own entries");
+        assert_eq!(b.stats().bytes, cap, "B counts only its own entries");
+        assert_eq!(a.stats().evictions + b.stats().evictions, 0);
+        assert_eq!(a.total_bytes(), cap + b.stats().bytes, "over by B's stores");
+
+        a.store(4, &result);
+        assert!(a.entry_path(4).exists(), "the new entry is never evicted");
+        assert_eq!(a.stats().evictions, 4);
+        assert_eq!(a.total_bytes(), cap, "the scan counted B's entries too");
+        assert_eq!(a.stats().bytes, a.total_bytes());
+        let _ = fs::remove_dir_all(a.dir());
+    }
+
+    /// A result whose entry grows with `points`; `tag` varies the digits.
+    fn result_of_len(points: usize, tag: f64) -> PipelineResult {
+        PipelineResult {
+            mi: MiSeries {
+                times: (0..points).collect(),
+                values: vec![tag; points],
+            },
+            mean_icp_cost: vec![tag * 3.0; points],
+            equilibrated_fraction: tag,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// One handle's ledger equals the directory's bytes after every
+        /// operation — stores of new and existing keys with results of
+        /// varying length, corrupt-then-lookup evictions and plain
+        /// lookups — for caps from one entry to many, and the directory
+        /// stays at or under the cap whenever the newest entry alone fits.
+        #[test]
+        fn ledger_tracks_the_directory_under_random_operations(
+            cap_entries in 1u64..12,
+            ops in proptest::collection::vec((0u8..4, 0u64..10, 0usize..8), 1..40),
+        ) {
+            let cap = cap_entries * entry_json(0, &result_of_len(3, 0.5)).len() as u64;
+            let cache = tmp_cache("ledger_props").with_max_bytes(cap);
+            let mut newest_fits = true;
+            for (op, key, points) in ops {
+                let path = cache.entry_path(key);
+                match op {
+                    0 | 1 => {
+                        let result = result_of_len(points, key as f64 / 7.0);
+                        cache.store(key, &result);
+                        prop_assert!(path.exists(), "stored entry {key} is kept");
+                        newest_fits = entry_json(key, &result).len() as u64 <= cap;
+                    }
+                    2 => {
+                        // Same-length garbage: the directory's bytes do
+                        // not move until the lookup evicts the entry.
+                        if let Ok(meta) = fs::metadata(&path) {
+                            fs::write(&path, "x".repeat(meta.len() as usize)).unwrap();
+                        }
+                        prop_assert!(cache.lookup(key).is_none());
+                        prop_assert!(!path.exists(), "corrupt entry {key} is evicted");
+                    }
+                    _ => {
+                        let _ = cache.lookup(key);
+                    }
+                }
+                prop_assert_eq!(cache.stats().bytes, cache.total_bytes());
+                if newest_fits {
+                    prop_assert!(cache.total_bytes() <= cap, "{} > cap {cap}", cache.total_bytes());
+                }
+            }
+            let _ = fs::remove_dir_all(cache.dir());
+        }
     }
 }

@@ -17,10 +17,18 @@
 //! * **Dynamic balancing** — workers claim indices with `fetch_add`
 //!   (relaxed ordering suffices: the counter is only a work dispenser and
 //!   `scope` join provides the final happens-before edge).
-//! * **Panic safety** — a panicking task aborts the scope with the
-//!   original panic payload, matching `std::thread::scope` semantics.
+//! * **Panic safety** — a panicking task aborts the call with the
+//!   original panic payload, whatever the thread count. Each task runs
+//!   under `catch_unwind`; a worker whose task panicked stops claiming,
+//!   and once the scope ends the payload of the lowest-index panicking
+//!   task is re-raised. Indices are claimed in order, so that task always
+//!   runs, and the payload is the one a sequential loop would raise, not
+//!   `std::thread::scope`'s generic "a scoped thread panicked".
 
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Maximum number of worker threads used by [`parallel_map`] /
 /// [`parallel_for`] when no explicit count is given.
@@ -61,6 +69,7 @@ where
     out.resize_with(len, || None);
     {
         let next = AtomicUsize::new(0);
+        let panics = FirstPanic::default();
         let out_slots = SliceCells::new(&mut out);
         std::thread::scope(|scope| {
             for _ in 0..threads {
@@ -71,13 +80,16 @@ where
                     if i >= len {
                         break;
                     }
-                    let value = f(i);
+                    let Some(value) = panics.run(i, || f(i)) else {
+                        break;
+                    };
                     // SAFETY: every index is claimed exactly once by the
                     // fetch_add above, so no two threads write slot `i`.
                     unsafe { out_slots.write(i, Some(value)) };
                 });
             }
         });
+        panics.resume();
     }
     out.into_iter()
         .map(|slot| slot.expect("parallel_map: slot not filled"))
@@ -113,8 +125,10 @@ where
     out.resize_with(len, || None);
     {
         let next = AtomicUsize::new(0);
+        let panics = FirstPanic::default();
         let out_slots = SliceCells::new(&mut out);
         let next = &next;
+        let panics = &panics;
         let out_slots = &out_slots;
         let f = &f;
         std::thread::scope(|scope| {
@@ -124,13 +138,16 @@ where
                     if i >= len {
                         break;
                     }
-                    let value = f(w, i);
+                    let Some(value) = panics.run(i, || f(w, i)) else {
+                        break;
+                    };
                     // SAFETY: every index is claimed exactly once by the
                     // fetch_add above, so no two threads write slot `i`.
                     unsafe { out_slots.write(i, Some(value)) };
                 });
             }
         });
+        panics.resume();
     }
     out.into_iter()
         .map(|slot| slot.expect("parallel_map_with: slot not filled"))
@@ -159,17 +176,18 @@ where
         return;
     }
     let next = AtomicUsize::new(0);
+    let panics = FirstPanic::default();
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= len {
+                if i >= len || panics.run(i, || f(i)).is_none() {
                     break;
                 }
-                f(i);
             });
         }
     });
+    panics.resume();
 }
 
 /// Splits `data` into disjoint mutable chunks and runs `f(chunk_index,
@@ -210,6 +228,7 @@ where
         rest = tail;
     }
     let next = AtomicUsize::new(0);
+    let panics = FirstPanic::default();
     let cells = SliceCells::new(&mut slices);
     std::thread::scope(|scope| {
         for _ in 0..threads {
@@ -221,10 +240,13 @@ where
                 // SAFETY: each index claimed once; we only take the chunk
                 // out of its slot, never alias it.
                 let (idx, chunk) = unsafe { cells.take(i) };
-                f(idx, chunk);
+                if panics.run(i, || f(idx, chunk)).is_none() {
+                    break;
+                }
             });
         }
     });
+    panics.resume();
 }
 
 /// Parallel fold-then-reduce over `0..len`.
@@ -246,7 +268,8 @@ where
         return (0..len).fold(init(), &fold);
     }
     let next = AtomicUsize::new(0);
-    let partials: Vec<A> = std::thread::scope(|scope| {
+    let panics = FirstPanic::default();
+    let partials: Vec<Option<A>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
@@ -254,20 +277,62 @@ where
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= len {
-                            break;
+                            return Some(acc);
                         }
-                        acc = fold(acc, i);
+                        acc = panics.run(i, || fold(acc, i))?;
                     }
-                    acc
                 })
             })
             .collect();
+        // A panic outside every task (in `init`) is re-raised as is.
         handles
             .into_iter()
-            .map(|h| h.join().expect("parallel_reduce: worker panicked"))
+            .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
             .collect()
     });
-    partials.into_iter().fold(init(), merge)
+    panics.resume();
+    partials
+        .into_iter()
+        .map(|acc| acc.expect("parallel_reduce: a worker stopped without a panic"))
+        .fold(init(), merge)
+}
+
+/// The panic of the lowest-index task that panicked in one parallel call.
+///
+/// Which tasks panic first in time depends on the schedule, but the
+/// lowest-index panicking task does not: workers claim indices in
+/// increasing order and stop only past the end or after their own task
+/// panicked, so every index below a claimed one was claimed and run.
+/// Re-raising that task's payload gives the call the panic a sequential
+/// loop would raise.
+#[derive(Default)]
+struct FirstPanic(Mutex<Option<(usize, Box<dyn Any + Send>)>>);
+
+impl FirstPanic {
+    /// Runs task `i`, returning its value, or `None` after recording its
+    /// panic — the worker must then stop claiming.
+    fn run<T>(&self, i: usize, task: impl FnOnce() -> T) -> Option<T> {
+        match catch_unwind(AssertUnwindSafe(task)) {
+            Ok(value) => Some(value),
+            Err(payload) => {
+                // Every update is one assignment, so a poisoned slot is
+                // still a valid record.
+                let mut first = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+                if first.as_ref().is_none_or(|(j, _)| i < *j) {
+                    *first = Some((i, payload));
+                }
+                None
+            }
+        }
+    }
+
+    /// Re-raises the recorded panic, if any task panicked.
+    fn resume(&self) {
+        let first = self.0.lock().unwrap_or_else(PoisonError::into_inner).take();
+        if let Some((_, payload)) = first {
+            resume_unwind(payload);
+        }
+    }
 }
 
 /// Interior-mutability wrapper granting per-index write access to a slice
@@ -459,6 +524,73 @@ mod tests {
     #[test]
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
+    }
+
+    type Task<'a> = dyn Fn(usize) + Sync + 'a;
+
+    /// Runs `call` over twelve tasks at 1 and 4 threads and asserts it
+    /// raises task 3's panic. Tasks 3 and 7 panic; with several threads
+    /// task 3 first waits until task 7 has panicked, so the higher index
+    /// panics first in time.
+    fn assert_lowest_index_panic(call: impl Fn(usize, &Task<'_>)) {
+        for threads in [1usize, 4] {
+            let seven_panicked = std::sync::atomic::AtomicBool::new(false);
+            let task = |i: usize| match i {
+                3 => {
+                    while threads > 1 && !seven_panicked.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    panic!("task 3 failed")
+                }
+                7 => {
+                    seven_panicked.store(true, Ordering::SeqCst);
+                    panic!("task 7 failed")
+                }
+                _ => {}
+            };
+            let payload = std::panic::catch_unwind(AssertUnwindSafe(|| call(threads, &task)))
+                .expect_err("the call must panic");
+            let message = match payload.downcast::<&str>() {
+                Ok(message) => message.to_string(),
+                Err(payload) => *payload.downcast::<String>().expect("a string payload"),
+            };
+            assert_eq!(message, "task 3 failed", "{threads} thread(s)");
+        }
+    }
+
+    #[test]
+    fn map_raises_the_lowest_index_panic() {
+        assert_lowest_index_panic(|threads, task| {
+            parallel_map(12, threads, task);
+        });
+    }
+
+    #[test]
+    fn map_with_raises_the_lowest_index_panic() {
+        assert_lowest_index_panic(|threads, task| {
+            let mut workers = vec![(); threads];
+            parallel_map_with(12, &mut workers, |_, i| task(i));
+        });
+    }
+
+    #[test]
+    fn for_raises_the_lowest_index_panic() {
+        assert_lowest_index_panic(|threads, task| parallel_for(12, threads, task));
+    }
+
+    #[test]
+    fn chunks_mut_raises_the_lowest_index_panic() {
+        assert_lowest_index_panic(|threads, task| {
+            let mut data = vec![0u8; 12];
+            parallel_chunks_mut(&mut data, 12, threads, |c, _| task(c));
+        });
+    }
+
+    #[test]
+    fn reduce_raises_the_lowest_index_panic() {
+        assert_lowest_index_panic(|threads, task| {
+            parallel_reduce(12, threads, || (), |(), i| task(i), |(), ()| ());
+        });
     }
 
     #[test]

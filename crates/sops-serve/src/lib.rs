@@ -222,14 +222,15 @@ pub fn parse_plan(body: &str) -> Result<SweepPlan, String> {
     })
 }
 
-/// The `/stats` body: broker counters plus cache counters (or
-/// `"cache": null` when the broker runs uncached).
+/// The `/stats` body: broker counters plus cache counters and the cache's
+/// byte ledger `"bytes"`, a gauge (or `"cache": null` when the broker runs
+/// uncached).
 pub fn stats_json(broker: &SweepBroker) -> String {
     let s = broker.stats();
     let cache = match s.cache {
         Some(c) => format!(
-            "{{\"hits\":{},\"misses\":{},\"stores\":{},\"store_errors\":{},\"evictions\":{}}}",
-            c.hits, c.misses, c.stores, c.store_errors, c.evictions
+            "{{\"hits\":{},\"misses\":{},\"stores\":{},\"store_errors\":{},\"evictions\":{},\"bytes\":{}}}",
+            c.hits, c.misses, c.stores, c.store_errors, c.evictions, c.bytes
         ),
         None => "null".to_string(),
     };
@@ -647,6 +648,23 @@ mod tests {
         assert_eq!(route(&broker, "POST", "/sweep", "nope").status, 400);
         let stats = stats_json(&broker);
         assert!(stats.contains("\"cache\":null"), "uncached broker: {stats}");
+    }
+
+    #[test]
+    fn stats_report_the_cache_byte_ledger() {
+        let dir = std::env::temp_dir().join("sops_serve_stats_bytes");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = Arc::new(sops_core::CellCache::open(&dir).unwrap());
+        let broker = SweepBroker::new().with_cache(Arc::clone(&cache));
+        let body = "{\"scenarios\":[\"cell_sorting\"],\"measures\":[\"gaussian\"],\
+                    \"samples\":10,\"t_max\":8}";
+        let response = route(&broker, "POST", "/sweep", body);
+        assert_eq!(response.status, 200, "{}", response.body);
+        let bytes = cache.total_bytes();
+        assert!(bytes > 0, "the computed cell was stored");
+        let stats = stats_json(&broker);
+        assert!(stats.contains(&format!("\"bytes\":{bytes}}}")), "{stats}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

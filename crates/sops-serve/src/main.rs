@@ -7,7 +7,10 @@
 //! Defaults: `--addr 127.0.0.1:7070`, `--threads 4`, no cell cache.
 //! With `--cache DIR` every computed cell is persisted content-addressed
 //! under `DIR` and reused across requests *and* server restarts;
-//! `--cache-bytes` caps the store (LRU eviction, default 256 MiB).
+//! `--cache-bytes` caps the store (default 256 MiB): the server's one
+//! cache handle keeps a byte ledger, and a store that takes it past the
+//! cap evicts least-recently-used entries. `/stats` reports the ledger as
+//! `"bytes"`.
 //!
 //! Exit codes: 0 on clean shutdown, 1 on bind/cache I/O failure, 2 on a
 //! usage error.
@@ -29,7 +32,9 @@ fn usage_text() -> &'static str {
      \x20      --addr         listen address (default 127.0.0.1:7070)\n\
      \x20      --threads      worker pool size (default 4)\n\
      \x20      --cache        content-addressed cell cache directory\n\
-     \x20      --cache-bytes  cache size cap in bytes (LRU eviction, default 256 MiB)\n\
+     \x20      --cache-bytes  cache size cap in bytes, default 256 MiB; a store past\n\
+     \x20                     the cap evicts least-recently-used entries (exact for\n\
+     \x20                     one server per directory)\n\
      endpoints: POST /sweep, GET /healthz, GET /stats\n\
      exit codes: 0 ok, 1 bind/cache i/o failure, 2 usage"
 }

@@ -162,71 +162,85 @@ fn kill_at_any_boundary_and_resume_is_bit_identical() {
 /// quarantined per cell: the sweep completes with `Ok` and the healthy
 /// measure's cells are intact. Quarantined cells are never stored, so a
 /// re-run over the same cache serves the healthy cells, retries the
-/// poisoned ones, and reproduces the same statuses and bytes.
+/// poisoned ones, and reproduces the same statuses and bytes. The
+/// failure reason is the estimator's own message at any worker count,
+/// so `sweep.json` is byte-identical at 1 and 8 workers.
 #[test]
 fn panicking_estimator_is_quarantined_and_resumes_as_is() {
-    let mut plan = resume_plan(1);
-    plan.measures[0] = MeasureConfig::Ksg(KsgConfig {
-        k: 1000, // >= samples: panics in the KSG estimator
-        ..KsgConfig::default()
-    });
-    let cache = fresh_cache("quarantine");
+    let mut bytes_by_threads = Vec::new();
+    for threads in [1usize, 8] {
+        let mut plan = resume_plan(threads);
+        plan.measures[0] = MeasureConfig::Ksg(KsgConfig {
+            k: 1000, // >= samples: panics in the KSG estimator
+            ..KsgConfig::default()
+        });
+        let cache = fresh_cache(&format!("quarantine_t{threads}"));
 
-    let report = SweepRunner::new()
-        .run_with_cache(&plan, &cache)
-        .expect("quarantine must not abort the sweep");
-    assert_eq!(report.cells.len(), 8);
-    assert!(report.has_failures());
-    for cell in &report.cells {
-        if cell.measure_label == "ksg" {
-            match &cell.status {
-                CellStatus::Failed { reason } => {
-                    assert!(reason.contains("attempt"), "{reason}")
+        let report = SweepRunner::new()
+            .run_with_cache(&plan, &cache)
+            .expect("quarantine must not abort the sweep");
+        assert_eq!(report.cells.len(), 8);
+        assert!(report.has_failures());
+        for cell in &report.cells {
+            if cell.measure_label == "ksg" {
+                match &cell.status {
+                    CellStatus::Failed { reason } => {
+                        assert!(reason.contains("attempt"), "{reason}");
+                        assert!(
+                            reason.contains("KSG: k = 1000 needs more than"),
+                            "threads {threads}: the reason must name the estimator's panic: {reason}"
+                        );
+                    }
+                    ok => panic!("ksg cell unexpectedly {ok:?}"),
                 }
-                ok => panic!("ksg cell unexpectedly {ok:?}"),
+                assert!(cell.result.mi.values.is_empty());
+            } else {
+                assert_eq!(cell.status, CellStatus::Ok, "{}", cell.measure_label);
+                assert!(cell.result.mi.values.iter().all(|v| v.is_finite()));
             }
-            assert!(cell.result.mi.values.is_empty());
-        } else {
-            assert_eq!(cell.status, CellStatus::Ok, "{}", cell.measure_label);
-            assert!(cell.result.mi.values.iter().all(|v| v.is_finite()));
         }
-    }
-    // Healthy cells bit-match a clean single-measure sweep of the same
-    // ensembles (quarantine must not perturb the survivors).
-    let clean_plan = SweepPlan {
-        measures: vec![MeasureConfig::Gaussian],
-        ..plan.clone()
-    };
-    let clean = run_sweep(&clean_plan).expect("valid plan");
-    for (poisoned, clean_cell) in report
-        .cells
-        .iter()
-        .filter(|c| c.measure_label == "gaussian")
-        .zip(&clean.cells)
-    {
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(&poisoned.result.mi.values),
-            bits(&clean_cell.result.mi.values)
-        );
-    }
-    // Only the four healthy cells reached the cache.
-    assert_eq!(cache.len(), 4);
-
-    let rerun = SweepRunner::new()
-        .run_with_cache(&plan, &cache)
-        .expect("valid plan");
-    assert_cells_bit_identical(&report, &rerun);
-    assert_eq!(sweep_json(&rerun, false), sweep_json(&report, false));
-    for cell in &rerun.cells {
-        let expected = if cell.status.is_ok() {
-            CellProvenance::Cached
-        } else {
-            CellProvenance::Computed
+        // Healthy cells bit-match a clean single-measure sweep of the same
+        // ensembles (quarantine must not perturb the survivors).
+        let clean_plan = SweepPlan {
+            measures: vec![MeasureConfig::Gaussian],
+            ..plan.clone()
         };
-        assert_eq!(cell.provenance, expected, "{}", cell.measure_label);
+        let clean = run_sweep(&clean_plan).expect("valid plan");
+        for (poisoned, clean_cell) in report
+            .cells
+            .iter()
+            .filter(|c| c.measure_label == "gaussian")
+            .zip(&clean.cells)
+        {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&poisoned.result.mi.values),
+                bits(&clean_cell.result.mi.values)
+            );
+        }
+        // Only the four healthy cells reached the cache.
+        assert_eq!(cache.len(), 4);
+
+        let rerun = SweepRunner::new()
+            .run_with_cache(&plan, &cache)
+            .expect("valid plan");
+        assert_cells_bit_identical(&report, &rerun);
+        assert_eq!(sweep_json(&rerun, false), sweep_json(&report, false));
+        for cell in &rerun.cells {
+            let expected = if cell.status.is_ok() {
+                CellProvenance::Cached
+            } else {
+                CellProvenance::Computed
+            };
+            assert_eq!(cell.provenance, expected, "{}", cell.measure_label);
+        }
+        bytes_by_threads.push(sweep_json(&report, false));
+        std::fs::remove_dir_all(cache.dir()).ok();
     }
-    std::fs::remove_dir_all(cache.dir()).ok();
+    assert_eq!(
+        bytes_by_threads[0], bytes_by_threads[1],
+        "sweep.json differs between 1 and 8 workers"
+    );
 }
 
 /// A panicking *simulation* (a force law that detonates mid-sweep — the
