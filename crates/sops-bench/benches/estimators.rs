@@ -3,11 +3,10 @@
 //! `estimator_matrix` group tracking the workspace-backed `Estimator`
 //! engines (KDE / binning / CMI) against their one-shot forms, and the
 //! `sweep` group pinning the one-pass scenario × measure engine against
-//! the equivalent repeated single-measure pipelines.
+//! the same cells run as one-cell sweeps.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sops_core::run_pipeline;
-use sops_core::scenario::{self, ScenarioSpec, SweepPlan, SweepRunner};
+use sops_core::scenario::{self, run_sweep, ScenarioSpec, SweepPlan, SweepRunner};
 use sops_info::entropy::kl_entropy;
 use sops_info::gaussian::{equicorrelated_cov, sample_gaussian};
 use sops_info::{
@@ -264,11 +263,11 @@ fn bench_estimator_matrix(c: &mut Criterion) {
 }
 
 fn bench_sweep(c: &mut Criterion) {
-    // One-pass sweep vs repeated single pipelines over the 3-scenario ×
-    // 4-measure grid (smoke scale). `one_pass` simulates each ensemble
-    // once and fans all four estimators over shared reduced views;
-    // `n_pass` runs the same 12 cells as independent `run_pipeline`
-    // calls, re-simulating and re-reducing per measure — identical bits,
+    // One-pass sweep vs one-cell sweeps over the 3-scenario × 4-measure
+    // grid (smoke scale). `one_pass` simulates each ensemble once and fans
+    // all four estimators over shared reduced views; `n_pass` runs the
+    // same 12 cells as 12 one-cell `run_sweep` calls, re-simulating and
+    // re-reducing per measure — identical bits,
     // k× the physics/reduction work. 100 samples keeps every measure on
     // its real code path: the Gaussian baseline needs more runs than the
     // 80-dim joint space of the 40-particle scenarios, else its column
@@ -304,9 +303,9 @@ fn bench_sweep(c: &mut Criterion) {
         b.iter(|| {
             for sc in &plan.scenarios {
                 for &m in &plan.measures {
-                    let mut p = sc.pipeline(m);
-                    p.threads = 1;
-                    black_box(run_pipeline(&p));
+                    let mut cell = SweepPlan::new(vec![sc.clone()], vec![m]);
+                    cell.threads = 1;
+                    black_box(run_sweep(&cell).expect("valid plan"));
                 }
             }
         })

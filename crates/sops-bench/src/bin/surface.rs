@@ -17,7 +17,7 @@
 //!
 //! The output is deterministic: crates in name order, then the total.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -104,25 +104,22 @@ fn render(ledger: &Ledger) -> String {
 /// Reads the per-crate counts back from a `SURFACE.json` text.
 fn parse_ledger(text: &str) -> Result<Ledger, String> {
     let doc = wire::parse(text)?;
-    let crates = doc
-        .as_object()
-        .and_then(|o| wire::get(o, "crates").ok())
-        .and_then(Value::as_array)
-        .ok_or("no 'crates' array")?;
-    let mut ledger = Ledger::new();
-    for row in crates {
-        let field = |key: &str| row.as_object().and_then(|o| wire::get(o, key).ok());
-        let count = |key: &str| field(key).and_then(Value::as_u64).map(|v| v as usize);
-        match (
-            field("crate").and_then(Value::as_str),
-            count("lines"),
-            count("public_items"),
-        ) {
-            (Some(name), Some(l), Some(i)) => ledger.insert(name.to_string(), (l, i)),
-            _ => return Err("malformed crate entry".into()),
-        };
-    }
-    Ok(ledger)
+    let rows = doc.as_object().and_then(|o| wire::get(o, "crates").ok());
+    let rows = rows.and_then(Value::as_array).ok_or("no 'crates' array")?;
+    rows.iter()
+        .map(|row| {
+            let field = |key| row.as_object().and_then(|o| wire::get(o, key).ok());
+            let count = |key| field(key).and_then(Value::as_u64).map(|v| v as usize);
+            match (
+                field("crate").and_then(Value::as_str),
+                count("lines"),
+                count("public_items"),
+            ) {
+                (Some(name), Some(l), Some(i)) => Ok((name.to_string(), (l, i))),
+                _ => Err("malformed crate entry".to_string()),
+            }
+        })
+        .collect()
 }
 
 /// One line per crate whose counts differ, then the total.
@@ -131,19 +128,15 @@ fn deltas(old: &Ledger, new: &Ledger) -> Vec<String> {
         let (dl, di) = (bl as i64 - al as i64, bi as i64 - ai as i64);
         format!("  {name}: lines {al} -> {bl} ({dl:+}), public items {ai} -> {bi} ({di:+})")
     };
-    let names: std::collections::BTreeSet<&String> = old.keys().chain(new.keys()).collect();
-    let mut out: Vec<String> = names
-        .into_iter()
-        .map(|n| {
-            (
-                n,
-                old.get(n).copied().unwrap_or_default(),
-                new.get(n).copied().unwrap_or_default(),
-            )
-        })
-        .filter(|(_, a, b)| a != b)
-        .map(|(n, a, b)| line(n, a, b))
-        .collect();
+    let names: BTreeSet<&String> = old.keys().chain(new.keys()).collect();
+    let mut out = Vec::new();
+    for name in names {
+        let a = old.get(name).copied().unwrap_or_default();
+        let b = new.get(name).copied().unwrap_or_default();
+        if a != b {
+            out.push(line(name, a, b));
+        }
+    }
     out.push(line("total", total(old), total(new)));
     out
 }

@@ -26,14 +26,14 @@ pub struct Fig1Data {
 
 /// Runs the example configuration.
 pub fn run(opts: &RunOptions) -> Fig1Data {
-    let p = super::fig4::pipeline(opts);
+    let sc = super::fig4::scenario(opts);
     let mut sim = Simulation::with_disc_init(
-        p.ensemble.model.clone(),
-        p.ensemble.integrator,
-        p.ensemble.init_radius,
+        sc.ensemble.model.clone(),
+        sc.ensemble.integrator,
+        sc.ensemble.init_radius,
         sops_math::rng::derive_seed(opts.seed, 1),
     );
-    let types = p.ensemble.model.types().to_vec();
+    let types = sc.ensemble.model.types().to_vec();
     let initial_separation = metrics::type_separation(sim.positions(), &types, 3);
     let traj = sim.run(opts.scale(400, 120), None);
     let config = traj.last().to_vec();

@@ -7,8 +7,7 @@
 //! the all-distinct collective (l = 20) — emergent same-type clusters
 //! restore long-range structural interaction (§7.2).
 
-use super::fig9::{sweep_curve, SweepCurve};
-use crate::report::{self, Series};
+use super::fig9::{print_curves, sweep_curve, write_curves_csv, SweepCurve};
 use crate::RunOptions;
 
 /// Fig. 10 outputs: one averaged curve per `(l, r_c)` combination.
@@ -37,31 +36,11 @@ pub fn run(opts: &RunOptions) -> Fig10Data {
     let draws = opts.scale(10, 2);
     let curves: Vec<SweepCurve> = combos
         .iter()
-        .map(|&(l, rc)| {
-            let label = if rc.is_finite() {
-                format!("l={l}, rc={rc}")
-            } else {
-                format!("l={l}, rc=inf")
-            };
-            sweep_curve(opts, label, l, rc, draws)
-        })
+        .map(|&(l, rc)| sweep_curve(opts, format!("l={l}, rc={rc}"), l, rc, draws))
         .collect();
     let data = Fig10Data { curves, combos };
     if let Some(path) = super::csv_path(opts, "fig10_mi_types_radius.csv") {
-        let mut header: Vec<String> = vec!["t".to_string()];
-        header.extend(data.curves.iter().map(|c| c.label.clone()));
-        let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-        let times = &data.curves[0].times;
-        let rows: Vec<Vec<f64>> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| {
-                let mut row = vec![t as f64];
-                row.extend(data.curves.iter().map(|c| c.mean_mi[i]));
-                row
-            })
-            .collect();
-        report::write_csv(&path, &header_refs, &rows).expect("fig10 csv");
+        write_curves_csv(&path, &data.curves);
     }
     data
 }
@@ -79,26 +58,10 @@ impl Fig10Data {
 
     /// Renders all curves in one chart.
     pub fn print(&self) {
-        let series: Vec<Series> = self
-            .curves
-            .iter()
-            .map(|c| {
-                let xs: Vec<f64> = c.times.iter().map(|&t| t as f64).collect();
-                Series::from_xy(c.label.clone(), &xs, &c.mean_mi)
-            })
-            .collect();
-        println!(
-            "{}",
-            report::line_chart(
-                "Fig 10 — multi-information vs time for l ∈ {5, 20} × rc",
-                &series,
-                64,
-                18
-            )
+        print_curves(
+            "Fig 10 — multi-information vs time for l ∈ {5, 20} × rc",
+            &self.curves,
         );
-        for c in &self.curves {
-            println!("    {}: final I = {:.2} bits", c.label, c.final_value());
-        }
         if let (Some(five), Some(twenty)) = (self.final_value(5, 10.0), self.final_value(20, 10.0))
         {
             println!(

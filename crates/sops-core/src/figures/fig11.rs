@@ -6,8 +6,9 @@
 //! per type) vary strongly during the early phase and then settle to
 //! stable fractions while the total multi-information is still rising.
 
-use crate::pipeline::{decomposition_series, Pipeline};
+use crate::pipeline::decomposition_series;
 use crate::report::{self, Series};
+use crate::scenario::ScenarioSpec;
 use crate::RunOptions;
 use sops_math::{rng::derive_seed, stats, PairMatrix};
 use sops_sim::ensemble::{run_ensemble, EnsembleSpec};
@@ -44,12 +45,11 @@ pub fn run(opts: &RunOptions) -> Fig11Data {
         seed: derive_seed(seed, 3),
         criterion: None,
     };
-    let mut p = Pipeline::new(spec);
-    p.eval_every = opts.scale(10, 20);
-    p.threads = opts.threads;
+    let mut sc = ScenarioSpec::new("fig11", spec);
+    sc.eval_every = opts.scale(10, 20);
 
-    let ensemble = run_ensemble(&p.ensemble, opts.threads);
-    let series = decomposition_series(&ensemble, &p);
+    let ensemble = run_ensemble(&sc.ensemble, opts.threads);
+    let series = decomposition_series(&ensemble, &sc, opts.threads);
     let normalized = series.normalized(0.05);
     let total: Vec<f64> = series.terms.iter().map(|d| d.total).collect();
     let data = Fig11Data {

@@ -12,8 +12,9 @@
 //! collective cannot cohere: `F²` with `σ = 1 ≤ τ` repels everywhere, see
 //! `sops_sim::force`).
 
-use crate::pipeline::{run_pipeline, MiSeries, Pipeline};
-use crate::report::{self, Series};
+use crate::pipeline::MiSeries;
+use crate::report;
+use crate::scenario::ScenarioSpec;
 use crate::RunOptions;
 use sops_math::{PairMatrix, Vec2};
 use sops_sim::ensemble::EnsembleSpec;
@@ -40,8 +41,8 @@ pub fn preferred_distances() -> PairMatrix {
     PairMatrix::from_full(3, &[2.5, 5.0, 4.0, 5.0, 2.5, 2.0, 4.0, 2.0, 3.5])
 }
 
-/// Builds the Fig. 4 pipeline (shared with Figs. 1 and 6).
-pub fn pipeline(opts: &RunOptions) -> Pipeline {
+/// Builds the Fig. 4 scenario (shared with Figs. 1 and 6).
+pub fn scenario(opts: &RunOptions) -> ScenarioSpec {
     let law = ForceModel::Linear(LinearForce::new(
         PairMatrix::constant(3, 1.0),
         preferred_distances(),
@@ -56,66 +57,49 @@ pub fn pipeline(opts: &RunOptions) -> Pipeline {
         seed: opts.seed,
         criterion: None,
     };
-    let mut p = Pipeline::new(spec);
-    p.eval_every = opts.scale(10, 20);
-    p.threads = opts.threads;
-    p
+    let mut sc = ScenarioSpec::new("fig4", spec);
+    sc.eval_every = opts.scale(10, 20);
+    sc
 }
 
 /// Runs the Fig. 4 experiment.
 pub fn run(opts: &RunOptions) -> Fig4Data {
-    let p = pipeline(opts);
-    let types = p.ensemble.model.types().to_vec();
+    let sc = scenario(opts);
+    let types = sc.ensemble.model.types().to_vec();
     // One extra single run for the snapshot strip (same seed as ensemble
     // sample 0 would be, but run locally to keep frames without holding
     // the whole ensemble here).
     let mut sim = sops_sim::Simulation::with_disc_init(
-        p.ensemble.model.clone(),
-        p.ensemble.integrator,
-        p.ensemble.init_radius,
-        sops_math::rng::derive_seed(p.ensemble.seed, 0),
+        sc.ensemble.model.clone(),
+        sc.ensemble.integrator,
+        sc.ensemble.init_radius,
+        sops_math::rng::derive_seed(sc.ensemble.seed, 0),
     );
-    let traj = sim.run(p.ensemble.t_max, None);
+    let traj = sim.run(sc.ensemble.t_max, None);
     let snapshots: Vec<(usize, Vec<Vec2>)> = SNAPSHOT_TIMES
         .iter()
         .map(|&t| {
-            let t = t.min(p.ensemble.t_max);
+            let t = t.min(sc.ensemble.t_max);
             (t, traj.frames[t].clone())
         })
         .collect();
 
-    let result = run_pipeline(&p);
+    let mi = super::sweep_series(opts, vec![sc]).remove(0);
     let data = Fig4Data {
-        mi: result.mi,
+        mi,
         snapshots,
         types,
     };
-    if let Some(path) = super::csv_path(opts, "fig4_mi_series.csv") {
-        let rows: Vec<Vec<f64>> = data
-            .mi
-            .times
-            .iter()
-            .zip(&data.mi.values)
-            .map(|(&t, &v)| vec![t as f64, v])
-            .collect();
-        report::write_csv(&path, &["t", "mi_bits"], &rows).expect("fig4 csv");
-    }
+    super::write_mi_csv(opts, "fig4_mi_series.csv", &data.mi);
     data
 }
 
 impl Fig4Data {
     /// Renders the MI curve and the snapshot strip.
     pub fn print(&self) {
-        let xs: Vec<f64> = self.mi.times.iter().map(|&t| t as f64).collect();
-        let s = Series::from_xy("I(W1..Wn) [bits]", &xs, &self.mi.values);
-        println!(
-            "{}",
-            report::line_chart(
-                "Fig 4 — multi-information vs time (n=50, l=3, rc=5)",
-                &[s],
-                64,
-                16
-            )
+        super::print_mi_chart(
+            "Fig 4 — multi-information vs time (n=50, l=3, rc=5)",
+            &self.mi,
         );
         println!(
             "  increase ΔI = {:.2} bits over the run (paper: ≈2 → ≈10 bits)",

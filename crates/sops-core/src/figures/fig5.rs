@@ -6,8 +6,8 @@
 //! of freedom; despite a single type, the multi-information climbs to
 //! ≈7–8 bits and is still rising at `t = 250`.
 
-use crate::pipeline::{run_pipeline, MiSeries, Pipeline};
-use crate::report::{self, Series};
+use crate::pipeline::MiSeries;
+use crate::scenario::ScenarioSpec;
 use crate::RunOptions;
 use sops_sim::ensemble::EnsembleSpec;
 use sops_sim::force::{ForceModel, LinearForce};
@@ -20,8 +20,8 @@ pub struct Fig5Data {
     pub mi: MiSeries,
 }
 
-/// Builds the Fig. 5 pipeline (shared with Fig. 7).
-pub fn pipeline(opts: &RunOptions) -> Pipeline {
+/// Builds the Fig. 5 scenario (shared with Fig. 7).
+pub fn scenario(opts: &RunOptions) -> ScenarioSpec {
     // Single type, k = 1, preferred distance 2; unbounded cut-off
     // satisfies r_c > 2 r_aa.
     let law = ForceModel::Linear(LinearForce::uniform(1.0, 2.0));
@@ -35,43 +35,25 @@ pub fn pipeline(opts: &RunOptions) -> Pipeline {
         seed: sops_math::rng::derive_seed(opts.seed, 5),
         criterion: None,
     };
-    let mut p = Pipeline::new(spec);
-    p.eval_every = opts.scale(10, 20);
-    p.threads = opts.threads;
-    p
+    let mut sc = ScenarioSpec::new("fig5", spec);
+    sc.eval_every = opts.scale(10, 20);
+    sc
 }
 
 /// Runs the Fig. 5 experiment.
 pub fn run(opts: &RunOptions) -> Fig5Data {
-    let p = pipeline(opts);
-    let result = run_pipeline(&p);
-    let data = Fig5Data { mi: result.mi };
-    if let Some(path) = super::csv_path(opts, "fig5_mi_series.csv") {
-        let rows: Vec<Vec<f64>> = data
-            .mi
-            .times
-            .iter()
-            .zip(&data.mi.values)
-            .map(|(&t, &v)| vec![t as f64, v])
-            .collect();
-        report::write_csv(&path, &["t", "mi_bits"], &rows).expect("fig5 csv");
-    }
+    let mi = super::sweep_series(opts, vec![scenario(opts)]).remove(0);
+    let data = Fig5Data { mi };
+    super::write_mi_csv(opts, "fig5_mi_series.csv", &data.mi);
     data
 }
 
 impl Fig5Data {
     /// Renders the MI curve with the paper-comparison facts.
     pub fn print(&self) {
-        let xs: Vec<f64> = self.mi.times.iter().map(|&t| t as f64).collect();
-        let s = Series::from_xy("I(W1..Wn) [bits]", &xs, &self.mi.values);
-        println!(
-            "{}",
-            report::line_chart(
-                "Fig 5 — multi-information vs time (F1, 20 particles, one type)",
-                &[s],
-                64,
-                16
-            )
+        super::print_mi_chart(
+            "Fig 5 — multi-information vs time (F1, 20 particles, one type)",
+            &self.mi,
         );
         let half = self.mi.values.len() / 2;
         let late_slope = {

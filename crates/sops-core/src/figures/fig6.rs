@@ -35,8 +35,7 @@ pub struct Fig6Data {
 
 /// Runs the Fig. 6 analysis on the Fig. 4 ensemble.
 pub fn run(opts: &RunOptions) -> Fig6Data {
-    let p = super::fig4::pipeline(opts);
-    let mut spec = p.ensemble.clone();
+    let mut spec = super::fig4::scenario(opts).ensemble;
     // The gallery needs only a handful of runs; shrink the ensemble but
     // keep seeds aligned with Fig. 4's samples.
     spec.samples = spec.samples.min(opts.scale(8, 4));

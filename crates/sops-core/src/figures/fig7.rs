@@ -29,14 +29,14 @@ pub struct Fig7Data {
 
 /// Runs the Fig. 7 analysis on the Fig. 5 ensemble's final step.
 pub fn run(opts: &RunOptions) -> Fig7Data {
-    let p = super::fig5::pipeline(opts);
-    let mut spec = p.ensemble.clone();
+    let sc = super::fig5::scenario(opts);
+    let mut spec = sc.ensemble.clone();
     spec.samples = spec.samples.min(opts.scale(500, 80));
     let ensemble = run_ensemble(&spec, opts.threads);
     let t_end = spec.t_max;
     let types = spec.model.types().to_vec();
     let slice = ensemble.at_time(t_end);
-    let reduced = reduce_configurations(&slice, &types, &p.reduce);
+    let reduced = reduce_configurations(&slice, &types, &sc.reduce);
 
     let overlay: Vec<Vec2> = reduced.configs.iter().flatten().copied().collect();
     let dispersion = metrics::cross_sample_dispersion(&reduced.configs);

@@ -5,8 +5,8 @@
 //! types grows (averaged over 10 randomly generated type matrices with
 //! preferred-distance radii `r_{αβ} ∈ [1, 5]`).
 
-use crate::pipeline::{run_pipeline, Pipeline};
 use crate::report::{self, Series};
+use crate::scenario::ScenarioSpec;
 use crate::RunOptions;
 use sops_math::{rng::derive_seed, stats, PairMatrix};
 use sops_sim::ensemble::EnsembleSpec;
@@ -32,36 +32,38 @@ pub fn run(opts: &RunOptions) -> Fig8Data {
     let draws = opts.scale(10, 3);
     let max_l = opts.scale(10, 5);
     let type_counts: Vec<usize> = (1..=max_l).collect();
-    let mut delta_i = Vec::with_capacity(type_counts.len());
-    let mut delta_i_std = Vec::with_capacity(type_counts.len());
+    let mut cells = Vec::with_capacity(type_counts.len() * draws);
     for &l in &type_counts {
-        let deltas: Vec<f64> = (0..draws)
-            .map(|d| {
-                let seed = derive_seed(opts.seed, (l * 1000 + d) as u64);
-                let r = random_preferred_distances(l, 1.0, 5.0, seed);
-                let law = ForceModel::Gaussian(GaussianForce::from_preferred_distance(
-                    PairMatrix::constant(l, 3.0),
-                    &r,
-                ));
-                let spec = EnsembleSpec {
-                    model: Model::balanced(n, law, f64::INFINITY),
-                    integrator: super::standard_integrator(),
-                    init_radius: 4.0,
-                    t_max: opts.scale(250, 60),
-                    samples: opts.scale(300, 60),
-                    seed: derive_seed(seed, 1),
-                    criterion: None,
-                };
-                let mut p = Pipeline::new(spec);
-                // Only the endpoints matter for ΔI.
-                p.eval_every = p.ensemble.t_max;
-                p.threads = opts.threads;
-                run_pipeline(&p).mi.increase()
-            })
-            .collect();
-        delta_i.push(stats::mean(&deltas));
-        delta_i_std.push(stats::variance(&deltas).sqrt());
+        for d in 0..draws {
+            let seed = derive_seed(opts.seed, (l * 1000 + d) as u64);
+            let r = random_preferred_distances(l, 1.0, 5.0, seed);
+            let law = ForceModel::Gaussian(GaussianForce::from_preferred_distance(
+                PairMatrix::constant(l, 3.0),
+                &r,
+            ));
+            let spec = EnsembleSpec {
+                model: Model::balanced(n, law, f64::INFINITY),
+                integrator: super::standard_integrator(),
+                init_radius: 4.0,
+                t_max: opts.scale(250, 60),
+                samples: opts.scale(300, 60),
+                seed: derive_seed(seed, 1),
+                criterion: None,
+            };
+            let mut sc = ScenarioSpec::new(format!("fig8_l{l}_draw{d}"), spec);
+            // Only the endpoints matter for ΔI.
+            sc.eval_every = sc.ensemble.t_max;
+            cells.push(sc);
+        }
     }
+    let series = super::sweep_series(opts, cells);
+    let (delta_i, delta_i_std) = series
+        .chunks(draws)
+        .map(|point| {
+            let deltas: Vec<f64> = point.iter().map(|mi| mi.increase()).collect();
+            (stats::mean(&deltas), stats::variance(&deltas).sqrt())
+        })
+        .unzip();
     let data = Fig8Data {
         type_counts,
         delta_i,

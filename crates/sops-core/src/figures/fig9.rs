@@ -6,8 +6,8 @@
 //! `r_c ∈ {2.5, 5, 7.5, 10, 15, ∞}`. Larger cut-off radii produce more
 //! self-organization; locally limited interaction (`r_c ≤ 7.5`) caps it.
 
-use crate::pipeline::{run_pipeline, Pipeline};
 use crate::report::{self, Series};
+use crate::scenario::ScenarioSpec;
 use crate::RunOptions;
 use sops_math::{rng::derive_seed, PairMatrix};
 use sops_sim::ensemble::EnsembleSpec;
@@ -32,9 +32,44 @@ impl SweepCurve {
     }
 }
 
+/// Writes curves that share one time axis as a CSV: `t`, then one column
+/// per curve label (Figs. 9 and 10).
+pub(crate) fn write_curves_csv(path: &std::path::Path, curves: &[SweepCurve]) {
+    let mut header = vec!["t"];
+    header.extend(curves.iter().map(|c| c.label.as_str()));
+    let rows: Vec<Vec<f64>> = curves[0]
+        .times
+        .iter()
+        .enumerate()
+        .map(|(i, &t)| {
+            let mut row = vec![t as f64];
+            row.extend(curves.iter().map(|c| c.mean_mi[i]));
+            row
+        })
+        .collect();
+    report::write_csv(path, &header, &rows).expect("curves csv");
+}
+
+/// Charts curves under `title` and lists each one's final value (Figs. 9
+/// and 10).
+pub(crate) fn print_curves(title: &str, curves: &[SweepCurve]) {
+    let series: Vec<Series> = curves
+        .iter()
+        .map(|c| {
+            let xs: Vec<f64> = c.times.iter().map(|&t| t as f64).collect();
+            Series::from_xy(c.label.clone(), &xs, &c.mean_mi)
+        })
+        .collect();
+    println!("{}", report::line_chart(title, &series, 64, 18));
+    for c in curves {
+        println!("    {}: final I = {:.2} bits", c.label, c.final_value());
+    }
+}
+
 /// Shared driver for Figs. 9 and 10: runs `draws` random type draws of an
-/// `F¹` system with `l` types, `n = 20` particles and the given cut-off,
-/// and averages the multi-information series across draws.
+/// `F¹` system with `l` types, `n = 20` particles and the given cut-off
+/// as one sweep plan, and averages the multi-information series across
+/// draws.
 pub(crate) fn sweep_curve(
     opts: &RunOptions,
     label: String,
@@ -42,30 +77,29 @@ pub(crate) fn sweep_curve(
     cutoff: f64,
     draws: usize,
 ) -> SweepCurve {
-    let mut sum: Vec<f64> = Vec::new();
-    let mut times: Vec<usize> = Vec::new();
-    for d in 0..draws {
-        let seed = derive_seed(opts.seed, (types * 7919 + d) as u64 ^ cutoff.to_bits());
-        let r = random_preferred_distances(types, 2.0, 8.0, seed);
-        let law = ForceModel::Linear(LinearForce::new(PairMatrix::constant(types, 1.0), r));
-        let spec = EnsembleSpec {
-            model: Model::balanced(20, law, cutoff),
-            integrator: super::standard_integrator(),
-            init_radius: 5.0,
-            t_max: opts.scale(250, 60),
-            samples: opts.scale(300, 60),
-            seed: derive_seed(seed, 2),
-            criterion: None,
-        };
-        let mut p = Pipeline::new(spec);
-        p.eval_every = opts.scale(25, 30);
-        p.threads = opts.threads;
-        let result = run_pipeline(&p);
-        if sum.is_empty() {
-            sum = vec![0.0; result.mi.values.len()];
-            times = result.mi.times.clone();
-        }
-        for (acc, v) in sum.iter_mut().zip(&result.mi.values) {
+    let cells: Vec<ScenarioSpec> = (0..draws)
+        .map(|d| {
+            let seed = derive_seed(opts.seed, (types * 7919 + d) as u64 ^ cutoff.to_bits());
+            let r = random_preferred_distances(types, 2.0, 8.0, seed);
+            let law = ForceModel::Linear(LinearForce::new(PairMatrix::constant(types, 1.0), r));
+            let spec = EnsembleSpec {
+                model: Model::balanced(20, law, cutoff),
+                integrator: super::standard_integrator(),
+                init_radius: 5.0,
+                t_max: opts.scale(250, 60),
+                samples: opts.scale(300, 60),
+                seed: derive_seed(seed, 2),
+                criterion: None,
+            };
+            let mut sc = ScenarioSpec::new(format!("{label}_draw{d}"), spec);
+            sc.eval_every = opts.scale(25, 30);
+            sc
+        })
+        .collect();
+    let series = super::sweep_series(opts, cells);
+    let mut sum = vec![0.0; series[0].values.len()];
+    for mi in &series {
+        for (acc, v) in sum.iter_mut().zip(&mi.values) {
             *acc += v;
         }
     }
@@ -74,7 +108,7 @@ pub(crate) fn sweep_curve(
     }
     SweepCurve {
         label,
-        times,
+        times: series[0].times.clone(),
         mean_mi: sum,
     }
 }
@@ -98,31 +132,11 @@ pub fn run(opts: &RunOptions) -> Fig9Data {
     let draws = opts.scale(10, 2);
     let curves: Vec<SweepCurve> = cutoffs
         .iter()
-        .map(|&rc| {
-            let label = if rc.is_finite() {
-                format!("rc={rc}")
-            } else {
-                "rc=inf".to_string()
-            };
-            sweep_curve(opts, label, 20, rc, draws)
-        })
+        .map(|&rc| sweep_curve(opts, format!("rc={rc}"), 20, rc, draws))
         .collect();
     let data = Fig9Data { curves, cutoffs };
     if let Some(path) = super::csv_path(opts, "fig9_mi_vs_radius.csv") {
-        let mut header: Vec<String> = vec!["t".to_string()];
-        header.extend(data.curves.iter().map(|c| c.label.clone()));
-        let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-        let times = &data.curves[0].times;
-        let rows: Vec<Vec<f64>> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| {
-                let mut row = vec![t as f64];
-                row.extend(data.curves.iter().map(|c| c.mean_mi[i]));
-                row
-            })
-            .collect();
-        report::write_csv(&path, &header_refs, &rows).expect("fig9 csv");
+        write_curves_csv(&path, &data.curves);
     }
     data
 }
@@ -130,26 +144,10 @@ pub fn run(opts: &RunOptions) -> Fig9Data {
 impl Fig9Data {
     /// Renders all radius curves in one chart.
     pub fn print(&self) {
-        let series: Vec<Series> = self
-            .curves
-            .iter()
-            .map(|c| {
-                let xs: Vec<f64> = c.times.iter().map(|&t| t as f64).collect();
-                Series::from_xy(c.label.clone(), &xs, &c.mean_mi)
-            })
-            .collect();
-        println!(
-            "{}",
-            report::line_chart(
-                "Fig 9 — multi-information vs time for different rc (l = n = 20)",
-                &series,
-                64,
-                18
-            )
+        print_curves(
+            "Fig 9 — multi-information vs time for different rc (l = n = 20)",
+            &self.curves,
         );
-        for c in &self.curves {
-            println!("    {}: final I = {:.2} bits", c.label, c.final_value());
-        }
         println!("  (paper: I grows with rc; locally limited interaction caps self-organization)");
     }
 }

@@ -15,9 +15,11 @@
 //! [`scenario`] generalizes the procedure into a registry of named
 //! scenarios and a one-pass sweep engine ([`scenario::SweepRunner`])
 //! that fans each simulated ensemble over any number of measure
-//! selections — `run_pipeline` is its one-cell special case.
-//! [`figures`] packages one generator per figure of the paper's
-//! evaluation; the `sops-repro` binary drives them, and
+//! selections. It is the only way a ΔI cell is computed: a single
+//! measurement is a one-cell [`SweepPlan`], and [`pipeline`] holds the
+//! result types. [`figures`] packages one generator per figure of the
+//! paper's evaluation, each running its cells as sweep plans; the
+//! `sops-repro` binary drives them, and
 //! `tests/paper_claims.rs` checks the paper's qualitative claims on them
 //! at smoke scale. [`dynamics`] implements the §7.3
 //! future-work proposal: transfer entropy between individual particles.
@@ -59,7 +61,7 @@ pub use broker::{BrokerStats, SweepBroker};
 pub use cache::{CacheStats, CellCache};
 pub use error::SweepError;
 pub use observers::ObserverMode;
-pub use pipeline::{evaluate_ensemble, run_pipeline, MiSeries, Pipeline, PipelineResult};
+pub use pipeline::{MiSeries, PipelineResult};
 pub use scenario::{
     run_sweep, CellProvenance, CellStatus, EnsembleStorage, RetryPolicy, ScenarioRegistry,
     ScenarioSpec, SweepCell, SweepPlan, SweepReport, SweepRunner,

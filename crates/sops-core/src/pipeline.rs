@@ -1,69 +1,23 @@
-//! The measurement pipeline: ensemble → per-time-step reduction →
-//! multi-information series (and optional Eq. 5 decomposition series).
+//! Measurement results: the multi-information series of one sweep cell
+//! ([`MiSeries`] inside a [`PipelineResult`]) and the Eq. 5 decomposition
+//! series behind Fig. 11.
 //!
-//! Estimation is polymorphic: the pipeline carries a
-//! [`MeasureConfig`] selection and drives it through the
-//! [`sops_info::Estimator`] trait. Since the scenario/sweep refactor a
-//! pipeline is literally a one-cell sweep — [`run_pipeline`] simulates
-//! the ensemble and hands a single-measure grid to the
-//! [`crate::scenario::SweepRunner`] evaluation pass, so one `Pipeline`
-//! and one sweep cell over the same scenario are bit-identical by
-//! construction.
+//! A ΔI cell is computed one way: as a cell of a
+//! [`crate::scenario::SweepPlan`], run by
+//! [`crate::scenario::SweepRunner`] (`run` for a plan, `run_cells` for
+//! one ensemble, `evaluate_frames` for an already-simulated one). The
+//! estimator is polymorphic: each cell carries a
+//! [`sops_info::MeasureConfig`] selection and drives it through the
+//! [`sops_info::Estimator`] trait.
+//! [`decomposition_series`] is the one analysis outside that engine,
+//! because it decomposes rather than estimates.
 
-use crate::observers::{build_observers, ObserverMode};
-use crate::scenario::{eval_pass, eval_schedule, EvalWorker, ScenarioSpec, SweepRunner};
+use crate::observers::build_observers;
+use crate::scenario::{eval_pass, EvalWorker, ScenarioSpec};
 use sops_info::decomposition::{Decomposition, Grouping};
-use sops_info::measure::MeasureConfig;
 use sops_info::KsgConfig;
 use sops_shape::ensemble::{reduce_configurations_with, ReduceConfig};
-use sops_sim::ensemble::{run_ensemble, Ensemble, EnsembleSpec};
-
-/// Full experiment specification.
-#[derive(Debug, Clone)]
-pub struct Pipeline {
-    /// Simulation ensemble.
-    pub ensemble: EnsembleSpec,
-    /// Shape-reduction parameters.
-    pub reduce: ReduceConfig,
-    /// Multi-information estimator selection (KSG by default; any
-    /// [`MeasureConfig`] runs through the same trait-driven workers).
-    pub measure: MeasureConfig,
-    /// Observer construction.
-    pub observers: ObserverMode,
-    /// Evaluate the estimator at `t = 0, eval_every, 2·eval_every, …` and
-    /// always at the final step.
-    pub eval_every: usize,
-    /// Worker threads for the evaluation stage (0 = default). The outer
-    /// loop parallelizes over time steps; the inner reduction/estimation
-    /// stages run single-threaded to avoid oversubscription.
-    pub threads: usize,
-}
-
-impl Pipeline {
-    /// A pipeline with default reduction/estimation settings around an
-    /// ensemble spec.
-    pub fn new(ensemble: EnsembleSpec) -> Self {
-        Pipeline {
-            ensemble,
-            reduce: ReduceConfig::default(),
-            measure: MeasureConfig::default(),
-            observers: ObserverMode::PerParticle,
-            eval_every: 10,
-            threads: 0,
-        }
-    }
-
-    /// The time steps the estimator will be evaluated at.
-    pub fn eval_times(&self) -> Vec<usize> {
-        eval_schedule(self.ensemble.t_max, self.eval_every)
-    }
-
-    /// This pipeline as an (anonymous) sweep scenario — the physics and
-    /// schedule without the measure selection.
-    pub fn scenario(&self) -> ScenarioSpec {
-        ScenarioSpec::from_pipeline("pipeline", self)
-    }
-}
+use sops_sim::ensemble::Ensemble;
 
 /// A time-indexed series of estimates.
 #[derive(Debug, Clone)]
@@ -102,7 +56,7 @@ impl MiSeries {
     }
 }
 
-/// Output of [`run_pipeline`].
+/// One sweep cell's measured output.
 #[derive(Debug, Clone)]
 pub struct PipelineResult {
     /// The multi-information time series.
@@ -130,31 +84,6 @@ impl PipelineResult {
     }
 }
 
-/// Simulates the ensemble and evaluates the multi-information series.
-pub fn run_pipeline(p: &Pipeline) -> PipelineResult {
-    let ensemble = run_ensemble(&p.ensemble, p.threads);
-    evaluate_ensemble(&ensemble, p)
-}
-
-/// Evaluates the multi-information series on an already-simulated
-/// ensemble (lets callers reuse one ensemble across analyses, e.g. Figs. 4
-/// and 6 share theirs).
-///
-/// A thin one-cell sweep: the work happens in
-/// [`SweepRunner::evaluate`], which generalizes this loop to any number
-/// of measure selections per pass.
-pub fn evaluate_ensemble(ensemble: &Ensemble, p: &Pipeline) -> PipelineResult {
-    SweepRunner::new()
-        .evaluate(
-            ensemble,
-            &p.scenario(),
-            std::slice::from_ref(&p.measure),
-            p.threads,
-        )
-        .pop()
-        .expect("one measure in, one result out")
-}
-
 /// A decomposition (Eq. 5) evaluated along the time axis, grouping
 /// observers by particle type — the data behind Fig. 11.
 #[derive(Debug, Clone)]
@@ -174,34 +103,39 @@ impl DecompositionSeries {
     }
 }
 
-/// Runs the pipeline's reduction and evaluates the type-grouped
-/// decomposition at each evaluation step.
+/// Runs `scenario`'s shape reduction and observers over a simulated
+/// ensemble and evaluates the type-grouped decomposition at each of its
+/// evaluation steps, on up to `threads` workers (0 = default; the result
+/// does not depend on it).
 ///
 /// The decomposition is a KSG-specific analysis; it runs with
-/// [`MeasureConfig::ksg_config`] — the pipeline's KSG parameters when the
-/// measure selection is KSG, the KSG defaults otherwise.
-pub fn decomposition_series(ensemble: &Ensemble, p: &Pipeline) -> DecompositionSeries {
-    let types = p.ensemble.model.types().to_vec();
-    let type_count = p.ensemble.model.type_count();
-    let times = p.eval_times();
+/// [`KsgConfig::default`].
+pub fn decomposition_series(
+    ensemble: &Ensemble,
+    scenario: &ScenarioSpec,
+    threads: usize,
+) -> DecompositionSeries {
+    let types = scenario.ensemble.model.types().to_vec();
+    let type_count = scenario.ensemble.model.type_count();
+    let times = scenario.eval_times();
     let inner_reduce = ReduceConfig {
         threads: 1,
-        ..p.reduce
+        ..scenario.reduce
     };
     let inner_est = KsgConfig {
         threads: 1,
-        ..p.measure.ksg_config()
+        ..KsgConfig::default()
     };
+    let seed = scenario.ensemble.seed;
     let mut workers: Vec<EvalWorker> = Vec::new();
     let terms: Vec<Decomposition> = eval_pass(
         &mut workers,
         sops_sim::streaming::EnsembleFrames::Retained(ensemble),
         &times,
-        p.threads,
+        threads,
         |w, slice, _ti| {
             let reduced = reduce_configurations_with(&mut w.reduce, slice, &types, &inner_reduce);
-            let observers =
-                build_observers(&reduced, &types, type_count, p.observers, p.ensemble.seed);
+            let observers = build_observers(&reduced, &types, type_count, scenario.observers, seed);
             let grouping = Grouping::from_labels(&observers.block_types);
             w.measure
                 .decompose(&observers.view(), &grouping, &inner_est)
@@ -213,8 +147,13 @@ pub fn decomposition_series(ensemble: &Ensemble, p: &Pipeline) -> DecompositionS
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observers::ObserverMode;
+    use crate::scenario::{EnsembleStorage, SweepRunner};
+    use sops_info::measure::MeasureConfig;
     use sops_math::PairMatrix;
+    use sops_sim::ensemble::{run_ensemble, EnsembleSpec};
     use sops_sim::force::{ForceModel, LinearForce};
+    use sops_sim::streaming::EnsembleFrames;
     use sops_sim::{IntegratorConfig, Model};
 
     /// A small 2-type attracting system that visibly organizes.
@@ -233,31 +172,58 @@ mod tests {
         }
     }
 
-    fn small_pipeline() -> Pipeline {
-        let mut p = Pipeline::new(small_spec(60, 30));
-        p.eval_every = 15;
-        p.measure = MeasureConfig::Ksg(KsgConfig {
+    fn small_scenario() -> ScenarioSpec {
+        let mut sc = ScenarioSpec::new("small", small_spec(60, 30));
+        sc.eval_every = 15;
+        sc
+    }
+
+    fn ksg3() -> MeasureConfig {
+        MeasureConfig::Ksg(KsgConfig {
             k: 3,
             ..KsgConfig::default()
-        });
-        p
+        })
+    }
+
+    /// One cell through the sweep engine, on a fresh runner.
+    fn run_cell(sc: &ScenarioSpec, measure: MeasureConfig, threads: usize) -> PipelineResult {
+        let labels = [measure.label().to_string()];
+        let cell = SweepRunner::new()
+            .run_cells(sc, &[measure], &labels, EnsembleStorage::default(), threads)
+            .pop()
+            .expect("one measure in, one cell out");
+        assert!(cell.status.is_ok(), "{:?}", cell.status);
+        cell.result
+    }
+
+    /// `measure` over an already-simulated ensemble.
+    fn evaluate(
+        ensemble: &Ensemble,
+        sc: &ScenarioSpec,
+        measure: MeasureConfig,
+        threads: usize,
+    ) -> PipelineResult {
+        SweepRunner::new()
+            .evaluate_frames(EnsembleFrames::Retained(ensemble), sc, &[measure], threads)
+            .pop()
+            .expect("one measure in, one result out")
     }
 
     #[test]
     fn eval_times_cover_endpoints() {
-        let p = small_pipeline();
-        let times = p.eval_times();
+        let sc = small_scenario();
+        let times = sc.eval_times();
         assert_eq!(times.first(), Some(&0));
         assert_eq!(times.last(), Some(&30));
         // Non-divisible horizon still ends exactly at t_max.
-        let mut p2 = small_pipeline();
-        p2.ensemble.t_max = 31;
-        assert_eq!(*p2.eval_times().last().unwrap(), 31);
+        let mut sc2 = small_scenario();
+        sc2.ensemble.t_max = 31;
+        assert_eq!(*sc2.eval_times().last().unwrap(), 31);
     }
 
     #[test]
     fn organizing_system_shows_mi_increase() {
-        let result = run_pipeline(&small_pipeline());
+        let result = run_cell(&small_scenario(), ksg3(), 0);
         assert_eq!(result.mi.times.len(), result.mi.values.len());
         assert!(
             result.mi.increase() > 0.5,
@@ -280,12 +246,10 @@ mod tests {
 
     #[test]
     fn thread_counts_do_not_change_series() {
-        let mut p = small_pipeline();
-        p.ensemble.samples = 40;
-        p.threads = 1;
-        let a = run_pipeline(&p);
-        p.threads = 4;
-        let b = run_pipeline(&p);
+        let mut sc = small_scenario();
+        sc.ensemble.samples = 40;
+        let a = run_cell(&sc, ksg3(), 1);
+        let b = run_cell(&sc, ksg3(), 4);
         for (x, y) in a.mi.values.iter().zip(&b.mi.values) {
             assert!((x - y).abs() < 1e-9, "{x} vs {y}");
         }
@@ -293,9 +257,9 @@ mod tests {
 
     #[test]
     fn decomposition_series_shape_and_identity() {
-        let p = small_pipeline();
-        let ensemble = run_ensemble(&p.ensemble, 0);
-        let d = decomposition_series(&ensemble, &p);
+        let sc = small_scenario();
+        let ensemble = run_ensemble(&sc.ensemble, 0);
+        let d = decomposition_series(&ensemble, &sc, 0);
         assert_eq!(d.times.len(), d.terms.len());
         for term in &d.terms {
             assert_eq!(term.within.len(), 2, "one within-term per type");
@@ -310,9 +274,9 @@ mod tests {
 
     #[test]
     fn type_means_observer_path_runs() {
-        let mut p = small_pipeline();
-        p.observers = ObserverMode::TypeMeans { k_per_type: 2 };
-        let result = run_pipeline(&p);
+        let mut sc = small_scenario();
+        sc.observers = ObserverMode::TypeMeans { k_per_type: 2 };
+        let result = run_cell(&sc, ksg3(), 0);
         assert!(result.mi.values.iter().all(|v| v.is_finite()));
     }
 
@@ -339,10 +303,9 @@ mod tests {
             (MeasureConfig::Gaussian, false),
         ];
         for (measure, sees_trend) in selections {
-            let mut p = small_pipeline();
-            p.ensemble.samples = 80;
-            p.measure = measure;
-            let result = evaluate_ensemble(&ensemble, &p);
+            let mut sc = small_scenario();
+            sc.ensemble.samples = 80;
+            let result = evaluate(&ensemble, &sc, measure, 0);
             assert!(
                 result.mi.values.iter().all(|v| v.is_finite()),
                 "{}: {:?}",
@@ -365,24 +328,23 @@ mod tests {
         // The trait-driven worker must produce exactly what the direct
         // engine produces on the same reduced observers.
         let ensemble = run_ensemble(&small_spec(50, 20), 0);
-        let mut p = Pipeline::new(small_spec(50, 20));
-        p.eval_every = 20;
-        p.measure = MeasureConfig::Binned(sops_info::BinningConfig::default());
-        p.threads = 1;
-        let via_pipeline = evaluate_ensemble(&ensemble, &p);
+        let mut sc = ScenarioSpec::new("small", small_spec(50, 20));
+        sc.eval_every = 20;
+        let measure = MeasureConfig::Binned(sops_info::BinningConfig::default());
+        let via_pipeline = evaluate(&ensemble, &sc, measure, 1);
 
-        let types = p.ensemble.model.types().to_vec();
-        let type_count = p.ensemble.model.type_count();
+        let types = sc.ensemble.model.types().to_vec();
+        let type_count = sc.ensemble.model.type_count();
         let inner_reduce = ReduceConfig {
             threads: 1,
-            ..p.reduce
+            ..sc.reduce
         };
-        for (ti, &t) in p.eval_times().iter().enumerate() {
+        for (ti, &t) in sc.eval_times().iter().enumerate() {
             let slice = ensemble.at_time(t);
             let reduced =
                 sops_shape::ensemble::reduce_configurations(&slice, &types, &inner_reduce);
             let observers =
-                build_observers(&reduced, &types, type_count, p.observers, p.ensemble.seed);
+                build_observers(&reduced, &types, type_count, sc.observers, sc.ensemble.seed);
             let want = sops_info::BinnedWorkspace::new()
                 .multi_information(&observers.view(), &sops_info::BinningConfig::default());
             assert_eq!(via_pipeline.mi.values[ti].to_bits(), want.to_bits());

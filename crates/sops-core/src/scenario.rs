@@ -19,12 +19,13 @@
 //!   [`MeasureWorkspace`]/[`ReduceWorkspace`] scratch reused across all
 //!   the time steps a worker claims ([`sops_par::parallel_map_with`]).
 //!
-//! Each grid cell's [`PipelineResult`] is **bit-identical** to the
-//! equivalent standalone [`crate::run_pipeline`] call for any worker
-//! count — estimates depend only on the prepared view and the
-//! configuration, never on workspace history (the workspaces cache only
-//! buffer capacity). `run_pipeline` itself is a thin one-cell sweep over
-//! this engine.
+//! Each grid cell's [`PipelineResult`] is **bit-identical** to the same
+//! cell run alone (a one-cell plan, or [`SweepRunner::run_cells`] with
+//! one measure) for any worker count and storage policy — estimates
+//! depend only on the prepared view and the configuration, never on
+//! workspace history (the workspaces cache only buffer capacity). This
+//! engine is the only way a ΔI cell is computed: the figure generators
+//! run their cells as sweep plans too.
 //!
 //! Results land in a [`SweepReport`], a flat scenario × measure × time
 //! table with CSV/JSON writers in [`crate::report`] and an ASCII grid
@@ -50,7 +51,7 @@
 use crate::cache::CellCache;
 use crate::error::SweepError;
 use crate::observers::{build_observers, ObserverMode};
-use crate::pipeline::{MiSeries, Pipeline, PipelineResult};
+use crate::pipeline::{MiSeries, PipelineResult};
 use sops_info::measure::{MeasureConfig, MeasureWorkspace};
 use sops_math::{PairMatrix, Vec2};
 use sops_shape::ensemble::{reduce_configurations_with, ReduceConfig, ReduceMode, ReduceWorkspace};
@@ -66,8 +67,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Once;
 
 /// A named particle-system experiment — model, initialization, schedule
-/// and evaluation times: everything a [`Pipeline`] carries except the
-/// measure selection, which the sweep grid supplies.
+/// and evaluation times: one cell's physics, without the measure
+/// selection, which the sweep grid supplies.
 #[derive(Debug, Clone)]
 pub struct ScenarioSpec {
     /// Registry key (also the row label of sweep reports).
@@ -103,29 +104,17 @@ pub fn eval_schedule(t_max: usize, eval_every: usize) -> Vec<usize> {
 }
 
 impl ScenarioSpec {
-    /// The scenario a [`Pipeline`] describes, under the given name (the
-    /// inverse of [`ScenarioSpec::pipeline`]).
-    pub fn from_pipeline(name: impl Into<String>, p: &Pipeline) -> Self {
+    /// A scenario named `name` around an ensemble spec, with the default
+    /// shape reduction, per-particle observers and evaluation every 10
+    /// steps (plus the final step).
+    pub fn new(name: impl Into<String>, ensemble: EnsembleSpec) -> Self {
         ScenarioSpec {
             name: name.into(),
             description: String::new(),
-            ensemble: p.ensemble.clone(),
-            reduce: p.reduce,
-            observers: p.observers,
-            eval_every: p.eval_every,
-        }
-    }
-
-    /// A single-measure [`Pipeline`] over this scenario (threads default;
-    /// set [`Pipeline::threads`] on the result to override).
-    pub fn pipeline(&self, measure: MeasureConfig) -> Pipeline {
-        Pipeline {
-            ensemble: self.ensemble.clone(),
-            reduce: self.reduce,
-            measure,
-            observers: self.observers,
-            eval_every: self.eval_every,
-            threads: 0,
+            ensemble,
+            reduce: ReduceConfig::default(),
+            observers: ObserverMode::PerParticle,
+            eval_every: 10,
         }
     }
 
@@ -552,12 +541,15 @@ where
     T: Send,
     F: Fn(&mut EvalWorker, &[&[Vec2]], usize) -> T + Sync,
 {
+    // No wider than the schedule: `parallel_map_with` never runs more
+    // workers than steps, and a pooled runner would keep the surplus (each
+    // with a `samples`-long slice buffer) for the rest of its life.
     let threads = if threads == 0 {
         sops_par::default_threads()
     } else {
         threads
     }
-    .max(1);
+    .clamp(1, times.len().max(1));
     while workers.len() < threads {
         workers.push(EvalWorker::default());
     }
@@ -964,32 +956,16 @@ impl SweepRunner {
         }
     }
 
-    /// Evaluates `measures` over an already-simulated retained ensemble.
-    /// Convenience form of [`SweepRunner::evaluate_frames`].
-    pub fn evaluate(
-        &mut self,
-        ensemble: &Ensemble,
-        scenario: &ScenarioSpec,
-        measures: &[MeasureConfig],
-        threads: usize,
-    ) -> Vec<PipelineResult> {
-        self.evaluate_frames(
-            EnsembleFrames::Retained(ensemble),
-            scenario,
-            measures,
-            threads,
-        )
-    }
-
     /// Evaluates `measures` over an already-simulated ensemble (retained
     /// or streaming) in one pass: per evaluated time step the
     /// cross-sample view, the shape reduction and the observer matrix are
     /// built **once** and every estimator runs on that shared prepared
     /// state. Returns one [`PipelineResult`] per measure, each
-    /// bit-identical to the equivalent standalone
-    /// [`crate::evaluate_ensemble`] call for any `threads` and either
-    /// storage variant (streaming ensembles must cover the scenario's
-    /// evaluation schedule).
+    /// bit-identical to a [`SweepRunner::run_cells`] cell of the same
+    /// scenario and measure, for any `threads` and either storage variant
+    /// (streaming ensembles must cover the scenario's evaluation schedule).
+    /// This is how an analysis that keeps the whole trajectory (a retained
+    /// [`Ensemble`]) gets the same series a sweep cell would.
     pub fn evaluate_frames(
         &mut self,
         frames: EnsembleFrames<'_>,
@@ -1001,8 +977,7 @@ impl SweepRunner {
         let type_count = scenario.ensemble.model.type_count();
         let times = scenario.eval_times();
         // Outer parallelism over evaluation steps; inner stages
-        // sequential to avoid oversubscription (same policy as the
-        // pipeline it generalizes).
+        // sequential to avoid oversubscription.
         let inner_reduce = ReduceConfig {
             threads: 1,
             ..scenario.reduce
@@ -1097,8 +1072,8 @@ pub fn measure_labels(measures: &[MeasureConfig]) -> Vec<String> {
 /// the runner's [`RetryPolicy`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CellStatus {
-    /// The cell completed; its result is bit-identical to a standalone
-    /// [`crate::run_pipeline`] run.
+    /// The cell completed; its result is bit-identical to the same cell
+    /// run alone, for any worker count or storage policy.
     Ok,
     /// The cell panicked on every attempt and was quarantined; its
     /// result is [`PipelineResult::empty`].
@@ -1173,8 +1148,7 @@ pub struct SweepCell {
     /// coalesced). Metadata only — never part of the canonical
     /// `sweep.json` bytes or a cache entry.
     pub provenance: CellProvenance,
-    /// The measured series — bit-identical to the standalone
-    /// [`crate::run_pipeline`] run of the same cell
+    /// The measured series — bit-identical to the same cell run alone
     /// ([`PipelineResult::empty`] if the cell failed).
     pub result: PipelineResult,
 }
@@ -1315,7 +1289,6 @@ impl SweepReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::run_pipeline;
     use sops_info::KsgConfig;
 
     /// Tiny organizing scenario for fast tests.
@@ -1510,7 +1483,8 @@ mod tests {
     #[test]
     fn sweep_cells_match_standalone_pipelines() {
         // The acceptance contract in miniature: every grid cell must be
-        // bit-identical to the standalone single-measure pipeline run.
+        // bit-identical to the same cell run alone, one measure on a fresh
+        // runner.
         let plan = SweepPlan {
             scenarios: vec![small_scenario("a", 9), small_scenario("b", 10)],
             measures: vec![
@@ -1534,9 +1508,17 @@ mod tests {
                 .iter()
                 .find(|s| s.name == cell.scenario)
                 .unwrap();
-            let mut p = sc.pipeline(cell.measure);
-            p.threads = 2;
-            let standalone = run_pipeline(&p);
+            let standalone = SweepRunner::new()
+                .run_cells(
+                    sc,
+                    &[cell.measure],
+                    std::slice::from_ref(&cell.measure_label),
+                    EnsembleStorage::default(),
+                    2,
+                )
+                .pop()
+                .unwrap()
+                .result;
             assert_eq!(standalone.mi.times, cell.result.mi.times);
             for (a, b) in standalone.mi.values.iter().zip(&cell.result.mi.values) {
                 assert_eq!(
@@ -1656,11 +1638,55 @@ mod tests {
     #[test]
     fn pipeline_round_trips_through_scenario() {
         let sc = small_scenario("round", 77);
-        let p = sc.pipeline(MeasureConfig::default());
-        let back = ScenarioSpec::from_pipeline("round", &p);
+        let mut back = ScenarioSpec::new("round", sc.ensemble.clone());
+        // `new`'s defaults: default reduction, per-particle observers,
+        // every 10th step.
+        assert_eq!(back.reduce.mode, sc.reduce.mode);
+        assert!(matches!(back.observers, ObserverMode::PerParticle));
+        assert_eq!(back.eval_every, 10);
+        back.eval_every = sc.eval_every;
         assert_eq!(back.ensemble.seed, sc.ensemble.seed);
         assert_eq!(back.eval_every, sc.eval_every);
         assert_eq!(back.eval_times(), sc.eval_times());
+    }
+
+    #[test]
+    fn pass_width_is_capped_at_the_schedule_length() {
+        // A request's `threads` must not grow a pooled runner beyond the
+        // steps a pass can use: 64 requested over 3 steps keeps at most 3
+        // workers, and the bits match a single-threaded run.
+        let mut sc = small_scenario("a", 4);
+        sc.ensemble.samples = 8;
+        sc.ensemble.t_max = 10;
+        sc.eval_every = 5;
+        assert_eq!(sc.eval_times(), vec![0, 5, 10]);
+        let measure = MeasureConfig::Ksg(KsgConfig {
+            k: 3,
+            ..KsgConfig::default()
+        });
+        let run = |threads| {
+            let mut runner = SweepRunner::new();
+            let labels = ["ksg".to_string()];
+            let cell = runner
+                .run_cells(
+                    &sc,
+                    &[measure],
+                    &labels,
+                    EnsembleStorage::default(),
+                    threads,
+                )
+                .pop()
+                .unwrap();
+            assert!(cell.status.is_ok(), "{:?}", cell.status);
+            (runner.capacity_signature()[0], cell.result)
+        };
+        let (workers, wide) = run(64);
+        assert!(workers <= 3, "{workers} workers kept for a 3-step schedule");
+        let (_, narrow) = run(1);
+        assert_eq!(wide.mi.times, narrow.mi.times);
+        for (a, b) in wide.mi.values.iter().zip(&narrow.mi.values) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]
@@ -1669,10 +1695,20 @@ mod tests {
         let sc = mixing_null().with_scale(60, 30);
         let mut runner = SweepRunner::new();
         let ensemble = run_ensemble(&sc.ensemble, 0);
-        let results = runner.evaluate(&ensemble, &sc, &[MeasureConfig::default()], 0);
+        let results = runner.evaluate_frames(
+            EnsembleFrames::Retained(&ensemble),
+            &sc,
+            &[MeasureConfig::default()],
+            0,
+        );
         let organizing = cell_sorting().with_scale(60, 30);
         let org_ensemble = run_ensemble(&organizing.ensemble, 0);
-        let org = runner.evaluate(&org_ensemble, &organizing, &[MeasureConfig::default()], 0);
+        let org = runner.evaluate_frames(
+            EnsembleFrames::Retained(&org_ensemble),
+            &organizing,
+            &[MeasureConfig::default()],
+            0,
+        );
         assert!(
             results[0].mi.increase() < 0.5 * org[0].mi.increase(),
             "null control ΔI {} must sit well below cell sorting ΔI {}",

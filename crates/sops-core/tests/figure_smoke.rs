@@ -3,7 +3,8 @@
 //! `tests/paper_claims.rs` (umbrella crate) checks the *claims* of a subset
 //! of figures; these tests only assert that each `figN::run` completes at
 //! smoke scale and produces finite, non-empty series, so a regression in
-//! any generator is caught even where no paper claim is asserted.
+//! any generator is caught even where no paper claim is asserted, and that
+//! the ΔI figures' output does not depend on the worker count.
 
 use sops_core::figures;
 use sops_core::RunOptions;
@@ -131,5 +132,33 @@ fn fig12_smoke() {
     for p in &d.panels {
         assert!(!p.config.is_empty(), "{}: empty configuration", p.label);
         assert_finite_series(&p.label, &[p.stratification]);
+    }
+}
+
+#[test]
+fn figure_output_is_independent_of_thread_count() {
+    // The determinism contract at figure level: every ΔI figure runs its
+    // cells through the sweep engine (fig 10 shares fig 9's
+    // `sweep_curve`), and fig 11 through the decomposition pass; none may
+    // let the worker count into a single bit of its output.
+    let at = |threads| -> Vec<String> {
+        let opts = RunOptions {
+            threads,
+            ..fast_opts()
+        };
+        vec![
+            format!("{:?}", figures::fig4::run(&opts)),
+            format!("{:?}", figures::fig5::run(&opts)),
+            format!("{:?}", figures::fig8::run(&opts)),
+            format!("{:?}", figures::fig9::run(&opts)),
+            format!("{:?}", figures::fig11::run(&opts)),
+        ]
+    };
+    let (one, three) = (at(1), at(3));
+    for (fig, (a, b)) in ["fig4", "fig5", "fig8", "fig9", "fig11"]
+        .iter()
+        .zip(one.iter().zip(&three))
+    {
+        assert_eq!(a, b, "{fig}: threads 1 vs 3");
     }
 }

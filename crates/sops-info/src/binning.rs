@@ -187,8 +187,9 @@ impl BinnedWorkspace {
     }
 
     /// Estimates the multi-information (bits) between the observer blocks
-    /// of `view` with the shrinkage binning estimator — the workspace form
-    /// of [`multi_information_binned`], allocation-free once warm.
+    /// of `view` with the shrinkage binning estimator — the engine behind
+    /// [`crate::MeasureConfig::Binned`] in [`crate::MeasureWorkspace`],
+    /// allocation-free once warm.
     ///
     /// # Panics
     ///
@@ -307,22 +308,6 @@ impl BinnedWorkspace {
             self.counts.capacity(),
         ]
     }
-}
-
-/// Estimates the multi-information (bits) between the observer blocks of
-/// `view` with the shrinkage binning estimator.
-///
-/// Deprecated: this shim spins up a throwaway [`BinnedWorkspace`] per
-/// call. Repeated callers should hold a workspace (or a
-/// [`crate::measure::MeasureWorkspace`] driving the
-/// [`crate::measure::Estimator`] trait) and reuse it; the result is
-/// identical.
-#[deprecated(
-    since = "0.4.0",
-    note = "use BinnedWorkspace::multi_information (or MeasureWorkspace with MeasureConfig::Binned) — this shim rebuilds all scratch per call"
-)]
-pub fn multi_information_binned(view: &SampleView<'_>, cfg: &BinningConfig) -> f64 {
-    BinnedWorkspace::new().multi_information(view, cfg)
 }
 
 #[cfg(test)]

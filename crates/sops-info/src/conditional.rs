@@ -124,8 +124,9 @@ impl CmiWorkspace {
     }
 
     /// Estimates `I(X;Y|Z)` in bits from `rows` joint samples — the
-    /// workspace form of [`conditional_mutual_information`], identical in
-    /// result, allocation-free once warm.
+    /// engine behind
+    /// [`crate::MeasureWorkspace::conditional_mutual_information`],
+    /// allocation-free once warm.
     ///
     /// `x`, `y`, `z` are row-major `rows × dim` matrices.
     ///
@@ -267,33 +268,6 @@ impl CmiWorkspace {
         }
         sig
     }
-}
-
-/// Estimates `I(X;Y|Z)` in bits from `rows` joint samples.
-///
-/// `x`, `y`, `z` are row-major `rows × dim` matrices.
-///
-/// Deprecated: this shim spins up a throwaway [`CmiWorkspace`] per call.
-/// Repeated callers (transfer matrices, lag sweeps) should hold a
-/// workspace (or a [`crate::measure::MeasureWorkspace`]) and reuse it;
-/// the result is identical.
-///
-/// # Panics
-///
-/// Panics on inconsistent shapes, `k = 0`, or `k >= rows`.
-#[deprecated(
-    since = "0.4.0",
-    note = "use CmiWorkspace::conditional_mutual_information (or MeasureWorkspace::conditional_mutual_information) — this shim rebuilds all scratch per call"
-)]
-pub fn conditional_mutual_information(
-    x: &[f64],
-    y: &[f64],
-    z: &[f64],
-    rows: usize,
-    dims: (usize, usize, usize),
-    cfg: &CmiConfig,
-) -> f64 {
-    CmiWorkspace::new().conditional_mutual_information(x, y, z, rows, dims, cfg)
 }
 
 /// Transfer entropy `T_{Y→X} = I(X′ ; Y | X)` in bits across an ensemble:
@@ -472,16 +446,6 @@ mod tests {
                 assert_eq!(got.to_bits(), base.to_bits(), "{knn:?}/t{threads}");
             }
         }
-    }
-
-    #[test]
-    fn deprecated_shim_matches_workspace() {
-        let (x, y, z) = common_cause_samples(200, 8);
-        #[allow(deprecated)]
-        let shim =
-            conditional_mutual_information(&x, &y, &z, 200, (1, 1, 1), &CmiConfig::default());
-        let ws = cmi(&x, &y, &z, 200, (1, 1, 1), &CmiConfig::default());
-        assert_eq!(shim.to_bits(), ws.to_bits());
     }
 
     #[test]

@@ -97,9 +97,9 @@ impl KdeWorkspace {
     }
 
     /// Estimates the multi-information (bits) between the observer blocks
-    /// of `view` with the leave-one-out KDE ratio — the workspace form of
-    /// [`multi_information_kde`], identical in result, allocation-free
-    /// once warm.
+    /// of `view` with the leave-one-out KDE ratio — the engine behind
+    /// [`crate::MeasureConfig::Kde`] in [`crate::MeasureWorkspace`],
+    /// allocation-free once warm.
     ///
     /// # Panics
     ///
@@ -233,22 +233,6 @@ fn loo_log_density(
     max_log + acc.ln() - ((view.rows - 1) as f64).ln() - log_norm
 }
 
-/// Estimates the multi-information (bits) between the observer blocks of
-/// `view` with the leave-one-out KDE ratio.
-///
-/// Deprecated: this shim spins up a throwaway [`KdeWorkspace`] per call.
-/// Repeated callers should hold a workspace (or a
-/// [`crate::measure::MeasureWorkspace`] driving the
-/// [`crate::measure::Estimator`] trait) and reuse it; the result is
-/// identical.
-#[deprecated(
-    since = "0.4.0",
-    note = "use KdeWorkspace::multi_information (or MeasureWorkspace with MeasureConfig::Kde) — this shim rebuilds all scratch per call"
-)]
-pub fn multi_information_kde(view: &SampleView<'_>, cfg: &KdeConfig) -> f64 {
-    KdeWorkspace::new().multi_information(view, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,17 +301,6 @@ mod tests {
             },
         );
         assert_eq!(one.to_bits(), many.to_bits());
-    }
-
-    #[test]
-    fn deprecated_shim_matches_workspace() {
-        let data = sample_gaussian(&equicorrelated_cov(2, 0.6), 200, 11);
-        let sizes = [1usize, 1];
-        let view = SampleView::new(&data, 200, &sizes);
-        #[allow(deprecated)]
-        let shim = multi_information_kde(&view, &KdeConfig::default());
-        let ws = kde(&view, &KdeConfig::default());
-        assert_eq!(shim.to_bits(), ws.to_bits());
     }
 
     #[test]

@@ -64,10 +64,6 @@ pub use measure::{
 };
 pub use workspace::InfoWorkspace;
 
-/// Deprecated shim re-exports (see each function's migration note).
-#[allow(deprecated)]
-pub use conditional::conditional_mutual_information;
-
 /// A borrowed view of `rows` joint samples, each a concatenation of
 /// observer blocks with the given sizes — the common input format of every
 /// estimator in this crate.

@@ -179,20 +179,6 @@ impl MeasureConfig {
         }
     }
 
-    /// The KSG parameters KSG-specific analyses (the Eq. 5 decomposition
-    /// series, pairwise matrices) should run with: the inner config when
-    /// this selection *is* KSG, the defaults otherwise.
-    pub fn ksg_config(&self) -> KsgConfig {
-        match self {
-            MeasureConfig::Ksg(cfg) => *cfg,
-            MeasureConfig::Strided {
-                family: StridedFamily::Ksg(cfg),
-                ..
-            } => *cfg,
-            _ => KsgConfig::default(),
-        }
-    }
-
     /// Short display label (figures, benches).
     pub fn label(&self) -> &'static str {
         match self {

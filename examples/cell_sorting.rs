@@ -77,9 +77,11 @@ fn main() {
         seed: 11,
         criterion: None,
     };
-    let mut pipeline = Pipeline::new(spec);
-    pipeline.eval_every = 20;
-    let result = run_pipeline(&pipeline);
+    let mut scenario = ScenarioSpec::new("cell_sorting", spec);
+    scenario.eval_every = 20;
+    let plan = SweepPlan::new(vec![scenario], vec![MeasureConfig::default()]);
+    let report = run_sweep(&plan).expect("valid plan");
+    let result = &report.cells[0].result;
     println!(
         "\nmulti-information agrees: I = {:?} bits over t = {:?}",
         result

@@ -61,9 +61,11 @@ fn main() {
         seed: 77,
         criterion: None,
     };
-    let mut pipeline = Pipeline::new(spec);
-    pipeline.eval_every = 20;
-    let result = run_pipeline(&pipeline);
+    let mut scenario = ScenarioSpec::new("lennard_jones", spec);
+    scenario.eval_every = 20;
+    let plan = SweepPlan::new(vec![scenario], vec![MeasureConfig::default()]);
+    let report = run_sweep(&plan).expect("valid plan");
+    let result = &report.cells[0].result;
 
     println!("custom Lennard-Jones-like law through the standard pipeline:");
     for (t, v) in result.mi.times.iter().zip(&result.mi.values) {

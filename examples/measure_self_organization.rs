@@ -32,9 +32,13 @@ fn measure(types: usize, cutoff: f64, seed: u64) -> f64 {
         seed: seed ^ 0xABCD,
         criterion: None,
     };
-    let mut pipeline = Pipeline::new(spec);
-    pipeline.eval_every = 80; // endpoints only: ΔI
-    run_pipeline(&pipeline).mi.increase()
+    let mut scenario = ScenarioSpec::new("cell", spec);
+    scenario.eval_every = 80; // endpoints only: ΔI
+    let plan = SweepPlan::new(vec![scenario], vec![MeasureConfig::default()]);
+    run_sweep(&plan).expect("valid plan").cells[0]
+        .result
+        .mi
+        .increase()
 }
 
 fn main() {

@@ -32,11 +32,14 @@ fn main() {
         criterion: Some(EquilibriumCriterion::default()),
     };
 
-    // 3. Run the measurement pipeline: simulate, factor out translation /
-    //    rotation / same-type permutation, estimate multi-information.
-    let mut pipeline = Pipeline::new(spec);
-    pipeline.eval_every = 5;
-    let result = run_pipeline(&pipeline);
+    // 3. Measure it as a one-cell sweep: simulate, factor out translation /
+    //    rotation / same-type permutation, estimate multi-information
+    //    (KSG, the default measure) every 5 steps.
+    let mut scenario = ScenarioSpec::new("quickstart", spec);
+    scenario.eval_every = 5;
+    let plan = SweepPlan::new(vec![scenario], vec![MeasureConfig::default()]);
+    let report = run_sweep(&plan).expect("valid plan");
+    let result = &report.cells[0].result;
 
     // 4. Report.
     let xs: Vec<f64> = result.mi.times.iter().map(|&t| t as f64).collect();

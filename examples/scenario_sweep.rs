@@ -5,9 +5,9 @@
 //! The one-pass engine simulates each registry scenario exactly once;
 //! per evaluated time step the shape reduction and the observer matrix
 //! are built once and every selected measure runs on that shared
-//! prepared state. Running the same grid as repeated `run_pipeline`
-//! calls would re-simulate and re-reduce everything per measure — same
-//! bits, k× the work (see the `sweep` bench group).
+//! prepared state. Running the same grid as one-cell sweeps, one per
+//! measure, would re-simulate and re-reduce everything per measure —
+//! same bits, k× the work (see the `sweep` bench group).
 //!
 //! ```text
 //! cargo run --release --example scenario_sweep

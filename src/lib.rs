@@ -16,9 +16,10 @@
 //! * [`info`] — estimators: KSG multi-information (paper Eq. 18–20 and
 //!   the two Kraskov variants), KDE and shrinkage-binning baselines,
 //!   Kozachenko–Leonenko entropy, the Eq. 5 decomposition.
-//! * [`core`] — the end-to-end pipeline, the scenario registry and
-//!   one-pass sweep engine (one ensemble fanned over many measures), and
-//!   the per-figure reproduction generators.
+//! * [`core`] — the end-to-end measurement: the scenario registry and
+//!   one-pass sweep engine (one ensemble fanned over many measures; a
+//!   single measurement is a one-cell sweep), and the per-figure
+//!   reproduction generators.
 //! * [`math`], [`spatial`], [`cluster`], [`par`] — numeric, spatial,
 //!   clustering and parallelism substrates.
 //!
@@ -43,9 +44,12 @@
 //!     seed: 1,
 //!     criterion: None,
 //! };
-//! let mut pipeline = Pipeline::new(spec);
-//! pipeline.eval_every = 10;
-//! let result = run_pipeline(&pipeline);
+//! // One scenario under the default (KSG) measure: a one-cell sweep.
+//! let mut scenario = ScenarioSpec::new("quickstart", spec);
+//! scenario.eval_every = 10;
+//! let plan = SweepPlan::new(vec![scenario], vec![MeasureConfig::default()]);
+//! let report = run_sweep(&plan).expect("valid plan");
+//! let result = &report.cells[0].result;
 //! // Self-organization = the multi-information series rises.
 //! assert!(result.mi.values.iter().all(|v| v.is_finite()));
 //! ```
@@ -62,11 +66,10 @@ pub use sops_spatial as spatial;
 /// The most common imports in one place.
 pub mod prelude {
     pub use sops_core::{
-        evaluate_ensemble, run_pipeline, run_sweep, BrokerStats, CacheStats, CellCache,
-        CellProvenance, CellStatus, EnsembleStorage, MiSeries, ObserverMode, Pipeline,
-        PipelineResult, RetryPolicy, RunOptions, ScenarioRegistry, ScenarioSpec, SummaryConfig,
-        SweepBaseline, SweepBroker, SweepCell, SweepError, SweepPlan, SweepReport, SweepRunner,
-        SweepSummary,
+        run_sweep, BrokerStats, CacheStats, CellCache, CellProvenance, CellStatus, EnsembleStorage,
+        MiSeries, ObserverMode, PipelineResult, RetryPolicy, RunOptions, ScenarioRegistry,
+        ScenarioSpec, SummaryConfig, SweepBaseline, SweepBroker, SweepCell, SweepError, SweepPlan,
+        SweepReport, SweepRunner, SweepSummary,
     };
     pub use sops_info::{
         InfoWorkspace, KnnMode, KsgConfig, KsgVariant, MeasureConfig, MeasureWorkspace, SampleView,

@@ -18,6 +18,18 @@ fn spec(seed: u64) -> EnsembleSpec {
     }
 }
 
+/// One default-KSG cell of `spec(seed)`, evaluated every `eval_every`
+/// steps on `threads` workers: a one-cell sweep.
+fn run_cell(seed: u64, eval_every: usize, threads: usize) -> PipelineResult {
+    let mut scenario = ScenarioSpec::new("determinism", spec(seed));
+    scenario.eval_every = eval_every;
+    let mut plan = SweepPlan::new(vec![scenario], vec![MeasureConfig::default()]);
+    plan.threads = threads;
+    let cell = run_sweep(&plan).expect("valid plan").cells.remove(0);
+    assert!(cell.status.is_ok(), "{:?}", cell.status);
+    cell.result
+}
+
 /// Every field of the result, compared at the bit level — `f64` equality
 /// would hide sign/NaN drift.
 fn assert_bit_identical(a: &PipelineResult, b: &PipelineResult, what: &str) {
@@ -47,10 +59,8 @@ fn assert_bit_identical(a: &PipelineResult, b: &PipelineResult, what: &str) {
 
 #[test]
 fn pipeline_bitwise_reproducible() {
-    let mut p = Pipeline::new(spec(2024));
-    p.eval_every = 5;
-    let a = run_pipeline(&p);
-    let b = run_pipeline(&p);
+    let a = run_cell(2024, 5, 0);
+    let b = run_cell(2024, 5, 0);
     assert_bit_identical(&a, &b, "same seed, two runs");
 }
 
@@ -60,36 +70,22 @@ fn pipeline_bitwise_identical_across_explicit_and_auto_threads() {
     // still be bit-identical to a single-threaded run — the parallel
     // ensemble writes into per-index slots with per-index derived seeds,
     // so scheduling must never leak into the numbers.
-    let mut p1 = Pipeline::new(spec(0xD17E_4311));
-    p1.eval_every = 5;
-    p1.threads = 1;
-    let mut p_auto = p1.clone();
-    p_auto.threads = 0;
-    let a = run_pipeline(&p1);
-    let b = run_pipeline(&p_auto);
+    let a = run_cell(0xD17E_4311, 5, 1);
+    let b = run_cell(0xD17E_4311, 5, 0);
     assert_bit_identical(&a, &b, "threads=1 vs threads=0");
 }
 
 #[test]
 fn pipeline_independent_of_thread_count() {
-    let mut p1 = Pipeline::new(spec(7));
-    p1.eval_every = 5;
-    p1.threads = 1;
-    let mut p8 = p1.clone();
-    p8.threads = 8;
-    let a = run_pipeline(&p1);
-    let b = run_pipeline(&p8);
+    let a = run_cell(7, 5, 1);
+    let b = run_cell(7, 5, 8);
     assert_bit_identical(&a, &b, "threads=1 vs threads=8");
 }
 
 #[test]
 fn different_seeds_give_different_but_similar_results() {
-    let mut p1 = Pipeline::new(spec(1));
-    p1.eval_every = 25;
-    let mut p2 = Pipeline::new(spec(2));
-    p2.eval_every = 25;
-    let a = run_pipeline(&p1);
-    let b = run_pipeline(&p2);
+    let a = run_cell(1, 25, 0);
+    let b = run_cell(2, 25, 0);
     // Different realizations...
     assert_ne!(a.mi.values, b.mi.values);
     // ...of the same physics: both organize.

@@ -62,9 +62,10 @@ fn claim_single_type_f2_grid_organizes_weakly() {
         seed: 103,
         criterion: None,
     };
-    let mut p = Pipeline::new(spec);
-    p.eval_every = 60;
-    let grid = run_pipeline(&p);
+    let mut scenario = ScenarioSpec::new("f2_grid", spec);
+    scenario.eval_every = 60;
+    let plan = SweepPlan::new(vec![scenario], vec![MeasureConfig::default()]);
+    let grid = run_sweep(&plan).expect("valid plan").cells.remove(0).result;
 
     let rings = figures::fig5::run(&fast_opts(103));
     assert!(

@@ -156,14 +156,17 @@ fn observer_mode_kmeans_tracks_per_particle_trend() {
         seed: 31,
         criterion: None,
     };
-    let mut per_particle = Pipeline::new(spec.clone());
+    let mut per_particle = ScenarioSpec::new("per_particle", spec.clone());
     per_particle.eval_every = 30;
-    let mut kmeans = Pipeline::new(spec);
+    let mut kmeans = ScenarioSpec::new("kmeans", spec);
     kmeans.eval_every = 30;
     kmeans.observers = ObserverMode::TypeMeans { k_per_type: 2 };
 
-    let a = run_pipeline(&per_particle);
-    let b = run_pipeline(&kmeans);
+    let plan = SweepPlan::new(vec![per_particle, kmeans], vec![MeasureConfig::default()]);
+    let report = run_sweep(&plan).expect("valid plan");
+    assert!(!report.has_failures());
+    let a = &report.cells[0].result;
+    let b = &report.cells[1].result;
     assert!(a.mi.increase() > 0.3, "per-particle: {:?}", a.mi.values);
     assert!(b.mi.increase() > 0.1, "k-means approx: {:?}", b.mi.values);
 }

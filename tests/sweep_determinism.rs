@@ -1,11 +1,11 @@
 //! Contracts of the one-pass sweep engine (`sops_core::scenario`):
 //!
-//! * every grid cell of a `SweepReport` is **bit-identical** to the
-//!   equivalent standalone `run_pipeline` call, for evaluation worker
-//!   counts 1 and 8 (the pipeline is literally a one-cell sweep, so this
-//!   pins the fan-out itself: sharing one reduction/observer pass across
-//!   measures, and one `MeasureWorkspace` across estimator families, must
-//!   not perturb any estimate);
+//! * every grid cell of a `SweepReport` is **bit-identical** to the same
+//!   cell run alone as a one-cell `run_cells` call on a fresh runner, for
+//!   evaluation worker counts 1 and 8 (this pins the fan-out itself:
+//!   sharing one reduction/observer pass across measures, and one
+//!   `MeasureWorkspace` across estimator families, must not perturb any
+//!   estimate);
 //! * a warmed-up `SweepRunner` performs zero steady-state allocations in
 //!   its evaluation machinery across a 100-cell workload
 //!   (buffer-capacity stability, mirroring
@@ -19,16 +19,18 @@ fn small_scenario(name: &str, seed: u64, samples: usize, t_max: usize) -> Scenar
     let k = PairMatrix::constant(2, 1.0);
     let mut r = PairMatrix::constant(2, 1.0);
     r.set(0, 1, 2.0);
-    let pipeline = Pipeline::new(EnsembleSpec {
-        model: Model::balanced(8, ForceModel::Linear(LinearForce::new(k, r)), f64::INFINITY),
-        integrator: IntegratorConfig::default(),
-        init_radius: 2.0,
-        t_max,
-        samples,
-        seed,
-        criterion: None,
-    });
-    let mut sc = ScenarioSpec::from_pipeline(name, &pipeline);
+    let mut sc = ScenarioSpec::new(
+        name,
+        EnsembleSpec {
+            model: Model::balanced(8, ForceModel::Linear(LinearForce::new(k, r)), f64::INFINITY),
+            integrator: IntegratorConfig::default(),
+            init_radius: 2.0,
+            t_max,
+            samples,
+            seed,
+            criterion: None,
+        },
+    );
     sc.eval_every = 10;
     sc
 }
@@ -46,7 +48,7 @@ fn measure_axis() -> Vec<MeasureConfig> {
 }
 
 /// The acceptance contract: the sweep grid equals the same cells run as
-/// independent single-measure pipelines, bitwise, for worker counts 1
+/// independent one-cell `run_cells` calls, bitwise, for worker counts 1
 /// and 8 — and the two worker counts agree with each other.
 #[test]
 fn sweep_report_bit_matches_single_pipeline_sequence() {
@@ -70,9 +72,16 @@ fn sweep_report_bit_matches_single_pipeline_sequence() {
         // The equivalent sequence of standalone runs, same worker count.
         for cell in &report.cells {
             let sc = scenarios.iter().find(|s| s.name == cell.scenario).unwrap();
-            let mut p = sc.pipeline(cell.measure);
-            p.threads = threads;
-            let standalone = run_pipeline(&p);
+            let standalone = SweepRunner::new()
+                .run_cells(
+                    sc,
+                    &[cell.measure],
+                    std::slice::from_ref(&cell.measure_label),
+                    EnsembleStorage::default(),
+                    threads,
+                )
+                .remove(0)
+                .result;
             assert_eq!(standalone.mi.times, cell.result.mi.times);
             for (a, b) in standalone.mi.values.iter().zip(&cell.result.mi.values) {
                 assert_eq!(

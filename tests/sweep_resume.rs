@@ -32,16 +32,18 @@ fn small_scenario(name: &str, seed: u64) -> ScenarioSpec {
     let k = PairMatrix::constant(2, 1.0);
     let mut r = PairMatrix::constant(2, 1.0);
     r.set(0, 1, 2.0);
-    let pipeline = Pipeline::new(EnsembleSpec {
-        model: Model::balanced(8, ForceModel::Linear(LinearForce::new(k, r)), f64::INFINITY),
-        integrator: IntegratorConfig::default(),
-        init_radius: 2.0,
-        t_max: 20,
-        samples: 40,
-        seed,
-        criterion: None,
-    });
-    let mut sc = ScenarioSpec::from_pipeline(name, &pipeline);
+    let mut sc = ScenarioSpec::new(
+        name,
+        EnsembleSpec {
+            model: Model::balanced(8, ForceModel::Linear(LinearForce::new(k, r)), f64::INFINITY),
+            integrator: IntegratorConfig::default(),
+            init_radius: 2.0,
+            t_max: 20,
+            samples: 40,
+            seed,
+            criterion: None,
+        },
+    );
     sc.eval_every = 10;
     sc
 }

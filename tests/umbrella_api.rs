@@ -100,9 +100,10 @@ fn quickstart_logic_runs_end_to_end() {
         criterion: Some(EquilibriumCriterion::default()),
     };
 
-    let mut pipeline = Pipeline::new(spec);
-    pipeline.eval_every = 10;
-    let result: PipelineResult = run_pipeline(&pipeline);
+    let mut scenario = ScenarioSpec::new("quickstart", spec);
+    scenario.eval_every = 10;
+    let plan = SweepPlan::new(vec![scenario.clone()], vec![MeasureConfig::default()]);
+    let result: PipelineResult = run_sweep(&plan).expect("valid plan").cells.remove(0).result;
 
     assert_eq!(result.mi.times.len(), result.mi.values.len());
     assert!(!result.mi.values.is_empty());
@@ -116,8 +117,15 @@ fn quickstart_logic_runs_end_to_end() {
     let chart = report::line_chart("multi-information over time", &[series], 60, 14);
     assert!(chart.contains("multi-information over time"));
 
-    // evaluate_ensemble on a reused ensemble must agree with run_pipeline.
-    let ensemble = run_ensemble(&pipeline.ensemble, pipeline.threads);
-    let reused = evaluate_ensemble(&ensemble, &pipeline);
+    // Evaluating a reused (retained) ensemble must agree with the cell.
+    let ensemble = run_ensemble(&scenario.ensemble, plan.threads);
+    let reused = SweepRunner::new()
+        .evaluate_frames(
+            EnsembleFrames::Retained(&ensemble),
+            &scenario,
+            &plan.measures,
+            plan.threads,
+        )
+        .remove(0);
     assert_eq!(result.mi.values, reused.mi.values);
 }
