@@ -305,7 +305,9 @@ fn bench_sweep(c: &mut Criterion) {
                 for &m in &plan.measures {
                     let mut cell = SweepPlan::new(vec![sc.clone()], vec![m]);
                     cell.threads = 1;
-                    black_box(run_sweep(&cell).expect("valid plan"));
+                    let report = run_sweep(&cell).expect("valid plan");
+                    assert!(!report.has_failures());
+                    black_box(report);
                 }
             }
         })

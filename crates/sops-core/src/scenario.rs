@@ -1508,7 +1508,7 @@ mod tests {
                 .iter()
                 .find(|s| s.name == cell.scenario)
                 .unwrap();
-            let standalone = SweepRunner::new()
+            let reference = SweepRunner::new()
                 .run_cells(
                     sc,
                     &[cell.measure],
@@ -1517,8 +1517,9 @@ mod tests {
                     2,
                 )
                 .pop()
-                .unwrap()
-                .result;
+                .unwrap();
+            assert!(reference.status.is_ok(), "{:?}", reference.status);
+            let standalone = reference.result;
             assert_eq!(standalone.mi.times, cell.result.mi.times);
             for (a, b) in standalone.mi.values.iter().zip(&cell.result.mi.values) {
                 assert_eq!(

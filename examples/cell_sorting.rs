@@ -80,8 +80,9 @@ fn main() {
     let mut scenario = ScenarioSpec::new("cell_sorting", spec);
     scenario.eval_every = 20;
     let plan = SweepPlan::new(vec![scenario], vec![MeasureConfig::default()]);
-    let report = run_sweep(&plan).expect("valid plan");
-    let result = &report.cells[0].result;
+    let cell = run_sweep(&plan).expect("valid plan").cells.remove(0);
+    assert!(cell.status.is_ok(), "{:?}", cell.status);
+    let result = cell.result;
     println!(
         "\nmulti-information agrees: I = {:?} bits over t = {:?}",
         result

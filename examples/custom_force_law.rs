@@ -64,8 +64,9 @@ fn main() {
     let mut scenario = ScenarioSpec::new("lennard_jones", spec);
     scenario.eval_every = 20;
     let plan = SweepPlan::new(vec![scenario], vec![MeasureConfig::default()]);
-    let report = run_sweep(&plan).expect("valid plan");
-    let result = &report.cells[0].result;
+    let cell = run_sweep(&plan).expect("valid plan").cells.remove(0);
+    assert!(cell.status.is_ok(), "{:?}", cell.status);
+    let result = cell.result;
 
     println!("custom Lennard-Jones-like law through the standard pipeline:");
     for (t, v) in result.mi.times.iter().zip(&result.mi.values) {

@@ -35,10 +35,9 @@ fn measure(types: usize, cutoff: f64, seed: u64) -> f64 {
     let mut scenario = ScenarioSpec::new("cell", spec);
     scenario.eval_every = 80; // endpoints only: ΔI
     let plan = SweepPlan::new(vec![scenario], vec![MeasureConfig::default()]);
-    run_sweep(&plan).expect("valid plan").cells[0]
-        .result
-        .mi
-        .increase()
+    let cell = run_sweep(&plan).expect("valid plan").cells.remove(0);
+    assert!(cell.status.is_ok(), "{:?}", cell.status);
+    cell.result.mi.increase()
 }
 
 fn main() {

@@ -38,8 +38,9 @@ fn main() {
     let mut scenario = ScenarioSpec::new("quickstart", spec);
     scenario.eval_every = 5;
     let plan = SweepPlan::new(vec![scenario], vec![MeasureConfig::default()]);
-    let report = run_sweep(&plan).expect("valid plan");
-    let result = &report.cells[0].result;
+    let cell = run_sweep(&plan).expect("valid plan").cells.remove(0);
+    assert!(cell.status.is_ok(), "{:?}", cell.status);
+    let result = cell.result;
 
     // 4. Report.
     let xs: Vec<f64> = result.mi.times.iter().map(|&t| t as f64).collect();

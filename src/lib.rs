@@ -48,8 +48,9 @@
 //! let mut scenario = ScenarioSpec::new("quickstart", spec);
 //! scenario.eval_every = 10;
 //! let plan = SweepPlan::new(vec![scenario], vec![MeasureConfig::default()]);
-//! let report = run_sweep(&plan).expect("valid plan");
-//! let result = &report.cells[0].result;
+//! let cell = run_sweep(&plan).expect("valid plan").cells.remove(0);
+//! assert!(cell.status.is_ok(), "{:?}", cell.status);
+//! let result = cell.result;
 //! // Self-organization = the multi-information series rises.
 //! assert!(result.mi.values.iter().all(|v| v.is_finite()));
 //! ```

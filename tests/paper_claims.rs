@@ -65,7 +65,9 @@ fn claim_single_type_f2_grid_organizes_weakly() {
     let mut scenario = ScenarioSpec::new("f2_grid", spec);
     scenario.eval_every = 60;
     let plan = SweepPlan::new(vec![scenario], vec![MeasureConfig::default()]);
-    let grid = run_sweep(&plan).expect("valid plan").cells.remove(0).result;
+    let cell = run_sweep(&plan).expect("valid plan").cells.remove(0);
+    assert!(cell.status.is_ok(), "{:?}", cell.status);
+    let grid = cell.result;
 
     let rings = figures::fig5::run(&fast_opts(103));
     assert!(

@@ -68,11 +68,12 @@ fn sweep_report_bit_matches_single_pipeline_sequence() {
         };
         let report = run_sweep(&plan).expect("valid plan");
         assert_eq!(report.cells.len(), scenarios.len() * measures.len());
+        assert!(!report.has_failures(), "{:?}", report.failed_cells());
 
         // The equivalent sequence of standalone runs, same worker count.
         for cell in &report.cells {
             let sc = scenarios.iter().find(|s| s.name == cell.scenario).unwrap();
-            let standalone = SweepRunner::new()
+            let reference = SweepRunner::new()
                 .run_cells(
                     sc,
                     &[cell.measure],
@@ -80,8 +81,9 @@ fn sweep_report_bit_matches_single_pipeline_sequence() {
                     EnsembleStorage::default(),
                     threads,
                 )
-                .remove(0)
-                .result;
+                .remove(0);
+            assert!(reference.status.is_ok(), "{:?}", reference.status);
+            let standalone = reference.result;
             assert_eq!(standalone.mi.times, cell.result.mi.times);
             for (a, b) in standalone.mi.values.iter().zip(&cell.result.mi.values) {
                 assert_eq!(

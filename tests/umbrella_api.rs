@@ -103,7 +103,9 @@ fn quickstart_logic_runs_end_to_end() {
     let mut scenario = ScenarioSpec::new("quickstart", spec);
     scenario.eval_every = 10;
     let plan = SweepPlan::new(vec![scenario.clone()], vec![MeasureConfig::default()]);
-    let result: PipelineResult = run_sweep(&plan).expect("valid plan").cells.remove(0).result;
+    let cell = run_sweep(&plan).expect("valid plan").cells.remove(0);
+    assert!(cell.status.is_ok(), "{:?}", cell.status);
+    let result: PipelineResult = cell.result;
 
     assert_eq!(result.mi.times.len(), result.mi.values.len());
     assert!(!result.mi.values.is_empty());
