@@ -4,17 +4,26 @@
 //! engines (KDE / binning / CMI) against their one-shot forms, and the
 //! `sweep` group pinning the one-pass scenario × measure engine against
 //! the same cells run as one-cell sweeps.
+//!
+//! Every estimate goes through `MeasureWorkspace`. A `one_shot` case (and
+//! every case without a `persistent` twin) builds a fresh workspace per
+//! iteration, so it times cold scratch; a `persistent` case reuses one
+//! warm workspace.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sops_core::scenario::{self, run_sweep, ScenarioSpec, SweepPlan, SweepRunner};
 use sops_info::entropy::kl_entropy;
 use sops_info::gaussian::{equicorrelated_cov, sample_gaussian};
 use sops_info::{
-    multi_information, BinnedEstimator, BinningConfig, CmiConfig, CmiWorkspace, Estimator,
-    KdeConfig, KdeEstimator, KnnMode, KsgConfig, KsgVariant, MeasureConfig, MeasureWorkspace,
-    SampleView,
+    BinningConfig, CmiConfig, KdeConfig, KnnMode, KsgConfig, KsgVariant, MeasureConfig,
+    MeasureWorkspace, SampleView,
 };
 use std::hint::black_box;
+
+/// One estimate on a fresh workspace (cold scratch).
+fn one_shot(view: &SampleView<'_>, cfg: &MeasureConfig) -> f64 {
+    MeasureWorkspace::new().estimator_mut(cfg).measure(view)
+}
 
 /// Gaussian fixture: `blocks` scalar observers, correlation 0.4.
 fn fixture(m: usize, blocks: usize) -> (Vec<f64>, Vec<usize>) {
@@ -48,14 +57,14 @@ fn bench_ksg_variants(c: &mut Criterion) {
             &variant,
             |b, &variant| {
                 b.iter(|| {
-                    multi_information(
+                    one_shot(
                         black_box(&view),
-                        &KsgConfig {
+                        &MeasureConfig::Ksg(KsgConfig {
                             k: 4,
                             variant,
                             threads: 1,
                             ..KsgConfig::default()
-                        },
+                        }),
                     )
                 })
             },
@@ -73,7 +82,7 @@ fn bench_ksg_scaling(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("m{m}_n{blocks}")),
             &view,
-            |b, view| b.iter(|| multi_information(black_box(view), &KsgConfig::default())),
+            |b, view| b.iter(|| one_shot(black_box(view), &MeasureConfig::default())),
         );
     }
     group.finish();
@@ -93,7 +102,7 @@ fn bench_pairwise_matrix(c: &mut Criterion) {
             &view,
             |b, view| {
                 b.iter(|| {
-                    sops_info::ksg::pairwise_mi_matrix(
+                    MeasureWorkspace::new().pairwise_mi_matrix(
                         black_box(view),
                         &KsgConfig {
                             threads: 1,
@@ -108,23 +117,21 @@ fn bench_pairwise_matrix(c: &mut Criterion) {
 }
 
 fn bench_workspace_reuse(c: &mut Criterion) {
-    // Persistent `InfoWorkspace` vs the throwaway-workspace shim: the gap
-    // is the per-call buffer growth the persistent engine amortizes.
+    // A warm `MeasureWorkspace` vs a fresh one per call: the gap is the
+    // per-call buffer growth the persistent engine amortizes.
     let mut group = c.benchmark_group("ksg_workspace");
     group.sample_size(15);
     let (data, sizes) = fixture(500, 10);
     let view = SampleView::new(&data, 500, &sizes);
-    let cfg = KsgConfig {
+    let cfg = MeasureConfig::Ksg(KsgConfig {
         threads: 1,
         ..KsgConfig::default()
-    };
-    let mut ws = sops_info::InfoWorkspace::new();
+    });
+    let mut ws = MeasureWorkspace::new();
     group.bench_function("persistent", |b| {
-        b.iter(|| ws.multi_information(black_box(&view), &cfg))
+        b.iter(|| ws.estimator_mut(&cfg).measure(black_box(&view)))
     });
-    group.bench_function("one_shot", |b| {
-        b.iter(|| multi_information(black_box(&view), &cfg))
-    });
+    group.bench_function("one_shot", |b| b.iter(|| one_shot(black_box(&view), &cfg)));
     group.finish();
 }
 
@@ -138,12 +145,12 @@ fn bench_ksg_k_sensitivity(c: &mut Criterion) {
     for &k in &[2usize, 4, 10] {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
             b.iter(|| {
-                multi_information(
+                one_shot(
                     black_box(&view),
-                    &KsgConfig {
+                    &MeasureConfig::Ksg(KsgConfig {
                         k,
                         ..KsgConfig::default()
-                    },
+                    }),
                 )
             })
         });
@@ -154,21 +161,26 @@ fn bench_ksg_k_sensitivity(c: &mut Criterion) {
 fn bench_estimator_comparison(c: &mut Criterion) {
     // §5.3: "[the KDE approach] was multiple orders of magnitudes slower";
     // binning is fast but wrong in high-d (accuracy covered by tests).
-    // One-shot calls through the `Estimator` trait (a cold estimator per
-    // iteration — the semantics the deprecated free functions had); case
-    // names kept stable across PRs so the JSON trajectories line up.
+    // One-shot calls through the `Estimator` trait (a fresh workspace per
+    // iteration); case names kept stable across PRs so the JSON
+    // trajectories line up.
     let mut group = c.benchmark_group("estimator_comparison");
     group.sample_size(10);
     let (data, sizes) = fixture(400, 8);
     let view = SampleView::new(&data, 400, &sizes);
     group.bench_function("ksg1", |b| {
-        b.iter(|| multi_information(black_box(&view), &KsgConfig::default()))
+        b.iter(|| one_shot(black_box(&view), &MeasureConfig::default()))
     });
     group.bench_function("kde", |b| {
-        b.iter(|| KdeEstimator::new(KdeConfig::default()).measure(black_box(&view)))
+        b.iter(|| one_shot(black_box(&view), &MeasureConfig::Kde(KdeConfig::default())))
     });
     group.bench_function("binning_js", |b| {
-        b.iter(|| BinnedEstimator::new(BinningConfig::default()).measure(black_box(&view)))
+        b.iter(|| {
+            one_shot(
+                black_box(&view),
+                &MeasureConfig::Binned(BinningConfig::default()),
+            )
+        })
     });
     group.finish();
 }
@@ -177,50 +189,41 @@ fn bench_estimator_matrix(c: &mut Criterion) {
     // The workspace-backed `Estimator` engines vs their one-shot forms —
     // the before/after ledger of the measurement-stack unification, now
     // entirely on the trait API the pipeline dispatches through. The
-    // `one_shot` cases build a cold estimator per call (the deprecated
-    // free functions' behaviour); `persistent` drives a warm
-    // `MeasureWorkspace` through `estimator_mut`, the exact path of a
-    // pipeline/sweep evaluation worker. For CMI the historical algorithm
-    // is additionally pinned by `scan` (brute-force joint k-NN) vs the
-    // adaptive `tree` path.
+    // `one_shot` cases build a fresh `MeasureWorkspace` per call;
+    // `persistent` drives a warm one through `estimator_mut`, the exact
+    // path of a pipeline/sweep evaluation worker. For CMI the historical
+    // algorithm is additionally pinned by `scan` (brute-force joint k-NN)
+    // vs the adaptive `tree` path.
     let mut group = c.benchmark_group("estimator_matrix");
     group.sample_size(10);
 
     let (data, sizes) = fixture(400, 8);
     let view = SampleView::new(&data, 400, &sizes);
-    let kde_cfg = KdeConfig {
+    let kde_cfg = MeasureConfig::Kde(KdeConfig {
         threads: 1,
         ..KdeConfig::default()
-    };
+    });
     let mut measure_ws = MeasureWorkspace::new();
     group.bench_function("kde_m400_n8/one_shot", |b| {
-        b.iter(|| KdeEstimator::new(kde_cfg).measure(black_box(&view)))
+        b.iter(|| one_shot(black_box(&view), &kde_cfg))
     });
     group.bench_function("kde_m400_n8/persistent", |b| {
-        b.iter(|| {
-            measure_ws
-                .estimator_mut(&MeasureConfig::Kde(kde_cfg))
-                .measure(black_box(&view))
-        })
+        b.iter(|| measure_ws.estimator_mut(&kde_cfg).measure(black_box(&view)))
     });
 
-    let bin_cfg = BinningConfig::default();
+    let bin_cfg = MeasureConfig::Binned(BinningConfig::default());
     group.bench_function("binned_m400_n8/one_shot", |b| {
-        b.iter(|| BinnedEstimator::new(bin_cfg).measure(black_box(&view)))
+        b.iter(|| one_shot(black_box(&view), &bin_cfg))
     });
     group.bench_function("binned_m400_n8/persistent", |b| {
-        b.iter(|| {
-            measure_ws
-                .estimator_mut(&MeasureConfig::Binned(bin_cfg))
-                .measure(black_box(&view))
-        })
+        b.iter(|| measure_ws.estimator_mut(&bin_cfg).measure(black_box(&view)))
     });
     let (data2k, sizes2k) = fixture(2000, 8);
     let view2k = SampleView::new(&data2k, 2000, &sizes2k);
     group.bench_function("binned_m2000_n8/persistent", |b| {
         b.iter(|| {
             measure_ws
-                .estimator_mut(&MeasureConfig::Binned(bin_cfg))
+                .estimator_mut(&bin_cfg)
                 .measure(black_box(&view2k))
         })
     });
@@ -236,10 +239,9 @@ fn bench_estimator_matrix(c: &mut Criterion) {
         knn: KnnMode::Auto,
         ..CmiConfig::default()
     };
-    let mut cmi_ws = CmiWorkspace::new();
     group.bench_function("cmi_m1500/scan_one_shot", |b| {
         b.iter(|| {
-            CmiWorkspace::new().conditional_mutual_information(
+            MeasureWorkspace::new().conditional_mutual_information(
                 black_box(&x),
                 &y,
                 &z,
@@ -251,12 +253,26 @@ fn bench_estimator_matrix(c: &mut Criterion) {
     });
     group.bench_function("cmi_m1500/tree_persistent", |b| {
         b.iter(|| {
-            cmi_ws.conditional_mutual_information(black_box(&x), &y, &z, 1500, (1, 1, 1), &tree_cfg)
+            measure_ws.conditional_mutual_information(
+                black_box(&x),
+                &y,
+                &z,
+                1500,
+                (1, 1, 1),
+                &tree_cfg,
+            )
         })
     });
     group.bench_function("cmi_m1500/scan_persistent", |b| {
         b.iter(|| {
-            cmi_ws.conditional_mutual_information(black_box(&x), &y, &z, 1500, (1, 1, 1), &scan_cfg)
+            measure_ws.conditional_mutual_information(
+                black_box(&x),
+                &y,
+                &z,
+                1500,
+                (1, 1, 1),
+                &scan_cfg,
+            )
         })
     });
     group.finish();

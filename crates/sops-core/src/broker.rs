@@ -37,8 +37,8 @@ use crate::checkpoint::ScenarioKeys;
 use crate::error::SweepError;
 use crate::pipeline::PipelineResult;
 use crate::scenario::{
-    measure_labels, CellProvenance, CellStatus, RetryPolicy, ScenarioSpec, SweepCell, SweepPlan,
-    SweepReport, SweepRunner,
+    measure_labels, CellProvenance, CellStatus, ScenarioSpec, SweepCell, SweepPlan, SweepReport,
+    SweepRunner,
 };
 use sops_info::measure::MeasureConfig;
 use std::collections::HashMap;
@@ -198,7 +198,6 @@ pub struct SweepBroker {
     counters: Arc<BrokerCounters>,
     /// Warm runners returned by finished passes, reused by later ones.
     runners: Mutex<Vec<SweepRunner>>,
-    retry: RetryPolicy,
     observer: Option<PassObserver>,
 }
 
@@ -224,12 +223,6 @@ impl SweepBroker {
     /// healthy cell is stored back.
     pub fn with_cache(mut self, cache: Arc<CellCache>) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// The same broker with the pass retry policy replaced.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -454,7 +447,6 @@ impl SweepBroker {
         let measures: Vec<MeasureConfig> = job.cells.iter().map(|(_, m, _)| *m).collect();
         let labels = measure_labels(&measures);
         let mut runner = self.runners.lock().unwrap().pop().unwrap_or_default();
-        runner.retry = self.retry;
         let produced = runner.run_cells(
             &job.scenario,
             &measures,

@@ -187,8 +187,8 @@ impl CellCache {
     /// on a miss. Corrupt entries (torn writes, foreign schemas,
     /// hand-edits) are **evicted and reported as a miss** — the caller
     /// recomputes; a poisoned value is never served. Hits touch the
-    /// entry's mtime (the LRU clock) and are counted in [`stats`]
-    /// (CellCache::stats).
+    /// entry's mtime (the LRU clock) and are counted in
+    /// [`CellCache::stats`].
     pub fn lookup(&self, key: u64) -> Option<PipelineResult> {
         match self.load(key) {
             Ok(Some(result)) => {

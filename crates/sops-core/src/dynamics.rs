@@ -17,7 +17,7 @@
 //! as spurious transfer), positions are expressed relative to each run's
 //! instantaneous centroid.
 
-use sops_info::conditional::{CmiConfig, CmiWorkspace};
+use sops_info::{CmiConfig, MeasureWorkspace};
 use sops_math::Vec2;
 use sops_sim::ensemble::Ensemble;
 
@@ -57,31 +57,14 @@ fn centred_positions(ensemble: &Ensemble, i: usize, t: usize) -> Vec<f64> {
 }
 
 /// Transfer entropy `T_{b→a}` (bits) at time `t` across the ensemble.
-///
-/// Convenience shim over [`particle_transfer_entropy_with`]; repeated
-/// callers (lag sweeps, [`transfer_matrix`]) should hold a
-/// [`CmiWorkspace`].
+/// Repeated callers should use [`transfer_matrix`], which shares one
+/// estimator workspace across all pairs.
 ///
 /// # Panics
 ///
 /// Panics if `t + cfg.lag` exceeds the recorded horizon or the particle
 /// indices are out of range.
 pub fn particle_transfer_entropy(
-    ensemble: &Ensemble,
-    a: usize,
-    b: usize,
-    t: usize,
-    cfg: &TransferConfig,
-) -> f64 {
-    particle_transfer_entropy_with(&mut CmiWorkspace::new(), ensemble, a, b, t, cfg)
-}
-
-/// [`particle_transfer_entropy`] with a caller-provided estimator
-/// workspace — the form sweeps use so the Frenzel–Pompe scratch (joint
-/// gather, kd-trees, span buffers) is reused across estimates. Results
-/// are identical.
-pub fn particle_transfer_entropy_with(
-    ws: &mut CmiWorkspace,
     ensemble: &Ensemble,
     a: usize,
     b: usize,
@@ -96,25 +79,31 @@ pub fn particle_transfer_entropy_with(
     let x_next = centred_positions(ensemble, a, t + cfg.lag);
     let x_past = centred_positions(ensemble, a, t);
     let y_past = centred_positions(ensemble, b, t);
-    ws.transfer_entropy(
+    MeasureWorkspace::new().transfer_entropy(
         &x_next,
         &y_past,
         &x_past,
         ensemble.samples(),
         (2, 2, 2),
-        &CmiConfig {
-            k: cfg.k,
-            threads: cfg.threads,
-            ..CmiConfig::default()
-        },
+        &cmi_config(cfg),
     )
+}
+
+/// The Frenzel–Pompe configuration of a transfer-entropy estimate.
+fn cmi_config(cfg: &TransferConfig) -> CmiConfig {
+    CmiConfig {
+        k: cfg.k,
+        threads: cfg.threads,
+        ..CmiConfig::default()
+    }
 }
 
 /// The full pairwise transfer matrix at time `t`: entry `(a, b)` is
 /// `T_{b→a}` (information flowing *into* `a` *from* `b`); the diagonal is
-/// zero by convention. All `n(n−1)` estimates share one [`CmiWorkspace`],
-/// and each particle's centred past/successor positions are gathered once
-/// for the whole sweep rather than once per pair.
+/// zero by convention. All `n(n−1)` estimates share one
+/// [`MeasureWorkspace`], and each particle's centred past/successor
+/// positions are gathered once for the whole sweep rather than once per
+/// pair.
 pub fn transfer_matrix(ensemble: &Ensemble, t: usize, cfg: &TransferConfig) -> Vec<Vec<f64>> {
     let n = ensemble.particles();
     assert!(
@@ -125,12 +114,8 @@ pub fn transfer_matrix(ensemble: &Ensemble, t: usize, cfg: &TransferConfig) -> V
     let next: Vec<Vec<f64>> = (0..n)
         .map(|i| centred_positions(ensemble, i, t + cfg.lag))
         .collect();
-    let cmi_cfg = CmiConfig {
-        k: cfg.k,
-        threads: cfg.threads,
-        ..CmiConfig::default()
-    };
-    let mut ws = CmiWorkspace::new();
+    let cmi_cfg = cmi_config(cfg);
+    let mut ws = MeasureWorkspace::new();
     let mut out = vec![vec![0.0; n]; n];
     for (a, row) in out.iter_mut().enumerate() {
         for (b, cell) in row.iter_mut().enumerate() {

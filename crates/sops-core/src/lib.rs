@@ -63,10 +63,10 @@ pub use error::SweepError;
 pub use observers::ObserverMode;
 pub use pipeline::{MiSeries, PipelineResult};
 pub use scenario::{
-    run_sweep, CellProvenance, CellStatus, EnsembleStorage, RetryPolicy, ScenarioRegistry,
-    ScenarioSpec, SweepCell, SweepPlan, SweepReport, SweepRunner,
+    run_sweep, CellProvenance, CellStatus, EnsembleStorage, ScenarioRegistry, ScenarioSpec,
+    SweepCell, SweepPlan, SweepReport, SweepRunner,
 };
-pub use summary::{SummaryConfig, SummaryGroup, SweepSummary};
+pub use summary::{SummaryGroup, SweepSummary};
 
 /// Options shared by every figure generator.
 #[derive(Debug, Clone)]

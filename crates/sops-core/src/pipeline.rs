@@ -345,8 +345,9 @@ mod tests {
                 sops_shape::ensemble::reduce_configurations(&slice, &types, &inner_reduce);
             let observers =
                 build_observers(&reduced, &types, type_count, sc.observers, sc.ensemble.seed);
-            let want = sops_info::BinnedWorkspace::new()
-                .multi_information(&observers.view(), &sops_info::BinningConfig::default());
+            let want = sops_info::MeasureWorkspace::new()
+                .estimator_mut(&measure)
+                .measure(&observers.view());
             assert_eq!(via_pipeline.mi.values[ti].to_bits(), want.to_bits());
         }
     }

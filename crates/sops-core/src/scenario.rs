@@ -34,7 +34,7 @@
 //!
 //! The engine is **fault-tolerant**: every (scenario, seed) ensemble is
 //! simulated and evaluated under panic isolation
-//! ([`std::panic::catch_unwind`] with the bounded [`RetryPolicy`]), so a
+//! ([`std::panic::catch_unwind`] with a bounded retry), so a
 //! poisoned cell — a singular covariance, a degenerate estimator
 //! parameterization, an invalid ensemble spec — is quarantined into the
 //! report as [`CellStatus::Failed`] instead of aborting hours of sweep.
@@ -61,6 +61,7 @@ use sops_sim::streaming::{
     recycle_slice_vec, run_streaming_ensemble, EnsembleFrames, StreamingConfig, StreamingEnsemble,
 };
 use sops_sim::{IntegratorConfig, Model};
+use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -464,7 +465,7 @@ impl SweepPlan {
                 )));
             }
         }
-        let mut seen: Vec<(&str, u64)> = Vec::with_capacity(self.ensemble_count());
+        let mut seen: HashSet<(&str, u64)> = HashSet::with_capacity(self.ensemble_count());
         for s in &self.scenarios {
             if s.name.is_empty() {
                 return Err(SweepError::InvalidPlan("unnamed scenario".into()));
@@ -482,14 +483,12 @@ impl SweepPlan {
                 &self.seeds
             };
             for &seed in seeds {
-                let cell = (s.name.as_str(), seed);
-                if seen.contains(&cell) {
+                if !seen.insert((s.name.as_str(), seed)) {
                     return Err(SweepError::DuplicateCell {
                         scenario: s.name.clone(),
                         seed,
                     });
                 }
-                seen.push(cell);
             }
         }
         Ok(())
@@ -592,25 +591,14 @@ where
     out
 }
 
-/// Bounded retry policy of the panic-isolated cell executor: a cell is
-/// attempted at most `max_attempts` times before it is quarantined as
+/// Attempts per panic-isolated unit before it is quarantined as
 /// [`CellStatus::Failed`].
 ///
 /// Deterministic panics (an estimator parameterization that is invalid
-/// for the ensemble size, say) fail every attempt; the retries exist for
+/// for the ensemble size, say) fail every attempt; the retry exists for
 /// environmental failures (resource exhaustion under memory pressure)
 /// where a second attempt can succeed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Maximum attempts per isolated unit (≥ 1; 0 is treated as 1).
-    pub max_attempts: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_attempts: 2 }
-    }
-}
+const MAX_ATTEMPTS: u32 = 2;
 
 /// Count of live quarantine scopes: while positive, the process panic
 /// hook stays silent, so quarantined cell panics don't spray backtraces
@@ -652,21 +640,22 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Executes `f` under [`catch_unwind`] with up to `policy.max_attempts`
+/// Executes `f` under [`catch_unwind`] with up to [`MAX_ATTEMPTS`]
 /// attempts; `Err` carries the last panic's reason annotated with the
 /// attempt count. The workspaces `f` touches cache only buffer
 /// *capacity*, never results (the engine's no-history contract), so
 /// re-invoking after a caught panic is sound.
-fn run_isolated<T>(policy: RetryPolicy, mut f: impl FnMut() -> T) -> Result<T, String> {
-    let attempts = policy.max_attempts.max(1);
+fn run_isolated<T>(mut f: impl FnMut() -> T) -> Result<T, String> {
     let mut reason = String::new();
-    for _ in 0..attempts {
+    for _ in 0..MAX_ATTEMPTS {
         match with_quiet_panics(|| catch_unwind(AssertUnwindSafe(&mut f))) {
             Ok(value) => return Ok(value),
             Err(payload) => reason = panic_reason(payload.as_ref()),
         }
     }
-    Err(format!("panicked on all {attempts} attempt(s): {reason}"))
+    Err(format!(
+        "panicked on all {MAX_ATTEMPTS} attempt(s): {reason}"
+    ))
 }
 
 /// The one-pass sweep engine: persistent evaluation workers fanning any
@@ -677,15 +666,13 @@ fn run_isolated<T>(policy: RetryPolicy, mut f: impl FnMut() -> T) -> Result<T, S
 /// a bounded workload performs no steady-state allocations in its
 /// evaluation stage (enforced by `tests/sweep_determinism.rs`).
 ///
-/// Every (scenario, seed) ensemble executes under panic isolation with
-/// the runner's [`RetryPolicy`]: a panicking cell is retried, then
-/// quarantined as [`CellStatus::Failed`] — the sweep always completes
-/// and every healthy cell keeps its bit-identical value.
+/// Every (scenario, seed) ensemble executes under panic isolation: a
+/// panicking cell is retried once, then quarantined as
+/// [`CellStatus::Failed`] — the sweep always completes and every healthy
+/// cell keeps its bit-identical value.
 #[derive(Debug, Clone, Default)]
 pub struct SweepRunner {
     workers: Vec<EvalWorker>,
-    /// Retry policy for panic-isolated cell execution.
-    pub retry: RetryPolicy,
 }
 
 impl SweepRunner {
@@ -720,8 +707,7 @@ impl SweepRunner {
     /// worker count (`tests/sweep_resume.rs`). Resume semantics follow
     /// from the cache being keyed per cell:
     ///
-    /// * quarantined cells are never stored, so a re-run retries them
-    ///   under the runner's [`RetryPolicy`];
+    /// * quarantined cells are never stored, so a re-run retries them;
     /// * a changed plan reuses every cell whose key did not change and
     ///   computes only the rest;
     /// * resume is per cell, not per ensemble: a kill between two stores
@@ -869,7 +855,6 @@ impl SweepRunner {
             labels.len(),
             "run_cells: one label per measure"
         );
-        let retry = self.retry;
         let seed = scenario.ensemble.seed;
         let mk_cell = |mi: usize, result: PipelineResult, status: CellStatus| SweepCell {
             scenario: scenario.name.clone(),
@@ -902,16 +887,13 @@ impl SweepRunner {
         }
         let simulated = match storage {
             EnsembleStorage::Retained => {
-                run_isolated(retry, || run_ensemble(&scenario.ensemble, threads))
-                    .map(Simulated::Retained)
+                run_isolated(|| run_ensemble(&scenario.ensemble, threads)).map(Simulated::Retained)
             }
             EnsembleStorage::Streaming { max_resident_bytes } => {
                 let times = scenario.eval_times();
                 let cfg = StreamingConfig { max_resident_bytes };
-                run_isolated(retry, || {
-                    run_streaming_ensemble(&scenario.ensemble, &times, threads, &cfg)
-                })
-                .map(Simulated::Streaming)
+                run_isolated(|| run_streaming_ensemble(&scenario.ensemble, &times, threads, &cfg))
+                    .map(Simulated::Streaming)
             }
         };
         let simulated = match simulated {
@@ -922,9 +904,7 @@ impl SweepRunner {
             Simulated::Retained(e) => EnsembleFrames::Retained(e),
             Simulated::Streaming(s) => EnsembleFrames::Streaming(s),
         };
-        match run_isolated(retry, || {
-            self.evaluate_frames(frames, scenario, measures, threads)
-        }) {
+        match run_isolated(|| self.evaluate_frames(frames, scenario, measures, threads)) {
             Ok(results) => results
                 .into_iter()
                 .enumerate()
@@ -938,9 +918,8 @@ impl SweepRunner {
                 (0..measures.len())
                     .map(|mi| {
                         let one = std::slice::from_ref(&measures[mi]);
-                        match run_isolated(retry, || {
-                            self.evaluate_frames(frames, scenario, one, threads)
-                        }) {
+                        match run_isolated(|| self.evaluate_frames(frames, scenario, one, threads))
+                        {
                             Ok(mut results) => {
                                 let result = results.pop().expect("one measure in, one result out");
                                 mk_cell(mi, result, CellStatus::Ok)
@@ -1068,8 +1047,8 @@ pub fn measure_labels(measures: &[MeasureConfig]) -> Vec<String> {
         .collect()
 }
 
-/// Outcome of one grid cell: healthy, or quarantined after exhausting
-/// the runner's [`RetryPolicy`].
+/// Outcome of one grid cell: healthy, or quarantined after failing
+/// every attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CellStatus {
     /// The cell completed; its result is bit-identical to the same cell
@@ -1456,6 +1435,27 @@ mod tests {
     }
 
     #[test]
+    fn large_plan_validates_in_linear_time() {
+        // 2 × 10⁵ ensembles: a quadratic duplicate scan takes tens of
+        // seconds here, the hash set milliseconds.
+        let mut plan = SweepPlan::new(
+            vec![small_scenario("a", 1), small_scenario("b", 2)],
+            vec![MeasureConfig::Gaussian],
+        );
+        plan.seeds = (0..100_000).collect();
+        assert_eq!(plan.ensemble_count(), 200_000);
+        let start = std::time::Instant::now();
+        assert!(plan.validate().is_ok());
+        plan.seeds.push(99_999);
+        assert!(matches!(
+            plan.validate().unwrap_err(),
+            SweepError::DuplicateCell { scenario, seed: 99_999 } if scenario == "a"
+        ));
+        let elapsed = start.elapsed();
+        assert!(elapsed.as_secs_f64() < 5.0, "validate took {elapsed:?}");
+    }
+
+    #[test]
     fn duplicate_scenario_names_rejected() {
         let mut plan = SweepPlan::new(
             // Same name twice: under a shared seed axis every cell
@@ -1724,7 +1724,7 @@ mod tests {
         let calls = AtomicU32::new(0);
         // First attempt panics, second succeeds: a bounded retry covers
         // transient failures.
-        let out = run_isolated(RetryPolicy { max_attempts: 2 }, || {
+        let out = run_isolated(|| {
             if calls.fetch_add(1, Ordering::SeqCst) == 0 {
                 panic!("transient");
             }
@@ -1738,18 +1738,14 @@ mod tests {
     fn run_isolated_exhausts_attempts_and_reports_reason() {
         use std::sync::atomic::AtomicU32;
         let calls = AtomicU32::new(0);
-        let out: Result<(), String> = run_isolated(RetryPolicy { max_attempts: 3 }, || {
+        let out: Result<(), String> = run_isolated(|| {
             calls.fetch_add(1, Ordering::SeqCst);
             panic!("deterministic boom");
         });
         let reason = out.unwrap_err();
-        assert!(reason.contains("3 attempt(s)"), "{reason}");
+        assert!(reason.contains("2 attempt(s)"), "{reason}");
         assert!(reason.contains("deterministic boom"), "{reason}");
-        assert_eq!(calls.load(Ordering::SeqCst), 3);
-        // max_attempts == 0 is treated as 1, never a silent no-op.
-        let once: Result<(), String> =
-            run_isolated(RetryPolicy { max_attempts: 0 }, || panic!("x"));
-        assert!(once.unwrap_err().contains("1 attempt(s)"));
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
     }
 
     #[test]

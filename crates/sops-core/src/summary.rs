@@ -29,37 +29,20 @@ use sops_math::stats::{
 };
 use std::fmt::Write as _;
 
-/// Parameters of the seed-axis aggregation.
-#[derive(Debug, Clone)]
-pub struct SummaryConfig {
-    /// Two-sided confidence level of the t and bootstrap intervals.
-    pub confidence: f64,
-    /// Significance level for the verdict against the null scenario.
-    pub alpha: f64,
-    /// Name of the negative-control scenario the permutation test
-    /// calibrates against ([`crate::scenario::mixing_null`] by default).
-    pub null_scenario: String,
-    /// Bootstrap redraws per group.
-    pub bootstrap_resamples: usize,
-    /// Permutation re-splits per (group, null) comparison.
-    pub permutation_resamples: usize,
-    /// Master seed of the deterministic resampler streams; each group
-    /// derives its own decorrelated child streams from it.
-    pub seed: u64,
-}
-
-impl Default for SummaryConfig {
-    fn default() -> Self {
-        SummaryConfig {
-            confidence: 0.95,
-            alpha: 0.05,
-            null_scenario: "mixing_null".into(),
-            bootstrap_resamples: 1000,
-            permutation_resamples: 9999,
-            seed: 0x5EED_57A7,
-        }
-    }
-}
+/// Two-sided confidence level of the t and bootstrap intervals.
+const CONFIDENCE: f64 = 0.95;
+/// Significance level for the verdict against the null scenario.
+const ALPHA: f64 = 0.05;
+/// Name of the negative-control scenario the permutation test calibrates
+/// against ([`crate::scenario::mixing_null`]).
+const NULL_SCENARIO: &str = "mixing_null";
+/// Bootstrap redraws per group.
+const BOOTSTRAP_RESAMPLES: usize = 1000;
+/// Permutation re-splits per (group, null) comparison.
+const PERMUTATION_RESAMPLES: usize = 9999;
+/// Master seed of the deterministic resampler streams; each group derives
+/// its own decorrelated child streams from it.
+const SEED: u64 = 0x5EED_57A7;
 
 /// One (scenario, measure) group aggregated over the seed axis.
 #[derive(Debug, Clone)]
@@ -118,18 +101,10 @@ pub struct SweepSummary {
 }
 
 impl SweepSummary {
-    /// Aggregates `report` under the default [`SummaryConfig`].
+    /// Aggregates `report` over the seed axis: 95% t and bootstrap
+    /// intervals, and permutation verdicts at α = 0.05 against the
+    /// `mixing_null` scenario.
     pub fn from_report(report: &SweepReport) -> Self {
-        SweepSummary::with_config(report, &SummaryConfig::default())
-    }
-
-    /// Aggregates `report` under `cfg`.
-    pub fn with_config(report: &SweepReport, cfg: &SummaryConfig) -> Self {
-        assert!(
-            (0.0..1.0).contains(&cfg.confidence),
-            "SweepSummary: confidence must be in [0, 1), got {}",
-            cfg.confidence
-        );
         // Group cells by (scenario, measure) in first-appearance order;
         // inside a group, cells keep plan order, so the ΔI vectors (and
         // every resampler stream derived from the group index) are
@@ -158,7 +133,7 @@ impl SweepSummary {
             .zip(seeds.iter().zip(&deltas))
             .enumerate()
             .map(|(gi, ((scenario, measure), (seeds, delta_mis)))| {
-                let boot_seed = derive_seed(cfg.seed, 2 * gi as u64);
+                let boot_seed = derive_seed(SEED, 2 * gi as u64);
                 SummaryGroup {
                     scenario: scenario.clone(),
                     measure: measure.clone(),
@@ -167,11 +142,11 @@ impl SweepSummary {
                     mean: stats::mean(delta_mis),
                     std: stats::variance(delta_mis).sqrt(),
                     se: stats::std_error(delta_mis),
-                    ci: t_confidence_interval(delta_mis, cfg.confidence),
+                    ci: t_confidence_interval(delta_mis, CONFIDENCE),
                     boot: bootstrap_mean_interval(
                         delta_mis,
-                        cfg.confidence,
-                        cfg.bootstrap_resamples,
+                        CONFIDENCE,
+                        BOOTSTRAP_RESAMPLES,
                         boot_seed,
                     ),
                     p_vs_null: None,
@@ -180,25 +155,25 @@ impl SweepSummary {
             .collect();
         let mut summary = SweepSummary {
             groups,
-            confidence: cfg.confidence,
-            alpha: cfg.alpha,
-            null_scenario: cfg.null_scenario.clone(),
+            confidence: CONFIDENCE,
+            alpha: ALPHA,
+            null_scenario: NULL_SCENARIO.to_string(),
         };
         // Second pass: permutation verdicts against the null scenario's
         // ΔI sample for the same measure (needs all groups collected).
         let null_samples: Vec<(String, Vec<f64>)> = summary
             .groups
             .iter()
-            .filter(|g| g.scenario == cfg.null_scenario)
+            .filter(|g| g.scenario == NULL_SCENARIO)
             .map(|g| (g.measure.clone(), g.delta_mis.clone()))
             .collect();
         for (gi, group) in summary.groups.iter_mut().enumerate() {
             if let Some((_, null)) = null_samples.iter().find(|(m, _)| *m == group.measure) {
-                let perm_seed = derive_seed(cfg.seed, 2 * gi as u64 + 1);
+                let perm_seed = derive_seed(SEED, 2 * gi as u64 + 1);
                 group.p_vs_null = Some(permutation_test_mean_diff(
                     &group.delta_mis,
                     null,
-                    cfg.permutation_resamples,
+                    PERMUTATION_RESAMPLES,
                     perm_seed,
                 ));
             }

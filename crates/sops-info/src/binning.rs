@@ -20,8 +20,9 @@
 //! describes (see the `estimator_shootout` example and `estimators`
 //! bench).
 //!
-//! The engine behind the estimate is [`BinnedWorkspace`]: histograms are
-//! built without hashing — a dense count array when the cell space is
+//! The estimate runs through [`crate::MeasureWorkspace`]
+//! ([`crate::MeasureConfig::Binned`]). Its engine builds histograms
+//! without hashing — a dense count array when the cell space is
 //! small (every marginal at realistic widths), an index sort otherwise —
 //! and every buffer is reused across calls. Counts are emitted in
 //! **canonical (lexicographic bin-tuple) order**, making the estimate a
@@ -162,11 +163,11 @@ pub fn shrink_entropy(counts: &[u64], alphabet: f64, shrinkage: bool) -> f64 {
 const DENSE_HISTOGRAM_MAX_CELLS: usize = 4096;
 
 /// Persistent buffers for the shrinkage-binning estimator — the
-/// binning-side sibling of [`crate::InfoWorkspace`]. A warmed-up
-/// workspace allocates nothing per call (enforced by
+/// binning-side sibling of [`crate::workspace::InfoWorkspace`]. A
+/// warmed-up workspace allocates nothing per call (enforced by
 /// `crates/sops-info/tests/workspace_measure.rs`).
 #[derive(Debug, Clone, Default)]
-pub struct BinnedWorkspace {
+pub(crate) struct BinnedWorkspace {
     /// Per-coordinate sample range.
     lo: Vec<f64>,
     hi: Vec<f64>,
@@ -181,11 +182,6 @@ pub struct BinnedWorkspace {
 }
 
 impl BinnedWorkspace {
-    /// An empty workspace; buffers grow to the workload size on first use.
-    pub fn new() -> Self {
-        BinnedWorkspace::default()
-    }
-
     /// Estimates the multi-information (bits) between the observer blocks
     /// of `view` with the shrinkage binning estimator — the engine behind
     /// [`crate::MeasureConfig::Binned`] in [`crate::MeasureWorkspace`],
@@ -195,7 +191,7 @@ impl BinnedWorkspace {
     ///
     /// Panics if `cfg.bins < 2` or `cfg.bins > 65536` (bin indices are
     /// `u16`).
-    pub fn multi_information(&mut self, view: &SampleView<'_>, cfg: &BinningConfig) -> f64 {
+    pub(crate) fn multi_information(&mut self, view: &SampleView<'_>, cfg: &BinningConfig) -> f64 {
         assert!(cfg.bins >= 2, "binning: need at least 2 bins");
         assert!(cfg.bins <= 1 << 16, "binning: bins exceed u16 indices");
         if view.blocks() < 2 {
@@ -298,7 +294,7 @@ impl BinnedWorkspace {
 
     /// Capacities of every internal buffer — constant for a warmed-up
     /// workspace (the zero-allocation contract).
-    pub fn capacity_signature(&self) -> Vec<usize> {
+    pub(crate) fn capacity_signature(&self) -> Vec<usize> {
         vec![
             self.lo.capacity(),
             self.hi.capacity(),
@@ -314,11 +310,12 @@ impl BinnedWorkspace {
 mod tests {
     use super::*;
     use crate::gaussian::{bivariate_gaussian_mi, equicorrelated_cov, sample_gaussian};
-    use crate::ksg::{multi_information, KsgConfig};
+    use crate::workspace::InfoWorkspace;
+    use crate::KsgConfig;
     use sops_math::Matrix;
 
     fn binned_mi(view: &SampleView<'_>, cfg: &BinningConfig) -> f64 {
-        BinnedWorkspace::new().multi_information(view, cfg)
+        BinnedWorkspace::default().multi_information(view, cfg)
     }
 
     #[test]
@@ -445,7 +442,7 @@ mod tests {
         let sizes = vec![1usize; d];
         let view = SampleView::new(&data, m, &sizes);
         let binned = binned_mi(&view, &BinningConfig::default());
-        let ksg = multi_information(&view, &KsgConfig::default());
+        let ksg = InfoWorkspace::new().multi_information(&view, &KsgConfig::default());
         assert!(
             binned > ksg + 5.0,
             "binned {binned} should vastly exceed KSG {ksg} in high-d"
@@ -482,7 +479,7 @@ mod tests {
         };
         let est = binned_mi(&view, &cfg);
 
-        let mut ws = BinnedWorkspace::new();
+        let mut ws = BinnedWorkspace::default();
         ws.discretize(&view, cfg.bins);
         let tuples: Vec<Vec<u32>> = (0..m)
             .map(|r| vec![ws.binned[2 * r] as u32, ws.binned[2 * r + 1] as u32])
@@ -511,7 +508,7 @@ mod tests {
                 bins,
                 ..BinningConfig::default()
             };
-            let mut ws = BinnedWorkspace::new();
+            let mut ws = BinnedWorkspace::default();
             let a = ws.multi_information(&view, &cfg);
             let b = ws.multi_information(&view, &cfg);
             assert_eq!(a.to_bits(), b.to_bits(), "bins={bins}");

@@ -16,8 +16,10 @@
 //! special case `T_{Y→X} = I(X′ ; Y | X)` with `X′` the successor state
 //! of `X`.
 //!
-//! The engine behind the estimate is [`CmiWorkspace`]: the joint k-NN
-//! routes through the same adaptive scan/kd-tree choice as the KSG engine
+//! The estimate runs through
+//! [`crate::MeasureWorkspace::conditional_mutual_information`] and
+//! [`crate::MeasureWorkspace::transfer_entropy`]. Their engine routes the
+//! joint k-NN through the same adaptive scan/kd-tree choice as the KSG engine
 //! (`CmiConfig::knn`, turning the `O(m²)` joint scan into `O(m log m)` at
 //! the low joint dimensions transfer entropy lives at), all scratch is
 //! persistent, and per-sample ψ terms are reduced in sample order — the
@@ -86,13 +88,13 @@ impl CmiChunk {
 }
 
 /// Persistent buffers for Frenzel–Pompe conditional mutual information —
-/// the CMI-side sibling of [`crate::InfoWorkspace`]. One workspace
-/// serves repeated [`CmiWorkspace::conditional_mutual_information`] /
-/// [`CmiWorkspace::transfer_entropy`] calls (a transfer-matrix sweep runs
-/// `n(n−1)` of them per time step) without touching the allocator once
-/// warm.
+/// the CMI-side sibling of [`crate::workspace::InfoWorkspace`]. One
+/// workspace serves repeated
+/// [`CmiWorkspace::conditional_mutual_information`] calls (a
+/// transfer-matrix sweep runs `n(n−1)` of them per time step) without
+/// touching the allocator once warm.
 #[derive(Debug, Clone)]
-pub struct CmiWorkspace {
+pub(crate) struct CmiWorkspace {
     /// Gathered `(x | y | z)` joint samples.
     joint: Vec<f64>,
     /// Prefix-offset buffer for the joint block view.
@@ -113,7 +115,7 @@ impl Default for CmiWorkspace {
 
 impl CmiWorkspace {
     /// An empty workspace; buffers grow to the workload size on first use.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CmiWorkspace {
             joint: Vec::new(),
             offsets: Vec::new(),
@@ -133,7 +135,7 @@ impl CmiWorkspace {
     /// # Panics
     ///
     /// Panics on inconsistent shapes, `k = 0`, or `k >= rows`.
-    pub fn conditional_mutual_information(
+    pub(crate) fn conditional_mutual_information(
         &mut self,
         x: &[f64],
         y: &[f64],
@@ -243,23 +245,9 @@ impl CmiWorkspace {
         nats * NATS_TO_BITS
     }
 
-    /// Transfer entropy `T_{Y→X} = I(X′ ; Y | X)` in bits across an
-    /// ensemble — the workspace form of [`transfer_entropy`].
-    pub fn transfer_entropy(
-        &mut self,
-        x_next: &[f64],
-        y_past: &[f64],
-        x_past: &[f64],
-        rows: usize,
-        dims: (usize, usize, usize),
-        cfg: &CmiConfig,
-    ) -> f64 {
-        self.conditional_mutual_information(x_next, y_past, x_past, rows, dims, cfg)
-    }
-
     /// Capacities of every internal buffer — constant for a warmed-up
     /// workspace (the zero-allocation contract).
-    pub fn capacity_signature(&self) -> Vec<usize> {
+    pub(crate) fn capacity_signature(&self) -> Vec<usize> {
         let mut sig = vec![self.joint.capacity(), self.offsets.capacity()];
         sig.extend(self.tree_z.capacity_signature());
         sig.extend(self.joint_tree.capacity_signature());
@@ -268,22 +256,6 @@ impl CmiWorkspace {
         }
         sig
     }
-}
-
-/// Transfer entropy `T_{Y→X} = I(X′ ; Y | X)` in bits across an ensemble:
-/// `x_next`, `y_past`, `x_past` are `rows × dim` matrices of the successor
-/// state of X, the past of Y and the past of X over independent
-/// realizations. Convenience shim over [`CmiWorkspace::transfer_entropy`];
-/// repeated callers should hold a workspace.
-pub fn transfer_entropy(
-    x_next: &[f64],
-    y_past: &[f64],
-    x_past: &[f64],
-    rows: usize,
-    dims: (usize, usize, usize),
-    cfg: &CmiConfig,
-) -> f64 {
-    CmiWorkspace::new().transfer_entropy(x_next, y_past, x_past, rows, dims, cfg)
 }
 
 /// Analytic conditional mutual information of a Gaussian (bits):
@@ -357,7 +329,11 @@ mod tests {
         let cmi = cmi(&x, &y, &z, 1200, (1, 1, 1), &CmiConfig::default());
         assert!(cmi.abs() < 0.1, "X⊥Y|Z must give ~0, got {cmi}");
         // Whereas the unconditional MI is clearly positive.
-        let mi = crate::ksg::mutual_information(&x, &y, 1200, 1, 1, &crate::KsgConfig::default());
+        let xy: Vec<f64> = x.iter().zip(&y).flat_map(|(&a, &b)| [a, b]).collect();
+        let mi = crate::workspace::InfoWorkspace::new().multi_information(
+            &crate::SampleView::new(&xy, 1200, &[1, 1]),
+            &crate::KsgConfig::default(),
+        );
         assert!(mi > 0.3, "common cause must correlate X and Y: {mi}");
     }
 
@@ -410,7 +386,7 @@ mod tests {
             y_next.push(0.9 * yp + 0.3 * rng.next_standard_normal());
         }
         let cfg = CmiConfig::default();
-        let mut ws = CmiWorkspace::new();
+        let mut ws = crate::MeasureWorkspace::new();
         let te_yx = ws.transfer_entropy(&x_next, &y_past, &x_past, m, (1, 1, 1), &cfg);
         let te_xy = ws.transfer_entropy(&y_next, &x_past, &y_past, m, (1, 1, 1), &cfg);
         assert!(te_yx > 0.5, "driver must be detected: TE(Y→X) = {te_yx}");

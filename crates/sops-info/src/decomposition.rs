@@ -11,13 +11,12 @@
 //! organization *within* each group. §6.1.1 applies this with one group
 //! per particle type to ask where organization is localized (Fig. 11).
 //!
-//! Each term is estimated independently with the configured KSG estimator,
-//! so the identity holds only in expectation — the `decomposition`
-//! integration test checks the residual on analytic Gaussians.
-
-use crate::ksg::KsgConfig;
-use crate::workspace::InfoWorkspace;
-use crate::SampleView;
+//! [`crate::MeasureWorkspace::decompose`] estimates every term with the
+//! configured KSG estimator, sharing the per-block count indexes between
+//! the total and every within-group term. Each term is estimated
+//! independently, so the identity holds only in expectation — the
+//! `decomposition` integration test checks the residual on analytic
+//! Gaussians.
 
 /// A partition of observer blocks into coarse groups.
 #[derive(Debug, Clone)]
@@ -95,22 +94,17 @@ impl Decomposition {
     }
 }
 
-/// Estimates every term of the Eq. 5 decomposition of `view` under
-/// `grouping`.
-///
-/// Convenience shim over [`InfoWorkspace::decompose`], which shares the
-/// per-block count indexes between the total and every within-group term
-/// instead of rebuilding them per term; repeated callers should hold a
-/// workspace.
-pub fn decompose(view: &SampleView<'_>, grouping: &Grouping, cfg: &KsgConfig) -> Decomposition {
-    InfoWorkspace::new().decompose(view, grouping, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gaussian::{equicorrelated_cov, gaussian_multi_information, sample_gaussian};
+    use crate::workspace::InfoWorkspace;
+    use crate::{KsgConfig, SampleView};
     use sops_math::Matrix;
+
+    fn decompose(view: &SampleView<'_>, grouping: &Grouping, cfg: &KsgConfig) -> Decomposition {
+        InfoWorkspace::new().decompose(view, grouping, cfg)
+    }
 
     #[test]
     fn grouping_from_labels() {

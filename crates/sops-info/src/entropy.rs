@@ -129,7 +129,8 @@ mod tests {
         let view = SampleView::new(&data, 2000, &sizes);
         let breakdown = entropy_breakdown(&view, 4);
         let via_entropies = breakdown.multi_information();
-        let via_ksg = crate::ksg::multi_information(&view, &crate::KsgConfig::default());
+        let via_ksg = crate::workspace::InfoWorkspace::new()
+            .multi_information(&view, &crate::KsgConfig::default());
         assert!(
             (via_entropies - via_ksg).abs() < 0.2,
             "entropy route {via_entropies} vs KSG {via_ksg}"

@@ -105,7 +105,7 @@ pub fn sample_gaussian(cov: &Matrix, rows: usize, seed: u64) -> Vec<f64> {
 /// # Panics
 ///
 /// Panics if `view.rows < 2`.
-pub fn multi_information_gaussian(view: &crate::SampleView<'_>) -> f64 {
+pub(crate) fn multi_information_gaussian(view: &crate::SampleView<'_>) -> f64 {
     if view.blocks() < 2 {
         return 0.0;
     }

@@ -13,9 +13,10 @@
 //! constant — the `estimators` bench reproduces the paper's speed
 //! comparison against KSG.
 //!
-//! The engine behind the estimate is [`KdeWorkspace`]: persistent
+//! The estimate runs through [`crate::MeasureWorkspace`]
+//! ([`crate::MeasureConfig::Kde`]). Its engine keeps persistent
 //! log-sum-exp scratch partitioned into the same fixed sample spans as
-//! `InfoWorkspace`, per-sample log ratios reduced in sample order —
+//! the KSG engine, per-sample log ratios reduced in sample order —
 //! allocation-free once warm and **bit-identical for any worker count**
 //! to the sequential pre-workspace implementation (frozen in
 //! `crates/sops-info/tests/workspace_measure.rs`).
@@ -63,12 +64,12 @@ impl KdeChunk {
 }
 
 /// Persistent buffers for the leave-one-out KDE estimator — the
-/// KDE-side sibling of [`crate::InfoWorkspace`]. One workspace serves
-/// repeated calls over views of any shape; all scratch is reused, so a
-/// warmed-up workspace allocates nothing per call (enforced by
-/// `crates/sops-info/tests/workspace_measure.rs`).
+/// KDE-side sibling of [`crate::workspace::InfoWorkspace`]. One
+/// workspace serves repeated calls over views of any shape; all scratch
+/// is reused, so a warmed-up workspace allocates nothing per call
+/// (enforced by `crates/sops-info/tests/workspace_measure.rs`).
 #[derive(Debug, Clone)]
-pub struct KdeWorkspace {
+pub(crate) struct KdeWorkspace {
     /// Per-dimension Silverman bandwidths of the current view.
     bandwidths: Vec<f64>,
     /// Column gather scratch for the bandwidth pass.
@@ -87,7 +88,7 @@ impl Default for KdeWorkspace {
 
 impl KdeWorkspace {
     /// An empty workspace; buffers grow to the workload size on first use.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         KdeWorkspace {
             bandwidths: Vec::new(),
             column: Vec::new(),
@@ -104,7 +105,7 @@ impl KdeWorkspace {
     /// # Panics
     ///
     /// Panics if `view.rows < 3`.
-    pub fn multi_information(&mut self, view: &SampleView<'_>, cfg: &KdeConfig) -> f64 {
+    pub(crate) fn multi_information(&mut self, view: &SampleView<'_>, cfg: &KdeConfig) -> f64 {
         if view.blocks() < 2 {
             return 0.0;
         }
@@ -155,7 +156,7 @@ impl KdeWorkspace {
 
     /// Capacities of every internal buffer — constant for a warmed-up
     /// workspace (the zero-allocation contract).
-    pub fn capacity_signature(&self) -> Vec<usize> {
+    pub(crate) fn capacity_signature(&self) -> Vec<usize> {
         let mut sig = vec![
             self.bandwidths.capacity(),
             self.column.capacity(),

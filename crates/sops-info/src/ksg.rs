@@ -34,14 +34,16 @@
 //! The `estimators` bench and `estimator_shootout` example reproduce the
 //! calibration comparison.
 //!
+//! The estimator runs through [`crate::MeasureWorkspace`]: select it with
+//! [`crate::MeasureConfig::Ksg`], and use
+//! [`crate::MeasureWorkspace::pairwise_mi_matrix`] and
+//! [`crate::MeasureWorkspace::decompose`] for the pairwise matrix and the
+//! Eq. 5 decomposition.
+//!
 //! All variants share the SoA joint-kNN kernels of
 //! `sops_spatial::block_max` (lane-transposed pruned scan in high joint
 //! dimension, batched leaf kd-tree descent in low) — routing between
 //! them changes throughput only, never bits.
-
-use crate::workspace::InfoWorkspace;
-use crate::SampleView;
-use sops_math::PairMatrix;
 
 /// Which KSG formula to evaluate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -109,65 +111,21 @@ impl Default for KsgConfig {
     }
 }
 
-/// Estimates the multi-information (bits) between the observer blocks of
-/// `view`.
-///
-/// Returns 0 for a single block (multi-information of one variable is 0 by
-/// convention).
-///
-/// ```
-/// use sops_info::{multi_information, KsgConfig, SampleView};
-/// use sops_info::gaussian::{equicorrelated_cov, sample_gaussian};
-/// // 600 samples of two correlated scalars (ρ = 0.8).
-/// let data = sample_gaussian(&equicorrelated_cov(2, 0.8), 600, 7);
-/// let view = SampleView::new(&data, 600, &[1, 1]);
-/// let i = multi_information(&view, &KsgConfig::default());
-/// assert!((i - 0.74).abs() < 0.25); // truth: −½·log2(1 − 0.64) ≈ 0.74 bits
-/// ```
-///
-/// # Panics
-///
-/// Panics if `cfg.k == 0` or `cfg.k >= rows`.
-///
-/// This is a convenience shim over [`InfoWorkspace::multi_information`]
-/// that spins up a throwaway workspace; repeated callers (the pipeline's
-/// evaluation loop, parameter sweeps) should hold an [`InfoWorkspace`]
-/// and reuse it.
-pub fn multi_information(view: &SampleView<'_>, cfg: &KsgConfig) -> f64 {
-    InfoWorkspace::new().multi_information(view, cfg)
-}
-
-/// Estimates pairwise mutual information (bits) between two blocks — a
-/// convenience wrapper equivalent to `multi_information` with two blocks.
-pub fn mutual_information(
-    x: &[f64],
-    y: &[f64],
-    rows: usize,
-    dim_x: usize,
-    dim_y: usize,
-    cfg: &KsgConfig,
-) -> f64 {
-    assert_eq!(x.len(), rows * dim_x, "mutual_information: x shape");
-    assert_eq!(y.len(), rows * dim_y, "mutual_information: y shape");
-    let mut data = Vec::with_capacity(rows * (dim_x + dim_y));
-    for r in 0..rows {
-        data.extend_from_slice(&x[r * dim_x..(r + 1) * dim_x]);
-        data.extend_from_slice(&y[r * dim_y..(r + 1) * dim_y]);
-    }
-    let sizes = [dim_x, dim_y];
-    let view = SampleView::new(&data, rows, &sizes);
-    multi_information(&view, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gaussian::{
         bivariate_gaussian_mi, equicorrelated_cov, gaussian_multi_information, sample_gaussian,
     };
+    use crate::workspace::InfoWorkspace;
+    use crate::SampleView;
     use sops_math::Matrix;
 
     const M: usize = 1500;
+
+    fn multi_information(view: &SampleView<'_>, cfg: &KsgConfig) -> f64 {
+        InfoWorkspace::new().multi_information(view, cfg)
+    }
 
     fn estimate_on_gaussian(cov: &Matrix, block_sizes: &[usize], variant: KsgVariant) -> f64 {
         let data = sample_gaussian(cov, M, 2024);
@@ -325,18 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn pairwise_wrapper_matches_two_block_call() {
-        let cov = equicorrelated_cov(2, 0.5);
-        let data = sample_gaussian(&cov, 400, 13);
-        let x: Vec<f64> = data.iter().step_by(2).copied().collect();
-        let y: Vec<f64> = data.iter().skip(1).step_by(2).copied().collect();
-        let via_wrapper = mutual_information(&x, &y, 400, 1, 1, &KsgConfig::default());
-        let sizes = [1usize, 1];
-        let direct = multi_information(&SampleView::new(&data, 400, &sizes), &KsgConfig::default());
-        assert!((via_wrapper - direct).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "more than")]
     fn k_must_be_less_than_rows() {
         let data = vec![0.0; 6];
@@ -352,26 +298,21 @@ mod tests {
     }
 }
 
-/// Pairwise mutual-information matrix between all observer blocks of
-/// `view`: entry `(i, j)` is `I(Wᵢ; Wⱼ)` in bits, diagonal 0, returned
-/// as a flat symmetric [`PairMatrix`] (upper triangle only — half the
-/// storage of the old `Vec<Vec<f64>>` and symmetric by construction).
-///
-/// §7.3 points at interaction-structure analyses (Kahle et al.); the
-/// pairwise matrix is their first-order ingredient and a useful
-/// diagnostic of *where* in the collective the correlation sits.
-/// Parallelized over pairs; per-block count indexes are built once and
-/// shared by every pair (see [`InfoWorkspace::pairwise_mi_matrix`], of
-/// which this is a throwaway-workspace shim).
-pub fn pairwise_mi_matrix(view: &SampleView<'_>, cfg: &KsgConfig) -> PairMatrix {
-    InfoWorkspace::new().pairwise_mi_matrix(view, cfg)
-}
-
 #[cfg(test)]
 mod pairwise_tests {
     use super::*;
     use crate::gaussian::{bivariate_gaussian_mi, sample_gaussian};
-    use sops_math::Matrix;
+    use crate::workspace::InfoWorkspace;
+    use crate::SampleView;
+    use sops_math::{Matrix, PairMatrix};
+
+    fn multi_information(view: &SampleView<'_>, cfg: &KsgConfig) -> f64 {
+        InfoWorkspace::new().multi_information(view, cfg)
+    }
+
+    fn pairwise_mi_matrix(view: &SampleView<'_>, cfg: &KsgConfig) -> PairMatrix {
+        InfoWorkspace::new().pairwise_mi_matrix(view, cfg)
+    }
 
     #[test]
     fn matrix_matches_bivariate_truths() {

@@ -9,34 +9,35 @@
 //!
 //! between observer variables (the aligned, permutation-reduced particle
 //! positions), estimated from `m` ensemble samples with the
-//! Kraskov–Stögbauer–Grassberger (KSG) k-NN estimator. This crate
-//! implements:
+//! Kraskov–Stögbauer–Grassberger (KSG) k-NN estimator.
 //!
-//! * [`measure`] — the unified measurement engine: the [`Estimator`]
-//!   trait (`prepare`/`estimate`), [`MeasureConfig`] selection enum, and
-//!   [`MeasureWorkspace`], one persistent engine per estimator family
-//!   behind a single polymorphic surface — what the pipeline's evaluation
-//!   workers own;
+//! Every estimate runs through one engine, [`MeasureWorkspace`] (module
+//! [`measure`]): [`MeasureWorkspace::estimator_mut`] maps a
+//! [`MeasureConfig`] to a persistent engine behind the [`Estimator`]
+//! trait, so `ws.estimator_mut(&cfg).measure(&view)` is the one way to
+//! get a multi-information, and the pairwise matrix, the Eq. 5
+//! decomposition, conditional mutual information and transfer entropy
+//! are methods of the same workspace (its docs carry an example). The
+//! pipeline's evaluation workers hold one each. The other modules hold
+//! each method's configuration and documentation:
+//!
 //! * [`ksg`] — the paper's exact formula (Eq. 18–20) plus the two
-//!   canonical KSG variants as ablations;
-//! * [`workspace`] — [`InfoWorkspace`], the persistent allocation-free
-//!   engine behind every KSG entry point (shared per-block indexes,
-//!   adaptive joint k-NN, bit-identical for any worker count);
+//!   canonical KSG variants as ablations; the engine shares per-block
+//!   indexes, picks its joint k-NN path adaptively and is bit-identical
+//!   for any worker count;
 //! * [`kde`] — the kernel-density baseline the paper found "multiple
-//!   orders of magnitudes slower" with larger variance (§5.3), behind the
-//!   persistent [`kde::KdeWorkspace`];
+//!   orders of magnitudes slower" with larger variance (§5.3);
 //! * [`binning`] — the James–Stein shrinkage binning baseline the paper
-//!   found to overestimate in high dimension (§5.3), behind the
-//!   persistent, hash-free [`binning::BinnedWorkspace`];
+//!   found to overestimate in high dimension (§5.3), with a hash-free
+//!   engine;
 //! * [`entropy`] — Kozachenko–Leonenko differential entropy, used for the
 //!   marginal/joint entropy evolution discussion (§6, §7.1);
 //! * [`gaussian`] — analytic Gaussian multi-information + correlated
-//!   samplers (validation ground truth), plus the empirical-covariance
-//!   Gaussian baseline estimator;
+//!   samplers (validation ground truth); the empirical-covariance
+//!   Gaussian baseline is [`MeasureConfig::Gaussian`];
 //! * [`decomposition`] — the coarse-graining decomposition of Eq. 4–5;
 //! * [`conditional`] — Frenzel–Pompe conditional mutual information and
-//!   transfer entropy (§7.3 tooling), behind the persistent
-//!   [`conditional::CmiWorkspace`] with adaptive joint k-NN;
+//!   transfer entropy (§7.3 tooling);
 //! * [`discrete`] — plug-in entropy / mutual information over counts
 //!   (test substrate and building block for the binning estimator).
 //!
@@ -51,18 +52,14 @@ pub mod gaussian;
 pub mod kde;
 pub mod ksg;
 pub mod measure;
-pub mod workspace;
+mod workspace;
 
-pub use binning::{BinnedWorkspace, BinningConfig, SupportModel};
-pub use conditional::{transfer_entropy, CmiConfig, CmiWorkspace};
-pub use decomposition::{decompose, Decomposition, Grouping};
-pub use kde::{KdeConfig, KdeWorkspace};
-pub use ksg::{multi_information, pairwise_mi_matrix, KnnMode, KsgConfig, KsgVariant};
-pub use measure::{
-    BinnedEstimator, Estimator, GaussianEstimator, KdeEstimator, KsgEstimator, MeasureConfig,
-    MeasureWorkspace, StridedEstimator, StridedFamily,
-};
-pub use workspace::InfoWorkspace;
+pub use binning::{BinningConfig, SupportModel};
+pub use conditional::CmiConfig;
+pub use decomposition::{Decomposition, Grouping};
+pub use kde::KdeConfig;
+pub use ksg::{KnnMode, KsgConfig, KsgVariant};
+pub use measure::{Estimator, MeasureConfig, MeasureWorkspace, StridedFamily};
 
 /// A borrowed view of `rows` joint samples, each a concatenation of
 /// observer blocks with the given sizes — the common input format of every

@@ -1,9 +1,8 @@
 //! The unified measurement engine: one trait, one workspace, every
 //! estimator.
 //!
-//! PR 3 gave the KSG hot path a persistent engine (`InfoWorkspace`); this
-//! module extends the same treatment to the whole measurement stack and
-//! puts a single polymorphic surface on top of it:
+//! [`MeasureWorkspace`] is the crate's only public engine. Every
+//! estimate this crate makes runs through it:
 //!
 //! * [`Estimator`] — the two-phase `prepare(view)` / `estimate()` trait
 //!   every multi-information estimator implements. `prepare` binds a
@@ -13,20 +12,26 @@
 //!   one trait.
 //! * [`MeasureConfig`] — the closed set of estimator selections the
 //!   pipeline understands (KSG, KDE, shrinkage binning, discrete plug-in,
-//!   Gaussian), carrying each method's own config.
+//!   Gaussian, and a strided form of each continuous family), carrying
+//!   each method's own config.
 //! * [`MeasureWorkspace`] — owns one persistent engine per estimator
-//!   family plus the Frenzel–Pompe CMI engine, and dispatches any
-//!   [`MeasureConfig`] through the trait
-//!   ([`MeasureWorkspace::estimator_mut`] hands out `&mut dyn Estimator`).
-//!   The pipeline's evaluation workers hold one workspace each
+//!   family plus the Frenzel–Pompe CMI engine.
+//!   [`MeasureWorkspace::estimator_mut`] is the one dispatch table from a
+//!   [`MeasureConfig`] to an engine (it hands out `&mut dyn Estimator`);
+//!   [`MeasureWorkspace::pairwise_mi_matrix`],
+//!   [`MeasureWorkspace::decompose`],
+//!   [`MeasureWorkspace::conditional_mutual_information`] and
+//!   [`MeasureWorkspace::transfer_entropy`] reach the KSG and CMI engines
+//!   for the analyses that are not a single multi-information. The
+//!   pipeline's evaluation workers hold one workspace each
 //!   (`sops_par::parallel_map_with`), so every estimator family enjoys
 //!   scratch reuse across the time steps a worker claims.
 //!
-//! Every engine keeps the contracts established by `InfoWorkspace`:
-//! results **bit-identical for any worker count** and to the respective
-//! pre-workspace reference (frozen in
+//! Every engine keeps two contracts: results **bit-identical for any
+//! worker count** and to the respective pre-workspace reference (frozen
+//! in `crates/sops-info/tests/workspace_info.rs` and
 //! `crates/sops-info/tests/workspace_measure.rs`), and zero steady-state
-//! allocations on a bounded workload (capacity tests, same file). The
+//! allocations on a bounded workload (capacity tests, same files). The
 //! Gaussian baseline is the one exception to the allocation contract: it
 //! builds a `d × d` covariance matrix per call (the method is `O(m d²)`
 //! with a trivial constant, so the allocation is irrelevant — and
@@ -88,8 +93,7 @@ pub enum MeasureConfig {
     /// Closed-form Gaussian multi-information of the empirical covariance
     /// — the parametric baseline. Yields `NaN` (not a panic) on steps
     /// whose empirical covariance is singular — fewer ensemble runs than
-    /// joint dimensions, or degenerate coordinates (see
-    /// [`multi_information_gaussian`]).
+    /// joint dimensions, or degenerate coordinates.
     Gaussian,
     /// A base family evaluated on a row-subsampled view: only every
     /// `every`-th ensemble sample reaches the estimator. The estimator-side
@@ -128,12 +132,12 @@ impl Default for MeasureConfig {
 
 impl MeasureConfig {
     /// The canonical measure family names, in the order the CLI and the
-    /// sweep service advertise them (each is accepted by [`parse`]
-    /// (MeasureConfig::parse)).
+    /// sweep service advertise them (each is accepted by
+    /// [`MeasureConfig::parse`]).
     pub const FAMILIES: [&'static str; 5] = ["ksg", "kde", "binned", "discrete", "gaussian"];
 
-    /// Parses a measure selection by name: a family from [`FAMILIES`]
-    /// (MeasureConfig::FAMILIES), optionally suffixed `@EVERY` for the
+    /// Parses a measure selection by name: a family from
+    /// [`MeasureConfig::FAMILIES`], optionally suffixed `@EVERY` for the
     /// strided form (`ksg@4` keeps every 4th ensemble sample; `discrete`
     /// has no strided form). `None` for unknown names or a stride < 1.
     /// Shared by `sops-repro` and `sops-serve` so the two front ends
@@ -195,20 +199,6 @@ impl MeasureConfig {
             },
         }
     }
-
-    /// The selection with derived variants resolved to their engine
-    /// family: `DiscretePlugin` becomes `Binned(discrete_plugin_config)`.
-    /// Both dispatch surfaces ([`MeasureWorkspace::estimator_mut`] and
-    /// [`MeasureWorkspace::multi_information`]) route through this, so
-    /// the derivation lives in exactly one place.
-    fn normalized(&self) -> MeasureConfig {
-        match self {
-            MeasureConfig::DiscretePlugin { bins } => {
-                MeasureConfig::Binned(discrete_plugin_config(*bins))
-            }
-            other => *other,
-        }
-    }
 }
 
 /// An owned copy of the last prepared view — what lets the two-phase
@@ -243,22 +233,12 @@ impl PreparedView {
 
 /// [`Estimator`] over the persistent KSG engine ([`InfoWorkspace`]).
 #[derive(Debug, Clone, Default)]
-pub struct KsgEstimator {
-    /// Estimator parameters (public: reconfigure between calls freely;
-    /// the scratch is shape-keyed, not config-keyed).
-    pub cfg: KsgConfig,
+struct KsgEstimator {
+    /// Estimator parameters (reconfigured freely between calls; the
+    /// scratch is shape-keyed, not config-keyed).
+    cfg: KsgConfig,
     ws: InfoWorkspace,
     input: PreparedView,
-}
-
-impl KsgEstimator {
-    /// An estimator with the given parameters and cold scratch.
-    pub fn new(cfg: KsgConfig) -> Self {
-        KsgEstimator {
-            cfg,
-            ..KsgEstimator::default()
-        }
-    }
 }
 
 impl Estimator for KsgEstimator {
@@ -273,21 +253,10 @@ impl Estimator for KsgEstimator {
 
 /// [`Estimator`] over the persistent KDE engine ([`KdeWorkspace`]).
 #[derive(Debug, Clone, Default)]
-pub struct KdeEstimator {
-    /// Estimator parameters.
-    pub cfg: KdeConfig,
+struct KdeEstimator {
+    cfg: KdeConfig,
     ws: KdeWorkspace,
     input: PreparedView,
-}
-
-impl KdeEstimator {
-    /// An estimator with the given parameters and cold scratch.
-    pub fn new(cfg: KdeConfig) -> Self {
-        KdeEstimator {
-            cfg,
-            ..KdeEstimator::default()
-        }
-    }
 }
 
 impl Estimator for KdeEstimator {
@@ -302,21 +271,10 @@ impl Estimator for KdeEstimator {
 
 /// [`Estimator`] over the persistent binning engine ([`BinnedWorkspace`]).
 #[derive(Debug, Clone, Default)]
-pub struct BinnedEstimator {
-    /// Estimator parameters.
-    pub cfg: BinningConfig,
+struct BinnedEstimator {
+    cfg: BinningConfig,
     ws: BinnedWorkspace,
     input: PreparedView,
-}
-
-impl BinnedEstimator {
-    /// An estimator with the given parameters and cold scratch.
-    pub fn new(cfg: BinningConfig) -> Self {
-        BinnedEstimator {
-            cfg,
-            ..BinnedEstimator::default()
-        }
-    }
 }
 
 impl Estimator for BinnedEstimator {
@@ -332,15 +290,8 @@ impl Estimator for BinnedEstimator {
 /// [`Estimator`] over the closed-form Gaussian baseline
 /// ([`multi_information_gaussian`]).
 #[derive(Debug, Clone, Default)]
-pub struct GaussianEstimator {
+struct GaussianEstimator {
     input: PreparedView,
-}
-
-impl GaussianEstimator {
-    /// A fresh estimator (the Gaussian baseline has no parameters).
-    pub fn new() -> Self {
-        GaussianEstimator::default()
-    }
 }
 
 impl Estimator for GaussianEstimator {
@@ -361,11 +312,11 @@ impl Estimator for GaussianEstimator {
 /// both stay warm across calls; `every == 1` forwards the view verbatim
 /// and is bit-identical to the plain selection.
 #[derive(Debug, Clone)]
-pub struct StridedEstimator {
+struct StridedEstimator {
     /// Row stride (`max(1)` applied at prepare time).
-    pub every: usize,
+    every: usize,
     /// Base family to run on the subsampled rows.
-    pub family: StridedFamily,
+    family: StridedFamily,
     scratch: Vec<f64>,
     sizes: Vec<usize>,
     ksg: KsgEstimator,
@@ -390,15 +341,6 @@ impl Default for StridedEstimator {
 }
 
 impl StridedEstimator {
-    /// An estimator with the given stride and base family, cold scratch.
-    pub fn new(family: StridedFamily, every: usize) -> Self {
-        StridedEstimator {
-            every,
-            family,
-            ..StridedEstimator::default()
-        }
-    }
-
     fn inner_mut(&mut self) -> &mut dyn Estimator {
         match self.family {
             StridedFamily::Ksg(cfg) => {
@@ -479,7 +421,7 @@ pub fn discrete_plugin_config(bins: usize) -> BinningConfig {
 }
 
 /// One persistent engine per estimator family, behind one polymorphic
-/// surface.
+/// surface — the crate's only public engine.
 ///
 /// Long-running callers (the pipeline's evaluation workers, parameter
 /// sweeps, the `estimator_shootout` example) hold one workspace and
@@ -499,6 +441,10 @@ pub fn discrete_plugin_config(bins: usize) -> BinningConfig {
 ///     assert!((est.estimate() - 0.74).abs() < 0.3);
 /// }
 /// ```
+///
+/// A one-off estimate is
+/// `MeasureWorkspace::new().estimator_mut(&cfg).measure(&view)`; it pays
+/// for cold scratch on every call.
 #[derive(Debug, Clone, Default)]
 pub struct MeasureWorkspace {
     ksg: KsgEstimator,
@@ -517,9 +463,11 @@ impl MeasureWorkspace {
     }
 
     /// The engine `cfg` selects, with the engine's parameters set from
-    /// `cfg`, as a trait object — the pipeline's dispatch point.
+    /// `cfg`, as a trait object — the one dispatch table from a
+    /// [`MeasureConfig`] to an engine. `DiscretePlugin` runs on the
+    /// binning engine under [`discrete_plugin_config`].
     pub fn estimator_mut(&mut self, cfg: &MeasureConfig) -> &mut dyn Estimator {
-        match cfg.normalized() {
+        match *cfg {
             MeasureConfig::Ksg(c) => {
                 self.ksg.cfg = c;
                 &mut self.ksg
@@ -532,8 +480,9 @@ impl MeasureWorkspace {
                 self.binned.cfg = c;
                 &mut self.binned
             }
-            MeasureConfig::DiscretePlugin { .. } => {
-                unreachable!("normalized() resolves DiscretePlugin to Binned")
+            MeasureConfig::DiscretePlugin { bins } => {
+                self.binned.cfg = discrete_plugin_config(bins);
+                &mut self.binned
             }
             MeasureConfig::Gaussian => &mut self.gaussian,
             MeasureConfig::Strided { family, every } => {
@@ -544,37 +493,33 @@ impl MeasureWorkspace {
         }
     }
 
-    /// Multi-information (bits) of `view` under the selected estimator.
+    /// Pairwise KSG mutual-information matrix between all observer blocks
+    /// of `view`: entry `(i, j)` is `I(Wᵢ; Wⱼ)` in bits, diagonal 0,
+    /// returned as a flat symmetric [`PairMatrix`].
     ///
-    /// Dispatches straight to the selected engine's borrowed-view entry
-    /// point, skipping the owned copy [`Estimator::prepare`] makes (the
-    /// price of the trait's lifetime-free two-phase API); results are
-    /// identical to the trait path.
-    pub fn multi_information(&mut self, view: &SampleView<'_>, cfg: &MeasureConfig) -> f64 {
-        match cfg.normalized() {
-            MeasureConfig::Ksg(c) => self.ksg.ws.multi_information(view, &c),
-            MeasureConfig::Kde(c) => self.kde.ws.multi_information(view, &c),
-            MeasureConfig::Binned(c) => self.binned.ws.multi_information(view, &c),
-            MeasureConfig::DiscretePlugin { .. } => {
-                unreachable!("normalized() resolves DiscretePlugin to Binned")
-            }
-            MeasureConfig::Gaussian => multi_information_gaussian(view),
-            MeasureConfig::Strided { family, every } => {
-                self.strided.family = family;
-                self.strided.every = every;
-                self.strided.measure(view)
-            }
-        }
-    }
-
-    /// Pairwise KSG mutual-information matrix — forwards to the owned
-    /// [`InfoWorkspace`], sharing its per-block indexes and scratch.
+    /// §7.3 points at interaction-structure analyses (Kahle et al.); the
+    /// pairwise matrix is their first-order ingredient and a useful
+    /// diagnostic of *where* in the collective the correlation sits. Runs
+    /// on the owned KSG engine: per-block count indexes are built once and
+    /// shared by every pair, and pairs run in parallel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.k == 0` or `cfg.k >= view.rows` (with two or more
+    /// blocks).
     pub fn pairwise_mi_matrix(&mut self, view: &SampleView<'_>, cfg: &KsgConfig) -> PairMatrix {
         self.ksg.ws.pairwise_mi_matrix(view, cfg)
     }
 
-    /// The Eq. 5 decomposition under the KSG estimator — forwards to the
-    /// owned [`InfoWorkspace`].
+    /// Every term of the Eq. 5 decomposition of `view` under `grouping`
+    /// (see [`crate::decomposition`]), estimated with the KSG estimator.
+    /// The total and every within-group term share the owned KSG engine's
+    /// per-block count indexes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grouping` does not partition the blocks of `view`, or if
+    /// `cfg.k == 0` or `cfg.k >= view.rows`.
     pub fn decompose(
         &mut self,
         view: &SampleView<'_>,
@@ -584,8 +529,13 @@ impl MeasureWorkspace {
         self.ksg.ws.decompose(view, grouping, cfg)
     }
 
-    /// Frenzel–Pompe `I(X;Y|Z)` (bits) — forwards to the owned
-    /// [`CmiWorkspace`].
+    /// Frenzel–Pompe `I(X;Y|Z)` (bits) from `rows` joint samples (see
+    /// [`crate::conditional`]); `x`, `y`, `z` are row-major `rows × dim`
+    /// matrices with `dims = (dim_x, dim_y, dim_z)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on inconsistent shapes, `k = 0`, or `k >= rows`.
     pub fn conditional_mutual_information(
         &mut self,
         x: &[f64],
@@ -599,8 +549,10 @@ impl MeasureWorkspace {
             .conditional_mutual_information(x, y, z, rows, dims, cfg)
     }
 
-    /// Transfer entropy `T_{Y→X}` (bits) — forwards to the owned
-    /// [`CmiWorkspace`].
+    /// Transfer entropy `T_{Y→X} = I(X′ ; Y | X)` (bits) across an
+    /// ensemble: `x_next`, `y_past`, `x_past` are `rows × dim` matrices of
+    /// the successor state of X, the past of Y and the past of X over
+    /// independent realizations, with `dims` in that order.
     pub fn transfer_entropy(
         &mut self,
         x_next: &[f64],
@@ -611,7 +563,7 @@ impl MeasureWorkspace {
         cfg: &CmiConfig,
     ) -> f64 {
         self.cmi
-            .transfer_entropy(x_next, y_past, x_past, rows, dims, cfg)
+            .conditional_mutual_information(x_next, y_past, x_past, rows, dims, cfg)
     }
 
     /// Capacities of every internal buffer of the allocation-free engines
@@ -639,6 +591,10 @@ mod tests {
     use super::*;
     use crate::gaussian::{bivariate_gaussian_mi, equicorrelated_cov, sample_gaussian};
 
+    fn measure(ws: &mut MeasureWorkspace, view: &SampleView<'_>, cfg: &MeasureConfig) -> f64 {
+        ws.estimator_mut(cfg).measure(view)
+    }
+
     #[test]
     fn every_selection_tracks_gaussian_truth() {
         let rho = 0.8;
@@ -655,7 +611,7 @@ mod tests {
             MeasureConfig::Gaussian,
         ];
         for cfg in selections {
-            let est = ws.multi_information(&view, &cfg);
+            let est = measure(&mut ws, &view, &cfg);
             assert!(
                 (est - truth).abs() < 0.4,
                 "{}: est {est} vs truth {truth}",
@@ -671,18 +627,18 @@ mod tests {
         let view = SampleView::new(&data, 400, &sizes);
         let mut ws = MeasureWorkspace::new();
 
-        let via_trait = ws.multi_information(&view, &MeasureConfig::default());
+        let via_trait = measure(&mut ws, &view, &MeasureConfig::default());
         let direct = InfoWorkspace::new().multi_information(&view, &KsgConfig::default());
         assert_eq!(via_trait.to_bits(), direct.to_bits());
 
         let kde_cfg = KdeConfig::default();
-        let via_trait = ws.multi_information(&view, &MeasureConfig::Kde(kde_cfg));
+        let via_trait = measure(&mut ws, &view, &MeasureConfig::Kde(kde_cfg));
         let direct = KdeWorkspace::new().multi_information(&view, &kde_cfg);
         assert_eq!(via_trait.to_bits(), direct.to_bits());
 
         let bin_cfg = BinningConfig::default();
-        let via_trait = ws.multi_information(&view, &MeasureConfig::Binned(bin_cfg));
-        let direct = BinnedWorkspace::new().multi_information(&view, &bin_cfg);
+        let via_trait = measure(&mut ws, &view, &MeasureConfig::Binned(bin_cfg));
+        let direct = BinnedWorkspace::default().multi_information(&view, &bin_cfg);
         assert_eq!(via_trait.to_bits(), direct.to_bits());
     }
 
@@ -705,8 +661,12 @@ mod tests {
         let sizes = [1usize, 1];
         let view = SampleView::new(&data, 500, &sizes);
         let mut ws = MeasureWorkspace::new();
-        let plugin = ws.multi_information(&view, &MeasureConfig::DiscretePlugin { bins: 6 });
-        let binned = ws.multi_information(&view, &MeasureConfig::Binned(discrete_plugin_config(6)));
+        let plugin = measure(&mut ws, &view, &MeasureConfig::DiscretePlugin { bins: 6 });
+        let binned = measure(
+            &mut ws,
+            &view,
+            &MeasureConfig::Binned(discrete_plugin_config(6)),
+        );
         assert_eq!(plugin.to_bits(), binned.to_bits());
     }
 
@@ -731,7 +691,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "before prepare")]
     fn estimate_before_prepare_panics() {
-        KsgEstimator::new(KsgConfig::default()).estimate();
+        MeasureWorkspace::new()
+            .estimator_mut(&MeasureConfig::default())
+            .estimate();
     }
 
     #[test]
@@ -756,8 +718,8 @@ mod tests {
             (MeasureConfig::Gaussian, StridedFamily::Gaussian),
         ];
         for (base, family) in cases {
-            let plain = ws.multi_information(&view, &base);
-            let strided = ws.multi_information(&view, &MeasureConfig::Strided { family, every: 1 });
+            let plain = measure(&mut ws, &view, &base);
+            let strided = measure(&mut ws, &view, &MeasureConfig::Strided { family, every: 1 });
             assert_eq!(
                 plain.to_bits(),
                 strided.to_bits(),
@@ -779,14 +741,15 @@ mod tests {
             .collect();
         let manual_view = SampleView::new(&manual, manual.len() / 2, &sizes);
         let mut ws = MeasureWorkspace::new();
-        let strided = ws.multi_information(
+        let strided = measure(
+            &mut ws,
             &view,
             &MeasureConfig::Strided {
                 family: StridedFamily::Ksg(KsgConfig::default()),
                 every,
             },
         );
-        let reference = ws.multi_information(&manual_view, &MeasureConfig::default());
+        let reference = measure(&mut ws, &manual_view, &MeasureConfig::default());
         assert_eq!(strided.to_bits(), reference.to_bits());
     }
 

@@ -7,14 +7,16 @@
 //! kd-tree, copied `merged_blocks` matrices per pair, and allocated three
 //! vectors per *sample* (k-NN result, per-block distances, Ksg2 radii).
 //! [`InfoWorkspace`] — the information-stack sibling of
-//! `sops_sim::ForceWorkspace` — removes all of that:
+//! `sops_sim::ForceWorkspace`, reached through
+//! [`crate::MeasureWorkspace`] — removes all of that:
 //!
 //! * **Shared per-block indexes** — the strict/inclusive range-count
 //!   structure of every observer block (a sorted column for scalar
 //!   blocks, a [`KdTree`] for vector blocks) is built once per sample
 //!   view and shared across the joint term, all `n(n−1)/2` pairs of the
-//!   MI matrix, and every within-group term of [`decompose`]: block `b`'s
-//!   index is no longer rebuilt `n−1` times per matrix.
+//!   MI matrix, and every within-group term of
+//!   [`InfoWorkspace::decompose`]: block `b`'s index is no longer rebuilt
+//!   `n−1` times per matrix.
 //! * **Adaptive joint k-NN** — high joint dimension keeps the pruned
 //!   brute-force scan (where space partitioning degenerates, per the
 //!   `sops_spatial::block_max` docs), run over a lane-transposed SoA
@@ -57,7 +59,7 @@ use sops_spatial::KdTree;
 /// the force engine, whose chunk partition fixes the accumulation
 /// order). 64 spans keep many-core machines busy while per-span scratch
 /// stays tiny.
-pub const INFO_CHUNKS: usize = 64;
+pub(crate) const INFO_CHUNKS: usize = 64;
 
 /// Joint dimensions up to this use the kd-tree k-NN descent under
 /// [`KnnMode::Auto`]; beyond it the pruned scan wins. Measured with the
@@ -241,23 +243,12 @@ impl ChunkScratch {
 ///
 /// One workspace serves [`InfoWorkspace::multi_information`],
 /// [`InfoWorkspace::pairwise_mi_matrix`] and [`InfoWorkspace::decompose`]
-/// back to back; the free functions in [`crate::ksg`] and
-/// [`crate::decomposition`] are thin shims that spin up a throwaway
-/// workspace. Long-running callers (the pipeline's evaluation workers)
-/// hold one per worker:
-///
-/// ```
-/// use sops_info::{InfoWorkspace, KsgConfig, SampleView};
-/// use sops_info::gaussian::{equicorrelated_cov, sample_gaussian};
-///
-/// let data = sample_gaussian(&equicorrelated_cov(2, 0.8), 600, 7);
-/// let view = SampleView::new(&data, 600, &[1, 1]);
-/// let mut ws = InfoWorkspace::new();
-/// let i = ws.multi_information(&view, &KsgConfig::default());
-/// assert!((i - 0.74).abs() < 0.25);
-/// ```
+/// back to back. [`crate::MeasureWorkspace`] owns one and is its only
+/// public face: the KSG selection of
+/// [`crate::MeasureWorkspace::estimator_mut`], the pairwise matrix and
+/// the decomposition all forward here.
 #[derive(Debug, Clone)]
-pub struct InfoWorkspace {
+pub(crate) struct InfoWorkspace {
     /// Per-block count indexes of the current view.
     fine: Vec<CountIndex>,
     /// Per-coarse-block indexes (decomposition between-term).
@@ -295,7 +286,7 @@ impl Default for InfoWorkspace {
 impl InfoWorkspace {
     /// An empty workspace. Buffers grow to the workload size on first use
     /// and are reused afterwards.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         InfoWorkspace {
             fine: Vec::new(),
             coarse: Vec::new(),
@@ -315,14 +306,14 @@ impl InfoWorkspace {
         }
     }
 
-    /// Multi-information (bits) between the observer blocks of `view` —
-    /// the workspace form of [`crate::multi_information`], identical in
-    /// result, allocation-free once warm.
+    /// Multi-information (bits) between the observer blocks of `view`,
+    /// allocation-free once warm. Returns 0 for a single block
+    /// (multi-information of one variable is 0 by convention).
     ///
     /// # Panics
     ///
     /// Panics if `cfg.k == 0` or `cfg.k >= view.rows`.
-    pub fn multi_information(&mut self, view: &SampleView<'_>, cfg: &KsgConfig) -> f64 {
+    pub(crate) fn multi_information(&mut self, view: &SampleView<'_>, cfg: &KsgConfig) -> f64 {
         let n = view.blocks();
         if n < 2 {
             return 0.0;
@@ -366,11 +357,14 @@ impl InfoWorkspace {
     }
 
     /// Pairwise mutual-information matrix between all observer blocks:
-    /// entry `(i, j)` is `I(Wᵢ; Wⱼ)` in bits, diagonal 0. The workspace
-    /// form of [`crate::ksg::pairwise_mi_matrix`] — per-block indexes are
-    /// built once and shared by every pair, and each pair's joint search
-    /// takes the kd-tree path (its joint dimension is small).
-    pub fn pairwise_mi_matrix(&mut self, view: &SampleView<'_>, cfg: &KsgConfig) -> PairMatrix {
+    /// entry `(i, j)` is `I(Wᵢ; Wⱼ)` in bits, diagonal 0. Per-block
+    /// indexes are built once and shared by every pair, and each pair's
+    /// joint search takes the kd-tree path (its joint dimension is small).
+    pub(crate) fn pairwise_mi_matrix(
+        &mut self,
+        view: &SampleView<'_>,
+        cfg: &KsgConfig,
+    ) -> PairMatrix {
         let n = view.blocks();
         let mut out = PairMatrix::constant(n, 0.0);
         if n < 2 {
@@ -467,11 +461,11 @@ impl InfoWorkspace {
         out
     }
 
-    /// Every term of the Eq. 5 decomposition of `view` under `grouping` —
-    /// the workspace form of [`crate::decompose`]. The total and every
-    /// within-group term share the fine per-block indexes; only the
-    /// between-group term builds (reusable) coarse indexes.
-    pub fn decompose(
+    /// Every term of the Eq. 5 decomposition of `view` under `grouping`.
+    /// The total and every within-group term share the fine per-block
+    /// indexes; only the between-group term builds (reusable) coarse
+    /// indexes.
+    pub(crate) fn decompose(
         &mut self,
         view: &SampleView<'_>,
         grouping: &Grouping,
@@ -606,7 +600,7 @@ impl InfoWorkspace {
     /// a bounded workload must keep this signature constant — the
     /// zero-allocation contract tested in
     /// `crates/sops-info/tests/workspace_info.rs`.
-    pub fn capacity_signature(&self) -> Vec<usize> {
+    pub(crate) fn capacity_signature(&self) -> Vec<usize> {
         let mut sig = vec![
             self.fine.len(),
             self.coarse.len(),

@@ -1,6 +1,8 @@
-//! Contracts of the persistent information-estimation engine:
+//! Contracts of the persistent KSG engine, driven through its public
+//! face, `MeasureWorkspace`:
 //!
-//! * every `InfoWorkspace` entry point is **bit-identical** to the
+//! * every KSG entry point (the `Ksg` selection of `estimator_mut`,
+//!   `pairwise_mi_matrix`, `decompose`) is **bit-identical** to the
 //!   pre-refactor reference implementation (frozen below) for all three
 //!   `KsgVariant`s, across both k-NN paths and worker counts 1/8;
 //! * `pairwise_mi_matrix` equals per-pair reference estimates over merged
@@ -11,13 +13,15 @@
 
 use proptest::prelude::*;
 use sops_info::gaussian::{equicorrelated_cov, sample_gaussian};
-use sops_info::{Grouping, InfoWorkspace, KnnMode, KsgConfig, KsgVariant, SampleView};
+use sops_info::{
+    Grouping, KnnMode, KsgConfig, KsgVariant, MeasureConfig, MeasureWorkspace, SampleView,
+};
 use sops_math::special::digamma;
 use sops_math::NATS_TO_BITS;
 use sops_spatial::block_max::{knn_block_max, BlockPoints};
 use sops_spatial::KdTree;
 
-/// The pre-`InfoWorkspace` estimator, verbatim (single-threaded path):
+/// The pre-workspace estimator, verbatim (single-threaded path):
 /// per-view kd-trees for every block, brute-force joint k-NN, per-sample
 /// allocations, flat left-to-right ψ fold. The workspace must reproduce
 /// its output bit for bit.
@@ -98,6 +102,12 @@ fn reference_multi_information(view: &SampleView<'_>, k: usize, variant: KsgVari
     nats * NATS_TO_BITS
 }
 
+/// The KSG multi-information of `view` through the workspace's one
+/// dispatch table.
+fn ksg(ws: &mut MeasureWorkspace, view: &SampleView<'_>, cfg: &KsgConfig) -> f64 {
+    ws.estimator_mut(&MeasureConfig::Ksg(*cfg)).measure(view)
+}
+
 /// A correlated-Gaussian fixture with mixed scalar/vector blocks.
 fn fixture(rows: usize, block_sizes: &[usize], seed: u64) -> Vec<f64> {
     let dim: usize = block_sizes.iter().sum();
@@ -112,12 +122,13 @@ fn multi_information_bit_identical_to_reference_all_variants_and_paths() {
     let sizes = [1usize, 2, 1, 1];
     let data = fixture(220, &sizes, 11);
     let view = SampleView::new(&data, 220, &sizes);
-    let mut ws = InfoWorkspace::new();
+    let mut ws = MeasureWorkspace::new();
     for variant in VARIANTS {
         let want = reference_multi_information(&view, 4, variant);
         for knn in KNN_PATHS {
             for threads in [1usize, 8] {
-                let got = ws.multi_information(
+                let got = ksg(
+                    &mut ws,
                     &view,
                     &KsgConfig {
                         k: 4,
@@ -144,14 +155,15 @@ fn all_scalar_lanes_scan_bit_identical_at_remainder_sizes() {
     // the 8-lane group width exercise the padded final group; threads
     // 1/8 pin the span-ordered ψ reduction on top of the lane kernel.
     let sizes = [1usize; 6];
-    let mut ws = InfoWorkspace::new();
+    let mut ws = MeasureWorkspace::new();
     for rows in [127usize, 128, 129] {
         let data = fixture(rows, &sizes, 21);
         let view = SampleView::new(&data, rows, &sizes);
         for variant in VARIANTS {
             let want = reference_multi_information(&view, 4, variant);
             for threads in [1usize, 8] {
-                let got = ws.multi_information(
+                let got = ksg(
+                    &mut ws,
                     &view,
                     &KsgConfig {
                         k: 4,
@@ -182,11 +194,12 @@ fn all_scalar_lanes_scan_handles_quantized_ties() {
         *v = (*v * 4.0).round() / 4.0;
     }
     let view = SampleView::new(&data, rows, &sizes);
-    let mut ws = InfoWorkspace::new();
+    let mut ws = MeasureWorkspace::new();
     for variant in VARIANTS {
         let want = reference_multi_information(&view, 4, variant);
         for threads in [1usize, 8] {
-            let got = ws.multi_information(
+            let got = ksg(
+                &mut ws,
                 &view,
                 &KsgConfig {
                     k: 4,
@@ -209,7 +222,7 @@ fn pairwise_matrix_bit_identical_to_reference_pairs() {
     let sizes = [1usize, 1, 2, 1];
     let data = fixture(180, &sizes, 7);
     let view = SampleView::new(&data, 180, &sizes);
-    let mut ws = InfoWorkspace::new();
+    let mut ws = MeasureWorkspace::new();
     for variant in VARIANTS {
         for knn in KNN_PATHS {
             for threads in [1usize, 8] {
@@ -244,7 +257,7 @@ fn decompose_bit_identical_to_reference_terms() {
     let data = fixture(200, &sizes, 3);
     let view = SampleView::new(&data, 200, &sizes);
     let grouping = Grouping::from_labels(&[0, 0, 1, 1, 1, 2]);
-    let mut ws = InfoWorkspace::new();
+    let mut ws = MeasureWorkspace::new();
     for variant in VARIANTS {
         // Reference recipe: total over the fine view, between over the
         // group-merged coarse view, within over each group's merged view.
@@ -312,9 +325,10 @@ fn auto_path_equals_forced_paths() {
     for (rows, sizes) in [(300usize, vec![1usize, 1]), (150, vec![1usize; 12])] {
         let data = fixture(rows, &sizes, 5);
         let view = SampleView::new(&data, rows, &sizes);
-        let mut ws = InfoWorkspace::new();
-        let run = |ws: &mut InfoWorkspace, knn| {
-            ws.multi_information(
+        let mut ws = MeasureWorkspace::new();
+        let run = |ws: &mut MeasureWorkspace, knn| {
+            ksg(
+                ws,
                 &view,
                 &KsgConfig {
                     knn,
@@ -344,13 +358,14 @@ fn quantized_data_paths_agree() {
         .map(|_| rng.next_range(-2.0, 2.0).round())
         .collect();
     let view = SampleView::new(&data, rows, &sizes);
-    let mut ws = InfoWorkspace::new();
+    let mut ws = MeasureWorkspace::new();
     for variant in VARIANTS {
         let want = reference_multi_information(&view, 4, variant);
         assert!(want.is_finite());
         for knn in [KnnMode::BruteForce, KnnMode::KdTree, KnnMode::Auto] {
             for threads in [1usize, 8] {
-                let got = ws.multi_information(
+                let got = ksg(
+                    &mut ws,
                     &view,
                     &KsgConfig {
                         k: 4,
@@ -378,11 +393,11 @@ fn warmed_up_workspace_is_allocation_free_over_100_calls() {
     let sizes = [1usize, 1, 2, 1, 1];
     let grouping = Grouping::from_labels(&[0, 0, 1, 1, 2]);
     let cfg = KsgConfig::default();
-    let mut ws = InfoWorkspace::new();
+    let mut ws = MeasureWorkspace::new();
     let data0 = fixture(160, &sizes, 42);
     let view0 = SampleView::new(&data0, 160, &sizes);
     for _ in 0..3 {
-        ws.multi_information(&view0, &cfg);
+        ksg(&mut ws, &view0, &cfg);
         ws.pairwise_mi_matrix(&view0, &cfg);
         ws.decompose(&view0, &grouping, &cfg);
     }
@@ -393,7 +408,7 @@ fn warmed_up_workspace_is_allocation_free_over_100_calls() {
         let view = SampleView::new(&data, 160, &sizes);
         match call % 3 {
             0 => {
-                ws.multi_information(&view, &cfg);
+                ksg(&mut ws, &view, &cfg);
             }
             1 => {
                 ws.pairwise_mi_matrix(&view, &cfg);
@@ -420,12 +435,12 @@ fn workspace_survives_shape_changes_between_calls() {
         (200, vec![1; 8]),
         (70, vec![1, 2]),
     ];
-    let mut ws = InfoWorkspace::new();
+    let mut ws = MeasureWorkspace::new();
     for (round, (rows, sizes)) in shapes.iter().enumerate() {
         let data = fixture(*rows, sizes, round as u64);
         let view = SampleView::new(&data, *rows, sizes);
-        let got = ws.multi_information(&view, &KsgConfig::default());
-        let want = InfoWorkspace::new().multi_information(&view, &KsgConfig::default());
+        let got = ksg(&mut ws, &view, &KsgConfig::default());
+        let want = ksg(&mut MeasureWorkspace::new(), &view, &KsgConfig::default());
         assert_eq!(got.to_bits(), want.to_bits(), "round {round}");
     }
 }
@@ -453,13 +468,10 @@ proptest! {
         let view = SampleView::new(&data, rows, &sizes);
         let variant = VARIANTS[variant_idx];
         let want = reference_multi_information(&view, k, variant);
-        let mut ws = InfoWorkspace::new();
+        let mut ws = MeasureWorkspace::new();
         for knn in KNN_PATHS {
             for threads in [1usize, 8] {
-                let got = ws.multi_information(
-                    &view,
-                    &KsgConfig { k, variant, threads, knn },
-                );
+                let got = ksg(&mut ws, &view, &KsgConfig { k, variant, threads, knn });
                 prop_assert_eq!(
                     got.to_bits(),
                     want.to_bits(),

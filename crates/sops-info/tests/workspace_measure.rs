@@ -1,6 +1,6 @@
 //! Contracts of the unified measurement engine (`MeasureWorkspace` and
-//! the per-family engines behind it), mirroring
-//! `crates/sops-info/tests/workspace_info.rs`:
+//! the per-family engines behind it, driven through the workspace),
+//! mirroring `crates/sops-info/tests/workspace_info.rs`:
 //!
 //! * the migrated KDE, binning and CMI paths are **bit-identical** to
 //!   their pre-refactor reference implementations (frozen below) for
@@ -32,8 +32,8 @@ use proptest::prelude::*;
 use sops_info::gaussian::{equicorrelated_cov, sample_gaussian};
 use sops_info::measure::discrete_plugin_config;
 use sops_info::{
-    BinnedWorkspace, BinningConfig, CmiConfig, CmiWorkspace, Grouping, KdeConfig, KdeWorkspace,
-    KnnMode, KsgConfig, MeasureConfig, MeasureWorkspace, SampleView, SupportModel,
+    BinningConfig, CmiConfig, Grouping, KdeConfig, KnnMode, KsgConfig, MeasureConfig,
+    MeasureWorkspace, SampleView, SupportModel,
 };
 use sops_math::special::digamma;
 use sops_math::{stats, NATS_TO_BITS};
@@ -45,7 +45,7 @@ use std::collections::HashMap;
 // Frozen pre-workspace references
 // ---------------------------------------------------------------------------
 
-/// The pre-`KdeWorkspace` estimator, verbatim (sequential path):
+/// The pre-workspace KDE estimator, verbatim (sequential path):
 /// per-call bandwidth vectors, a fresh log buffer per (sample, term),
 /// flat left-to-right fold of the per-sample log ratios.
 fn reference_kde(view: &SampleView<'_>, cfg: &KdeConfig) -> f64 {
@@ -116,7 +116,7 @@ fn reference_kde(view: &SampleView<'_>, cfg: &KdeConfig) -> f64 {
     total / view.rows as f64 * NATS_TO_BITS
 }
 
-/// The pre-`BinnedWorkspace` estimator with `HashMap` histograms, counts
+/// The pre-workspace binning estimator with `HashMap` histograms, counts
 /// canonicalized to lexicographic bin-tuple order (see module docs).
 fn reference_binned(view: &SampleView<'_>, cfg: &BinningConfig) -> f64 {
     fn discretize(view: &SampleView<'_>, bins: usize) -> Vec<u16> {
@@ -183,7 +183,7 @@ fn reference_binned(view: &SampleView<'_>, cfg: &BinningConfig) -> f64 {
     sum_marginals - joint
 }
 
-/// The pre-`CmiWorkspace` Frenzel–Pompe estimator, verbatim (sequential
+/// The pre-workspace Frenzel–Pompe estimator, verbatim (sequential
 /// path, brute-force joint k-NN), with the per-sample ψ terms localized
 /// (see module docs).
 fn reference_cmi(
@@ -243,6 +243,12 @@ fn reference_cmi(
 // Fixtures
 // ---------------------------------------------------------------------------
 
+/// The multi-information of `view` under `cfg` through the workspace's
+/// one dispatch table.
+fn measure(ws: &mut MeasureWorkspace, view: &SampleView<'_>, cfg: &MeasureConfig) -> f64 {
+    ws.estimator_mut(cfg).measure(view)
+}
+
 /// A correlated-Gaussian fixture with mixed scalar/vector blocks.
 fn fixture(rows: usize, block_sizes: &[usize], seed: u64) -> Vec<f64> {
     let dim: usize = block_sizes.iter().sum();
@@ -280,7 +286,7 @@ fn cmi_fixture(
 
 #[test]
 fn kde_bit_identical_to_reference_threads_1_and_8() {
-    let mut ws = KdeWorkspace::new();
+    let mut ws = MeasureWorkspace::new();
     for (rows, sizes, seed) in [
         (180usize, vec![1usize, 1], 3u64),
         (140, vec![1usize, 2, 1], 5),
@@ -291,12 +297,13 @@ fn kde_bit_identical_to_reference_threads_1_and_8() {
         let view = SampleView::new(&data, rows, &sizes);
         let want = reference_kde(&view, &KdeConfig::default());
         for threads in [1usize, 8] {
-            let got = ws.multi_information(
+            let got = measure(
+                &mut ws,
                 &view,
-                &KdeConfig {
+                &MeasureConfig::Kde(KdeConfig {
                     threads,
                     ..KdeConfig::default()
-                },
+                }),
             );
             assert_eq!(
                 got.to_bits(),
@@ -318,14 +325,18 @@ fn kde_bandwidth_factor_propagates_bit_identically() {
             ..KdeConfig::default()
         };
         let want = reference_kde(&view, &cfg);
-        let got = KdeWorkspace::new().multi_information(&view, &cfg);
+        let got = measure(
+            &mut MeasureWorkspace::new(),
+            &view,
+            &MeasureConfig::Kde(cfg),
+        );
         assert_eq!(got.to_bits(), want.to_bits(), "factor {factor}");
     }
 }
 
 #[test]
 fn binned_bit_identical_to_reference_all_support_models() {
-    let mut ws = BinnedWorkspace::new();
+    let mut ws = MeasureWorkspace::new();
     for (rows, sizes, seed) in [
         (400usize, vec![1usize, 1], 1u64),
         (300, vec![1usize, 2, 1], 2),
@@ -346,7 +357,7 @@ fn binned_bit_identical_to_reference_all_support_models() {
                         joint_support,
                     };
                     let want = reference_binned(&view, &cfg);
-                    let got = ws.multi_information(&view, &cfg);
+                    let got = measure(&mut ws, &view, &MeasureConfig::Binned(cfg));
                     assert_eq!(
                         got.to_bits(),
                         want.to_bits(),
@@ -363,7 +374,7 @@ fn binned_bit_identical_across_bin_counts() {
     let sizes = [1usize, 1];
     let data = fixture(600, &sizes, 21);
     let view = SampleView::new(&data, 600, &sizes);
-    let mut ws = BinnedWorkspace::new();
+    let mut ws = MeasureWorkspace::new();
     // 65 bins pushes the joint histogram (65² = 4225 cells) onto the
     // sort path; 8 stays dense — both must match the reference.
     for bins in [2usize, 8, 65] {
@@ -372,14 +383,14 @@ fn binned_bit_identical_across_bin_counts() {
             ..BinningConfig::default()
         };
         let want = reference_binned(&view, &cfg);
-        let got = ws.multi_information(&view, &cfg);
+        let got = measure(&mut ws, &view, &MeasureConfig::Binned(cfg));
         assert_eq!(got.to_bits(), want.to_bits(), "bins={bins}");
     }
 }
 
 #[test]
 fn cmi_bit_identical_to_reference_threads_and_knn_paths() {
-    let mut ws = CmiWorkspace::new();
+    let mut ws = MeasureWorkspace::new();
     for (rows, dims, seed) in [
         (300usize, (1usize, 1usize, 1usize), 3u64),
         (200, (2, 2, 2), 5),
@@ -424,7 +435,7 @@ fn cmi_quantized_data_paths_agree() {
         .collect();
     let want = reference_cmi(&x, &y, &z, rows, (1, 1, 1), 4);
     assert!(want.is_finite());
-    let mut ws = CmiWorkspace::new();
+    let mut ws = MeasureWorkspace::new();
     for knn in [KnnMode::BruteForce, KnnMode::KdTree, KnnMode::Auto] {
         for threads in [1usize, 8] {
             let got = ws.conditional_mutual_information(
@@ -448,17 +459,21 @@ fn measure_workspace_dispatch_bit_identical_to_references() {
     let data = fixture(200, &sizes, 13);
     let view = SampleView::new(&data, 200, &sizes);
     let mut ws = MeasureWorkspace::new();
-    let kde = ws.multi_information(&view, &MeasureConfig::Kde(KdeConfig::default()));
+    let kde = measure(&mut ws, &view, &MeasureConfig::Kde(KdeConfig::default()));
     assert_eq!(
         kde.to_bits(),
         reference_kde(&view, &KdeConfig::default()).to_bits()
     );
-    let binned = ws.multi_information(&view, &MeasureConfig::Binned(BinningConfig::default()));
+    let binned = measure(
+        &mut ws,
+        &view,
+        &MeasureConfig::Binned(BinningConfig::default()),
+    );
     assert_eq!(
         binned.to_bits(),
         reference_binned(&view, &BinningConfig::default()).to_bits()
     );
-    let plugin = ws.multi_information(&view, &MeasureConfig::DiscretePlugin { bins: 8 });
+    let plugin = measure(&mut ws, &view, &MeasureConfig::DiscretePlugin { bins: 8 });
     assert_eq!(
         plugin.to_bits(),
         reference_binned(&view, &discrete_plugin_config(8)).to_bits()
@@ -486,16 +501,16 @@ proptest! {
 
         let want_kde = reference_kde(&view, &KdeConfig::default());
         let want_bin = reference_binned(&view, &BinningConfig::default());
-        let mut kde_ws = KdeWorkspace::new();
-        let mut bin_ws = BinnedWorkspace::new();
+        let mut ws = MeasureWorkspace::new();
         for threads in [1usize, 8] {
-            let got = kde_ws.multi_information(
+            let got = measure(
+                &mut ws,
                 &view,
-                &KdeConfig { threads, ..KdeConfig::default() },
+                &MeasureConfig::Kde(KdeConfig { threads, ..KdeConfig::default() }),
             );
             prop_assert_eq!(got.to_bits(), want_kde.to_bits(), "kde t{}", threads);
         }
-        let got = bin_ws.multi_information(&view, &BinningConfig::default());
+        let got = measure(&mut ws, &view, &MeasureConfig::Binned(BinningConfig::default()));
         prop_assert_eq!(got.to_bits(), want_bin.to_bits(), "binned");
     }
 
@@ -512,7 +527,7 @@ proptest! {
         let k = k.min(rows - 1);
         let (x, y, z) = cmi_fixture(rows, dims, seed);
         let want = reference_cmi(&x, &y, &z, rows, dims, k);
-        let mut ws = CmiWorkspace::new();
+        let mut ws = MeasureWorkspace::new();
         for knn in [KnnMode::BruteForce, KnnMode::KdTree] {
             for threads in [1usize, 8] {
                 let got = ws.conditional_mutual_information(
@@ -557,10 +572,8 @@ fn warmed_up_measure_workspace_is_allocation_free_over_100_calls() {
     let (wx, wy, wz) = cmi_fixture(120, (1, 1, 1), 42);
     for _ in 0..3 {
         for cfg in &selections {
-            // Both surfaces: the direct one-call dispatch and the
-            // two-phase trait path the pipeline workers drive (the
-            // latter warms the prepared-view buffers).
-            ws.multi_information(&warm_view, cfg);
+            // The two-phase trait path the pipeline workers drive (it
+            // also warms the prepared-view buffers).
             let estimator = ws.estimator_mut(cfg);
             estimator.prepare(&warm_view);
             estimator.estimate();
@@ -587,18 +600,14 @@ fn warmed_up_measure_workspace_is_allocation_free_over_100_calls() {
         let view = SampleView::new(&data, 120, &sizes);
         match call % 7 {
             0 | 5 => {
-                // Alternate the two dispatch surfaces across calls.
                 let cfg = &selections[(call % 5) as usize];
-                if call % 2 == 0 {
-                    ws.multi_information(&view, cfg);
-                } else {
-                    let estimator = ws.estimator_mut(cfg);
-                    estimator.prepare(&view);
-                    estimator.estimate();
-                }
+                let estimator = ws.estimator_mut(cfg);
+                estimator.prepare(&view);
+                estimator.estimate();
             }
             1 => {
-                ws.multi_information(
+                measure(
+                    &mut ws,
                     &view,
                     &MeasureConfig::Kde(KdeConfig {
                         threads: if call % 2 == 0 { 1 } else { 8 },
@@ -607,7 +616,11 @@ fn warmed_up_measure_workspace_is_allocation_free_over_100_calls() {
                 );
             }
             2 => {
-                ws.multi_information(&view, &MeasureConfig::Binned(BinningConfig::default()));
+                measure(
+                    &mut ws,
+                    &view,
+                    &MeasureConfig::Binned(BinningConfig::default()),
+                );
             }
             3 => {
                 let (x, y, z) = cmi_fixture(120, (1, 1, 1), 2000 + call);
@@ -627,7 +640,7 @@ fn warmed_up_measure_workspace_is_allocation_free_over_100_calls() {
                 ws.decompose(&view, &grouping, &KsgConfig::default());
             }
             _ => {
-                ws.multi_information(&view, &MeasureConfig::Gaussian);
+                measure(&mut ws, &view, &MeasureConfig::Gaussian);
             }
         }
         assert_eq!(
@@ -656,8 +669,8 @@ fn engines_survive_shape_changes_between_calls() {
             MeasureConfig::Kde(KdeConfig::default()),
             MeasureConfig::Binned(BinningConfig::default()),
         ] {
-            let got = ws.multi_information(&view, &cfg);
-            let want = MeasureWorkspace::new().multi_information(&view, &cfg);
+            let got = measure(&mut ws, &view, &cfg);
+            let want = measure(&mut MeasureWorkspace::new(), &view, &cfg);
             assert_eq!(
                 got.to_bits(),
                 want.to_bits(),

@@ -237,6 +237,10 @@ fn parse_seed_spec(spec: &str, out: &mut Vec<u64>) -> Result<(), String> {
         if lo > hi {
             return Err(format!("empty seed range '{spec}' ({lo} > {hi})"));
         }
+        let too_large = || format!("seed range '{spec}' is too large");
+        let count = (hi - lo).checked_add(1).ok_or_else(too_large)?;
+        let count = usize::try_from(count).map_err(|_| too_large())?;
+        out.try_reserve(count).map_err(|_| too_large())?;
         out.extend(lo..=hi);
     } else {
         out.push(spec.trim().parse().map_err(|_| bad())?);
@@ -616,6 +620,20 @@ mod tests {
         };
         assert_eq!(keys(&cli).len(), 16);
         assert_eq!(keys(&cli), keys(&service));
+    }
+
+    #[test]
+    fn seed_ranges_parse_and_oversized_ranges_are_usage_errors() {
+        let mut seeds = Vec::new();
+        parse_seed_spec("1..3", &mut seeds).unwrap();
+        parse_seed_spec("5..=6", &mut seeds).unwrap();
+        parse_seed_spec("9", &mut seeds).unwrap();
+        assert_eq!(seeds, vec![1, 2, 3, 5, 6, 9]);
+        assert!(parse_seed_spec("3..1", &mut seeds).is_err());
+        // u64::MAX + 1 seeds: the count overflows on every 64-bit host.
+        let err = parse_seed_spec("0..18446744073709551615", &mut seeds).unwrap_err();
+        assert!(err.contains("too large"), "{err}");
+        assert_eq!(seeds.len(), 6, "a rejected range adds nothing");
     }
 
     #[test]

@@ -72,7 +72,7 @@ impl ReduceScratch {
 }
 
 /// Persistent buffers for [`reduce_configurations_with`]: one
-/// [`ReduceScratch`] per reduction worker plus the shared centred
+/// `ReduceScratch` per reduction worker plus the shared centred
 /// reference. The pipeline's evaluation workers hold one workspace each,
 /// so the per-sample ICP/Hungarian scratch is reused across every time
 /// step a worker claims — the shape-space sibling of

@@ -17,7 +17,7 @@
 //!   ([`CellGrid::rebuild_lanes`] fuses the scatter and the gather into
 //!   one pass); each candidate row computes `d²` from the coordinate
 //!   lanes and compacts the cut-off survivors into a per-chunk
-//!   [`HitBatch`] with a single branchless store per candidate (the old
+//!   `HitBatch` with a single branchless store per candidate (the old
 //!   per-pair `d² ≤ r²` branch was data-random and mispredict-bound).
 //!   The row traversal itself stays *scalar*: at this workload's typical
 //!   4–8-candidate rows a hand-SIMD masked-load/compress-store kernel

@@ -23,8 +23,8 @@
 //!   bounds the block-max metric (`‖w′ − w‖ ≥ |w′[a] − w[a]|` for every
 //!   coordinate `a`), so standard pruning is sound. In low joint dimension
 //!   (pairwise scalar MI is dim-2) this turns the `O(m²)` scan into
-//!   `O(m log m)` — the adaptive choice is made by `sops-info`'s
-//!   `InfoWorkspace`.
+//!   `O(m log m)` — the adaptive choice is made by `sops-info`'s KSG
+//!   engine.
 //!
 //! Both searches lean on SoA layouts for the common all-scalar-blocks
 //! case: the bounded distance kernel processes rows in fixed-width
@@ -412,7 +412,7 @@ pub fn knn_block_max_into(
 /// Per tile group the kernel accumulates all [`LANES`] running Chebyshev
 /// maxima dimension-by-dimension (one contiguous 8-lane stream per
 /// dimension — no branches, so the autovectorizer widens it), checking
-/// every [`DIM_CHUNK`] dimensions whether *all* lanes already exceed the
+/// every `DIM_CHUNK` dimensions whether *all* lanes already exceed the
 /// group-entry bound `worst²` (then the whole group is pruned: `worst`
 /// only shrinks, so the sequential scan returned `INFINITY` for each of
 /// those candidates too). Surviving groups replay the sequential scan's

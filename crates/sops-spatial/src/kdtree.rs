@@ -41,7 +41,7 @@ pub(crate) enum Node {
 /// The tree cannot be mutated point-by-point, but it can be
 /// [rebuilt in place](KdTree::rebuild) over a fresh point set without
 /// giving up its buffers — the contract persistent engines
-/// (`sops_sim::ForceWorkspace`, `sops_info`'s `InfoWorkspace`) rely on
+/// (`sops_sim::ForceWorkspace`, `sops_info::MeasureWorkspace`) rely on
 /// for zero steady-state allocations.
 #[derive(Debug, Clone)]
 pub struct KdTree {

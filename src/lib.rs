@@ -68,13 +68,12 @@ pub use sops_spatial as spatial;
 pub mod prelude {
     pub use sops_core::{
         run_sweep, BrokerStats, CacheStats, CellCache, CellProvenance, CellStatus, EnsembleStorage,
-        MiSeries, ObserverMode, PipelineResult, RetryPolicy, RunOptions, ScenarioRegistry,
-        ScenarioSpec, SummaryConfig, SweepBaseline, SweepBroker, SweepCell, SweepError, SweepPlan,
-        SweepReport, SweepRunner, SweepSummary,
+        MiSeries, ObserverMode, PipelineResult, RunOptions, ScenarioRegistry, ScenarioSpec,
+        SweepBaseline, SweepBroker, SweepCell, SweepError, SweepPlan, SweepReport, SweepRunner,
+        SweepSummary,
     };
     pub use sops_info::{
-        InfoWorkspace, KnnMode, KsgConfig, KsgVariant, MeasureConfig, MeasureWorkspace, SampleView,
-        StridedFamily,
+        KnnMode, KsgConfig, KsgVariant, MeasureConfig, MeasureWorkspace, SampleView, StridedFamily,
     };
     pub use sops_math::{Matrix, PairMatrix, SplitMix64, Vec2};
     pub use sops_shape::{icp_align, IcpConfig, RigidTransform};

@@ -2,14 +2,21 @@
 //! Gaussian ground truth, including the cross-estimator comparisons the
 //! paper reports in §5.3.
 
-use sops::info::decomposition::{decompose, Grouping};
+use sops::info::decomposition::Grouping;
 use sops::info::entropy::entropy_breakdown;
 use sops::info::gaussian::{
     equicorrelated_cov, gaussian_entropy, gaussian_multi_information, sample_gaussian,
 };
 use sops::info::measure::{MeasureConfig, MeasureWorkspace};
-use sops::info::{multi_information, BinningConfig, KdeConfig, KsgConfig, KsgVariant, SampleView};
+use sops::info::{BinningConfig, KdeConfig, KsgConfig, KsgVariant, SampleView};
 use sops::math::Matrix;
+
+/// The KSG multi-information of `view` through a fresh workspace.
+fn ksg(view: &SampleView<'_>, cfg: &KsgConfig) -> f64 {
+    MeasureWorkspace::new()
+        .estimator_mut(&MeasureConfig::Ksg(*cfg))
+        .measure(view)
+}
 
 #[test]
 fn ksg_tracks_truth_across_sample_sizes() {
@@ -20,7 +27,7 @@ fn ksg_tracks_truth_across_sample_sizes() {
         let data = sample_gaussian(&cov, m, seed);
         let sizes = [1usize, 1, 1];
         let view = SampleView::new(&data, m, &sizes);
-        let est = multi_information(&view, &KsgConfig::default());
+        let est = ksg(&view, &KsgConfig::default());
         errs.push((est - truth).abs());
     }
     // All close; error at m=1000 below error-plus-slack at m=250.
@@ -37,14 +44,14 @@ fn ksg_consistent_between_variants_on_coupled_data() {
     let data = sample_gaussian(&cov, 900, 7);
     let sizes = [1usize, 1, 1, 1];
     let view = SampleView::new(&data, 900, &sizes);
-    let v1 = multi_information(
+    let v1 = ksg(
         &view,
         &KsgConfig {
             variant: KsgVariant::Ksg1,
             ..KsgConfig::default()
         },
     );
-    let v2 = multi_information(
+    let v2 = ksg(
         &view,
         &KsgConfig {
             variant: KsgVariant::Ksg2,
@@ -71,7 +78,7 @@ fn decomposition_identity_holds_on_block_gaussians() {
     let sizes = [2usize, 2, 2, 2];
     let view = SampleView::new(&data, 1200, &sizes);
     let grouping = Grouping::from_labels(&[0, 0, 1, 1]);
-    let d = decompose(&view, &grouping, &KsgConfig::default());
+    let d = MeasureWorkspace::new().decompose(&view, &grouping, &KsgConfig::default());
     let residual = (d.total - d.reconstructed_total()).abs();
     assert!(
         residual < 0.3,
@@ -102,7 +109,7 @@ fn entropy_route_consistent_with_direct_multi_information() {
         assert!((h - h1).abs() < 0.1, "marginal {h} vs {h1}");
     }
     let via_entropy = breakdown.multi_information();
-    let direct = multi_information(&view, &KsgConfig::default());
+    let direct = ksg(&view, &KsgConfig::default());
     assert!(
         (via_entropy - direct).abs() < 0.3,
         "Σh − h route {via_entropy} vs KSG {direct}"
@@ -128,13 +135,10 @@ fn paper_533_comparison_ksg_beats_baselines_in_high_dimension() {
     for seed in 0..4u64 {
         let data = sample_gaussian(&cov, m, 100 + seed);
         let view = SampleView::new(&data, m, &sizes);
-        ksg_errs
-            .push(ws.multi_information(&view, &MeasureConfig::Ksg(KsgConfig::default())) - truth);
-        kde_errs
-            .push(ws.multi_information(&view, &MeasureConfig::Kde(KdeConfig::default())) - truth);
-        bin_errs.push(
-            ws.multi_information(&view, &MeasureConfig::Binned(BinningConfig::default())) - truth,
-        );
+        let mut estimate = |cfg: MeasureConfig| ws.estimator_mut(&cfg).measure(&view) - truth;
+        ksg_errs.push(estimate(MeasureConfig::Ksg(KsgConfig::default())));
+        kde_errs.push(estimate(MeasureConfig::Kde(KdeConfig::default())));
+        bin_errs.push(estimate(MeasureConfig::Binned(BinningConfig::default())));
     }
     let mean_abs = |v: &[f64]| v.iter().map(|e| e.abs()).sum::<f64>() / v.len() as f64;
     assert!(
@@ -162,7 +166,7 @@ fn literal_paper_formula_bias_is_the_documented_artifact() {
     let data2 = sample_gaussian(&Matrix::identity(2), 800, 21);
     let data6 = sample_gaussian(&Matrix::identity(6), 800, 22);
     let paper = |data: &[f64], sizes: &'static [usize]| {
-        multi_information(
+        ksg(
             &SampleView::new(data, 800, sizes),
             &KsgConfig {
                 variant: KsgVariant::Paper,

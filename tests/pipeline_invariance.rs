@@ -41,7 +41,9 @@ fn mi_of_slice(slice: &[Vec<Vec2>], types: &[u16]) -> f64 {
     let data = sops::shape::ensemble::flatten_reduced(&reduced);
     let sizes = vec![2usize; types.len()];
     let view = SampleView::new(&data, slice.len(), &sizes);
-    sops::info::multi_information(&view, &KsgConfig::default())
+    MeasureWorkspace::new()
+        .estimator_mut(&MeasureConfig::Ksg(KsgConfig::default()))
+        .measure(&view)
 }
 
 #[test]

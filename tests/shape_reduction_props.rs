@@ -101,7 +101,9 @@ proptest! {
         let data: Vec<f64> = (0..m * 6).map(|_| rng.next_range(-100.0, 100.0)).collect();
         let sizes = [2usize, 2, 2];
         let view = SampleView::new(&data, m, &sizes);
-        let mi = sops::info::multi_information(&view, &KsgConfig { k: 3, ..KsgConfig::default() });
+        let mi = MeasureWorkspace::new()
+            .estimator_mut(&MeasureConfig::Ksg(KsgConfig { k: 3, ..KsgConfig::default() }))
+            .measure(&view);
         prop_assert!(mi.is_finite());
     }
 }

@@ -62,11 +62,9 @@ fn every_prelude_export_resolves() {
     let _ = KnnMode::Auto;
     let data: Vec<f64> = (0..40).map(|i| (i as f64 * 0.73).sin()).collect();
     let view = SampleView::new(&data, 20, &[1, 1]);
-    let mi = sops::info::multi_information(&view, &ksg);
+    let mut ws = MeasureWorkspace::new();
+    let mi = ws.estimator_mut(&MeasureConfig::Ksg(ksg)).measure(&view);
     assert!(mi.is_finite());
-    // The persistent engine is the same estimator, bit for bit.
-    let mut ws = InfoWorkspace::new();
-    assert_eq!(ws.multi_information(&view, &ksg).to_bits(), mi.to_bits());
 
     // sops-core
     let _ = ObserverMode::PerParticle;
