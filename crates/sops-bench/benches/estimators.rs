@@ -211,6 +211,19 @@ fn bench_estimator_matrix(c: &mut Criterion) {
         b.iter(|| measure_ws.estimator_mut(&kde_cfg).measure(black_box(&view)))
     });
 
+    // The `grid_cold` KDE shape: 120 samples of 40 two-dimensional
+    // observers (one per particle), one worker.
+    let sizes40 = vec![2usize; 40];
+    let data40 = sample_gaussian(&equicorrelated_cov(80, 0.4), 120, 99);
+    let view40 = SampleView::new(&data40, 120, &sizes40);
+    group.bench_function("kde_m120_b40/persistent", |b| {
+        b.iter(|| {
+            measure_ws
+                .estimator_mut(&kde_cfg)
+                .measure(black_box(&view40))
+        })
+    });
+
     let bin_cfg = MeasureConfig::Binned(BinningConfig::default());
     group.bench_function("binned_m400_n8/one_shot", |b| {
         b.iter(|| one_shot(black_box(&view), &bin_cfg))

@@ -7,8 +7,8 @@ use sops_cluster::{kmeans, KMeansConfig};
 use sops_core::scenario::cell_sorting;
 use sops_math::{SplitMix64, Vec2};
 use sops_shape::{
-    hungarian, icp_align, icp_align_with, reduce_configurations_with, IcpConfig, IcpScratch,
-    ReduceConfig, ReduceWorkspace, RigidTransform,
+    hungarian, hungarian_with, icp_align, icp_align_with, reduce_configurations_with,
+    HungarianScratch, IcpConfig, IcpScratch, ReduceConfig, ReduceWorkspace, RigidTransform,
 };
 use sops_sim::run_ensemble;
 use sops_spatial::{brute, CellGrid, KdTree};
@@ -133,9 +133,10 @@ fn bench_icp_restarts(c: &mut Criterion) {
 
 fn bench_reduce(c: &mut Criterion) {
     // Shape reduction (paper §5.2). The ICP kernel at 20 points per type
-    // (the builtin scenarios' traffic) and at 128, past the crossover
-    // near 96 per type where its flat lane scan loses to a per-type
-    // kd-tree; then the whole single-thread reduction of one real slice:
+    // (the builtin scenarios' traffic) and at 128, past the scalar scan's
+    // crossover with a per-type kd-tree near 96 per type (the AVX-512
+    // scan's lies near 768); the same-type matching at the builtins' 20
+    // per type; then the whole single-thread reduction of one real slice:
     // the final step of a full-scale 120-sample `cell_sorting` ensemble.
     let mut group = c.benchmark_group("reduce");
     group.sample_size(30);
@@ -167,6 +168,22 @@ fn bench_reduce(c: &mut Criterion) {
             })
         });
     }
+    // Squared distances between a 20-point cloud and a jittered copy:
+    // the cost matrix `match_types` hands the solver per type.
+    let reference = cloud(20, 0.6 * 40f64.sqrt(), 33);
+    let mut rng = SplitMix64::new(34);
+    let moved: Vec<Vec2> = reference
+        .iter()
+        .map(|&p| p + Vec2::new(rng.next_range(-0.3, 0.3), rng.next_range(-0.3, 0.3)))
+        .collect();
+    let costs: Vec<f64> = moved
+        .iter()
+        .flat_map(|&a| reference.iter().map(move |&b| (a - b).norm_sq()))
+        .collect();
+    let (mut scratch, mut assignment) = (HungarianScratch::new(), Vec::new());
+    group.bench_function(BenchmarkId::new("hungarian_with", 20), |b| {
+        b.iter(|| hungarian_with(&mut scratch, 20, black_box(&costs), &mut assignment))
+    });
     let spec = cell_sorting();
     let ensemble = run_ensemble(&spec.ensemble, 0);
     let slice = ensemble.at_time(spec.ensemble.t_max);

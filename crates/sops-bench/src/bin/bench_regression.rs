@@ -45,8 +45,9 @@ fn load_results(path: &str) -> Result<Vec<(String, f64)>, String> {
 }
 
 /// Parses a `BENCH_*.json` document. Only `name` and `median_ns` are
-/// read per entry — extra fields (`iters`, the `peak_rss_bytes` newer
-/// harnesses record) are ignored, so old and new baselines both load.
+/// read per entry — extra fields (`iters`, and the `peak_rss_bytes` and
+/// `min_ns`/`p10_ns`/`p90_ns`/`mad_ns` spread newer harnesses record)
+/// are ignored, so old and new baselines all load.
 fn parse_results(text: &str) -> Result<Vec<(String, f64)>, String> {
     let doc = wire::parse(text).map_err(|e| e.to_string())?;
     let obj = doc.as_object().ok_or("not an object")?;
@@ -174,8 +175,16 @@ mod tests {
     {"name": "net_forces/cutoff_grid/512", "median_ns": 34459.0, "iters": 810, "peak_rss_bytes": 7340032}
   ]
 }"#;
-        for text in [old, new] {
-            let results = parse_results(text).expect("both baseline shapes load");
+        let spread = r#"{
+  "quick": true,
+  "parallelism": 2,
+  "peak_rss_bytes": 123456789,
+  "results": [
+    {"name": "net_forces/cutoff_grid/512", "median_ns": 34459.0, "min_ns": 33100.5, "p10_ns": 33870.25, "p90_ns": 36002.0, "mad_ns": 410.75, "iters": 810, "peak_rss_bytes": 7340032}
+  ]
+}"#;
+        for text in [old, new, spread] {
+            let results = parse_results(text).expect("every baseline shape loads");
             assert_eq!(
                 results,
                 vec![("net_forces/cutoff_grid/512".to_string(), 34459.0)]

@@ -46,49 +46,54 @@ pub fn run(opts: &RunOptions) -> Fig3Data {
     // nearest-neighbour CV takes a few thousand steps even for the small
     // fast-mode collective.
     let max_steps = opts.scale(6000, 3500);
-    let panels = [3usize, 2, 1]
-        .iter()
-        .map(|&l| {
-            // Gaussian (F2) law: same-type range 2, cross-type ranges
-            // spread out so types separate.
-            let r = PairMatrix::from_fn(l, |a, b| {
-                if a == b {
-                    2.0
-                } else {
-                    3.0 + (a + b) as f64 * 0.5
-                }
-            });
-            let law = ForceModel::Gaussian(GaussianForce::from_preferred_distance(
-                PairMatrix::constant(l, 3.0),
-                &r,
-            ));
-            let model = Model::balanced(n, law, 6.0);
-            let type_of = model.types().to_vec();
-            let mut sim = Simulation::with_disc_init(
-                model.clone(),
-                super::standard_integrator(),
-                3.0,
-                derive_seed(opts.seed, l as u64),
-            );
-            let (steps, equilibrated) = sim.run_to_equilibrium(
-                EquilibriumCriterion {
-                    threshold: 0.25,
-                    patience: 10,
-                },
-                max_steps,
-            );
-            let config = sim.positions().to_vec();
-            let nn_cv = metrics::nn_distance_cv(&config);
-            Fig3Panel {
-                types: l,
-                config,
-                type_of,
-                nn_cv,
-                steps,
-                equilibrated,
+    // The three panels are independent one-thread simulations: run them
+    // side by side, in panel order.
+    let threads = if opts.threads == 0 {
+        sops_par::default_threads()
+    } else {
+        opts.threads
+    };
+    let panels = sops_par::parallel_map(3, threads, |panel| {
+        let l = 3 - panel;
+        // Gaussian (F2) law: same-type range 2, cross-type ranges
+        // spread out so types separate.
+        let r = PairMatrix::from_fn(l, |a, b| {
+            if a == b {
+                2.0
+            } else {
+                3.0 + (a + b) as f64 * 0.5
             }
-        })
-        .collect();
+        });
+        let law = ForceModel::Gaussian(GaussianForce::from_preferred_distance(
+            PairMatrix::constant(l, 3.0),
+            &r,
+        ));
+        let model = Model::balanced(n, law, 6.0);
+        let type_of = model.types().to_vec();
+        let mut sim = Simulation::with_disc_init(
+            model.clone(),
+            super::standard_integrator(),
+            3.0,
+            derive_seed(opts.seed, l as u64),
+        );
+        let (steps, equilibrated) = sim.run_to_equilibrium(
+            EquilibriumCriterion {
+                threshold: 0.25,
+                patience: 10,
+            },
+            max_steps,
+        );
+        let config = sim.positions().to_vec();
+        let nn_cv = metrics::nn_distance_cv(&config);
+        Fig3Panel {
+            types: l,
+            config,
+            type_of,
+            nn_cv,
+            steps,
+            equilibrated,
+        }
+    });
     let data = Fig3Data { panels };
     if let Some(path) = super::csv_path(opts, "fig3_equilibria.csv") {
         let rows: Vec<Vec<f64>> = data

@@ -139,14 +139,16 @@ fn fig12_smoke() {
 fn figure_output_is_independent_of_thread_count() {
     // The determinism contract at figure level: every ΔI figure runs its
     // cells through the sweep engine (fig 10 shares fig 9's
-    // `sweep_curve`), and fig 11 through the decomposition pass; none may
-    // let the worker count into a single bit of its output.
+    // `sweep_curve`), fig 11 through the decomposition pass, and fig 3
+    // its panels side by side; none may let the worker count into a
+    // single bit of its output.
     let at = |threads| -> Vec<String> {
         let opts = RunOptions {
             threads,
             ..fast_opts()
         };
         vec![
+            format!("{:?}", figures::fig3::run(&opts)),
             format!("{:?}", figures::fig4::run(&opts)),
             format!("{:?}", figures::fig5::run(&opts)),
             format!("{:?}", figures::fig8::run(&opts)),
@@ -155,7 +157,7 @@ fn figure_output_is_independent_of_thread_count() {
         ]
     };
     let (one, three) = (at(1), at(3));
-    for (fig, (a, b)) in ["fig4", "fig5", "fig8", "fig9", "fig11"]
+    for (fig, (a, b)) in ["fig3", "fig4", "fig5", "fig8", "fig9", "fig11"]
         .iter()
         .zip(one.iter().zip(&three))
     {

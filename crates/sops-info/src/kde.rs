@@ -14,12 +14,37 @@
 //! comparison against KSG.
 //!
 //! The estimate runs through [`crate::MeasureWorkspace`]
-//! ([`crate::MeasureConfig::Kde`]). Its engine keeps persistent
-//! log-sum-exp scratch partitioned into the same fixed sample spans as
-//! the KSG engine, per-sample log ratios reduced in sample order —
-//! allocation-free once warm and **bit-identical for any worker count**
-//! to the sequential pre-workspace implementation (frozen in
-//! `crates/sops-info/tests/workspace_measure.rs`).
+//! ([`crate::MeasureConfig::Kde`]) and is **bit-identical for any worker
+//! count** to the sequential pre-workspace implementation, which computed
+//! row `i`'s log-sum-exp over its partners `j ≠ i` in ascending order,
+//! once for the joint term and once per block (frozen in
+//! `crates/sops-info/tests/workspace_measure.rs`). The engine does the
+//! same floating-point operations on the same inputs with less repeated
+//! work:
+//!
+//! * **Each unordered pair once.** Pairs are visited `j` ascending, then
+//!   `i < j`, which hands every row its partners in ascending order. One
+//!   exponent feeds both rows: `(r_j − r_i)/h` is `−((r_i − r_j)/h)` bit
+//!   for bit, so `(0.5·z)·z` and every fold are equal.
+//! * **One pass over a pair's columns**, in column order, feeds the
+//!   joint exponent and its block's exponent together.
+//! * **Two sweeps.** The first takes every (row, term) maximum, the
+//!   second adds the `exp` terms in partner order. The maxima do not
+//!   depend on the order, because an exponent is at most `+0` and never
+//!   `−0` (and `f64::max` passes over a NaN exponent as the old strict
+//!   `>` did). Each sweep recomputes the exponents, so nothing is stored
+//!   per pair.
+//! * **Normalisation constants once per call**, not per (row, term).
+//! * **Spans.** Rows split into one contiguous span per worker (at most
+//!   64, the estimators' worker cap). A span shares its
+//!   in-span pairs and computes out-of-span partners one-sided, still
+//!   ascending, so the span count changes the work but never the bits;
+//!   one worker computes every pair once.
+//!
+//! Scratch is `O(m·(stride + blocks))`: the bandwidths, a column gather,
+//! and per row a maximum, an `exp` sum and a pair exponent per term.
+//! There is no `m × m` buffer, so a huge sample is a slow request, not an
+//! allocation failure. A warmed-up workspace allocates nothing per call.
 
 use crate::workspace::{resolve_threads, INFO_CHUNKS};
 use crate::SampleView;
@@ -46,20 +71,24 @@ impl Default for KdeConfig {
     }
 }
 
-/// Per-span scratch of the KDE engine: one log-sum-exp buffer plus the
-/// span's per-sample log ratios.
+/// The two sweeps' state of one row.
 #[derive(Debug, Clone, Default)]
-struct KdeChunk {
-    /// Per-sample `log p̂(wᵢ) − Σ_b log p̂_b(wᵢ_b)` values of this span.
-    vals: Vec<f64>,
-    /// Kernel log-weights of the current (sample, term) pair.
-    logs: Vec<f64>,
+struct KdeRow {
+    /// Three runs of one value per term (the joint first, then one per
+    /// block): the maximum exponent over the row's partners, the `exp`
+    /// sum, and the exponents of the pair being visited.
+    terms: Vec<f64>,
+    /// `log p̂(wᵢ) − Σ_b log p̂_b(wᵢ_b)`.
+    ratio: f64,
 }
 
-impl KdeChunk {
-    fn capacity_signature(&self, sig: &mut Vec<usize>) {
-        sig.push(self.vals.capacity());
-        sig.push(self.logs.capacity());
+impl KdeRow {
+    /// The maxima, the `exp` sums and the pair exponents of a view with
+    /// `t` terms.
+    fn parts(&mut self, t: usize) -> (&mut [f64], &mut [f64], &mut [f64]) {
+        let (max, rest) = self.terms.split_at_mut(t);
+        let (sum, pair) = rest.split_at_mut(t);
+        (max, sum, pair)
     }
 }
 
@@ -68,7 +97,7 @@ impl KdeChunk {
 /// workspace serves repeated calls over views of any shape; all scratch
 /// is reused, so a warmed-up workspace allocates nothing per call
 /// (enforced by `crates/sops-info/tests/workspace_measure.rs`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct KdeWorkspace {
     /// Per-dimension Silverman bandwidths of the current view.
     bandwidths: Vec<f64>,
@@ -76,27 +105,13 @@ pub(crate) struct KdeWorkspace {
     column: Vec<f64>,
     /// Block column ranges `[start, end)` of the current view.
     ranges: Vec<(usize, usize)>,
-    /// Fixed per-span scratch.
-    chunks: Vec<KdeChunk>,
-}
-
-impl Default for KdeWorkspace {
-    fn default() -> Self {
-        KdeWorkspace::new()
-    }
+    /// Normalisation constant of each term, the joint first.
+    log_norms: Vec<f64>,
+    /// Per-row sweep state, grown to the largest view seen.
+    rows: Vec<KdeRow>,
 }
 
 impl KdeWorkspace {
-    /// An empty workspace; buffers grow to the workload size on first use.
-    pub(crate) fn new() -> Self {
-        KdeWorkspace {
-            bandwidths: Vec::new(),
-            column: Vec::new(),
-            ranges: Vec::new(),
-            chunks: vec![KdeChunk::default(); INFO_CHUNKS],
-        }
-    }
-
     /// Estimates the multi-information (bits) between the observer blocks
     /// of `view` with the leave-one-out KDE ratio — the engine behind
     /// [`crate::MeasureConfig::Kde`] in [`crate::MeasureWorkspace`],
@@ -124,32 +139,57 @@ impl KdeWorkspace {
             self.ranges.push((off, off + b));
             off += b;
         }
-        let threads = resolve_threads(cfg.threads);
+        self.log_norms.clear();
+        for &(s, e) in std::iter::once(&(0, stride)).chain(&self.ranges) {
+            self.log_norms.push(log_norm(&self.bandwidths[s..e]));
+        }
         let m = view.rows;
-        let nchunks = self.chunks.len();
-        let bandwidths = &self.bandwidths;
-        let ranges = &self.ranges;
-        sops_par::parallel_chunks_mut(&mut self.chunks, nchunks, threads, |c, bufs| {
-            let KdeChunk { vals, logs } = &mut bufs[0];
-            vals.clear();
-            let lo = c * m / nchunks;
-            let hi = (c + 1) * m / nchunks;
-            for i in lo..hi {
-                let joint = loo_log_density(view, bandwidths, i, 0, stride, logs);
-                let marginals: f64 = ranges
-                    .iter()
-                    .map(|&(s, e)| loo_log_density(view, bandwidths, i, s, e, logs))
-                    .sum();
-                vals.push(joint - marginals);
+        if self.rows.len() < m {
+            self.rows.resize_with(m, KdeRow::default);
+        }
+        let pairs = Pairs {
+            data: view.data,
+            stride,
+            bandwidths: &self.bandwidths,
+            ranges: &self.ranges,
+            rows: m,
+        };
+        let terms = self.log_norms.len();
+        let log_norms = &self.log_norms[..];
+        let log_partners = ((m - 1) as f64).ln();
+        // No more spans (and threads) than the estimators' worker cap.
+        let spans = resolve_threads(cfg.threads).min(INFO_CHUNKS).min(m);
+        sops_par::parallel_chunks_mut(&mut self.rows[..m], spans, spans, |s, rows| {
+            // `parallel_chunks_mut` gives the first `m % spans` spans one
+            // extra row.
+            let lo = s * (m / spans) + s.min(m % spans);
+            for row in rows.iter_mut() {
+                row.terms.clear();
+                row.terms.resize(terms, f64::NEG_INFINITY);
+                row.terms.resize(3 * terms, 0.0);
+            }
+            pairs.sweep(lo, rows, terms, |max, _, pair| {
+                for (m, &e) in max.iter_mut().zip(pair) {
+                    *m = m.max(e);
+                }
+            });
+            pairs.sweep(lo, rows, terms, |max, sum, pair| {
+                for ((s, &m), &e) in sum.iter_mut().zip(&*max).zip(pair) {
+                    *s += (e - m).exp();
+                }
+            });
+            for row in rows.iter_mut() {
+                let (maxes, sums, _) = row.parts(terms);
+                let log_density = |t: usize| maxes[t] + sums[t].ln() - log_partners - log_norms[t];
+                let marginals: f64 = (1..terms).map(log_density).sum();
+                row.ratio = log_density(0) - marginals;
             }
         });
         // Sample-order reduction: bit-identical to the sequential fold for
         // any worker count.
         let mut total = 0.0;
-        for chunk in &self.chunks {
-            for &v in &chunk.vals {
-                total += v;
-            }
+        for row in &self.rows[..m] {
+            total += row.ratio;
         }
         total / m as f64 * NATS_TO_BITS
     }
@@ -161,10 +201,10 @@ impl KdeWorkspace {
             self.bandwidths.capacity(),
             self.column.capacity(),
             self.ranges.capacity(),
+            self.log_norms.capacity(),
+            self.rows.capacity(),
         ];
-        for chunk in &self.chunks {
-            chunk.capacity_signature(&mut sig);
-        }
+        sig.extend(self.rows.iter().map(|row| row.terms.capacity()));
         sig
     }
 }
@@ -191,47 +231,89 @@ fn silverman_bandwidths_into(
     }
 }
 
-/// Leave-one-out log-density (nats, up to the normalization constant
-/// cancelled in the MI ratio) of row `i` over the dimensions in
-/// `[start, end)`. `logs` is the log-sum-exp scratch (cleared first).
-#[inline]
-fn loo_log_density(
-    view: &SampleView<'_>,
-    bandwidths: &[f64],
-    i: usize,
-    start: usize,
-    end: usize,
-    logs: &mut Vec<f64>,
-) -> f64 {
-    let mut acc = 0.0f64;
-    let ri = view.row(i);
-    // log-sum-exp over j != i for numerical stability.
-    let mut max_log = f64::NEG_INFINITY;
-    logs.clear();
-    for j in 0..view.rows {
-        if j == i {
-            continue;
+/// Log normalisation of a Gaussian product kernel with bandwidths `h`:
+/// `Σ ln h + (d/2) ln 2π`. It cancels between the joint and the marginals
+/// only partially, so it is kept exact.
+fn log_norm(h: &[f64]) -> f64 {
+    let d = h.len() as f64;
+    h.iter().map(|h| h.ln()).sum::<f64>() + 0.5 * d * (2.0 * std::f64::consts::PI).ln()
+}
+
+/// The rows of a view with their bandwidths: the exponents of the
+/// leave-one-out log-sum-exp, `−½ Σ_c ((r_i,c − r_j,c)/h_c)²` per term.
+struct Pairs<'a> {
+    data: &'a [f64],
+    stride: usize,
+    bandwidths: &'a [f64],
+    ranges: &'a [(usize, usize)],
+    rows: usize,
+}
+
+impl Pairs<'_> {
+    fn row(&self, i: usize) -> &[f64] {
+        &self.data[i * self.stride..(i + 1) * self.stride]
+    }
+
+    /// Writes the exponents of the pair `(a, b)` into `out`: the joint as
+    /// term 0, block `b` as term `b + 1`. One pass over the columns in
+    /// order subtracts each column's `(0.5·z)·z` from both.
+    #[inline(always)]
+    fn exponents(&self, a: usize, b: usize, out: &mut [f64]) {
+        let (ra, rb) = (self.row(a), self.row(b));
+        let mut joint = 0.0;
+        for (slot, &(s, e)) in out[1..].iter_mut().zip(self.ranges) {
+            let mut block = 0.0;
+            for ((&x, &y), &h) in ra[s..e].iter().zip(&rb[s..e]).zip(&self.bandwidths[s..e]) {
+                let z = (x - y) / h;
+                let q = 0.5 * z * z;
+                joint -= q;
+                block -= q;
+            }
+            *slot = block;
         }
-        let rj = view.row(j);
-        let mut e = 0.0;
-        for c in start..end {
-            let z = (ri[c] - rj[c]) / bandwidths[c];
-            e -= 0.5 * z * z;
+        out[0] = joint;
+    }
+
+    /// One sweep over the span of rows `lo..lo + rows.len()` of a view
+    /// with `t` terms: every row meets each of its partners in ascending
+    /// order, and `update(max, sum, pair)` takes the row's maxima and
+    /// `exp` sums with that pair's exponents. Partners outside the span
+    /// are computed one-sided; a pair inside it is computed once for
+    /// both rows.
+    #[inline(always)]
+    fn sweep(
+        &self,
+        lo: usize,
+        rows: &mut [KdeRow],
+        t: usize,
+        update: impl Fn(&mut [f64], &mut [f64], &[f64]),
+    ) {
+        let hi = lo + rows.len();
+        for (r, row) in (lo..).zip(rows.iter_mut()) {
+            let (max, sum, pair) = row.parts(t);
+            for p in 0..lo {
+                self.exponents(r, p, pair);
+                update(max, sum, pair);
+            }
         }
-        logs.push(e);
-        if e > max_log {
-            max_log = e;
+        for j in lo..hi {
+            let (head, tail) = rows.split_at_mut(j - lo);
+            let (max_j, sum_j, pair) = tail[0].parts(t);
+            for (i, row_i) in (lo..).zip(head.iter_mut()) {
+                self.exponents(i, j, pair);
+                let (max_i, sum_i, _) = row_i.parts(t);
+                update(max_i, sum_i, pair);
+                update(max_j, sum_j, pair);
+            }
+        }
+        for (r, row) in (lo..).zip(rows.iter_mut()) {
+            let (max, sum, pair) = row.parts(t);
+            for p in hi..self.rows {
+                self.exponents(r, p, pair);
+                update(max, sum, pair);
+            }
         }
     }
-    for &e in logs.iter() {
-        acc += (e - max_log).exp();
-    }
-    // Normalization by bandwidth product and (2π)^{d/2} cancels between
-    // joint and marginals only partially; keep it exact:
-    let d = (end - start) as f64;
-    let log_norm: f64 = bandwidths[start..end].iter().map(|h| h.ln()).sum::<f64>()
-        + 0.5 * d * (2.0 * std::f64::consts::PI).ln();
-    max_log + acc.ln() - ((view.rows - 1) as f64).ln() - log_norm
 }
 
 #[cfg(test)]
@@ -241,7 +323,7 @@ mod tests {
     use sops_math::Matrix;
 
     fn kde(view: &SampleView<'_>, cfg: &KdeConfig) -> f64 {
-        KdeWorkspace::new().multi_information(view, cfg)
+        KdeWorkspace::default().multi_information(view, cfg)
     }
 
     #[test]
@@ -286,7 +368,7 @@ mod tests {
         let data = sample_gaussian(&equicorrelated_cov(2, 0.5), 300, 9);
         let sizes = [1usize, 1];
         let view = SampleView::new(&data, 300, &sizes);
-        let mut ws = KdeWorkspace::new();
+        let mut ws = KdeWorkspace::default();
         let one = ws.multi_information(
             &view,
             &KdeConfig {
@@ -306,13 +388,13 @@ mod tests {
 
     #[test]
     fn workspace_reuse_across_shapes_matches_fresh() {
-        let mut ws = KdeWorkspace::new();
+        let mut ws = KdeWorkspace::default();
         for (blocks, rows, seed) in [(2usize, 300usize, 1u64), (4, 150, 2), (3, 220, 3)] {
             let data = sample_gaussian(&equicorrelated_cov(blocks, 0.4), rows, seed);
             let sizes = vec![1usize; blocks];
             let view = SampleView::new(&data, rows, &sizes);
             let reused = ws.multi_information(&view, &KdeConfig::default());
-            let fresh = KdeWorkspace::new().multi_information(&view, &KdeConfig::default());
+            let fresh = KdeWorkspace::default().multi_information(&view, &KdeConfig::default());
             assert_eq!(reused.to_bits(), fresh.to_bits());
         }
     }

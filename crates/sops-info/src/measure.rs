@@ -633,7 +633,7 @@ mod tests {
 
         let kde_cfg = KdeConfig::default();
         let via_trait = measure(&mut ws, &view, &MeasureConfig::Kde(kde_cfg));
-        let direct = KdeWorkspace::new().multi_information(&view, &kde_cfg);
+        let direct = KdeWorkspace::default().multi_information(&view, &kde_cfg);
         assert_eq!(via_trait.to_bits(), direct.to_bits());
 
         let bin_cfg = BinningConfig::default();

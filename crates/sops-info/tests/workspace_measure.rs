@@ -334,6 +334,78 @@ fn kde_bandwidth_factor_propagates_bit_identically() {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The one-pass KDE engine is bit-identical to the frozen reference
+    /// for any block layout, row count, bandwidth factor and span count,
+    /// with duplicated rows (zero exponents, ties for the maximum) and,
+    /// in half the cases, a constant column (the bandwidth floor).
+    #[test]
+    fn kde_bit_identical_to_reference_on_any_shape(
+        sizes in proptest::collection::vec(1usize..4, 2..13),
+        rows in 3usize..61,
+        factor in 0usize..3,
+        duplicates in 0usize..4,
+        constant in 0usize..80,
+        seed in 0u64..10_000,
+    ) {
+        let stride: usize = sizes.iter().sum();
+        let mut data = fixture(rows, &sizes, seed);
+        for r in 1..=duplicates.min(rows - 1) {
+            let (first, rest) = data.split_at_mut(r * stride);
+            rest[..stride].copy_from_slice(&first[..stride]);
+        }
+        if constant < 40 {
+            let c = constant % stride;
+            for r in 0..rows {
+                data[r * stride + c] = 0.25;
+            }
+        }
+        let view = SampleView::new(&data, rows, &sizes);
+        let cfg = KdeConfig {
+            bandwidth_factor: [0.5, 1.0, 2.0][factor],
+            threads: 1,
+        };
+        let want = reference_kde(&view, &cfg);
+        let mut ws = MeasureWorkspace::new();
+        for threads in [1usize, 2, 8] {
+            let got = measure(&mut ws, &view, &MeasureConfig::Kde(KdeConfig { threads, ..cfg }));
+            prop_assert_eq!(
+                got.to_bits(), want.to_bits(),
+                "{} rows, blocks {:?}, t{}: {} vs {}", rows, sizes, threads, got, want
+            );
+        }
+    }
+}
+
+#[test]
+fn kde_scratch_is_linear_in_rows() {
+    // The KDE engine keeps O(m·(stride + blocks)) values, never one per
+    // pair: after a call on 3,000 rows × 2 blocks an m × m buffer alone
+    // would hold 9,000,000.
+    let (rows, sizes) = (3000usize, [1usize, 1]);
+    let data = fixture(rows, &sizes, 13);
+    let view = SampleView::new(&data, rows, &sizes);
+    let mut ws = MeasureWorkspace::new();
+    let held = |ws: &MeasureWorkspace| ws.capacity_signature().iter().sum::<usize>();
+    let before = held(&ws);
+    measure(
+        &mut ws,
+        &view,
+        &MeasureConfig::Kde(KdeConfig {
+            threads: 2,
+            ..KdeConfig::default()
+        }),
+    );
+    let kde = held(&ws) - before;
+    let bound = 8 * rows * (view.stride() + view.blocks());
+    assert!(
+        kde <= bound,
+        "KDE scratch holds {kde} values after one call, bound {bound}"
+    );
+}
+
 #[test]
 fn binned_bit_identical_to_reference_all_support_models() {
     let mut ws = MeasureWorkspace::new();

@@ -10,6 +10,14 @@
 //!
 //! Implementation: Jonker–Volgenant-style shortest augmenting paths with
 //! row/column potentials (the standard `O(n³)` formulation).
+//!
+//! Each augmenting step scans the unused columns once: it lowers their
+//! slack `minv` and picks the first column of least slack. On a CPU with
+//! AVX-512 ([`sops_math::wide_available`], probed once per solve) the
+//! scan runs eight columns at a time without the scalar loop's
+//! data-dependent branches and returns the same slack bits and column;
+//! the potential update stays scalar. The scalar scan is the fallback
+//! elsewhere, and the unit tests run the two side by side.
 
 /// Reusable buffers for [`hungarian_with`]: the potentials, matching and
 /// path arrays the solver needs, grown on demand and reused across calls.
@@ -83,6 +91,18 @@ pub fn hungarian_with(
     costs: &[f64],
     assignment: &mut Vec<usize>,
 ) -> f64 {
+    solve(scratch, n, costs, assignment, sops_math::wide_available())
+}
+
+/// [`hungarian_with`] with the column scan's form chosen by `wide` (see
+/// [`scan_columns`]).
+fn solve(
+    scratch: &mut HungarianScratch,
+    n: usize,
+    costs: &[f64],
+    assignment: &mut Vec<usize>,
+    wide: bool,
+) -> f64 {
     assert!(n > 0, "hungarian: empty problem");
     assert_eq!(costs.len(), n * n, "hungarian: cost matrix shape");
     assert!(
@@ -114,22 +134,8 @@ pub fn hungarian_with(
         loop {
             used[j0] = true;
             let i0 = p[j0];
-            let mut delta = f64::INFINITY;
-            let mut j1 = 0usize;
-            for j in 1..=n {
-                if used[j] {
-                    continue;
-                }
-                let cur = costs[(i0 - 1) * n + (j - 1)] - u[i0] - v[j];
-                if cur < minv[j] {
-                    minv[j] = cur;
-                    way[j] = j0;
-                }
-                if minv[j] < delta {
-                    delta = minv[j];
-                    j1 = j;
-                }
-            }
+            let row = &costs[(i0 - 1) * n..i0 * n];
+            let (delta, j1) = scan_columns(wide, row, u[i0], v, used, minv, way, j0);
             debug_assert!(delta.is_finite(), "hungarian: no augmenting column");
             for j in 0..=n {
                 if used[j] {
@@ -166,6 +172,134 @@ pub fn hungarian_with(
         .enumerate()
         .map(|(r, &c)| costs[r * n + c])
         .sum()
+}
+
+/// The column scan of one augmenting-path step from row `i0` (cost row
+/// `row`, potential `ui0`), reached through column `j0`. For every unused
+/// column `j` (1-based, like `v`, `used`, `minv` and `way`) it lowers
+/// `minv[j]` to the reduced cost `row[j − 1] − ui0 − v[j]`, recording
+/// `way[j] = j0`, and returns `(delta, j1)`: the smallest `minv` over the
+/// unused columns and the first column holding it (a strict-`<` running
+/// minimum), or `(+∞, 0)` when none is below +∞. `wide`
+/// ([`sops_math::wide_available`], probed once per solve) selects the
+/// AVX-512 form, which returns the same bits.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn scan_columns(
+    wide: bool,
+    row: &[f64],
+    ui0: f64,
+    v: &[f64],
+    used: &[bool],
+    minv: &mut [f64],
+    way: &mut [usize],
+    j0: usize,
+) -> (f64, usize) {
+    let n = row.len();
+    let (v, used, minv, way) = (&v[..=n], &used[..=n], &mut minv[..=n], &mut way[..=n]);
+    #[cfg(target_arch = "x86_64")]
+    if wide {
+        // SAFETY: `wide` certifies the target features, and the slices
+        // above give every column array `row.len() + 1` entries.
+        return unsafe { x86::scan_columns(row, ui0, v, used, minv, way, j0) };
+    }
+    let _ = wide;
+    let mut delta = f64::INFINITY;
+    let mut j1 = 0usize;
+    for j in 1..=n {
+        if used[j] {
+            continue;
+        }
+        let cur = row[j - 1] - ui0 - v[j];
+        if cur < minv[j] {
+            minv[j] = cur;
+            way[j] = j0;
+        }
+        if minv[j] < delta {
+            delta = minv[j];
+            j1 = j;
+        }
+    }
+    (delta, j1)
+}
+
+/// The AVX-512 column scan.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use core::arch::x86_64::*;
+
+    /// [`super::scan_columns`]'s scalar scan, eight columns at a time, the
+    /// last partial block under a mask. The `minv`/`way` update is
+    /// lane-wise (reduced costs subtract in the scalar order, so they
+    /// have its bits); each lane keeps a strict-`<` running minimum of
+    /// its columns' `minv` with the column, and the answer is the
+    /// smallest column among the lanes holding the overall minimum — the
+    /// scalar loop's first minimum. `delta` is read back from
+    /// `minv[j1]`, so a `−0`/`+0` tie returns the first column's zero,
+    /// as the scalar loop does. NaN never compares below anything in
+    /// either form.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified [`sops_math::wide_available`]; `v`,
+    /// `used`, `minv` and `way` hold `row.len() + 1` entries.
+    #[target_feature(enable = "avx512f,avx512vl")]
+    pub(super) unsafe fn scan_columns(
+        row: &[f64],
+        ui0: f64,
+        v: &[f64],
+        used: &[bool],
+        minv: &mut [f64],
+        way: &mut [usize],
+        j0: usize,
+    ) -> (f64, usize) {
+        let n = row.len();
+        let uv = _mm512_set1_pd(ui0);
+        let j0v = _mm512_set1_epi64(j0 as i64);
+        let mut best = _mm512_set1_pd(f64::INFINITY);
+        let mut best_j = _mm512_setzero_si512();
+        let mut js = _mm512_setr_epi64(1, 2, 3, 4, 5, 6, 7, 8);
+        let eight = _mm512_set1_epi64(8);
+        // Column `j` (1-based) is lane `j − 1 − c` of the block at `c`.
+        let mut c = 0;
+        while c < n {
+            let width = (n - c).min(8);
+            let live: __mmask8 = if width == 8 { 0xff } else { (1u8 << width) - 1 };
+            // The block's `used` flags, one `bool` byte (0 or 1) per lane,
+            // zero past the end.
+            let flags = if width == 8 {
+                used.as_ptr().add(1 + c).cast::<u64>().read_unaligned()
+            } else {
+                let mut bytes = [0u8; 8];
+                for (b, &u) in bytes.iter_mut().zip(&used[1 + c..=n]) {
+                    *b = u8::from(u);
+                }
+                u64::from_le_bytes(bytes)
+            };
+            let flags = _mm512_cvtepu8_epi64(_mm_cvtsi64_si128(flags as i64));
+            let free = live & !_mm512_test_epi64_mask(flags, flags);
+            let cost = _mm512_maskz_loadu_pd(live, row.as_ptr().add(c));
+            let vj = _mm512_maskz_loadu_pd(live, v.as_ptr().add(1 + c));
+            let cur = _mm512_sub_pd(_mm512_sub_pd(cost, uv), vj);
+            let mut m = _mm512_maskz_loadu_pd(live, minv.as_ptr().add(1 + c));
+            let lower = _mm512_mask_cmp_pd_mask::<_CMP_LT_OQ>(free, cur, m);
+            m = _mm512_mask_mov_pd(m, lower, cur);
+            _mm512_mask_storeu_pd(minv.as_mut_ptr().add(1 + c), lower, cur);
+            _mm512_mask_storeu_epi64(way.as_mut_ptr().add(1 + c).cast(), lower, j0v);
+            let better = _mm512_mask_cmp_pd_mask::<_CMP_LT_OQ>(free, m, best);
+            best = _mm512_mask_mov_pd(best, better, m);
+            best_j = _mm512_mask_mov_epi64(best_j, better, js);
+            js = _mm512_add_epi64(js, eight);
+            c += 8;
+        }
+        let min = _mm512_reduce_min_pd(best);
+        if min == f64::INFINITY {
+            return (f64::INFINITY, 0);
+        }
+        let holders = _mm512_cmp_pd_mask::<_CMP_EQ_OQ>(best, _mm512_set1_pd(min));
+        let j1 = _mm512_mask_reduce_min_epi64(holders, best_j) as usize;
+        (minv[j1], j1)
+    }
 }
 
 /// Clears and refills a scratch vector with `len` copies of `value` —
@@ -286,6 +420,81 @@ mod tests {
         for &c in &a {
             assert!(!seen[c], "column {c} assigned twice");
             seen[c] = true;
+        }
+    }
+
+    /// An integer-valued cost, potential or `minv` entry (so ties are
+    /// common), or now and then one of `specials`.
+    fn entry(rng: &mut sops_math::SplitMix64, specials: &[f64]) -> f64 {
+        let r = rng.next_u64();
+        if !specials.is_empty() && r.is_multiple_of(6) {
+            specials[(r >> 3) as usize % specials.len()]
+        } else {
+            ((r >> 8) % 9) as f64 - 4.0
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn wide_column_scan_matches_scalar(
+            n in 1usize..41,
+            special in 0usize..4,
+            j0 in 0usize..41,
+            seed in 0..u64::MAX,
+        ) {
+            if !crate::wide_or_skip_note() {
+                return Ok(());
+            }
+            let mut rng = sops_math::SplitMix64::new(seed);
+            let used: Vec<bool> = (0..=n).map(|_| rng.next_u64().is_multiple_of(3)).collect();
+            let way: Vec<usize> = (0..=n).map(|_| (rng.next_u64() % 41) as usize).collect();
+            let (row, v, minv, ui0): (Vec<f64>, Vec<f64>, Vec<f64>, f64) = if special == 3 {
+                // Reduced costs of at least 1 against `minv` ties between
+                // +0 and −0: `delta` must be the first column's zero.
+                let zeros = [0.0, -0.0, 0.0, -0.0, 1.0, f64::INFINITY];
+                (
+                    (0..n).map(|_| (rng.next_u64() % 4) as f64 + 1.0).collect(),
+                    vec![0.0; n + 1],
+                    (0..=n).map(|_| zeros[(rng.next_u64() % 6) as usize]).collect(),
+                    0.0,
+                )
+            } else {
+                let specials: &[f64] = match special {
+                    0 => &[],
+                    1 => &[0.0, -0.0],
+                    _ => &[f64::INFINITY, -0.0, 0.0],
+                };
+                (
+                    (0..n).map(|_| entry(&mut rng, &[])).collect(),
+                    (0..=n).map(|_| entry(&mut rng, specials)).collect(),
+                    (0..=n).map(|_| entry(&mut rng, specials)).collect(),
+                    entry(&mut rng, specials),
+                )
+            };
+            let (mut minv_w, mut way_w) = (minv.clone(), way.clone());
+            let (mut minv_s, mut way_s) = (minv, way);
+            let (dw, jw) = scan_columns(true, &row, ui0, &v, &used, &mut minv_w, &mut way_w, j0);
+            let (ds, js) = scan_columns(false, &row, ui0, &v, &used, &mut minv_s, &mut way_s, j0);
+            prop_assert_eq!((jw, dw.to_bits()), (js, ds.to_bits()));
+            let bits = |m: &[f64]| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&minv_w), bits(&minv_s));
+            prop_assert_eq!(way_w, way_s);
+        }
+
+        #[test]
+        fn wide_solves_match_scalar_on_tied_integer_costs(n in 1usize..41, range in 1u64..6, seed in 0..u64::MAX) {
+            if !crate::wide_or_skip_note() {
+                return Ok(());
+            }
+            let mut rng = sops_math::SplitMix64::new(seed);
+            let costs: Vec<f64> = (0..n * n).map(|_| (rng.next_u64() % range) as f64).collect();
+            let (mut wide, mut scalar) = (Vec::new(), Vec::new());
+            let cw = solve(&mut HungarianScratch::new(), n, &costs, &mut wide, true);
+            let cs = solve(&mut HungarianScratch::new(), n, &costs, &mut scalar, false);
+            prop_assert_eq!(wide, scalar, "n {}", n);
+            prop_assert_eq!(cw.to_bits(), cs.to_bits(), "n {}", n);
         }
     }
 

@@ -47,6 +47,20 @@ pub fn center(points: &mut [Vec2]) -> Vec2 {
 }
 
 #[cfg(test)]
+/// Whether the AVX-512 scans can run here; otherwise notes, once per
+/// test process, that the wide-vs-scalar checks are skipped.
+fn wide_or_skip_note() -> bool {
+    static NOTE: std::sync::Once = std::sync::Once::new();
+    let wide = sops_math::wide_available();
+    if !wide {
+        NOTE.call_once(|| {
+            eprintln!("note: no AVX-512 on this CPU; the wide-vs-scalar scan checks are skipped")
+        });
+    }
+    wide
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

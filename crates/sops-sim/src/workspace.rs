@@ -707,20 +707,11 @@ fn sweep_span(
 /// scatter — so results match the portable path exactly.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    /// One cached CPUID check for the subsets the wide kernels need
-    /// (`avx512f` for 8-lane f64 + f64 compress-store, `avx512vl` for
-    /// the 256-bit u32 compress-store).
-    #[inline]
-    pub fn wide_available() -> bool {
-        std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512vl")
-    }
-
     /// `x[i] = max(√x[i], floor)` with 512-bit `vsqrtpd` streams.
     ///
     /// # Safety
     ///
-    /// Caller must have verified [`wide_available`].
+    /// Caller must have verified [`sops_math::wide_available`].
     #[target_feature(enable = "avx512f,avx512vl")]
     pub unsafe fn sqrt_clamp(x: &mut [f64], floor: f64) {
         for xi in x {
@@ -733,7 +724,7 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// Caller must have verified [`wide_available`].
+    /// Caller must have verified [`sops_math::wide_available`].
     #[target_feature(enable = "avx512f,avx512vl")]
     pub unsafe fn linear_scale(fv: &mut [f64], x: &[f64], k: &[f64], r: &[f64]) {
         for (i, fo) in fv.iter_mut().enumerate() {
@@ -749,7 +740,7 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// Caller must have verified [`wide_available`].
+    /// Caller must have verified [`sops_math::wide_available`].
     #[target_feature(enable = "avx512f,avx512vl")]
     pub unsafe fn sqrt_linear_scale(fv: &mut [f64], d2: &[f64], k: f64, r: f64, floor: f64) {
         for (fo, &d2i) in fv.iter_mut().zip(d2) {
@@ -832,10 +823,7 @@ fn flush_batch(
     law: &ForceModel,
     acc: &mut [Vec2],
 ) {
-    #[cfg(target_arch = "x86_64")]
-    let wide = x86::wide_available();
-    #[cfg(not(target_arch = "x86_64"))]
-    let wide = false;
+    let wide = sops_math::wide_available();
     // Type-blind linear fast path: one fused √+clamp+scale stream,
     // without the intermediate distance write-back (nothing after the
     // scale reads it). Bit-identical: same per-element op sequence.

@@ -133,10 +133,7 @@ impl CellGrid {
             return;
         }
         debug_assert!(points.len() <= u32::MAX as usize, "CellGrid: u32 indices");
-        #[cfg(target_arch = "x86_64")]
-        let has_wide = x86::wide_available();
-        #[cfg(not(target_arch = "x86_64"))]
-        let has_wide = false;
+        let has_wide = sops_math::wide_available();
         let (lo, hi) = if has_wide {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `has_wide` certifies the target features; the empty
@@ -403,13 +400,6 @@ mod x86 {
     use core::arch::x86_64::*;
     use sops_math::Vec2;
 
-    /// One cached CPUID check for the wide cell-index pass.
-    #[inline]
-    pub fn wide_available() -> bool {
-        std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512vl")
-    }
-
     /// Bounding box over the interleaved point stream, four points per
     /// `vminpd`/`vmaxpd` pair. For finite coordinates this equals the
     /// scalar `Vec2::min`/`max` fold exactly (min/max are exact and
@@ -420,7 +410,8 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// Caller must have verified [`wide_available`]; `points` non-empty.
+    /// Caller must have verified [`sops_math::wide_available`]; `points`
+    /// non-empty.
     #[target_feature(enable = "avx512f,avx512vl")]
     pub unsafe fn bbox(points: &[Vec2]) -> (Vec2, Vec2) {
         let n = points.len();
@@ -484,8 +475,8 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// Caller must have verified [`wide_available`] and `nx ≤ i32::MAX`,
-    /// `ny ≤ i32::MAX`; `out.len() == points.len()`.
+    /// Caller must have verified [`sops_math::wide_available`] and
+    /// `nx ≤ i32::MAX`, `ny ≤ i32::MAX`; `out.len() == points.len()`.
     #[target_feature(enable = "avx512f,avx512vl")]
     pub unsafe fn cell_ids(
         points: &[Vec2],
