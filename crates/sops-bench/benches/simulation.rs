@@ -113,8 +113,8 @@ fn bench_force_crossover(c: &mut Criterion) {
 }
 
 fn bench_workspace_reuse(c: &mut Criterion) {
-    // Cost of NOT holding a workspace: Model::net_forces is the one-shot
-    // convenience path that re-allocates grid and scratch per call.
+    // Cost of NOT holding a workspace: the one-shot row builds a fresh
+    // ForceWorkspace per call, re-allocating grid and scratch each time.
     let mut group = c.benchmark_group("workspace");
     group.sample_size(30);
     let n = 512;
@@ -126,7 +126,7 @@ fn bench_workspace_reuse(c: &mut Criterion) {
         b.iter(|| ws.net_forces_into(&model, black_box(&pts), &mut out))
     });
     group.bench_function("one_shot/512", |b| {
-        b.iter(|| model.net_forces(black_box(&pts), &mut out))
+        b.iter(|| ForceWorkspace::new().net_forces_into(&model, black_box(&pts), &mut out))
     });
     group.finish();
 }

@@ -7,8 +7,8 @@ use sops_cluster::{kmeans, KMeansConfig};
 use sops_core::scenario::cell_sorting;
 use sops_math::{SplitMix64, Vec2};
 use sops_shape::{
-    hungarian, hungarian_with, icp_align, icp_align_with, reduce_configurations_with,
-    HungarianScratch, IcpConfig, IcpScratch, ReduceConfig, ReduceWorkspace, RigidTransform,
+    hungarian_with, icp_align_with, reduce_configurations_with, HungarianScratch, IcpConfig,
+    IcpScratch, ReduceConfig, ReduceWorkspace, RigidTransform,
 };
 use sops_sim::run_ensemble;
 use sops_spatial::{brute, CellGrid, KdTree};
@@ -63,13 +63,24 @@ fn bench_cellgrid(c: &mut Criterion) {
 }
 
 fn bench_hungarian(c: &mut Criterion) {
+    // One-shot solves: every iteration builds a fresh scratch and output
+    // buffer, as a caller without a persistent workspace does.
     let mut group = c.benchmark_group("hungarian");
     group.sample_size(30);
     for &n in &[16usize, 64, 128] {
         let mut rng = SplitMix64::new(7);
         let costs: Vec<f64> = (0..n * n).map(|_| rng.next_range(0.0, 100.0)).collect();
         group.bench_with_input(BenchmarkId::from_parameter(n), &costs, |b, costs| {
-            b.iter(|| hungarian(n, black_box(costs)))
+            b.iter(|| {
+                let mut assignment = Vec::new();
+                let cost = hungarian_with(
+                    &mut HungarianScratch::new(),
+                    n,
+                    black_box(costs),
+                    &mut assignment,
+                );
+                (assignment, cost)
+            })
         });
     }
     group.finish();
@@ -99,7 +110,8 @@ fn bench_kmeans(c: &mut Criterion) {
 fn bench_icp_restarts(c: &mut Criterion) {
     // Ablation: alignment cost of the restart grid, which replaces the
     // paper's single-run PCL ICP (one run from angle 0 gets stuck in a
-    // local optimum for near-π rotations).
+    // local optimum for near-π rotations). Each iteration is a one-shot
+    // alignment on a fresh scratch.
     let mut group = c.benchmark_group("icp_restarts");
     group.sample_size(20);
     let reference = cloud(50, 5.0, 21);
@@ -115,7 +127,8 @@ fn bench_icp_restarts(c: &mut Criterion) {
             &restarts,
             |b, &restarts| {
                 b.iter(|| {
-                    icp_align(
+                    icp_align_with(
+                        &mut IcpScratch::new(),
                         black_box(&reference),
                         black_box(&moving),
                         &types,
@@ -169,7 +182,7 @@ fn bench_reduce(c: &mut Criterion) {
         });
     }
     // Squared distances between a 20-point cloud and a jittered copy:
-    // the cost matrix `match_types` hands the solver per type.
+    // the cost matrix `match_types_into` hands the solver per type.
     let reference = cloud(20, 0.6 * 40f64.sqrt(), 33);
     let mut rng = SplitMix64::new(34);
     let moved: Vec<Vec2> = reference

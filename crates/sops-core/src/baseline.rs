@@ -39,11 +39,11 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 /// Schema tag of the baseline wire format.
-pub const SCHEMA: &str = "sops-sweep-baseline/v1";
+pub(crate) const SCHEMA: &str = "sops-sweep-baseline/v1";
 
 /// Absolute floor on the per-cell/per-mean tolerance: a zero-variance
 /// group (or an n = 1 "group") still accepts bit-identical reruns.
-pub const TOLERANCE_FLOOR: f64 = 1e-9;
+pub(crate) const TOLERANCE_FLOOR: f64 = 1e-9;
 
 /// One recorded grid cell: coordinates plus the scalar under guard.
 #[derive(Debug, Clone, PartialEq)]
@@ -191,7 +191,7 @@ impl SweepBaseline {
     /// Parses the `sops-sweep-baseline/v1` JSON schema. A torn or
     /// hand-edited file is [`SweepError::Parse`]; an unknown schema tag
     /// is [`SweepError::SchemaMismatch`].
-    pub fn parse(text: &str) -> Result<Self, SweepError> {
+    pub(crate) fn parse(text: &str) -> Result<Self, SweepError> {
         Self::parse_inner(text).map_err(|e| match e {
             BaselineParseError::Detail(detail) => SweepError::Parse {
                 what: "baseline".into(),
@@ -275,7 +275,7 @@ impl SweepBaseline {
     ///
     /// Tolerance per (scenario, measure): the baseline group's stored CI
     /// half-width (the *measured* seed-axis uncertainty), floored at
-    /// [`TOLERANCE_FLOOR`]. Non-finite recorded values compare by
+    /// `TOLERANCE_FLOOR` (1e-9). Non-finite recorded values compare by
     /// bit-class: `NaN` matches `NaN`, `±∞` matches the same infinity.
     pub fn check(&self, report: &SweepReport, summary: &SweepSummary) -> Vec<String> {
         let mut violations = Vec::new();

@@ -59,7 +59,7 @@ pub struct BrokerCounters {
 
 impl BrokerCounters {
     /// Sweep requests accepted.
-    pub fn requests(&self) -> u64 {
+    pub(crate) fn requests(&self) -> u64 {
         self.requests.load(Ordering::SeqCst)
     }
 
@@ -69,12 +69,12 @@ impl BrokerCounters {
     }
 
     /// Cells computed by this broker's passes.
-    pub fn cells_computed(&self) -> u64 {
+    pub(crate) fn cells_computed(&self) -> u64 {
         self.cells_computed.load(Ordering::SeqCst)
     }
 
     /// Cells served from the attached cache.
-    pub fn cells_cached(&self) -> u64 {
+    pub(crate) fn cells_cached(&self) -> u64 {
         self.cells_cached.load(Ordering::SeqCst)
     }
 

@@ -7,15 +7,14 @@
 //! selection. [`CellCache`] memoizes that function on disk:
 //!
 //! * **Addressing** — entries are keyed by [`crate::checkpoint::cell_key`],
-//!   FNV-1a 64 over the canonical per-cell wire form
-//!   ([`crate::checkpoint::cell_wire`], schema
-//!   [`crate::checkpoint::CELL_SCHEMA`]). The key covers everything that
+//!   FNV-1a 64 over the canonical per-cell wire form (schema tag
+//!   `sops-cell/v1`). The key covers everything that
 //!   determines the result and excludes every result-invariant knob
 //!   (`threads` fields, [`EnsembleStorage`](crate::scenario::EnsembleStorage),
 //!   scenario descriptions), so two different sweep plans that share a
 //!   cell share one entry.
 //! * **Bit-identity** — entries store the cell's [`PipelineResult`]
-//!   series in the [`crate::wire::float_exact`] format (17 significant
+//!   series in the `wire::float_exact` format (17 significant
 //!   digits, tagged non-finite strings), so a served cell is
 //!   bit-for-bit the cell that was measured. A cached run is therefore
 //!   byte-identical to an uncached one (`tests/sweep_cache.rs`).
@@ -25,7 +24,7 @@
 //!   content-addressed, concurrent writers of one key produce identical
 //!   bytes, so the last rename winning is harmless.
 //! * **Bounded size** — the store is capped at
-//!   [`CellCache::with_max_bytes`] (default [`DEFAULT_MAX_BYTES`]).
+//!   [`CellCache::with_max_bytes`] (default 256 MiB).
 //!   Each handle keeps an in-memory byte ledger of the directory:
 //!   [`CellCache::open`] scans once to seed it, a store adds the bytes it
 //!   wrote less those of any entry it replaced, and an eviction subtracts
@@ -65,11 +64,11 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::SystemTime;
 
 /// Schema tag of cache entry files.
-pub const SCHEMA: &str = "sops-cell-cache/v1";
+pub(crate) const SCHEMA: &str = "sops-cell-cache/v1";
 
 /// Default byte-size cap of a cache directory (256 MiB — roughly 10⁵
 /// typical cell entries).
-pub const DEFAULT_MAX_BYTES: u64 = 256 * 1024 * 1024;
+pub(crate) const DEFAULT_MAX_BYTES: u64 = 256 * 1024 * 1024;
 
 /// Hit/miss/store/eviction counters of one [`CellCache`] handle
 /// (process-lifetime, not persisted), plus its byte ledger.

@@ -3,21 +3,21 @@
 //!
 //! The determinism contract makes every sweep cell a pure function of
 //! its identity — the scenario's physics, schedule and seed plus the
-//! measure selection. [`cell_wire`] writes that identity down (schema
-//! [`CELL_SCHEMA`]) with the float and string encodings of
-//! [`crate::wire`], and [`cell_key`] hashes it with FNV-1a 64. The key is
+//! measure selection. [`cell_key`] hashes that identity with FNV-1a 64,
+//! written down as a canonical *cell wire* (schema tag `sops-cell/v1`)
+//! with the float and string encodings of [`crate::wire`]. The key is
 //! the address of an entry in the content-addressed cell cache
 //! ([`crate::cache::CellCache`]), which is also how an interrupted sweep
 //! resumes: a re-run over the same cache recomputes only the cells it
-//! does not find. [`ensemble_key`] hashes the scenario half alone — the
-//! identity of one (scenario, seed) ensemble that
-//! [`crate::broker::SweepBroker`] batches requests on.
+//! does not find. The hash of the scenario half alone is the identity of
+//! one (scenario, seed) ensemble, which [`crate::broker::SweepBroker`]
+//! batches requests on.
 //!
 //! Every key is derived through one code path, `ScenarioKeys`: the
 //! scenario is serialized once, and because FNV-1a is a streaming hash
 //! the cell-wire prefix every measure shares (schema tag and scenario
 //! wire) is hashed once and extended per measure. The bytes hashed are
-//! exactly [`cell_wire`]'s, so a five-measure ensemble costs one
+//! exactly the cell wire's, so a five-measure ensemble costs one
 //! scenario serialization instead of six, and every key — and with it
 //! every cache entry — is unchanged.
 //!
@@ -213,12 +213,12 @@ fn measure_wire(m: &MeasureConfig) -> String {
     }
 }
 
-/// Schema tag of the per-cell wire form ([`cell_wire`]) — bumped whenever
-/// the cell key's byte layout changes, so a new key schema can never
-/// collide with entries addressed under the old one.
-pub const CELL_SCHEMA: &str = "sops-cell/v1";
+/// Schema tag of the per-cell wire form [`cell_key`] hashes — bumped
+/// whenever the cell key's byte layout changes, so a new key schema can
+/// never collide with entries addressed under the old one.
+pub(crate) const CELL_SCHEMA: &str = "sops-cell/v1";
 
-/// The bytes of [`cell_wire`] before the measure, given the scenario's
+/// The bytes of the cell wire before the measure, given the scenario's
 /// wire form: everything a cell shares with the other measures of its
 /// ensemble. The measure's wire form and a closing `}` follow.
 fn cell_wire_head(scenario_wire: &str) -> [&str; 5] {
@@ -231,19 +231,22 @@ fn cell_wire_head(scenario_wire: &str) -> [&str; 5] {
     ]
 }
 
-/// The canonical wire form of one sweep cell's *identity*: everything
-/// that determines the cell's result — the scenario's physics (model,
-/// force law, integrator, init, horizon, samples, **seed**, equilibration
-/// criterion), its shape reduction, observer construction and evaluation
-/// schedule, and the measure selection — and nothing that doesn't (every
-/// `threads` field, the ensemble storage policy and human-only scenario
-/// descriptions are excluded).
+/// FNV-1a 64 over the canonical wire form of one sweep cell's
+/// *identity*: the content address of the cell, shared by every plan that
+/// contains it. The wire form covers everything that determines the
+/// cell's result — the scenario's physics (model, force law, integrator,
+/// init, horizon, samples, **seed**, equilibration criterion), its shape
+/// reduction, observer construction and evaluation schedule, and the
+/// measure selection — and nothing that doesn't (every `threads` field,
+/// the ensemble storage policy and human-only scenario descriptions are
+/// excluded).
 ///
 /// The content-addressed cell cache ([`crate::cache::CellCache`])
-/// addresses single cells via [`cell_key`], so two different sweep plans
-/// that share a cell share its cache entry. The layout is pinned by a
-/// unit test against known key values; any change must bump
-/// [`CELL_SCHEMA`].
+/// addresses single cells by this key, so two different sweep plans that
+/// share a cell share its cache entry. The layout is pinned by a unit
+/// test against known key values; any change must bump the schema tag.
+/// Keying several measures of one ensemble goes through the crate's
+/// `ScenarioKeys`, which serializes the scenario once.
 ///
 /// `Err` only for cells with no stable wire form
 /// ([`ForceModel::Custom`], [`SweepError::Unserializable`]).
@@ -251,38 +254,18 @@ fn cell_wire_head(scenario_wire: &str) -> [&str; 5] {
 /// The scenario's own `ensemble.seed` is the seed that binds the key:
 /// callers sweeping a seed axis must pass the reseeded spec
 /// ([`ScenarioSpec::with_seed`]), as [`crate::SweepRunner`] does.
-pub fn cell_wire(scenario: &ScenarioSpec, measure: &MeasureConfig) -> Result<String, SweepError> {
-    let mut cell = cell_wire_head(&scenario_wire(scenario)?).concat();
-    cell.push_str(&measure_wire(measure));
-    cell.push('}');
-    Ok(cell)
-}
-
-/// FNV-1a 64 over [`cell_wire`]: the content address of one sweep cell,
-/// shared by every plan that contains the cell. See [`cell_wire`] for
-/// what it covers. Keying several measures of one ensemble goes through
-/// the crate's `ScenarioKeys`, which serializes the scenario once.
 pub fn cell_key(scenario: &ScenarioSpec, measure: &MeasureConfig) -> Result<u64, SweepError> {
     Ok(ScenarioKeys::new(scenario)?.cell(measure))
 }
 
-/// FNV-1a 64 over the scenario's canonical wire form: the identity of one
-/// (scenario, seed) *ensemble* — what every cell measured on that
-/// ensemble shares. [`crate::broker::SweepBroker`] batches concurrent
-/// requests with equal ensemble keys into one simulation pass. Same
-/// inclusion/exclusion rules as [`cell_wire`].
-pub fn ensemble_key(scenario: &ScenarioSpec) -> Result<u64, SweepError> {
-    Ok(ScenarioKeys::new(scenario)?.ensemble())
-}
-
 /// Every identity key of one (scenario, seed) ensemble, derived from one
 /// serialization of the scenario — the one code path behind
-/// [`cell_key`] and [`ensemble_key`].
+/// [`cell_key`] and the ensemble key.
 ///
-/// [`ScenarioKeys::new`] hashes the [`cell_wire`] prefix all measures
-/// share once; [`ScenarioKeys::cell`] extends that hash with one
-/// measure's wire form, so each cell key costs a measure serialization,
-/// not a scenario one. The bytes hashed are exactly [`cell_wire`]'s.
+/// [`ScenarioKeys::new`] hashes the cell-wire prefix all measures share
+/// once; [`ScenarioKeys::cell`] extends that hash with one measure's wire
+/// form, so each cell key costs a measure serialization, not a scenario
+/// one. The bytes hashed are exactly the cell wire's.
 pub(crate) struct ScenarioKeys {
     scenario_wire: String,
     cell_head: u64,
@@ -304,7 +287,8 @@ impl ScenarioKeys {
         })
     }
 
-    /// The scenario's [`ensemble_key`].
+    /// The scenario's ensemble key: FNV-1a 64 over the scenario's wire
+    /// form, shared by every cell measured on that ensemble.
     pub(crate) fn ensemble(&self) -> u64 {
         wire::fnv1a64(self.scenario_wire.as_bytes())
     }
@@ -314,6 +298,24 @@ impl ScenarioKeys {
         let h = wire::fnv1a64_extend(self.cell_head, measure_wire(measure).as_bytes());
         wire::fnv1a64_extend(h, b"}")
     }
+}
+
+/// The cell wire [`cell_key`] hashes — the hash's test reference.
+#[cfg(test)]
+pub(crate) fn cell_wire(
+    scenario: &ScenarioSpec,
+    measure: &MeasureConfig,
+) -> Result<String, SweepError> {
+    let mut cell = cell_wire_head(&scenario_wire(scenario)?).concat();
+    cell.push_str(&measure_wire(measure));
+    cell.push('}');
+    Ok(cell)
+}
+
+/// The ensemble key of `scenario`, as the broker batches on it.
+#[cfg(test)]
+pub(crate) fn ensemble_key(scenario: &ScenarioSpec) -> Result<u64, SweepError> {
+    Ok(ScenarioKeys::new(scenario)?.ensemble())
 }
 
 #[cfg(test)]

@@ -134,15 +134,6 @@ pub fn transfer_matrix(ensemble: &Ensemble, t: usize, cfg: &TransferConfig) -> V
     out
 }
 
-/// Net directed flow `T_{b→a} − T_{a→b}` summed over all partners — a
-/// per-particle "information source/sink" score.
-pub fn net_flow(matrix: &[Vec<f64>]) -> Vec<f64> {
-    let n = matrix.len();
-    (0..n)
-        .map(|a| (0..n).map(|b| matrix[a][b] - matrix[b][a]).sum::<f64>())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,7 +213,7 @@ mod tests {
     }
 
     #[test]
-    fn transfer_matrix_shape_and_net_flow_antisymmetry() {
+    fn transfer_matrix_shape_and_zero_diagonal() {
         let ensemble = interacting_ensemble(6, 1.0, f64::INFINITY, 150);
         let m = transfer_matrix(
             &ensemble,
@@ -234,10 +225,6 @@ mod tests {
         );
         assert_eq!(m.len(), 6);
         assert!(m.iter().enumerate().all(|(i, row)| row[i] == 0.0));
-        let flow = net_flow(&m);
-        // Net flows sum to ~0 by antisymmetry of the construction.
-        let total: f64 = flow.iter().sum();
-        assert!(total.abs() < 1e-9, "net flow total {total}");
     }
 
     #[test]

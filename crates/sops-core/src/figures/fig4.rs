@@ -22,27 +22,27 @@ use sops_sim::force::{ForceModel, LinearForce};
 use sops_sim::Model;
 
 /// The snapshot steps shown below the paper's Fig. 4 plot.
-pub const SNAPSHOT_TIMES: [usize; 5] = [0, 10, 20, 50, 249];
+pub(crate) const SNAPSHOT_TIMES: [usize; 5] = [0, 10, 20, 50, 249];
 
 /// Fig. 4 outputs.
 #[derive(Debug, Clone)]
 pub struct Fig4Data {
     /// The multi-information time series.
     pub mi: MiSeries,
-    /// One sample's configurations at [`SNAPSHOT_TIMES`] (clamped to the
-    /// simulated horizon).
+    /// One sample's configurations at steps 0, 10, 20, 50 and 249
+    /// (clamped to the simulated horizon).
     pub snapshots: Vec<(usize, Vec<Vec2>)>,
     /// Particle types.
     pub types: Vec<u16>,
 }
 
 /// The Fig. 4 preferred-distance matrix from the paper.
-pub fn preferred_distances() -> PairMatrix {
+pub(crate) fn preferred_distances() -> PairMatrix {
     PairMatrix::from_full(3, &[2.5, 5.0, 4.0, 5.0, 2.5, 2.0, 4.0, 2.0, 3.5])
 }
 
 /// Builds the Fig. 4 scenario (shared with Figs. 1 and 6).
-pub fn scenario(opts: &RunOptions) -> ScenarioSpec {
+pub(crate) fn scenario(opts: &RunOptions) -> ScenarioSpec {
     let law = ForceModel::Linear(LinearForce::new(
         PairMatrix::constant(3, 1.0),
         preferred_distances(),

@@ -21,7 +21,7 @@ pub struct Fig5Data {
 }
 
 /// Builds the Fig. 5 scenario (shared with Fig. 7).
-pub fn scenario(opts: &RunOptions) -> ScenarioSpec {
+pub(crate) fn scenario(opts: &RunOptions) -> ScenarioSpec {
     // Single type, k = 1, preferred distance 2; unbounded cut-off
     // satisfies r_c > 2 r_aa.
     let law = ForceModel::Linear(LinearForce::uniform(1.0, 2.0));

@@ -12,7 +12,7 @@ use crate::metrics;
 use crate::report;
 use crate::RunOptions;
 use sops_math::Vec2;
-use sops_shape::ensemble::reduce_configurations;
+use sops_shape::ensemble::{reduce_configurations_with, ReduceWorkspace};
 use sops_sim::ensemble::run_ensemble;
 
 /// Overlay data and the ring-dispersion comparison.
@@ -36,7 +36,8 @@ pub fn run(opts: &RunOptions) -> Fig7Data {
     let t_end = spec.t_max;
     let types = spec.model.types().to_vec();
     let slice = ensemble.at_time(t_end);
-    let reduced = reduce_configurations(&slice, &types, &sc.reduce);
+    let reduced =
+        reduce_configurations_with(&mut ReduceWorkspace::new(), &slice, &types, &sc.reduce);
 
     let overlay: Vec<Vec2> = reduced.configs.iter().flatten().copied().collect();
     let dispersion = metrics::cross_sample_dispersion(&reduced.configs);

@@ -38,10 +38,10 @@ use sops_sim::IntegratorConfig;
 /// standard deviation; the figures read it as the standard deviation
 /// (σ = 0.05, variance 0.0025), while the library default
 /// (`sops_sim::DEFAULT_NOISE_VARIANCE`) reads it as the variance.
-pub const NOISE_VARIANCE: f64 = 0.0025;
+pub(crate) const NOISE_VARIANCE: f64 = 0.0025;
 
 /// Integrator used by the multi-type experiments (Figs. 1, 3, 4, 6, 8–12).
-pub fn standard_integrator() -> IntegratorConfig {
+pub(crate) fn standard_integrator() -> IntegratorConfig {
     IntegratorConfig {
         dt: 0.05,
         substeps: 2,
@@ -54,7 +54,7 @@ pub fn standard_integrator() -> IntegratorConfig {
 /// Slower integrator for the single-type ring experiments (Figs. 5, 7),
 /// spreading the organization over the full recorded window as in the
 /// paper (§6: multi-information still rising at t = 250).
-pub fn slow_integrator() -> IntegratorConfig {
+pub(crate) fn slow_integrator() -> IntegratorConfig {
     IntegratorConfig {
         dt: 0.02,
         substeps: 2,

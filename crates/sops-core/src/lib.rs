@@ -16,10 +16,10 @@
 //! scenarios and a one-pass sweep engine ([`scenario::SweepRunner`])
 //! that fans each simulated ensemble over any number of measure
 //! selections. It is the only way a ΔI cell is computed: a single
-//! measurement is a one-cell [`SweepPlan`], and [`pipeline`] holds the
-//! result types. [`figures`] packages one generator per figure of the
-//! paper's evaluation, each running its cells as sweep plans; the
-//! `sops-repro` binary drives them, and
+//! measurement is a one-cell [`SweepPlan`], whose result types are
+//! [`PipelineResult`] and [`MiSeries`]. [`figures`] packages one
+//! generator per figure of the paper's evaluation, each running its
+//! cells as sweep plans; the `sops-repro` binary drives them, and
 //! `tests/paper_claims.rs` checks the paper's qualitative claims on them
 //! at smoke scale. [`dynamics`] implements the §7.3
 //! future-work proposal: transfer entropy between individual particles.
@@ -28,7 +28,7 @@
 //! [`baseline`] persists those numbers as a CI regression gate.
 //!
 //! The sweep layer is fault-tolerant: public entry points return the
-//! typed [`error::SweepError`], and poisoned cells are quarantined under
+//! typed [`SweepError`], and poisoned cells are quarantined under
 //! panic isolation as [`scenario::CellStatus::Failed`].
 //!
 //! Determinism also makes every cell memoizable: [`cache`] is a
@@ -46,11 +46,11 @@ pub mod broker;
 pub mod cache;
 pub mod checkpoint;
 pub mod dynamics;
-pub mod error;
+mod error;
 pub mod figures;
 pub mod metrics;
 pub mod observers;
-pub mod pipeline;
+mod pipeline;
 pub mod report;
 pub mod scenario;
 pub mod summary;
@@ -96,7 +96,7 @@ impl Default for RunOptions {
 
 impl RunOptions {
     /// Picks `full` or `fast` depending on the mode.
-    pub fn scale<T>(&self, full: T, fast: T) -> T {
+    pub(crate) fn scale<T>(&self, full: T, fast: T) -> T {
         if self.fast {
             fast
         } else {

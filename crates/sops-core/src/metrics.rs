@@ -14,7 +14,7 @@ use sops_spatial::KdTree;
 
 /// Coefficient of variation of nearest-neighbour distances — near zero
 /// for a regular grid, larger for irregular configurations.
-pub fn nn_distance_cv(points: &[Vec2]) -> f64 {
+pub(crate) fn nn_distance_cv(points: &[Vec2]) -> f64 {
     assert!(points.len() >= 2, "nn_distance_cv: need at least 2 points");
     let flat: Vec<f64> = points.iter().flat_map(|p| [p.x, p.y]).collect();
     let tree = KdTree::build(2, &flat);
@@ -29,24 +29,8 @@ pub fn nn_distance_cv(points: &[Vec2]) -> f64 {
     stats::coefficient_of_variation(&dists)
 }
 
-/// Mean nearest-neighbour distance.
-pub fn mean_nn_distance(points: &[Vec2]) -> f64 {
-    assert!(points.len() >= 2);
-    let flat: Vec<f64> = points.iter().flat_map(|p| [p.x, p.y]).collect();
-    let tree = KdTree::build(2, &flat);
-    let sum: f64 = (0..points.len())
-        .map(|i| {
-            tree.nearest_excluding(&[points[i].x, points[i].y], |j| j == i)
-                .unwrap()
-                .1
-                .sqrt()
-        })
-        .sum();
-    sum / points.len() as f64
-}
-
 /// Radius of gyration about the centroid.
-pub fn radius_of_gyration(points: &[Vec2]) -> f64 {
+pub(crate) fn radius_of_gyration(points: &[Vec2]) -> f64 {
     let c = Vec2::centroid(points);
     let ms: f64 = points.iter().map(|p| p.dist_sq(c)).sum::<f64>() / points.len() as f64;
     ms.sqrt()
@@ -114,7 +98,7 @@ pub fn cross_sample_dispersion(samples: &[Vec<Vec2>]) -> Vec<f64> {
 /// Near ±1 when types form concentric layers (Fig. 12), near 0 when types
 /// are radially mixed. Uses the correlation of type value with radius
 /// rank.
-pub fn radial_stratification(points: &[Vec2], types: &[u16]) -> f64 {
+pub(crate) fn radial_stratification(points: &[Vec2], types: &[u16]) -> f64 {
     assert_eq!(points.len(), types.len());
     let c = Vec2::centroid(points);
     let mut order: Vec<usize> = (0..points.len()).collect();
@@ -185,7 +169,6 @@ mod tests {
     fn grid_has_low_nn_cv() {
         let grid = square_grid(6, 1.0);
         assert!(nn_distance_cv(&grid) < 1e-9, "perfect grid CV ~ 0");
-        assert!((mean_nn_distance(&grid) - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! estimator is polymorphic: each cell carries a
 //! [`sops_info::MeasureConfig`] selection and drives it through the
 //! [`sops_info::Estimator`] trait.
-//! [`decomposition_series`] is the one analysis outside that engine,
+//! `decomposition_series` is the one analysis outside that engine,
 //! because it decomposes rather than estimates.
 
 use crate::observers::build_observers;
@@ -46,14 +46,6 @@ impl MiSeries {
         let xs: Vec<f64> = self.times.iter().map(|&t| t as f64).collect();
         sops_math::stats::ols_slope(&xs, &self.values)
     }
-
-    /// Largest value of the series.
-    pub fn max(&self) -> f64 {
-        self.values
-            .iter()
-            .cloned()
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
 }
 
 /// One sweep cell's measured output.
@@ -72,7 +64,7 @@ impl PipelineResult {
     /// The result of a cell that produced nothing: empty series, zero
     /// equilibrated fraction. This is the payload of a quarantined
     /// [`crate::scenario::CellStatus::Failed`] cell.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         PipelineResult {
             mi: MiSeries {
                 times: Vec::new(),
@@ -87,7 +79,7 @@ impl PipelineResult {
 /// A decomposition (Eq. 5) evaluated along the time axis, grouping
 /// observers by particle type — the data behind Fig. 11.
 #[derive(Debug, Clone)]
-pub struct DecompositionSeries {
+pub(crate) struct DecompositionSeries {
     /// Evaluated time steps.
     pub times: Vec<usize>,
     /// Per-step decompositions (between-types term + within-type terms).
@@ -98,7 +90,7 @@ impl DecompositionSeries {
     /// Normalized contributions per step (Fig. 11's y-axis):
     /// `(between, within_1, …, within_l) / reconstructed total`. Steps
     /// whose total is below `floor` yield `None`.
-    pub fn normalized(&self, floor: f64) -> Vec<Option<Vec<f64>>> {
+    pub(crate) fn normalized(&self, floor: f64) -> Vec<Option<Vec<f64>>> {
         self.terms.iter().map(|d| d.normalized(floor)).collect()
     }
 }
@@ -110,7 +102,7 @@ impl DecompositionSeries {
 ///
 /// The decomposition is a KSG-specific analysis; it runs with
 /// [`KsgConfig::default`].
-pub fn decomposition_series(
+pub(crate) fn decomposition_series(
     ensemble: &Ensemble,
     scenario: &ScenarioSpec,
     threads: usize,
@@ -240,7 +232,6 @@ mod tests {
             values: vec![1.0, 2.0, 4.0],
         };
         assert_eq!(s.increase(), 3.0);
-        assert_eq!(s.max(), 4.0);
         assert!(s.slope() > 0.0);
     }
 
@@ -341,8 +332,12 @@ mod tests {
         };
         for (ti, &t) in sc.eval_times().iter().enumerate() {
             let slice = ensemble.at_time(t);
-            let reduced =
-                sops_shape::ensemble::reduce_configurations(&slice, &types, &inner_reduce);
+            let reduced = sops_shape::reduce_configurations_with(
+                &mut sops_shape::ReduceWorkspace::new(),
+                &slice,
+                &types,
+                &inner_reduce,
+            );
             let observers =
                 build_observers(&reduced, &types, type_count, sc.observers, sc.ensemble.seed);
             let want = sops_info::MeasureWorkspace::new()

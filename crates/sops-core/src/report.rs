@@ -21,7 +21,7 @@ use std::path::Path;
 /// precision to round-trip (`{:.12e}` would be unreadable; `{:.9}` is
 /// plenty for plotting); non-finite values use the same
 /// `nan`/`inf`/`-inf` spelling as every other CSV writer in this module.
-pub fn write_csv(path: &Path, header: &[&str], rows: &[Vec<f64>]) -> std::io::Result<()> {
+pub(crate) fn write_csv(path: &Path, header: &[&str], rows: &[Vec<f64>]) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
@@ -408,16 +408,6 @@ pub fn scatter_plot(
     out
 }
 
-/// Formats a simple aligned two-column table (label, value).
-pub fn kv_table(rows: &[(String, String)]) -> String {
-    let w = rows.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
-    let mut out = String::new();
-    for (k, v) in rows {
-        let _ = writeln!(out, "  {k:<w$}  {v}");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -667,18 +657,5 @@ mod tests {
         assert!(json.contains("\"significant\": true"), "{json}");
         assert!(json.contains("\"significant\": false"), "{json}");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn kv_table_aligns() {
-        let t = kv_table(&[
-            ("short".into(), "1".into()),
-            ("much longer key".into(), "2".into()),
-        ]);
-        let lines: Vec<&str> = t.lines().collect();
-        assert_eq!(lines.len(), 2);
-        let c1 = lines[0].rfind('1').unwrap();
-        let c2 = lines[1].rfind('2').unwrap();
-        assert_eq!(c1, c2, "values aligned");
     }
 }

@@ -42,7 +42,7 @@
 //! per-measure evaluation so only the poisoned measure's cells fail
 //! (per-measure results are bit-identical to the one-pass values by the
 //! engine's own contract). Public entry points return
-//! [`crate::error::SweepError`] instead of panicking, and
+//! [`crate::SweepError`] instead of panicking, and
 //! [`SweepRunner::run_with_cache`] stores every healthy cell in a
 //! content-addressed [`CellCache`] as it completes, so an interrupted
 //! sweep re-run over the same cache resumes bit-identically
@@ -95,7 +95,7 @@ pub struct ScenarioSpec {
 /// (evaluate every recorded step), and `t_max == 0` yields the single
 /// step `[0]`. The result is therefore never empty and always covers
 /// both endpoints.
-pub fn eval_schedule(t_max: usize, eval_every: usize) -> Vec<usize> {
+pub(crate) fn eval_schedule(t_max: usize, eval_every: usize) -> Vec<usize> {
     let every = eval_every.max(1);
     let mut times: Vec<usize> = (0..=t_max).step_by(every).collect();
     if times.last() != Some(&t_max) {
@@ -287,8 +287,8 @@ pub fn cell_sorting_xl() -> ScenarioSpec {
 }
 
 /// A name-keyed collection of scenarios; [`ScenarioRegistry::builtin`]
-/// ships the paper's gallery, [`ScenarioRegistry::register`] adds or
-/// replaces entries (last write wins, insertion order preserved).
+/// ships the paper's gallery and [`ScenarioRegistry::gallery`] adds the
+/// large-scale tier (names are unique, in registration order).
 #[derive(Debug, Clone, Default)]
 pub struct ScenarioRegistry {
     scenarios: Vec<ScenarioSpec>,
@@ -296,7 +296,7 @@ pub struct ScenarioRegistry {
 
 impl ScenarioRegistry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ScenarioRegistry::default()
     }
 
@@ -321,7 +321,7 @@ impl ScenarioRegistry {
     }
 
     /// Adds `spec`, replacing any scenario of the same name in place.
-    pub fn register(&mut self, spec: ScenarioSpec) {
+    pub(crate) fn register(&mut self, spec: ScenarioSpec) {
         assert!(!spec.name.is_empty(), "ScenarioRegistry: unnamed scenario");
         match self.scenarios.iter_mut().find(|s| s.name == spec.name) {
             Some(slot) => *slot = spec,
@@ -330,7 +330,7 @@ impl ScenarioRegistry {
     }
 
     /// The scenario registered under `name`.
-    pub fn get(&self, name: &str) -> Option<&ScenarioSpec> {
+    pub(crate) fn get(&self, name: &str) -> Option<&ScenarioSpec> {
         self.scenarios.iter().find(|s| s.name == name)
     }
 
@@ -342,16 +342,6 @@ impl ScenarioRegistry {
     /// All registered scenarios, in registration order.
     pub fn iter(&self) -> impl Iterator<Item = &ScenarioSpec> {
         self.scenarios.iter()
-    }
-
-    /// Number of registered scenarios.
-    pub fn len(&self) -> usize {
-        self.scenarios.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.scenarios.is_empty()
     }
 
     /// Clones the scenarios selected by `names`, in the given order;
@@ -697,7 +687,7 @@ impl SweepRunner {
     /// (sharing one simulation pass), and fresh healthy cells are stored
     /// back. Served cells carry [`CellProvenance::Cached`]. Results are
     /// bit-identical to an uncached [`SweepRunner::run`] by construction:
-    /// the cache stores [`crate::wire::float_exact`] series keyed by
+    /// the cache stores `wire::float_exact` series keyed by
     /// everything that determines them.
     ///
     /// This is also how a sweep resumes: each ensemble's healthy cells are
@@ -1055,7 +1045,7 @@ pub enum CellStatus {
     /// run alone, for any worker count or storage policy.
     Ok,
     /// The cell panicked on every attempt and was quarantined; its
-    /// result is [`PipelineResult::empty`].
+    /// result is empty (no series, zero equilibrated fraction).
     Failed {
         /// One-line panic reason, annotated with the attempt count.
         reason: String,
@@ -1092,7 +1082,7 @@ pub enum CellProvenance {
 
 impl CellProvenance {
     /// Lowercase wire label: `"computed"`, `"cached"` or `"coalesced"`.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             CellProvenance::Computed => "computed",
             CellProvenance::Cached => "cached",
@@ -1102,7 +1092,7 @@ impl CellProvenance {
 
     /// `true` when the result was reused (cache or coalescing) rather
     /// than computed in this run.
-    pub fn is_reused(&self) -> bool {
+    pub(crate) fn is_reused(&self) -> bool {
         !matches!(self, CellProvenance::Computed)
     }
 }
@@ -1128,13 +1118,13 @@ pub struct SweepCell {
     /// `sweep.json` bytes or a cache entry.
     pub provenance: CellProvenance,
     /// The measured series — bit-identical to the same cell run alone
-    /// ([`PipelineResult::empty`] if the cell failed).
+    /// (empty if the cell failed).
     pub result: PipelineResult,
 }
 
 /// One row of the flattened scenario × measure × time table.
 #[derive(Debug, Clone, Copy)]
-pub struct SweepRow<'a> {
+pub(crate) struct SweepRow<'a> {
     /// Scenario name.
     pub scenario: &'a str,
     /// Plan-unique measure label (see [`measure_labels`]).
@@ -1182,7 +1172,7 @@ impl SweepReport {
     /// Flattens every healthy cell into scenario × measure × time rows
     /// (the CSV layout of [`crate::report::write_sweep_csv`]); failed
     /// cells have no series and are skipped.
-    pub fn rows(&self) -> Vec<SweepRow<'_>> {
+    pub(crate) fn rows(&self) -> Vec<SweepRow<'_>> {
         let mut out = Vec::new();
         for cell in self.cells.iter().filter(|c| c.status.is_ok()) {
             for (&time, (&mi, &cost)) in cell
@@ -1304,13 +1294,13 @@ mod tests {
             reg.names(),
             vec!["cell_sorting", "ring_formation", "mixing_null"]
         );
-        assert_eq!(reg.len(), 3);
+        assert_eq!(reg.names().len(), 3);
         assert!(reg.get("cell_sorting").is_some());
         assert!(reg.get("nope").is_none());
         // Replacement keeps position and count.
         let replacement = small_scenario("ring_formation", 1);
         reg.register(replacement);
-        assert_eq!(reg.len(), 3);
+        assert_eq!(reg.names().len(), 3);
         assert_eq!(reg.names()[1], "ring_formation");
         assert_eq!(reg.get("ring_formation").unwrap().ensemble.seed, 1);
         // select() preserves request order and reports unknowns.

@@ -11,13 +11,13 @@
 //! JSON share this module, so their float/string encodings cannot drift
 //! apart:
 //!
-//! * [`float_exact`] writes 17 significant digits (round-trips any f64
+//! * `float_exact` writes 17 significant digits (round-trips any f64
 //!   bit-exactly) and encodes non-finite values as the tagged strings
 //!   `"nan"` / `"inf"` / `"-inf"`, which [`Value::as_f64`] maps back —
 //!   reference values must distinguish NaN from ±∞, which JSON `null`
 //!   cannot;
 //! * [`string`] applies standard JSON escaping;
-//! * [`fnv1a64`] is the stable hash behind cell keys (dependency-free,
+//! * `fnv1a64` is the stable hash behind cell keys (dependency-free,
 //!   byte-order independent, never `std::hash` — whose output is
 //!   explicitly unstable across releases);
 //! * [`parse`] reads untrusted bytes (HTTP bodies, cache files) and
@@ -28,7 +28,7 @@ use std::fmt::Write as _;
 
 /// Encodes an f64 for a *reference-value* schema: 17 significant digits
 /// (exact round-trip), non-finite values as tagged strings.
-pub fn float_exact(v: f64) -> String {
+pub(crate) fn float_exact(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.17e}")
     } else {
@@ -70,7 +70,7 @@ pub fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Result<&'a Value, Strin
 /// behind cell keys. (Never `DefaultHasher`: its output is documented as
 /// unstable across Rust releases, and a key that changes with the
 /// toolchain would orphan every cached cell.)
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
 }
 

@@ -261,9 +261,10 @@ impl CmiWorkspace {
 /// Analytic conditional mutual information of a Gaussian (bits):
 /// `I(X;Y|Z) = ½(ln det Σ_xz + ln det Σ_yz − ln det Σ_z − ln det Σ_xyz)`.
 ///
-/// `cov` must be ordered as (X-dims, Y-dims, Z-dims). Test/validation
-/// helper.
-pub fn gaussian_conditional_mi(cov: &sops_math::Matrix, dims: (usize, usize, usize)) -> f64 {
+/// `cov` must be ordered as (X-dims, Y-dims, Z-dims). The tests' ground
+/// truth.
+#[cfg(test)]
+fn gaussian_conditional_mi(cov: &sops_math::Matrix, dims: (usize, usize, usize)) -> f64 {
     let (dx, dy, dz) = dims;
     let d = dx + dy + dz;
     assert_eq!(cov.rows(), d);

@@ -42,7 +42,7 @@ impl Grouping {
 
     /// Validates against a block count: the groups must partition
     /// `0..blocks` exactly.
-    pub fn validate(&self, blocks: usize) {
+    pub(crate) fn validate(&self, blocks: usize) {
         let mut seen = vec![false; blocks];
         for members in &self.groups {
             for &b in members {

@@ -1,14 +1,15 @@
 //! Plug-in (maximum-likelihood) information measures over discrete counts.
 //!
-//! Building block for the binning estimator and the test substrate for the
-//! continuous estimators: discrete identities (chain rule, bounds,
-//! symmetry) are exact here, so they validate the shared conventions
-//! (bits, multi-information definition) independently of k-NN machinery.
+//! Building block for the binning estimator, and in test builds the
+//! discrete multi-information reference it is compared against:
+//! discrete identities are exact here, so they validate the shared
+//! conventions (bits, multi-information definition) independently of
+//! k-NN machinery.
 
 /// Shannon entropy in bits of an (unnormalized) count histogram.
 ///
 /// Zero counts contribute nothing. Returns 0 for an all-zero histogram.
-pub fn entropy_from_counts(counts: &[u64]) -> f64 {
+pub(crate) fn entropy_from_counts(counts: &[u64]) -> f64 {
     let total: u64 = counts.iter().sum();
     if total == 0 {
         return 0.0;
@@ -24,44 +25,13 @@ pub fn entropy_from_counts(counts: &[u64]) -> f64 {
     h
 }
 
-/// Shannon entropy in bits of a probability vector (entries must be
-/// non-negative; zeros allowed; need not be exactly normalized — they are
-/// renormalized defensively).
-pub fn entropy_from_probs(probs: &[f64]) -> f64 {
-    let total: f64 = probs.iter().sum();
-    if total <= 0.0 {
-        return 0.0;
-    }
-    let mut h = 0.0;
-    for &p in probs {
-        if p > 0.0 {
-            let q = p / total;
-            h -= q * q.log2();
-        }
-    }
-    h
-}
-
-/// Mutual information in bits of a joint count table (`rows × cols`,
-/// row-major): `I(X;Y) = H(X) + H(Y) − H(X,Y)`.
-pub fn mutual_information_from_counts(rows: usize, cols: usize, joint: &[u64]) -> f64 {
-    assert_eq!(joint.len(), rows * cols, "mutual_information: table shape");
-    let mut row_margin = vec![0u64; rows];
-    let mut col_margin = vec![0u64; cols];
-    for r in 0..rows {
-        for c in 0..cols {
-            row_margin[r] += joint[r * cols + c];
-            col_margin[c] += joint[r * cols + c];
-        }
-    }
-    entropy_from_counts(&row_margin) + entropy_from_counts(&col_margin) - entropy_from_counts(joint)
-}
-
 /// Multi-information in bits of jointly observed discrete variables:
 /// `samples[s]` is the tuple of symbols observed in sample `s`.
 ///
-/// `I = Σᵢ H(Xᵢ) − H(X₁,…,X_n)`, all entropies plug-in estimates.
-pub fn multi_information_from_tuples(samples: &[Vec<u32>]) -> f64 {
+/// `I = Σᵢ H(Xᵢ) − H(X₁,…,X_n)`, all entropies plug-in estimates — the
+/// reference the binning estimator's tests compare against.
+#[cfg(test)]
+pub(crate) fn multi_information_from_tuples(samples: &[Vec<u32>]) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
@@ -102,38 +72,6 @@ mod tests {
     }
 
     #[test]
-    fn entropy_probs_matches_counts() {
-        let h1 = entropy_from_counts(&[1, 2, 3]);
-        let h2 = entropy_from_probs(&[1.0 / 6.0, 2.0 / 6.0, 3.0 / 6.0]);
-        assert!((h1 - h2).abs() < 1e-12);
-        // Unnormalized probabilities are renormalized.
-        let h3 = entropy_from_probs(&[1.0, 2.0, 3.0]);
-        assert!((h1 - h3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mi_of_independent_table_is_zero() {
-        // Product of uniform marginals.
-        let joint = [1u64, 1, 1, 1];
-        assert!(mutual_information_from_counts(2, 2, &joint).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mi_of_identity_coupling_is_one_bit() {
-        let joint = [5u64, 0, 0, 5];
-        assert!((mutual_information_from_counts(2, 2, &joint) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mi_is_symmetric() {
-        let joint = [3u64, 1, 2, 4, 0, 5];
-        let transposed = [3u64, 4, 1, 0, 2, 5];
-        let a = mutual_information_from_counts(2, 3, &joint);
-        let b = mutual_information_from_counts(3, 2, &transposed);
-        assert!((a - b).abs() < 1e-12);
-    }
-
-    #[test]
     fn multi_info_pairwise_matches_mi() {
         // Two variables: multi-information == mutual information.
         let samples: Vec<Vec<u32>> = vec![
@@ -144,8 +82,8 @@ mod tests {
             vec![0, 1],
             vec![1, 0],
         ];
-        let joint = [2u64, 1, 1, 2];
-        let expect = mutual_information_from_counts(2, 2, &joint);
+        // I(X;Y) = H(X) + H(Y) − H(X,Y), with uniform marginals.
+        let expect = 2.0 - entropy_from_counts(&[2, 1, 1, 2]);
         let got = multi_information_from_tuples(&samples);
         assert!((got - expect).abs() < 1e-12);
     }

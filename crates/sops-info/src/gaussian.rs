@@ -43,13 +43,6 @@ pub fn gaussian_multi_information(cov: &Matrix, block_sizes: &[usize]) -> f64 {
     0.5 * (sum_blocks - ln_det_joint) * NATS_TO_BITS
 }
 
-/// Analytic mutual information (bits) of a bivariate Gaussian with
-/// correlation `rho`: `I = −½ log₂(1 − ρ²)`.
-pub fn bivariate_gaussian_mi(rho: f64) -> f64 {
-    assert!(rho.abs() < 1.0, "bivariate_gaussian_mi: |rho| must be < 1");
-    -0.5 * (1.0 - rho * rho).log2()
-}
-
 /// Differential entropy (bits) of a d-dimensional Gaussian:
 /// `h = ½ ln((2πe)^d det Σ)`.
 pub fn gaussian_entropy(cov: &Matrix) -> f64 {
@@ -173,6 +166,14 @@ pub fn equicorrelated_cov(d: usize, rho: f64) -> Matrix {
         }
     }
     cov
+}
+
+/// Analytic mutual information (bits) of a bivariate Gaussian with
+/// correlation `rho`: `I = −½ log₂(1 − ρ²)`.
+#[cfg(test)]
+pub(crate) fn bivariate_gaussian_mi(rho: f64) -> f64 {
+    assert!(rho.abs() < 1.0, "bivariate_gaussian_mi: |rho| must be < 1");
+    -0.5 * (1.0 - rho * rho).log2()
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@
 //!   canonical KSG variants as ablations; the engine shares per-block
 //!   indexes, picks its joint k-NN path adaptively and is bit-identical
 //!   for any worker count;
-//! * [`kde`] — the kernel-density baseline the paper found "multiple
+//! * [`KdeConfig`] — the kernel-density baseline the paper found "multiple
 //!   orders of magnitudes slower" with larger variance (§5.3);
 //! * [`binning`] — the James–Stein shrinkage binning baseline the paper
 //!   found to overestimate in high dimension (§5.3), with a hash-free
@@ -36,20 +36,18 @@
 //!   samplers (validation ground truth); the empirical-covariance
 //!   Gaussian baseline is [`MeasureConfig::Gaussian`];
 //! * [`decomposition`] — the coarse-graining decomposition of Eq. 4–5;
-//! * [`conditional`] — Frenzel–Pompe conditional mutual information and
-//!   transfer entropy (§7.3 tooling);
-//! * [`discrete`] — plug-in entropy / mutual information over counts
-//!   (test substrate and building block for the binning estimator).
+//! * [`CmiConfig`] — Frenzel–Pompe conditional mutual information and
+//!   transfer entropy (§7.3 tooling).
 //!
 //! All public estimators report **bits**.
 
 pub mod binning;
-pub mod conditional;
+mod conditional;
 pub mod decomposition;
-pub mod discrete;
+mod discrete;
 pub mod entropy;
 pub mod gaussian;
-pub mod kde;
+mod kde;
 pub mod ksg;
 pub mod measure;
 mod workspace;

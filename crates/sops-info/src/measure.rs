@@ -410,7 +410,7 @@ impl Estimator for StridedEstimator {
 
 /// The binning parameters [`MeasureConfig::DiscretePlugin`] maps to: the
 /// ML plug-in over observed bin tuples (no shrinkage), which equals the
-/// discrete multi-information of [`crate::discrete`] on the binned data.
+/// plug-in discrete multi-information of the binned data.
 pub fn discrete_plugin_config(bins: usize) -> BinningConfig {
     BinningConfig {
         bins,
@@ -530,7 +530,7 @@ impl MeasureWorkspace {
     }
 
     /// Frenzel–Pompe `I(X;Y|Z)` (bits) from `rows` joint samples (see
-    /// [`crate::conditional`]); `x`, `y`, `z` are row-major `rows × dim`
+    /// [`crate::CmiConfig`]); `x`, `y`, `z` are row-major `rows × dim`
     /// matrices with `dims = (dim_x, dim_y, dim_z)`.
     ///
     /// # Panics

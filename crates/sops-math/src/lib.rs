@@ -7,11 +7,12 @@
 //! * [`Vec2`] — a plain 2-D double-precision vector with the usual algebra.
 //! * [`special`] — digamma / log-gamma, needed by the
 //!   Kraskov–Stögbauer–Grassberger estimator (paper Eq. 18).
-//! * [`stats`] — Welford running statistics, slice summaries, quantiles.
-//! * [`matrix`] — a small dense matrix with Cholesky / LU factorizations,
+//! * [`stats`] — slice summaries, quantiles, confidence intervals and
+//!   the seed-axis significance test.
+//! * [`Matrix`] — a small dense matrix with a Cholesky factorization,
 //!   used for analytic Gaussian multi-information in tests and for the KDE
 //!   baseline estimator.
-//! * [`pairmat`] — symmetric per-type-pair parameter matrices
+//! * [`PairMatrix`] — symmetric per-type-pair parameter matrices
 //!   (`k_{αβ}`, `r_{αβ}`, `τ_{αβ}` of paper §4.1).
 //! * [`rng`] — SplitMix64 seed derivation so that ensembles are
 //!   bit-reproducible regardless of thread schedule.
@@ -21,12 +22,12 @@
 //! Everything here is deterministic and allocation-conscious; the heavy
 //! lifting (simulation, estimation) lives in the crates layered on top.
 
-pub mod matrix;
-pub mod pairmat;
+mod matrix;
+mod pairmat;
 pub mod rng;
 pub mod special;
 pub mod stats;
-pub mod vec2;
+mod vec2;
 
 pub use matrix::Matrix;
 pub use pairmat::PairMatrix;
@@ -62,9 +63,3 @@ pub fn wide_available() -> bool {
         false
     }
 }
-
-/// The Euler–Mascheroni constant γ.
-///
-/// `ψ(1) = −γ`; used by tests of [`special::digamma`] and by closed-form
-/// entropy expressions.
-pub const EULER_GAMMA: f64 = 0.577_215_664_901_532_9;

@@ -2,10 +2,10 @@
 //! needs.
 //!
 //! The estimators and their tests need: covariance matrices of sample
-//! ensembles, Cholesky factors (to draw correlated Gaussians and to compute
-//! `ln det Σ` for analytic multi-information), and LU determinants as an
-//! independent cross-check. Dimensions are tiny (≤ a few hundred), so a
-//! straightforward row-major implementation is appropriate — no BLAS.
+//! ensembles and Cholesky factors (to draw correlated Gaussians and to
+//! compute `ln det Σ` for analytic multi-information). Dimensions are tiny
+//! (≤ a few hundred), so a straightforward row-major implementation is
+//! appropriate — no BLAS.
 
 /// Row-major dense `rows × cols` matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,20 +34,6 @@ impl Matrix {
         m
     }
 
-    /// Creates a matrix from a row-major slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_rows(rows: usize, cols: usize, data: &[f64]) -> Self {
-        assert_eq!(data.len(), rows * cols, "Matrix::from_rows: size mismatch");
-        Matrix {
-            rows,
-            cols,
-            data: data.to_vec(),
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -61,52 +47,6 @@ impl Matrix {
     /// Borrow of the row-major backing storage.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// One row as a slice.
-    pub fn row(&self, r: usize) -> &[f64] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Matrix transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t[(c, r)] = self[(r, c)];
-            }
-        }
-        t
-    }
-
-    /// Matrix product `self * other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inner-dimension mismatch.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul: inner dimension mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out[(i, j)] += a * other[(k, j)];
-                }
-            }
-        }
-        out
-    }
-
-    /// Matrix–vector product.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(self.cols, v.len(), "matvec: dimension mismatch");
-        (0..self.rows)
-            .map(|i| self.row(i).iter().zip(v).map(|(a, b)| a * b).sum())
-            .collect()
     }
 
     /// Cholesky factorization `Σ = L Lᵀ` for a symmetric positive-definite
@@ -144,50 +84,6 @@ impl Matrix {
             acc += l[(i, i)].ln();
         }
         Some(2.0 * acc)
-    }
-
-    /// Determinant via LU factorization with partial pivoting.
-    ///
-    /// Works for any square matrix (an independent cross-check for
-    /// [`Matrix::ln_det_spd`] in tests).
-    pub fn det_lu(&self) -> f64 {
-        assert_eq!(self.rows, self.cols, "det_lu: matrix must be square");
-        let n = self.rows;
-        let mut a = self.data.clone();
-        let mut det = 1.0;
-        for col in 0..n {
-            // Partial pivot.
-            let mut pivot = col;
-            let mut best = a[col * n + col].abs();
-            for r in (col + 1)..n {
-                let v = a[r * n + col].abs();
-                if v > best {
-                    best = v;
-                    pivot = r;
-                }
-            }
-            if best == 0.0 {
-                return 0.0;
-            }
-            if pivot != col {
-                for c in 0..n {
-                    a.swap(col * n + c, pivot * n + c);
-                }
-                det = -det;
-            }
-            let p = a[col * n + col];
-            det *= p;
-            for r in (col + 1)..n {
-                let f = a[r * n + col] / p;
-                if f == 0.0 {
-                    continue;
-                }
-                for c in col..n {
-                    a[r * n + c] -= f * a[col * n + c];
-                }
-            }
-        }
-        det
     }
 
     /// Sample covariance matrix of `m` observations of a `d`-dimensional
@@ -257,6 +153,15 @@ mod tests {
         (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs()))
     }
 
+    /// The `n × n` matrix with row-major entries `data`.
+    fn square(n: usize, data: &[f64]) -> Matrix {
+        let mut m = Matrix::zeros(n, n);
+        for (i, &v) in data.iter().enumerate() {
+            m[(i / n, i % n)] = v;
+        }
+        m
+    }
+
     #[test]
     fn identity_and_indexing() {
         let i3 = Matrix::identity(3);
@@ -267,49 +172,21 @@ mod tests {
     }
 
     #[test]
-    fn matmul_known() {
-        let a = Matrix::from_rows(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let b = Matrix::from_rows(3, 2, &[7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
-        let c = a.matmul(&b);
-        assert_eq!(c.as_slice(), &[58.0, 64.0, 139.0, 154.0]);
-    }
-
-    #[test]
-    fn matvec_known() {
-        let a = Matrix::from_rows(2, 2, &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(a.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
-    }
-
-    #[test]
-    fn transpose_round_trip() {
-        let a = Matrix::from_rows(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(a.transpose().transpose(), a);
-    }
-
-    #[test]
     fn cholesky_of_known_spd() {
         // [[4, 2], [2, 3]] = L L^T with L = [[2, 0], [1, sqrt(2)]]
-        let a = Matrix::from_rows(2, 2, &[4.0, 2.0, 2.0, 3.0]);
+        let a = square(2, &[4.0, 2.0, 2.0, 3.0]);
         let l = a.cholesky().unwrap();
         assert!(close(l[(0, 0)], 2.0, 1e-12));
         assert!(close(l[(1, 0)], 1.0, 1e-12));
         assert!(close(l[(1, 1)], 2.0f64.sqrt(), 1e-12));
         // det = 4*3 - 2*2 = 8
         assert!(close(a.ln_det_spd().unwrap(), 8.0f64.ln(), 1e-12));
-        assert!(close(a.det_lu(), 8.0, 1e-12));
     }
 
     #[test]
     fn cholesky_rejects_indefinite() {
-        let a = Matrix::from_rows(2, 2, &[1.0, 2.0, 2.0, 1.0]); // eigenvalues 3, -1
+        let a = square(2, &[1.0, 2.0, 2.0, 1.0]); // eigenvalues 3, -1
         assert!(a.cholesky().is_none());
-        assert!(close(a.det_lu(), -3.0, 1e-12));
-    }
-
-    #[test]
-    fn singular_determinant_is_zero() {
-        let a = Matrix::from_rows(2, 2, &[1.0, 2.0, 2.0, 4.0]);
-        assert_eq!(a.det_lu(), 0.0);
     }
 
     #[test]
@@ -321,28 +198,26 @@ mod tests {
         assert!(close(cov[(0, 1)], 2.0 * cov[(0, 0)], 1e-12));
         assert!(close(cov[(1, 1)], 4.0 * cov[(0, 0)], 1e-12));
         // Perfectly dependent => singular covariance.
-        assert!(cov.det_lu().abs() < 1e-9);
+        assert!((cov[(0, 0)] * cov[(1, 1)] - cov[(0, 1)] * cov[(1, 0)]).abs() < 1e-9);
     }
 
     proptest! {
         #[test]
-        fn lu_det_matches_cholesky_for_spd(v in proptest::collection::vec(-2.0..2.0f64, 9)) {
-            // Build SPD as B^T B + I.
-            let b = Matrix::from_rows(3, 3, &v);
-            let mut spd = b.transpose().matmul(&b);
-            for i in 0..3 { spd[(i, i)] += 1.0; }
-            let lu = spd.det_lu();
-            let ch = spd.ln_det_spd().expect("SPD by construction").exp();
-            prop_assert!(close(lu, ch, 1e-8));
-        }
-
-        #[test]
-        fn matmul_identity_is_noop(v in proptest::collection::vec(-10.0..10.0f64, 12)) {
-            let a = Matrix::from_rows(3, 4, &v);
-            let out = Matrix::identity(3).matmul(&a);
-            for (x, y) in out.as_slice().iter().zip(a.as_slice()) {
-                prop_assert!(close(*x, *y, 1e-12));
+        fn ln_det_matches_closed_form_for_spd(v in proptest::collection::vec(-2.0..2.0f64, 9)) {
+            // Build SPD as B^T B + I and compare with the rule of Sarrus.
+            let b = square(3, &v);
+            let mut spd = Matrix::identity(3);
+            for i in 0..3 {
+                for j in 0..3 {
+                    spd[(i, j)] += (0..3).map(|k| b[(k, i)] * b[(k, j)]).sum::<f64>();
+                }
             }
+            let m = |i, j| spd[(i, j)];
+            let det = m(0, 0) * (m(1, 1) * m(2, 2) - m(1, 2) * m(2, 1))
+                - m(0, 1) * (m(1, 0) * m(2, 2) - m(1, 2) * m(2, 0))
+                + m(0, 2) * (m(1, 0) * m(2, 1) - m(1, 1) * m(2, 0));
+            let ch = spd.ln_det_spd().expect("SPD by construction").exp();
+            prop_assert!(close(det, ch, 1e-8));
         }
 
         #[test]

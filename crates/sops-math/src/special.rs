@@ -44,7 +44,7 @@ pub fn digamma(x: f64) -> f64 {
 ///
 /// Relative error is below `1e-13` for the arguments used in this workspace
 /// (ball-volume constants and factorials).
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     debug_assert!(x > 0.0, "ln_gamma: argument must be positive, got {x}");
     // Lanczos coefficients for g = 7.
     const G: f64 = 7.0;
@@ -83,18 +83,13 @@ pub fn unit_ball_volume_l2(d: usize) -> f64 {
     (0.5 * d * std::f64::consts::PI.ln() - ln_gamma(0.5 * d + 1.0)).exp()
 }
 
-/// Volume of the unit ball in `d` dimensions under the max (L∞) norm: `2^d`.
-pub fn unit_ball_volume_max(d: usize) -> f64 {
-    (d as f64).exp2()
-}
-
 /// Quantile (inverse CDF) of the standard normal distribution.
 ///
 /// Acklam's rational approximation; relative error is below `1.2e-9`
 /// over `(0, 1)` — orders of magnitude tighter than the seed-axis
 /// sampling noise the confidence intervals built on it quantify.
 /// Returns `±∞` at the endpoints and `NaN` outside `[0, 1]`.
-pub fn normal_quantile(p: f64) -> f64 {
+pub(crate) fn normal_quantile(p: f64) -> f64 {
     if !(0.0..=1.0).contains(&p) {
         return f64::NAN;
     }
@@ -159,7 +154,7 @@ pub fn normal_quantile(p: f64) -> f64 {
 /// (Abramowitz & Stegun 26.7.5) — accurate to a few `1e-3` at `df = 3`
 /// and better than `1e-4` for `df ≥ 7`, the regime of 8-seed sweep
 /// summaries. Returns `NaN` for `df ≤ 0` or `p` outside `[0, 1]`.
-pub fn student_t_quantile(p: f64, df: f64) -> f64 {
+pub(crate) fn student_t_quantile(p: f64, df: f64) -> f64 {
     if !(0.0..=1.0).contains(&p) || df <= 0.0 {
         return f64::NAN;
     }
@@ -185,21 +180,13 @@ pub fn student_t_quantile(p: f64, df: f64) -> f64 {
     x + g1 / df + g2 / (df * df) + g3 / (df * df * df) + g4 / (df * df * df * df)
 }
 
-/// `n`-th harmonic number `H_n = Σ_{i=1}^{n} 1/i`, with `H_0 = 0`.
-///
-/// `ψ(n) = H_{n−1} − γ` for integer `n ≥ 1`; tests use this identity to
-/// validate [`digamma`].
-pub fn harmonic(n: usize) -> f64 {
-    // Direct summation keeps full accuracy for the small n used in tests;
-    // large n callers should prefer digamma(n + 1) + EULER_GAMMA.
-    (1..=n).map(|i| 1.0 / i as f64).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EULER_GAMMA;
     use proptest::prelude::*;
+
+    /// The Euler–Mascheroni constant γ: `ψ(1) = −γ`.
+    const EULER_GAMMA: f64 = 0.577_215_664_901_532_9;
 
     fn close(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs()))
@@ -219,8 +206,10 @@ mod tests {
 
     #[test]
     fn digamma_matches_harmonic_numbers() {
+        // ψ(n) = H_{n−1} − γ, with H_k = Σ_{i=1}^{k} 1/i.
         for n in 1..50usize {
-            let expected = harmonic(n - 1) - EULER_GAMMA;
+            let harmonic: f64 = (1..n).map(|i| 1.0 / i as f64).sum();
+            let expected = harmonic - EULER_GAMMA;
             assert!(
                 close(digamma(n as f64), expected, 1e-11),
                 "psi({n}) = {} vs {}",
@@ -254,7 +243,6 @@ mod tests {
             4.0 / 3.0 * std::f64::consts::PI,
             1e-12
         ));
-        assert_eq!(unit_ball_volume_max(3), 8.0);
     }
 
     #[test]

@@ -18,113 +18,37 @@
 use crate::rng::SplitMix64;
 use crate::special::student_t_quantile;
 
-/// Welford online mean/variance accumulator.
-///
-/// Numerically stable single-pass computation of mean and (sample)
-/// variance; merging two accumulators is supported so that per-thread
-/// partial statistics can be combined.
+/// Welford online mean/variance accumulator: a numerically stable
+/// single-pass sample variance.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct RunningStats {
+pub(crate) struct RunningStats {
     count: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl RunningStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        RunningStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
     /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
+    pub(crate) fn push(&mut self, x: f64) {
         self.count += 1;
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
         self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean; `NaN` when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.mean
-        }
     }
 
     /// Unbiased sample variance; `NaN` with fewer than two observations.
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.count < 2 {
             f64::NAN
         } else {
             self.m2 / (self.count - 1) as f64
         }
     }
-
-    /// Population variance (divides by `n`); `NaN` when empty.
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation; `+inf` when empty.
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation; `−inf` when empty.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
 }
 
 impl FromIterator<f64> for RunningStats {
     fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        let mut s = RunningStats::new();
+        let mut s = RunningStats::default();
         for x in iter {
             s.push(x);
         }
@@ -150,7 +74,7 @@ pub fn variance(xs: &[f64]) -> f64 {
 /// # Panics
 ///
 /// Panics if the slices differ in length.
-pub fn covariance(xs: &[f64], ys: &[f64]) -> f64 {
+pub(crate) fn covariance(xs: &[f64], ys: &[f64]) -> f64 {
     assert_eq!(xs.len(), ys.len(), "covariance: length mismatch");
     let n = xs.len();
     if n < 2 {
@@ -235,11 +159,6 @@ pub struct Interval {
 }
 
 impl Interval {
-    /// Midpoint of the interval.
-    pub fn center(&self) -> f64 {
-        0.5 * (self.lo + self.hi)
-    }
-
     /// Half the interval width — the `± ci` of a `mean ± ci` report.
     pub fn half_width(&self) -> f64 {
         0.5 * (self.hi - self.lo)
@@ -380,53 +299,13 @@ mod tests {
         let s: RunningStats = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
             .into_iter()
             .collect();
-        assert_eq!(s.count(), 8);
-        assert!(close(s.mean(), 5.0, 1e-12));
-        assert!(close(s.population_variance(), 4.0, 1e-12));
         assert!(close(s.variance(), 32.0 / 7.0, 1e-12));
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
     }
 
     #[test]
     fn empty_stats_are_nan() {
-        let s = RunningStats::new();
-        assert!(s.mean().is_nan());
-        assert!(s.variance().is_nan());
-        assert_eq!(s.count(), 0);
-    }
-
-    #[test]
-    fn merge_matches_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for (i, &x) in xs.iter().enumerate() {
-            if i % 2 == 0 {
-                a.push(x)
-            } else {
-                b.push(x)
-            }
-        }
-        a.merge(&b);
-        let all: RunningStats = xs.iter().copied().collect();
-        assert_eq!(a.count(), all.count());
-        assert!(close(a.mean(), all.mean(), 1e-12));
-        assert!(close(a.variance(), all.variance(), 1e-12));
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a: RunningStats = [1.0, 2.0, 3.0].into_iter().collect();
-        let before = a;
-        a.merge(&RunningStats::new());
-        assert_eq!(a.count(), before.count());
-        assert_eq!(a.mean(), before.mean());
-
-        let mut e = RunningStats::new();
-        e.merge(&before);
-        assert_eq!(e.count(), 3);
-        assert!(close(e.mean(), 2.0, 1e-12));
+        assert!(RunningStats::default().variance().is_nan());
+        assert!(variance(&[1.0]).is_nan());
     }
 
     #[test]
@@ -483,7 +362,7 @@ mod tests {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         let ci = t_confidence_interval(&xs, 0.95);
         assert!(ci.contains(mean(&xs)));
-        assert!(close(ci.center(), 5.0, 1e-12));
+        assert!(close(0.5 * (ci.lo + ci.hi), 5.0, 1e-12));
         // t(0.975, 7) ≈ 2.3646: half-width = t · se.
         assert!(close(
             ci.half_width(),
@@ -542,10 +421,9 @@ mod tests {
 
     proptest! {
         #[test]
-        fn pushing_shifts_mean_linearly(xs in proptest::collection::vec(-100.0..100.0f64, 2..50), shift in -10.0..10.0f64) {
+        fn shifting_leaves_variance_unchanged(xs in proptest::collection::vec(-100.0..100.0f64, 2..50), shift in -10.0..10.0f64) {
             let base: RunningStats = xs.iter().copied().collect();
             let shifted: RunningStats = xs.iter().map(|x| x + shift).collect();
-            prop_assert!(close(shifted.mean(), base.mean() + shift, 1e-9));
             prop_assert!(close(shifted.variance(), base.variance(), 1e-7));
         }
 

@@ -79,41 +79,11 @@ impl Vec2 {
         (self - other).norm_sq()
     }
 
-    /// Returns the vector scaled to unit length, or `None` for (near-)zero
-    /// vectors where the direction is undefined.
-    #[inline]
-    pub fn normalized(self) -> Option<Vec2> {
-        let n = self.norm();
-        if n > f64::EPSILON {
-            Some(self / n)
-        } else {
-            None
-        }
-    }
-
     /// The vector rotated counter-clockwise by `angle` radians.
     #[inline]
     pub fn rotated(self, angle: f64) -> Vec2 {
         let (s, c) = angle.sin_cos();
         Vec2::new(c * self.x - s * self.y, s * self.x + c * self.y)
-    }
-
-    /// The vector rotated by 90° counter-clockwise.
-    #[inline]
-    pub fn perp(self) -> Vec2 {
-        Vec2::new(-self.y, self.x)
-    }
-
-    /// Angle of the vector, in radians in `(-π, π]`.
-    #[inline]
-    pub fn angle(self) -> f64 {
-        self.y.atan2(self.x)
-    }
-
-    /// Component-wise linear interpolation: `self + t * (other - self)`.
-    #[inline]
-    pub fn lerp(self, other: Vec2, t: f64) -> Vec2 {
-        self + (other - self) * t
     }
 
     /// Component-wise minimum.
@@ -310,25 +280,17 @@ mod tests {
     }
 
     #[test]
-    fn normalization() {
-        let v = Vec2::new(3.0, 4.0).normalized().unwrap();
-        assert!(close(v.norm(), 1.0));
-        assert!(Vec2::ZERO.normalized().is_none());
-    }
-
-    #[test]
     fn rotation_quarter_turn() {
         let v = Vec2::new(1.0, 0.0).rotated(FRAC_PI_2);
         assert!(close(v.x, 0.0));
         assert!(close(v.y, 1.0));
-        assert_eq!(Vec2::new(1.0, 0.0).perp(), Vec2::new(0.0, 1.0));
     }
 
     #[test]
     fn polar_round_trip() {
         let v = Vec2::from_polar(2.0, PI / 3.0);
         assert!(close(v.norm(), 2.0));
-        assert!(close(v.angle(), PI / 3.0));
+        assert!(close(v.y.atan2(v.x), PI / 3.0));
     }
 
     #[test]
@@ -350,15 +312,6 @@ mod tests {
         ];
         assert_eq!(Vec2::centroid(&pts), Vec2::new(1.0, 1.0));
         assert_eq!(Vec2::centroid(&[]), Vec2::ZERO);
-    }
-
-    #[test]
-    fn lerp_endpoints_and_midpoint() {
-        let a = Vec2::new(1.0, 1.0);
-        let b = Vec2::new(3.0, -1.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Vec2::new(2.0, 0.0));
     }
 
     #[test]
@@ -399,11 +352,6 @@ mod tests {
         #[test]
         fn clamp_norm_never_exceeds(v in arb_vec2(), cap in 0.0..100.0f64) {
             prop_assert!(v.clamp_norm(cap).norm() <= cap * (1.0 + 1e-12) + 1e-12);
-        }
-
-        #[test]
-        fn perp_is_orthogonal(v in arb_vec2()) {
-            prop_assert!(v.dot(v.perp()).abs() <= 1e-9 * (1.0 + v.norm_sq()));
         }
     }
 }

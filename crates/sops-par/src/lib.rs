@@ -30,8 +30,8 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-/// Maximum number of worker threads used by [`parallel_map`] /
-/// [`parallel_for`] when no explicit count is given.
+/// Maximum number of worker threads used by [`parallel_map`] when no
+/// explicit count is given.
 ///
 /// Resolution order: the `SOPS_THREADS` environment variable if set and
 /// parseable, else [`std::thread::available_parallelism`], else 1.
@@ -154,42 +154,6 @@ where
         .collect()
 }
 
-/// Like [`parallel_map`] but with the default thread count.
-pub fn parallel_map_auto<T, F>(len: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    parallel_map(len, default_threads(), f)
-}
-
-/// Runs `f(i)` for every index in `0..len` in parallel, for side effects.
-pub fn parallel_for<F>(len: usize, threads: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let threads = threads.max(1).min(len.max(1));
-    if threads == 1 || len <= 1 {
-        for i in 0..len {
-            f(i);
-        }
-        return;
-    }
-    let next = AtomicUsize::new(0);
-    let panics = FirstPanic::default();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= len || panics.run(i, || f(i)).is_none() {
-                    break;
-                }
-            });
-        }
-    });
-    panics.resume();
-}
-
 /// Splits `data` into disjoint mutable chunks and runs `f(chunk_index,
 /// chunk)` on each in parallel.
 ///
@@ -247,54 +211,6 @@ where
         }
     });
     panics.resume();
-}
-
-/// Parallel fold-then-reduce over `0..len`.
-///
-/// Each worker folds its claimed indices into a thread-local accumulator
-/// created by `init`, and the per-worker accumulators are combined with
-/// `merge` in worker order. `merge` must be associative and `init` must be
-/// its identity for the result to be schedule-independent; all uses in this
-/// workspace (statistics merging, sum of force norms) satisfy that.
-pub fn parallel_reduce<A, F, M, I>(len: usize, threads: usize, init: I, fold: F, merge: M) -> A
-where
-    A: Send,
-    I: Fn() -> A + Sync,
-    F: Fn(A, usize) -> A + Sync,
-    M: Fn(A, A) -> A,
-{
-    let threads = threads.max(1).min(len.max(1));
-    if threads == 1 || len <= 1 {
-        return (0..len).fold(init(), &fold);
-    }
-    let next = AtomicUsize::new(0);
-    let panics = FirstPanic::default();
-    let partials: Vec<Option<A>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut acc = init();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= len {
-                            return Some(acc);
-                        }
-                        acc = panics.run(i, || fold(acc, i))?;
-                    }
-                })
-            })
-            .collect();
-        // A panic outside every task (in `init`) is re-raised as is.
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
-            .collect()
-    });
-    panics.resume();
-    partials
-        .into_iter()
-        .map(|acc| acc.expect("parallel_reduce: a worker stopped without a panic"))
-        .fold(init(), merge)
 }
 
 /// The panic of the lowest-index task that panicked in one parallel call.
@@ -394,7 +310,6 @@ impl<'a, T> SliceCells<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn map_matches_sequential() {
@@ -408,12 +323,6 @@ mod tests {
         assert_eq!(parallel_map(5, 1, |i| i + 1), vec![1, 2, 3, 4, 5]);
         let empty: Vec<usize> = parallel_map(0, 8, |i| i);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn map_auto_threads() {
-        let out = parallel_map_auto(100, |i| 2 * i);
-        assert_eq!(out[99], 198);
     }
 
     #[test]
@@ -449,17 +358,6 @@ mod tests {
         });
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
         assert_eq!(workers[0].len(), 5);
-    }
-
-    #[test]
-    fn for_each_visits_every_index_once() {
-        let hits: Vec<AtomicU64> = (0..500).map(|_| AtomicU64::new(0)).collect();
-        parallel_for(500, 8, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        for (i, h) in hits.iter().enumerate() {
-            assert_eq!(h.load(Ordering::Relaxed), 1, "index {i}");
-        }
     }
 
     #[test]
@@ -499,18 +397,6 @@ mod tests {
             }
         });
         assert_eq!(data, vec![2, 2, 2]);
-    }
-
-    #[test]
-    fn reduce_sums_correctly() {
-        let total = parallel_reduce(10_000, 8, || 0u64, |acc, i| acc + i as u64, |a, b| a + b);
-        assert_eq!(total, 10_000 * 9_999 / 2);
-    }
-
-    #[test]
-    fn reduce_single_thread_path() {
-        let total = parallel_reduce(10, 1, || 1u64, |acc, i| acc * (i as u64 + 1), |a, b| a * b);
-        assert_eq!(total, 3_628_800); // 10!
     }
 
     #[test]
@@ -574,22 +460,10 @@ mod tests {
     }
 
     #[test]
-    fn for_raises_the_lowest_index_panic() {
-        assert_lowest_index_panic(|threads, task| parallel_for(12, threads, task));
-    }
-
-    #[test]
     fn chunks_mut_raises_the_lowest_index_panic() {
         assert_lowest_index_panic(|threads, task| {
             let mut data = vec![0u8; 12];
             parallel_chunks_mut(&mut data, 12, threads, |c, _| task(c));
-        });
-    }
-
-    #[test]
-    fn reduce_raises_the_lowest_index_panic() {
-        assert_lowest_index_panic(|threads, task| {
-            parallel_reduce(12, threads, || (), |(), i| task(i), |(), ()| ());
         });
     }
 

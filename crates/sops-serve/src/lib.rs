@@ -30,7 +30,11 @@
 //! optional (`fast` applies the smoke-scale transform
 //! [`ScenarioSpec::with_fast_scale`], like `sops-repro sweep --fast`;
 //! `samples` / `t_max` override the ensemble scale exactly, `seeds`
-//! defaults to each scenario's own seed, `threads` defaults to auto).
+//! defaults to each scenario's own seed, `threads` defaults to 0, auto).
+//! `threads` is capped at [`sops_par::default_threads`], so a request
+//! cannot make the server start more OS threads than an auto run would;
+//! results do not depend on the thread count, so the cap changes no
+//! response byte.
 //! The response is the sweep report in the `sweep.json` format plus
 //! per-cell `"provenance"` / `"cached"` fields, so callers can see which
 //! cells were computed, served from the cell cache, or coalesced onto a
@@ -79,7 +83,7 @@ impl HttpResponse {
     }
 
     /// The reason phrase for [`HttpResponse::status`].
-    pub fn status_line(&self) -> &'static str {
+    pub(crate) fn status_line(&self) -> &'static str {
         match self.status {
             200 => "200 OK",
             400 => "400 Bad Request",
@@ -93,7 +97,7 @@ impl HttpResponse {
     /// Serializes the response onto `w` (HTTP/1.1, connection-close).
     /// Head and body go out in one `write_all`, so an unbuffered socket
     /// gets one send call instead of one per formatted fragment.
-    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
+    pub(crate) fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
         let mut bytes = format!(
             "HTTP/1.1 {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
             self.status_line(),
@@ -211,7 +215,10 @@ pub fn parse_plan(body: &str) -> Result<SweepPlan, String> {
                 .collect::<Result<Vec<u64>, _>>()?
         }
     };
-    let threads = usize_field(obj, "threads")?.unwrap_or(0);
+    // 0 stays auto; an explicit count never exceeds what auto would use.
+    let threads = usize_field(obj, "threads")?
+        .unwrap_or(0)
+        .min(sops_par::default_threads());
 
     Ok(SweepPlan {
         scenarios,
@@ -225,7 +232,7 @@ pub fn parse_plan(body: &str) -> Result<SweepPlan, String> {
 /// The `/stats` body: broker counters plus cache counters and the cache's
 /// byte ledger `"bytes"`, a gauge (or `"cache": null` when the broker runs
 /// uncached).
-pub fn stats_json(broker: &SweepBroker) -> String {
+pub(crate) fn stats_json(broker: &SweepBroker) -> String {
     let s = broker.stats();
     let cache = match s.cache {
         Some(c) => format!(
@@ -459,6 +466,25 @@ mod tests {
     use super::*;
 
     #[test]
+    fn plan_parser_caps_the_thread_count() {
+        // The plans are only parsed, never run.
+        let parse = |threads: u64| {
+            parse_plan(&format!(
+                "{{\"scenarios\":[\"cell_sorting\"],\"measures\":[\"gaussian\"],\"threads\":{threads}}}"
+            ))
+            .unwrap()
+            .threads
+        };
+        let capped = parse(1_000_000);
+        assert!(
+            (1..=sops_par::default_threads()).contains(&capped),
+            "{capped} threads"
+        );
+        assert_eq!(parse(0), 0, "0 stays auto");
+        assert_eq!(parse(1), 1);
+    }
+
+    #[test]
     fn plan_parser_resolves_names_and_rejects_junk() {
         let plan = parse_plan(
             "{\"scenarios\":[\"cell_sorting\",\"mixing_null\"],\"measures\":[\"gaussian\",\"ksg@4\"],\
@@ -468,7 +494,7 @@ mod tests {
         assert_eq!(plan.scenarios.len(), 2);
         assert_eq!(plan.measures.len(), 2);
         assert_eq!(plan.seeds, vec![1, 2]);
-        assert_eq!(plan.threads, 2);
+        assert_eq!(plan.threads, 2.min(sops_par::default_threads()));
         assert!(
             plan.scenarios[0].ensemble.samples <= 100 && plan.scenarios[0].ensemble.t_max <= 40,
             "fast applies the smoke-scale clamp"

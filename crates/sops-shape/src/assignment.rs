@@ -44,7 +44,7 @@ impl HungarianScratch {
     }
 
     /// Capacities of the internal buffers (zero-allocation contract).
-    pub fn capacity_signature(&self, sig: &mut Vec<usize>) {
+    pub(crate) fn capacity_signature(&self, sig: &mut Vec<usize>) {
         sig.push(self.u.capacity());
         sig.push(self.v.capacity());
         sig.push(self.p.capacity());
@@ -55,36 +55,24 @@ impl HungarianScratch {
 }
 
 /// Solves the square assignment problem for the given row-major `n × n`
-/// cost matrix.
-///
-/// Returns `(assignment, total_cost)` where `assignment[row] = col`.
-/// Deterministic for ties (lowest augmenting column wins by scan order).
+/// cost matrix with caller-provided scratch and output buffer — the
+/// allocation-free form. `assignment` is cleared and filled with
+/// `assignment[row] = col`; the total cost is returned. Deterministic for
+/// ties (lowest augmenting column wins by scan order).
 ///
 /// ```
-/// use sops_shape::hungarian;
+/// use sops_shape::{hungarian_with, HungarianScratch};
 /// // Cheapest matching of [[4, 1], [2, 3]] picks the anti-diagonal.
-/// let (assignment, cost) = hungarian(2, &[4.0, 1.0, 2.0, 3.0]);
+/// let mut assignment = Vec::new();
+/// let costs = [4.0, 1.0, 2.0, 3.0];
+/// let cost = hungarian_with(&mut HungarianScratch::new(), 2, &costs, &mut assignment);
 /// assert_eq!(assignment, vec![1, 0]);
 /// assert_eq!(cost, 3.0);
 /// ```
 ///
-/// Convenience shim over [`hungarian_with`]; repeated callers should hold
-/// a [`HungarianScratch`].
-///
 /// # Panics
 ///
 /// Panics if `costs.len() != n * n`, if `n == 0`, or if any cost is NaN.
-pub fn hungarian(n: usize, costs: &[f64]) -> (Vec<usize>, f64) {
-    let mut scratch = HungarianScratch::new();
-    let mut assignment = Vec::new();
-    let cost = hungarian_with(&mut scratch, n, costs, &mut assignment);
-    (assignment, cost)
-}
-
-/// [`hungarian`] with caller-provided scratch and output buffer — the
-/// allocation-free form. `assignment` is cleared and filled with
-/// `assignment[row] = col`; the total cost is returned. Results are
-/// identical to [`hungarian`].
 pub fn hungarian_with(
     scratch: &mut HungarianScratch,
     n: usize,
@@ -311,8 +299,8 @@ fn reset<T: Clone>(buf: &mut Vec<T>, len: usize, value: T) {
 
 /// Brute-force optimal assignment by permutation enumeration — test
 /// reference, usable up to n ≈ 8.
-#[doc(hidden)]
-pub fn brute_force_assignment(n: usize, costs: &[f64]) -> (Vec<usize>, f64) {
+#[cfg(test)]
+fn brute_force_assignment(n: usize, costs: &[f64]) -> (Vec<usize>, f64) {
     assert!(n <= 9, "brute force assignment explodes past n = 9");
     let mut perm: Vec<usize> = (0..n).collect();
     let mut best_perm = perm.clone();
@@ -327,6 +315,7 @@ pub fn brute_force_assignment(n: usize, costs: &[f64]) -> (Vec<usize>, f64) {
     (best_perm, best)
 }
 
+#[cfg(test)]
 fn permute(arr: &mut [usize], k: usize, f: &mut impl FnMut(&[usize])) {
     if k == arr.len() {
         f(arr);
@@ -344,9 +333,16 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// One solve on a fresh scratch: `(assignment, total_cost)`.
+    fn hungarian_fresh(n: usize, costs: &[f64]) -> (Vec<usize>, f64) {
+        let mut assignment = Vec::new();
+        let cost = hungarian_with(&mut HungarianScratch::new(), n, costs, &mut assignment);
+        (assignment, cost)
+    }
+
     #[test]
     fn one_by_one() {
-        let (a, c) = hungarian(1, &[5.0]);
+        let (a, c) = hungarian_fresh(1, &[5.0]);
         assert_eq!(a, vec![0]);
         assert_eq!(c, 5.0);
     }
@@ -356,7 +352,7 @@ mod tests {
         // Optimal: 0->1 (2), 1->0 (3), 2->2 (2) = 7? Let's use a known case:
         // [[4, 1, 3], [2, 0, 5], [3, 2, 2]] -> optimum 1 + 2 + 2 = 5.
         let costs = [4.0, 1.0, 3.0, 2.0, 0.0, 5.0, 3.0, 2.0, 2.0];
-        let (a, c) = hungarian(3, &costs);
+        let (a, c) = hungarian_fresh(3, &costs);
         assert_eq!(c, 5.0);
         assert_eq!(a, vec![1, 0, 2]);
     }
@@ -369,7 +365,7 @@ mod tests {
         for i in 0..n {
             costs[i * n + i] = 0.0;
         }
-        let (a, c) = hungarian(n, &costs);
+        let (a, c) = hungarian_fresh(n, &costs);
         assert_eq!(a, (0..n).collect::<Vec<_>>());
         assert_eq!(c, 0.0);
     }
@@ -382,7 +378,7 @@ mod tests {
         for i in 0..n {
             costs[i * n + (n - 1 - i)] = 1.0;
         }
-        let (a, c) = hungarian(n, &costs);
+        let (a, c) = hungarian_fresh(n, &costs);
         assert_eq!(a, vec![3, 2, 1, 0]);
         assert_eq!(c, 4.0);
     }
@@ -390,7 +386,7 @@ mod tests {
     #[test]
     fn negative_costs_supported() {
         let costs = [-5.0, 0.0, 0.0, -5.0];
-        let (a, c) = hungarian(2, &costs);
+        let (a, c) = hungarian_fresh(2, &costs);
         assert_eq!(a, vec![0, 1]);
         assert_eq!(c, -10.0);
     }
@@ -404,7 +400,13 @@ mod tests {
         for n in [5usize, 12, 3, 9, 12] {
             let costs: Vec<f64> = (0..n * n).map(|_| rng.next_range(-5.0, 5.0)).collect();
             let cost = hungarian_with(&mut scratch, n, &costs, &mut assignment);
-            let (fresh_assignment, fresh_cost) = hungarian(n, &costs);
+            let mut fresh_assignment = Vec::new();
+            let fresh_cost = hungarian_with(
+                &mut HungarianScratch::new(),
+                n,
+                &costs,
+                &mut fresh_assignment,
+            );
             assert_eq!(assignment, fresh_assignment, "n={n}");
             assert_eq!(cost.to_bits(), fresh_cost.to_bits(), "n={n}");
         }
@@ -415,7 +417,7 @@ mod tests {
         let mut rng = sops_math::SplitMix64::new(5);
         let n = 20;
         let costs: Vec<f64> = (0..n * n).map(|_| rng.next_range(0.0, 100.0)).collect();
-        let (a, _) = hungarian(n, &costs);
+        let (a, _) = hungarian_fresh(n, &costs);
         let mut seen = vec![false; n];
         for &c in &a {
             assert!(!seen[c], "column {c} assigned twice");
@@ -505,7 +507,7 @@ mod tests {
         fn matches_brute_force(n in 1..7usize, seed in 0..u64::MAX) {
             let mut rng = sops_math::SplitMix64::new(seed);
             let costs: Vec<f64> = (0..n * n).map(|_| rng.next_range(-10.0, 10.0)).collect();
-            let (_, fast) = hungarian(n, &costs);
+            let (_, fast) = hungarian_fresh(n, &costs);
             let (_, slow) = brute_force_assignment(n, &costs);
             prop_assert!((fast - slow).abs() < 1e-9, "hungarian {fast} vs brute {slow}");
         }
@@ -514,7 +516,7 @@ mod tests {
         fn cost_no_worse_than_identity_and_reversal(n in 2..12usize, seed in 0..u64::MAX) {
             let mut rng = sops_math::SplitMix64::new(seed);
             let costs: Vec<f64> = (0..n * n).map(|_| rng.next_range(0.0, 50.0)).collect();
-            let (_, best) = hungarian(n, &costs);
+            let (_, best) = hungarian_fresh(n, &costs);
             let identity: f64 = (0..n).map(|i| costs[i * n + i]).sum();
             let reversal: f64 = (0..n).map(|i| costs[i * n + (n - 1 - i)]).sum();
             prop_assert!(best <= identity + 1e-9);

@@ -10,34 +10,17 @@
 //! distance threshold — making Fig. 6's "several visually distinguishable
 //! categories" a measurable quantity.
 
-use crate::icp::{icp_align, IcpConfig};
-use crate::permutation::{match_types, matching_cost};
+use crate::icp::{icp_align_with, IcpConfig, IcpScratch};
+use crate::permutation::{match_types_into, matching_cost, MatchScratch};
 use sops_math::Vec2;
-
-/// Root-mean-square distance between two configurations after optimal
-/// alignment and type-preserving matching.
-///
-/// Symmetric up to ICP local optima (alignment runs from `b` onto `a`);
-/// callers needing guaranteed symmetry can average both directions.
-pub fn shape_distance(a: &[Vec2], b: &[Vec2], types: &[u16], cfg: &IcpConfig) -> f64 {
-    assert_eq!(a.len(), b.len(), "shape_distance: size mismatch");
-    assert_eq!(a.len(), types.len(), "shape_distance: types mismatch");
-    let mut a_c = a.to_vec();
-    let mut b_c = b.to_vec();
-    crate::center(&mut a_c);
-    crate::center(&mut b_c);
-    let res = icp_align(&a_c, &b_c, types, cfg);
-    res.transform.apply_all(&mut b_c);
-    let perm = match_types(&a_c, &b_c, types);
-    (matching_cost(&a_c, &b_c, &perm) / a.len() as f64).sqrt()
-}
 
 /// Single-linkage clustering of configurations at a shape-distance
 /// threshold; returns a category label per configuration (labels are
 /// 0-based, ordered by first occurrence).
 ///
 /// `O(m²)` distance evaluations with a union-find merge — fine for the
-/// gallery-sized inputs it serves (m ≤ a few hundred).
+/// gallery-sized inputs it serves (m ≤ a few hundred). One ICP and one
+/// matching scratch serve every pair.
 pub fn cluster_shapes(
     configs: &[&[Vec2]],
     types: &[u16],
@@ -46,12 +29,13 @@ pub fn cluster_shapes(
 ) -> Vec<usize> {
     let m = configs.len();
     let mut uf = UnionFind::new(m);
+    let mut scratch = DistanceScratch::default();
     for i in 0..m {
         for j in (i + 1)..m {
             if uf.find(i) == uf.find(j) {
                 continue; // already linked through another sample
             }
-            if shape_distance(configs[i], configs[j], types, cfg) <= threshold {
+            if shape_distance(&mut scratch, configs[i], configs[j], types, cfg) <= threshold {
                 uf.union(i, j);
             }
         }
@@ -65,6 +49,38 @@ pub fn cluster_shapes(
         labels.push(*label_of_root.entry(root).or_insert(next));
     }
     labels
+}
+
+/// The ICP and matching buffers [`shape_distance`] reuses across pairs.
+#[derive(Default)]
+struct DistanceScratch {
+    icp: IcpScratch,
+    matching: MatchScratch,
+    perm: Vec<usize>,
+}
+
+/// Root-mean-square distance between two configurations after optimal
+/// alignment and type-preserving matching.
+///
+/// Symmetric up to ICP local optima (alignment runs from `b` onto `a`);
+/// callers needing guaranteed symmetry can average both directions.
+fn shape_distance(
+    scratch: &mut DistanceScratch,
+    a: &[Vec2],
+    b: &[Vec2],
+    types: &[u16],
+    cfg: &IcpConfig,
+) -> f64 {
+    assert_eq!(a.len(), b.len(), "shape_distance: size mismatch");
+    assert_eq!(a.len(), types.len(), "shape_distance: types mismatch");
+    let mut a_c = a.to_vec();
+    let mut b_c = b.to_vec();
+    crate::center(&mut a_c);
+    crate::center(&mut b_c);
+    let res = icp_align_with(&mut scratch.icp, &a_c, &b_c, types, cfg);
+    res.transform.apply_all(&mut b_c);
+    match_types_into(&mut scratch.matching, &a_c, &b_c, types, &mut scratch.perm);
+    (matching_cost(&a_c, &b_c, &scratch.perm) / a.len() as f64).sqrt()
 }
 
 /// Number of distinct categories in a label vector.
@@ -110,6 +126,17 @@ mod tests {
     use crate::kabsch::RigidTransform;
     use sops_math::SplitMix64;
 
+    /// [`shape_distance`] on a fresh scratch with the default ICP.
+    fn distance(a: &[Vec2], b: &[Vec2], types: &[u16]) -> f64 {
+        shape_distance(
+            &mut DistanceScratch::default(),
+            a,
+            b,
+            types,
+            &IcpConfig::default(),
+        )
+    }
+
     fn blob(seed: u64) -> Vec<Vec2> {
         let mut rng = SplitMix64::new(seed);
         (0..10)
@@ -121,7 +148,7 @@ mod tests {
     fn identical_shapes_have_zero_distance() {
         let a = blob(1);
         let types = vec![0u16; a.len()];
-        let d = shape_distance(&a, &a, &types, &IcpConfig::default());
+        let d = distance(&a, &a, &types);
         assert!(d < 1e-9, "self distance {d}");
         // Rigid copies too.
         let t = RigidTransform {
@@ -129,7 +156,7 @@ mod tests {
             translation: Vec2::new(5.0, -2.0),
         };
         let moved: Vec<Vec2> = a.iter().map(|&p| t.apply(p)).collect();
-        let d = shape_distance(&a, &moved, &types, &IcpConfig::default());
+        let d = distance(&a, &moved, &types);
         assert!(d < 1e-6, "rigid-copy distance {d}");
     }
 
@@ -138,7 +165,7 @@ mod tests {
         let a = blob(1);
         let b = blob(2);
         let types = vec![0u16; a.len()];
-        let d = shape_distance(&a, &b, &types, &IcpConfig::default());
+        let d = distance(&a, &b, &types);
         assert!(d > 0.1, "distinct blobs: {d}");
     }
 
@@ -154,8 +181,8 @@ mod tests {
                 })
                 .collect()
         };
-        let small = shape_distance(&a, &perturb(0.05, &mut rng), &types, &IcpConfig::default());
-        let large = shape_distance(&a, &perturb(1.0, &mut rng), &types, &IcpConfig::default());
+        let small = distance(&a, &perturb(0.05, &mut rng), &types);
+        let large = distance(&a, &perturb(1.0, &mut rng), &types);
         assert!(small < large, "{small} !< {large}");
         assert!(small < 0.1);
     }

@@ -26,7 +26,7 @@ pub enum ReduceMode {
     Centred,
 }
 
-/// Configuration for [`reduce_configurations`].
+/// Configuration for [`reduce_configurations_with`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReduceConfig {
     /// ICP parameters used per sample.
@@ -103,26 +103,20 @@ impl ReduceWorkspace {
 }
 
 /// Reduces every sample in `samples` (one configuration per ensemble run,
-/// all at the same time step) to the canonical shape frame.
+/// all at the same time step) to the canonical shape frame, with
+/// persistent per-worker scratch — the form the pipeline's evaluation
+/// workers drive.
 ///
 /// Steps per sample: centre on centroid → ICP-align to the centred
 /// reference sample → optimal same-type re-indexing to reference order.
-///
-/// Convenience shim over [`reduce_configurations_with`]; repeated callers
-/// (the pipeline's evaluation loop) should hold a [`ReduceWorkspace`].
+/// Results do not depend on the worker count or on what the workspace
+/// ran before (outputs are written into per-sample slots; the scratch
+/// only caches buffer capacity).
 ///
 /// # Panics
 ///
 /// Panics if `samples` is empty, sizes are inconsistent, or
 /// `cfg.reference` is out of range.
-pub fn reduce_configurations(samples: &[&[Vec2]], types: &[u16], cfg: &ReduceConfig) -> ReducedSet {
-    reduce_configurations_with(&mut ReduceWorkspace::new(), samples, types, cfg)
-}
-
-/// [`reduce_configurations`] with persistent per-worker scratch — the
-/// form the pipeline's evaluation workers drive. Results are identical
-/// to [`reduce_configurations`] for any worker count (outputs are written
-/// into per-sample slots; the scratch only caches buffer capacity).
 pub fn reduce_configurations_with(
     ws: &mut ReduceWorkspace,
     samples: &[&[Vec2]],
@@ -206,6 +200,11 @@ mod tests {
     use super::*;
     use crate::kabsch::RigidTransform;
 
+    /// One reduction on a fresh workspace.
+    fn reduce_fresh(samples: &[&[Vec2]], types: &[u16], cfg: &ReduceConfig) -> ReducedSet {
+        reduce_configurations_with(&mut ReduceWorkspace::new(), samples, types, cfg)
+    }
+
     fn base_shape() -> (Vec<Vec2>, Vec<u16>) {
         let pts = vec![
             Vec2::new(0.0, 0.0),
@@ -224,7 +223,7 @@ mod tests {
         // shape; after reduction all samples must coincide.
         let (base, types) = base_shape();
         let transforms = [
-            RigidTransform::IDENTITY,
+            RigidTransform::rotation(0.0),
             RigidTransform {
                 rotation: 1.0,
                 translation: Vec2::new(10.0, -5.0),
@@ -241,7 +240,7 @@ mod tests {
             .collect();
         samples[2].swap(0, 1);
         let views: Vec<&[Vec2]> = samples.iter().map(|s| s.as_slice()).collect();
-        let reduced = reduce_configurations(&views, &types, &ReduceConfig::default());
+        let reduced = reduce_fresh(&views, &types, &ReduceConfig::default());
         for s in 1..reduced.configs.len() {
             for i in 0..base.len() {
                 assert!(
@@ -260,7 +259,7 @@ mod tests {
         let (base, types) = base_shape();
         let shifted: Vec<Vec2> = base.iter().map(|&p| p + Vec2::new(100.0, 50.0)).collect();
         let views: Vec<&[Vec2]> = vec![&base, &shifted];
-        let reduced = reduce_configurations(&views, &types, &ReduceConfig::default());
+        let reduced = reduce_fresh(&views, &types, &ReduceConfig::default());
         for cfg in &reduced.configs {
             assert!(Vec2::centroid(cfg).norm() < 1e-9);
         }
@@ -289,8 +288,8 @@ mod tests {
             .map(|&p| RigidTransform::rotation(0.8).apply(p))
             .collect();
         let views: Vec<&[Vec2]> = vec![&base, &rot];
-        let r0 = reduce_configurations(&views, &types, &ReduceConfig::default());
-        let r1 = reduce_configurations(
+        let r0 = reduce_fresh(&views, &types, &ReduceConfig::default());
+        let r1 = reduce_fresh(
             &views,
             &types,
             &ReduceConfig {
@@ -328,7 +327,7 @@ mod tests {
             mode: ReduceMode::Centred,
             ..ReduceConfig::default()
         };
-        let reduced = reduce_configurations(&views, &types, &cfg);
+        let reduced = reduce_fresh(&views, &types, &cfg);
         // Every output is centred and every cost is exactly zero (no ICP ran).
         for c in &reduced.configs {
             assert!(Vec2::centroid(c).norm() < 1e-9);
@@ -359,7 +358,7 @@ mod tests {
             samples.push(base.iter().map(|&p| t.apply(p)).collect::<Vec<_>>());
         }
         let views: Vec<&[Vec2]> = samples.iter().map(|s| s.as_slice()).collect();
-        let a = reduce_configurations(
+        let a = reduce_fresh(
             &views,
             &types,
             &ReduceConfig {
@@ -367,7 +366,7 @@ mod tests {
                 ..ReduceConfig::default()
             },
         );
-        let b = reduce_configurations(
+        let b = reduce_fresh(
             &views,
             &types,
             &ReduceConfig {

@@ -207,7 +207,7 @@ impl IcpScratch {
     }
 
     /// Capacities of the internal buffers (zero-allocation contract).
-    pub fn capacity_signature(&self, sig: &mut Vec<usize>) {
+    pub(crate) fn capacity_signature(&self, sig: &mut Vec<usize>) {
         sig.push(self.mov_c.capacity());
         sig.push(self.targets.capacity());
         sig.push(self.matches.capacity());
@@ -219,22 +219,14 @@ impl IcpScratch {
     }
 }
 
-/// Aligns `moving` onto `reference`; `types[i]` is particle `i`'s type in
-/// *both* configurations (they are states of the same system).
-///
-/// Convenience shim over [`icp_align_with`]; repeated callers (the
-/// ensemble reduction) should hold an [`IcpScratch`].
+/// Aligns `moving` onto `reference` with caller-provided scratch — the
+/// allocation-free form; `types[i]` is particle `i`'s type in *both*
+/// configurations (they are states of the same system).
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length, are empty, or a type id has no
 /// particles in the reference.
-pub fn icp_align(reference: &[Vec2], moving: &[Vec2], types: &[u16], cfg: &IcpConfig) -> IcpResult {
-    icp_align_with(&mut IcpScratch::new(), reference, moving, types, cfg)
-}
-
-/// [`icp_align`] with caller-provided scratch — the allocation-free form.
-/// Results are identical to [`icp_align`].
 pub fn icp_align_with(
     scratch: &mut IcpScratch,
     reference: &[Vec2],
@@ -344,6 +336,16 @@ mod tests {
     use proptest::prelude::*;
     use std::f64::consts::PI;
 
+    /// One alignment on a fresh scratch.
+    fn icp_align_fresh(
+        reference: &[Vec2],
+        moving: &[Vec2],
+        types: &[u16],
+        cfg: &IcpConfig,
+    ) -> IcpResult {
+        icp_align_with(&mut IcpScratch::new(), reference, moving, types, cfg)
+    }
+
     /// An asymmetric single-type cloud (no rotational symmetry, so the
     /// alignment optimum is unique).
     fn cloud() -> Vec<Vec2> {
@@ -371,7 +373,7 @@ mod tests {
             .iter()
             .map(|&p| truth.inverse().apply(p))
             .collect();
-        let res = icp_align(&reference, &moving, &types, &IcpConfig::default());
+        let res = icp_align_fresh(&reference, &moving, &types, &IcpConfig::default());
         assert!(res.cost < 1e-18, "cost {}", res.cost);
         for (&m, &r) in moving.iter().zip(&reference) {
             assert!((res.transform.apply(m) - r).norm() < 1e-9);
@@ -390,7 +392,7 @@ mod tests {
             .map(|&p| truth.inverse().apply(p))
             .collect();
 
-        let no_restart = icp_align(
+        let no_restart = icp_align_fresh(
             &reference,
             &moving,
             &types,
@@ -399,7 +401,7 @@ mod tests {
                 ..IcpConfig::default()
             },
         );
-        let with_restarts = icp_align(&reference, &moving, &types, &IcpConfig::default());
+        let with_restarts = icp_align_fresh(&reference, &moving, &types, &IcpConfig::default());
         assert!(with_restarts.cost < 1e-12);
         assert!(with_restarts.cost <= no_restart.cost);
     }
@@ -422,7 +424,7 @@ mod tests {
             .iter()
             .map(|&p| p + Vec2::new(0.01, -0.01))
             .collect();
-        let res = icp_align(&reference, &moving, &types, &IcpConfig::default());
+        let res = icp_align_fresh(&reference, &moving, &types, &IcpConfig::default());
         // Rotation must be near 0, not near ±π/2 (which cross-type
         // matching would prefer equally).
         let wrapped = res.rotation_normalized();
@@ -459,13 +461,13 @@ mod tests {
                     + Vec2::new(rng.next_range(-0.05, 0.05), rng.next_range(-0.05, 0.05))
             })
             .collect();
-        let res = icp_align(&reference, &moving, &types, &IcpConfig::default());
+        let res = icp_align_fresh(&reference, &moving, &types, &IcpConfig::default());
         assert!(res.cost < 0.01, "cost {} too high for 0.05 noise", res.cost);
     }
 
     #[test]
     fn single_particle_alignment() {
-        let res = icp_align(
+        let res = icp_align_fresh(
             &[Vec2::new(3.0, 4.0)],
             &[Vec2::new(-1.0, 2.0)],
             &[0],
@@ -574,7 +576,7 @@ mod tests {
             let types: Vec<u16> = (0..15).map(|i| (i % 3) as u16).collect();
             let truth = RigidTransform { rotation: angle, translation: Vec2::new(tx, ty) };
             let moving: Vec<Vec2> = reference.iter().map(|&p| truth.inverse().apply(p)).collect();
-            let res = icp_align(&reference, &moving, &types, &IcpConfig::default());
+            let res = icp_align_fresh(&reference, &moving, &types, &IcpConfig::default());
             prop_assert!(res.cost < 1e-10, "cost {}", res.cost);
         }
     }

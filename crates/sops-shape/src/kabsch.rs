@@ -25,12 +25,6 @@ pub struct RigidTransform {
 }
 
 impl RigidTransform {
-    /// The identity transform.
-    pub const IDENTITY: RigidTransform = RigidTransform {
-        rotation: 0.0,
-        translation: Vec2::ZERO,
-    };
-
     /// A pure rotation about the origin.
     pub fn rotation(angle: f64) -> Self {
         RigidTransform {
@@ -120,25 +114,24 @@ pub fn fit_rigid(p: &[Vec2], q: &[Vec2]) -> RigidTransform {
     }
 }
 
-/// Mean squared residual `⟨‖T(p_i) − q_i‖²⟩` of a fit — the alignment cost
-/// used to pick among ICP restarts.
-pub fn alignment_cost(t: &RigidTransform, p: &[Vec2], q: &[Vec2]) -> f64 {
-    assert_eq!(p.len(), q.len());
-    if p.is_empty() {
-        return 0.0;
-    }
-    p.iter()
-        .zip(q)
-        .map(|(a, b)| t.apply(*a).dist_sq(*b))
-        .sum::<f64>()
-        / p.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::f64::consts::{FRAC_PI_3, PI};
+
+    /// Mean squared residual `⟨‖T(p_i) − q_i‖²⟩` of a fit.
+    fn alignment_cost(t: &RigidTransform, p: &[Vec2], q: &[Vec2]) -> f64 {
+        assert_eq!(p.len(), q.len());
+        if p.is_empty() {
+            return 0.0;
+        }
+        p.iter()
+            .zip(q)
+            .map(|(a, b)| t.apply(*a).dist_sq(*b))
+            .sum::<f64>()
+            / p.len() as f64
+    }
 
     fn sample_cloud() -> Vec<Vec2> {
         vec![

@@ -8,9 +8,10 @@
 //!
 //! 1. **centre** on the centroid ([`center`]),
 //! 2. **rotate** into alignment with a reference sample using a type-aware
-//!    ICP ([`icp`]) built on closed-form 2-D rigid fits ([`kabsch`]),
+//!    ICP ([`icp`]) built on closed-form 2-D rigid fits ([`fit_rigid`]),
 //! 3. **re-index** particles by optimal same-type correspondence with the
-//!    reference ([`permutation`], Hungarian assignment in [`assignment`]).
+//!    reference ([`permutation`], Hungarian assignment in
+//!    [`hungarian_with`]).
 //!
 //! The paper used the PCL ICP implementation with types embedded as a
 //! scaled third coordinate; per-type nearest-neighbour correspondence is
@@ -18,21 +19,19 @@
 //! diameter (the nearest neighbour of any point is then of its own
 //! type), and is what [`icp`] implements directly.
 
-pub mod assignment;
+mod assignment;
 pub mod distance;
 pub mod ensemble;
 pub mod icp;
-pub mod kabsch;
+mod kabsch;
 pub mod permutation;
 
-pub use assignment::{hungarian, hungarian_with, HungarianScratch};
-pub use distance::{cluster_shapes, shape_distance};
-pub use ensemble::{
-    reduce_configurations, reduce_configurations_with, ReduceConfig, ReduceMode, ReduceWorkspace,
-};
-pub use icp::{icp_align, icp_align_with, IcpConfig, IcpResult, IcpScratch};
+pub use assignment::{hungarian_with, HungarianScratch};
+pub use distance::cluster_shapes;
+pub use ensemble::{reduce_configurations_with, ReduceConfig, ReduceMode, ReduceWorkspace};
+pub use icp::{icp_align_with, IcpConfig, IcpResult, IcpScratch};
 pub use kabsch::{fit_rigid, RigidTransform};
-pub use permutation::{match_types, match_types_into, MatchScratch};
+pub use permutation::{match_types_into, MatchScratch};
 
 use sops_math::Vec2;
 

@@ -4,7 +4,7 @@
 //! that "particles close to each other in different samples at the same
 //! time are considered to represent the same particle". The optimal
 //! type-preserving bijection minimizing total squared distance is computed
-//! per type with the Hungarian algorithm (see [`crate::assignment`] for
+//! per type with the Hungarian algorithm (see [`crate::hungarian_with`] for
 //! why greedy nearest-neighbour is not enough).
 
 use crate::assignment::{hungarian_with, HungarianScratch};
@@ -36,7 +36,7 @@ impl MatchScratch {
     /// Capacities of the internal buffers (zero-allocation contract).
     /// The signature length itself is part of the contract: a growing
     /// `by_type` shows up as a longer vector.
-    pub fn capacity_signature(&self, sig: &mut Vec<usize>) {
+    pub(crate) fn capacity_signature(&self, sig: &mut Vec<usize>) {
         sig.push(self.by_type.len());
         for group in &self.by_type {
             sig.push(group.capacity());
@@ -48,32 +48,16 @@ impl MatchScratch {
 }
 
 /// Computes the type-preserving bijection between `reference` and
-/// `moving` minimizing the total squared correspondence distance.
+/// `moving` minimizing the total squared correspondence distance, with
+/// caller-provided scratch and output buffer — the allocation-free form.
 ///
-/// Returns `perm` with `perm[ref_index] = moving_index`: the moving
-/// particle that plays the role of reference particle `ref_index`.
-///
-/// Convenience shim over [`match_types_into`]; repeated callers should
-/// hold a [`MatchScratch`] and an output buffer.
+/// `perm` is cleared and refilled with `perm[ref_index] = moving_index`:
+/// the moving particle that plays the role of reference particle
+/// `ref_index`.
 ///
 /// # Panics
 ///
 /// Panics if lengths mismatch.
-pub fn match_types(reference: &[Vec2], moving: &[Vec2], types: &[u16]) -> Vec<usize> {
-    let mut perm = Vec::new();
-    match_types_into(
-        &mut MatchScratch::new(),
-        reference,
-        moving,
-        types,
-        &mut perm,
-    );
-    perm
-}
-
-/// [`match_types`] with caller-provided scratch and output buffer — the
-/// allocation-free form. `perm` is cleared and refilled; results are
-/// identical to [`match_types`].
 pub fn match_types_into(
     scratch: &mut MatchScratch,
     reference: &[Vec2],
@@ -134,9 +118,9 @@ pub fn apply_matching(perm: &[usize], moving: &[Vec2]) -> Vec<Vec2> {
     perm.iter().map(|&j| moving[j]).collect()
 }
 
-/// Total squared distance achieved by a matching — diagnostic used by
-/// tests and by the Fig. 7 dispersion analysis.
-pub fn matching_cost(reference: &[Vec2], moving: &[Vec2], perm: &[usize]) -> f64 {
+/// Total squared distance achieved by a matching — the residual of
+/// [`crate::distance`]'s shape distance.
+pub(crate) fn matching_cost(reference: &[Vec2], moving: &[Vec2], perm: &[usize]) -> f64 {
     perm.iter()
         .enumerate()
         .map(|(i, &j)| reference[i].dist_sq(moving[j]))
@@ -148,6 +132,19 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// One matching on a fresh scratch.
+    fn match_types_fresh(reference: &[Vec2], moving: &[Vec2], types: &[u16]) -> Vec<usize> {
+        let mut perm = Vec::new();
+        match_types_into(
+            &mut MatchScratch::new(),
+            reference,
+            moving,
+            types,
+            &mut perm,
+        );
+        perm
+    }
+
     #[test]
     fn identity_when_already_matched() {
         let pts = vec![
@@ -155,7 +152,7 @@ mod tests {
             Vec2::new(1.0, 0.0),
             Vec2::new(2.0, 0.0),
         ];
-        let perm = match_types(&pts, &pts, &[0, 0, 0]);
+        let perm = match_types_fresh(&pts, &pts, &[0, 0, 0]);
         assert_eq!(perm, vec![0, 1, 2]);
     }
 
@@ -163,7 +160,7 @@ mod tests {
     fn recovers_a_swap() {
         let reference = vec![Vec2::new(0.0, 0.0), Vec2::new(5.0, 0.0)];
         let moving = vec![Vec2::new(5.1, 0.0), Vec2::new(-0.1, 0.0)];
-        let perm = match_types(&reference, &moving, &[0, 0]);
+        let perm = match_types_fresh(&reference, &moving, &[0, 0]);
         assert_eq!(perm, vec![1, 0]);
         let fixed = apply_matching(&perm, &moving);
         assert!((fixed[0] - reference[0]).norm() < 0.2);
@@ -177,7 +174,7 @@ mod tests {
         let reference = vec![Vec2::new(0.0, 0.0), Vec2::new(1.0, 0.0)];
         let moving = vec![Vec2::new(0.9, 0.0), Vec2::new(5.0, 0.0)];
         let types = vec![0u16, 1];
-        let perm = match_types(&reference, &moving, &types);
+        let perm = match_types_fresh(&reference, &moving, &types);
         assert_eq!(perm, vec![0, 1], "no cross-type reassignment allowed");
     }
 
@@ -188,7 +185,7 @@ mod tests {
         // any non-bijective greedy repair.
         let reference = vec![Vec2::new(0.0, 0.0), Vec2::new(2.0, 0.0)];
         let moving = vec![Vec2::new(0.4, 0.0), Vec2::new(0.6, 0.0)];
-        let perm = match_types(&reference, &moving, &[0, 0]);
+        let perm = match_types_fresh(&reference, &moving, &[0, 0]);
         // Optimal: 0 -> 0 (0.16), 1 -> 1 ((2-0.6)^2 = 1.96) total 2.12;
         // the swap would cost 0.36 + 2.56 = 2.92.
         assert_eq!(perm, vec![0, 1]);
@@ -199,7 +196,7 @@ mod tests {
     fn singleton_types_map_to_themselves() {
         let reference = vec![Vec2::new(0.0, 0.0), Vec2::new(9.0, 9.0)];
         let moving = vec![Vec2::new(1.0, 1.0), Vec2::new(8.0, 8.0)];
-        let perm = match_types(&reference, &moving, &[0, 1]);
+        let perm = match_types_fresh(&reference, &moving, &[0, 1]);
         assert_eq!(perm, vec![0, 1]);
     }
 
@@ -216,7 +213,7 @@ mod tests {
             let moving: Vec<Vec2> = (0..n)
                 .map(|_| Vec2::new(rng.next_range(-5.0, 5.0), rng.next_range(-5.0, 5.0)))
                 .collect();
-            let perm = match_types(&reference, &moving, &types);
+            let perm = match_types_fresh(&reference, &moving, &types);
             // Bijection.
             let mut seen = vec![false; n];
             for &j in &perm {
@@ -252,7 +249,7 @@ mod tests {
             let moving: Vec<Vec2> = (0..n).map(|i| reference[perm_true[i]]).collect();
             // moving[i] = reference[perm_true[i]] => matching moving back
             // onto reference must recover reference exactly.
-            let perm = match_types(&reference, &moving, &types);
+            let perm = match_types_fresh(&reference, &moving, &types);
             let restored = apply_matching(&perm, &moving);
             for (r, p) in reference.iter().zip(&restored) {
                 prop_assert!((*r - *p).norm() < 1e-9);

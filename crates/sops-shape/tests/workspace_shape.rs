@@ -1,7 +1,8 @@
 //! Contracts of the persistent shape-reduction scratch:
 //!
 //! * `icp_align_with`, `match_types_into` and `reduce_configurations_with`
-//!   are bit-identical to their scratch-free shims for any worker count;
+//!   on a reused scratch are bit-identical to a fresh scratch, for any
+//!   worker count;
 //! * the lane-scan `icp_align_with` is bit-identical (cost, transform
 //!   bits, iterations) to [`frozen`], a copy of the per-type kd-tree
 //!   kernel it replaced — on continuous and tie-heavy lattice clouds,
@@ -16,9 +17,8 @@ use sops_core::ScenarioRegistry;
 use sops_math::{SplitMix64, Vec2};
 use sops_shape::ensemble::flatten_reduced;
 use sops_shape::{
-    center, icp_align, icp_align_with, match_types, match_types_into, reduce_configurations,
-    reduce_configurations_with, IcpConfig, IcpResult, IcpScratch, MatchScratch, ReduceConfig,
-    ReduceWorkspace, RigidTransform,
+    center, icp_align_with, match_types_into, reduce_configurations_with, IcpConfig, IcpResult,
+    IcpScratch, MatchScratch, ReduceConfig, ReduceWorkspace, RigidTransform,
 };
 use sops_sim::run_ensemble;
 
@@ -350,7 +350,7 @@ fn slice(n: usize, samples: usize, seed: u64) -> (Vec<Vec<Vec2>>, Vec<u16>) {
 }
 
 #[test]
-fn icp_scratch_bit_identical_to_shim_across_reuse() {
+fn icp_scratch_bit_identical_to_fresh_scratch_across_reuse() {
     let mut scratch = IcpScratch::new();
     for seed in 0..5u64 {
         let (samples, types) = slice(12, 2, seed);
@@ -363,29 +363,42 @@ fn icp_scratch_bit_identical_to_shim_across_reuse() {
             &types,
             &IcpConfig::default(),
         );
-        let shim = icp_align(reference, moving, &types, &IcpConfig::default());
-        assert_eq!(with.cost.to_bits(), shim.cost.to_bits(), "seed {seed}");
+        let fresh = icp_align_with(
+            &mut IcpScratch::new(),
+            reference,
+            moving,
+            &types,
+            &IcpConfig::default(),
+        );
+        assert_eq!(with.cost.to_bits(), fresh.cost.to_bits(), "seed {seed}");
         assert_eq!(
             with.transform.rotation.to_bits(),
-            shim.transform.rotation.to_bits()
+            fresh.transform.rotation.to_bits()
         );
         assert_eq!(
             with.transform.translation.x.to_bits(),
-            shim.transform.translation.x.to_bits()
+            fresh.transform.translation.x.to_bits()
         );
-        assert_eq!(with.iterations, shim.iterations);
+        assert_eq!(with.iterations, fresh.iterations);
     }
 }
 
 #[test]
-fn match_scratch_bit_identical_to_shim_across_reuse() {
+fn match_scratch_bit_identical_to_fresh_scratch_across_reuse() {
     let mut scratch = MatchScratch::new();
     let mut perm = Vec::new();
     for (n, seed) in [(8usize, 1u64), (20, 2), (5, 3), (20, 4)] {
         let (samples, types) = slice(n, 2, seed);
         match_types_into(&mut scratch, &samples[0], &samples[1], &types, &mut perm);
-        let shim = match_types(&samples[0], &samples[1], &types);
-        assert_eq!(perm, shim, "n={n} seed={seed}");
+        let mut fresh = Vec::new();
+        match_types_into(
+            &mut MatchScratch::new(),
+            &samples[0],
+            &samples[1],
+            &types,
+            &mut fresh,
+        );
+        assert_eq!(perm, fresh, "n={n} seed={seed}");
     }
 }
 
@@ -393,7 +406,12 @@ fn match_scratch_bit_identical_to_shim_across_reuse() {
 fn reduce_with_workspace_bit_identical_for_any_worker_count() {
     let (samples, types) = slice(10, 12, 9);
     let views: Vec<&[Vec2]> = samples.iter().map(|s| s.as_slice()).collect();
-    let shim = reduce_configurations(&views, &types, &ReduceConfig::default());
+    let fresh = reduce_configurations_with(
+        &mut ReduceWorkspace::new(),
+        &views,
+        &types,
+        &ReduceConfig::default(),
+    );
     for threads in [1usize, 4, 8] {
         let mut ws = ReduceWorkspace::new();
         let cfg = ReduceConfig {
@@ -401,12 +419,12 @@ fn reduce_with_workspace_bit_identical_for_any_worker_count() {
             ..ReduceConfig::default()
         };
         let got = reduce_configurations_with(&mut ws, &views, &types, &cfg);
-        assert_eq!(got.configs, shim.configs, "threads={threads}");
-        for (a, b) in got.icp_costs.iter().zip(&shim.icp_costs) {
+        assert_eq!(got.configs, fresh.configs, "threads={threads}");
+        for (a, b) in got.icp_costs.iter().zip(&fresh.icp_costs) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         // Flattened layout is what the estimators consume.
-        assert_eq!(flatten_reduced(&got), flatten_reduced(&shim));
+        assert_eq!(flatten_reduced(&got), flatten_reduced(&fresh));
     }
 }
 
@@ -446,7 +464,12 @@ fn reduce_workspace_survives_shape_changes_between_calls() {
         let (slices, types) = slice(n, samples, round as u64);
         let views: Vec<&[Vec2]> = slices.iter().map(|s| s.as_slice()).collect();
         let reused = reduce_configurations_with(&mut ws, &views, &types, &ReduceConfig::default());
-        let fresh = reduce_configurations(&views, &types, &ReduceConfig::default());
+        let fresh = reduce_configurations_with(
+            &mut ReduceWorkspace::new(),
+            &views,
+            &types,
+            &ReduceConfig::default(),
+        );
         assert_eq!(reused.configs, fresh.configs, "round {round}");
     }
 }

@@ -89,8 +89,8 @@ impl Ensemble {
     /// per-time-step statistics of §5.2.
     ///
     /// Allocates a fresh vector per call; loops over many time steps (the
-    /// sweep evaluation pass) should hold a buffer and use
-    /// [`Ensemble::at_time_into`] instead.
+    /// sweep evaluation pass) should hold a buffer and read through
+    /// [`crate::EnsembleFrames::at_time_into`] instead.
     pub fn at_time(&self, t: usize) -> Vec<&[Vec2]> {
         let mut out = Vec::new();
         self.at_time_into(t, &mut out);
@@ -101,13 +101,13 @@ impl Ensemble {
     /// first), reusing its capacity — the allocation-free form of
     /// [`Ensemble::at_time`] for callers that visit many time steps with
     /// one buffer.
-    pub fn at_time_into<'a>(&'a self, t: usize, out: &mut Vec<&'a [Vec2]>) {
+    pub(crate) fn at_time_into<'a>(&'a self, t: usize, out: &mut Vec<&'a [Vec2]>) {
         out.clear();
         out.extend(self.runs.iter().map(|r| r.frames[t].as_slice()));
     }
 
     /// Fraction of runs that satisfied the equilibrium criterion.
-    pub fn equilibrated_fraction(&self) -> f64 {
+    pub(crate) fn equilibrated_fraction(&self) -> f64 {
         if self.runs.is_empty() {
             return 0.0;
         }

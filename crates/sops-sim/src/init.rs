@@ -12,7 +12,7 @@ use sops_math::{SplitMix64, Vec2};
 /// centred at the origin.
 ///
 /// Uses the inverse-CDF radius transform `r = R √u`, which is exact.
-pub fn uniform_disc(n: usize, radius: f64, rng: &mut SplitMix64) -> Vec<Vec2> {
+pub(crate) fn uniform_disc(n: usize, radius: f64, rng: &mut SplitMix64) -> Vec<Vec2> {
     assert!(radius > 0.0, "uniform_disc: radius must be positive");
     (0..n)
         .map(|_| {
@@ -21,38 +21,6 @@ pub fn uniform_disc(n: usize, radius: f64, rng: &mut SplitMix64) -> Vec<Vec2> {
             Vec2::from_polar(r, theta)
         })
         .collect()
-}
-
-/// Places `n` points on a regular grid inside a disc — a deterministic
-/// initial condition used by tests and by the Fig. 3 regular-grid
-/// diagnostics.
-pub fn hex_grid_in_disc(n: usize, spacing: f64) -> Vec<Vec2> {
-    assert!(spacing > 0.0);
-    // Spiral outward over hexagonal lattice sites until n are collected.
-    let mut pts = vec![Vec2::ZERO];
-    let mut ring = 1;
-    'outer: while pts.len() < n {
-        // Hex ring `ring` has 6*ring sites.
-        for i in 0..(6 * ring) {
-            let side = i / ring;
-            let offset = (i % ring) as f64;
-            let corner = Vec2::from_polar(
-                ring as f64 * spacing,
-                std::f64::consts::FRAC_PI_3 * side as f64,
-            );
-            let next_corner = Vec2::from_polar(
-                ring as f64 * spacing,
-                std::f64::consts::FRAC_PI_3 * (side as f64 + 1.0),
-            );
-            let p = corner + (next_corner - corner) * (offset / ring as f64);
-            pts.push(p);
-            if pts.len() == n {
-                break 'outer;
-            }
-        }
-        ring += 1;
-    }
-    pts
 }
 
 #[cfg(test)]
@@ -98,19 +66,5 @@ mod tests {
         let a = uniform_disc(10, 1.0, &mut SplitMix64::new(7));
         let b = uniform_disc(10, 1.0, &mut SplitMix64::new(7));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn hex_grid_count_and_spacing() {
-        let pts = hex_grid_in_disc(19, 1.0); // center + 2 full rings = 1+6+12
-        assert_eq!(pts.len(), 19);
-        // Nearest-neighbour distance of interior sites is the spacing.
-        let mut min_d = f64::INFINITY;
-        for i in 0..pts.len() {
-            for j in (i + 1)..pts.len() {
-                min_d = min_d.min(pts[i].dist(pts[j]));
-            }
-        }
-        assert!((min_d - 1.0).abs() < 1e-9, "min spacing {min_d}");
     }
 }

@@ -12,8 +12,8 @@
 //!   verify its deterministic convergence advantage.
 //!
 //! `σ_w = √noise_variance` (the paper's `w ~ N(0, 0.05)`, which does not
-//! say whether 0.05 is the variance or the std; see
-//! [`crate::DEFAULT_NOISE_VARIANCE`]). The per-substep *drift*
+//! say whether 0.05 is the variance or the std; the default
+//! [`IntegratorConfig`] reads it as the variance). The per-substep *drift*
 //! displacement is clamped to `max_step` to keep `F¹`'s `1/x` pole from
 //! catapulting particles in the rare event that two of them nearly
 //! coincide — the clamp engages only in that regime and is configurable
@@ -67,7 +67,7 @@ impl IntegratorConfig {
     /// the same wording [`IntegratorConfig::validate`] panics with. Sweep
     /// entry points surface this as `SweepError::InvalidPlan` instead of
     /// unwinding.
-    pub fn check(&self) -> Result<(), String> {
+    pub(crate) fn check(&self) -> Result<(), String> {
         if !(self.dt > 0.0 && self.dt.is_finite()) {
             return Err("dt must be positive".into());
         }
@@ -84,7 +84,7 @@ impl IntegratorConfig {
     }
 
     /// Validates the configuration; called by [`crate::Simulation`].
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         if let Err(reason) = self.check() {
             panic!("{reason}");
         }
@@ -104,7 +104,7 @@ impl IntegratorConfig {
 ///
 /// Returns the drift force-norm sum `Σ_i ‖f_i‖₂` measured at the *start*
 /// of the step, which the caller feeds to equilibrium detection.
-pub fn step(
+pub(crate) fn step(
     model: &Model,
     cfg: &IntegratorConfig,
     positions: &mut [Vec2],

@@ -19,16 +19,16 @@
 //! * [`force`] — the two force-scaling families `F¹` (linear, long-range
 //!   attraction) and `F²` (difference of Gaussians), plus random matrix
 //!   generators used by the sweep experiments.
-//! * [`model`] — particle types + force law + cut-off bundled as a
-//!   [`Model`].
+//! * [`Model`] — particle types + force law + cut-off.
 //! * [`integrator`] — Euler–Maruyama stepping with substeps and a
 //!   displacement clamp for the `1/x` singularity of `F¹`.
-//! * [`workspace`] — the persistent, allocation-free force-evaluation
-//!   engine: in-place grid rebuilds, a cell-sorted Newton's-third-law
-//!   half sweep, and deterministic chunked parallelism.
-//! * [`sim`] — a single simulation run producing a [`Trajectory`];
-//!   equilibrium and limit-cycle detection (§4.1, §6).
-//! * [`init`] — the uniform-disc initial distribution (§5.1).
+//! * [`ForceWorkspace`] — the persistent, allocation-free
+//!   force-evaluation engine: in-place grid rebuilds, a cell-sorted
+//!   Newton's-third-law half sweep, and deterministic chunked
+//!   parallelism.
+//! * [`Simulation`] — a single simulation run producing a [`Trajectory`];
+//!   equilibrium detection (§4.1) from the uniform-disc initial
+//!   distribution (§5.1).
 //! * [`ensemble`] — `m` independent runs in parallel with derived seeds
 //!   (bit-reproducible regardless of thread count).
 //! * [`streaming`] — out-of-core ensembles that retain only scheduled
@@ -37,25 +37,22 @@
 
 pub mod ensemble;
 pub mod force;
-pub mod init;
+mod init;
 pub mod integrator;
-pub mod model;
-pub mod sim;
+mod model;
+mod sim;
 pub mod streaming;
-pub mod workspace;
+mod workspace;
 
 pub use ensemble::{run_ensemble, Ensemble, EnsembleSpec};
 pub use force::{ForceLaw, ForceModel, GaussianForce, LinearForce};
 pub use integrator::IntegratorConfig;
 pub use model::Model;
 pub use sim::{EquilibriumCriterion, Simulation, Trajectory};
-pub use streaming::{
-    run_streaming_ensemble, EnsembleFrames, SpillStore, StreamingConfig, StreamingEnsemble,
-};
+pub use streaming::{run_streaming_ensemble, EnsembleFrames, StreamingConfig, StreamingEnsemble};
 pub use workspace::ForceWorkspace;
 
 /// Default noise level: the paper's `w ~ N(0, 0.05)` read as *variance* per
 /// unit time (std ≈ 0.2236). The paper does not say which it means; the
-/// figure reproductions read it as the std instead
-/// (`sops_core::figures::NOISE_VARIANCE`).
-pub const DEFAULT_NOISE_VARIANCE: f64 = 0.05;
+/// figure reproductions read it as the std instead (variance 0.0025).
+pub(crate) const DEFAULT_NOISE_VARIANCE: f64 = 0.05;

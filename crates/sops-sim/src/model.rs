@@ -1,16 +1,14 @@
 //! The model: particle types + force law + interaction cut-off.
 
 use crate::force::{ForceLaw, ForceModel};
-use crate::workspace::ForceWorkspace;
-use sops_math::Vec2;
 
 /// Distance below which the force-scaling argument is clamped, guarding
 /// `F¹`'s `r/x` pole when two particles coincide numerically.
 pub(crate) const MIN_DISTANCE: f64 = 1e-9;
 
-/// When the cut-off is finite, the cell-grid neighbour list is used above
-/// this particle count; below it the direct `O(n²)` loop is faster.
-const GRID_THRESHOLD: usize = 64;
+/// When the cut-off is finite, the cell-grid half sweep is used at or
+/// above this particle count; below it the direct `O(n²)` loop is faster.
+pub(crate) const GRID_THRESHOLD: usize = 64;
 
 /// A particle system: each particle's fixed type, the force-scaling law
 /// and the interaction cut-off radius `r_c`.
@@ -89,42 +87,14 @@ impl Model {
         }
         h
     }
-
-    /// Particle count at or above which (with a finite cut-off) the
-    /// cell-grid half sweep is used instead of the direct `O(n²)` loop.
-    pub fn grid_threshold() -> usize {
-        GRID_THRESHOLD
-    }
-
-    /// Drift term of Eq. 6 for every particle: `f_i = Σ_j −F(‖Δz_ij‖) Δz_ij`
-    /// over neighbours within the cut-off, written into `out`.
-    ///
-    /// Convenience entry point that spins up a fresh [`ForceWorkspace`]
-    /// per call. Anything evaluating forces repeatedly (the integrator,
-    /// benchmarks, analysis sweeps) should hold a workspace and call
-    /// [`ForceWorkspace::net_forces_into`] so grid and scratch buffers are
-    /// reused across calls.
-    pub fn net_forces(&self, positions: &[Vec2], out: &mut Vec<Vec2>) {
-        ForceWorkspace::new().net_forces_into(self, positions, out);
-    }
-
-    /// Sum of per-particle force norms `Σ_i ‖f_i‖₂` — the equilibrium
-    /// indicator of §4.1 ("the sum of the L2 norm of the sum of all forces
-    /// acting on each particle").
-    ///
-    /// Scratch space comes from the caller's workspace, so repeated
-    /// equilibrium checks allocate nothing ([`crate::Simulation`] exposes
-    /// this as `total_force_norm()` against its own workspace).
-    pub fn total_force_norm(&self, positions: &[Vec2], ws: &mut ForceWorkspace) -> f64 {
-        ws.total_force_norm(self, positions)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::force::{GaussianForce, LinearForce};
-    use sops_math::PairMatrix;
+    use crate::workspace::ForceWorkspace;
+    use sops_math::{PairMatrix, Vec2};
 
     fn two_particle_model(law: ForceModel, cutoff: f64) -> Model {
         Model::new(vec![0, 0], law, cutoff)
@@ -138,7 +108,7 @@ mod tests {
         );
         let pos = [Vec2::new(-2.0, 0.0), Vec2::new(2.0, 0.0)];
         let mut f = Vec::new();
-        m.net_forces(&pos, &mut f);
+        ForceWorkspace::new().net_forces_into(&m, &pos, &mut f);
         // Separation 4 > r = 1: particles pull together.
         assert!(f[0].x > 0.0, "left particle pulled right, got {:?}", f[0]);
         assert!(f[1].x < 0.0);
@@ -154,7 +124,7 @@ mod tests {
         );
         let pos = [Vec2::new(-0.25, 0.0), Vec2::new(0.25, 0.0)];
         let mut f = Vec::new();
-        m.net_forces(&pos, &mut f);
+        ForceWorkspace::new().net_forces_into(&m, &pos, &mut f);
         assert!(f[0].x < 0.0, "left particle pushed left");
         assert!(f[1].x > 0.0);
     }
@@ -168,7 +138,7 @@ mod tests {
         for sep in [0.5, 1.0, 2.0, 4.0] {
             let pos = [Vec2::new(-sep / 2.0, 0.0), Vec2::new(sep / 2.0, 0.0)];
             let mut f = Vec::new();
-            m.net_forces(&pos, &mut f);
+            ForceWorkspace::new().net_forces_into(&m, &pos, &mut f);
             assert!(f[0].x <= 1e-12, "separation {sep}: {:?}", f[0]);
         }
     }
@@ -178,12 +148,11 @@ mod tests {
         let m = two_particle_model(ForceModel::Linear(LinearForce::uniform(1.0, 1.0)), 3.0);
         let pos = [Vec2::new(0.0, 0.0), Vec2::new(10.0, 0.0)];
         let mut f = Vec::new();
-        m.net_forces(&pos, &mut f);
+        ForceWorkspace::new().net_forces_into(&m, &pos, &mut f);
         assert_eq!(f[0], Vec2::ZERO);
         assert_eq!(f[1], Vec2::ZERO);
         // Equilibrium indicator is exactly zero for the decoupled pair.
-        let mut ws = ForceWorkspace::new();
-        assert_eq!(m.total_force_norm(&pos, &mut ws), 0.0);
+        assert_eq!(ForceWorkspace::new().total_force_norm(&m, &pos), 0.0);
     }
 
     #[test]
@@ -201,7 +170,7 @@ mod tests {
             .map(|_| Vec2::new(rng.next_range(-8.0, 8.0), rng.next_range(-8.0, 8.0)))
             .collect();
         let mut fast = Vec::new();
-        m.net_forces(&pos, &mut fast);
+        ForceWorkspace::new().net_forces_into(&m, &pos, &mut fast);
 
         // Brute force reference.
         let mut slow = vec![Vec2::ZERO; n];
@@ -254,7 +223,7 @@ mod tests {
         );
         let pos = [Vec2::new(1.0, 1.0), Vec2::new(1.0, 1.0)];
         let mut f = Vec::new();
-        m.net_forces(&pos, &mut f);
+        ForceWorkspace::new().net_forces_into(&m, &pos, &mut f);
         assert!(f[0].is_finite() && f[1].is_finite());
     }
 }

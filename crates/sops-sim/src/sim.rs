@@ -1,5 +1,5 @@
-//! A single simulation run: trajectory recording, equilibrium detection
-//! and limit-cycle diagnostics.
+//! A single simulation run: trajectory recording and equilibrium
+//! detection.
 
 use crate::integrator::{step, IntegratorConfig};
 use crate::model::Model;
@@ -44,48 +44,13 @@ pub struct Trajectory {
 
 impl Trajectory {
     /// Number of recorded frames (`t_max + 1` including `t = 0`).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.frames.len()
-    }
-
-    /// `true` if no frames were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
     }
 
     /// The final configuration.
     pub fn last(&self) -> &[Vec2] {
         self.frames.last().expect("Trajectory: no frames")
-    }
-
-    /// Detects an approximate limit cycle in the recorded tail (paper §6
-    /// observes periodic dynamics that never satisfy the equilibrium
-    /// criterion).
-    ///
-    /// Scans lags `1..=max_period` over the last `window` frames and
-    /// returns the smallest lag whose mean per-particle displacement is
-    /// below `tol`, ignoring lag-independent drift by comparing against the
-    /// lag-1 baseline. A system at rest reports period 1 (a fixed point).
-    pub fn detect_period(&self, window: usize, max_period: usize, tol: f64) -> Option<usize> {
-        let t = self.frames.len();
-        if t < window + max_period || window == 0 {
-            return None;
-        }
-        let start = t - window;
-        for lag in 1..=max_period {
-            let mut acc = 0.0;
-            let mut count = 0usize;
-            for f in start..t - lag {
-                let a = &self.frames[f];
-                let b = &self.frames[f + lag];
-                acc += a.iter().zip(b).map(|(p, q)| p.dist(*q)).sum::<f64>() / a.len() as f64;
-                count += 1;
-            }
-            if count > 0 && acc / (count as f64) < tol {
-                return Some(lag);
-            }
-        }
-        None
     }
 }
 
@@ -100,7 +65,6 @@ pub struct Simulation {
     positions: Vec<Vec2>,
     workspace: ForceWorkspace,
     rng: SplitMix64,
-    time_step: usize,
 }
 
 impl Simulation {
@@ -128,7 +92,6 @@ impl Simulation {
             positions: initial,
             workspace: ForceWorkspace::new(),
             rng: SplitMix64::new(seed),
-            time_step: 0,
         }
     }
 
@@ -149,19 +112,9 @@ impl Simulation {
         sim
     }
 
-    /// The model being simulated.
-    pub fn model(&self) -> &Model {
-        &self.model
-    }
-
     /// Current particle positions.
     pub fn positions(&self) -> &[Vec2] {
         &self.positions
-    }
-
-    /// Recorded steps taken so far.
-    pub fn time_step(&self) -> usize {
-        self.time_step
     }
 
     /// The persistent force-evaluation workspace.
@@ -187,7 +140,6 @@ impl Simulation {
     /// Advances one recorded step; returns the drift force-norm sum at the
     /// start of the step.
     pub fn step(&mut self) -> f64 {
-        self.time_step += 1;
         step(
             &self.model,
             &self.cfg,
@@ -207,22 +159,13 @@ impl Simulation {
         let mut frames = Vec::with_capacity(t_max + 1);
         let mut force_norms = Vec::with_capacity(t_max);
         frames.push(self.positions.clone());
+        let mut watch = EquilibriumWatch::new(criterion);
         let mut equilibrium_step = None;
-        let mut below = 0usize;
         for t in 0..t_max {
             let fnorm = self.step();
             force_norms.push(fnorm);
             frames.push(self.positions.clone());
-            if let Some(c) = criterion {
-                if fnorm < c.threshold {
-                    below += 1;
-                    if below >= c.patience && equilibrium_step.is_none() {
-                        equilibrium_step = Some(t + 1);
-                    }
-                } else {
-                    below = 0;
-                }
-            }
+            equilibrium_step = watch.observe(t + 1, fnorm);
         }
         Trajectory {
             frames,
@@ -239,26 +182,61 @@ impl Simulation {
         criterion: EquilibriumCriterion,
         max_steps: usize,
     ) -> (usize, bool) {
-        let mut below = 0usize;
+        let mut watch = EquilibriumWatch::new(Some(criterion));
         for t in 0..max_steps {
             let fnorm = self.step();
-            if fnorm < criterion.threshold {
-                below += 1;
-                if below >= criterion.patience {
-                    return (t + 1, true);
-                }
-            } else {
-                below = 0;
+            if watch.observe(t + 1, fnorm).is_some() {
+                return (t + 1, true);
             }
         }
         (max_steps, false)
     }
 }
 
+/// The equilibrium bookkeeping of one run: the patience counter of an
+/// optional [`EquilibriumCriterion`] and the first recorded step at which
+/// it held. [`Simulation::run`], [`Simulation::run_to_equilibrium`] and
+/// the streaming ensemble's sample loop all feed one, so they agree by
+/// construction.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EquilibriumWatch {
+    criterion: Option<EquilibriumCriterion>,
+    /// Consecutive recorded steps below the threshold so far.
+    below: usize,
+    first: Option<usize>,
+}
+
+impl EquilibriumWatch {
+    pub(crate) fn new(criterion: Option<EquilibriumCriterion>) -> Self {
+        EquilibriumWatch {
+            criterion,
+            below: 0,
+            first: None,
+        }
+    }
+
+    /// Records `fnorm`, the drift force-norm sum at the start of the step
+    /// into recorded step `t`, and returns the first equilibrium step so
+    /// far (always `None` without a criterion).
+    pub(crate) fn observe(&mut self, t: usize, fnorm: f64) -> Option<usize> {
+        if let Some(c) = self.criterion {
+            if fnorm < c.threshold {
+                self.below += 1;
+                if self.below >= c.patience && self.first.is_none() {
+                    self.first = Some(t);
+                }
+            } else {
+                self.below = 0;
+            }
+        }
+        self.first
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::force::{ForceModel, GaussianForce, LinearForce};
+    use crate::force::{ForceModel, LinearForce};
 
     fn small_model(n: usize) -> Model {
         Model::balanced(
@@ -276,7 +254,6 @@ mod tests {
         assert_eq!(traj.len(), 21);
         assert_eq!(traj.force_norms.len(), 20);
         assert_eq!(traj.last().len(), 5);
-        assert!(!traj.is_empty());
     }
 
     #[test]
@@ -352,34 +329,26 @@ mod tests {
     }
 
     #[test]
-    fn fixed_point_detected_as_period_one() {
-        let cfg = IntegratorConfig::default().deterministic();
-        let mut sim = Simulation::with_disc_init(small_model(4), cfg, 1.5, 9);
-        let traj = sim.run(600, None);
-        let period = traj.detect_period(50, 5, 1e-6);
-        assert_eq!(period, Some(1));
-    }
-
-    #[test]
-    fn expanding_gaussian_collective_has_no_tight_period() {
-        // Pure repulsion keeps expanding; no approximate period at tight
-        // tolerance within the recorded horizon.
-        let model = Model::balanced(
-            12,
-            ForceModel::Gaussian(GaussianForce::uniform(5.0, 4.0)),
-            f64::INFINITY,
-        );
-        let cfg = IntegratorConfig::default().deterministic();
-        let mut sim = Simulation::with_disc_init(model, cfg, 1.0, 13);
-        let traj = sim.run(80, None);
-        assert_eq!(traj.detect_period(30, 5, 1e-9), None);
-    }
-
-    #[test]
-    fn trajectory_too_short_for_period_detection() {
-        let mut sim =
-            Simulation::with_disc_init(small_model(3), IntegratorConfig::default(), 1.0, 21);
-        let traj = sim.run(5, None);
-        assert_eq!(traj.detect_period(10, 5, 1e-3), None);
+    fn run_to_equilibrium_agrees_with_run() {
+        // One run that reaches equilibrium (noise-free, loose threshold)
+        // and one that does not (noisy, extremely tight threshold).
+        let cases = [
+            (IntegratorConfig::default().deterministic(), 1e-3, true),
+            (IntegratorConfig::default(), 1e-12, false),
+        ];
+        for (cfg, threshold, reaches) in cases {
+            let c = EquilibriumCriterion {
+                threshold,
+                patience: 5,
+            };
+            let make = || Simulation::with_disc_init(small_model(4), cfg, 1.5, 3);
+            let traj = make().run(800, Some(c));
+            let (steps, reached) = make().run_to_equilibrium(c, 800);
+            assert_eq!(reached, reaches, "threshold {threshold}");
+            assert_eq!(traj.equilibrium_step, reached.then_some(steps));
+            if !reached {
+                assert_eq!(steps, 800);
+            }
+        }
     }
 }

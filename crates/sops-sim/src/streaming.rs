@@ -19,7 +19,7 @@
 //!
 //! When even the retained frames exceed a configured resident budget
 //! ([`StreamingConfig::max_resident_bytes`]), the store spills to an
-//! anonymous temporary file ([`SpillStore`]): each worker writes its
+//! anonymous temporary file: each worker writes its
 //! sample's frames at fixed offsets as they are produced, and the
 //! evaluation pass reads one cross-sample time slice at a time into a
 //! reused buffer. Spilled round trips are raw `f64` bytes ([`Vec2`] is
@@ -31,7 +31,7 @@
 //! evaluation path for both storage modes.
 
 use crate::ensemble::{Ensemble, EnsembleSpec};
-use crate::sim::Simulation;
+use crate::sim::{EquilibriumWatch, Simulation};
 use sops_math::rng::derive_seed;
 use sops_math::Vec2;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,7 +70,7 @@ static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// reclaims it when the store drops — even if the process is killed
 /// mid-sweep (the fault-tolerance layer's crash model).
 #[derive(Debug)]
-pub struct SpillStore {
+pub(crate) struct SpillStore {
     file: std::fs::File,
     frame_len: usize,
     frames_per_sample: usize,
@@ -84,7 +84,7 @@ impl SpillStore {
     ///
     /// Panics on I/O failure — inside a sweep the panic-isolation layer
     /// quarantines the ensemble instead of aborting the run.
-    pub fn create(samples: usize, frames_per_sample: usize, frame_len: usize) -> Self {
+    pub(crate) fn create(samples: usize, frames_per_sample: usize, frame_len: usize) -> Self {
         let path = std::env::temp_dir().join(format!(
             "sops-spill-{}-{}.bin",
             std::process::id(),
@@ -118,7 +118,7 @@ impl SpillStore {
     /// Writes one frame at its fixed offset. Offsets are disjoint per
     /// (sample, frame), so concurrent writers need no further
     /// coordination (`write_all_at` takes `&self`).
-    pub fn write_frame(&self, sample: usize, frame: usize, positions: &[Vec2]) {
+    pub(crate) fn write_frame(&self, sample: usize, frame: usize, positions: &[Vec2]) {
         assert_eq!(positions.len(), self.frame_len, "SpillStore: frame size");
         #[cfg(unix)]
         {
@@ -135,7 +135,7 @@ impl SpillStore {
     }
 
     /// Reads one frame back into `out` (bit-exact round trip).
-    pub fn read_frame(&self, sample: usize, frame: usize, out: &mut [Vec2]) {
+    pub(crate) fn read_frame(&self, sample: usize, frame: usize, out: &mut [Vec2]) {
         assert_eq!(out.len(), self.frame_len, "SpillStore: frame size");
         #[cfg(unix)]
         {
@@ -198,36 +198,13 @@ pub struct StreamingEnsemble {
 
 impl StreamingEnsemble {
     /// Number of samples `m`.
-    pub fn samples(&self) -> usize {
+    pub(crate) fn samples(&self) -> usize {
         self.samples
-    }
-
-    /// Number of particles `n`.
-    pub fn particles(&self) -> usize {
-        self.particles
-    }
-
-    /// The retained time steps, strictly increasing.
-    pub fn times(&self) -> &[usize] {
-        &self.times
-    }
-
-    /// `true` when the frames live in a spill file rather than memory.
-    pub fn is_spilled(&self) -> bool {
-        matches!(self.store, FrameStore::Spill(_))
-    }
-
-    /// Resident bytes held by the frame store (0 when spilled).
-    pub fn resident_bytes(&self) -> usize {
-        match &self.store {
-            FrameStore::Memory(data) => data.len() * VEC2_BYTES,
-            FrameStore::Spill(_) => 0,
-        }
     }
 
     /// Fraction of runs that satisfied the equilibrium criterion —
     /// bit-identical to [`Ensemble::equilibrated_fraction`].
-    pub fn equilibrated_fraction(&self) -> f64 {
+    pub(crate) fn equilibrated_fraction(&self) -> f64 {
         if self.equilibrium_steps.is_empty() {
             return 0.0;
         }
@@ -257,7 +234,12 @@ impl StreamingEnsemble {
     /// In-memory stores serve slices directly; spilled stores load the
     /// time slice into `buf` (capacity reused across calls) and slice
     /// that, so a warmed-up evaluation loop allocates nothing either way.
-    pub fn at_time_into<'a>(&'a self, t: usize, buf: &'a mut Vec<Vec2>, out: &mut Vec<&'a [Vec2]>) {
+    pub(crate) fn at_time_into<'a>(
+        &'a self,
+        t: usize,
+        buf: &'a mut Vec<Vec2>,
+        out: &mut Vec<&'a [Vec2]>,
+    ) {
         out.clear();
         let fi = self.frame_index(t);
         let n = self.particles;
@@ -294,9 +276,10 @@ fn normalize_times(times: &[usize], t_max: usize) -> Vec<usize> {
     out
 }
 
-/// Runs each sample forward with the exact loop of
-/// [`crate::Simulation::run`], emitting only the retained frames to
-/// `sink(frame_index, positions)`. Returns the equilibrium step, if any.
+/// Steps one sample through the horizon as [`crate::Simulation::run`]
+/// does — same seed, same RNG draws, the same `EquilibriumWatch` — but
+/// emits only the retained frames, to `sink(frame_index, positions)`.
+/// Returns the equilibrium step, if any.
 fn stream_one(
     spec: &EnsembleSpec,
     sample: usize,
@@ -315,20 +298,11 @@ fn stream_one(
         sink(next, sim.positions());
         next += 1;
     }
+    let mut watch = EquilibriumWatch::new(spec.criterion);
     let mut equilibrium_step = None;
-    let mut below = 0usize;
     for t in 0..spec.t_max {
         let fnorm = sim.step();
-        if let Some(c) = spec.criterion {
-            if fnorm < c.threshold {
-                below += 1;
-                if below >= c.patience && equilibrium_step.is_none() {
-                    equilibrium_step = Some(t + 1);
-                }
-            } else {
-                below = 0;
-            }
-        }
+        equilibrium_step = watch.observe(t + 1, fnorm);
         if next < times.len() && times[next] == t + 1 {
             sink(next, sim.positions());
             next += 1;
@@ -420,28 +394,11 @@ impl<'e> EnsembleFrames<'e> {
         }
     }
 
-    /// Number of particles `n`.
-    pub fn particles(&self) -> usize {
-        match self {
-            EnsembleFrames::Retained(e) => e.particles(),
-            EnsembleFrames::Streaming(s) => s.particles(),
-        }
-    }
-
     /// Fraction of runs that satisfied the equilibrium criterion.
     pub fn equilibrated_fraction(&self) -> f64 {
         match self {
             EnsembleFrames::Retained(e) => e.equilibrated_fraction(),
             EnsembleFrames::Streaming(s) => s.equilibrated_fraction(),
-        }
-    }
-
-    /// `true` when time `t` can be served: retained ensembles cover every
-    /// recorded step, streaming ensembles only their schedule.
-    pub fn covers(&self, t: usize) -> bool {
-        match self {
-            EnsembleFrames::Retained(e) => t < e.frames(),
-            EnsembleFrames::Streaming(s) => s.times().binary_search(&t).is_ok(),
         }
     }
 
@@ -451,7 +408,8 @@ impl<'e> EnsembleFrames<'e> {
     ///
     /// # Panics
     ///
-    /// Panics if `t` is not covered (see [`EnsembleFrames::covers`]).
+    /// Panics if `t` is not covered: retained ensembles cover every
+    /// recorded step, streaming ensembles only their schedule.
     pub fn at_time_into<'a>(&'a self, t: usize, buf: &'a mut Vec<Vec2>, out: &mut Vec<&'a [Vec2]>) {
         match self {
             EnsembleFrames::Retained(e) => e.at_time_into(t, out),
@@ -506,7 +464,7 @@ mod tests {
         for threads in [1usize, 8] {
             let streamed = run_streaming_ensemble(spec, times, threads, cfg);
             let frames = EnsembleFrames::Streaming(&streamed);
-            for &t in streamed.times() {
+            for &t in &streamed.times {
                 let mut buf = Vec::new();
                 let mut out = Vec::new();
                 frames.at_time_into(t, &mut buf, &mut out);
@@ -539,8 +497,7 @@ mod tests {
             max_resident_bytes: 1,
         };
         let streamed = run_streaming_ensemble(&s, &[0, 10, 20], 4, &cfg);
-        assert!(streamed.is_spilled());
-        assert_eq!(streamed.resident_bytes(), 0);
+        assert!(matches!(streamed.store, FrameStore::Spill(_)));
         assert_matches_retained(&s, &[0, 10, 20], &cfg);
     }
 
@@ -568,9 +525,7 @@ mod tests {
     fn times_are_normalized() {
         let s = spec(3, 10);
         let e = run_streaming_ensemble(&s, &[10, 0, 5, 5, 0], 1, &StreamingConfig::default());
-        assert_eq!(e.times(), &[0, 5, 10]);
-        assert!(EnsembleFrames::Streaming(&e).covers(5));
-        assert!(!EnsembleFrames::Streaming(&e).covers(3));
+        assert_eq!(e.times, [0, 5, 10]);
     }
 
     #[test]
@@ -585,7 +540,7 @@ mod tests {
         let mut storage: Vec<&[Vec2]> = Vec::new();
         let mut warm = (0usize, 0usize, 0usize, 0usize);
         for round in 0..4 {
-            for &t in streamed.times() {
+            for &t in &streamed.times {
                 let mut out = recycle_slice_vec(storage);
                 frames.at_time_into(t, &mut buf, &mut out);
                 assert_eq!(out.len(), streamed.samples());

@@ -1,7 +1,8 @@
 //! The persistent, allocation-free force-evaluation engine.
 //!
-//! [`crate::Model::net_forces`] is the simulator's hottest kernel: it runs
-//! once per substep per particle system, thousands of times per ensemble.
+//! Force evaluation ([`ForceWorkspace::net_forces_into`]) is the
+//! simulator's hottest kernel: it runs once per substep per particle
+//! system, thousands of times per ensemble.
 //! The naive implementation rebuilt a [`CellGrid`] from scratch each call
 //! (three allocations plus a full point clone), evaluated every
 //! interacting pair twice, and the Heun corrector allocated two more
@@ -31,7 +32,7 @@
 //!   pre-SoA code (`tests/workspace_forces.rs` pins this against a
 //!   frozen copy of the old kernel).
 //! * **Deterministic parallelism** — the cell range is split into
-//!   [`FORCE_CHUNKS`] fixed, thread-count-independent spans. Each chunk
+//!   `FORCE_CHUNKS` fixed, thread-count-independent spans. Each chunk
 //!   scatters into its own accumulator (indexed in *cell order*, so a
 //!   chunk only ever touches its own span plus one cell row below) and
 //!   the accumulators are reduced in chunk order, so the result is
@@ -40,7 +41,7 @@
 //!   The end-to-end determinism suite (`tests/determinism.rs`) relies on
 //!   this.
 //!
-//! Small systems (`n <` [`Model::grid_threshold`]) and unbounded cut-offs
+//! Small systems (`n < GRID_THRESHOLD`, 64) and unbounded cut-offs
 //! take the direct `O(n²)` pair loop (monomorphized per law family),
 //! which already halves via Newton's third law and touches no grid state.
 
@@ -54,7 +55,7 @@ use sops_spatial::CellGrid;
 /// The partition — not the thread count — defines the floating-point
 /// accumulation order, so this is a compile-time constant: results are
 /// bit-identical whether the spans run on 1 thread or 8.
-pub const FORCE_CHUNKS: usize = 8;
+pub(crate) const FORCE_CHUNKS: usize = 8;
 
 /// Hit-batch capacity. A batch is flushed (distance + law lanes, then the
 /// ordered Newton-3 scatter) whenever the next candidate row might not
@@ -182,7 +183,7 @@ impl ForceChunk {
 /// Reusable buffers for force evaluation and integration.
 ///
 /// Owned by [`crate::Simulation`] (one per independent run) and threaded
-/// through [`crate::integrator::step`]. Create one explicitly to drive
+/// through every integrator step. Create one explicitly to drive
 /// [`Model`] force evaluations without a full simulation:
 ///
 /// ```
@@ -260,7 +261,7 @@ impl ForceWorkspace {
     }
 
     /// Sets the worker-thread count for the cell sweep (0 = default).
-    pub fn set_threads(&mut self, threads: usize) {
+    pub(crate) fn set_threads(&mut self, threads: usize) {
         self.threads = if threads == 0 {
             sops_par::default_threads()
         } else {
@@ -268,14 +269,9 @@ impl ForceWorkspace {
         };
     }
 
-    /// The configured sweep worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Computes the drift forces into the workspace's primary buffer;
     /// read them back with [`ForceWorkspace::forces`].
-    pub fn compute(&mut self, model: &Model, positions: &[Vec2]) {
+    pub(crate) fn compute(&mut self, model: &Model, positions: &[Vec2]) {
         let ForceWorkspace {
             threads,
             grid,
@@ -299,8 +295,11 @@ impl ForceWorkspace {
         );
     }
 
-    /// Computes the drift forces into a caller-provided buffer (cleared
-    /// and resized). Allocation-free once the workspace is warm.
+    /// Drift term of Eq. 6 for every particle: `f_i = Σ_j −F(‖Δz_ij‖) Δz_ij`
+    /// over neighbours within the cut-off, written into a caller-provided
+    /// buffer (cleared and resized). Allocation-free once the workspace is
+    /// warm, so anything evaluating forces repeatedly should hold one
+    /// workspace.
     pub fn net_forces_into(&mut self, model: &Model, positions: &[Vec2], out: &mut Vec<Vec2>) {
         let ForceWorkspace {
             threads,
@@ -325,13 +324,13 @@ impl ForceWorkspace {
     }
 
     /// The forces written by the last [`ForceWorkspace::compute`].
-    pub fn forces(&self) -> &[Vec2] {
+    pub(crate) fn forces(&self) -> &[Vec2] {
         &self.forces
     }
 
     /// Sum of per-particle force norms `Σ_i ‖f_i‖₂` — the equilibrium
     /// indicator of paper §4.1 — without allocating.
-    pub fn total_force_norm(&mut self, model: &Model, positions: &[Vec2]) -> f64 {
+    pub(crate) fn total_force_norm(&mut self, model: &Model, positions: &[Vec2]) -> f64 {
         self.compute(model, positions);
         self.forces.iter().map(|f| f.norm()).sum()
     }
@@ -418,7 +417,7 @@ fn compute_into(
     assert_eq!(n, model.particles(), "net_forces: position count mismatch");
     let cutoff = model.cutoff();
     let law = model.law();
-    if !cutoff.is_finite() || n < Model::grid_threshold() {
+    if !cutoff.is_finite() || n < crate::model::GRID_THRESHOLD {
         out.clear();
         out.resize(n, Vec2::ZERO);
         let r2 = if cutoff.is_finite() {
@@ -713,7 +712,7 @@ mod x86 {
     ///
     /// Caller must have verified [`sops_math::wide_available`].
     #[target_feature(enable = "avx512f,avx512vl")]
-    pub unsafe fn sqrt_clamp(x: &mut [f64], floor: f64) {
+    pub(crate) unsafe fn sqrt_clamp(x: &mut [f64], floor: f64) {
         for xi in x {
             *xi = xi.sqrt().max(floor);
         }
@@ -726,7 +725,7 @@ mod x86 {
     ///
     /// Caller must have verified [`sops_math::wide_available`].
     #[target_feature(enable = "avx512f,avx512vl")]
-    pub unsafe fn linear_scale(fv: &mut [f64], x: &[f64], k: &[f64], r: &[f64]) {
+    pub(crate) unsafe fn linear_scale(fv: &mut [f64], x: &[f64], k: &[f64], r: &[f64]) {
         for (i, fo) in fv.iter_mut().enumerate() {
             *fo = k[i] * (1.0 - r[i] / x[i]);
         }
@@ -742,7 +741,7 @@ mod x86 {
     ///
     /// Caller must have verified [`sops_math::wide_available`].
     #[target_feature(enable = "avx512f,avx512vl")]
-    pub unsafe fn sqrt_linear_scale(fv: &mut [f64], d2: &[f64], k: f64, r: f64, floor: f64) {
+    pub(crate) unsafe fn sqrt_linear_scale(fv: &mut [f64], d2: &[f64], k: f64, r: f64, floor: f64) {
         for (fo, &d2i) in fv.iter_mut().zip(d2) {
             let xi = d2i.sqrt().max(floor);
             *fo = k * (1.0 - r / xi);

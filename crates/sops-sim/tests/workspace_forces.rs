@@ -2,7 +2,7 @@
 //!
 //! * the workspace path (direct and cell-grid half sweep) matches an
 //!   all-pairs brute reference for every law family, multi-type
-//!   interaction matrices included, across the `grid_threshold` boundary;
+//!   interaction matrices included, across the 64-particle grid threshold;
 //! * the Heun scheme driven through the workspace matches a brute-force
 //!   reference integrator;
 //! * results are bit-identical for any sweep worker count;

@@ -137,18 +137,18 @@ impl<'a> BlockPoints<'a> {
     }
 
     /// Number of blocks per sample.
-    pub fn blocks(&self) -> usize {
+    pub(crate) fn blocks(&self) -> usize {
         self.offs().len() - 1
     }
 
     /// Row stride (joint dimension).
-    pub fn stride(&self) -> usize {
+    pub(crate) fn stride(&self) -> usize {
         *self.offs().last().unwrap()
     }
 
     /// One whole joint sample.
     #[inline]
-    pub fn row(&self, r: usize) -> &[f64] {
+    pub(crate) fn row(&self, r: usize) -> &[f64] {
         let s = self.stride();
         &self.data[r * s..(r + 1) * s]
     }
@@ -162,12 +162,6 @@ impl<'a> BlockPoints<'a> {
         &row[offs[b]..offs[b + 1]]
     }
 
-    /// Max-over-blocks distance between samples `a` and `b` (not squared —
-    /// block distances are L2 norms).
-    pub fn block_max_dist(&self, a: usize, b: usize) -> f64 {
-        self.block_max_dist_bounded(a, b, f64::INFINITY)
-    }
-
     /// `true` when every block is one-dimensional — callers may then take
     /// the stride-direct Chebyshev lane paths ([`ScalarLanes`]).
     #[inline]
@@ -175,11 +169,12 @@ impl<'a> BlockPoints<'a> {
         self.all_scalar
     }
 
-    /// Like [`BlockPoints::block_max_dist`] but returns early with
+    /// Max-over-blocks distance between samples `a` and `b` (not squared —
+    /// block distances are L2 norms), returning early with
     /// `f64::INFINITY` as soon as the running max exceeds `bound` — the
     /// pruning that makes the brute-force k-NN loop competitive.
     #[inline]
-    pub fn block_max_dist_bounded(&self, a: usize, b: usize, bound: f64) -> f64 {
+    pub(crate) fn block_max_dist_bounded(&self, a: usize, b: usize, bound: f64) -> f64 {
         let s = self.stride();
         self.row_dist_bounded(
             &self.data[a * s..(a + 1) * s],
@@ -652,6 +647,14 @@ pub fn kth_dist_block_max(points: &BlockPoints<'_>, q: usize, k: usize) -> f64 {
         .last()
         .map(|&(_, d)| d)
         .unwrap_or(f64::INFINITY)
+}
+
+#[cfg(test)]
+impl BlockPoints<'_> {
+    /// Max-over-blocks distance between samples `a` and `b`, unpruned.
+    fn block_max_dist(&self, a: usize, b: usize) -> f64 {
+        self.block_max_dist_bounded(a, b, f64::INFINITY)
+    }
 }
 
 #[cfg(test)]

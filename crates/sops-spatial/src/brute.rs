@@ -1,15 +1,51 @@
 //! Brute-force `O(n²)` reference implementations.
 //!
 //! These are the ground truth the property tests compare [`crate::KdTree`]
-//! and [`crate::CellGrid`] against, and the fallback the estimators use for
-//! very small inputs where building an index costs more than it saves.
+//! and [`crate::CellGrid`] against. [`knn`] and [`pairs_within`] are also
+//! the `O(n²)` baselines of the substrate benches; the nearest-point and
+//! range-count references exist only in test builds.
 
 use crate::dist_sq;
+
+/// The `k` nearest points to `query`, sorted by ascending squared distance
+/// (ties broken by index). Returns fewer than `k` entries if the set is
+/// smaller.
+pub fn knn(dim: usize, points: &[f64], query: &[f64], k: usize) -> Vec<(usize, f64)> {
+    assert_eq!(query.len(), dim);
+    let n = points.len() / dim;
+    let mut all: Vec<(usize, f64)> = (0..n)
+        .map(|i| (i, dist_sq(&points[i * dim..(i + 1) * dim], query)))
+        .collect();
+    all.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
+    all.truncate(k);
+    all
+}
+
+/// All unordered pairs `(i, j)`, `i < j`, with distance ≤ `radius`, in
+/// lexicographic order.
+pub fn pairs_within(dim: usize, points: &[f64], radius: f64) -> Vec<(usize, usize)> {
+    let r2 = radius * radius;
+    let n = points.len() / dim;
+    let mut out = Vec::new();
+    for i in 0..n {
+        for j in (i + 1)..n {
+            if dist_sq(
+                &points[i * dim..(i + 1) * dim],
+                &points[j * dim..(j + 1) * dim],
+            ) <= r2
+            {
+                out.push((i, j));
+            }
+        }
+    }
+    out
+}
 
 /// Index and squared distance of the nearest point to `query`, excluding
 /// indices for which `skip` returns `true`. `None` if all points are
 /// skipped or the set is empty.
-pub fn nearest_excluding(
+#[cfg(test)]
+pub(crate) fn nearest_excluding(
     dim: usize,
     points: &[f64],
     query: &[f64],
@@ -31,28 +67,16 @@ pub fn nearest_excluding(
 }
 
 /// Nearest point to `query` (no exclusions).
-pub fn nearest(dim: usize, points: &[f64], query: &[f64]) -> Option<(usize, f64)> {
+#[cfg(test)]
+pub(crate) fn nearest(dim: usize, points: &[f64], query: &[f64]) -> Option<(usize, f64)> {
     nearest_excluding(dim, points, query, |_| false)
-}
-
-/// The `k` nearest points to `query`, sorted by ascending squared distance
-/// (ties broken by index). Returns fewer than `k` entries if the set is
-/// smaller.
-pub fn knn(dim: usize, points: &[f64], query: &[f64], k: usize) -> Vec<(usize, f64)> {
-    assert_eq!(query.len(), dim);
-    let n = points.len() / dim;
-    let mut all: Vec<(usize, f64)> = (0..n)
-        .map(|i| (i, dist_sq(&points[i * dim..(i + 1) * dim], query)))
-        .collect();
-    all.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
-    all.truncate(k);
-    all
 }
 
 /// Number of points with distance to `query` strictly less than `radius`.
 ///
 /// The strict inequality matches the count `cᵢ` of paper Eq. 20.
-pub fn count_within_strict(dim: usize, points: &[f64], query: &[f64], radius: f64) -> usize {
+#[cfg(test)]
+pub(crate) fn count_within_strict(dim: usize, points: &[f64], query: &[f64], radius: f64) -> usize {
     let r2 = radius * radius;
     let n = points.len() / dim;
     (0..n)
@@ -61,32 +85,18 @@ pub fn count_within_strict(dim: usize, points: &[f64], query: &[f64], radius: f6
 }
 
 /// Number of points with distance to `query` less than or equal `radius`.
-pub fn count_within_inclusive(dim: usize, points: &[f64], query: &[f64], radius: f64) -> usize {
+#[cfg(test)]
+pub(crate) fn count_within_inclusive(
+    dim: usize,
+    points: &[f64],
+    query: &[f64],
+    radius: f64,
+) -> usize {
     let r2 = radius * radius;
     let n = points.len() / dim;
     (0..n)
         .filter(|&i| dist_sq(&points[i * dim..(i + 1) * dim], query) <= r2)
         .count()
-}
-
-/// All unordered pairs `(i, j)`, `i < j`, with distance ≤ `radius`, in
-/// lexicographic order.
-pub fn pairs_within(dim: usize, points: &[f64], radius: f64) -> Vec<(usize, usize)> {
-    let r2 = radius * radius;
-    let n = points.len() / dim;
-    let mut out = Vec::new();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if dist_sq(
-                &points[i * dim..(i + 1) * dim],
-                &points[j * dim..(j + 1) * dim],
-            ) <= r2
-            {
-                out.push((i, j));
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -78,15 +78,19 @@ impl CellGrid {
         self.rebuild_impl::<false>(points, cell_size, &mut xs, &mut ys);
     }
 
-    /// [`CellGrid::rebuild`] fused with [`CellGrid::gather_lanes`]: the
-    /// counting-sort scatter pass writes the cell-ordered `xs`/`ys`
+    /// [`CellGrid::rebuild`] fused with the gather of the coordinates in
+    /// [`CellGrid::order`]: the counting-sort scatter pass writes the
+    /// cell-ordered `xs`/`ys`
     /// coordinate lanes directly, so the simulator's per-substep rebuild
     /// needs one pass over the points instead of two (the separate gather
     /// re-reads every point through the `order()` indirection).
     ///
-    /// Equivalent to `rebuild(points, cell_size)` followed by
-    /// `gather_lanes(points, xs, ys)` — same grid, same lanes, bit for
-    /// bit — and allocation-free once all buffers are warm.
+    /// Equivalent to `rebuild(points, cell_size)` followed by pushing
+    /// `points[i].x` and `points[i].y` for each `i` of `order()` — same
+    /// grid, same lanes, bit for bit — and allocation-free once all
+    /// buffers are warm. Each cell's coordinates land contiguous in
+    /// `xs`/`ys`, so a cell-pair segment of the simulator's chunked force
+    /// kernel is two slice windows the autovectorizer can stream over.
     pub fn rebuild_lanes(
         &mut self,
         points: &[Vec2],
@@ -270,35 +274,6 @@ impl CellGrid {
         (self.offsets[c] as usize, self.offsets[c + 1] as usize)
     }
 
-    /// Gathers `points` into cell order as SoA coordinate lanes:
-    /// `xs[k] = points[order()[k]].x` (and likewise `ys`), with both
-    /// outputs cleared first.
-    ///
-    /// This is the layout contract of the simulator's chunked force
-    /// kernel: each cell's coordinates land contiguous in `xs`/`ys`, so a
-    /// cell-pair segment is two slice windows the autovectorizer can
-    /// stream over. `points` must be the slice the grid was last
-    /// [rebuilt](CellGrid::rebuild) over (same length and order);
-    /// callers keeping auxiliary per-point lanes (types, charges) must
-    /// gather them through [`CellGrid::order`] with the same indexing so
-    /// every lane stays aligned with `xs`/`ys`.
-    pub fn gather_lanes(&self, points: &[Vec2], xs: &mut Vec<f64>, ys: &mut Vec<f64>) {
-        assert_eq!(
-            points.len(),
-            self.items.len(),
-            "CellGrid::gather_lanes: point count must match the indexed set"
-        );
-        xs.clear();
-        ys.clear();
-        xs.reserve(points.len());
-        ys.reserve(points.len());
-        for &i in &self.items {
-            let p = points[i as usize];
-            xs.push(p.x);
-            ys.push(p.y);
-        }
-    }
-
     /// Capacities of every internal buffer, for allocation-stability
     /// assertions: a warmed-up grid rebuilt over a workload of bounded
     /// size must keep this signature constant.
@@ -413,7 +388,7 @@ mod x86 {
     /// Caller must have verified [`sops_math::wide_available`]; `points`
     /// non-empty.
     #[target_feature(enable = "avx512f,avx512vl")]
-    pub unsafe fn bbox(points: &[Vec2]) -> (Vec2, Vec2) {
+    pub(crate) unsafe fn bbox(points: &[Vec2]) -> (Vec2, Vec2) {
         let n = points.len();
         debug_assert!(n > 0);
         let base = points.as_ptr() as *const f64;
@@ -478,7 +453,7 @@ mod x86 {
     /// Caller must have verified [`sops_math::wide_available`] and
     /// `nx ≤ i32::MAX`, `ny ≤ i32::MAX`; `out.len() == points.len()`.
     #[target_feature(enable = "avx512f,avx512vl")]
-    pub unsafe fn cell_ids(
+    pub(crate) unsafe fn cell_ids(
         points: &[Vec2],
         lo: Vec2,
         cell_size: f64,
@@ -524,6 +499,30 @@ mod x86 {
             let cx = (((p.x - lo.x) / cell_size) as u32).min(nxm1);
             let cy = (((p.y - lo.y) / cell_size) as u32).min(nym1);
             *out.get_unchecked_mut(j) = cy * nx + cx;
+        }
+    }
+}
+
+#[cfg(test)]
+impl CellGrid {
+    /// The two-pass reference for [`CellGrid::rebuild_lanes`]: gathers
+    /// `points` into cell order as SoA coordinate lanes,
+    /// `xs[k] = points[order()[k]].x` (and likewise `ys`), with both
+    /// outputs cleared first.
+    fn gather_lanes(&self, points: &[Vec2], xs: &mut Vec<f64>, ys: &mut Vec<f64>) {
+        assert_eq!(
+            points.len(),
+            self.items.len(),
+            "CellGrid::gather_lanes: point count must match the indexed set"
+        );
+        xs.clear();
+        ys.clear();
+        xs.reserve(points.len());
+        ys.reserve(points.len());
+        for &i in &self.items {
+            let p = points[i as usize];
+            xs.push(p.x);
+            ys.push(p.y);
         }
     }
 }

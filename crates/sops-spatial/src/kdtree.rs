@@ -127,22 +127,22 @@ impl KdTree {
     }
 
     /// Number of points.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.points.len() / self.dim
     }
 
     /// `true` if the tree holds no points.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
 
     /// Dimension of the indexed points.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.dim
     }
 
     /// Coordinates of point `i` (original indexing).
-    pub fn point(&self, i: usize) -> &[f64] {
+    pub(crate) fn point(&self, i: usize) -> &[f64] {
         &self.points[i * self.dim..(i + 1) * self.dim]
     }
 
@@ -215,7 +215,7 @@ impl KdTree {
 
     /// Index and squared distance of the nearest point to `query`,
     /// excluding indices for which `skip` returns `true`. Exact distance
-    /// ties resolve to the smallest index, as in [`crate::brute::nearest`].
+    /// ties resolve to the smallest index, as in a brute-force scan.
     pub fn nearest_excluding(
         &self,
         query: &[f64],
@@ -283,7 +283,7 @@ impl KdTree {
 
     /// [`KdTree::knn`] into a caller-provided buffer (cleared first) —
     /// allocation-free once the buffer has capacity `k`.
-    pub fn knn_into(&self, query: &[f64], k: usize, out: &mut Vec<(usize, f64)>) {
+    pub(crate) fn knn_into(&self, query: &[f64], k: usize, out: &mut Vec<(usize, f64)>) {
         assert_eq!(query.len(), self.dim);
         out.clear();
         if k == 0 || self.is_empty() {
@@ -380,7 +380,7 @@ impl KdTree {
 
     /// [`KdTree::range_indices`] into a caller-provided buffer (cleared
     /// first) — the allocation-free form persistent engines use.
-    pub fn range_indices_into(&self, query: &[f64], radius: f64, out: &mut Vec<usize>) {
+    pub(crate) fn range_indices_into(&self, query: &[f64], radius: f64, out: &mut Vec<usize>) {
         out.clear();
         self.for_each_within(query, radius, |i| out.push(i));
         out.sort_unstable();

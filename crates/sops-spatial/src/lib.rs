@@ -25,8 +25,8 @@
 
 pub mod block_max;
 pub mod brute;
-pub mod cellgrid;
-pub mod kdtree;
+mod cellgrid;
+mod kdtree;
 
 pub use cellgrid::CellGrid;
 pub use kdtree::KdTree;

@@ -12,7 +12,7 @@
 
 use sops::core::{metrics, report};
 use sops::prelude::*;
-use sops::shape::ensemble::{reduce_configurations, ReduceConfig};
+use sops::shape::{reduce_configurations_with, ReduceConfig, ReduceWorkspace};
 
 fn main() {
     let law = ForceModel::Linear(LinearForce::uniform(1.0, 2.0));
@@ -57,7 +57,12 @@ fn main() {
     };
     let ensemble = run_ensemble(&spec, 0);
     let slice = ensemble.at_time(250);
-    let reduced = reduce_configurations(&slice, &types, &ReduceConfig::default());
+    let reduced = reduce_configurations_with(
+        &mut ReduceWorkspace::new(),
+        &slice,
+        &types,
+        &ReduceConfig::default(),
+    );
     let dispersion = metrics::cross_sample_dispersion(&reduced.configs);
 
     let reference = &reduced.configs[0];

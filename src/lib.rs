@@ -76,7 +76,7 @@ pub mod prelude {
         KnnMode, KsgConfig, KsgVariant, MeasureConfig, MeasureWorkspace, SampleView, StridedFamily,
     };
     pub use sops_math::{Matrix, PairMatrix, SplitMix64, Vec2};
-    pub use sops_shape::{icp_align, IcpConfig, RigidTransform};
+    pub use sops_shape::{icp_align_with, IcpConfig, IcpScratch, RigidTransform};
     pub use sops_sim::{
         run_ensemble, run_streaming_ensemble, EnsembleFrames, EnsembleSpec, EquilibriumCriterion,
         ForceModel, ForceWorkspace, GaussianForce, IntegratorConfig, LinearForce, Model,

@@ -3,8 +3,8 @@
 //! global rigid motions and same-type permutations of the samples.
 
 use sops::prelude::*;
-use sops::shape::ensemble::{reduce_configurations, ReduceConfig};
 use sops::shape::RigidTransform;
+use sops::shape::{reduce_configurations_with, ReduceConfig, ReduceWorkspace};
 
 fn organized_ensemble(samples: usize) -> (Vec<Vec<Vec2>>, Vec<u16>) {
     // Simulate a small organizing system and take its final slice.
@@ -37,7 +37,12 @@ fn organized_ensemble(samples: usize) -> (Vec<Vec<Vec2>>, Vec<u16>) {
 
 fn mi_of_slice(slice: &[Vec<Vec2>], types: &[u16]) -> f64 {
     let views: Vec<&[Vec2]> = slice.iter().map(|s| s.as_slice()).collect();
-    let reduced = reduce_configurations(&views, types, &ReduceConfig::default());
+    let reduced = reduce_configurations_with(
+        &mut ReduceWorkspace::new(),
+        &views,
+        types,
+        &ReduceConfig::default(),
+    );
     let data = sops::shape::ensemble::flatten_reduced(&reduced);
     let sizes = vec![2usize; types.len()];
     let view = SampleView::new(&data, slice.len(), &sizes);
@@ -110,7 +115,12 @@ fn mi_invariant_under_same_type_shuffles() {
 fn reduction_centres_and_preserves_distances() {
     let (slice, types) = organized_ensemble(20);
     let views: Vec<&[Vec2]> = slice.iter().map(|s| s.as_slice()).collect();
-    let reduced = reduce_configurations(&views, &types, &ReduceConfig::default());
+    let reduced = reduce_configurations_with(
+        &mut ReduceWorkspace::new(),
+        &views,
+        &types,
+        &ReduceConfig::default(),
+    );
     for (orig, red) in slice.iter().zip(&reduced.configs) {
         // Centred up to the ICP fit translation (nearest-neighbour
         // correspondences are not always bijective, so the matched-target

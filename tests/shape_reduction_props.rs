@@ -4,8 +4,10 @@
 
 use proptest::prelude::*;
 use sops::prelude::*;
-use sops::shape::ensemble::{reduce_configurations, ReduceConfig};
-use sops::shape::{icp_align, match_types, RigidTransform};
+use sops::shape::{
+    match_types_into, reduce_configurations_with, MatchScratch, ReduceConfig, ReduceWorkspace,
+    RigidTransform,
+};
 
 fn arb_cloud(n: usize) -> impl Strategy<Value = Vec<Vec2>> {
     proptest::collection::vec((-10.0..10.0f64, -10.0..10.0f64), n..=n)
@@ -51,7 +53,12 @@ proptest! {
             }
         }
         let views: Vec<&[Vec2]> = vec![&cloud, &moved];
-        let reduced = reduce_configurations(&views, &types, &ReduceConfig::default());
+        let reduced = reduce_configurations_with(
+            &mut ReduceWorkspace::new(),
+            &views,
+            &types,
+            &ReduceConfig::default(),
+        );
         for i in 0..cloud.len() {
             let d = reduced.configs[0][i].dist(reduced.configs[1][i]);
             prop_assert!(d < 1e-4, "particle {i} off by {d}");
@@ -66,7 +73,7 @@ proptest! {
         let types: Vec<u16> = vec![0; cloud.len()];
         let t = RigidTransform { rotation: angle, translation: Vec2::new(1.0, -2.0) };
         let moved: Vec<Vec2> = cloud.iter().map(|&p| t.inverse().apply(p)).collect();
-        let res = icp_align(&cloud, &moved, &types, &Default::default());
+        let res = icp_align_with(&mut IcpScratch::new(), &cloud, &moved, &types, &Default::default());
         prop_assert!(res.cost < 1e-9, "cost {}", res.cost);
     }
 
@@ -76,7 +83,8 @@ proptest! {
         other in arb_cloud(8)
     ) {
         let types: Vec<u16> = vec![0; 8];
-        let perm = match_types(&cloud, &other, &types);
+        let mut perm = Vec::new();
+        match_types_into(&mut MatchScratch::new(), &cloud, &other, &types, &mut perm);
         let matched: f64 = perm
             .iter()
             .enumerate()

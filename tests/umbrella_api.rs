@@ -52,7 +52,7 @@ fn every_prelude_export_resolves() {
         .map(|i| Vec2::new(i as f64, (i * i) as f64 * 0.1))
         .collect();
     let types = vec![0u16; 6];
-    let res = icp_align(&pts, &pts, &types, &icp_cfg);
+    let res = icp_align_with(&mut IcpScratch::new(), &pts, &pts, &types, &icp_cfg);
     assert!(res.cost < 1e-9, "self-alignment cost {}", res.cost);
     let _t: RigidTransform = res.transform;
 
