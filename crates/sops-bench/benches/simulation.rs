@@ -213,13 +213,10 @@ fn bench_ensemble_throughput(c: &mut Criterion) {
 
 fn bench_ensemble_scale(c: &mut Criterion) {
     // What the streaming layer buys at the gallery's XL tier: one full
-    // sweep cell (simulate + reduce + measure) at 10⁵ particles under
-    // both storage policies, at the scenario's own sparse eval schedule.
-    // Case order is deliberate: the JSON's per-result `peak_rss_bytes` is
-    // a process-wide high-water mark, so the bounded-memory streaming
-    // case runs first and records its own footprint; the retained
-    // reference then raises the mark by the full-trajectory cost
-    // (8 samples × 101 frames × n positions, ~1.3 GB at n = 10⁵).
+    // sweep cell (simulate + reduce + measure) at 10⁵ particles, keeping
+    // only the scenario's sparse eval schedule. Whole trajectories would
+    // hold 8 samples × 101 frames × n positions (~1.3 GB at n = 10⁵);
+    // the JSON's per-result `peak_rss_bytes` records what streaming holds.
     // `--quick` drops to 10⁴ particles; the id carries n either way.
     let mut group = c.benchmark_group("ensemble_scale");
     group.sample_size(10);
@@ -232,28 +229,21 @@ fn bench_ensemble_scale(c: &mut Criterion) {
         .map(|v| v.get())
         .unwrap_or(1)
         .min(8);
-    let xl = scenario::cell_sorting_xl().with_particles(n);
-    let cases = [
-        ("streaming", EnsembleStorage::default()),
-        ("retained", EnsembleStorage::Retained),
-    ];
-    for (label, storage) in cases {
-        let plan = SweepPlan {
-            scenarios: vec![xl.clone()],
-            measures: vec![MeasureConfig::default()],
-            seeds: vec![],
-            threads,
-            storage,
-        };
-        group.bench_with_input(BenchmarkId::new(label, n), &plan, |b, plan| {
-            let mut runner = SweepRunner::new();
-            b.iter(|| {
-                let report = runner.run(black_box(plan)).expect("valid plan");
-                assert!(!report.has_failures());
-                black_box(report.cells.len())
-            })
-        });
-    }
+    let plan = SweepPlan {
+        scenarios: vec![scenario::cell_sorting_xl().with_particles(n)],
+        measures: vec![MeasureConfig::default()],
+        seeds: vec![],
+        threads,
+        storage: EnsembleStorage::default(),
+    };
+    group.bench_with_input(BenchmarkId::new("streaming", n), &plan, |b, plan| {
+        let mut runner = SweepRunner::new();
+        b.iter(|| {
+            let report = runner.run(black_box(plan)).expect("valid plan");
+            assert!(!report.has_failures());
+            black_box(report.cells.len())
+        })
+    });
     group.finish();
 }
 

@@ -289,28 +289,20 @@ impl SweepBroker {
         }
         let mut scenarios: Vec<ScenarioSpec> = Vec::new();
         let mut coords: Vec<Coord> = Vec::new();
-        for base in &plan.scenarios {
-            let own_seed = [base.ensemble.seed];
-            let seeds: &[u64] = if plan.seeds.is_empty() {
-                &own_seed
-            } else {
-                &plan.seeds
-            };
-            for &seed in seeds {
-                let scenario = base.clone().with_seed(seed);
-                let keys = ScenarioKeys::new(&scenario)?;
-                let ensemble = keys.ensemble();
-                for (mi, measure) in plan.measures.iter().enumerate() {
-                    coords.push(Coord {
-                        scenario_index: scenarios.len(),
-                        measure_index: mi,
-                        seed,
-                        ensemble,
-                        cell: keys.cell(measure),
-                    });
-                }
-                scenarios.push(scenario);
+        for (base, seed) in plan.ensembles() {
+            let scenario = base.clone().with_seed(seed);
+            let keys = ScenarioKeys::new(&scenario)?;
+            let ensemble = keys.ensemble();
+            for (mi, measure) in plan.measures.iter().enumerate() {
+                coords.push(Coord {
+                    scenario_index: scenarios.len(),
+                    measure_index: mi,
+                    seed,
+                    ensemble,
+                    cell: keys.cell(measure),
+                });
             }
+            scenarios.push(scenario);
         }
 
         // Phase 1: cache lookups, before any claim (a hit needs neither

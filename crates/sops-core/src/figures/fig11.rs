@@ -11,7 +11,7 @@ use crate::report::{self, Series};
 use crate::scenario::ScenarioSpec;
 use crate::RunOptions;
 use sops_math::{rng::derive_seed, stats, PairMatrix};
-use sops_sim::ensemble::{run_ensemble, EnsembleSpec};
+use sops_sim::ensemble::EnsembleSpec;
 use sops_sim::force::{random_preferred_distances, ForceModel, LinearForce};
 use sops_sim::Model;
 
@@ -48,8 +48,7 @@ pub fn run(opts: &RunOptions) -> Fig11Data {
     let mut sc = ScenarioSpec::new("fig11", spec);
     sc.eval_every = opts.scale(10, 20);
 
-    let ensemble = run_ensemble(&sc.ensemble, opts.threads);
-    let series = decomposition_series(&ensemble, &sc, opts.threads);
+    let series = decomposition_series(&sc, opts.threads);
     let normalized = series.normalized(0.05);
     let total: Vec<f64> = series.terms.iter().map(|d| d.total).collect();
     let data = Fig11Data {

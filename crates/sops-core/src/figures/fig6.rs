@@ -13,7 +13,7 @@ use crate::RunOptions;
 use sops_math::{stats, Vec2};
 use sops_shape::distance::{category_count, cluster_shapes};
 use sops_shape::IcpConfig;
-use sops_sim::ensemble::run_ensemble;
+use sops_sim::streaming::{run_streaming_ensemble, EnsembleFrames, StreamingConfig};
 
 /// Snapshots and variety statistics.
 #[derive(Debug, Clone)]
@@ -39,18 +39,27 @@ pub fn run(opts: &RunOptions) -> Fig6Data {
     // The gallery needs only a handful of runs; shrink the ensemble but
     // keep seeds aligned with Fig. 4's samples.
     spec.samples = spec.samples.min(opts.scale(8, 4));
-    let ensemble = run_ensemble(&spec, opts.threads);
     let t_mid = opts.scale(60, 40).min(spec.t_max);
     let t_end = spec.t_max;
     let types = spec.model.types().to_vec();
+    let streamed = run_streaming_ensemble(
+        &spec,
+        &[t_mid, t_end],
+        opts.threads,
+        &StreamingConfig::default(),
+    );
+    let frames = EnsembleFrames::Streaming(&streamed);
+    let (mut mid_stage, mut mids) = (Vec::new(), Vec::new());
+    frames.at_time_into(t_mid, &mut mid_stage, &mut mids);
+    let (mut end_stage, mut finals) = (Vec::new(), Vec::new());
+    frames.at_time_into(t_end, &mut end_stage, &mut finals);
 
     let mut snapshots = Vec::new();
-    for s in 0..ensemble.samples() {
-        snapshots.push((s, t_mid, ensemble.runs[s].frames[t_mid].clone()));
-        snapshots.push((s, t_end, ensemble.runs[s].frames[t_end].clone()));
+    for (s, (mid, end)) in mids.iter().zip(&finals).enumerate() {
+        snapshots.push((s, t_mid, mid.to_vec()));
+        snapshots.push((s, t_end, end.to_vec()));
     }
 
-    let finals: Vec<&Vec<Vec2>> = ensemble.runs.iter().map(|r| &r.frames[t_end]).collect();
     let rgs: Vec<f64> = finals
         .iter()
         .map(|c| metrics::radius_of_gyration(c))
@@ -62,9 +71,8 @@ pub fn run(opts: &RunOptions) -> Fig6Data {
     // The paper's "visually distinguishable categories", quantified:
     // single-linkage clusters in Procrustes shape distance. The threshold
     // scales with the collective size (mean radius of gyration).
-    let views: Vec<&[Vec2]> = finals.iter().map(|c| c.as_slice()).collect();
     let threshold = 0.5 * stats::mean(&rgs);
-    let categories = cluster_shapes(&views, &types, threshold, &IcpConfig::default());
+    let categories = cluster_shapes(&finals, &types, threshold, &IcpConfig::default());
     let data = Fig6Data {
         snapshots,
         types,

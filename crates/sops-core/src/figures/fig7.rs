@@ -13,7 +13,7 @@ use crate::report;
 use crate::RunOptions;
 use sops_math::Vec2;
 use sops_shape::ensemble::{reduce_configurations_with, ReduceWorkspace};
-use sops_sim::ensemble::run_ensemble;
+use sops_sim::streaming::{run_streaming_ensemble, EnsembleFrames, StreamingConfig};
 
 /// Overlay data and the ring-dispersion comparison.
 #[derive(Debug, Clone)]
@@ -32,10 +32,13 @@ pub fn run(opts: &RunOptions) -> Fig7Data {
     let sc = super::fig5::scenario(opts);
     let mut spec = sc.ensemble.clone();
     spec.samples = spec.samples.min(opts.scale(500, 80));
-    let ensemble = run_ensemble(&spec, opts.threads);
     let t_end = spec.t_max;
     let types = spec.model.types().to_vec();
-    let slice = ensemble.at_time(t_end);
+    let streamed =
+        run_streaming_ensemble(&spec, &[t_end], opts.threads, &StreamingConfig::default());
+    let frames = EnsembleFrames::Streaming(&streamed);
+    let (mut stage, mut slice) = (Vec::new(), Vec::new());
+    frames.at_time_into(t_end, &mut stage, &mut slice);
     let reduced =
         reduce_configurations_with(&mut ReduceWorkspace::new(), &slice, &types, &sc.reduce);
 

@@ -7,8 +7,10 @@
 //!
 //! A figure's multi-information cells are uniquely named
 //! [`ScenarioSpec`]s run as one sweep plan (`sweep_series`), the same
-//! engine `sops-repro sweep` uses. Figs. 6, 7 and 11 read whole
-//! trajectories and keep a retained ensemble.
+//! engine `sops-repro sweep` uses. Figs. 6, 7 and 11 stream their
+//! ensembles too ([`sops_sim::run_streaming_ensemble`]) and keep only the
+//! frames they read: fig 6 two snapshot steps, fig 7 the final step and
+//! fig 11 its evaluation schedule.
 //!
 //! Shared parameter conventions: noise std 0.05 (`NOISE_VARIANCE`),
 //! Euler–Maruyama `dt` per figure, KSG k = 4 per §6.

@@ -5,7 +5,7 @@
 //! A ΔI cell is computed one way: as a cell of a
 //! [`crate::scenario::SweepPlan`], run by
 //! [`crate::scenario::SweepRunner`] (`run` for a plan, `run_cells` for
-//! one ensemble, `evaluate_frames` for an already-simulated one). The
+//! one ensemble, `evaluate_frames` for an already-streamed one). The
 //! estimator is polymorphic: each cell carries a
 //! [`sops_info::MeasureConfig`] selection and drives it through the
 //! [`sops_info::Estimator`] trait.
@@ -17,7 +17,7 @@ use crate::scenario::{eval_pass, EvalWorker, ScenarioSpec};
 use sops_info::decomposition::{Decomposition, Grouping};
 use sops_info::KsgConfig;
 use sops_shape::ensemble::{reduce_configurations_with, ReduceConfig};
-use sops_sim::ensemble::Ensemble;
+use sops_sim::streaming::{run_streaming_ensemble, EnsembleFrames, StreamingConfig};
 
 /// A time-indexed series of estimates.
 #[derive(Debug, Clone)]
@@ -95,21 +95,23 @@ impl DecompositionSeries {
     }
 }
 
-/// Runs `scenario`'s shape reduction and observers over a simulated
-/// ensemble and evaluates the type-grouped decomposition at each of its
-/// evaluation steps, on up to `threads` workers (0 = default; the result
-/// does not depend on it).
+/// Streams `scenario`'s ensemble over its evaluation schedule, runs its
+/// shape reduction and observers, and evaluates the type-grouped
+/// decomposition at each evaluation step, on up to `threads` workers
+/// (0 = default; the result does not depend on it).
 ///
 /// The decomposition is a KSG-specific analysis; it runs with
 /// [`KsgConfig::default`].
-pub(crate) fn decomposition_series(
-    ensemble: &Ensemble,
-    scenario: &ScenarioSpec,
-    threads: usize,
-) -> DecompositionSeries {
+pub(crate) fn decomposition_series(scenario: &ScenarioSpec, threads: usize) -> DecompositionSeries {
     let types = scenario.ensemble.model.types().to_vec();
     let type_count = scenario.ensemble.model.type_count();
     let times = scenario.eval_times();
+    let streamed = run_streaming_ensemble(
+        &scenario.ensemble,
+        &times,
+        threads,
+        &StreamingConfig::default(),
+    );
     let inner_reduce = ReduceConfig {
         threads: 1,
         ..scenario.reduce
@@ -122,7 +124,7 @@ pub(crate) fn decomposition_series(
     let mut workers: Vec<EvalWorker> = Vec::new();
     let terms: Vec<Decomposition> = eval_pass(
         &mut workers,
-        sops_sim::streaming::EnsembleFrames::Retained(ensemble),
+        EnsembleFrames::Streaming(&streamed),
         &times,
         threads,
         |w, slice, _ti| {
@@ -143,9 +145,9 @@ mod tests {
     use crate::scenario::{EnsembleStorage, SweepRunner};
     use sops_info::measure::MeasureConfig;
     use sops_math::PairMatrix;
-    use sops_sim::ensemble::{run_ensemble, EnsembleSpec};
+    use sops_sim::ensemble::EnsembleSpec;
     use sops_sim::force::{ForceModel, LinearForce};
-    use sops_sim::streaming::EnsembleFrames;
+    use sops_sim::streaming::StreamingEnsemble;
     use sops_sim::{IntegratorConfig, Model};
 
     /// A small 2-type attracting system that visibly organizes.
@@ -188,15 +190,25 @@ mod tests {
         cell.result
     }
 
-    /// `measure` over an already-simulated ensemble.
+    /// `sc`'s ensemble streamed over its evaluation schedule.
+    fn stream(sc: &ScenarioSpec) -> StreamingEnsemble {
+        run_streaming_ensemble(
+            &sc.ensemble,
+            &sc.eval_times(),
+            0,
+            &StreamingConfig::default(),
+        )
+    }
+
+    /// `measure` over an already-streamed ensemble.
     fn evaluate(
-        ensemble: &Ensemble,
+        ensemble: &StreamingEnsemble,
         sc: &ScenarioSpec,
         measure: MeasureConfig,
         threads: usize,
     ) -> PipelineResult {
         SweepRunner::new()
-            .evaluate_frames(EnsembleFrames::Retained(ensemble), sc, &[measure], threads)
+            .evaluate_frames(EnsembleFrames::Streaming(ensemble), sc, &[measure], threads)
             .pop()
             .expect("one measure in, one result out")
     }
@@ -249,8 +261,7 @@ mod tests {
     #[test]
     fn decomposition_series_shape_and_identity() {
         let sc = small_scenario();
-        let ensemble = run_ensemble(&sc.ensemble, 0);
-        let d = decomposition_series(&ensemble, &sc, 0);
+        let d = decomposition_series(&sc, 0);
         assert_eq!(d.times.len(), d.terms.len());
         for term in &d.terms {
             assert_eq!(term.within.len(), 2, "one within-term per type");
@@ -279,7 +290,9 @@ mod tests {
         // only need to run — at 16 joint dimensions over 80 samples they
         // saturate, which is exactly the §5.3 artifact this repo
         // reproduces ("almost no change in information could be seen").
-        let ensemble = run_ensemble(&small_spec(80, 30), 0);
+        let mut sc = small_scenario();
+        sc.ensemble.samples = 80;
+        let ensemble = stream(&sc);
         let selections = [
             (MeasureConfig::default(), true),
             (MeasureConfig::Kde(sops_info::KdeConfig::default()), true),
@@ -294,8 +307,6 @@ mod tests {
             (MeasureConfig::Gaussian, false),
         ];
         for (measure, sees_trend) in selections {
-            let mut sc = small_scenario();
-            sc.ensemble.samples = 80;
             let result = evaluate(&ensemble, &sc, measure, 0);
             assert!(
                 result.mi.values.iter().all(|v| v.is_finite()),
@@ -318,9 +329,10 @@ mod tests {
     fn non_ksg_measure_bit_matches_direct_estimator() {
         // The trait-driven worker must produce exactly what the direct
         // engine produces on the same reduced observers.
-        let ensemble = run_ensemble(&small_spec(50, 20), 0);
         let mut sc = ScenarioSpec::new("small", small_spec(50, 20));
         sc.eval_every = 20;
+        let ensemble = stream(&sc);
+        let frames = EnsembleFrames::Streaming(&ensemble);
         let measure = MeasureConfig::Binned(sops_info::BinningConfig::default());
         let via_pipeline = evaluate(&ensemble, &sc, measure, 1);
 
@@ -331,7 +343,8 @@ mod tests {
             ..sc.reduce
         };
         for (ti, &t) in sc.eval_times().iter().enumerate() {
-            let slice = ensemble.at_time(t);
+            let (mut stage, mut slice) = (Vec::new(), Vec::new());
+            frames.at_time_into(t, &mut stage, &mut slice);
             let reduced = sops_shape::reduce_configurations_with(
                 &mut sops_shape::ReduceWorkspace::new(),
                 &slice,

@@ -10,10 +10,12 @@
 //! scenarios × [`MeasureConfig`] selections × seeds, and the
 //! [`SweepRunner`] executes it *one-pass*:
 //!
-//! * each (scenario, seed) ensemble is simulated **once**,
+//! * each (scenario, seed) ensemble is simulated **once**, streamed
+//!   ([`run_streaming_ensemble`]) so only the frames on the evaluation
+//!   schedule are kept,
 //! * per evaluated time step, the cross-sample view is materialized once
-//!   ([`Ensemble::at_time_into`] into a per-worker buffer), the shape
-//!   reduction runs once and the observer matrix is built once,
+//!   ([`EnsembleFrames::at_time_into`] into a per-worker buffer), the
+//!   shape reduction runs once and the observer matrix is built once,
 //! * every selected estimator is then fanned over that shared prepared
 //!   state through the [`sops_info::Estimator`] trait, with per-worker
 //!   [`MeasureWorkspace`]/[`ReduceWorkspace`] scratch reused across all
@@ -21,7 +23,7 @@
 //!
 //! Each grid cell's [`PipelineResult`] is **bit-identical** to the same
 //! cell run alone (a one-cell plan, or [`SweepRunner::run_cells`] with
-//! one measure) for any worker count and storage policy — estimates
+//! one measure) for any worker count and residency budget — estimates
 //! depend only on the prepared view and the configuration, never on
 //! workspace history (the workspaces cache only buffer capacity). This
 //! engine is the only way a ΔI cell is computed: the figure generators
@@ -55,10 +57,10 @@ use crate::pipeline::{MiSeries, PipelineResult};
 use sops_info::measure::{MeasureConfig, MeasureWorkspace};
 use sops_math::{PairMatrix, Vec2};
 use sops_shape::ensemble::{reduce_configurations_with, ReduceConfig, ReduceMode, ReduceWorkspace};
-use sops_sim::ensemble::{run_ensemble, Ensemble, EnsembleSpec};
+use sops_sim::ensemble::EnsembleSpec;
 use sops_sim::force::{ForceModel, LinearForce};
 use sops_sim::streaming::{
-    recycle_slice_vec, run_streaming_ensemble, EnsembleFrames, StreamingConfig, StreamingEnsemble,
+    recycle_slice_vec, run_streaming_ensemble, EnsembleFrames, StreamingConfig,
 };
 use sops_sim::{IntegratorConfig, Model};
 use std::collections::HashSet;
@@ -263,12 +265,12 @@ pub fn mixing_null() -> ScenarioSpec {
 /// Cell sorting at collective scale: the [`cell_sorting`] physics with
 /// 10⁵ particles (density-preserving disc via
 /// [`ScenarioSpec::with_particles`]), a small sample axis and a sparse
-/// evaluation schedule. At this size the retained-trajectory ensemble
-/// would hold `8 × 101 × 10⁵` positions (~1.3 GB); the streaming default
-/// keeps only the three scheduled frames (~38 MB). The reduction runs in
-/// [`ReduceMode::Centred`] (the Hungarian matching of the full reduction
-/// is O(k³) per type) and observers are per-type means, the regime where
-/// the per-particle correspondence is irrelevant.
+/// evaluation schedule. At this size whole trajectories would hold
+/// `8 × 101 × 10⁵` positions (~1.3 GB); the sweep streams the ensemble
+/// and keeps only the three scheduled frames (~38 MB). The reduction
+/// runs in [`ReduceMode::Centred`] (the Hungarian matching of the full
+/// reduction is O(k³) per type) and observers are per-type means, the
+/// regime where the per-particle correspondence is irrelevant.
 pub fn cell_sorting_xl() -> ScenarioSpec {
     let mut sc = cell_sorting().with_particles(100_000).with_scale(8, 100);
     sc.name = "cell_sorting_xl".into();
@@ -362,24 +364,23 @@ impl ScenarioRegistry {
     }
 }
 
-/// How each (scenario, seed) ensemble is materialized for evaluation.
+/// Where each (scenario, seed) ensemble's evaluated frames live.
 ///
-/// Results are **bit-identical across variants** — storage only decides
-/// which frames exist in memory, never their values — so, like `threads`,
-/// this field is excluded from the cell key
-/// ([`crate::checkpoint::cell_key`]) and a cached cell serves a sweep
-/// under either policy.
+/// Every ensemble is streamed ([`run_streaming_ensemble`]): each run is
+/// stepped through the horizon and only the frames on the scenario's
+/// evaluation schedule are kept (`m × |schedule| × n` positions), in
+/// memory up to a residency budget and in an unlinked temp file past it.
+/// Results are **bit-identical for every value** — storage only decides
+/// where the frames live, never their values — so, like `threads`, this
+/// field is excluded from the cell key ([`crate::checkpoint::cell_key`])
+/// and a cached cell serves a sweep under any value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnsembleStorage {
-    /// Retain every recorded step of every run (`m × (t_max+1) × n`
-    /// positions) — the classic [`Ensemble`]. Required by analyses that
-    /// read unscheduled steps (e.g. time-lagged dynamics over the full
-    /// trajectory).
+    /// Runs exactly as [`EnsembleStorage::default`]: evaluation never
+    /// keeps whole trajectories.
     Retained,
-    /// Stream each run forward and retain only the frames on the
-    /// scenario's evaluation schedule (`m × |schedule| × n`), spilling to
-    /// an unlinked temp file when even those exceed the budget. Peak
-    /// memory is O(scheduled frames), not O(t_max).
+    /// Streaming with an explicit residency budget. Peak memory is
+    /// O(scheduled frames), not O(t_max).
     Streaming {
         /// Spill to disk once the retained frames exceed this many bytes.
         max_resident_bytes: usize,
@@ -387,9 +388,8 @@ pub enum EnsembleStorage {
 }
 
 impl Default for EnsembleStorage {
-    /// Streaming with the default residency budget: the bounded-memory
-    /// path is the default because it is bit-identical to retained
-    /// storage at every evaluated step.
+    /// Streaming with the default residency budget
+    /// ([`StreamingConfig::default`]).
     fn default() -> Self {
         EnsembleStorage::Streaming {
             max_resident_bytes: StreamingConfig::default().max_resident_bytes,
@@ -411,7 +411,7 @@ pub struct SweepPlan {
     pub seeds: Vec<u64>,
     /// Worker threads for simulation and evaluation (0 = default).
     pub threads: usize,
-    /// Ensemble materialization policy (result-invariant, like
+    /// Residency budget of the streamed frames (result-invariant, like
     /// `threads`).
     pub storage: EnsembleStorage,
 }
@@ -456,7 +456,7 @@ impl SweepPlan {
             }
         }
         let mut seen: HashSet<(&str, u64)> = HashSet::with_capacity(self.ensemble_count());
-        for s in &self.scenarios {
+        for (s, seed) in self.ensembles() {
             if s.name.is_empty() {
                 return Err(SweepError::InvalidPlan("unnamed scenario".into()));
             }
@@ -466,22 +466,26 @@ impl SweepPlan {
                     s.name
                 )));
             }
-            let own_seed = [s.ensemble.seed];
-            let seeds: &[u64] = if self.seeds.is_empty() {
-                &own_seed
-            } else {
-                &self.seeds
-            };
-            for &seed in seeds {
-                if !seen.insert((s.name.as_str(), seed)) {
-                    return Err(SweepError::DuplicateCell {
-                        scenario: s.name.clone(),
-                        seed,
-                    });
-                }
+            if !seen.insert((s.name.as_str(), seed)) {
+                return Err(SweepError::DuplicateCell {
+                    scenario: s.name.clone(),
+                    seed,
+                });
             }
         }
         Ok(())
+    }
+
+    /// The plan's (scenario, seed) ensembles in grid order: every
+    /// scenario under every seed of the seed axis, or under its own seed
+    /// when the axis is empty.
+    pub(crate) fn ensembles(&self) -> impl Iterator<Item = (&ScenarioSpec, u64)> {
+        self.scenarios.iter().flat_map(move |s| {
+            let own = self.seeds.is_empty().then_some(s.ensemble.seed);
+            own.into_iter()
+                .chain(self.seeds.iter().copied())
+                .map(move |seed| (s, seed))
+        })
     }
 
     /// Number of ensembles the plan simulates (scenario × seed pairs) —
@@ -518,7 +522,7 @@ pub(crate) struct EvalWorker {
 /// scratch. Each worker materializes the time slice into its own reused
 /// buffers ([`EnsembleFrames::at_time_into`] via the worker's persistent
 /// `stage`/`slice`), so the steady state of the pass allocates nothing
-/// beyond `f`'s own outputs — for retained *and* spilled storage alike.
+/// beyond `f`'s own outputs — for in-memory *and* spilled frames alike.
 pub(crate) fn eval_pass<T, F>(
     workers: &mut Vec<EvalWorker>,
     frames: EnsembleFrames<'_>,
@@ -725,26 +729,16 @@ impl SweepRunner {
         plan.validate()?;
         let labels = measure_labels(&plan.measures);
         let mut cells = Vec::with_capacity(plan.cell_count());
-        for base in &plan.scenarios {
-            let own_seed = [base.ensemble.seed];
-            let seeds: &[u64] = if plan.seeds.is_empty() {
-                &own_seed
-            } else {
-                &plan.seeds
+        for (base, seed) in plan.ensembles() {
+            let scenario = base.clone().with_seed(seed);
+            let produced = match cache {
+                Some(cache) => self.run_ensemble_cached(&scenario, seed, plan, &labels, cache)?,
+                None => {
+                    let all: Vec<usize> = (0..plan.measures.len()).collect();
+                    self.run_ensemble_cells(&scenario, seed, plan, &labels, &all)
+                }
             };
-            for &seed in seeds {
-                let scenario = base.clone().with_seed(seed);
-                let produced = match cache {
-                    Some(cache) => {
-                        self.run_ensemble_cached(&scenario, seed, plan, &labels, cache)?
-                    }
-                    None => {
-                        let all: Vec<usize> = (0..plan.measures.len()).collect();
-                        self.run_ensemble_cells(&scenario, seed, plan, &labels, &all)
-                    }
-                };
-                cells.extend(produced);
-            }
+            cells.extend(produced);
         }
         Ok(SweepReport { cells })
     }
@@ -818,14 +812,16 @@ impl SweepRunner {
         self.run_cells(scenario, &measures, &sel_labels, plan.storage, plan.threads)
     }
 
-    /// Simulates `scenario`'s ensemble **once** under panic isolation and
-    /// evaluates every selection in `measures` on it in one pass,
-    /// producing one [`SweepCell`] per measure (provenance
-    /// [`CellProvenance::Computed`], labels from `labels`, which must be
-    /// parallel to `measures`). This is the plan-free ensemble entry
-    /// point [`crate::broker::SweepBroker`] batches concurrent requests
-    /// through; [`SweepRunner::run`] routes every ensemble of a plan
-    /// through it too, so the two paths cannot drift.
+    /// Simulates `scenario`'s ensemble **once** under panic isolation,
+    /// keeping only the frames on its evaluation schedule (`storage` sets
+    /// their residency budget), and evaluates every selection in
+    /// `measures` on it in one pass, producing one [`SweepCell`] per
+    /// measure (provenance [`CellProvenance::Computed`], labels from
+    /// `labels`, which must be parallel to `measures`). This is the
+    /// plan-free ensemble entry point [`crate::broker::SweepBroker`]
+    /// batches concurrent requests through; [`SweepRunner::run`] routes
+    /// every ensemble of a plan through it too, so the two paths cannot
+    /// drift.
     ///
     /// Failure containment is hierarchical: a simulation failure
     /// quarantines the whole ensemble; a one-pass evaluation failure
@@ -868,32 +864,20 @@ impl SweepRunner {
                 })
                 .collect()
         };
-        // Owned storage of the simulated ensemble; `EnsembleFrames`
-        // borrows whichever variant the storage policy produced, and
-        // everything downstream is storage-agnostic.
-        enum Simulated {
-            Retained(Ensemble),
-            Streaming(StreamingEnsemble),
-        }
-        let simulated = match storage {
-            EnsembleStorage::Retained => {
-                run_isolated(|| run_ensemble(&scenario.ensemble, threads)).map(Simulated::Retained)
-            }
+        let cfg = match storage {
             EnsembleStorage::Streaming { max_resident_bytes } => {
-                let times = scenario.eval_times();
-                let cfg = StreamingConfig { max_resident_bytes };
-                run_isolated(|| run_streaming_ensemble(&scenario.ensemble, &times, threads, &cfg))
-                    .map(Simulated::Streaming)
+                StreamingConfig { max_resident_bytes }
             }
+            EnsembleStorage::Retained => StreamingConfig::default(),
         };
-        let simulated = match simulated {
-            Ok(e) => e,
+        let times = scenario.eval_times();
+        let streamed = match run_isolated(|| {
+            run_streaming_ensemble(&scenario.ensemble, &times, threads, &cfg)
+        }) {
+            Ok(streamed) => streamed,
             Err(reason) => return all_failed(&format!("simulation {reason}")),
         };
-        let frames = match &simulated {
-            Simulated::Retained(e) => EnsembleFrames::Retained(e),
-            Simulated::Streaming(s) => EnsembleFrames::Streaming(s),
-        };
+        let frames = EnsembleFrames::Streaming(&streamed);
         match run_isolated(|| self.evaluate_frames(frames, scenario, measures, threads)) {
             Ok(results) => results
                 .into_iter()
@@ -925,16 +909,17 @@ impl SweepRunner {
         }
     }
 
-    /// Evaluates `measures` over an already-simulated ensemble (retained
-    /// or streaming) in one pass: per evaluated time step the
-    /// cross-sample view, the shape reduction and the observer matrix are
-    /// built **once** and every estimator runs on that shared prepared
-    /// state. Returns one [`PipelineResult`] per measure, each
-    /// bit-identical to a [`SweepRunner::run_cells`] cell of the same
-    /// scenario and measure, for any `threads` and either storage variant
-    /// (streaming ensembles must cover the scenario's evaluation schedule).
-    /// This is how an analysis that keeps the whole trajectory (a retained
-    /// [`Ensemble`]) gets the same series a sweep cell would.
+    /// Evaluates `measures` over an already-streamed ensemble in one
+    /// pass: per evaluated time step the cross-sample view, the shape
+    /// reduction and the observer matrix are built **once** and every
+    /// estimator runs on that shared prepared state. The frames must
+    /// cover the scenario's evaluation schedule
+    /// ([`ScenarioSpec::eval_times`]; [`run_streaming_ensemble`] with
+    /// those times, under any residency budget). Returns one
+    /// [`PipelineResult`] per measure, each bit-identical to a
+    /// [`SweepRunner::run_cells`] cell of the same scenario and measure,
+    /// for any `threads`. This is how a caller that streams an ensemble
+    /// once evaluates it more than once.
     pub fn evaluate_frames(
         &mut self,
         frames: EnsembleFrames<'_>,
@@ -1326,13 +1311,13 @@ mod tests {
     #[test]
     fn builtin_scenarios_are_well_formed() {
         for sc in ScenarioRegistry::builtin().iter() {
-            sc.ensemble.validate();
+            sc.ensemble.check().unwrap();
             let times = sc.eval_times();
             assert_eq!(*times.first().unwrap(), 0, "{}", sc.name);
             assert_eq!(*times.last().unwrap(), sc.ensemble.t_max, "{}", sc.name);
             // Scaled-down variants stay valid (the bench/CLI fast path).
             let small = sc.clone().with_scale(10, 8);
-            small.ensemble.validate();
+            small.ensemble.check().unwrap();
             assert_eq!(*small.eval_times().last().unwrap(), 8);
         }
     }
@@ -1685,17 +1670,25 @@ mod tests {
         // The negative control at smoke scale: no interaction, no rise.
         let sc = mixing_null().with_scale(60, 30);
         let mut runner = SweepRunner::new();
-        let ensemble = run_ensemble(&sc.ensemble, 0);
+        let stream = |sc: &ScenarioSpec| {
+            run_streaming_ensemble(
+                &sc.ensemble,
+                &sc.eval_times(),
+                0,
+                &StreamingConfig::default(),
+            )
+        };
+        let ensemble = stream(&sc);
         let results = runner.evaluate_frames(
-            EnsembleFrames::Retained(&ensemble),
+            EnsembleFrames::Streaming(&ensemble),
             &sc,
             &[MeasureConfig::default()],
             0,
         );
         let organizing = cell_sorting().with_scale(60, 30);
-        let org_ensemble = run_ensemble(&organizing.ensemble, 0);
+        let org_ensemble = stream(&organizing);
         let org = runner.evaluate_frames(
-            EnsembleFrames::Retained(&org_ensemble),
+            EnsembleFrames::Streaming(&org_ensemble),
             &organizing,
             &[MeasureConfig::default()],
             0,

@@ -139,9 +139,9 @@ fn fig12_smoke() {
 fn figure_output_is_independent_of_thread_count() {
     // The determinism contract at figure level: every ΔI figure runs its
     // cells through the sweep engine (fig 10 shares fig 9's
-    // `sweep_curve`), fig 11 through the decomposition pass, and fig 3
-    // its panels side by side; none may let the worker count into a
-    // single bit of its output.
+    // `sweep_curve`), fig 11 through the decomposition pass, figs 6 and
+    // 7 read streamed frames, and fig 3 its panels side by side; none
+    // may let the worker count into a single bit of its output.
     let at = |threads| -> Vec<String> {
         let opts = RunOptions {
             threads,
@@ -151,15 +151,19 @@ fn figure_output_is_independent_of_thread_count() {
             format!("{:?}", figures::fig3::run(&opts)),
             format!("{:?}", figures::fig4::run(&opts)),
             format!("{:?}", figures::fig5::run(&opts)),
+            format!("{:?}", figures::fig6::run(&opts)),
+            format!("{:?}", figures::fig7::run(&opts)),
             format!("{:?}", figures::fig8::run(&opts)),
             format!("{:?}", figures::fig9::run(&opts)),
             format!("{:?}", figures::fig11::run(&opts)),
         ]
     };
     let (one, three) = (at(1), at(3));
-    for (fig, (a, b)) in ["fig3", "fig4", "fig5", "fig8", "fig9", "fig11"]
-        .iter()
-        .zip(one.iter().zip(&three))
+    for (fig, (a, b)) in [
+        "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig11",
+    ]
+    .iter()
+    .zip(one.iter().zip(&three))
     {
         assert_eq!(a, b, "{fig}: threads 1 vs 3");
     }

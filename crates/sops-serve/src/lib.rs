@@ -63,10 +63,15 @@ use std::thread;
 /// being read. Plans are small — a megabyte is already generous.
 pub const MAX_BODY_BYTES: usize = 1 << 20;
 
+/// Hard cap on the request head (request line plus headers). A head
+/// still unfinished after this many bytes gets `431` and the connection
+/// closes, so no line can grow without bound in memory.
+pub const MAX_HEAD_BYTES: usize = 8 << 10;
+
 /// A response ready to serialize: status, content type and body.
 #[derive(Debug, Clone)]
 pub struct HttpResponse {
-    /// HTTP status code (200, 400, 404, 405, 413, 500).
+    /// HTTP status code (200, 400, 404, 405, 413, 431, 500).
     pub status: u16,
     /// Body bytes (always JSON here).
     pub body: String,
@@ -90,6 +95,7 @@ impl HttpResponse {
             404 => "404 Not Found",
             405 => "405 Method Not Allowed",
             413 => "413 Payload Too Large",
+            431 => "431 Request Header Fields Too Large",
             _ => "500 Internal Server Error",
         }
     }
@@ -273,33 +279,52 @@ pub fn route(broker: &SweepBroker, method: &str, path: &str, body: &str) -> Http
     }
 }
 
+/// The request head as read so far: the connection behind a reader whose
+/// limit is what remains of [`MAX_HEAD_BYTES`].
+type Head = io::Take<BufReader<TcpStream>>;
+
+/// Reads one line of the request head. `Ok(None)` means the head ran
+/// past [`MAX_HEAD_BYTES`] before the line ended; a line cut short by the
+/// peer hanging up is returned as read.
+fn read_head_line(head: &mut Head) -> io::Result<Option<String>> {
+    let mut line = String::new();
+    head.read_line(&mut line)?;
+    let over_cap = !line.ends_with('\n') && head.limit() == 0;
+    Ok((!over_cap).then_some(line))
+}
+
+/// Answers an error status on the connection behind a request head.
+fn respond_error(head: Head, status: u16, message: &str) {
+    respond(
+        head.into_inner().into_inner(),
+        &HttpResponse::error(status, message),
+    );
+}
+
 /// Reads one HTTP/1.1 request from `stream`, routes it, and writes the
-/// response. Malformed requests get a `400`; bodies over
-/// [`MAX_BODY_BYTES`] get a `413` without being read.
+/// response. Malformed requests get a `400`; a head over
+/// [`MAX_HEAD_BYTES`] gets a `431` after at most that many bytes are
+/// read; bodies over [`MAX_BODY_BYTES`] get a `413` without being read.
 fn handle_connection(stream: TcpStream, broker: &SweepBroker) {
-    let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line).is_err() {
-        return;
-    }
+    let mut head: Head = BufReader::new(stream).take(MAX_HEAD_BYTES as u64);
+    let request_line = match read_head_line(&mut head) {
+        Ok(Some(line)) => line,
+        Ok(None) => return respond_error(head, 431, "request head too large"),
+        Err(_) => return,
+    };
     let mut parts = request_line.split_whitespace();
     let (method, path) = match (parts.next(), parts.next()) {
         (Some(m), Some(p)) => (m.to_string(), p.to_string()),
-        _ => {
-            respond(
-                reader.into_inner(),
-                &HttpResponse::error(400, "malformed request line"),
-            );
-            return;
-        }
+        _ => return respond_error(head, 400, "malformed request line"),
     };
     let mut content_length = 0usize;
     loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
-        }
+        let line = match read_head_line(&mut head) {
+            Ok(Some(line)) if !line.is_empty() => line,
+            Ok(None) => return respond_error(head, 431, "request head too large"),
+            // An empty read: the peer hung up mid-head.
+            Ok(Some(_)) | Err(_) => return,
+        };
         let line = line.trim_end();
         if line.is_empty() {
             break;
@@ -308,24 +333,15 @@ fn handle_connection(stream: TcpStream, broker: &SweepBroker) {
             if name.eq_ignore_ascii_case("content-length") {
                 content_length = match value.trim().parse() {
                     Ok(n) => n,
-                    Err(_) => {
-                        respond(
-                            reader.into_inner(),
-                            &HttpResponse::error(400, "bad Content-Length"),
-                        );
-                        return;
-                    }
+                    Err(_) => return respond_error(head, 400, "bad Content-Length"),
                 };
             }
         }
     }
     if content_length > MAX_BODY_BYTES {
-        respond(
-            reader.into_inner(),
-            &HttpResponse::error(413, "request body too large"),
-        );
-        return;
+        return respond_error(head, 413, "request body too large");
     }
+    let mut reader = head.into_inner();
     let mut body = vec![0u8; content_length];
     if reader.read_exact(&mut body).is_err() {
         return;

@@ -126,3 +126,22 @@ fn oversized_bodies_are_refused_without_reading() {
     assert!(raw.starts_with("HTTP/1.1 413"), "{raw}");
     handle.shutdown();
 }
+
+#[test]
+fn over_cap_request_heads_get_431_and_the_server_keeps_serving() {
+    let (handle, addr) = start("head_cap", false);
+    let mut stream = TcpStream::connect(addr).unwrap();
+    // A request line of exactly the cap with no line end: the server reads
+    // every byte sent before it answers, so the close is clean (no unread
+    // bytes, no reset) and the client sees the whole response.
+    let line = format!("GET /{}", "a".repeat(sops_serve::MAX_HEAD_BYTES - 5));
+    assert_eq!(line.len(), sops_serve::MAX_HEAD_BYTES);
+    stream.write_all(line.as_bytes()).unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).unwrap();
+    assert!(raw.starts_with("HTTP/1.1 431"), "{raw}");
+    assert!(raw.contains("{\"error\":"), "{raw}");
+    let (status, body) = request(addr, "GET", "/healthz", "");
+    assert_eq!((status, body.as_str()), (200, "{\"ok\":true}\n"));
+    handle.shutdown();
+}

@@ -33,9 +33,10 @@ pub struct EnsembleSpec {
 
 impl EnsembleSpec {
     /// Typed validation: `Err` carries the first violated constraint, in
-    /// the same wording [`EnsembleSpec::validate`] panics with. Sweep
-    /// entry points surface this as `SweepError::InvalidPlan` up front
-    /// instead of quarantining the panic per ensemble.
+    /// the same wording [`run_ensemble`] and
+    /// [`crate::run_streaming_ensemble`] panic with. Sweep entry points
+    /// surface this as `SweepError::InvalidPlan` up front instead of
+    /// quarantining the panic per ensemble.
     pub fn check(&self) -> Result<(), String> {
         self.integrator.check()?;
         if self.init_radius.is_nan() || self.init_radius <= 0.0 {
@@ -50,8 +51,9 @@ impl EnsembleSpec {
         Ok(())
     }
 
-    /// Validates the specification; called by [`run_ensemble`].
-    pub fn validate(&self) {
+    /// Validates the specification; called by [`run_ensemble`] and
+    /// [`crate::run_streaming_ensemble`].
+    pub(crate) fn validate(&self) {
         if let Err(reason) = self.check() {
             panic!("{reason}");
         }
@@ -88,34 +90,11 @@ impl Ensemble {
     /// configuration at recorded step `t` — the raw material for the
     /// per-time-step statistics of §5.2.
     ///
-    /// Allocates a fresh vector per call; loops over many time steps (the
-    /// sweep evaluation pass) should hold a buffer and read through
-    /// [`crate::EnsembleFrames::at_time_into`] instead.
+    /// Analyses that read only some steps should not keep whole
+    /// trajectories: [`crate::run_streaming_ensemble`] retains just the
+    /// steps they name, with the same bits.
     pub fn at_time(&self, t: usize) -> Vec<&[Vec2]> {
-        let mut out = Vec::new();
-        self.at_time_into(t, &mut out);
-        out
-    }
-
-    /// Writes the cross-sample slice at time `t` into `out` (cleared
-    /// first), reusing its capacity — the allocation-free form of
-    /// [`Ensemble::at_time`] for callers that visit many time steps with
-    /// one buffer.
-    pub(crate) fn at_time_into<'a>(&'a self, t: usize, out: &mut Vec<&'a [Vec2]>) {
-        out.clear();
-        out.extend(self.runs.iter().map(|r| r.frames[t].as_slice()));
-    }
-
-    /// Fraction of runs that satisfied the equilibrium criterion.
-    pub(crate) fn equilibrated_fraction(&self) -> f64 {
-        if self.runs.is_empty() {
-            return 0.0;
-        }
-        self.runs
-            .iter()
-            .filter(|r| r.equilibrium_step.is_some())
-            .count() as f64
-            / self.runs.len() as f64
+        self.runs.iter().map(|r| r.frames[t].as_slice()).collect()
     }
 }
 
@@ -178,22 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn at_time_into_reuses_capacity_and_matches_at_time() {
-        let e = run_ensemble(&spec(12, 8), 4);
-        let mut buf: Vec<&[sops_math::Vec2]> = Vec::new();
-        e.at_time_into(3, &mut buf);
-        assert_eq!(buf, e.at_time(3));
-        let cap = buf.capacity();
-        let ptr = buf.as_ptr();
-        for t in 0..=8 {
-            e.at_time_into(t, &mut buf);
-            assert_eq!(buf, e.at_time(t));
-        }
-        assert_eq!(buf.capacity(), cap, "no growth across time steps");
-        assert_eq!(buf.as_ptr(), ptr, "no reallocation across time steps");
-    }
-
-    #[test]
     fn thread_count_does_not_change_results() {
         let a = run_ensemble(&spec(8, 10), 1);
         let b = run_ensemble(&spec(8, 10), 8);
@@ -231,10 +194,10 @@ mod tests {
             patience: 3,
         });
         let e = run_ensemble(&s, 4);
+        let steps: Vec<Option<usize>> = e.runs.iter().map(|r| r.equilibrium_step).collect();
         assert!(
-            e.equilibrated_fraction() > 0.99,
-            "deterministic attracting collectives equilibrate: {}",
-            e.equilibrated_fraction()
+            steps.iter().all(Option::is_some),
+            "deterministic attracting collectives equilibrate: {steps:?}"
         );
     }
 

@@ -30,10 +30,12 @@
 //!   equilibrium detection (§4.1) from the uniform-disc initial
 //!   distribution (§5.1).
 //! * [`ensemble`] — `m` independent runs in parallel with derived seeds
-//!   (bit-reproducible regardless of thread count).
-//! * [`streaming`] — out-of-core ensembles that retain only scheduled
-//!   snapshot frames (optionally spilled to disk), bit-identical to the
-//!   retained trajectories at the same times.
+//!   (bit-reproducible regardless of thread count), each kept as a whole
+//!   [`Trajectory`]: the API for analyses that read every step.
+//! * [`streaming`] — the same runs keeping only the frames a caller
+//!   names (optionally spilled to disk), bit-identical to the whole
+//!   trajectories at those times. Every evaluation in `sops-core` reads
+//!   these.
 
 pub mod ensemble;
 pub mod force;

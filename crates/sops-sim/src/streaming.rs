@@ -1,20 +1,18 @@
-//! Out-of-core ensembles: stream evaluated snapshots instead of
-//! retaining whole trajectories.
+//! Streamed ensembles: keep the frames an analysis reads instead of
+//! whole trajectories.
 //!
 //! [`crate::ensemble::run_ensemble`] materializes every run's full
-//! trajectory — `m × (t_max + 1) × n` positions — before the evaluation
-//! pass reads the handful of scheduled steps it actually needs. That is
-//! fine at lab scale and wasteful at 10⁵–10⁶ particles: the sweep's
-//! evaluation schedule names `k ≪ t_max` frames, so the retained storage
-//! is `O(t_max)` where `O(k)` suffices.
+//! trajectory — `m × (t_max + 1) × n` positions. An analysis of the
+//! cross-sample slices reads only the steps on its schedule, so that
+//! storage is `O(t_max)` where `O(k)` suffices for `k` scheduled steps.
 //!
 //! [`run_streaming_ensemble`] runs each sample forward with the *exact*
 //! stepping loop of [`crate::Simulation::run`] (same seed derivation,
 //! same RNG draw order, same equilibrium bookkeeping) but copies out only
-//! the frames named by the caller's retained-time list — the sweep's
-//! `eval_schedule`, plus whatever extra lag steps the dynamics layer
-//! needs. The result is **bit-identical** to slicing a retained
-//! [`Ensemble`] at the same times, for any worker count, with peak memory
+//! the frames named by the caller's retained-time list — a sweep's
+//! evaluation schedule, or the few steps a figure plots. The result is
+//! **bit-identical** to slicing [`run_ensemble`](crate::run_ensemble)'s
+//! trajectories at the same times, for any worker count, with peak memory
 //! `O(m · k · n)` instead of `O(m · t_max · n)`.
 //!
 //! When even the retained frames exceed a configured resident budget
@@ -25,12 +23,11 @@
 //! reused buffer. Spilled round trips are raw `f64` bytes ([`Vec2`] is
 //! `repr(C)`), so they are bit-exact by construction.
 //!
-//! [`EnsembleFrames`] is the unifying read view: evaluation code written
-//! against it runs unchanged over a retained [`Ensemble`] or a
-//! [`StreamingEnsemble`], which is how the sweep engine keeps one
-//! evaluation path for both storage modes.
+//! [`EnsembleFrames`] is the read view: the cross-sample slice at a
+//! retained step and the equilibrated fraction. It is the only ensemble
+//! form `sops-core`'s evaluation engine reads.
 
-use crate::ensemble::{Ensemble, EnsembleSpec};
+use crate::ensemble::EnsembleSpec;
 use crate::sim::{EquilibriumWatch, Simulation};
 use sops_math::rng::derive_seed;
 use sops_math::Vec2;
@@ -177,21 +174,20 @@ enum FrameStore {
     Spill(SpillStore),
 }
 
-/// An ensemble that retained only the frames named at simulation time —
-/// the out-of-core counterpart of [`Ensemble`].
+/// An ensemble that retained only the frames named at simulation time.
 ///
-/// Positions at the retained times are bit-identical to the retained
-/// trajectory's frames at the same times ([`run_streaming_ensemble`]
-/// replays the exact stepping loop); asking for a non-retained time is a
-/// caller bug and panics.
+/// Positions at the retained times are bit-identical to the frames of
+/// [`run_ensemble`](crate::run_ensemble)'s trajectories at the same times
+/// ([`run_streaming_ensemble`] replays the exact stepping loop); asking
+/// for a non-retained time is a caller bug and panics.
 #[derive(Debug)]
 pub struct StreamingEnsemble {
     /// Retained time steps, strictly increasing.
     times: Vec<usize>,
     samples: usize,
     particles: usize,
-    /// Per-sample equilibrium bookkeeping, identical to the retained
-    /// run's [`crate::Trajectory::equilibrium_step`].
+    /// Per-sample equilibrium bookkeeping, identical to the whole
+    /// trajectory's [`crate::Trajectory::equilibrium_step`].
     equilibrium_steps: Vec<Option<usize>>,
     store: FrameStore,
 }
@@ -202,8 +198,7 @@ impl StreamingEnsemble {
         self.samples
     }
 
-    /// Fraction of runs that satisfied the equilibrium criterion —
-    /// bit-identical to [`Ensemble::equilibrated_fraction`].
+    /// Fraction of runs that satisfied the equilibrium criterion.
     pub(crate) fn equilibrated_fraction(&self) -> f64 {
         if self.equilibrium_steps.is_empty() {
             return 0.0;
@@ -229,7 +224,8 @@ impl StreamingEnsemble {
     }
 
     /// Writes the cross-sample slice at retained time `t` into `out`
-    /// (cleared first) — the [`Ensemble::at_time_into`] counterpart.
+    /// (cleared first): the slice [`crate::Ensemble::at_time`] returns
+    /// for the same step.
     ///
     /// In-memory stores serve slices directly; spilled stores load the
     /// time slice into `buf` (capacity reused across calls) and slice
@@ -319,8 +315,8 @@ fn stream_one(
 /// an unlinked temp file otherwise.
 ///
 /// Bit-identity contract: for any worker count, the retained frames and
-/// the equilibrated fraction equal those of the retained-trajectory run
-/// sliced at the same times.
+/// the equilibrium steps equal those of [`crate::ensemble::run_ensemble`]'s
+/// trajectories at the same times.
 pub fn run_streaming_ensemble(
     spec: &EnsembleSpec,
     times: &[usize],
@@ -374,13 +370,11 @@ pub fn run_streaming_ensemble(
     }
 }
 
-/// A borrowed read view over either ensemble storage: evaluation code
-/// written against this enum runs unchanged on retained trajectories and
-/// streamed snapshot stores.
+/// A borrowed read view of a [`StreamingEnsemble`] — the ensemble form
+/// evaluation code reads. It has a single variant; whole trajectories
+/// ([`crate::Ensemble`]) are read through their own API.
 #[derive(Debug, Clone, Copy)]
 pub enum EnsembleFrames<'e> {
-    /// The classic full-trajectory ensemble.
-    Retained(&'e Ensemble),
     /// A snapshot store retaining only scheduled frames.
     Streaming(&'e StreamingEnsemble),
 }
@@ -388,18 +382,14 @@ pub enum EnsembleFrames<'e> {
 impl<'e> EnsembleFrames<'e> {
     /// Number of samples `m`.
     pub fn samples(&self) -> usize {
-        match self {
-            EnsembleFrames::Retained(e) => e.samples(),
-            EnsembleFrames::Streaming(s) => s.samples(),
-        }
+        let EnsembleFrames::Streaming(s) = self;
+        s.samples()
     }
 
     /// Fraction of runs that satisfied the equilibrium criterion.
     pub fn equilibrated_fraction(&self) -> f64 {
-        match self {
-            EnsembleFrames::Retained(e) => e.equilibrated_fraction(),
-            EnsembleFrames::Streaming(s) => s.equilibrated_fraction(),
-        }
+        let EnsembleFrames::Streaming(s) = self;
+        s.equilibrated_fraction()
     }
 
     /// Writes the cross-sample slice at time `t` into `out` (cleared
@@ -408,13 +398,11 @@ impl<'e> EnsembleFrames<'e> {
     ///
     /// # Panics
     ///
-    /// Panics if `t` is not covered: retained ensembles cover every
-    /// recorded step, streaming ensembles only their schedule.
+    /// Panics if `t` was not retained: a streamed ensemble covers only
+    /// the times it was run with.
     pub fn at_time_into<'a>(&'a self, t: usize, buf: &'a mut Vec<Vec2>, out: &mut Vec<&'a [Vec2]>) {
-        match self {
-            EnsembleFrames::Retained(e) => e.at_time_into(t, out),
-            EnsembleFrames::Streaming(s) => s.at_time_into(t, buf, out),
-        }
+        let EnsembleFrames::Streaming(s) = self;
+        s.at_time_into(t, buf, out)
     }
 }
 
@@ -461,6 +449,10 @@ mod tests {
 
     fn assert_matches_retained(spec: &EnsembleSpec, times: &[usize], cfg: &StreamingConfig) {
         let retained = run_ensemble(spec, 4);
+        let retained_steps: Vec<Option<usize>> =
+            retained.runs.iter().map(|r| r.equilibrium_step).collect();
+        let retained_fraction = retained_steps.iter().filter(|s| s.is_some()).count() as f64
+            / retained_steps.len() as f64;
         for threads in [1usize, 8] {
             let streamed = run_streaming_ensemble(spec, times, threads, cfg);
             let frames = EnsembleFrames::Streaming(&streamed);
@@ -474,9 +466,10 @@ mod tests {
                     assert_eq!(a, b, "t={t}, threads={threads}");
                 }
             }
+            assert_eq!(streamed.equilibrium_steps, retained_steps);
             assert_eq!(
                 streamed.equilibrated_fraction().to_bits(),
-                retained.equilibrated_fraction().to_bits()
+                retained_fraction.to_bits()
             );
         }
     }

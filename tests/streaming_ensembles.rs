@@ -1,37 +1,48 @@
-//! Streaming-vs-retained contracts of the out-of-core ensemble layer
-//! (`sops_sim::streaming` threaded through the sweep engine):
+//! Contracts of the streamed ensemble, the one ensemble form the sweep
+//! engine evaluates (`sops_sim::streaming` threaded through the sweep
+//! engine):
 //!
-//! * **bit-identity** — a sweep run under `EnsembleStorage::Streaming`
-//!   (in-memory and spill-forced) produces cells bit-identical to the
-//!   retained-trajectory reference, for worker counts 1 and 8 and for
-//!   dense and sparse evaluation schedules (property-tested over random
-//!   grid shapes);
+//! * **same frames** — `run_streaming_ensemble` keeps, bit for bit, the
+//!   frames that `run_ensemble`'s whole trajectories hold at the same
+//!   steps, and the same equilibrated fraction: in memory and
+//!   spill-forced, for worker counts 1 and 8 and for dense and sparse
+//!   evaluation schedules (property-tested over random shapes);
+//! * **same cells** — sweep cells are bit-identical across residency
+//!   budgets and worker counts;
 //! * **bounded steady state** — a warmed-up `SweepRunner` driving a
-//!   spill-forced streaming workload does not grow any internal buffer
-//!   (the capacity-signature contract extended to the streaming eval
-//!   loop's staging buffers).
+//!   spill-forced workload does not grow any internal buffer (the
+//!   capacity-signature contract extended to the streaming eval loop's
+//!   staging buffers).
 
 use proptest::prelude::*;
 use sops::prelude::*;
 use sops::sim::force::{ForceModel, LinearForce};
 
-/// A small 2-type attracting system that visibly organizes.
-fn small_scenario(name: &str, seed: u64, samples: usize, t_max: usize) -> ScenarioSpec {
+/// A small 2-type attracting system that visibly organizes, evaluated
+/// every `eval_every` steps. Its equilibrium criterion is loose enough
+/// that some runs meet it, so the equilibrated fraction is not trivially
+/// zero.
+fn scenario(samples: usize, t_max: usize, eval_every: usize) -> ScenarioSpec {
     let k = PairMatrix::constant(2, 1.0);
     let mut r = PairMatrix::constant(2, 1.0);
     r.set(0, 1, 2.0);
-    ScenarioSpec::new(
-        name,
+    let mut sc = ScenarioSpec::new(
+        "attract",
         EnsembleSpec {
             model: Model::balanced(8, ForceModel::Linear(LinearForce::new(k, r)), f64::INFINITY),
             integrator: IntegratorConfig::default(),
             init_radius: 2.0,
             t_max,
             samples,
-            seed,
-            criterion: None,
+            seed: 42,
+            criterion: Some(EquilibriumCriterion {
+                threshold: 3.0,
+                patience: 3,
+            }),
         },
-    )
+    );
+    sc.eval_every = eval_every;
+    sc
 }
 
 fn plan(
@@ -41,10 +52,8 @@ fn plan(
     threads: usize,
     storage: EnsembleStorage,
 ) -> SweepPlan {
-    let mut sc = small_scenario("attract", 42, samples, t_max);
-    sc.eval_every = eval_every;
     SweepPlan {
-        scenarios: vec![sc],
+        scenarios: vec![scenario(samples, t_max, eval_every)],
         measures: vec![
             MeasureConfig::Ksg(KsgConfig {
                 k: 3,
@@ -63,6 +72,44 @@ fn plan(
         threads,
         storage,
     }
+}
+
+/// Streams `sc` over its evaluation schedule under a residency budget of
+/// `budget` bytes and checks every kept frame, and the equilibrated
+/// fraction, against `run_ensemble`'s whole trajectories, bit for bit.
+fn assert_frames_match_trajectories(sc: &ScenarioSpec, threads: usize, budget: usize, tag: &str) {
+    let whole = run_ensemble(&sc.ensemble, threads);
+    let cfg = StreamingConfig {
+        max_resident_bytes: budget,
+    };
+    let streamed = run_streaming_ensemble(&sc.ensemble, &sc.eval_times(), threads, &cfg);
+    let frames = EnsembleFrames::Streaming(&streamed);
+    assert_eq!(frames.samples(), whole.samples(), "{tag}");
+    let bits = |c: &[Vec2]| -> Vec<u64> {
+        c.iter()
+            .flat_map(|p| [p.x.to_bits(), p.y.to_bits()])
+            .collect()
+    };
+    for t in sc.eval_times() {
+        let (mut stage, mut slice) = (Vec::new(), Vec::new());
+        frames.at_time_into(t, &mut stage, &mut slice);
+        let reference = whole.at_time(t);
+        assert_eq!(slice.len(), reference.len(), "{tag} t={t}");
+        for (s, (a, b)) in slice.iter().zip(&reference).enumerate() {
+            assert_eq!(bits(a), bits(b), "{tag} t={t} sample={s}");
+        }
+    }
+    let equilibrated = whole
+        .runs
+        .iter()
+        .filter(|r| r.equilibrium_step.is_some())
+        .count() as f64
+        / whole.samples() as f64;
+    assert_eq!(
+        frames.equilibrated_fraction().to_bits(),
+        equilibrated.to_bits(),
+        "{tag}"
+    );
 }
 
 fn assert_reports_bit_identical(a: &SweepReport, b: &SweepReport, tag: &str) {
@@ -92,22 +139,24 @@ fn assert_reports_bit_identical(a: &SweepReport, b: &SweepReport, tag: &str) {
     }
 }
 
-/// The ISSUE's explicit grid: dense and sparse schedules × threads 1/8 ×
-/// {in-memory streaming, spill forced by a 1-byte budget}, all
-/// bit-identical to the retained reference.
+/// The explicit grid: dense and sparse schedules × threads 1/8 ×
+/// {in memory, spill forced by a 1-byte budget}. Streamed frames equal
+/// the whole trajectories', and every sweep cell equals the one-thread
+/// in-memory reference.
 #[test]
 fn streaming_matches_retained_across_schedules_threads_and_spill() {
     for &(samples, t_max, every) in &[(40usize, 20usize, 1usize), (40, 20, 10)] {
-        for &threads in &[1usize, 8] {
-            let reference = run_sweep(&plan(
-                samples,
-                t_max,
-                every,
-                threads,
-                EnsembleStorage::Retained,
-            ))
+        let reference = run_sweep(&plan(samples, t_max, every, 1, EnsembleStorage::default()))
             .expect("valid plan");
+        for &threads in &[1usize, 8] {
             for &budget in &[usize::MAX, 1] {
+                let tag = format!("every={every} threads={threads} budget={budget}");
+                assert_frames_match_trajectories(
+                    &scenario(samples, t_max, every),
+                    threads,
+                    budget,
+                    &tag,
+                );
                 let streamed = run_sweep(&plan(
                     samples,
                     t_max,
@@ -118,11 +167,7 @@ fn streaming_matches_retained_across_schedules_threads_and_spill() {
                     },
                 ))
                 .expect("valid plan");
-                assert_reports_bit_identical(
-                    &reference,
-                    &streamed,
-                    &format!("every={every} threads={threads} budget={budget}"),
-                );
+                assert_reports_bit_identical(&reference, &streamed, &tag);
             }
         }
     }
@@ -131,8 +176,10 @@ fn streaming_matches_retained_across_schedules_threads_and_spill() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random grid shapes: any (samples, horizon, cadence, worker count,
-    /// spill budget) agrees bit-for-bit with the retained reference.
+    /// Random shapes: for any (samples, horizon, cadence, worker count,
+    /// spill budget) the streamed frames equal the whole trajectories'
+    /// bit for bit, and the sweep cells equal the one-thread in-memory
+    /// reference.
     #[test]
     fn streaming_matches_retained_for_random_grids(
         samples in 25usize..40,
@@ -143,8 +190,10 @@ proptest! {
     ) {
         let spill = spill == 1;
         let budget = if spill { 1 } else { usize::MAX };
+        let tag = format!("m={samples} T={t_max} every={every} threads={threads} spill={spill}");
+        assert_frames_match_trajectories(&scenario(samples, t_max, every), threads, budget, &tag);
         let reference =
-            run_sweep(&plan(samples, t_max, every, threads, EnsembleStorage::Retained))
+            run_sweep(&plan(samples, t_max, every, 1, EnsembleStorage::default()))
                 .expect("valid plan");
         let streamed = run_sweep(&plan(
             samples,
@@ -154,11 +203,7 @@ proptest! {
             EnsembleStorage::Streaming { max_resident_bytes: budget },
         ))
         .expect("valid plan");
-        assert_reports_bit_identical(
-            &reference,
-            &streamed,
-            &format!("m={samples} T={t_max} every={every} threads={threads} spill={spill}"),
-        );
+        assert_reports_bit_identical(&reference, &streamed, &tag);
     }
 }
 

@@ -117,11 +117,17 @@ fn quickstart_logic_runs_end_to_end() {
     let chart = report::line_chart("multi-information over time", &[series], 60, 14);
     assert!(chart.contains("multi-information over time"));
 
-    // Evaluating a reused (retained) ensemble must agree with the cell.
-    let ensemble = run_ensemble(&scenario.ensemble, plan.threads);
+    // Evaluating a streamed ensemble held by the caller must agree with
+    // the cell.
+    let streamed = run_streaming_ensemble(
+        &scenario.ensemble,
+        &scenario.eval_times(),
+        plan.threads,
+        &StreamingConfig::default(),
+    );
     let reused = SweepRunner::new()
         .evaluate_frames(
-            EnsembleFrames::Retained(&ensemble),
+            EnsembleFrames::Streaming(&streamed),
             &scenario,
             &plan.measures,
             plan.threads,
