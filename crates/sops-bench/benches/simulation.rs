@@ -8,8 +8,9 @@ use sops_core::{
 };
 use sops_info::MeasureConfig;
 use sops_math::{PairMatrix, Vec2};
-use sops_sim::ensemble::{run_ensemble, EnsembleSpec};
+use sops_sim::ensemble::EnsembleSpec;
 use sops_sim::force::{ForceModel, GaussianForce, LinearForce};
+use sops_sim::streaming::{run_streaming_ensemble, StreamingConfig};
 use sops_sim::{ForceWorkspace, IntegratorConfig, Model, Simulation};
 use sops_spatial::{CellGrid, KdTree};
 use std::hint::black_box;
@@ -204,7 +205,9 @@ fn bench_ensemble_throughput(c: &mut Criterion) {
                     seed: 12,
                     criterion: None,
                 };
-                b.iter(|| run_ensemble(black_box(&spec), threads))
+                let every_step: Vec<usize> = (0..=spec.t_max).collect();
+                let cfg = StreamingConfig::default();
+                b.iter(|| run_streaming_ensemble(black_box(&spec), &every_step, threads, &cfg))
             },
         );
     }

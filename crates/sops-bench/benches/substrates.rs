@@ -3,14 +3,14 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sops_bench::{cloud, flat};
-use sops_cluster::{kmeans, KMeansConfig};
+use sops_cluster::kmeans;
 use sops_core::scenario::cell_sorting;
 use sops_math::{SplitMix64, Vec2};
 use sops_shape::{
     hungarian_with, icp_align_with, reduce_configurations_with, HungarianScratch, IcpConfig,
     IcpScratch, ReduceConfig, ReduceWorkspace, RigidTransform,
 };
-use sops_sim::run_ensemble;
+use sops_sim::streaming::{run_streaming_ensemble, EnsembleFrames, StreamingConfig};
 use sops_spatial::{brute, CellGrid, KdTree};
 use std::hint::black_box;
 
@@ -92,16 +92,7 @@ fn bench_kmeans(c: &mut Criterion) {
     for &n in &[60usize, 240] {
         let pts = cloud(n, 10.0, 11);
         group.bench_with_input(BenchmarkId::from_parameter(n), &pts, |b, pts| {
-            b.iter(|| {
-                kmeans(
-                    black_box(pts),
-                    &KMeansConfig {
-                        k: 4,
-                        ..KMeansConfig::default()
-                    },
-                    5,
-                )
-            })
+            b.iter(|| kmeans(black_box(pts), 4, 5))
         });
     }
     group.finish();
@@ -198,8 +189,11 @@ fn bench_reduce(c: &mut Criterion) {
         b.iter(|| hungarian_with(&mut scratch, 20, black_box(&costs), &mut assignment))
     });
     let spec = cell_sorting();
-    let ensemble = run_ensemble(&spec.ensemble, 0);
-    let slice = ensemble.at_time(spec.ensemble.t_max);
+    let t_max = spec.ensemble.t_max;
+    let ensemble = run_streaming_ensemble(&spec.ensemble, &[t_max], 0, &StreamingConfig::default());
+    let frames = EnsembleFrames::Streaming(&ensemble);
+    let (mut stage, mut slice) = (Vec::new(), Vec::new());
+    frames.at_time_into(t_max, &mut stage, &mut slice);
     let types = spec.ensemble.model.types();
     let cfg = ReduceConfig {
         threads: 1,

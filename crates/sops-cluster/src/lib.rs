@@ -14,29 +14,12 @@
 
 use sops_math::{SplitMix64, Vec2};
 
-/// Parameters for [`kmeans`].
-#[derive(Debug, Clone, Copy)]
-pub struct KMeansConfig {
-    /// Number of clusters.
-    pub k: usize,
-    /// Maximum Lloyd iterations per restart.
-    pub max_iterations: usize,
-    /// Independent k-means++ restarts; the lowest-inertia result wins.
-    pub restarts: usize,
-    /// Stop when inertia improves by less than this relative amount.
-    pub tolerance: f64,
-}
-
-impl Default for KMeansConfig {
-    fn default() -> Self {
-        KMeansConfig {
-            k: 2,
-            max_iterations: 50,
-            restarts: 4,
-            tolerance: 1e-9,
-        }
-    }
-}
+/// Maximum Lloyd iterations per restart.
+const MAX_ITERATIONS: usize = 50;
+/// Independent k-means++ restarts; the lowest-inertia result wins.
+const RESTARTS: usize = 4;
+/// Stop when inertia improves by less than this relative amount.
+const TOLERANCE: f64 = 1e-9;
 
 /// Result of a clustering.
 #[derive(Debug, Clone)]
@@ -49,31 +32,32 @@ pub struct KMeans {
     pub inertia: f64,
 }
 
-/// Runs k-means++ / Lloyd on `points`.
+/// Runs k-means++ / Lloyd on `points` with `k` clusters: the best of
+/// four k-means++ restarts, each at most 50 Lloyd iterations.
 ///
 /// If `k >= points.len()`, every point becomes its own centre (and empty
 /// clusters are avoided by construction). Deterministic in `seed`.
 ///
 /// ```
-/// use sops_cluster::{kmeans, KMeansConfig};
+/// use sops_cluster::kmeans;
 /// use sops_math::Vec2;
 /// let pts = vec![Vec2::new(0.0, 0.0), Vec2::new(0.1, 0.0), Vec2::new(9.0, 0.0)];
-/// let result = kmeans(&pts, &KMeansConfig { k: 2, ..Default::default() }, 1);
+/// let result = kmeans(&pts, 2, 1);
 /// assert_eq!(result.assignment, vec![0, 0, 1]); // canonical order: left centre first
 /// ```
 ///
 /// # Panics
 ///
-/// Panics if `points` is empty or `cfg.k == 0`.
-pub fn kmeans(points: &[Vec2], cfg: &KMeansConfig, seed: u64) -> KMeans {
+/// Panics if `points` is empty or `k == 0`.
+pub fn kmeans(points: &[Vec2], k: usize, seed: u64) -> KMeans {
     assert!(!points.is_empty(), "kmeans: no points");
-    assert!(cfg.k > 0, "kmeans: k must be >= 1");
-    let k = cfg.k.min(points.len());
+    assert!(k > 0, "kmeans: k must be >= 1");
+    let k = k.min(points.len());
 
     let mut best: Option<KMeans> = None;
-    for restart in 0..cfg.restarts.max(1) {
+    for restart in 0..RESTARTS {
         let mut rng = SplitMix64::new(sops_math::rng::derive_seed(seed, restart as u64));
-        let candidate = lloyd(points, k, cfg, &mut rng);
+        let candidate = lloyd(points, k, &mut rng);
         if best.as_ref().is_none_or(|b| candidate.inertia < b.inertia) {
             best = Some(candidate);
         }
@@ -83,11 +67,11 @@ pub fn kmeans(points: &[Vec2], cfg: &KMeansConfig, seed: u64) -> KMeans {
     result
 }
 
-fn lloyd(points: &[Vec2], k: usize, cfg: &KMeansConfig, rng: &mut SplitMix64) -> KMeans {
+fn lloyd(points: &[Vec2], k: usize, rng: &mut SplitMix64) -> KMeans {
     let mut centers = plus_plus_init(points, k, rng);
     let mut assignment = vec![0usize; points.len()];
     let mut prev_inertia = f64::INFINITY;
-    for it in 0..cfg.max_iterations {
+    for it in 0..MAX_ITERATIONS {
         // Assign.
         let mut inertia = 0.0;
         for (i, &p) in points.iter().enumerate() {
@@ -95,7 +79,7 @@ fn lloyd(points: &[Vec2], k: usize, cfg: &KMeansConfig, rng: &mut SplitMix64) ->
             assignment[i] = ci;
             inertia += d2;
         }
-        if it > 0 && prev_inertia - inertia <= cfg.tolerance * prev_inertia {
+        if it > 0 && prev_inertia - inertia <= TOLERANCE * prev_inertia {
             break;
         }
         prev_inertia = inertia;
@@ -214,7 +198,6 @@ pub fn per_type_means(
     types: &[u16],
     type_count: usize,
     k_per_type: usize,
-    cfg: &KMeansConfig,
     seed: u64,
 ) -> Vec<Vec2> {
     assert_eq!(points.len(), types.len(), "per_type_means: length mismatch");
@@ -233,10 +216,7 @@ pub fn per_type_means(
         );
         let sub = kmeans(
             &members,
-            &KMeansConfig {
-                k: k_per_type,
-                ..*cfg
-            },
+            k_per_type,
             sops_math::rng::derive_seed(seed, t as u64),
         );
         let got = sub.centers.len();
@@ -274,7 +254,7 @@ mod tests {
     #[test]
     fn separates_two_blobs() {
         let pts = two_blobs(50, 10.0, 1);
-        let res = kmeans(&pts, &KMeansConfig::default(), 42);
+        let res = kmeans(&pts, 2, 42);
         assert_eq!(res.centers.len(), 2);
         // Canonical order: left blob first.
         assert!(res.centers[0].x < -4.0);
@@ -290,14 +270,7 @@ mod tests {
         let pts = two_blobs(40, 6.0, 3);
         let mut last = f64::INFINITY;
         for k in 1..=4 {
-            let res = kmeans(
-                &pts,
-                &KMeansConfig {
-                    k,
-                    ..KMeansConfig::default()
-                },
-                7,
-            );
+            let res = kmeans(&pts, k, 7);
             assert!(
                 res.inertia <= last + 1e-9,
                 "k={k}: inertia {} did not decrease from {last}",
@@ -314,36 +287,22 @@ mod tests {
             Vec2::new(5.0, 0.0),
             Vec2::new(0.0, 5.0),
         ];
-        let res = kmeans(
-            &pts,
-            &KMeansConfig {
-                k: 3,
-                ..KMeansConfig::default()
-            },
-            5,
-        );
+        let res = kmeans(&pts, 3, 5);
         assert!(res.inertia < 1e-18);
     }
 
     #[test]
     fn k_larger_than_point_count_clamped() {
         let pts = vec![Vec2::new(1.0, 1.0), Vec2::new(2.0, 2.0)];
-        let res = kmeans(
-            &pts,
-            &KMeansConfig {
-                k: 10,
-                ..KMeansConfig::default()
-            },
-            5,
-        );
+        let res = kmeans(&pts, 10, 5);
         assert_eq!(res.centers.len(), 2);
     }
 
     #[test]
     fn deterministic_in_seed() {
         let pts = two_blobs(30, 4.0, 9);
-        let a = kmeans(&pts, &KMeansConfig::default(), 11);
-        let b = kmeans(&pts, &KMeansConfig::default(), 11);
+        let a = kmeans(&pts, 2, 11);
+        let b = kmeans(&pts, 2, 11);
         assert_eq!(a.centers, b.centers);
         assert_eq!(a.assignment, b.assignment);
     }
@@ -351,7 +310,7 @@ mod tests {
     #[test]
     fn canonical_center_order() {
         let pts = two_blobs(20, 8.0, 13);
-        let res = kmeans(&pts, &KMeansConfig::default(), 17);
+        let res = kmeans(&pts, 2, 17);
         for w in res.centers.windows(2) {
             assert!(
                 w[0].x < w[1].x || (w[0].x == w[1].x && w[0].y <= w[1].y),
@@ -363,14 +322,7 @@ mod tests {
     #[test]
     fn identical_points_do_not_crash() {
         let pts = vec![Vec2::new(3.0, 3.0); 10];
-        let res = kmeans(
-            &pts,
-            &KMeansConfig {
-                k: 3,
-                ..KMeansConfig::default()
-            },
-            23,
-        );
+        let res = kmeans(&pts, 3, 23);
         assert!(res.inertia < 1e-18);
         assert_eq!(res.assignment.len(), 10);
     }
@@ -384,7 +336,7 @@ mod tests {
             pts.push(Vec2::new(i as f64 * 0.01, 10.0));
             types.push(1);
         }
-        let obs = per_type_means(&pts, &types, 2, 2, &KMeansConfig::default(), 3);
+        let obs = per_type_means(&pts, &types, 2, 2, 3);
         assert_eq!(obs.len(), 4);
         // Type-0 centres around ±5.
         assert!(obs[0].x < -4.0 && obs[1].x > 4.0);
@@ -401,7 +353,7 @@ mod tests {
             Vec2::new(5.5, 5.0),
         ];
         let types = vec![0u16, 1, 1];
-        let obs = per_type_means(&pts, &types, 2, 2, &KMeansConfig::default(), 3);
+        let obs = per_type_means(&pts, &types, 2, 2, 3);
         assert_eq!(obs.len(), 4);
         // Type 0 has one particle: centre repeated.
         assert_eq!(obs[0], obs[1]);
@@ -417,7 +369,7 @@ mod tests {
             let pts: Vec<Vec2> = (0..n)
                 .map(|_| Vec2::new(rng.next_range(-10.0, 10.0), rng.next_range(-10.0, 10.0)))
                 .collect();
-            let res = kmeans(&pts, &KMeansConfig { k, ..KMeansConfig::default() }, seed);
+            let res = kmeans(&pts, k, seed);
             for (i, &a) in res.assignment.iter().enumerate() {
                 let assigned = pts[i].dist_sq(res.centers[a]);
                 for &c in &res.centers {
@@ -432,7 +384,7 @@ mod tests {
             let pts: Vec<Vec2> = (0..n)
                 .map(|_| Vec2::new(rng.next_range(-5.0, 5.0), rng.next_range(-5.0, 5.0)))
                 .collect();
-            let res = kmeans(&pts, &KMeansConfig { k: 3, ..KMeansConfig::default() }, seed);
+            let res = kmeans(&pts, 3, seed);
             let recomputed: f64 = pts
                 .iter()
                 .zip(&res.assignment)

@@ -10,8 +10,11 @@
 //! ```
 //!
 //! estimated *across ensemble runs* with the Frenzel–Pompe conditional-MI
-//! estimator. Per §5.2, this uses the raw trajectories — particle
-//! identity over time is only meaningful before permutation reduction.
+//! estimator. Per §5.2, this uses the raw runs — particle identity over
+//! time is only meaningful before permutation reduction.
+//!
+//! An estimate reads two recorded steps, `t` and `t + lag`, so callers
+//! stream just those: `run_streaming_ensemble(spec, &[t, t + lag], …)`.
 //!
 //! To remove the shared translation/rotation drift (which would register
 //! as spurious transfer), positions are expressed relative to each run's
@@ -19,7 +22,7 @@
 
 use sops_info::{CmiConfig, MeasureWorkspace};
 use sops_math::Vec2;
-use sops_sim::ensemble::Ensemble;
+use sops_sim::streaming::{EnsembleFrames, StreamingEnsemble};
 
 /// Configuration for ensemble transfer-entropy estimates.
 #[derive(Debug, Clone, Copy)]
@@ -42,16 +45,25 @@ impl Default for TransferConfig {
     }
 }
 
-/// Extracts particle `i`'s centred position at time `t` across all runs
-/// as a `samples × 2` row-major matrix.
-fn centred_positions(ensemble: &Ensemble, i: usize, t: usize) -> Vec<f64> {
-    let mut out = Vec::with_capacity(ensemble.samples() * 2);
-    for run in &ensemble.runs {
-        let frame = &run.frames[t];
+/// Every particle's centred position at recorded step `t` across all
+/// runs: entry `i` is particle `i`'s `samples × 2` row-major matrix.
+///
+/// The step is gathered whole before the caller reads another, so a
+/// spilled store stages one cross-sample slice at a time in `buf`.
+fn centred_positions(ensemble: &StreamingEnsemble, t: usize, buf: &mut Vec<Vec2>) -> Vec<Vec<f64>> {
+    let frames = EnsembleFrames::Streaming(ensemble);
+    let mut slice = Vec::with_capacity(frames.samples());
+    frames.at_time_into(t, buf, &mut slice);
+    let mut out: Vec<Vec<f64>> = (0..slice[0].len())
+        .map(|_| Vec::with_capacity(slice.len() * 2))
+        .collect();
+    for frame in &slice {
         let c = Vec2::centroid(frame);
-        let p = frame[i] - c;
-        out.push(p.x);
-        out.push(p.y);
+        for (row, &p) in out.iter_mut().zip(frame.iter()) {
+            let p = p - c;
+            row.push(p.x);
+            row.push(p.y);
+        }
     }
     out
 }
@@ -62,28 +74,28 @@ fn centred_positions(ensemble: &Ensemble, i: usize, t: usize) -> Vec<f64> {
 ///
 /// # Panics
 ///
-/// Panics if `t + cfg.lag` exceeds the recorded horizon or the particle
-/// indices are out of range.
+/// Panics if `ensemble` did not retain step `t` or step `t + cfg.lag`
+/// (see [`EnsembleFrames::at_time_into`]), or if a particle index is out
+/// of range.
 pub fn particle_transfer_entropy(
-    ensemble: &Ensemble,
+    ensemble: &StreamingEnsemble,
     a: usize,
     b: usize,
     t: usize,
     cfg: &TransferConfig,
 ) -> f64 {
-    assert!(a < ensemble.particles() && b < ensemble.particles());
+    let mut buf = Vec::new();
+    let past = centred_positions(ensemble, t, &mut buf);
     assert!(
-        t + cfg.lag < ensemble.frames(),
-        "particle_transfer_entropy: t + lag beyond horizon"
+        a < past.len() && b < past.len(),
+        "particle_transfer_entropy: particle index out of range"
     );
-    let x_next = centred_positions(ensemble, a, t + cfg.lag);
-    let x_past = centred_positions(ensemble, a, t);
-    let y_past = centred_positions(ensemble, b, t);
-    MeasureWorkspace::new().transfer_entropy(
-        &x_next,
-        &y_past,
-        &x_past,
-        ensemble.samples(),
+    let next = centred_positions(ensemble, t + cfg.lag, &mut buf);
+    MeasureWorkspace::new().conditional_mutual_information(
+        &next[a],
+        &past[b],
+        &past[a],
+        EnsembleFrames::Streaming(ensemble).samples(),
         (2, 2, 2),
         &cmi_config(cfg),
     )
@@ -104,27 +116,33 @@ fn cmi_config(cfg: &TransferConfig) -> CmiConfig {
 /// [`MeasureWorkspace`], and each particle's centred past/successor
 /// positions are gathered once for the whole sweep rather than once per
 /// pair.
-pub fn transfer_matrix(ensemble: &Ensemble, t: usize, cfg: &TransferConfig) -> Vec<Vec<f64>> {
-    let n = ensemble.particles();
-    assert!(
-        t + cfg.lag < ensemble.frames(),
-        "transfer_matrix: t + lag beyond horizon"
-    );
-    let past: Vec<Vec<f64>> = (0..n).map(|i| centred_positions(ensemble, i, t)).collect();
-    let next: Vec<Vec<f64>> = (0..n)
-        .map(|i| centred_positions(ensemble, i, t + cfg.lag))
-        .collect();
+///
+/// # Panics
+///
+/// Panics if `ensemble` did not retain step `t` or step `t + cfg.lag`
+/// (see [`EnsembleFrames::at_time_into`]).
+pub fn transfer_matrix(
+    ensemble: &StreamingEnsemble,
+    t: usize,
+    cfg: &TransferConfig,
+) -> Vec<Vec<f64>> {
+    let mut buf = Vec::new();
+    let past = centred_positions(ensemble, t, &mut buf);
+    let next = centred_positions(ensemble, t + cfg.lag, &mut buf);
+    let n = past.len();
+    let rows = EnsembleFrames::Streaming(ensemble).samples();
     let cmi_cfg = cmi_config(cfg);
     let mut ws = MeasureWorkspace::new();
     let mut out = vec![vec![0.0; n]; n];
     for (a, row) in out.iter_mut().enumerate() {
         for (b, cell) in row.iter_mut().enumerate() {
             if a != b {
-                *cell = ws.transfer_entropy(
+                // T_{b→a} = I(a′ ; b | a).
+                *cell = ws.conditional_mutual_information(
                     &next[a],
                     &past[b],
                     &past[a],
-                    ensemble.samples(),
+                    rows,
                     (2, 2, 2),
                     &cmi_cfg,
                 );
@@ -138,16 +156,17 @@ pub fn transfer_matrix(ensemble: &Ensemble, t: usize, cfg: &TransferConfig) -> V
 mod tests {
     use super::*;
     use sops_math::PairMatrix;
-    use sops_sim::ensemble::{run_ensemble, EnsembleSpec};
+    use sops_sim::ensemble::EnsembleSpec;
     use sops_sim::force::{ForceModel, LinearForce};
+    use sops_sim::streaming::{run_streaming_ensemble, StreamingConfig};
     use sops_sim::{IntegratorConfig, Model};
 
-    fn interacting_ensemble(n: usize, force_scale: f64, cutoff: f64, samples: usize) -> Ensemble {
+    fn interacting_spec(n: usize, force_scale: f64, cutoff: f64, samples: usize) -> EnsembleSpec {
         let law = ForceModel::Linear(LinearForce::new(
             PairMatrix::constant(1, force_scale),
             PairMatrix::constant(1, 2.0),
         ));
-        let spec = EnsembleSpec {
+        EnsembleSpec {
             model: Model::balanced(n, law, cutoff),
             integrator: IntegratorConfig::default(),
             init_radius: 2.0,
@@ -155,15 +174,27 @@ mod tests {
             samples,
             seed: 77,
             criterion: None,
-        };
-        run_ensemble(&spec, 0)
+        }
+    }
+
+    /// The interacting ensemble streamed at `steps`, the steps a query
+    /// reads.
+    fn interacting_ensemble(
+        n: usize,
+        force_scale: f64,
+        cutoff: f64,
+        samples: usize,
+        steps: &[usize],
+    ) -> StreamingEnsemble {
+        let spec = interacting_spec(n, force_scale, cutoff, samples);
+        run_streaming_ensemble(&spec, steps, 0, &StreamingConfig::default())
     }
 
     #[test]
     fn interacting_particles_transfer_information() {
         // Small, strongly coupled collective during the transient: the
         // neighbour's past visibly shapes the successor state.
-        let ensemble = interacting_ensemble(3, 5.0, f64::INFINITY, 800);
+        let ensemble = interacting_ensemble(3, 5.0, f64::INFINITY, 800, &[1, 4]);
         let te = particle_transfer_entropy(
             &ensemble,
             0,
@@ -184,7 +215,7 @@ mod tests {
     fn decoupled_particles_show_no_transfer() {
         // Cut-off far below the typical separation: particles diffuse
         // independently, so no information flows between them.
-        let ensemble = interacting_ensemble(3, 5.0, 0.05, 800);
+        let ensemble = interacting_ensemble(3, 5.0, 0.05, 800, &[1, 4]);
         let te = particle_transfer_entropy(
             &ensemble,
             0,
@@ -200,7 +231,7 @@ mod tests {
 
     #[test]
     fn transfer_entropy_finite_and_symmetric_setup_near_symmetric_values() {
-        let ensemble = interacting_ensemble(3, 5.0, f64::INFINITY, 300);
+        let ensemble = interacting_ensemble(3, 5.0, f64::INFINITY, 300, &[1, 4]);
         let cfg = TransferConfig {
             lag: 3,
             ..TransferConfig::default()
@@ -214,7 +245,7 @@ mod tests {
 
     #[test]
     fn transfer_matrix_shape_and_zero_diagonal() {
-        let ensemble = interacting_ensemble(6, 1.0, f64::INFINITY, 150);
+        let ensemble = interacting_ensemble(6, 1.0, f64::INFINITY, 150, &[3, 4]);
         let m = transfer_matrix(
             &ensemble,
             3,
@@ -230,7 +261,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "beyond horizon")]
     fn lag_beyond_horizon_panics() {
-        let ensemble = interacting_ensemble(6, 1.0, f64::INFINITY, 50);
+        // Streaming the steps the query reads refuses step 13 of a
+        // 12-step horizon.
+        let ensemble = interacting_ensemble(6, 1.0, f64::INFINITY, 50, &[12, 13]);
         particle_transfer_entropy(
             &ensemble,
             0,
@@ -241,5 +274,45 @@ mod tests {
                 ..TransferConfig::default()
             },
         );
+    }
+
+    /// An ensemble streamed at only `[t, t + lag]` gives the matrix of one
+    /// streamed at every step, bit for bit — on 1 and 4 threads, in memory
+    /// and spilled (where both steps pass through one staging buffer).
+    #[test]
+    fn transfer_matrix_reads_only_the_steps_it_names() {
+        let spec = interacting_spec(4, 5.0, f64::INFINITY, 60);
+        let (t, lag) = (3, 2);
+        let every_step: Vec<usize> = (0..=spec.t_max).collect();
+        let bits =
+            |m: &[Vec<f64>]| -> Vec<u64> { m.iter().flatten().map(|v| v.to_bits()).collect() };
+        let cfg = TransferConfig {
+            lag,
+            k: 3,
+            threads: 1,
+        };
+        let whole = run_streaming_ensemble(&spec, &every_step, 1, &StreamingConfig::default());
+        let want = bits(&transfer_matrix(&whole, t, &cfg));
+        for threads in [1usize, 4] {
+            for budget in [usize::MAX, 1] {
+                let store = StreamingConfig {
+                    max_resident_bytes: budget,
+                };
+                let named = run_streaming_ensemble(&spec, &[t, t + lag], threads, &store);
+                let cfg = TransferConfig { threads, ..cfg };
+                assert_eq!(
+                    bits(&transfer_matrix(&named, t, &cfg)),
+                    want,
+                    "threads={threads} budget={budget}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "was not retained")]
+    fn unretained_step_panics() {
+        let ensemble = interacting_ensemble(4, 1.0, f64::INFINITY, 20, &[3]);
+        transfer_matrix(&ensemble, 3, &TransferConfig::default());
     }
 }

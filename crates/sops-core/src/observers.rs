@@ -5,7 +5,6 @@
 //! above 60 particles) the k-means approximation replaces each type's
 //! particles by `k` cluster means: `l·k` blocks of dimension 2.
 
-use sops_cluster::KMeansConfig;
 use sops_math::Vec2;
 use sops_shape::ensemble::ReducedSet;
 
@@ -79,16 +78,12 @@ pub fn build_observers(
             assert!(k_per_type >= 1, "TypeMeans: k_per_type must be >= 1");
             let blocks = type_count * k_per_type;
             let mut data = Vec::with_capacity(rows * blocks * 2);
-            let km_cfg = KMeansConfig {
-                k: k_per_type,
-                ..KMeansConfig::default()
-            };
             for cfg in &reduced.configs {
                 // Same seed for every sample: clustering must be a
                 // deterministic function of the configuration alone so
                 // that observers are comparable across samples.
                 let means: Vec<Vec2> =
-                    sops_cluster::per_type_means(cfg, types, type_count, k_per_type, &km_cfg, seed);
+                    sops_cluster::per_type_means(cfg, types, type_count, k_per_type, seed);
                 for m in means {
                     data.push(m.x);
                     data.push(m.y);

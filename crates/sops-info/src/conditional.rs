@@ -14,17 +14,17 @@
 //! `(Z)`, `(X,Z)` and `(Y,Z)` using the max-norm radius to the k-th
 //! neighbour in the joint `(X,Y,Z)` space. Transfer entropy is the
 //! special case `T_{Y→X} = I(X′ ; Y | X)` with `X′` the successor state
-//! of `X`.
+//! of `X`: `conditional_mutual_information(x_next, y_past, x_past, …)`.
 //!
 //! The estimate runs through
-//! [`crate::MeasureWorkspace::conditional_mutual_information`] and
-//! [`crate::MeasureWorkspace::transfer_entropy`]. Their engine routes the
-//! joint k-NN through the same adaptive scan/kd-tree choice as the KSG engine
-//! (`CmiConfig::knn`, turning the `O(m²)` joint scan into `O(m log m)` at
-//! the low joint dimensions transfer entropy lives at), all scratch is
-//! persistent, and per-sample ψ terms are reduced in sample order — the
-//! estimate is **bit-identical for any worker count** and to the frozen
-//! sequential reference in `crates/sops-info/tests/workspace_measure.rs`.
+//! [`crate::MeasureWorkspace::conditional_mutual_information`]. Its
+//! engine routes the joint k-NN through the same adaptive scan/kd-tree
+//! choice as the KSG engine (`CmiConfig::knn`, turning the `O(m²)` joint
+//! scan into `O(m log m)` at the low joint dimensions transfer entropy
+//! lives at), all scratch is persistent, and per-sample ψ terms are
+//! reduced in sample order — the estimate is **bit-identical for any
+//! worker count** and to the frozen sequential reference in
+//! `crates/sops-info/tests/workspace_measure.rs`.
 //!
 //! Note §5.2's caveat: statistics that track particles over time must use
 //! the *raw* (non-permutation-reduced) trajectories; the shape reduction
@@ -388,8 +388,10 @@ mod tests {
         }
         let cfg = CmiConfig::default();
         let mut ws = crate::MeasureWorkspace::new();
-        let te_yx = ws.transfer_entropy(&x_next, &y_past, &x_past, m, (1, 1, 1), &cfg);
-        let te_xy = ws.transfer_entropy(&y_next, &x_past, &y_past, m, (1, 1, 1), &cfg);
+        let te_yx =
+            ws.conditional_mutual_information(&x_next, &y_past, &x_past, m, (1, 1, 1), &cfg);
+        let te_xy =
+            ws.conditional_mutual_information(&y_next, &x_past, &y_past, m, (1, 1, 1), &cfg);
         assert!(te_yx > 0.5, "driver must be detected: TE(Y→X) = {te_yx}");
         assert!(te_xy.abs() < 0.1, "no reverse flow: TE(X→Y) = {te_xy}");
     }

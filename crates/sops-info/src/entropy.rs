@@ -15,7 +15,7 @@
 
 use sops_math::special::{digamma, unit_ball_volume_l2};
 use sops_math::NATS_TO_BITS;
-use sops_spatial::block_max::{kth_dist_block_max, BlockPoints};
+use sops_spatial::block_max::{knn_block_max_into, BlockPoints};
 
 /// Estimates the differential entropy (bits) of `rows` samples of a
 /// `dim`-dimensional variable under the L2 norm.
@@ -30,9 +30,12 @@ pub fn kl_entropy(data: &[f64], rows: usize, dim: usize, k: usize) -> f64 {
     // Single block of size `dim` makes block-max == plain L2.
     let sizes = [dim];
     let points = BlockPoints::new(data, rows, &sizes);
+    let mut neighbours = Vec::with_capacity(k);
     let mut log_sum = 0.0;
     for i in 0..rows {
-        let eps = kth_dist_block_max(&points, i, k);
+        // `k < rows`, so every row has exactly `k` neighbours.
+        knn_block_max_into(&points, i, k, &mut neighbours);
+        let eps = neighbours[k - 1].1;
         // Duplicated samples give eps = 0; floor at a tiny value so the
         // estimate stays finite (standard practical guard).
         log_sum += eps.max(1e-300).ln();

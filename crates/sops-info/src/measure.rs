@@ -19,13 +19,13 @@
 //!   [`MeasureWorkspace::estimator_mut`] is the one dispatch table from a
 //!   [`MeasureConfig`] to an engine (it hands out `&mut dyn Estimator`);
 //!   [`MeasureWorkspace::pairwise_mi_matrix`],
-//!   [`MeasureWorkspace::decompose`],
-//!   [`MeasureWorkspace::conditional_mutual_information`] and
-//!   [`MeasureWorkspace::transfer_entropy`] reach the KSG and CMI engines
-//!   for the analyses that are not a single multi-information. The
-//!   pipeline's evaluation workers hold one workspace each
-//!   (`sops_par::parallel_map_with`), so every estimator family enjoys
-//!   scratch reuse across the time steps a worker claims.
+//!   [`MeasureWorkspace::decompose`] and
+//!   [`MeasureWorkspace::conditional_mutual_information`] (transfer
+//!   entropy included) reach the KSG and CMI engines for the analyses
+//!   that are not a single multi-information. The pipeline's evaluation
+//!   workers hold one workspace each (`sops_par::parallel_map_with`), so
+//!   every estimator family enjoys scratch reuse across the time steps a
+//!   worker claims.
 //!
 //! Every engine keeps two contracts: results **bit-identical for any
 //! worker count** and to the respective pre-workspace reference (frozen
@@ -547,23 +547,6 @@ impl MeasureWorkspace {
     ) -> f64 {
         self.cmi
             .conditional_mutual_information(x, y, z, rows, dims, cfg)
-    }
-
-    /// Transfer entropy `T_{Y→X} = I(X′ ; Y | X)` (bits) across an
-    /// ensemble: `x_next`, `y_past`, `x_past` are `rows × dim` matrices of
-    /// the successor state of X, the past of Y and the past of X over
-    /// independent realizations, with `dims` in that order.
-    pub fn transfer_entropy(
-        &mut self,
-        x_next: &[f64],
-        y_past: &[f64],
-        x_past: &[f64],
-        rows: usize,
-        dims: (usize, usize, usize),
-        cfg: &CmiConfig,
-    ) -> f64 {
-        self.cmi
-            .conditional_mutual_information(x_next, y_past, x_past, rows, dims, cfg)
     }
 
     /// Capacities of every internal buffer of the allocation-free engines

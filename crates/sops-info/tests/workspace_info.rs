@@ -18,8 +18,24 @@ use sops_info::{
 };
 use sops_math::special::digamma;
 use sops_math::NATS_TO_BITS;
-use sops_spatial::block_max::{knn_block_max, BlockPoints};
+use sops_spatial::block_max::{knn_block_max_into, BlockPoints};
 use sops_spatial::KdTree;
+
+/// [`knn_block_max_into`] into a fresh buffer: the allocating form the
+/// frozen reference was written against.
+fn knn_block_max(points: &BlockPoints<'_>, q: usize, k: usize) -> Vec<(usize, f64)> {
+    let mut best = Vec::new();
+    knn_block_max_into(points, q, k, &mut best);
+    best
+}
+
+/// `BlockPoints::block_dists_into` into a fresh buffer of `blocks`
+/// distances.
+fn block_dists(points: &BlockPoints<'_>, blocks: usize, a: usize, b: usize) -> Vec<f64> {
+    let mut out = vec![0.0; blocks];
+    points.block_dists_into(a, b, &mut out);
+    out
+}
 
 /// The pre-workspace estimator, verbatim (single-threaded path):
 /// per-view kd-trees for every block, brute-force joint k-NN, per-sample
@@ -52,7 +68,7 @@ fn reference_multi_information(view: &SampleView<'_>, k: usize, variant: KsgVari
         let mut local = 0.0;
         match variant {
             KsgVariant::Paper => {
-                let radii = points.block_dists(i, kth);
+                let radii = block_dists(&points, n, i, kth);
                 for (b, tree) in trees.iter().enumerate() {
                     let q = points.block(i, b);
                     let c = tree
@@ -65,7 +81,7 @@ fn reference_multi_information(view: &SampleView<'_>, k: usize, variant: KsgVari
             KsgVariant::Ksg2 => {
                 let mut radii = vec![0.0f64; n];
                 for &(j, _) in &neighbours {
-                    for (b, r) in points.block_dists(i, j).into_iter().enumerate() {
+                    for (b, r) in block_dists(&points, n, i, j).into_iter().enumerate() {
                         if r > radii[b] {
                             radii[b] = r;
                         }

@@ -37,7 +37,7 @@ use sops_info::{
 };
 use sops_math::special::digamma;
 use sops_math::{stats, NATS_TO_BITS};
-use sops_spatial::block_max::{knn_block_max, BlockPoints};
+use sops_spatial::block_max::{knn_block_max_into, BlockPoints};
 use sops_spatial::KdTree;
 use std::collections::HashMap;
 
@@ -181,6 +181,14 @@ fn reference_binned(view: &SampleView<'_>, cfg: &BinningConfig) -> f64 {
     let a = alphabet(stride, cfg.joint_support, joint_counts.len());
     let joint = sops_info::binning::shrink_entropy(&joint_counts, a, cfg.shrinkage);
     sum_marginals - joint
+}
+
+/// [`knn_block_max_into`] into a fresh buffer: the allocating form the
+/// frozen references were written against.
+fn knn_block_max(points: &BlockPoints<'_>, q: usize, k: usize) -> Vec<(usize, f64)> {
+    let mut best = Vec::new();
+    knn_block_max_into(points, q, k, &mut best);
+    best
 }
 
 /// The pre-workspace Frenzel–Pompe estimator, verbatim (sequential

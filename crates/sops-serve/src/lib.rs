@@ -45,7 +45,9 @@
 //! Transport is plain `std::net`: a bounded worker pool pulls accepted
 //! connections from a channel, so at most `threads` requests are served
 //! concurrently and the rest queue in the listener backlog. Each
-//! response closes its connection (`Connection: close`).
+//! response closes its connection (`Connection: close`), and a
+//! connection whose peer goes quiet for a few seconds mid-request is
+//! closed, so idle sockets cannot hold every worker.
 
 use sops_core::broker::SweepBroker;
 use sops_core::report::sweep_json;
@@ -58,6 +60,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread;
+use std::time::Duration;
 
 /// Hard cap on request-body size; larger bodies get `413` without
 /// being read. Plans are small — a megabyte is already generous.
@@ -67,6 +70,11 @@ pub const MAX_BODY_BYTES: usize = 1 << 20;
 /// still unfinished after this many bytes gets `431` and the connection
 /// closes, so no line can grow without bound in memory.
 pub const MAX_HEAD_BYTES: usize = 8 << 10;
+
+/// Read and write timeout, in seconds, of every accepted connection. A
+/// peer that sends nothing (or reads nothing) for this long loses the
+/// connection, so idle sockets cannot hold the worker pool.
+const IO_TIMEOUT_SECS: u64 = 5;
 
 /// A response ready to serialize: status, content type and body.
 #[derive(Debug, Clone)]
@@ -305,7 +313,13 @@ fn respond_error(head: Head, status: u16, message: &str) {
 /// response. Malformed requests get a `400`; a head over
 /// [`MAX_HEAD_BYTES`] gets a `431` after at most that many bytes are
 /// read; bodies over [`MAX_BODY_BYTES`] get a `413` without being read.
+/// A read or write that waits longer than `IO_TIMEOUT_SECS` fails like
+/// any other I/O error and ends the connection.
 fn handle_connection(stream: TcpStream, broker: &SweepBroker) {
+    let timeout = Some(Duration::from_secs(IO_TIMEOUT_SECS));
+    if stream.set_read_timeout(timeout).is_err() || stream.set_write_timeout(timeout).is_err() {
+        return;
+    }
     let mut head: Head = BufReader::new(stream).take(MAX_HEAD_BYTES as u64);
     let request_line = match read_head_line(&mut head) {
         Ok(Some(line)) => line,

@@ -4,9 +4,10 @@
 
 use sops_core::{CellCache, SweepBroker};
 use sops_serve::Server;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn start(name: &str, cached: bool) -> (sops_serve::ServerHandle, SocketAddr) {
     let mut broker = SweepBroker::new();
@@ -143,5 +144,61 @@ fn over_cap_request_heads_get_431_and_the_server_keeps_serving() {
     assert!(raw.contains("{\"error\":"), "{raw}");
     let (status, body) = request(addr, "GET", "/healthz", "");
     assert_eq!((status, body.as_str()), (200, "{\"ok\":true}\n"));
+    handle.shutdown();
+}
+
+/// The server's connection timeout, read from its source as CI reads it
+/// (the constant is private).
+fn server_io_timeout() -> Duration {
+    let secs = include_str!("../src/lib.rs")
+        .lines()
+        .find_map(|l| l.strip_prefix("const IO_TIMEOUT_SECS: u64 = "))
+        .and_then(|rest| rest.strip_suffix(';'))
+        .expect("IO_TIMEOUT_SECS declared in src/lib.rs")
+        .parse()
+        .expect("IO_TIMEOUT_SECS is an integer");
+    Duration::from_secs(secs)
+}
+
+#[test]
+fn idle_connections_do_not_pin_the_workers() {
+    let server = Server::bind("127.0.0.1:0", Arc::new(SweepBroker::new()), 2).unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = server.spawn().unwrap();
+    let deadline = server_io_timeout() + Duration::from_secs(3);
+    // One silent connection per worker; both are accepted, in order,
+    // before the probe below.
+    let idle: Vec<TcpStream> = (0..2).map(|_| TcpStream::connect(addr).unwrap()).collect();
+
+    let started = Instant::now();
+    let mut probe = TcpStream::connect(addr).unwrap();
+    // Without server-side timeouts the probe waits forever: its own
+    // timeout turns that into a failure instead of a hang.
+    probe.set_read_timeout(Some(deadline)).unwrap();
+    probe
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: sops\r\n\r\n")
+        .unwrap();
+    let mut raw = String::new();
+    probe
+        .read_to_string(&mut raw)
+        .expect("/healthz must answer while idle sockets hold every worker");
+    assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
+    assert!(started.elapsed() <= deadline, "{:?}", started.elapsed());
+
+    // The server has dropped the idle connections: EOF or a reset, not
+    // the client's own read timeout.
+    for mut socket in idle {
+        socket
+            .set_read_timeout(Some(Duration::from_secs(3)))
+            .unwrap();
+        match socket.read(&mut [0u8; 1]) {
+            Ok(0) => {}
+            Ok(n) => panic!("idle socket received {n} bytes"),
+            Err(e) => assert!(
+                !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+                "idle socket still open: {e}"
+            ),
+        }
+    }
     handle.shutdown();
 }

@@ -20,7 +20,7 @@ use sops_shape::{
     center, icp_align_with, match_types_into, reduce_configurations_with, IcpConfig, IcpResult,
     IcpScratch, MatchScratch, ReduceConfig, ReduceWorkspace, RigidTransform,
 };
-use sops_sim::run_ensemble;
+use sops_sim::streaming::{run_streaming_ensemble, EnsembleFrames, StreamingConfig};
 
 /// The per-type kd-tree `icp_align_with` as it stood before the lane
 /// scan, frozen verbatim (minus the capacity bookkeeping). It is the
@@ -306,10 +306,14 @@ fn lane_scan_icp_is_bit_identical_to_frozen_kd_tree_icp_on_builtin_slices() {
     let mut checked = 0;
     for spec in ScenarioRegistry::builtin().iter() {
         let spec = spec.clone().with_scale(12, 40);
-        let ensemble = run_ensemble(&spec.ensemble, 1);
+        let times = spec.eval_times();
+        let ensemble =
+            run_streaming_ensemble(&spec.ensemble, &times, 1, &StreamingConfig::default());
+        let frames = EnsembleFrames::Streaming(&ensemble);
         let types = spec.ensemble.model.types();
-        for t in spec.eval_times() {
-            let slice = ensemble.at_time(t);
+        for t in times {
+            let (mut stage, mut slice) = (Vec::new(), Vec::new());
+            frames.at_time_into(t, &mut stage, &mut slice);
             let mut reference = slice[0].to_vec();
             center(&mut reference);
             for (s, sample) in slice.iter().enumerate().skip(1) {

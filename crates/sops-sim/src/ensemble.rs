@@ -1,16 +1,17 @@
-//! Parallel ensembles of independent simulation runs (paper §5.1).
+//! The specification of an ensemble of independent simulation runs
+//! (paper §5.1).
 //!
 //! Estimating multi-information at time `t` requires the distribution of
 //! configurations across `m` independent runs of the same experiment
 //! (Eq. 17: `z = (z̄₁, …, z̄_m)`). Runs are embarrassingly parallel; each
 //! gets its RNG seed *derived* from the master seed and its sample index,
 //! so the ensemble is bit-identical no matter how many threads execute it.
+//! [`crate::run_streaming_ensemble`] runs an [`EnsembleSpec`], keeping the
+//! steps its caller names.
 
 use crate::integrator::IntegratorConfig;
 use crate::model::Model;
-use crate::sim::{EquilibriumCriterion, Simulation, Trajectory};
-use sops_math::rng::derive_seed;
-use sops_math::Vec2;
+use crate::sim::EquilibriumCriterion;
 
 /// Everything needed to run one ensemble experiment.
 #[derive(Debug, Clone)]
@@ -33,10 +34,9 @@ pub struct EnsembleSpec {
 
 impl EnsembleSpec {
     /// Typed validation: `Err` carries the first violated constraint, in
-    /// the same wording [`run_ensemble`] and
-    /// [`crate::run_streaming_ensemble`] panic with. Sweep entry points
-    /// surface this as `SweepError::InvalidPlan` up front instead of
-    /// quarantining the panic per ensemble.
+    /// the same wording [`crate::run_streaming_ensemble`] panics with.
+    /// Sweep entry points surface this as `SweepError::InvalidPlan` up
+    /// front instead of quarantining the panic per ensemble.
     pub fn check(&self) -> Result<(), String> {
         self.integrator.check()?;
         if self.init_radius.is_nan() || self.init_radius <= 0.0 {
@@ -51,7 +51,7 @@ impl EnsembleSpec {
         Ok(())
     }
 
-    /// Validates the specification; called by [`run_ensemble`] and
+    /// Validates the specification; called by
     /// [`crate::run_streaming_ensemble`].
     pub(crate) fn validate(&self) {
         if let Err(reason) = self.check() {
@@ -60,75 +60,12 @@ impl EnsembleSpec {
     }
 }
 
-/// The collected runs of one experiment.
-#[derive(Debug, Clone)]
-pub struct Ensemble {
-    /// Per-sample trajectories, index = sample id.
-    pub runs: Vec<Trajectory>,
-}
-
-impl Ensemble {
-    /// Number of samples `m`.
-    pub fn samples(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// Number of recorded frames per run (`t_max + 1`), 0 if empty.
-    pub fn frames(&self) -> usize {
-        self.runs.first().map_or(0, |r| r.len())
-    }
-
-    /// Number of particles, 0 if empty.
-    pub fn particles(&self) -> usize {
-        self.runs
-            .first()
-            .and_then(|r| r.frames.first())
-            .map_or(0, |f| f.len())
-    }
-
-    /// The cross-sample slice at time `t`: `slice[s]` is sample `s`'s
-    /// configuration at recorded step `t` — the raw material for the
-    /// per-time-step statistics of §5.2.
-    ///
-    /// Analyses that read only some steps should not keep whole
-    /// trajectories: [`crate::run_streaming_ensemble`] retains just the
-    /// steps they name, with the same bits.
-    pub fn at_time(&self, t: usize) -> Vec<&[Vec2]> {
-        self.runs.iter().map(|r| r.frames[t].as_slice()).collect()
-    }
-}
-
-/// Runs the ensemble on up to `threads` worker threads (pass 0 to use the
-/// default; see `sops_par::default_threads`).
-///
-/// Each sample owns a private [`crate::ForceWorkspace`], so its grid and
-/// scratch buffers are allocated once at the start of the run and reused
-/// across every substep; the inner force sweep stays sequential because
-/// the sample-level parallelism here already saturates the cores.
-pub fn run_ensemble(spec: &EnsembleSpec, threads: usize) -> Ensemble {
-    spec.validate();
-    let threads = if threads == 0 {
-        sops_par::default_threads()
-    } else {
-        threads
-    };
-    let runs = sops_par::parallel_map(spec.samples, threads, |s| {
-        let sample_seed = derive_seed(spec.seed, s as u64);
-        let mut sim = Simulation::with_disc_init(
-            spec.model.clone(),
-            spec.integrator,
-            spec.init_radius,
-            sample_seed,
-        );
-        sim.run(spec.t_max, spec.criterion)
-    });
-    Ensemble { runs }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::force::{ForceModel, LinearForce};
+    use crate::streaming::{run_streaming_ensemble, StreamingConfig, StreamingEnsemble};
+    use sops_math::Vec2;
 
     fn spec(samples: usize, t_max: usize) -> EnsembleSpec {
         EnsembleSpec {
@@ -146,31 +83,46 @@ mod tests {
         }
     }
 
+    /// `spec` streamed at every step on `threads` workers.
+    fn run_every_step(spec: &EnsembleSpec, threads: usize) -> StreamingEnsemble {
+        let steps: Vec<usize> = (0..=spec.t_max).collect();
+        run_streaming_ensemble(spec, &steps, threads, &StreamingConfig::default())
+    }
+
+    /// The cross-sample slice at step `t`, one owned configuration per
+    /// sample.
+    fn at_time(e: &StreamingEnsemble, t: usize) -> Vec<Vec<Vec2>> {
+        let (mut buf, mut out) = (Vec::new(), Vec::new());
+        e.at_time_into(t, &mut buf, &mut out);
+        out.iter().map(|c| c.to_vec()).collect()
+    }
+
     #[test]
     fn ensemble_shape() {
-        let e = run_ensemble(&spec(10, 15), 4);
+        let e = run_every_step(&spec(10, 15), 4);
         assert_eq!(e.samples(), 10);
-        assert_eq!(e.frames(), 16);
+        assert_eq!(e.times().len(), 16);
         assert_eq!(e.particles(), 6);
-        assert_eq!(e.at_time(0).len(), 10);
-        assert_eq!(e.at_time(15)[3].len(), 6);
+        assert_eq!(at_time(&e, 0).len(), 10);
+        assert_eq!(at_time(&e, 15)[3].len(), 6);
     }
 
     #[test]
     fn thread_count_does_not_change_results() {
-        let a = run_ensemble(&spec(8, 10), 1);
-        let b = run_ensemble(&spec(8, 10), 8);
-        for (ra, rb) in a.runs.iter().zip(&b.runs) {
-            assert_eq!(ra.frames, rb.frames);
+        let a = run_every_step(&spec(8, 10), 1);
+        let b = run_every_step(&spec(8, 10), 8);
+        for t in 0..=10 {
+            assert_eq!(at_time(&a, t), at_time(&b, t), "t={t}");
         }
     }
 
     #[test]
     fn samples_are_distinct() {
-        let e = run_ensemble(&spec(4, 5), 2);
+        let e = run_every_step(&spec(4, 5), 2);
+        let initial = at_time(&e, 0);
         for s in 1..e.samples() {
             assert_ne!(
-                e.runs[0].frames[0], e.runs[s].frames[0],
+                initial[0], initial[s],
                 "initial conditions must differ across samples"
             );
         }
@@ -180,9 +132,9 @@ mod tests {
     fn master_seed_changes_everything() {
         let mut s2 = spec(3, 5);
         s2.seed = 999;
-        let a = run_ensemble(&spec(3, 5), 2);
-        let b = run_ensemble(&s2, 2);
-        assert_ne!(a.runs[0].frames[0], b.runs[0].frames[0]);
+        let a = run_every_step(&spec(3, 5), 2);
+        let b = run_every_step(&s2, 2);
+        assert_ne!(at_time(&a, 0)[0], at_time(&b, 0)[0]);
     }
 
     #[test]
@@ -193,8 +145,8 @@ mod tests {
             threshold: 0.05,
             patience: 3,
         });
-        let e = run_ensemble(&s, 4);
-        let steps: Vec<Option<usize>> = e.runs.iter().map(|r| r.equilibrium_step).collect();
+        let e = run_streaming_ensemble(&s, &[400], 4, &StreamingConfig::default());
+        let steps = e.equilibrium_steps();
         assert!(
             steps.iter().all(Option::is_some),
             "deterministic attracting collectives equilibrate: {steps:?}"
@@ -204,6 +156,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one sample")]
     fn zero_samples_rejected() {
-        run_ensemble(&spec(0, 5), 1);
+        run_streaming_ensemble(&spec(0, 5), &[5], 1, &StreamingConfig::default());
     }
 }

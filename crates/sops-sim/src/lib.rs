@@ -29,13 +29,13 @@
 //! * [`Simulation`] — a single simulation run producing a [`Trajectory`];
 //!   equilibrium detection (§4.1) from the uniform-disc initial
 //!   distribution (§5.1).
-//! * [`ensemble`] — `m` independent runs in parallel with derived seeds
-//!   (bit-reproducible regardless of thread count), each kept as a whole
-//!   [`Trajectory`]: the API for analyses that read every step.
-//! * [`streaming`] — the same runs keeping only the frames a caller
-//!   names (optionally spilled to disk), bit-identical to the whole
-//!   trajectories at those times. Every evaluation in `sops-core` reads
-//!   these.
+//! * [`ensemble`] — [`EnsembleSpec`], the specification of `m`
+//!   independent runs with derived seeds.
+//! * [`streaming`] — [`run_streaming_ensemble`], the one ensemble runner:
+//!   the `m` runs in parallel (bit-reproducible regardless of thread
+//!   count), keeping only the frames a caller names (optionally spilled
+//!   to disk), bit-identical to each run's [`Simulation::run`] trajectory
+//!   at those times. Every ensemble reader in `sops-core` reads these.
 
 pub mod ensemble;
 pub mod force;
@@ -46,7 +46,7 @@ mod sim;
 pub mod streaming;
 mod workspace;
 
-pub use ensemble::{run_ensemble, Ensemble, EnsembleSpec};
+pub use ensemble::EnsembleSpec;
 pub use force::{ForceLaw, ForceModel, GaussianForce, LinearForce};
 pub use integrator::IntegratorConfig;
 pub use model::Model;

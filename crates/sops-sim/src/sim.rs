@@ -43,11 +43,6 @@ pub struct Trajectory {
 }
 
 impl Trajectory {
-    /// Number of recorded frames (`t_max + 1` including `t = 0`).
-    pub(crate) fn len(&self) -> usize {
-        self.frames.len()
-    }
-
     /// The final configuration.
     pub fn last(&self) -> &[Vec2] {
         self.frames.last().expect("Trajectory: no frames")
@@ -251,7 +246,7 @@ mod tests {
         let mut sim =
             Simulation::with_disc_init(small_model(5), IntegratorConfig::default(), 2.0, 42);
         let traj = sim.run(20, None);
-        assert_eq!(traj.len(), 21);
+        assert_eq!(traj.frames.len(), 21);
         assert_eq!(traj.force_norms.len(), 20);
         assert_eq!(traj.last().len(), 5);
     }

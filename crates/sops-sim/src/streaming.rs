@@ -1,19 +1,21 @@
-//! Streamed ensembles: keep the frames an analysis reads instead of
-//! whole trajectories.
+//! Streamed ensembles: run `m` independent samples and keep only the
+//! frames an analysis reads.
 //!
-//! [`crate::ensemble::run_ensemble`] materializes every run's full
-//! trajectory — `m × (t_max + 1) × n` positions. An analysis of the
-//! cross-sample slices reads only the steps on its schedule, so that
-//! storage is `O(t_max)` where `O(k)` suffices for `k` scheduled steps.
+//! A whole trajectory per run holds `m × (t_max + 1) × n` positions. An
+//! analysis of the cross-sample slices reads only the steps on its
+//! schedule, so that storage is `O(t_max)` where `O(k)` suffices for `k`
+//! scheduled steps.
 //!
-//! [`run_streaming_ensemble`] runs each sample forward with the *exact*
-//! stepping loop of [`crate::Simulation::run`] (same seed derivation,
-//! same RNG draw order, same equilibrium bookkeeping) but copies out only
-//! the frames named by the caller's retained-time list — a sweep's
-//! evaluation schedule, or the few steps a figure plots. The result is
-//! **bit-identical** to slicing [`run_ensemble`](crate::run_ensemble)'s
-//! trajectories at the same times, for any worker count, with peak memory
-//! `O(m · k · n)` instead of `O(m · t_max · n)`.
+//! [`run_streaming_ensemble`] — the crate's one ensemble runner — runs
+//! each sample forward with the *exact* stepping loop of
+//! [`crate::Simulation::run`] (same seed derivation, same RNG draw order,
+//! same equilibrium bookkeeping) but copies out only the frames named by
+//! the caller's retained-time list — a sweep's evaluation schedule, the
+//! few steps a figure plots, or the two steps a transfer-entropy estimate
+//! reads. The result is **bit-identical** to running
+//! [`crate::Simulation::run`] per sample (seed `derive_seed(seed, s)`) and
+//! slicing its trajectories at the same times, for any worker count, with
+//! peak memory `O(m · k · n)` instead of `O(m · t_max · n)`.
 //!
 //! When even the retained frames exceed a configured resident budget
 //! ([`StreamingConfig::max_resident_bytes`]), the store spills to an
@@ -25,7 +27,7 @@
 //!
 //! [`EnsembleFrames`] is the read view: the cross-sample slice at a
 //! retained step and the equilibrated fraction. It is the only ensemble
-//! form `sops-core`'s evaluation engine reads.
+//! form `sops-core` reads.
 
 use crate::ensemble::EnsembleSpec;
 use crate::sim::{EquilibriumWatch, Simulation};
@@ -177,7 +179,7 @@ enum FrameStore {
 /// An ensemble that retained only the frames named at simulation time.
 ///
 /// Positions at the retained times are bit-identical to the frames of
-/// [`run_ensemble`](crate::run_ensemble)'s trajectories at the same times
+/// per-sample [`crate::Simulation::run`] trajectories at the same times
 /// ([`run_streaming_ensemble`] replays the exact stepping loop); asking
 /// for a non-retained time is a caller bug and panics.
 #[derive(Debug)]
@@ -224,8 +226,8 @@ impl StreamingEnsemble {
     }
 
     /// Writes the cross-sample slice at retained time `t` into `out`
-    /// (cleared first): the slice [`crate::Ensemble::at_time`] returns
-    /// for the same step.
+    /// (cleared first): sample `s`'s configuration at step `t`, as
+    /// [`crate::Simulation::run`] records it.
     ///
     /// In-memory stores serve slices directly; spilled stores load the
     /// time slice into `buf` (capacity reused across calls) and slice
@@ -308,15 +310,20 @@ fn stream_one(
     equilibrium_step
 }
 
-/// Runs the ensemble out-of-core: every sample is stepped through the
-/// full horizon (identical RNG stream and equilibrium bookkeeping to
-/// [`crate::ensemble::run_ensemble`]) but only the frames at `times` are
-/// kept — in memory while they fit `cfg.max_resident_bytes`, spilled to
-/// an unlinked temp file otherwise.
+/// Runs the ensemble on up to `threads` worker threads (pass 0 to use the
+/// default; see `sops_par::default_threads`): every sample is stepped
+/// through the full horizon but only the frames at `times` are kept — in
+/// memory while they fit `cfg.max_resident_bytes`, spilled to an
+/// unlinked temp file otherwise. Each sample's [`Simulation`] owns a
+/// private force workspace, allocated once per run; its inner force
+/// sweep stays sequential because the sample-level parallelism already
+/// saturates the cores.
 ///
 /// Bit-identity contract: for any worker count, the retained frames and
-/// the equilibrium steps equal those of [`crate::ensemble::run_ensemble`]'s
-/// trajectories at the same times.
+/// the equilibrium steps equal those of sample `s`'s
+/// [`crate::Simulation::run`] — `Simulation::with_disc_init(model,
+/// integrator, init_radius, derive_seed(seed, s)).run(t_max, criterion)`
+/// — at the same times.
 pub fn run_streaming_ensemble(
     spec: &EnsembleSpec,
     times: &[usize],
@@ -371,8 +378,7 @@ pub fn run_streaming_ensemble(
 }
 
 /// A borrowed read view of a [`StreamingEnsemble`] — the ensemble form
-/// evaluation code reads. It has a single variant; whole trajectories
-/// ([`crate::Ensemble`]) are read through their own API.
+/// evaluation code reads. It has a single variant.
 #[derive(Debug, Clone, Copy)]
 pub enum EnsembleFrames<'e> {
     /// A snapshot store retaining only scheduled frames.
@@ -423,13 +429,30 @@ pub fn recycle_slice_vec<'a, 'b>(mut v: Vec<&'a [Vec2]>) -> Vec<&'b [Vec2]> {
 }
 
 #[cfg(test)]
+impl StreamingEnsemble {
+    /// The retained steps, for the sibling modules' tests.
+    pub(crate) fn times(&self) -> &[usize] {
+        &self.times
+    }
+
+    /// Particles per configuration.
+    pub(crate) fn particles(&self) -> usize {
+        self.particles
+    }
+
+    /// Per-sample equilibrium steps.
+    pub(crate) fn equilibrium_steps(&self) -> &[Option<usize>] {
+        &self.equilibrium_steps
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ensemble::run_ensemble;
     use crate::force::{ForceModel, LinearForce};
     use crate::integrator::IntegratorConfig;
     use crate::model::Model;
-    use crate::sim::EquilibriumCriterion;
+    use crate::sim::{EquilibriumCriterion, Trajectory};
 
     fn spec(samples: usize, t_max: usize) -> EnsembleSpec {
         EnsembleSpec {
@@ -447,10 +470,26 @@ mod tests {
         }
     }
 
+    /// The independent reference: every sample's whole trajectory from
+    /// its own [`Simulation::run`].
+    fn whole_runs(spec: &EnsembleSpec) -> Vec<Trajectory> {
+        (0..spec.samples)
+            .map(|s| {
+                Simulation::with_disc_init(
+                    spec.model.clone(),
+                    spec.integrator,
+                    spec.init_radius,
+                    derive_seed(spec.seed, s as u64),
+                )
+                .run(spec.t_max, spec.criterion)
+            })
+            .collect()
+    }
+
     fn assert_matches_retained(spec: &EnsembleSpec, times: &[usize], cfg: &StreamingConfig) {
-        let retained = run_ensemble(spec, 4);
+        let retained = whole_runs(spec);
         let retained_steps: Vec<Option<usize>> =
-            retained.runs.iter().map(|r| r.equilibrium_step).collect();
+            retained.iter().map(|r| r.equilibrium_step).collect();
         let retained_fraction = retained_steps.iter().filter(|s| s.is_some()).count() as f64
             / retained_steps.len() as f64;
         for threads in [1usize, 8] {
@@ -460,10 +499,9 @@ mod tests {
                 let mut buf = Vec::new();
                 let mut out = Vec::new();
                 frames.at_time_into(t, &mut buf, &mut out);
-                let reference = retained.at_time(t);
-                assert_eq!(out.len(), reference.len());
-                for (a, b) in out.iter().zip(&reference) {
-                    assert_eq!(a, b, "t={t}, threads={threads}");
+                assert_eq!(out.len(), retained.len());
+                for (a, run) in out.iter().zip(&retained) {
+                    assert_eq!(*a, run.frames[t].as_slice(), "t={t}, threads={threads}");
                 }
             }
             assert_eq!(streamed.equilibrium_steps, retained_steps);
@@ -502,12 +540,11 @@ mod tests {
             threshold: 0.05,
             patience: 3,
         });
-        let retained = run_ensemble(&s, 4);
+        let retained = whole_runs(&s);
         let streamed = run_streaming_ensemble(&s, &[0, 400], 4, &StreamingConfig::default());
         assert_eq!(
             streamed.equilibrium_steps,
             retained
-                .runs
                 .iter()
                 .map(|r| r.equilibrium_step)
                 .collect::<Vec<_>>()

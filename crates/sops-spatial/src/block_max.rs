@@ -12,8 +12,8 @@
 //! Euclidean. Two search strategies are provided, because the right tool
 //! depends on the *joint* dimension:
 //!
-//! * [`knn_block_max`] / [`knn_block_max_into`] — a cache-friendly
-//!   brute-force scan with an early-exit block loop. When the joint
+//! * [`knn_block_max_into`] — a cache-friendly brute-force scan with an
+//!   early-exit block loop. When the joint
 //!   dimension is large (per-particle observers: 2n ≥ 40) space
 //!   partitioning degenerates to a linear scan anyway (this matches
 //!   standard KSG implementations, e.g. Kraskov's MILCA and JIDT in high
@@ -198,15 +198,9 @@ impl<'a> BlockPoints<'a> {
         max_sq.sqrt()
     }
 
-    /// Per-block L2 distances between samples `a` and `b`.
-    pub fn block_dists(&self, a: usize, b: usize) -> Vec<f64> {
-        let mut out = vec![0.0; self.blocks()];
-        self.block_dists_into(a, b, &mut out);
-        out
-    }
-
-    /// [`BlockPoints::block_dists`] into a caller-provided slice of length
-    /// `blocks()` — the allocation-free form the KSG hot loop uses.
+    /// Per-block L2 distances between samples `a` and `b`, written into a
+    /// caller-provided slice of length `blocks()` — the allocation-free
+    /// form the KSG hot loop uses.
     pub fn block_dists_into(&self, a: usize, b: usize, out: &mut [f64]) {
         assert_eq!(out.len(), self.blocks(), "block_dists_into: output len");
         if self.all_scalar {
@@ -357,7 +351,9 @@ impl ScalarLanes {
 }
 
 /// For sample `q`, the indices and distances of its `k` nearest other
-/// samples under the max-over-blocks metric, sorted ascending.
+/// samples under the max-over-blocks metric, sorted ascending, written
+/// into a caller-provided buffer (cleared first) — the allocation-free
+/// form used per sample by the KSG hot loop.
 ///
 /// Self is excluded. The result is **canonical**: the `k`
 /// lexicographically smallest `(distance, index)` pairs, in that order —
@@ -365,14 +361,6 @@ impl ScalarLanes {
 /// independent of scan or traversal order. The scan and
 /// [tree](knn_block_max_tree_into) searches therefore agree on *every*
 /// input, duplicated/quantized samples included.
-pub fn knn_block_max(points: &BlockPoints<'_>, q: usize, k: usize) -> Vec<(usize, f64)> {
-    let mut best = Vec::new();
-    knn_block_max_into(points, q, k, &mut best);
-    best
-}
-
-/// [`knn_block_max`] into a caller-provided buffer (cleared first) — the
-/// allocation-free form used per sample by the KSG hot loop.
 pub fn knn_block_max_into(
     points: &BlockPoints<'_>,
     q: usize,
@@ -514,7 +502,7 @@ fn offer_candidate(best: &mut Vec<(usize, f64)>, k: usize, j: usize, d: f64, wor
     }
 }
 
-/// [`knn_block_max`] via an iterative kd-tree descent over the joint
+/// [`knn_block_max_into`] via an iterative kd-tree descent over the joint
 /// points — the low-joint-dimension fast path.
 ///
 /// `tree` must index the same `m` joint rows as `points` (same order,
@@ -640,15 +628,6 @@ pub fn knn_block_max_tree_into(
     }
 }
 
-/// Distance from sample `q` to its `k`-th nearest neighbour under the
-/// max-over-blocks metric (`k = 1` is the nearest other sample).
-pub fn kth_dist_block_max(points: &BlockPoints<'_>, q: usize, k: usize) -> f64 {
-    knn_block_max(points, q, k)
-        .last()
-        .map(|&(_, d)| d)
-        .unwrap_or(f64::INFINITY)
-}
-
 #[cfg(test)]
 impl BlockPoints<'_> {
     /// Max-over-blocks distance between samples `a` and `b`, unpruned.
@@ -661,6 +640,20 @@ impl BlockPoints<'_> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// [`knn_block_max_into`] into a fresh buffer.
+    fn knn(p: &BlockPoints<'_>, q: usize, k: usize) -> Vec<(usize, f64)> {
+        let mut best = Vec::new();
+        knn_block_max_into(p, q, k, &mut best);
+        best
+    }
+
+    /// [`BlockPoints::block_dists_into`] into a fresh buffer.
+    fn block_dists(p: &BlockPoints<'_>, a: usize, b: usize) -> Vec<f64> {
+        let mut out = vec![0.0; p.blocks()];
+        p.block_dists_into(a, b, &mut out);
+        out
+    }
 
     #[test]
     fn block_layout_accessors() {
@@ -682,7 +675,7 @@ mod tests {
         let data = [0.0, 0.0, 0.0, 3.0, 4.0, 1.0];
         let p = BlockPoints::new(&data, 2, &[2, 1]);
         assert!((p.block_max_dist(0, 1) - 5.0).abs() < 1e-12);
-        let dists = p.block_dists(0, 1);
+        let dists = block_dists(&p, 0, 1);
         assert!((dists[0] - 5.0).abs() < 1e-12);
         assert!((dists[1] - 1.0).abs() < 1e-12);
     }
@@ -700,19 +693,19 @@ mod tests {
         // 4 samples on a line, single block of dim 1.
         let data = [0.0, 1.0, 3.0, 7.0];
         let p = BlockPoints::new(&data, 4, &[1]);
-        let nn = knn_block_max(&p, 0, 3);
+        let nn = knn(&p, 0, 3);
         assert_eq!(nn.len(), 3);
         assert_eq!(nn[0].0, 1);
         assert_eq!(nn[1].0, 2);
         assert_eq!(nn[2].0, 3);
-        assert!((kth_dist_block_max(&p, 0, 2) - 3.0).abs() < 1e-12);
+        assert!((knn(&p, 0, 2)[1].1 - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn knn_caps_at_available_points() {
         let data = [0.0, 1.0];
         let p = BlockPoints::new(&data, 2, &[1]);
-        let nn = knn_block_max(&p, 0, 10);
+        let nn = knn(&p, 0, 10);
         assert_eq!(nn.len(), 1);
     }
 
@@ -830,18 +823,6 @@ mod tests {
     }
 
     #[test]
-    fn into_variants_match_allocating_forms() {
-        let data = [0.0, 0.0, 0.0, 3.0, 4.0, 1.0, 1.0, 1.0, 2.0];
-        let p = BlockPoints::new(&data, 3, &[2, 1]);
-        let mut dists = [0.0f64; 2];
-        p.block_dists_into(0, 1, &mut dists);
-        assert_eq!(dists.to_vec(), p.block_dists(0, 1));
-        let mut best = Vec::new();
-        knn_block_max_into(&p, 0, 2, &mut best);
-        assert_eq!(best, knn_block_max(&p, 0, 2));
-    }
-
-    #[test]
     fn offset_buf_constructor_matches_owned() {
         let data = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
         let mut buf = Vec::new();
@@ -866,7 +847,7 @@ mod tests {
         for q in 0..5 {
             for k in 1..5 {
                 knn_block_max_tree_into(&p, &tree, q, k, &mut stack, &mut best);
-                assert_eq!(best, knn_block_max(&p, q, k), "q={q} k={k}");
+                assert_eq!(best, knn(&p, q, k), "q={q} k={k}");
             }
         }
     }
@@ -889,7 +870,7 @@ mod tests {
             let mut best = Vec::new();
             for q in 0..rows.min(6) {
                 knn_block_max_tree_into(&p, &tree, q, k, &mut stack, &mut best);
-                let want = knn_block_max(&p, q, k);
+                let want = knn(&p, q, k);
                 prop_assert_eq!(best.len(), want.len());
                 for (g, w) in best.iter().zip(&want) {
                     prop_assert_eq!(g.0, w.0, "{:?} vs {:?}", best, want);
@@ -916,7 +897,7 @@ mod tests {
             let mut stack = Vec::new();
             let mut best = Vec::new();
             for q in 0..rows.min(8) {
-                let scan = knn_block_max(&p, q, k);
+                let scan = knn(&p, q, k);
                 let want = knn_reference(&p, q, k);
                 prop_assert_eq!(&scan, &want, "scan vs canonical reference, q={}", q);
                 knn_block_max_tree_into(&p, &tree, q, k, &mut stack, &mut best);
@@ -935,7 +916,7 @@ mod tests {
             let data: Vec<f64> = (0..rows * 5).map(|_| rng.next_range(-10.0, 10.0)).collect();
             let p = BlockPoints::new(&data, rows, &[2, 2, 1]);
             for q in 0..rows.min(5) {
-                let got = knn_block_max(&p, q, k);
+                let got = knn(&p, q, k);
                 let want = knn_reference(&p, q, k);
                 prop_assert_eq!(got.len(), want.len());
                 for (g, w) in got.iter().zip(&want) {

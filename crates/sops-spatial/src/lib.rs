@@ -11,7 +11,7 @@
 //! * the **KSG estimator** (paper Eq. 18–20) needs per-variable strict
 //!   range counts and joint-space k-NN under a max-over-blocks metric —
 //!   served by [`KdTree::count_within`] per block and, for the joint
-//!   search, [`block_max::knn_block_max`] (pruned scan, high joint
+//!   search, [`block_max::knn_block_max_into`] (pruned scan, high joint
 //!   dimension) or [`block_max::knn_block_max_tree_into`] (iterative
 //!   kd-tree descent, low joint dimension). [`KdTree::rebuild`] re-indexes
 //!   in place so persistent engines never reallocate.

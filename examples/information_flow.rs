@@ -14,7 +14,9 @@
 use sops::core::dynamics::{particle_transfer_entropy, transfer_matrix, TransferConfig};
 use sops::prelude::*;
 
-fn ensemble(cutoff: f64) -> sops::sim::Ensemble {
+/// The three-particle collective streamed at the two steps every query
+/// reads: t = 1 and t + lag = 4.
+fn ensemble(cutoff: f64) -> StreamingEnsemble {
     let law = ForceModel::Linear(LinearForce::new(
         PairMatrix::constant(1, 5.0),
         PairMatrix::constant(1, 2.0),
@@ -28,7 +30,7 @@ fn ensemble(cutoff: f64) -> sops::sim::Ensemble {
         seed: 2012,
         criterion: None,
     };
-    run_ensemble(&spec, 0)
+    run_streaming_ensemble(&spec, &[1, 4], 0, &StreamingConfig::default())
 }
 
 fn main() {

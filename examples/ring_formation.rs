@@ -55,8 +55,10 @@ fn main() {
         seed: 5,
         criterion: None,
     };
-    let ensemble = run_ensemble(&spec, 0);
-    let slice = ensemble.at_time(250);
+    let ensemble = run_streaming_ensemble(&spec, &[250], 0, &StreamingConfig::default());
+    let frames = EnsembleFrames::Streaming(&ensemble);
+    let (mut stage, mut slice) = (Vec::new(), Vec::new());
+    frames.at_time_into(250, &mut stage, &mut slice);
     let reduced = reduce_configurations_with(
         &mut ReduceWorkspace::new(),
         &slice,

@@ -10,7 +10,7 @@
 //!
 //! * [`sim`] — the particle model: force-scaling families `F¹`/`F²`,
 //!   Euler–Maruyama integration, equilibrium detection, parallel
-//!   ensembles.
+//!   streamed ensembles.
 //! * [`shape`] — factoring out the shape symmetries `ISO⁺(2) × S*_n`:
 //!   2-D rigid fits, type-aware ICP, Hungarian permutation reduction.
 //! * [`info`] — estimators: KSG multi-information (paper Eq. 18–20 and
@@ -78,9 +78,9 @@ pub mod prelude {
     pub use sops_math::{Matrix, PairMatrix, SplitMix64, Vec2};
     pub use sops_shape::{icp_align_with, IcpConfig, IcpScratch, RigidTransform};
     pub use sops_sim::{
-        run_ensemble, run_streaming_ensemble, EnsembleFrames, EnsembleSpec, EquilibriumCriterion,
-        ForceModel, ForceWorkspace, GaussianForce, IntegratorConfig, LinearForce, Model,
-        Simulation, StreamingConfig, StreamingEnsemble,
+        run_streaming_ensemble, EnsembleFrames, EnsembleSpec, EquilibriumCriterion, ForceModel,
+        ForceWorkspace, GaussianForce, IntegratorConfig, LinearForce, Model, Simulation,
+        StreamingConfig, StreamingEnsemble,
     };
 }
 

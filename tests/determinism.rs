@@ -93,13 +93,29 @@ fn different_seeds_give_different_but_similar_results() {
     assert!(b.mi.increase() > 0.3, "{:?}", b.mi.values);
 }
 
+/// `spec(seed)` streamed at every step on `threads` workers, read back
+/// as one owned cross-sample slice per step.
+fn every_step(seed: u64, threads: usize) -> Vec<Vec<Vec<Vec2>>> {
+    let spec = spec(seed);
+    let steps: Vec<usize> = (0..=spec.t_max).collect();
+    let ensemble = run_streaming_ensemble(&spec, &steps, threads, &StreamingConfig::default());
+    let frames = EnsembleFrames::Streaming(&ensemble);
+    steps
+        .iter()
+        .map(|&t| {
+            let (mut stage, mut slice) = (Vec::new(), Vec::new());
+            frames.at_time_into(t, &mut stage, &mut slice);
+            slice.iter().map(|c| c.to_vec()).collect()
+        })
+        .collect()
+}
+
 #[test]
 fn ensembles_reproducible_across_thread_counts() {
-    let e1 = run_ensemble(&spec(55), 1);
-    let e8 = run_ensemble(&spec(55), 8);
-    for (a, b) in e1.runs.iter().zip(&e8.runs) {
-        assert_eq!(a.frames, b.frames, "trajectories must be identical");
-        assert_eq!(a.force_norms, b.force_norms);
+    let e1 = every_step(55, 1);
+    let e8 = every_step(55, 8);
+    for (t, (a, b)) in e1.iter().zip(&e8).enumerate() {
+        assert_eq!(a, b, "trajectories must be identical at step {t}");
     }
 }
 
@@ -107,10 +123,10 @@ fn ensembles_reproducible_across_thread_counts() {
 fn environment_thread_override_is_respected() {
     // SOPS_THREADS only affects scheduling, never results.
     std::env::set_var("SOPS_THREADS", "2");
-    let a = run_ensemble(&spec(3), 0);
+    let a = every_step(3, 0);
     std::env::remove_var("SOPS_THREADS");
-    let b = run_ensemble(&spec(3), 4);
-    for (x, y) in a.runs.iter().zip(&b.runs) {
-        assert_eq!(x.frames, y.frames);
+    let b = every_step(3, 4);
+    for (x, y) in a.iter().zip(&b) {
+        assert_eq!(x, y);
     }
 }

@@ -26,12 +26,11 @@ fn organized_ensemble(samples: usize) -> (Vec<Vec<Vec2>>, Vec<u16>) {
         seed: 17,
         criterion: None,
     };
-    let ensemble = run_ensemble(&spec, 0);
-    let slice: Vec<Vec<Vec2>> = ensemble
-        .at_time(40)
-        .into_iter()
-        .map(|s| s.to_vec())
-        .collect();
+    let ensemble = run_streaming_ensemble(&spec, &[40], 0, &StreamingConfig::default());
+    let frames = EnsembleFrames::Streaming(&ensemble);
+    let (mut stage, mut final_slice) = (Vec::new(), Vec::new());
+    frames.at_time_into(40, &mut stage, &mut final_slice);
+    let slice: Vec<Vec<Vec2>> = final_slice.iter().map(|s| s.to_vec()).collect();
     (slice, types)
 }
 

@@ -3,8 +3,8 @@
 //! engine):
 //!
 //! * **same frames** — `run_streaming_ensemble` keeps, bit for bit, the
-//!   frames that `run_ensemble`'s whole trajectories hold at the same
-//!   steps, and the same equilibrated fraction: in memory and
+//!   frames that each sample's own `Simulation::run` trajectory holds at
+//!   the same steps, and the same equilibrated fraction: in memory and
 //!   spill-forced, for worker counts 1 and 8 and for dense and sparse
 //!   evaluation schedules (property-tested over random shapes);
 //! * **same cells** — sweep cells are bit-identical across residency
@@ -15,8 +15,10 @@
 //!   staging buffers).
 
 use proptest::prelude::*;
+use sops::math::rng::derive_seed;
 use sops::prelude::*;
 use sops::sim::force::{ForceModel, LinearForce};
+use sops::sim::Trajectory;
 
 /// A small 2-type attracting system that visibly organizes, evaluated
 /// every `eval_every` steps. Its equilibrium criterion is loose enough
@@ -74,17 +76,33 @@ fn plan(
     }
 }
 
+/// The independent reference: every sample's whole trajectory from its
+/// own `Simulation::run`, one sample after another.
+fn whole_trajectories(spec: &EnsembleSpec) -> Vec<Trajectory> {
+    (0..spec.samples)
+        .map(|s| {
+            Simulation::with_disc_init(
+                spec.model.clone(),
+                spec.integrator,
+                spec.init_radius,
+                derive_seed(spec.seed, s as u64),
+            )
+            .run(spec.t_max, spec.criterion)
+        })
+        .collect()
+}
+
 /// Streams `sc` over its evaluation schedule under a residency budget of
 /// `budget` bytes and checks every kept frame, and the equilibrated
-/// fraction, against `run_ensemble`'s whole trajectories, bit for bit.
+/// fraction, against the per-sample whole trajectories, bit for bit.
 fn assert_frames_match_trajectories(sc: &ScenarioSpec, threads: usize, budget: usize, tag: &str) {
-    let whole = run_ensemble(&sc.ensemble, threads);
+    let whole = whole_trajectories(&sc.ensemble);
     let cfg = StreamingConfig {
         max_resident_bytes: budget,
     };
     let streamed = run_streaming_ensemble(&sc.ensemble, &sc.eval_times(), threads, &cfg);
     let frames = EnsembleFrames::Streaming(&streamed);
-    assert_eq!(frames.samples(), whole.samples(), "{tag}");
+    assert_eq!(frames.samples(), whole.len(), "{tag}");
     let bits = |c: &[Vec2]| -> Vec<u64> {
         c.iter()
             .flat_map(|p| [p.x.to_bits(), p.y.to_bits()])
@@ -93,18 +111,16 @@ fn assert_frames_match_trajectories(sc: &ScenarioSpec, threads: usize, budget: u
     for t in sc.eval_times() {
         let (mut stage, mut slice) = (Vec::new(), Vec::new());
         frames.at_time_into(t, &mut stage, &mut slice);
-        let reference = whole.at_time(t);
-        assert_eq!(slice.len(), reference.len(), "{tag} t={t}");
-        for (s, (a, b)) in slice.iter().zip(&reference).enumerate() {
-            assert_eq!(bits(a), bits(b), "{tag} t={t} sample={s}");
+        assert_eq!(slice.len(), whole.len(), "{tag} t={t}");
+        for (s, (a, run)) in slice.iter().zip(&whole).enumerate() {
+            assert_eq!(bits(a), bits(&run.frames[t]), "{tag} t={t} sample={s}");
         }
     }
     let equilibrated = whole
-        .runs
         .iter()
         .filter(|r| r.equilibrium_step.is_some())
         .count() as f64
-        / whole.samples() as f64;
+        / whole.len() as f64;
     assert_eq!(
         frames.equilibrated_fraction().to_bits(),
         equilibrated.to_bits(),
@@ -141,8 +157,8 @@ fn assert_reports_bit_identical(a: &SweepReport, b: &SweepReport, tag: &str) {
 
 /// The explicit grid: dense and sparse schedules × threads 1/8 ×
 /// {in memory, spill forced by a 1-byte budget}. Streamed frames equal
-/// the whole trajectories', and every sweep cell equals the one-thread
-/// in-memory reference.
+/// the per-sample whole trajectories', and every sweep cell equals the
+/// one-thread in-memory reference.
 #[test]
 fn streaming_matches_retained_across_schedules_threads_and_spill() {
     for &(samples, t_max, every) in &[(40usize, 20usize, 1usize), (40, 20, 10)] {
@@ -177,9 +193,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Random shapes: for any (samples, horizon, cadence, worker count,
-    /// spill budget) the streamed frames equal the whole trajectories'
-    /// bit for bit, and the sweep cells equal the one-thread in-memory
-    /// reference.
+    /// spill budget) the streamed frames equal the per-sample whole
+    /// trajectories' bit for bit, and the sweep cells equal the one-thread
+    /// in-memory reference.
     #[test]
     fn streaming_matches_retained_for_random_grids(
         samples in 25usize..40,

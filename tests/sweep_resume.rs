@@ -247,9 +247,9 @@ fn panicking_estimator_is_quarantined_and_resumes_as_is() {
 
 /// A panicking *simulation* (a force law that detonates mid-sweep — the
 /// spec itself passes `EnsembleSpec::check`, so the failure only
-/// surfaces inside `run_ensemble`) quarantines every cell of that
-/// ensemble with a `simulation …` reason; the other scenario's ensembles
-/// are unaffected.
+/// surfaces inside `run_streaming_ensemble`) quarantines every cell of
+/// that ensemble with a `simulation …` reason; the other scenario's
+/// ensembles are unaffected.
 #[test]
 fn panicking_simulation_quarantines_the_whole_ensemble() {
     #[derive(Debug)]

@@ -40,8 +40,8 @@ fn every_prelude_export_resolves() {
         seed: 7,
         criterion: Some(criterion),
     };
-    let ensemble = run_ensemble(&spec, 1);
-    assert_eq!(ensemble.runs.len(), 3);
+    let ensemble = run_streaming_ensemble(&spec, &[spec.t_max], 1, &StreamingConfig::default());
+    assert_eq!(EnsembleFrames::Streaming(&ensemble).samples(), 3);
     let mut sim = Simulation::with_disc_init(model, IntegratorConfig::default(), 2.0, 11);
     let traj = sim.run(3, None);
     assert!(!traj.last().is_empty());
