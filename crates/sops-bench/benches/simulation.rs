@@ -172,7 +172,6 @@ fn bench_substeps_ablation(c: &mut Criterion) {
                     substeps,
                     noise_variance: 0.0025,
                     max_step: 0.5,
-                    ..IntegratorConfig::default()
                 };
                 b.iter(|| {
                     let mut sim =

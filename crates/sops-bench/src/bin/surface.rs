@@ -13,7 +13,9 @@
 //!   `#[cfg(test)]` (the whole file when there is none);
 //! * *public items*: those lines matching
 //!   `^\s*pub (unsafe )?(fn|struct|enum|trait|const|static|type|mod|use) `.
-//!   `pub(crate)` items and `pub` fields are not counted.
+//!   `pub(crate)` items are not counted;
+//! * *public fields*: those lines matching `^\s*pub [a-z_][a-z0-9_]*\s*:`.
+//!   A public field is an option a caller can set, so it is surface too.
 //!
 //! The output is deterministic: crates in name order, then the total.
 
@@ -23,8 +25,24 @@ use std::process::ExitCode;
 
 use sops_core::wire::{self, Value};
 
-/// `(non-test lines, public items)` per crate name.
-type Ledger = BTreeMap<String, (usize, usize)>;
+/// The counts of one crate (or of one file, or of the whole workspace).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Counts {
+    lines: usize,
+    items: usize,
+    fields: usize,
+}
+
+impl std::ops::AddAssign for Counts {
+    fn add_assign(&mut self, o: Counts) {
+        self.lines += o.lines;
+        self.items += o.items;
+        self.fields += o.fields;
+    }
+}
+
+/// The counts per crate name.
+type Ledger = BTreeMap<String, Counts>;
 
 /// Item keywords a counted `pub` line declares.
 const ITEM_KEYWORDS: [&str; 9] = [
@@ -42,26 +60,43 @@ fn is_public_item(line: &str) -> bool {
         .any(|k| rest.strip_prefix(k).is_some_and(|r| r.starts_with(' ')))
 }
 
-/// `(non-test lines, public items)` of one source file.
-fn count_source(text: &str) -> (usize, usize) {
+/// `true` for a line that declares a public field
+/// (`^\s*pub [a-z_][a-z0-9_]*\s*:`).
+fn is_public_field(line: &str) -> bool {
+    let Some(rest) = line.trim_start().strip_prefix("pub ") else {
+        return false;
+    };
+    let name_len = rest
+        .find(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'))
+        .unwrap_or(rest.len());
+    let starts_like_a_name = rest
+        .chars()
+        .next()
+        .is_some_and(|c| c.is_ascii_lowercase() || c == '_');
+    starts_like_a_name && rest[name_len..].trim_start().starts_with(':')
+}
+
+/// The counts of one source file.
+fn count_source(text: &str) -> Counts {
     let lines: Vec<&str> = text
         .lines()
         .take_while(|l| !l.starts_with("#[cfg(test)]"))
         .collect();
-    let items = lines.iter().filter(|l| is_public_item(l)).count();
-    (lines.len(), items)
+    Counts {
+        lines: lines.len(),
+        items: lines.iter().filter(|l| is_public_item(l)).count(),
+        fields: lines.iter().filter(|l| is_public_field(l)).count(),
+    }
 }
 
 /// Adds every `.rs` file under `dir` (recursively) to `acc`.
-fn count_dir(dir: &Path, acc: &mut (usize, usize)) -> std::io::Result<()> {
+fn count_dir(dir: &Path, acc: &mut Counts) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let path = entry?.path();
         if path.is_dir() {
             count_dir(&path, acc)?;
         } else if path.extension().is_some_and(|x| x == "rs") {
-            let (lines, items) = count_source(&std::fs::read_to_string(&path)?);
-            acc.0 += lines;
-            acc.1 += items;
+            *acc += count_source(&std::fs::read_to_string(&path)?);
         }
     }
     Ok(())
@@ -82,22 +117,30 @@ fn measure() -> std::io::Result<Ledger> {
     Ok(ledger)
 }
 
-fn total(ledger: &Ledger) -> (usize, usize) {
-    ledger.values().fold((0, 0), |t, c| (t.0 + c.0, t.1 + c.1))
+fn total(ledger: &Ledger) -> Counts {
+    let mut t = Counts::default();
+    ledger.values().for_each(|&c| t += c);
+    t
+}
+
+/// One ledger row's count fields, as JSON members.
+fn count_members(c: Counts) -> String {
+    format!(
+        "\"lines\": {}, \"public_items\": {}, \"public_fields\": {}",
+        c.lines, c.items, c.fields
+    )
 }
 
 /// The `SURFACE.json` text of a ledger.
 fn render(ledger: &Ledger) -> String {
     let rows: Vec<String> = ledger
         .iter()
-        .map(|(name, (l, i))| {
-            format!("    {{\"crate\": \"{name}\", \"lines\": {l}, \"public_items\": {i}}}")
-        })
+        .map(|(name, &c)| format!("    {{\"crate\": \"{name}\", {}}}", count_members(c)))
         .collect();
-    let (l, i) = total(ledger);
     format!(
-        "{{\n  \"schema\": \"sops-surface/v1\",\n  \"crates\": [\n{}\n  ],\n  \"total\": {{\"lines\": {l}, \"public_items\": {i}}}\n}}\n",
-        rows.join(",\n")
+        "{{\n  \"schema\": \"sops-surface/v2\",\n  \"crates\": [\n{}\n  ],\n  \"total\": {{{}}}\n}}\n",
+        rows.join(",\n"),
+        count_members(total(ledger))
     )
 }
 
@@ -114,8 +157,16 @@ fn parse_ledger(text: &str) -> Result<Ledger, String> {
                 field("crate").and_then(Value::as_str),
                 count("lines"),
                 count("public_items"),
+                count("public_fields"),
             ) {
-                (Some(name), Some(l), Some(i)) => Ok((name.to_string(), (l, i))),
+                (Some(name), Some(lines), Some(items), Some(fields)) => Ok((
+                    name.to_string(),
+                    Counts {
+                        lines,
+                        items,
+                        fields,
+                    },
+                )),
                 _ => Err("malformed crate entry".to_string()),
             }
         })
@@ -124,9 +175,15 @@ fn parse_ledger(text: &str) -> Result<Ledger, String> {
 
 /// One line per crate whose counts differ, then the total.
 fn deltas(old: &Ledger, new: &Ledger) -> Vec<String> {
-    let line = |name: &str, (al, ai): (usize, usize), (bl, bi): (usize, usize)| {
-        let (dl, di) = (bl as i64 - al as i64, bi as i64 - ai as i64);
-        format!("  {name}: lines {al} -> {bl} ({dl:+}), public items {ai} -> {bi} ({di:+})")
+    let change =
+        |what: &str, a: usize, b: usize| format!("{what} {a} -> {b} ({:+})", b as i64 - a as i64);
+    let line = |name: &str, a: Counts, b: Counts| {
+        format!(
+            "  {name}: {}, {}, {}",
+            change("lines", a.lines, b.lines),
+            change("public items", a.items, b.items),
+            change("public fields", a.fields, b.fields)
+        )
     };
     let names: BTreeSet<&String> = old.keys().chain(new.keys()).collect();
     let mut out = Vec::new();
@@ -180,6 +237,14 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    fn counts(lines: usize, items: usize, fields: usize) -> Counts {
+        Counts {
+            lines,
+            items,
+            fields,
+        }
+    }
+
     #[test]
     fn counter_applies_the_ledger_rule() {
         let src = "\
@@ -190,47 +255,57 @@ pub mod inner;
 pub(crate) fn hidden() {}
 pub struct Open {
     pub field: u8,
+    pub spaced_2 : u8,
+    pub(crate) hidden: u8,
 }
     pub fn indented() {}
 pub unsafe fn raw() {}
 pub const fn konst() {}
+pub const LIMIT: usize = 1;
 pub(crate) struct Hidden;
 pub async fn not_an_item_kind() {}
 pub typed_word
+pub Upper: u8,
 #[cfg(test)]
 mod tests {
     pub fn after_tests() {}
 }
 pub fn after_the_test_module() {}
 ";
-        // 14 lines before `#[cfg(test)]`. Counted items: `pub use`,
-        // `pub mod`, `pub struct`, the indented `pub fn`, `pub unsafe fn`
-        // and `pub const fn`; not `pub(crate)`, the field, or anything
-        // after the test module starts.
-        assert_eq!(count_source(src), (14, 6));
+        // 18 lines before `#[cfg(test)]`. Counted items: `pub use`,
+        // `pub mod`, `pub struct`, the indented `pub fn`, `pub unsafe fn`,
+        // `pub const fn` and `pub const`; not `pub(crate)`, a field, or
+        // anything after the test module starts. Counted fields: `field`
+        // and `spaced_2`; not the `pub(crate)` field, the `const`, or a
+        // name that does not start lowercase.
+        assert_eq!(count_source(src), counts(18, 7, 2));
         // Only a `#[cfg(test)]` at the start of a line ends the count.
         assert_eq!(
             count_source("pub fn a() {}\n    #[cfg(test)]\npub fn b() {}\n"),
-            (3, 2)
+            counts(3, 2, 0)
         );
-        assert_eq!(count_source(""), (0, 0));
+        assert_eq!(count_source(""), Counts::default());
     }
 
     #[test]
     fn rendered_ledger_parses_back_and_reports_deltas() {
         let mut ledger = Ledger::new();
-        ledger.insert("a".to_string(), (10, 2));
-        ledger.insert("b".to_string(), (5, 1));
+        ledger.insert("a".to_string(), counts(10, 2, 4));
+        ledger.insert("b".to_string(), counts(5, 1, 1));
         let text = render(&ledger);
-        assert!(text.ends_with("\"total\": {\"lines\": 15, \"public_items\": 3}\n}\n"));
+        assert!(text.ends_with(
+            "\"total\": {\"lines\": 15, \"public_items\": 3, \"public_fields\": 5}\n}\n"
+        ));
         assert_eq!(parse_ledger(&text).unwrap(), ledger);
         let mut changed = ledger.clone();
-        changed.insert("b".to_string(), (3, 1));
+        changed.insert("b".to_string(), counts(3, 1, 0));
         assert_eq!(
             deltas(&ledger, &changed),
             vec![
-                "  b: lines 5 -> 3 (-2), public items 1 -> 1 (+0)".to_string(),
-                "  total: lines 15 -> 13 (-2), public items 3 -> 3 (+0)".to_string(),
+                "  b: lines 5 -> 3 (-2), public items 1 -> 1 (+0), public fields 1 -> 0 (-1)"
+                    .to_string(),
+                "  total: lines 15 -> 13 (-2), public items 3 -> 3 (+0), public fields 5 -> 4 (-1)"
+                    .to_string(),
             ]
         );
     }

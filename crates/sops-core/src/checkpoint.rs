@@ -38,7 +38,6 @@ use sops_math::PairMatrix;
 use sops_shape::ensemble::{ReduceConfig, ReduceMode};
 use sops_sim::ensemble::EnsembleSpec;
 use sops_sim::force::ForceModel;
-use sops_sim::integrator::Scheme;
 use sops_sim::IntegratorConfig;
 
 fn pairmat_wire(m: &PairMatrix) -> String {
@@ -74,21 +73,16 @@ fn law_wire(law: &ForceModel) -> Result<String, SweepError> {
     }
 }
 
-fn scheme_wire(s: Scheme) -> &'static str {
-    match s {
-        Scheme::EulerMaruyama => "euler_maruyama",
-        Scheme::Heun => "heun",
-    }
-}
-
+/// The integrator's wire form. Every run integrates with Euler–Maruyama,
+/// and the wire still names it: the text is hashed into each cell key, so
+/// dropping the field would re-key every cache entry.
 fn integrator_wire(i: &IntegratorConfig) -> String {
     format!(
-        "{{\"dt\":{},\"substeps\":{},\"noise_variance\":{},\"max_step\":{},\"scheme\":\"{}\"}}",
+        "{{\"dt\":{},\"substeps\":{},\"noise_variance\":{},\"max_step\":{},\"scheme\":\"euler_maruyama\"}}",
         wire::float_exact(i.dt),
         i.substeps,
         wire::float_exact(i.noise_variance),
         wire::float_exact(i.max_step),
-        scheme_wire(i.scheme)
     )
 }
 

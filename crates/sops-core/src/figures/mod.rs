@@ -49,7 +49,6 @@ pub(crate) fn standard_integrator() -> IntegratorConfig {
         substeps: 2,
         noise_variance: NOISE_VARIANCE,
         max_step: 0.5,
-        ..IntegratorConfig::default()
     }
 }
 
@@ -62,7 +61,6 @@ pub(crate) fn slow_integrator() -> IntegratorConfig {
         substeps: 2,
         noise_variance: NOISE_VARIANCE,
         max_step: 0.5,
-        ..IntegratorConfig::default()
     }
 }
 

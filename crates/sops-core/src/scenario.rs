@@ -182,7 +182,6 @@ fn adhesion_integrator(dt: f64) -> IntegratorConfig {
         substeps: 2,
         noise_variance: 0.0025,
         max_step: 0.5,
-        ..IntegratorConfig::default()
     }
 }
 

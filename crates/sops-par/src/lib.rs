@@ -172,8 +172,7 @@ where
     let threads = threads.max(1).min(chunks);
     if threads == 1 || chunks == 1 {
         // Sequential fast path: same deterministic partition, no thread
-        // spawn cost — hot per-substep callers (the force sweep) rely on
-        // this when inner parallelism is disabled.
+        // spawn cost for callers that run at one thread.
         let mut rest = data;
         for c in 0..chunks {
             let take = base + usize::from(c < extra);

@@ -1,15 +1,8 @@
 //! Stochastic integration of the overdamped dynamics (paper §4.1).
 //!
 //! One *recorded* step of length `dt` is split into `substeps` internal
-//! substeps. Two schemes are provided:
-//!
-//! * [`Scheme::EulerMaruyama`] (the paper's choice):
-//!   `z ← z + h·f(z) + √h·σ_w·ξ`, strong order 0.5;
-//! * [`Scheme::Heun`] (stochastic Heun / improved Euler): drift handled
-//!   by the two-stage predictor–corrector
-//!   `z ← z + h/2·(f(z) + f(z + h·f(z))) + √h·σ_w·ξ`, which is weak
-//!   order 2 in the drift for additive noise — the `integrator` tests
-//!   verify its deterministic convergence advantage.
+//! Euler–Maruyama substeps (the paper's integrator for Eq. 6):
+//! `z ← z + h·f(z) + √h·σ_w·ξ`, strong order 0.5.
 //!
 //! `σ_w = √noise_variance` (the paper's `w ~ N(0, 0.05)`, which does not
 //! say whether 0.05 is the variance or the std; the default
@@ -23,18 +16,6 @@ use crate::model::Model;
 use crate::workspace::ForceWorkspace;
 use sops_math::{SplitMix64, Vec2};
 
-/// The stochastic integration scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheme {
-    /// The paper's scheme (Eq. 6 solved "using Euler–Maruyama
-    /// integration").
-    #[default]
-    EulerMaruyama,
-    /// Stochastic Heun: two drift evaluations per substep, weak order 2
-    /// in the drift for the additive noise used here.
-    Heun,
-}
-
 /// Integration parameters for one recorded time step.
 #[derive(Debug, Clone, Copy)]
 pub struct IntegratorConfig {
@@ -46,8 +27,6 @@ pub struct IntegratorConfig {
     pub noise_variance: f64,
     /// Per-substep cap on the *drift* displacement norm of any particle.
     pub max_step: f64,
-    /// Integration scheme.
-    pub scheme: Scheme,
 }
 
 impl Default for IntegratorConfig {
@@ -57,7 +36,6 @@ impl Default for IntegratorConfig {
             substeps: 4,
             noise_variance: crate::DEFAULT_NOISE_VARIANCE,
             max_step: 0.5,
-            scheme: Scheme::EulerMaruyama,
         }
     }
 }
@@ -98,9 +76,9 @@ impl IntegratorConfig {
     }
 }
 
-/// Advances `positions` by one recorded step. All scratch (force buffers,
-/// the cell grid, Heun predictor/corrector state) lives in `ws` and is
-/// reused across calls — a warmed-up step allocates nothing.
+/// Advances `positions` by one recorded step. All scratch (the force
+/// buffer, the cell grid) lives in `ws` and is reused across calls — a
+/// warmed-up step allocates nothing.
 ///
 /// Returns the drift force-norm sum `Σ_i ‖f_i‖₂` measured at the *start*
 /// of the step, which the caller feeds to equilibrium detection.
@@ -119,28 +97,9 @@ pub(crate) fn step(
         if sub == 0 {
             first_force_norm = ws.forces().iter().map(|f| f.norm()).sum();
         }
-        match cfg.scheme {
-            Scheme::EulerMaruyama => {
-                for (z, f) in positions.iter_mut().zip(ws.forces()) {
-                    let drift = (*f * h).clamp_norm(cfg.max_step);
-                    *z += drift + sample_noise(noise_scale, rng);
-                }
-            }
-            Scheme::Heun => {
-                // Predictor: full Euler drift step.
-                ws.predict(positions, h, cfg.max_step);
-                // Corrector: average the drift at both ends; noise is
-                // added once (additive noise needs no derivative terms).
-                ws.compute_corrector(model);
-                for ((z, f0), f1) in positions
-                    .iter_mut()
-                    .zip(ws.forces())
-                    .zip(ws.corrector_forces())
-                {
-                    let drift = ((*f0 + *f1) * (0.5 * h)).clamp_norm(cfg.max_step);
-                    *z += drift + sample_noise(noise_scale, rng);
-                }
-            }
+        for (z, f) in positions.iter_mut().zip(ws.forces()) {
+            let drift = (*f * h).clamp_norm(cfg.max_step);
+            *z += drift + sample_noise(noise_scale, rng);
         }
     }
     first_force_norm
@@ -218,6 +177,37 @@ mod tests {
     }
 
     #[test]
+    fn euler_matches_the_closed_form_relaxation_in_the_small_step_limit() {
+        // Two F¹ particles close their gap at rate 2k(x − r), so
+        // x(t) = r + (x₀ − r)·e^{−2kt}. Euler follows the recurrence
+        // x ← r + (x − r)(1 − 2kh); at h = dt/4096 that lands 7.6e-5 from
+        // x(0.4).
+        let (k, r, x0) = (4.0, 1.0, 4.0);
+        let model = pair_model(k, r);
+        let cfg = IntegratorConfig {
+            dt: 0.2,
+            substeps: 4096,
+            noise_variance: 0.0,
+            max_step: 10.0,
+        };
+        let mut pos = vec![Vec2::new(-x0 / 2.0, 0.0), Vec2::new(x0 / 2.0, 0.0)];
+        let mut ws = ForceWorkspace::new();
+        let mut rng = SplitMix64::new(0);
+        for _ in 0..2 {
+            step(&model, &cfg, &mut pos, &mut ws, &mut rng);
+        }
+        let x = pos[0].dist(pos[1]);
+        let h = cfg.dt / cfg.substeps as f64;
+        let recurrence = r + (x0 - r) * (1.0 - 2.0 * k * h).powi(2 * cfg.substeps as i32);
+        let exact = r + (x0 - r) * (-2.0 * k * 2.0 * cfg.dt).exp();
+        assert!(
+            (x - recurrence).abs() < 1e-9,
+            "{x} vs recurrence {recurrence}"
+        );
+        assert!((x - exact).abs() < 2e-4, "{x} vs exact {exact}");
+    }
+
+    #[test]
     fn noise_moves_isolated_particle_diffusively() {
         // A single particle feels no force; its displacement over many
         // steps should have variance ~ noise_variance * elapsed_time per
@@ -232,7 +222,6 @@ mod tests {
             substeps: 1,
             noise_variance: 0.05,
             max_step: 0.5,
-            scheme: Scheme::EulerMaruyama,
         };
         let trials = 2000;
         let steps = 50;
@@ -278,7 +267,6 @@ mod tests {
             substeps: 1,
             noise_variance: 0.0,
             max_step: 0.3,
-            scheme: Scheme::EulerMaruyama,
         };
         let mut pos = vec![Vec2::new(-5.0, 0.0), Vec2::new(5.0, 0.0)];
         let before = pos.clone();
@@ -297,112 +285,5 @@ mod tests {
             ..IntegratorConfig::default()
         }
         .validate();
-    }
-}
-
-#[cfg(test)]
-mod heun_tests {
-    use super::*;
-    use crate::force::{ForceModel, LinearForce};
-
-    fn pair_model(k: f64, r: f64) -> Model {
-        Model::new(
-            vec![0, 0],
-            ForceModel::Linear(LinearForce::uniform(k, r)),
-            f64::INFINITY,
-        )
-    }
-
-    /// Deterministic endpoint of a stiff two-body relaxation after fixed
-    /// wall-clock time, at the given scheme and substep count.
-    fn endpoint(scheme: Scheme, substeps: usize) -> f64 {
-        let model = pair_model(4.0, 1.0);
-        let cfg = IntegratorConfig {
-            dt: 0.2,
-            substeps,
-            noise_variance: 0.0,
-            max_step: 10.0,
-            scheme,
-        };
-        let mut pos = vec![Vec2::new(-2.0, 0.0), Vec2::new(2.0, 0.0)];
-        let mut ws = ForceWorkspace::new();
-        let mut rng = SplitMix64::new(0);
-        // Two recorded steps only: the comparison happens mid-transient,
-        // where truncation error has not yet been absorbed by the
-        // attracting fixed point.
-        for _ in 0..2 {
-            step(&model, &cfg, &mut pos, &mut ws, &mut rng);
-        }
-        pos[0].dist(pos[1])
-    }
-
-    #[test]
-    fn heun_converges_faster_than_euler_on_stiff_drift() {
-        // Reference: very fine Heun integration (higher order, so the
-        // most accurate proxy for the continuum solution).
-        let reference = endpoint(Scheme::Heun, 4096);
-        let euler_err = (endpoint(Scheme::EulerMaruyama, 4) - reference).abs();
-        let heun_err = (endpoint(Scheme::Heun, 4) - reference).abs();
-        assert!(
-            heun_err < 0.25 * euler_err,
-            "Heun error {heun_err} should be well below Euler error {euler_err}"
-        );
-    }
-
-    #[test]
-    fn heun_self_converges_quickly() {
-        // O(h²) drift error: 32 vs 4096 substeps already agree tightly.
-        let fine = endpoint(Scheme::Heun, 4096);
-        let heun = endpoint(Scheme::Heun, 32);
-        assert!(
-            (heun - fine).abs() < 1e-3,
-            "heun {heun} vs reference {fine}"
-        );
-    }
-
-    #[test]
-    fn schemes_agree_in_the_small_step_limit() {
-        // Euler's O(h) error at h = dt/4096 bounds the gap.
-        let a = endpoint(Scheme::EulerMaruyama, 4096);
-        let b = endpoint(Scheme::Heun, 4096);
-        assert!((a - b).abs() < 2e-4, "{a} vs {b}");
-    }
-
-    #[test]
-    fn heun_noise_statistics_match_euler() {
-        // Additive noise: both schemes must produce the same diffusion for
-        // a force-free particle.
-        let model = Model::new(
-            vec![0],
-            ForceModel::Linear(LinearForce::uniform(1.0, 1.0)),
-            f64::INFINITY,
-        );
-        let measure = |scheme: Scheme| -> f64 {
-            let cfg = IntegratorConfig {
-                dt: 0.1,
-                substeps: 1,
-                noise_variance: 0.05,
-                max_step: 0.5,
-                scheme,
-            };
-            let trials = 4000;
-            let mut sum_sq = 0.0;
-            for t in 0..trials {
-                let mut rng = SplitMix64::new(t);
-                let mut pos = vec![Vec2::ZERO];
-                let mut ws = ForceWorkspace::new();
-                for _ in 0..20 {
-                    step(&model, &cfg, &mut pos, &mut ws, &mut rng);
-                }
-                sum_sq += pos[0].norm_sq();
-            }
-            sum_sq / trials as f64
-        };
-        let em = measure(Scheme::EulerMaruyama);
-        let heun = measure(Scheme::Heun);
-        assert!(
-            (em - heun).abs() < 0.1 * em,
-            "diffusion mismatch: EM {em} vs Heun {heun}"
-        );
     }
 }

@@ -7,8 +7,8 @@
 //! ż_i = Σ_{j ∈ N_rc(i)}  −F_{αβ}(‖Δz_ij‖₂) Δz_ij  +  w,    Δz_ij = z_i − z_j
 //! ```
 //!
-//! with `w ~ N(0, 0.05)` additive white Gaussian noise, integrated by the
-//! Euler–Maruyama scheme. `F_{αβ}` is a *force-scaling* function of the
+//! with `w ~ N(0, 0.05)` additive white Gaussian noise, integrated by
+//! Euler–Maruyama. `F_{αβ}` is a *force-scaling* function of the
 //! inter-particle distance, parameterized per unordered type pair: positive
 //! values attract, negative values repel (see [`force`] for the sign
 //! derivation). Interactions are cut off at radius `r_c`; `r_c = ∞` is the
@@ -20,12 +20,12 @@
 //!   attraction) and `F²` (difference of Gaussians), plus random matrix
 //!   generators used by the sweep experiments.
 //! * [`Model`] — particle types + force law + cut-off.
-//! * [`integrator`] — Euler–Maruyama stepping with substeps and a
+//! * [`IntegratorConfig`] — Euler–Maruyama stepping with substeps and a
 //!   displacement clamp for the `1/x` singularity of `F¹`.
 //! * [`ForceWorkspace`] — the persistent, allocation-free
 //!   force-evaluation engine: in-place grid rebuilds, a cell-sorted
-//!   Newton's-third-law half sweep, and deterministic chunked
-//!   parallelism.
+//!   Newton's-third-law half sweep, and a fixed chunked accumulation
+//!   order.
 //! * [`Simulation`] — a single simulation run producing a [`Trajectory`];
 //!   equilibrium detection (§4.1) from the uniform-disc initial
 //!   distribution (§5.1).
@@ -40,7 +40,7 @@
 pub mod ensemble;
 pub mod force;
 mod init;
-pub mod integrator;
+mod integrator;
 mod model;
 mod sim;
 pub mod streaming;

@@ -35,9 +35,6 @@ pub struct Trajectory {
     /// `frames[t][i]` is the position of particle `i` at recorded step `t`
     /// (including the initial configuration at `t = 0`).
     pub frames: Vec<Vec<Vec2>>,
-    /// Drift force-norm sum at the start of each recorded step (one entry
-    /// per *transition*, so `force_norms.len() == frames.len() - 1`).
-    pub force_norms: Vec<f64>,
     /// First recorded step at which the equilibrium criterion held, if any.
     pub equilibrium_step: Option<usize>,
 }
@@ -117,14 +114,6 @@ impl Simulation {
         &self.workspace
     }
 
-    /// Sets the worker-thread count of the force sweep (0 = default).
-    /// Scheduling only — the trajectory is bit-identical for any count.
-    /// Leave at 1 (the default) when running inside a parallel ensemble,
-    /// which already saturates cores across samples.
-    pub fn set_force_threads(&mut self, threads: usize) {
-        self.workspace.set_threads(threads);
-    }
-
     /// Drift force-norm sum `Σ_i ‖f_i‖₂` at the current configuration,
     /// computed in the simulation's own workspace without allocating.
     pub fn total_force_norm(&mut self) -> f64 {
@@ -152,19 +141,16 @@ impl Simulation {
     /// criterion is recorded in [`Trajectory::equilibrium_step`].
     pub fn run(&mut self, t_max: usize, criterion: Option<EquilibriumCriterion>) -> Trajectory {
         let mut frames = Vec::with_capacity(t_max + 1);
-        let mut force_norms = Vec::with_capacity(t_max);
         frames.push(self.positions.clone());
         let mut watch = EquilibriumWatch::new(criterion);
         let mut equilibrium_step = None;
         for t in 0..t_max {
             let fnorm = self.step();
-            force_norms.push(fnorm);
             frames.push(self.positions.clone());
             equilibrium_step = watch.observe(t + 1, fnorm);
         }
         Trajectory {
             frames,
-            force_norms,
             equilibrium_step,
         }
     }
@@ -247,7 +233,6 @@ mod tests {
             Simulation::with_disc_init(small_model(5), IntegratorConfig::default(), 2.0, 42);
         let traj = sim.run(20, None);
         assert_eq!(traj.frames.len(), 21);
-        assert_eq!(traj.force_norms.len(), 20);
         assert_eq!(traj.last().len(), 5);
     }
 

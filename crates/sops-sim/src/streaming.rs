@@ -406,8 +406,14 @@ impl<'e> EnsembleFrames<'e> {
     ///
     /// Panics if `t` was not retained: a streamed ensemble covers only
     /// the times it was run with.
-    pub fn at_time_into<'a>(&'a self, t: usize, buf: &'a mut Vec<Vec2>, out: &mut Vec<&'a [Vec2]>) {
-        let EnsembleFrames::Streaming(s) = self;
+    ///
+    /// The slices borrow the ensemble and `buf`, not this view, so a
+    /// temporary view serves as well as a bound one.
+    pub fn at_time_into<'a>(&self, t: usize, buf: &'a mut Vec<Vec2>, out: &mut Vec<&'a [Vec2]>)
+    where
+        'e: 'a,
+    {
+        let EnsembleFrames::Streaming(s) = *self;
         s.at_time_into(t, buf, out)
     }
 }
@@ -586,6 +592,27 @@ mod tests {
                 warm = state;
             } else {
                 assert_eq!(state, warm, "round {round}: buffers grew or moved");
+            }
+        }
+    }
+
+    #[test]
+    fn slices_outlive_a_temporary_view() {
+        // The view is a temporary dropped at the end of the call; `out`
+        // is read afterwards, once from memory and once from a spill.
+        let s = spec(3, 6);
+        let reference = whole_runs(&s);
+        for budget in [StreamingConfig::default().max_resident_bytes, 1] {
+            let cfg = StreamingConfig {
+                max_resident_bytes: budget,
+            };
+            let e = run_streaming_ensemble(&s, &[0, 6], 1, &cfg);
+            let mut buf = Vec::new();
+            let mut out = Vec::new();
+            EnsembleFrames::Streaming(&e).at_time_into(6, &mut buf, &mut out);
+            assert_eq!(out.len(), 3);
+            for (a, run) in out.iter().zip(&reference) {
+                assert_eq!(*a, run.frames[6].as_slice(), "budget {budget}");
             }
         }
     }

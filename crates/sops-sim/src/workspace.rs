@@ -4,15 +4,13 @@
 //! simulator's hottest kernel: it runs once per substep per particle
 //! system, thousands of times per ensemble.
 //! The naive implementation rebuilt a [`CellGrid`] from scratch each call
-//! (three allocations plus a full point clone), evaluated every
-//! interacting pair twice, and the Heun corrector allocated two more
-//! vectors per recorded step. [`ForceWorkspace`] removes all of that:
+//! (three allocations plus a full point clone) and evaluated every
+//! interacting pair twice. [`ForceWorkspace`] removes all of that:
 //!
 //! * **Buffer reuse** — the grid is [rebuilt in place](CellGrid::rebuild)
 //!   and every scratch vector (cell-sorted coordinate lanes, per-chunk
-//!   accumulators, hit batches, force outputs, Heun predictor state)
-//!   lives in the workspace, so a warmed-up `step()` performs zero heap
-//!   allocations.
+//!   accumulators, hit batches, the force output) lives in the
+//!   workspace, so a warmed-up `step()` performs zero heap allocations.
 //! * **SoA lanes + branchless hit compaction** — positions are gathered
 //!   into cell order as separate x/y slices during the grid rebuild
 //!   ([`CellGrid::rebuild_lanes`] fuses the scatter and the gather into
@@ -29,17 +27,15 @@
 //!   lanes (one `vsqrtpd`/`vdivpd` stream instead of serial scalar
 //!   latency chains); the batch replays hits in exactly the order the
 //!   scalar kernel visited them, so results are bit-identical to the
-//!   pre-SoA code (`tests/workspace_forces.rs` pins this against a
-//!   frozen copy of the old kernel).
-//! * **Deterministic parallelism** — the cell range is split into
-//!   `FORCE_CHUNKS` fixed, thread-count-independent spans. Each chunk
+//!   pre-SoA code.
+//! * **Fixed accumulation order** — the cell range is split into
+//!   `FORCE_CHUNKS` fixed spans, swept one after another. Each chunk
 //!   scatters into its own accumulator (indexed in *cell order*, so a
 //!   chunk only ever touches its own span plus one cell row below) and
-//!   the accumulators are reduced in chunk order, so the result is
-//!   bit-identical for any worker count. Touched-range tracking keeps
-//!   the zero + reduce cost proportional to each span instead of `8 n`.
-//!   The end-to-end determinism suite (`tests/determinism.rs`) relies on
-//!   this.
+//!   the accumulators are reduced in chunk order. Touched-range tracking
+//!   keeps the zero + reduce cost proportional to each span instead of
+//!   `8 n`. `tests/workspace_forces.rs`'s `grid_path_bits_are_pinned`
+//!   holds every output bit of this order to a recorded digest.
 //!
 //! Small systems (`n < GRID_THRESHOLD`, 64) and unbounded cut-offs
 //! take the direct `O(n²)` pair loop (monomorphized per law family),
@@ -52,9 +48,9 @@ use sops_spatial::CellGrid;
 
 /// Number of fixed cell spans the half sweep is partitioned into.
 ///
-/// The partition — not the thread count — defines the floating-point
-/// accumulation order, so this is a compile-time constant: results are
-/// bit-identical whether the spans run on 1 thread or 8.
+/// The partition defines the floating-point accumulation order of the
+/// grid path, so it is a compile-time constant: changing it changes the
+/// output bits.
 pub(crate) const FORCE_CHUNKS: usize = 8;
 
 /// Hit-batch capacity. A batch is flushed (distance + law lanes, then the
@@ -203,9 +199,6 @@ impl ForceChunk {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ForceWorkspace {
-    /// Worker threads for the chunked cell sweep (1 = sequential; the
-    /// result is identical either way).
-    threads: usize,
     grid: CellGrid,
     /// Cell-ordered coordinate lanes (`sorted_x[k] =
     /// positions[grid.order()[k]].x`) — the SoA layout the chunked
@@ -214,15 +207,10 @@ pub struct ForceWorkspace {
     sorted_y: Vec<f64>,
     /// Particle types in the same cell order.
     sorted_types: Vec<u16>,
-    /// Per-chunk sweep state, reduced in chunk order for
-    /// thread-count-independent results.
+    /// Per-chunk sweep state, reduced in chunk order.
     chunks: Vec<ForceChunk>,
-    /// Primary force output of the last [`ForceWorkspace::compute`].
+    /// Force output of the last [`ForceWorkspace::compute`].
     forces: Vec<Vec2>,
-    /// Heun corrector-stage forces.
-    forces2: Vec<Vec2>,
-    /// Heun predictor positions.
-    predicted: Vec<Vec2>,
 }
 
 impl Default for ForceWorkspace {
@@ -232,95 +220,25 @@ impl Default for ForceWorkspace {
 }
 
 impl ForceWorkspace {
-    /// An empty workspace with a sequential sweep. Buffers grow to the
-    /// workload size on first use and are reused afterwards.
+    /// An empty workspace. Buffers grow to the workload size on first use
+    /// and are reused afterwards.
     pub fn new() -> Self {
-        ForceWorkspace::with_threads(1)
-    }
-
-    /// An empty workspace whose cell sweep runs on up to `threads` worker
-    /// threads (pass 0 for [`sops_par::default_threads`]). The thread
-    /// count affects scheduling only — never the numbers.
-    pub fn with_threads(threads: usize) -> Self {
-        let threads = if threads == 0 {
-            sops_par::default_threads()
-        } else {
-            threads
-        };
         ForceWorkspace {
-            threads,
             grid: CellGrid::build(&[], 1.0),
             sorted_x: Vec::new(),
             sorted_y: Vec::new(),
             sorted_types: Vec::new(),
             chunks: vec![ForceChunk::new(); FORCE_CHUNKS],
             forces: Vec::new(),
-            forces2: Vec::new(),
-            predicted: Vec::new(),
         }
     }
 
-    /// Sets the worker-thread count for the cell sweep (0 = default).
-    pub(crate) fn set_threads(&mut self, threads: usize) {
-        self.threads = if threads == 0 {
-            sops_par::default_threads()
-        } else {
-            threads
-        };
-    }
-
-    /// Computes the drift forces into the workspace's primary buffer;
-    /// read them back with [`ForceWorkspace::forces`].
+    /// Computes the drift forces into the workspace's own buffer; read
+    /// them back with [`ForceWorkspace::forces`].
     pub(crate) fn compute(&mut self, model: &Model, positions: &[Vec2]) {
-        let ForceWorkspace {
-            threads,
-            grid,
-            sorted_x,
-            sorted_y,
-            sorted_types,
-            chunks,
-            forces,
-            ..
-        } = self;
-        compute_into(
-            model,
-            positions,
-            grid,
-            sorted_x,
-            sorted_y,
-            sorted_types,
-            chunks,
-            *threads,
-            forces,
-        );
-    }
-
-    /// Drift term of Eq. 6 for every particle: `f_i = Σ_j −F(‖Δz_ij‖) Δz_ij`
-    /// over neighbours within the cut-off, written into a caller-provided
-    /// buffer (cleared and resized). Allocation-free once the workspace is
-    /// warm, so anything evaluating forces repeatedly should hold one
-    /// workspace.
-    pub fn net_forces_into(&mut self, model: &Model, positions: &[Vec2], out: &mut Vec<Vec2>) {
-        let ForceWorkspace {
-            threads,
-            grid,
-            sorted_x,
-            sorted_y,
-            sorted_types,
-            chunks,
-            ..
-        } = self;
-        compute_into(
-            model,
-            positions,
-            grid,
-            sorted_x,
-            sorted_y,
-            sorted_types,
-            chunks,
-            *threads,
-            out,
-        );
+        let mut forces = std::mem::take(&mut self.forces);
+        self.net_forces_into(model, positions, &mut forces);
+        self.forces = forces;
     }
 
     /// The forces written by the last [`ForceWorkspace::compute`].
@@ -335,48 +253,120 @@ impl ForceWorkspace {
         self.forces.iter().map(|f| f.norm()).sum()
     }
 
-    /// Heun predictor: `predicted = z + clamp(f·h)` from the forces of the
-    /// last [`ForceWorkspace::compute`].
-    pub(crate) fn predict(&mut self, positions: &[Vec2], h: f64, max_step: f64) {
-        self.predicted.clear();
-        self.predicted.extend(
-            positions
-                .iter()
-                .zip(&self.forces)
-                .map(|(z, f)| *z + (*f * h).clamp_norm(max_step)),
-        );
-    }
+    /// Drift term of Eq. 6 for every particle: `f_i = Σ_j −F(‖Δz_ij‖) Δz_ij`
+    /// over neighbours within the cut-off, written into a caller-provided
+    /// buffer (cleared and resized). Allocation-free once the workspace is
+    /// warm, so anything evaluating forces repeatedly should hold one
+    /// workspace.
+    pub fn net_forces_into(&mut self, model: &Model, positions: &[Vec2], out: &mut Vec<Vec2>) {
+        let n = positions.len();
+        assert_eq!(n, model.particles(), "net_forces: position count mismatch");
+        let cutoff = model.cutoff();
+        let law = model.law();
+        if !cutoff.is_finite() || n < crate::model::GRID_THRESHOLD {
+            out.clear();
+            out.resize(n, Vec2::ZERO);
+            let r2 = if cutoff.is_finite() {
+                cutoff * cutoff
+            } else {
+                f64::INFINITY
+            };
+            // Monomorphize the direct loop per law family so the per-pair
+            // scaling call inlines without the enum match.
+            match law {
+                ForceModel::Linear(l) => direct_sweep(l, model.types(), positions, r2, out),
+                ForceModel::Gaussian(g) => direct_sweep(g, model.types(), positions, r2, out),
+                ForceModel::Custom(c) => {
+                    direct_sweep(c.as_ref(), model.types(), positions, r2, out)
+                }
+            }
+            return;
+        }
+        // The chunk reduce assigns on first touch (see below), so `out`
+        // only needs its length fixed — stale contents are fully
+        // overwritten.
+        if out.len() != n {
+            out.clear();
+            out.resize(n, Vec2::ZERO);
+        }
 
-    /// Heun corrector stage: forces at the predicted positions, into the
-    /// secondary buffer; read back with [`ForceWorkspace::corrector_forces`].
-    pub(crate) fn compute_corrector(&mut self, model: &Model) {
+        // Grid path: rebuild in place with the SoA coordinate lanes
+        // gathered by the same counting-sort scatter pass, then half sweep
+        // the lanes.
         let ForceWorkspace {
-            threads,
             grid,
             sorted_x,
             sorted_y,
             sorted_types,
             chunks,
-            forces2,
-            predicted,
             ..
         } = self;
-        compute_into(
-            model,
-            predicted,
-            grid,
-            sorted_x,
-            sorted_y,
-            sorted_types,
-            chunks,
-            *threads,
-            forces2,
-        );
-    }
+        grid.rebuild_lanes(positions, cutoff, sorted_x, sorted_y);
+        let grid = &*grid;
+        let order = grid.order();
+        sorted_types.clear();
+        // A type-blind law never reads the type lane (`scale_lanes` hoists
+        // the two parameters), so skip the gather entirely.
+        let type_blind = matches!(law, ForceModel::Linear(l) if l.k.types() == 1);
+        if !type_blind {
+            let types = model.types();
+            sorted_types.extend(order.iter().map(|&i| types[i as usize]));
+        }
 
-    /// The forces written by the last [`ForceWorkspace::compute_corrector`].
-    pub(crate) fn corrector_forces(&self) -> &[Vec2] {
-        &self.forces2
+        // Each chunk sweeps a fixed span of cells into its own accumulator;
+        // the partition depends only on the grid shape.
+        let ncells = grid.cells();
+        let (nx, ny) = grid.shape();
+        let r2 = cutoff * cutoff;
+        let nchunks = chunks.len();
+        for (c, chunk) in chunks.iter_mut().enumerate() {
+            chunk.prepare(n);
+            let clo = c * ncells / nchunks;
+            let chi = (c + 1) * ncells / nchunks;
+            sweep_span(
+                grid,
+                clo,
+                chi,
+                nx,
+                ny,
+                sorted_x,
+                sorted_y,
+                sorted_types,
+                r2,
+                law,
+                chunk,
+            );
+        }
+
+        // Ordered reduction: per particle, chunk 0 + chunk 1 + … Only each
+        // chunk's touched cell-order span carries non-zero entries;
+        // entries outside it are exactly +0.0, whose addition the scalar
+        // reduce performed as a bitwise no-op (no accumulator here is ever
+        // −0.0), so skipping them leaves every output bit unchanged. The
+        // chunk spans tile the cell range, so every cell-order index is
+        // covered and the first chunk to touch an index *assigns* (`v` is
+        // bitwise `0.0 + v` because, again, no accumulator is ever −0.0) —
+        // `out` needs no zeroing pass.
+        let mut covered = 0usize;
+        for chunk in chunks.iter_mut() {
+            let (lo, hi) = (chunk.lo, chunk.hi);
+            // Split at the already-covered boundary so neither loop carries
+            // a per-element branch: below it this chunk overlaps its
+            // predecessors (+=), above it it is the first writer (=).
+            let mid = hi.min(covered.max(lo));
+            for (&p, &a) in order[lo..mid].iter().zip(&chunk.acc[lo..mid]) {
+                out[p as usize] += a;
+            }
+            for (&p, &a) in order[mid..hi].iter().zip(&chunk.acc[mid..hi]) {
+                out[p as usize] = a;
+            }
+            // Restore the all-zero invariant for the next call while the
+            // span is still cache-hot.
+            chunk.acc[lo..hi].fill(Vec2::ZERO);
+            chunk.lo = 0;
+            chunk.hi = 0;
+            covered = covered.max(hi);
+        }
     }
 
     /// Capacities of every internal buffer. A warmed-up workspace driving
@@ -388,122 +378,12 @@ impl ForceWorkspace {
             self.sorted_y.capacity(),
             self.sorted_types.capacity(),
             self.forces.capacity(),
-            self.forces2.capacity(),
-            self.predicted.capacity(),
         ];
         for chunk in &self.chunks {
             chunk.capacity_signature(&mut sig);
         }
         sig.extend(self.grid.capacity_signature());
         sig
-    }
-}
-
-/// The engine core, taking split borrows so callers can route any
-/// workspace buffer (primary, corrector) as the output.
-#[allow(clippy::too_many_arguments)]
-fn compute_into(
-    model: &Model,
-    positions: &[Vec2],
-    grid: &mut CellGrid,
-    sorted_x: &mut Vec<f64>,
-    sorted_y: &mut Vec<f64>,
-    sorted_types: &mut Vec<u16>,
-    chunks: &mut [ForceChunk],
-    threads: usize,
-    out: &mut Vec<Vec2>,
-) {
-    let n = positions.len();
-    assert_eq!(n, model.particles(), "net_forces: position count mismatch");
-    let cutoff = model.cutoff();
-    let law = model.law();
-    if !cutoff.is_finite() || n < crate::model::GRID_THRESHOLD {
-        out.clear();
-        out.resize(n, Vec2::ZERO);
-        let r2 = if cutoff.is_finite() {
-            cutoff * cutoff
-        } else {
-            f64::INFINITY
-        };
-        // Monomorphize the direct loop per law family so the per-pair
-        // scaling call inlines without the enum match.
-        match law {
-            ForceModel::Linear(l) => direct_sweep(l, model.types(), positions, r2, out),
-            ForceModel::Gaussian(g) => direct_sweep(g, model.types(), positions, r2, out),
-            ForceModel::Custom(c) => direct_sweep(c.as_ref(), model.types(), positions, r2, out),
-        }
-        return;
-    }
-    // The chunk reduce assigns on first touch (see below), so `out` only
-    // needs its length fixed — stale contents are fully overwritten.
-    if out.len() != n {
-        out.clear();
-        out.resize(n, Vec2::ZERO);
-    }
-
-    // Grid path: rebuild in place with the SoA coordinate lanes gathered
-    // by the same counting-sort scatter pass, then half sweep the lanes.
-    grid.rebuild_lanes(positions, cutoff, sorted_x, sorted_y);
-    let order = grid.order();
-    let types = model.types();
-    sorted_types.clear();
-    // A type-blind law never reads the type lane (`scale_lanes` hoists
-    // the two parameters), so skip the gather entirely.
-    let type_blind = matches!(law, ForceModel::Linear(l) if l.k.types() == 1);
-    if !type_blind {
-        sorted_types.extend(order.iter().map(|&i| types[i as usize]));
-    }
-    for chunk in chunks.iter_mut() {
-        chunk.prepare(n);
-    }
-
-    let ncells = grid.cells();
-    let (nx, ny) = grid.shape();
-    let r2 = cutoff * cutoff;
-    let nchunks = chunks.len();
-    let grid = &*grid;
-    let xs = &sorted_x[..];
-    let ys = &sorted_y[..];
-    let ts = &sorted_types[..];
-
-    // Each chunk sweeps a fixed span of cells into its own accumulator;
-    // the partition depends only on the grid shape, never on `threads`.
-    sops_par::parallel_chunks_mut(chunks, nchunks, threads, |c, bufs| {
-        let chunk = &mut bufs[0];
-        let clo = c * ncells / nchunks;
-        let chi = (c + 1) * ncells / nchunks;
-        sweep_span(grid, clo, chi, nx, ny, xs, ys, ts, r2, law, chunk);
-    });
-
-    // Ordered reduction: per particle, chunk 0 + chunk 1 + … — the same
-    // floating-point order for every thread count. Only each chunk's
-    // touched cell-order span carries non-zero entries; entries outside
-    // it are exactly +0.0, whose addition the scalar reduce performed as
-    // a bitwise no-op (no accumulator here is ever −0.0), so skipping
-    // them leaves every output bit unchanged. The chunk spans tile the
-    // cell range, so every cell-order index is covered and the first
-    // chunk to touch an index *assigns* (`v` is bitwise `0.0 + v`
-    // because, again, no accumulator is ever −0.0) — `out` needs no
-    // zeroing pass.
-    let mut covered = 0usize;
-    for chunk in chunks.iter_mut() {
-        let (lo, hi) = (chunk.lo, chunk.hi);
-        // Split at the already-covered boundary so neither loop carries a
-        // per-element branch: below it this chunk overlaps its
-        // predecessors (+=), above it it is the first writer (=).
-        let mid = hi.min(covered.max(lo));
-        for (&p, &a) in order[lo..mid].iter().zip(&chunk.acc[lo..mid]) {
-            out[p as usize] += a;
-        }
-        for (&p, &a) in order[mid..hi].iter().zip(&chunk.acc[mid..hi]) {
-            out[p as usize] = a;
-        }
-        // Restore the all-zero invariant for the next call while the
-        // span is still cache-hot.
-        chunk.acc[lo..hi].fill(Vec2::ZERO);
-        chunk.lo = 0;
-        chunk.hi = 0;
-        covered = covered.max(hi);
     }
 }
 

@@ -32,7 +32,6 @@ fn main() {
             substeps: 2,
             noise_variance: 0.0025,
             max_step: 0.5,
-            ..IntegratorConfig::default()
         },
         3.0,
         7,
@@ -69,7 +68,6 @@ fn main() {
             substeps: 2,
             noise_variance: 0.0025,
             max_step: 0.5,
-            ..IntegratorConfig::default()
         },
         init_radius: 3.0,
         t_max: 100,

@@ -53,7 +53,6 @@ fn main() {
             substeps: 4,
             noise_variance: 0.0025,
             max_step: 0.25,
-            ..IntegratorConfig::default()
         },
         init_radius: 2.5,
         t_max: 120,

@@ -24,7 +24,6 @@ fn measure(types: usize, cutoff: f64, seed: u64) -> f64 {
             substeps: 2,
             noise_variance: 0.0025,
             max_step: 0.5,
-            ..IntegratorConfig::default()
         },
         init_radius: 5.0,
         t_max: 80,

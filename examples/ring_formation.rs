@@ -23,7 +23,6 @@ fn main() {
         substeps: 2,
         noise_variance: 0.0025,
         max_step: 0.5,
-        ..IntegratorConfig::default()
     };
 
     // Watch one run form its rings.

@@ -54,7 +54,6 @@ fn claim_single_type_f2_grid_organizes_weakly() {
             substeps: 2,
             noise_variance: 0.0025,
             max_step: 0.5,
-            ..IntegratorConfig::default()
         },
         init_radius: 3.0,
         t_max: 60,
