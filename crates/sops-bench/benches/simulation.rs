@@ -7,6 +7,7 @@ use sops_core::{
     checkpoint, scenario, CellCache, EnsembleStorage, SweepBroker, SweepPlan, SweepRunner,
 };
 use sops_info::MeasureConfig;
+use sops_math::rng::derive_seed;
 use sops_math::{PairMatrix, Vec2};
 use sops_sim::ensemble::EnsembleSpec;
 use sops_sim::force::{ForceModel, GaussianForce, LinearForce};
@@ -213,6 +214,48 @@ fn bench_ensemble_throughput(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_lockstep(c: &mut Criterion) {
+    // Both sides of the lockstep sample lanes, on one thread at full
+    // scale: `lanes` runs `run_streaming_ensemble`, which steps these F¹
+    // direct-loop ensembles eight samples per lane group; `per_sample`
+    // steps the same samples one at a time through `Simulation::step`,
+    // the loop every other ensemble takes. Both keep no frames but the
+    // last, and the results are the same bits.
+    let mut group = c.benchmark_group("lockstep");
+    group.sample_size(10);
+    for sc in [scenario::cell_sorting(), scenario::ring_formation()] {
+        let spec = sc.ensemble;
+        let last = [spec.t_max];
+        let cfg = StreamingConfig::default();
+        group.bench_with_input(BenchmarkId::new(&sc.name, "lanes"), &spec, |b, spec| {
+            b.iter(|| run_streaming_ensemble(black_box(spec), &last, 1, &cfg))
+        });
+        group.bench_with_input(
+            BenchmarkId::new(&sc.name, "per_sample"),
+            &spec,
+            |b, spec| {
+                b.iter(|| {
+                    (0..spec.samples)
+                        .map(|s| {
+                            let mut sim = Simulation::with_disc_init(
+                                spec.model.clone(),
+                                spec.integrator,
+                                spec.init_radius,
+                                derive_seed(spec.seed, s as u64),
+                            );
+                            for _ in 0..spec.t_max {
+                                sim.step();
+                            }
+                            sim.positions()[0].x
+                        })
+                        .sum::<f64>()
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
 fn bench_ensemble_scale(c: &mut Criterion) {
     // What the streaming layer buys at the gallery's XL tier: one full
     // sweep cell (simulate + reduce + measure) at 10⁵ particles, keeping
@@ -368,6 +411,7 @@ criterion_group!(
     bench_force_families,
     bench_substeps_ablation,
     bench_ensemble_throughput,
+    bench_lockstep,
     bench_ensemble_scale,
     bench_sweep_cache
 );

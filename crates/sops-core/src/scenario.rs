@@ -1376,6 +1376,33 @@ mod tests {
     }
 
     #[test]
+    fn infinite_noise_variance_is_an_invalid_plan() {
+        let mut bad = small_scenario("a", 1);
+        bad.ensemble.integrator.noise_variance = f64::INFINITY;
+        let err = SweepPlan::new(vec![bad], vec![MeasureConfig::Gaussian])
+            .validate()
+            .unwrap_err();
+        assert!(matches!(&err, SweepError::InvalidPlan(r)
+            if r.contains("scenario 'a'") && r.contains("noise variance must be finite")));
+        // An infinite drift cap means "never clamp" and stays legal.
+        let mut unclamped = small_scenario("a", 1);
+        unclamped.ensemble.integrator.max_step = f64::INFINITY;
+        let plan = SweepPlan::new(vec![unclamped], vec![MeasureConfig::Gaussian]);
+        assert!(plan.validate().is_ok());
+    }
+
+    #[test]
+    fn infinite_init_radius_is_an_invalid_plan() {
+        let mut bad = small_scenario("a", 1);
+        bad.ensemble.init_radius = f64::INFINITY;
+        let err = SweepPlan::new(vec![bad], vec![MeasureConfig::Gaussian])
+            .validate()
+            .unwrap_err();
+        assert!(matches!(&err, SweepError::InvalidPlan(r)
+            if r.contains("scenario 'a'") && r.contains("init radius")));
+    }
+
+    #[test]
     fn plan_counts_and_validation() {
         let plan = SweepPlan::new(
             vec![small_scenario("a", 1), small_scenario("b", 2)],

@@ -138,10 +138,11 @@ fn fig12_smoke() {
 #[test]
 fn figure_output_is_independent_of_thread_count() {
     // The determinism contract at figure level: every ΔI figure runs its
-    // cells through the sweep engine (fig 10 shares fig 9's
-    // `sweep_curve`), fig 11 through the decomposition pass, figs 6 and
-    // 7 read streamed frames, and fig 3 its panels side by side; none
-    // may let the worker count into a single bit of its output.
+    // cells through the sweep engine (figs 9 and 10 share `sweep_curve`,
+    // whose F¹ ensembles step their samples in lockstep lanes), fig 11
+    // through the decomposition pass, figs 6 and 7 read streamed frames,
+    // and fig 3 its panels side by side; none may let the worker count
+    // into a single bit of its output.
     let at = |threads| -> Vec<String> {
         let opts = RunOptions {
             threads,
@@ -155,12 +156,13 @@ fn figure_output_is_independent_of_thread_count() {
             format!("{:?}", figures::fig7::run(&opts)),
             format!("{:?}", figures::fig8::run(&opts)),
             format!("{:?}", figures::fig9::run(&opts)),
+            format!("{:?}", figures::fig10::run(&opts)),
             format!("{:?}", figures::fig11::run(&opts)),
         ]
     };
     let (one, three) = (at(1), at(3));
     for (fig, (a, b)) in [
-        "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig11",
+        "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
     ]
     .iter()
     .zip(one.iter().zip(&three))

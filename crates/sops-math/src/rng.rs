@@ -6,10 +6,10 @@
 //! with SplitMix64, rather than drawn from a shared stream.
 //!
 //! SplitMix64 is also a perfectly serviceable stand-alone PRNG for
-//! non-cryptographic simulation use (it passes BigCrush); the simulator
-//! crate layers Gaussian sampling on top of the `rand` crate but uses this
-//! module for seeding and for places where a zero-dependency generator is
-//! convenient.
+//! non-cryptographic simulation use (it passes BigCrush), and it is the
+//! only generator in the workspace: the simulator draws its initial discs
+//! from it and its noise from [`SplitMix64::next_standard_normal`]
+//! (Box–Muller), one generator per sample.
 
 /// SplitMix64 PRNG / seed mixer (Steele, Lea & Flood 2014).
 #[derive(Debug, Clone)]

@@ -20,7 +20,7 @@ pub struct EnsembleSpec {
     pub model: Model,
     /// Integration parameters.
     pub integrator: IntegratorConfig,
-    /// Radius of the uniform-disc initial distribution.
+    /// Radius of the uniform-disc initial distribution (finite, positive).
     pub init_radius: f64,
     /// Number of recorded steps per run (`t_max`; paper: 100–250).
     pub t_max: usize,
@@ -39,7 +39,7 @@ impl EnsembleSpec {
     /// front instead of quarantining the panic per ensemble.
     pub fn check(&self) -> Result<(), String> {
         self.integrator.check()?;
-        if self.init_radius.is_nan() || self.init_radius <= 0.0 {
+        if !(self.init_radius > 0.0 && self.init_radius.is_finite()) {
             return Err("EnsembleSpec: init radius".into());
         }
         if self.t_max == 0 {
@@ -107,12 +107,21 @@ mod tests {
         assert_eq!(at_time(&e, 15)[3].len(), 6);
     }
 
+    /// Bits of every coordinate of a cross-sample slice.
+    fn bits(slice: &[Vec<Vec2>]) -> Vec<u64> {
+        slice
+            .iter()
+            .flatten()
+            .flat_map(|p| [p.x.to_bits(), p.y.to_bits()])
+            .collect()
+    }
+
     #[test]
     fn thread_count_does_not_change_results() {
         let a = run_every_step(&spec(8, 10), 1);
         let b = run_every_step(&spec(8, 10), 8);
         for t in 0..=10 {
-            assert_eq!(at_time(&a, t), at_time(&b, t), "t={t}");
+            assert_eq!(bits(&at_time(&a, t)), bits(&at_time(&b, t)), "t={t}");
         }
     }
 
@@ -151,6 +160,36 @@ mod tests {
             steps.iter().all(Option::is_some),
             "deterministic attracting collectives equilibrate: {steps:?}"
         );
+    }
+
+    #[test]
+    fn check_rejects_a_non_finite_noise_variance() {
+        for variance in [f64::INFINITY, f64::NAN, -1.0] {
+            let mut s = spec(4, 5);
+            s.integrator.noise_variance = variance;
+            assert_eq!(
+                s.check(),
+                Err("noise variance must be finite and non-negative".to_string()),
+                "noise variance {variance}"
+            );
+        }
+        // An infinite drift cap means "never clamp" and stays legal.
+        let mut s = spec(4, 5);
+        s.integrator.max_step = f64::INFINITY;
+        assert_eq!(s.check(), Ok(()));
+    }
+
+    #[test]
+    fn check_rejects_a_non_finite_init_radius() {
+        for radius in [f64::INFINITY, f64::NAN, 0.0, -2.0] {
+            let mut s = spec(4, 5);
+            s.init_radius = radius;
+            assert_eq!(
+                s.check(),
+                Err("EnsembleSpec: init radius".to_string()),
+                "radius {radius}"
+            );
+        }
     }
 
     #[test]

@@ -23,9 +23,10 @@ pub struct IntegratorConfig {
     pub dt: f64,
     /// Internal substeps per recorded step.
     pub substeps: usize,
-    /// Noise variance per unit time; the paper uses 0.05.
+    /// Noise variance per unit time; the paper uses 0.05. Must be finite.
     pub noise_variance: f64,
-    /// Per-substep cap on the *drift* displacement norm of any particle.
+    /// Per-substep cap on the *drift* displacement norm of any particle;
+    /// `f64::INFINITY` never clamps.
     pub max_step: f64,
 }
 
@@ -52,8 +53,8 @@ impl IntegratorConfig {
         if self.substeps == 0 {
             return Err("substeps must be >= 1".into());
         }
-        if self.noise_variance.is_nan() || self.noise_variance < 0.0 {
-            return Err("noise variance must be non-negative".into());
+        if !(self.noise_variance >= 0.0 && self.noise_variance.is_finite()) {
+            return Err("noise variance must be finite and non-negative".into());
         }
         if self.max_step.is_nan() || self.max_step <= 0.0 {
             return Err("max_step must be positive".into());
@@ -98,11 +99,27 @@ pub(crate) fn step(
             first_force_norm = ws.forces().iter().map(|f| f.norm()).sum();
         }
         for (z, f) in positions.iter_mut().zip(ws.forces()) {
-            let drift = (*f * h).clamp_norm(cfg.max_step);
-            *z += drift + sample_noise(noise_scale, rng);
+            advance_particle(z, *f, h, cfg.max_step, noise_scale, rng);
         }
     }
     first_force_norm
+}
+
+/// One particle's Euler–Maruyama substep: `z ← z + (clamp(f·h) + noise)`,
+/// the noise drawn x then y from `rng` (nothing drawn when `noise_scale`
+/// is zero). The lockstep lanes call this per lane, so both paths run
+/// the same operations.
+#[inline]
+pub(crate) fn advance_particle(
+    z: &mut Vec2,
+    f: Vec2,
+    h: f64,
+    max_step: f64,
+    noise_scale: f64,
+    rng: &mut SplitMix64,
+) {
+    let drift = (f * h).clamp_norm(max_step);
+    *z += drift + sample_noise(noise_scale, rng);
 }
 
 #[inline]

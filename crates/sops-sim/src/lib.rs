@@ -35,12 +35,16 @@
 //!   the `m` runs in parallel (bit-reproducible regardless of thread
 //!   count), keeping only the frames a caller names (optionally spilled
 //!   to disk), bit-identical to each run's [`Simulation::run`] trajectory
-//!   at those times. Every ensemble reader in `sops-core` reads these.
+//!   at those times. `F¹` ensembles on the direct pair loop step up to
+//!   eight samples in lockstep, one AVX-512 lane per sample, repeating
+//!   each sample's scalar operations exactly. Every ensemble reader in
+//!   `sops-core` reads these.
 
 pub mod ensemble;
 pub mod force;
 mod init;
 mod integrator;
+mod lockstep;
 mod model;
 mod sim;
 pub mod streaming;

@@ -44,7 +44,9 @@ impl Model {
     /// law's `l` types (types assigned round-robin: 0, 1, …, l−1, 0, …).
     pub fn balanced(n: usize, law: ForceModel, cutoff: f64) -> Self {
         let l = law.types();
-        let types = (0..n).map(|i| (i % l) as u16).collect();
+        // Cycling `0..l` assigns `i % l` without a division per particle;
+        // at 10⁵ particles the division loop was most of building a model.
+        let types = (0..l).cycle().take(n).map(|t| t as u16).collect();
         Model::new(types, law, cutoff)
     }
 
@@ -77,6 +79,24 @@ impl Model {
     /// Interaction cut-off radius `r_c` (possibly infinite).
     pub fn cutoff(&self) -> f64 {
         self.cutoff
+    }
+
+    /// Whether forces take the direct `O(n²)` pair loop rather than the
+    /// cell grid: an unbounded cut-off, or fewer than `GRID_THRESHOLD`
+    /// particles. The force workspace and the lockstep sample lanes both
+    /// branch on this one predicate.
+    pub(crate) fn direct_pairs(&self) -> bool {
+        !self.cutoff.is_finite() || self.particles() < GRID_THRESHOLD
+    }
+
+    /// The squared cut-off the direct pair loop compares `d²` against:
+    /// `+∞` for an unbounded cut-off.
+    pub(crate) fn cutoff_sq(&self) -> f64 {
+        if self.cutoff.is_finite() {
+            self.cutoff * self.cutoff
+        } else {
+            f64::INFINITY
+        }
     }
 
     /// Number of particles of each type, indexed by type id.

@@ -244,8 +244,15 @@ mod tests {
         };
         let a = make();
         let b = make();
+        let bits = |frame: &[Vec2]| -> Vec<u64> {
+            frame
+                .iter()
+                .flat_map(|p| [p.x.to_bits(), p.y.to_bits()])
+                .collect()
+        };
+        assert_eq!(a.frames.len(), b.frames.len());
         for (fa, fb) in a.frames.iter().zip(&b.frames) {
-            assert_eq!(fa, fb);
+            assert_eq!(bits(fa), bits(fb));
         }
     }
 

@@ -7,20 +7,24 @@
 //! scheduled steps.
 //!
 //! [`run_streaming_ensemble`] — the crate's one ensemble runner — runs
-//! each sample forward with the *exact* stepping loop of
+//! each sample forward with the *exact* operations of
 //! [`crate::Simulation::run`] (same seed derivation, same RNG draw order,
 //! same equilibrium bookkeeping) but copies out only the frames named by
 //! the caller's retained-time list — a sweep's evaluation schedule, the
 //! few steps a figure plots, or the two steps a transfer-entropy estimate
-//! reads. The result is **bit-identical** to running
-//! [`crate::Simulation::run`] per sample (seed `derive_seed(seed, s)`) and
-//! slicing its trajectories at the same times, for any worker count, with
-//! peak memory `O(m · k · n)` instead of `O(m · t_max · n)`.
+//! reads. Workers take the samples in consecutive groups: `F¹` ensembles
+//! on the direct pair loop step up to eight samples in lockstep, one
+//! AVX-512 lane each (the crate-private `lockstep` module), and every
+//! other ensemble steps one sample at a time. The result is
+//! **bit-identical** to running [`crate::Simulation::run`] per sample
+//! (seed `derive_seed(seed, s)`) and slicing its trajectories at the same
+//! times, for any worker count and either path, with peak memory
+//! `O(m · k · n)` instead of `O(m · t_max · n)`.
 //!
 //! When even the retained frames exceed a configured resident budget
 //! ([`StreamingConfig::max_resident_bytes`]), the store spills to an
 //! anonymous temporary file: each worker writes its
-//! sample's frames at fixed offsets as they are produced, and the
+//! samples' frames at fixed offsets as they are produced, and the
 //! evaluation pass reads one cross-sample time slice at a time into a
 //! reused buffer. Spilled round trips are raw `f64` bytes ([`Vec2`] is
 //! `repr(C)`), so they are bit-exact by construction.
@@ -30,6 +34,7 @@
 //! form `sops-core` reads.
 
 use crate::ensemble::EnsembleSpec;
+use crate::lockstep;
 use crate::sim::{EquilibriumWatch, Simulation};
 use sops_math::rng::derive_seed;
 use sops_math::Vec2;
@@ -314,16 +319,22 @@ fn stream_one(
 /// default; see `sops_par::default_threads`): every sample is stepped
 /// through the full horizon but only the frames at `times` are kept — in
 /// memory while they fit `cfg.max_resident_bytes`, spilled to an
-/// unlinked temp file otherwise. Each sample's [`Simulation`] owns a
-/// private force workspace, allocated once per run; its inner force
-/// sweep stays sequential because the sample-level parallelism already
-/// saturates the cores.
+/// unlinked temp file otherwise.
+///
+/// Workers take the samples in consecutive groups. An `F¹` model on the
+/// direct pair loop with at least four samples per worker is split into
+/// `max(⌈samples/8⌉, workers)` groups as even as possible, and each group
+/// steps its samples in lockstep, one AVX-512 lane per sample (a
+/// portable lane loop without AVX-512). Every other ensemble runs one
+/// sample at a time, each with a private force workspace. The workers
+/// share out whole groups; no pair sweep is split between them.
 ///
 /// Bit-identity contract: for any worker count, the retained frames and
 /// the equilibrium steps equal those of sample `s`'s
 /// [`crate::Simulation::run`] — `Simulation::with_disc_init(model,
 /// integrator, init_radius, derive_seed(seed, s)).run(t_max, criterion)`
-/// — at the same times.
+/// — at the same times. The lockstep lanes repeat each sample's scalar
+/// operations exactly, so which path runs changes no bit.
 pub fn run_streaming_ensemble(
     spec: &EnsembleSpec,
     times: &[usize],
@@ -339,41 +350,59 @@ pub fn run_streaming_ensemble(
     };
     let n = spec.model.particles();
     let k = times.len();
+    let lanes = lockstep::applies(spec, threads);
+    let groups: Vec<(usize, usize)> = if lanes {
+        lockstep::groups(spec.samples, threads)
+    } else {
+        (0..spec.samples).map(|s| (s, 1)).collect()
+    };
+    // Steps group `g`, handing each retained frame to
+    // `sink(sample, frame_index, positions)`; returns the group's
+    // equilibrium steps in sample order.
+    let run_group = |g: usize, sink: &mut dyn FnMut(usize, usize, &[Vec2])| {
+        let (first, len) = groups[g];
+        if lanes {
+            lockstep::stream_group(spec, first, len, &times, |lane, fi, frame| {
+                sink(first + lane, fi, frame)
+            })
+        } else {
+            vec![stream_one(spec, first, &times, |fi, frame| {
+                sink(first, fi, frame)
+            })]
+        }
+    };
     let resident = spec.samples * k * n * VEC2_BYTES;
     let spill = cfg!(unix) && resident > cfg.max_resident_bytes;
-    if spill {
+    let (equilibrium_steps, store) = if spill {
         let store = SpillStore::create(spec.samples, k, n);
-        let equilibrium_steps = sops_par::parallel_map(spec.samples, threads, |s| {
-            stream_one(spec, s, &times, |fi, frame| store.write_frame(s, fi, frame))
+        let steps = sops_par::parallel_map(groups.len(), threads, |g| {
+            run_group(g, &mut |s, fi, frame| store.write_frame(s, fi, frame))
         });
-        StreamingEnsemble {
-            times,
-            samples: spec.samples,
-            particles: n,
-            equilibrium_steps,
-            store: FrameStore::Spill(store),
-        }
+        (steps.concat(), FrameStore::Spill(store))
     } else {
-        let per_sample = sops_par::parallel_map(spec.samples, threads, |s| {
-            let mut frames: Vec<Vec2> = Vec::with_capacity(k * n);
-            let eq = stream_one(spec, s, &times, |_fi, frame| {
-                frames.extend_from_slice(frame);
+        let per_group = sops_par::parallel_map(groups.len(), threads, |g| {
+            let (first, len) = groups[g];
+            let mut frames = vec![Vec2::ZERO; len * k * n];
+            let steps = run_group(g, &mut |s, fi, frame| {
+                let at = ((s - first) * k + fi) * n;
+                frames[at..at + n].copy_from_slice(frame);
             });
-            (frames, eq)
+            (frames, steps)
         });
         let mut data = Vec::with_capacity(spec.samples * k * n);
         let mut equilibrium_steps = Vec::with_capacity(spec.samples);
-        for (frames, eq) in per_sample {
+        for (frames, steps) in per_group {
             data.extend_from_slice(&frames);
-            equilibrium_steps.push(eq);
+            equilibrium_steps.extend(steps);
         }
-        StreamingEnsemble {
-            times,
-            samples: spec.samples,
-            particles: n,
-            equilibrium_steps,
-            store: FrameStore::Memory(data),
-        }
+        (equilibrium_steps, FrameStore::Memory(data))
+    };
+    StreamingEnsemble {
+        times,
+        samples: spec.samples,
+        particles: n,
+        equilibrium_steps,
+        store,
     }
 }
 
@@ -492,6 +521,13 @@ mod tests {
             .collect()
     }
 
+    /// Bits of every coordinate of a configuration.
+    fn bits(c: &[Vec2]) -> Vec<u64> {
+        c.iter()
+            .flat_map(|p| [p.x.to_bits(), p.y.to_bits()])
+            .collect()
+    }
+
     fn assert_matches_retained(spec: &EnsembleSpec, times: &[usize], cfg: &StreamingConfig) {
         let retained = whole_runs(spec);
         let retained_steps: Vec<Option<usize>> =
@@ -507,7 +543,7 @@ mod tests {
                 frames.at_time_into(t, &mut buf, &mut out);
                 assert_eq!(out.len(), retained.len());
                 for (a, run) in out.iter().zip(&retained) {
-                    assert_eq!(*a, run.frames[t].as_slice(), "t={t}, threads={threads}");
+                    assert_eq!(bits(a), bits(&run.frames[t]), "t={t}, threads={threads}");
                 }
             }
             assert_eq!(streamed.equilibrium_steps, retained_steps);
@@ -612,7 +648,7 @@ mod tests {
             EnsembleFrames::Streaming(&e).at_time_into(6, &mut buf, &mut out);
             assert_eq!(out.len(), 3);
             for (a, run) in out.iter().zip(&reference) {
-                assert_eq!(*a, run.frames[6].as_slice(), "budget {budget}");
+                assert_eq!(bits(a), bits(&run.frames[6]), "budget {budget}");
             }
         }
     }

@@ -263,14 +263,10 @@ impl ForceWorkspace {
         assert_eq!(n, model.particles(), "net_forces: position count mismatch");
         let cutoff = model.cutoff();
         let law = model.law();
-        if !cutoff.is_finite() || n < crate::model::GRID_THRESHOLD {
+        if model.direct_pairs() {
             out.clear();
             out.resize(n, Vec2::ZERO);
-            let r2 = if cutoff.is_finite() {
-                cutoff * cutoff
-            } else {
-                f64::INFINITY
-            };
+            let r2 = model.cutoff_sq();
             // Monomorphize the direct loop per law family so the per-pair
             // scaling call inlines without the enum match.
             match law {
@@ -391,7 +387,7 @@ impl ForceWorkspace {
 /// monomorphized over the law family. `fi` keeps particle `i`'s row
 /// accumulation in a register — the same additions in the same order as
 /// `out[i] -= …` per pair, without the store-to-load chain.
-fn direct_sweep<L: ForceLaw + ?Sized>(
+pub(crate) fn direct_sweep<L: ForceLaw + ?Sized>(
     law: &L,
     types: &[u16],
     positions: &[Vec2],

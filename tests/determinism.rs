@@ -94,8 +94,9 @@ fn different_seeds_give_different_but_similar_results() {
 }
 
 /// `spec(seed)` streamed at every step on `threads` workers, read back
-/// as one owned cross-sample slice per step.
-fn every_step(seed: u64, threads: usize) -> Vec<Vec<Vec<Vec2>>> {
+/// as the bits of every coordinate of each sample, one slice per step —
+/// `Vec2` equality would let a `−0.0`/`+0.0` swap pass.
+fn every_step(seed: u64, threads: usize) -> Vec<Vec<Vec<u64>>> {
     let spec = spec(seed);
     let steps: Vec<usize> = (0..=spec.t_max).collect();
     let ensemble = run_streaming_ensemble(&spec, &steps, threads, &StreamingConfig::default());
@@ -105,7 +106,14 @@ fn every_step(seed: u64, threads: usize) -> Vec<Vec<Vec<Vec2>>> {
         .map(|&t| {
             let (mut stage, mut slice) = (Vec::new(), Vec::new());
             frames.at_time_into(t, &mut stage, &mut slice);
-            slice.iter().map(|c| c.to_vec()).collect()
+            slice
+                .iter()
+                .map(|c| {
+                    c.iter()
+                        .flat_map(|p| [p.x.to_bits(), p.y.to_bits()])
+                        .collect()
+                })
+                .collect()
         })
         .collect()
 }
@@ -114,6 +122,7 @@ fn every_step(seed: u64, threads: usize) -> Vec<Vec<Vec<Vec2>>> {
 fn ensembles_reproducible_across_thread_counts() {
     let e1 = every_step(55, 1);
     let e8 = every_step(55, 8);
+    assert_eq!(e1.len(), e8.len());
     for (t, (a, b)) in e1.iter().zip(&e8).enumerate() {
         assert_eq!(a, b, "trajectories must be identical at step {t}");
     }
@@ -126,6 +135,7 @@ fn environment_thread_override_is_respected() {
     let a = every_step(3, 0);
     std::env::remove_var("SOPS_THREADS");
     let b = every_step(3, 4);
+    assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x, y);
     }
