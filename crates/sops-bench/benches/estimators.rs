@@ -135,6 +135,31 @@ fn bench_workspace_reuse(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_ksg_blocks2d(c: &mut Criterion) {
+    // The traffic's shape: per-particle observers, one two-dimensional
+    // block per particle, so every Eq. 20 count runs on a vector block
+    // (the scalar `fixture` never reaches that path). A warm workspace
+    // and one worker, as a sweep's evaluation worker runs it: 120 samples
+    // of 40 particles (`cell_sorting`), 150 of 20 (`ring_formation`), and
+    // 500 of 20.
+    let mut group = c.benchmark_group("ksg_blocks2d");
+    group.sample_size(10);
+    let cfg = MeasureConfig::Ksg(KsgConfig {
+        threads: 1,
+        ..KsgConfig::default()
+    });
+    let mut ws = MeasureWorkspace::new();
+    for &(m, n) in &[(120usize, 40usize), (150, 20), (500, 20)] {
+        let data = sample_gaussian(&equicorrelated_cov(2 * n, 0.4), m, 99);
+        let sizes = vec![2usize; n];
+        let view = SampleView::new(&data, m, &sizes);
+        group.bench_function(format!("m{m}_n{n}"), |b| {
+            b.iter(|| ws.estimator_mut(&cfg).measure(black_box(&view)))
+        });
+    }
+    group.finish();
+}
+
 fn bench_ksg_k_sensitivity(c: &mut Criterion) {
     // Ablation: the paper reports insensitivity for k ∈ {2, ..., 10}; the
     // runtime cost of larger k is what this measures.
@@ -365,6 +390,7 @@ criterion_group!(
     bench_ksg_scaling,
     bench_pairwise_matrix,
     bench_workspace_reuse,
+    bench_ksg_blocks2d,
     bench_ksg_k_sensitivity,
     bench_estimator_comparison,
     bench_estimator_matrix,

@@ -138,10 +138,11 @@ fn bench_icp_restarts(c: &mut Criterion) {
 fn bench_reduce(c: &mut Criterion) {
     // Shape reduction (paper §5.2). The ICP kernel at 20 points per type
     // (the builtin scenarios' traffic) and at 128, past the scalar scan's
-    // crossover with a per-type kd-tree near 96 per type (the AVX-512
-    // scan's lies near 768); the same-type matching at the builtins' 20
-    // per type; then the whole single-thread reduction of one real slice:
-    // the final step of a full-scale 120-sample `cell_sorting` ensemble.
+    // break-even with a per-type kd-tree between 64 and 128 per type (the
+    // AVX-512 query lanes' lies between 1,024 and 2,048); the same-type
+    // matching at the builtins' 20 per type; then the whole single-thread
+    // reduction of one real slice: the final step of a full-scale
+    // 120-sample `cell_sorting` ensemble.
     let mut group = c.benchmark_group("reduce");
     group.sample_size(30);
     for &per_type in &[20usize, 128] {

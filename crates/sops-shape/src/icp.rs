@@ -16,25 +16,34 @@
 //!
 //! # Kernel
 //!
-//! The correspondence search is a flat scan over per-type SoA coordinate
-//! lanes: strict `<` in type-local (= ascending global index) order picks
-//! the canonical `(distance, index)` minimum, the same point a
-//! tie-canonical kd-tree returns, and the scanned squared distance is the
-//! pass cost term. On a CPU with AVX-512 ([`sops_math::wide_available`],
-//! probed once per alignment) the scan runs eight points at a time
-//! without the running minimum's data-dependent branch and returns the
-//! same `(index, d²)` bits; the scalar loop is the fallback elsewhere,
-//! and the unit tests run the two side by side.
+//! The correspondence search scans flat per-type SoA coordinate lanes:
+//! each moving point keeps a strict-`<` running minimum from index 0 over
+//! its type's reference points in type-local (= ascending global index)
+//! order, which picks the canonical `(distance, index)` minimum, the same
+//! point a tie-canonical kd-tree returns, and the scanned squared distance
+//! is the pass cost term.
+//!
+//! The vector lanes hold *queries*, not candidates ("query lanes"). On a
+//! CPU with AVX-512 ([`sops_math::wide_available`], probed once per
+//! alignment) a pass takes a type's moving points 32 at a time, in four
+//! interleaved groups of eight lanes, maps them through the pass transform
+//! lane by lane, and broadcasts the type's reference points to them one at
+//! a time. Each lane keeps its own running minimum, so there is no
+//! horizontal reduction, and each lane's `(index, d²)` has the bits of the
+//! scalar loop, which is the fallback on other CPUs and the unit tests'
+//! reference. The pass cost and the fit targets are then folded in global
+//! point order.
 //!
 //! The scan is linear in the type's size where a tree query is
-//! logarithmic. Timed as whole alignments against the per-type kd-tree
-//! kernel on the `reduce` bench fixture (2-vCPU AVX-512 host), the
-//! eight-lane scan wins 3.8× at 20 points per type, 3.7× at 96, 2.8× at
-//! 128 and 2.0× at 256, and breaks even near 768; the scalar scan wins
-//! 2.1× at 20, breaks even near 96 and loses 1.6× at 128. Every shipped
-//! full-mode reduction stays at or below 40 per type — the builtin
-//! scenarios 20, full-scale Fig. 8 40 — and the 10⁵-particle tier
-//! reduces in `Centred` mode without ICP, so the scan is the only path.
+//! logarithmic. Timed as whole alignments against the frozen per-type
+//! kd-tree kernel on the `reduce` bench fixture (2 types, 2-vCPU AVX-512
+//! host), the query lanes win 7.7–8.6× at 20 points per type, 5.1–5.5×
+//! at 128, 2.1–2.2× at 512 and 1.4–1.7× at 1,024, and lose at 2,048
+//! (0.78–0.93×); the scalar scan wins 2.3–2.7× at 20 and 1.2–1.5× at 64
+//! and loses at 128 (0.69–0.78×). Every shipped full-mode reduction stays
+//! at or below 40 per type — the builtin scenarios 20, full-scale Fig. 8
+//! 40 — and the 10⁵-particle tier reduces in `Centred` mode without ICP,
+//! so the scan is the only path.
 //!
 //! A restart also ends at a *fixed point*: once a pass selects the same
 //! correspondences as the pass before, the refit reproduces the current
@@ -45,7 +54,7 @@
 //! (`crates/sops-shape/tests/workspace_shape.rs` pins this against a
 //! frozen copy of it).
 
-use crate::kabsch::{fit_rigid, RigidTransform};
+use crate::kabsch::{fit_rigid_about, rotate, RigidTransform};
 use sops_math::Vec2;
 
 /// ICP parameters.
@@ -82,32 +91,22 @@ pub struct IcpResult {
     pub iterations: usize,
 }
 
-/// The centred reference points of one type as SoA coordinate lanes, in
-/// ascending global-index order.
-#[derive(Debug, Clone, Default)]
-struct TypeLane {
-    x: Vec<f64>,
-    y: Vec<f64>,
+/// One type's points as SoA coordinate lanes, in ascending global-index
+/// order.
+#[derive(Debug, Clone, Copy)]
+struct TypeLane<'a> {
+    x: &'a [f64],
+    y: &'a [f64],
 }
 
-impl TypeLane {
+impl TypeLane<'_> {
     /// Type-local index and squared distance of the point nearest to `p`:
     /// the first minimum in lane order, i.e. the smallest index among
-    /// exact ties, kept by a strict-`<` running minimum. `wide`
-    /// ([`sops_math::wide_available`], probed once per alignment) selects
-    /// the AVX-512 scan, which returns the same bits.
+    /// exact ties, kept by a strict-`<` running minimum.
     #[inline]
-    fn nearest(&self, p: Vec2, wide: bool) -> (usize, f64) {
-        let xs = &self.x[..];
+    fn nearest(self, p: Vec2) -> (usize, f64) {
+        let xs = self.x;
         let ys = &self.y[..xs.len()];
-        #[cfg(target_arch = "x86_64")]
-        if wide {
-            // SAFETY: `wide` certifies the target features, and the lanes
-            // have equal lengths; `nearest` reads point 0 first, so an
-            // empty lane panics as the scalar scan does.
-            return unsafe { x86::nearest(xs, ys, p) };
-        }
-        let _ = wide;
         let dist_sq = |j: usize| {
             let (dx, dy) = (p.x - xs[j], p.y - ys[j]);
             dx * dx + dy * dy
@@ -123,79 +122,187 @@ impl TypeLane {
     }
 }
 
-/// The AVX-512 correspondence scan.
+/// A pass transform `p ↦ R(θ) p + shift`, carrying `θ.sin_cos()` so a
+/// pass computes it once rather than once per point.
+#[derive(Debug, Clone, Copy)]
+struct Pose {
+    sin_cos: (f64, f64),
+    shift: Vec2,
+}
+
+impl Pose {
+    /// [`RigidTransform::apply`]'s operations, so its bits.
+    #[inline]
+    fn apply(self, p: Vec2) -> Vec2 {
+        rotate(p, self.sin_cos) + self.shift
+    }
+}
+
+/// For every query `k`, [`TypeLane::nearest`] of `pose.apply(query k)` in
+/// `lane`, written to `hit_j[k]` and `hit_d[k]`. `wide`
+/// ([`sops_math::wide_available`]) selects the AVX-512 query lanes, which
+/// return the same bits.
+fn nearest_all(
+    lane: TypeLane<'_>,
+    queries: TypeLane<'_>,
+    pose: Pose,
+    wide: bool,
+    hit_j: &mut [u32],
+    hit_d: &mut [f64],
+) {
+    let n = queries.x.len();
+    let queries = TypeLane {
+        x: queries.x,
+        y: &queries.y[..n],
+    };
+    let (hit_j, hit_d) = (&mut hit_j[..n], &mut hit_d[..n]);
+    #[cfg(target_arch = "x86_64")]
+    if wide {
+        // SAFETY: `wide` certifies the target features, and the query and
+        // output slices have been cut to `n` entries; the kernel reads
+        // reference point 0 first, so an empty lane panics as the scalar
+        // scan does.
+        unsafe { x86::nearest_all(lane, queries, pose, hit_j, hit_d) };
+        return;
+    }
+    let _ = wide;
+    for k in 0..n {
+        let (j, d) = lane.nearest(pose.apply(Vec2::new(queries.x[k], queries.y[k])));
+        hit_j[k] = j as u32;
+        hit_d[k] = d;
+    }
+}
+
+/// The AVX-512 query lanes.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    use super::{Pose, TypeLane};
     use core::arch::x86_64::*;
-    use sops_math::Vec2;
 
-    /// [`super::TypeLane::nearest`]'s scalar scan, eight lanes at a time.
-    /// Lane `k` keeps a strict-`<` running minimum of the points
-    /// `j ≡ k (mod 8)` with its index, the last partial block under a
-    /// mask; the answer is the smallest index among the lanes holding the
-    /// overall minimum — the scalar loop's first minimum. `d²` uses
-    /// separate multiplies and an add (never FMA), so every distance has
-    /// the scalar rounding, and it is never `−0`, so lanes that hold the
-    /// minimum hold the same bits. The lanes start at +∞ and skip NaN
-    /// (`<` is false); a NaN at index 0, where the scalar loop starts,
-    /// returns `(0, NaN)` as it does, and a scan with nothing below +∞
-    /// returns index 0.
+    /// [`super::nearest_all`]'s scalar loop, 32 queries per block. A block
+    /// runs only the 8-lane groups it needs, and masks the last one's
+    /// tail.
     ///
     /// # Safety
     ///
-    /// Caller must have verified [`sops_math::wide_available`]; `xs` and
-    /// `ys` have the same length.
+    /// Caller must have verified [`sops_math::wide_available`]; `queries.y`,
+    /// `hit_j` and `hit_d` have `queries.x.len()` entries.
     #[target_feature(enable = "avx512f,avx512vl")]
-    pub(super) unsafe fn nearest(xs: &[f64], ys: &[f64], p: Vec2) -> (usize, f64) {
-        let n = xs.len();
-        let (dx, dy) = (p.x - xs[0], p.y - ys[0]);
-        let first = dx * dx + dy * dy;
-        if first.is_nan() {
-            return (0, first);
-        }
-        let (px, py) = (_mm512_set1_pd(p.x), _mm512_set1_pd(p.y));
-        let mut best = _mm512_set1_pd(f64::INFINITY);
-        let mut best_j = _mm512_setzero_si512();
-        let mut js = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
-        let eight = _mm512_set1_epi64(8);
-        let mut j = 0;
-        while j < n {
-            let live: __mmask8 = if n - j >= 8 {
-                0xff
-            } else {
-                (1u8 << (n - j)) - 1
+    pub(super) unsafe fn nearest_all(
+        lane: TypeLane<'_>,
+        queries: TypeLane<'_>,
+        pose: Pose,
+        hit_j: &mut [u32],
+        hit_d: &mut [f64],
+    ) {
+        let n = queries.x.len();
+        for k in (0..n).step_by(32) {
+            let end = n.min(k + 32);
+            let q = TypeLane {
+                x: &queries.x[k..end],
+                y: &queries.y[k..end],
             };
-            let x = _mm512_maskz_loadu_pd(live, xs.as_ptr().add(j));
-            let y = _mm512_maskz_loadu_pd(live, ys.as_ptr().add(j));
-            let dx = _mm512_sub_pd(px, x);
-            let dy = _mm512_sub_pd(py, y);
-            let d = _mm512_add_pd(_mm512_mul_pd(dx, dx), _mm512_mul_pd(dy, dy));
-            let lower = _mm512_mask_cmp_pd_mask::<_CMP_LT_OQ>(live, d, best);
-            best = _mm512_mask_mov_pd(best, lower, d);
-            best_j = _mm512_mask_mov_epi64(best_j, lower, js);
-            js = _mm512_add_epi64(js, eight);
-            j += 8;
+            let (j, d) = (&mut hit_j[k..end], &mut hit_d[k..end]);
+            match (end - k).div_ceil(8) {
+                1 => block::<1>(lane, q, pose, j, d),
+                2 => block::<2>(lane, q, pose, j, d),
+                3 => block::<3>(lane, q, pose, j, d),
+                _ => block::<4>(lane, q, pose, j, d),
+            }
         }
-        let min = _mm512_reduce_min_pd(best);
-        if min == f64::INFINITY {
-            // Nothing below +∞, so `first` is +∞ and index 0 stands.
-            return (0, first);
+    }
+
+    /// One block of `live = q.x.len()` queries (`8G − 8 < live ≤ 8G`) in
+    /// `G` groups of eight lanes. Each lane maps its query to
+    /// `(c·x − s·y) + tx`, `(s·x + c·y) + ty` and takes `d²` to every
+    /// reference point, all with separate multiplies and adds (never FMA),
+    /// so each value has the scalar rounding. The running minimum starts
+    /// at reference point 0 and moves only on `d² < best` (`_CMP_LT_OQ`,
+    /// false when either side is NaN), the scalar loop's rule: a NaN at
+    /// index 0 keeps index 0, and later NaNs never win.
+    ///
+    /// # Safety
+    ///
+    /// As [`nearest_all`], with `q.y`, `hit_j` and `hit_d` of `live`
+    /// entries.
+    #[target_feature(enable = "avx512f,avx512vl")]
+    unsafe fn block<const G: usize>(
+        lane: TypeLane<'_>,
+        q: TypeLane<'_>,
+        pose: Pose,
+        hit_j: &mut [u32],
+        hit_d: &mut [f64],
+    ) {
+        let (xs, ys) = (lane.x, &lane.y[..lane.x.len()]);
+        let (s, c) = pose.sin_cos;
+        let (s, c) = (_mm512_set1_pd(s), _mm512_set1_pd(c));
+        let (tx, ty) = (_mm512_set1_pd(pose.shift.x), _mm512_set1_pd(pose.shift.y));
+        let mut masks = [0xff as __mmask8; G];
+        masks[G - 1] = (0xffu16 >> (8 * G - q.x.len())) as __mmask8;
+        let mut px = [_mm512_setzero_pd(); G];
+        let mut py = [_mm512_setzero_pd(); G];
+        for g in 0..G {
+            let x = _mm512_maskz_loadu_pd(masks[g], q.x.as_ptr().add(8 * g));
+            let y = _mm512_maskz_loadu_pd(masks[g], q.y.as_ptr().add(8 * g));
+            let rx = _mm512_sub_pd(_mm512_mul_pd(c, x), _mm512_mul_pd(s, y));
+            let ry = _mm512_add_pd(_mm512_mul_pd(s, x), _mm512_mul_pd(c, y));
+            px[g] = _mm512_add_pd(rx, tx);
+            py[g] = _mm512_add_pd(ry, ty);
         }
-        let holders = _mm512_cmp_pd_mask::<_CMP_EQ_OQ>(best, _mm512_set1_pd(min));
-        (_mm512_mask_reduce_min_epi64(holders, best_j) as usize, min)
+        let (x0, y0) = (_mm512_set1_pd(xs[0]), _mm512_set1_pd(ys[0]));
+        let mut best = [_mm512_setzero_pd(); G];
+        for g in 0..G {
+            let dx = _mm512_sub_pd(px[g], x0);
+            let dy = _mm512_sub_pd(py[g], y0);
+            best[g] = _mm512_add_pd(_mm512_mul_pd(dx, dx), _mm512_mul_pd(dy, dy));
+        }
+        let mut best_j = [_mm256_setzero_si256(); G];
+        for j in 1..xs.len() {
+            let (xj, yj) = (_mm512_set1_pd(xs[j]), _mm512_set1_pd(ys[j]));
+            let jv = _mm256_set1_epi32(j as i32);
+            for g in 0..G {
+                let dx = _mm512_sub_pd(px[g], xj);
+                let dy = _mm512_sub_pd(py[g], yj);
+                let d = _mm512_add_pd(_mm512_mul_pd(dx, dx), _mm512_mul_pd(dy, dy));
+                let lower = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(d, best[g]);
+                best[g] = _mm512_mask_mov_pd(best[g], lower, d);
+                best_j[g] = _mm256_mask_mov_epi32(best_j[g], lower, jv);
+            }
+        }
+        for g in 0..G {
+            _mm512_mask_storeu_pd(hit_d.as_mut_ptr().add(8 * g), masks[g], best[g]);
+            let out = hit_j.as_mut_ptr().add(8 * g).cast();
+            _mm256_mask_storeu_epi32(out, masks[g], best_j[g]);
+        }
     }
 }
 
 /// Reusable buffers for [`icp_align_with`]: the centred moving points,
-/// the per-type reference lanes, and the correspondence targets and
-/// indices of the current pass. One alignment runs `restarts × iterations`
+/// both centred configurations regrouped by type as SoA lanes, and the
+/// per-pass correspondences. One alignment runs `restarts × iterations`
 /// correspondence passes over the same lanes — and the reduction loop
 /// runs one alignment per sample per evaluated time step, so the eval
 /// workers hold this scratch in a [`crate::ensemble::ReduceWorkspace`].
 #[derive(Debug, Clone, Default)]
 pub struct IcpScratch {
+    /// Centred moving points in global order (the fit's input).
     mov_c: Vec<Vec2>,
-    lanes: Vec<TypeLane>,
+    /// Centred reference (`ref_*`) and moving (`mov_*`) coordinates
+    /// grouped by type, each type's points in ascending global order;
+    /// type `t` spans `starts[t]..starts[t + 1]` in both.
+    ref_x: Vec<f64>,
+    ref_y: Vec<f64>,
+    mov_x: Vec<f64>,
+    mov_y: Vec<f64>,
+    starts: Vec<usize>,
+    /// `slot[i]`: moving point `i`'s position in the grouped lanes.
+    slot: Vec<u32>,
+    /// Per grouped moving point, the type-local index and squared
+    /// distance of its nearest reference point in the current pass.
+    hit_j: Vec<u32>,
+    hit_d: Vec<f64>,
+    /// Per moving point (global order), the current pass's target and
+    /// type-local match.
     targets: Vec<Vec2>,
     matches: Vec<u32>,
 }
@@ -208,13 +315,91 @@ impl IcpScratch {
 
     /// Capacities of the internal buffers (zero-allocation contract).
     pub(crate) fn capacity_signature(&self, sig: &mut Vec<usize>) {
-        sig.push(self.mov_c.capacity());
-        sig.push(self.targets.capacity());
-        sig.push(self.matches.capacity());
-        sig.push(self.lanes.capacity());
-        for lane in &self.lanes {
-            sig.push(lane.x.capacity());
-            sig.push(lane.y.capacity());
+        sig.extend([
+            self.mov_c.capacity(),
+            self.ref_x.capacity(),
+            self.ref_y.capacity(),
+            self.mov_x.capacity(),
+            self.mov_y.capacity(),
+            self.starts.capacity(),
+            self.slot.capacity(),
+            self.hit_j.capacity(),
+            self.hit_d.capacity(),
+            self.targets.capacity(),
+            self.matches.capacity(),
+        ]);
+    }
+
+    /// Regroups both centred configurations by type (see the fields).
+    fn group(&mut self, reference: &[Vec2], ref_centroid: Vec2, types: &[u16], type_count: usize) {
+        let IcpScratch {
+            mov_c,
+            ref_x,
+            ref_y,
+            mov_x,
+            mov_y,
+            starts,
+            slot,
+            ..
+        } = self;
+        for buf in [&mut *ref_x, ref_y, mov_x, mov_y] {
+            buf.clear();
+        }
+        starts.clear();
+        slot.clear();
+        slot.resize(types.len(), 0);
+        for t in 0..type_count {
+            starts.push(ref_x.len());
+            for (i, &ty) in types.iter().enumerate() {
+                if ty as usize == t {
+                    let p = reference[i] - ref_centroid;
+                    slot[i] = ref_x.len() as u32;
+                    ref_x.push(p.x);
+                    ref_y.push(p.y);
+                    mov_x.push(mov_c[i].x);
+                    mov_y.push(mov_c[i].y);
+                }
+            }
+        }
+        starts.push(ref_x.len());
+    }
+
+    /// One correspondence pass under `pose`: every moving point's nearest
+    /// same-type reference point into `hit_j`/`hit_d`.
+    fn correspond(&mut self, pose: Pose, wide: bool) {
+        let IcpScratch {
+            ref_x,
+            ref_y,
+            mov_x,
+            mov_y,
+            starts,
+            hit_j,
+            hit_d,
+            ..
+        } = self;
+        hit_j.resize(mov_x.len(), 0);
+        hit_d.resize(mov_x.len(), 0.0);
+        for span in starts.windows(2) {
+            let (lo, hi) = (span[0], span[1]);
+            if lo == hi {
+                continue;
+            }
+            let lane = TypeLane {
+                x: &ref_x[lo..hi],
+                y: &ref_y[lo..hi],
+            };
+            let queries = TypeLane {
+                x: &mov_x[lo..hi],
+                y: &mov_y[lo..hi],
+            };
+            nearest_all(
+                lane,
+                queries,
+                pose,
+                wide,
+                &mut hit_j[lo..hi],
+                &mut hit_d[lo..hi],
+            );
         }
     }
 }
@@ -245,28 +430,19 @@ pub fn icp_align_with(
     // into the final transform.
     let ref_centroid = Vec2::centroid(reference);
     let mov_centroid = Vec2::centroid(moving);
-    let IcpScratch {
-        mov_c,
-        lanes,
-        targets,
-        matches,
-    } = scratch;
-    mov_c.clear();
-    mov_c.extend(moving.iter().map(|&p| p - mov_centroid));
-    lanes.resize_with(lanes.len().max(type_count), TypeLane::default);
-    for lane in lanes.iter_mut() {
-        lane.x.clear();
-        lane.y.clear();
-    }
-    for (&p, &t) in reference.iter().zip(types) {
-        let p = p - ref_centroid;
-        lanes[t as usize].x.push(p.x);
-        lanes[t as usize].y.push(p.y);
-    }
-    targets.clear();
-    targets.resize(mov_c.len(), Vec2::ZERO);
-    matches.clear();
-    matches.resize(mov_c.len(), 0);
+    scratch.mov_c.clear();
+    scratch
+        .mov_c
+        .extend(moving.iter().map(|&p| p - mov_centroid));
+    scratch.group(reference, ref_centroid, types, type_count);
+    // Every fit refits the same centred moving points: their centroid
+    // (close to, but not exactly, zero) is computed once.
+    let fit_centroid = Vec2::centroid(&scratch.mov_c);
+    let n = moving.len();
+    scratch.targets.clear();
+    scratch.targets.resize(n, Vec2::ZERO);
+    scratch.matches.clear();
+    scratch.matches.resize(n, 0);
 
     // The per-pass stopping rule: relative cost improvement at most
     // `tolerance`.
@@ -275,24 +451,42 @@ pub fn icp_align_with(
     for restart in 0..cfg.restarts {
         let angle = std::f64::consts::TAU * restart as f64 / cfg.restarts as f64;
         let mut t = RigidTransform::rotation(angle);
+        let mut sin_cos = angle.sin_cos();
         let mut prev_cost = f64::INFINITY;
         let mut cost = f64::INFINITY;
         let mut iterations = 0;
         for it in 0..cfg.max_iterations {
             iterations = it + 1;
             // Correspondence phase: measure the cost of the current
-            // transform and collect same-type nearest-neighbour targets.
+            // transform and collect same-type nearest-neighbour targets,
+            // folded in global point order.
+            let pose = Pose {
+                sin_cos,
+                shift: t.translation,
+            };
+            scratch.correspond(pose, wide);
+            let IcpScratch {
+                ref_x,
+                ref_y,
+                starts,
+                slot,
+                hit_j,
+                hit_d,
+                targets,
+                matches,
+                ..
+            } = &mut *scratch;
             let mut acc = 0.0;
             let mut rematched = false;
-            for (i, (&p, &ty)) in mov_c.iter().zip(types).enumerate() {
-                let lane = &lanes[ty as usize];
-                let (j, d) = lane.nearest(t.apply(p), wide);
-                rematched |= matches[i] != j as u32;
-                matches[i] = j as u32;
-                targets[i] = Vec2::new(lane.x[j], lane.y[j]);
+            for (i, (&at, &ty)) in slot.iter().zip(types).enumerate() {
+                let (j, d) = (hit_j[at as usize], hit_d[at as usize]);
+                rematched |= matches[i] != j;
+                matches[i] = j;
+                let k = starts[ty as usize] + j as usize;
+                targets[i] = Vec2::new(ref_x[k], ref_y[k]);
                 acc += d;
             }
-            cost = acc / mov_c.len() as f64;
+            cost = acc / n as f64;
             if it > 0 && converged(prev_cost, cost) {
                 break; // `cost` belongs to the current `t`
             }
@@ -311,7 +505,7 @@ pub fn icp_align_with(
             prev_cost = cost;
             // Fit phase: refit from the *original* moving points to the
             // current targets (avoids compounding numerical drift).
-            t = fit_rigid(mov_c, targets);
+            (t, sin_cos) = fit_rigid_about(&scratch.mov_c, fit_centroid, &scratch.targets);
         }
         let candidate = IcpResult {
             transform: t,
@@ -488,42 +682,88 @@ mod tests {
         }
     }
 
-    /// Asserts that both scans pick the same `(index, d²)`, bit for bit.
-    fn assert_scans_agree(lane: &TypeLane, p: Vec2) {
-        let (jw, dw) = lane.nearest(p, true);
-        let (js, ds) = lane.nearest(p, false);
-        assert_eq!(
-            (jw, dw.to_bits()),
-            (js, ds.to_bits()),
-            "{} points, query {p:?}",
-            lane.x.len()
-        );
+    /// Asserts that the query lanes (and the scalar form of
+    /// [`nearest_all`]) return, for every query, the `(index, d²)` bits of
+    /// `lane.nearest(t.apply(p))`. Rust leaves the sign and payload of a
+    /// NaN result unspecified (the compiler may commute an add, and the
+    /// operand order picks which NaN survives), so any NaN `d²` matches
+    /// any other; every other value compares bit for bit.
+    fn assert_lanes_agree(lane_x: &[f64], lane_y: &[f64], queries: &[Vec2], t: &RigidTransform) {
+        let lane = TypeLane {
+            x: lane_x,
+            y: lane_y,
+        };
+        let qx: Vec<f64> = queries.iter().map(|p| p.x).collect();
+        let qy: Vec<f64> = queries.iter().map(|p| p.y).collect();
+        let pose = Pose {
+            sin_cos: t.rotation.sin_cos(),
+            shift: t.translation,
+        };
+        for wide in [true, false] {
+            let mut hit_j = vec![u32::MAX; queries.len()];
+            let mut hit_d = vec![f64::MIN; queries.len()];
+            let q = TypeLane { x: &qx, y: &qy };
+            nearest_all(lane, q, pose, wide, &mut hit_j, &mut hit_d);
+            let bits = |d: f64| if d.is_nan() { f64::NAN } else { d }.to_bits();
+            for (k, &p) in queries.iter().enumerate() {
+                let (j, d) = lane.nearest(t.apply(p));
+                assert_eq!(
+                    (hit_j[k] as usize, bits(hit_d[k])),
+                    (j, bits(d)),
+                    "wide {wide}: query {k} of {} ({p:?}), {} points, {t:?}",
+                    queries.len(),
+                    lane_x.len()
+                );
+            }
+        }
     }
 
+    /// Pass transforms: the identity, a restart angle, and fitted-looking
+    /// transforms with ±0 and nonzero shifts.
+    const TRANSFORMS: [RigidTransform; 4] = [
+        RigidTransform {
+            rotation: 0.0,
+            translation: Vec2::ZERO,
+        },
+        RigidTransform {
+            rotation: std::f64::consts::FRAC_PI_4,
+            translation: Vec2::ZERO,
+        },
+        RigidTransform {
+            rotation: -2.3,
+            translation: Vec2::new(-0.0, 0.25),
+        },
+        RigidTransform {
+            rotation: 1e-17,
+            translation: Vec2::new(0.5, -0.0),
+        },
+    ];
+
     #[test]
-    fn wide_nearest_matches_scalar_at_every_tail_width() {
+    fn query_lanes_match_scalar_nearest_at_every_tail_width() {
         if !crate::wide_or_skip_note() {
             return;
         }
+        let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0];
         let mut rng = sops_math::SplitMix64::new(11);
-        for n in 1..=70 {
-            let mut lane = TypeLane::default();
-            for _ in 0..n {
-                lane.x.push(coord(&mut rng, &[]));
-                lane.y.push(coord(&mut rng, &[]));
-            }
-            let queries = [
-                Vec2::new(0.2, -0.4),
-                Vec2::new(-0.0, 0.0),
-                Vec2::new(1.5, 1.5),
-            ];
-            for nan_at in [None, Some(0), Some(n / 2), Some(n - 1)] {
-                let mut lane = lane.clone();
-                if let Some(j) = nan_at {
-                    lane.y[j] = f64::NAN;
-                }
-                for &p in &queries {
-                    assert_scans_agree(&lane, p);
+        for queries in 1..=70 {
+            for points in [1usize, 2, 9, 33] {
+                let lane_x: Vec<f64> = (0..points).map(|_| coord(&mut rng, &specials)).collect();
+                let lane_y: Vec<f64> = (0..points).map(|_| coord(&mut rng, &specials)).collect();
+                // Half the queries duplicate a reference point (exact
+                // ties at d² = 0 before the transform moves them).
+                let qs: Vec<Vec2> = (0..queries)
+                    .map(|k| {
+                        if k % 2 == 0 {
+                            let j = k % points;
+                            Vec2::new(lane_x[j], lane_y[j])
+                        } else {
+                            Vec2::new(coord(&mut rng, &specials), coord(&mut rng, &specials))
+                        }
+                    })
+                    .collect();
+                for t in &TRANSFORMS {
+                    assert_lanes_agree(&lane_x, &lane_y, &qs, t);
                 }
             }
         }
@@ -533,10 +773,12 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
-        fn wide_nearest_matches_scalar(
-            n in 1usize..71,
+        fn query_lanes_match_scalar_nearest(
+            points in 1usize..71,
+            queries in 1usize..71,
             special in 0usize..4,
             nan_at in 0usize..140,
+            transform in 0usize..4,
             seed in 0..u64::MAX,
         ) {
             if !crate::wide_or_skip_note() {
@@ -549,18 +791,16 @@ mod tests {
                 _ => &[f64::NAN, f64::INFINITY, -0.0],
             };
             let mut rng = sops_math::SplitMix64::new(seed);
-            let mut lane = TypeLane::default();
-            for _ in 0..n {
-                lane.x.push(coord(&mut rng, specials));
-                lane.y.push(coord(&mut rng, specials));
-            }
+            let mut lane_x: Vec<f64> = (0..points).map(|_| coord(&mut rng, specials)).collect();
+            let lane_y: Vec<f64> = (0..points).map(|_| coord(&mut rng, specials)).collect();
             // Half the cases put a NaN point in the lane, index 0 included.
             if nan_at < 70 {
-                lane.x[nan_at % n] = f64::NAN;
+                lane_x[nan_at % points] = f64::NAN;
             }
-            for _ in 0..8 {
-                assert_scans_agree(&lane, Vec2::new(coord(&mut rng, specials), coord(&mut rng, specials)));
-            }
+            let qs: Vec<Vec2> = (0..queries)
+                .map(|_| Vec2::new(coord(&mut rng, specials), coord(&mut rng, specials)))
+                .collect();
+            assert_lanes_agree(&lane_x, &lane_y, &qs, &TRANSFORMS[transform]);
         }
     }
 

@@ -92,7 +92,14 @@ impl RigidTransform {
 pub fn fit_rigid(p: &[Vec2], q: &[Vec2]) -> RigidTransform {
     assert!(!p.is_empty(), "fit_rigid: empty point sets");
     assert_eq!(p.len(), q.len(), "fit_rigid: length mismatch");
-    let pc = Vec2::centroid(p);
+    fit_rigid_about(p, Vec2::centroid(p), q).0
+}
+
+/// [`fit_rigid`] given `pc`, the centroid of `p`: ICP refits the same
+/// moving points every pass, so it computes their centroid once. Also
+/// returns the `sin_cos` of the fitted rotation, which the translation
+/// needs and the next correspondence pass reuses.
+pub(crate) fn fit_rigid_about(p: &[Vec2], pc: Vec2, q: &[Vec2]) -> (RigidTransform, (f64, f64)) {
     let qc = Vec2::centroid(q);
     let mut dot = 0.0;
     let mut cross = 0.0;
@@ -107,11 +114,20 @@ pub fn fit_rigid(p: &[Vec2], q: &[Vec2]) -> RigidTransform {
     } else {
         cross.atan2(dot)
     };
-    let translation = qc - pc.rotated(rotation);
-    RigidTransform {
+    let sin_cos = rotation.sin_cos();
+    let translation = qc - rotate(pc, sin_cos);
+    let t = RigidTransform {
         rotation,
         translation,
-    }
+    };
+    (t, sin_cos)
+}
+
+/// `p.rotated(θ)` from `θ.sin_cos()`: the same operations, so the same
+/// bits.
+#[inline]
+pub(crate) fn rotate(p: Vec2, (s, c): (f64, f64)) -> Vec2 {
+    Vec2::new(c * p.x - s * p.y, s * p.x + c * p.y)
 }
 
 #[cfg(test)]

@@ -6,8 +6,10 @@
 //! * the lane-scan `icp_align_with` is bit-identical (cost, transform
 //!   bits, iterations) to [`frozen`], a copy of the per-type kd-tree
 //!   kernel it replaced — on continuous and tie-heavy lattice clouds,
-//!   1–3 types, per-type sizes 1–64, the `IcpConfig` edges of the
-//!   fixed-point exit, and real builtin-scenario slices;
+//!   clouds with coincident points, 1–3 types, per-type sizes 1–64 (on
+//!   both sides of every query-lane group and block boundary), the
+//!   `IcpConfig` edges of the fixed-point exit, and real
+//!   builtin-scenario slices;
 //! * a warmed-up `ReduceWorkspace` performs zero heap allocations across
 //!   100 reduction calls (buffer-capacity stability, à la
 //!   `crates/sops-info/tests/workspace_measure.rs`).
@@ -292,6 +294,56 @@ proptest! {
             &cfg,
         );
         assert_same_bits(&got, &want, &format!("sizes {sizes:?} {cfg:?}"));
+    }
+}
+
+/// Per-type sizes on each side of every query-lane boundary: the AVX-512
+/// pass maps a type's moving points in groups of 8 lanes and blocks of 32.
+const LANE_EDGE_SIZES: [usize; 14] = [1, 2, 7, 8, 9, 16, 17, 24, 25, 31, 32, 33, 40, 64];
+
+/// Moves about half of each type's points onto an earlier point of the
+/// same type, so coincident points meet exact distance ties.
+fn collapse_onto_earlier_points(points: &mut [Vec2], types: &[u16], rng: &mut SplitMix64) {
+    for i in 0..points.len() {
+        let earlier: Vec<usize> = (0..i).filter(|&j| types[j] == types[i]).collect();
+        if !earlier.is_empty() && rng.next_u64().is_multiple_of(2) {
+            points[i] = points[earlier[(rng.next_u64() % earlier.len() as u64) as usize]];
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn query_lane_icp_is_bit_identical_to_frozen_kd_tree_icp_at_lane_edges(
+        seed in 0..u64::MAX,
+        cloud in 0..3u8,
+        size_picks in proptest::collection::vec(0..14usize, 1..4),
+        restarts in 1..9usize,
+    ) {
+        // Continuous clouds, lattice clouds with exact ties, and
+        // continuous clouds with coincident points in both configurations.
+        let sizes: Vec<usize> = size_picks.iter().map(|&k| LANE_EDGE_SIZES[k]).collect();
+        let (mut reference, mut moving, types) = icp_case(seed, cloud == 1, &sizes);
+        if cloud == 2 {
+            let mut rng = SplitMix64::new(seed.rotate_left(17));
+            collapse_onto_earlier_points(&mut reference, &types, &mut rng);
+            collapse_onto_earlier_points(&mut moving, &types, &mut rng);
+        }
+        let cfg = IcpConfig {
+            restarts,
+            ..IcpConfig::default()
+        };
+        let got = icp_align_with(&mut IcpScratch::new(), &reference, &moving, &types, &cfg);
+        let want = frozen::icp_align_with(
+            &mut frozen::IcpScratch::default(),
+            &reference,
+            &moving,
+            &types,
+            &cfg,
+        );
+        assert_same_bits(&got, &want, &format!("sizes {sizes:?} cloud {cloud} {cfg:?}"));
     }
 }
 

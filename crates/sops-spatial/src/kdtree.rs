@@ -7,7 +7,8 @@
 //! * [`KdTree::nearest`] / [`KdTree::knn`] — nearest-neighbour queries,
 //!   e.g. the grid-regularity metrics of `sops_core::metrics`;
 //! * [`KdTree::count_within`] — the strict range count `cᵢ` of paper
-//!   Eq. 20 (one call per sample per observer inside the KSG estimator);
+//!   Eq. 20, the reference the KSG engine's per-block counts are tested
+//!   against;
 //! * [`KdTree::range_indices`] — neighbourhood retrieval for diagnostics.
 //!
 //! The tree is immutable after construction; the simulator's per-step

@@ -9,12 +9,17 @@
 //!   each particle's nearest other particle — served by
 //!   [`KdTree::nearest_excluding`];
 //! * the **KSG estimator** (paper Eq. 18–20) needs per-variable strict
-//!   range counts and joint-space k-NN under a max-over-blocks metric —
-//!   served by [`KdTree::count_within`] per block and, for the joint
-//!   search, [`block_max::knn_block_max_into`] (pruned scan, high joint
-//!   dimension) or [`block_max::knn_block_max_tree_into`] (iterative
-//!   kd-tree descent, low joint dimension). [`KdTree::rebuild`] re-indexes
-//!   in place so persistent engines never reallocate.
+//!   range counts and joint-space k-NN under a max-over-blocks metric.
+//!   The joint search is served by [`block_max::knn_block_max_into`]
+//!   (pruned scan, high joint dimension) or
+//!   [`block_max::knn_block_max_tree_into`] (iterative kd-tree descent,
+//!   low joint dimension); [`KdTree::rebuild`] re-indexes in place so
+//!   persistent engines never reallocate. The per-block counts stay in
+//!   `sops_info`'s engine, a sorted column per scalar block and one pass
+//!   over the columns per vector block: the radius a many-block joint
+//!   space hands a marginal covers most of its cloud, so a tree would
+//!   visit nearly every leaf. Both apply the leaf test of
+//!   [`KdTree::count_within`], which stays their test reference.
 //!
 //! [`brute`] holds the obviously-correct `O(n²)` references that the
 //! property tests compare against and that small inputs fall back to.
