@@ -15,8 +15,8 @@ use sops_core::scenario::{self, run_sweep, ScenarioSpec, SweepPlan, SweepRunner}
 use sops_info::entropy::kl_entropy;
 use sops_info::gaussian::{equicorrelated_cov, sample_gaussian};
 use sops_info::{
-    BinningConfig, CmiConfig, KdeConfig, KnnMode, KsgConfig, KsgVariant, MeasureConfig,
-    MeasureWorkspace, SampleView,
+    BinningConfig, CmiConfig, KdeConfig, KsgConfig, KsgVariant, MeasureConfig, MeasureWorkspace,
+    SampleView,
 };
 use std::hint::black_box;
 
@@ -59,12 +59,7 @@ fn bench_ksg_variants(c: &mut Criterion) {
                 b.iter(|| {
                     one_shot(
                         black_box(&view),
-                        &MeasureConfig::Ksg(KsgConfig {
-                            k: 4,
-                            variant,
-                            threads: 1,
-                            ..KsgConfig::default()
-                        }),
+                        &MeasureConfig::Ksg(KsgConfig { k: 4, variant }),
                     )
                 })
             },
@@ -102,13 +97,8 @@ fn bench_pairwise_matrix(c: &mut Criterion) {
             &view,
             |b, view| {
                 b.iter(|| {
-                    MeasureWorkspace::new().pairwise_mi_matrix(
-                        black_box(view),
-                        &KsgConfig {
-                            threads: 1,
-                            ..KsgConfig::default()
-                        },
-                    )
+                    MeasureWorkspace::new()
+                        .pairwise_mi_matrix(black_box(view), &KsgConfig::default())
                 })
             },
         );
@@ -123,10 +113,7 @@ fn bench_workspace_reuse(c: &mut Criterion) {
     group.sample_size(15);
     let (data, sizes) = fixture(500, 10);
     let view = SampleView::new(&data, 500, &sizes);
-    let cfg = MeasureConfig::Ksg(KsgConfig {
-        threads: 1,
-        ..KsgConfig::default()
-    });
+    let cfg = MeasureConfig::default();
     let mut ws = MeasureWorkspace::new();
     group.bench_function("persistent", |b| {
         b.iter(|| ws.estimator_mut(&cfg).measure(black_box(&view)))
@@ -138,16 +125,12 @@ fn bench_workspace_reuse(c: &mut Criterion) {
 fn bench_ksg_blocks2d(c: &mut Criterion) {
     // The traffic's shape: per-particle observers, one two-dimensional
     // block per particle, so every Eq. 20 count runs on a vector block
-    // (the scalar `fixture` never reaches that path). A warm workspace
-    // and one worker, as a sweep's evaluation worker runs it: 120 samples
-    // of 40 particles (`cell_sorting`), 150 of 20 (`ring_formation`), and
-    // 500 of 20.
+    // (the scalar `fixture` never reaches that path). A warm workspace,
+    // as a sweep's evaluation worker runs it: 120 samples of 40 particles
+    // (`cell_sorting`), 150 of 20 (`ring_formation`), and 500 of 20.
     let mut group = c.benchmark_group("ksg_blocks2d");
     group.sample_size(10);
-    let cfg = MeasureConfig::Ksg(KsgConfig {
-        threads: 1,
-        ..KsgConfig::default()
-    });
+    let cfg = MeasureConfig::default();
     let mut ws = MeasureWorkspace::new();
     for &(m, n) in &[(120usize, 40usize), (150, 20), (500, 20)] {
         let data = sample_gaussian(&equicorrelated_cov(2 * n, 0.4), m, 99);
@@ -216,18 +199,14 @@ fn bench_estimator_matrix(c: &mut Criterion) {
     // entirely on the trait API the pipeline dispatches through. The
     // `one_shot` cases build a fresh `MeasureWorkspace` per call;
     // `persistent` drives a warm one through `estimator_mut`, the exact
-    // path of a pipeline/sweep evaluation worker. For CMI the historical
-    // algorithm is additionally pinned by `scan` (brute-force joint k-NN)
-    // vs the adaptive `tree` path.
+    // path of a pipeline/sweep evaluation worker. CMI on 1,500 scalar
+    // triples takes the kd-tree route.
     let mut group = c.benchmark_group("estimator_matrix");
     group.sample_size(10);
 
     let (data, sizes) = fixture(400, 8);
     let view = SampleView::new(&data, 400, &sizes);
-    let kde_cfg = MeasureConfig::Kde(KdeConfig {
-        threads: 1,
-        ..KdeConfig::default()
-    });
+    let kde_cfg = MeasureConfig::Kde(KdeConfig::default());
     let mut measure_ws = MeasureWorkspace::new();
     group.bench_function("kde_m400_n8/one_shot", |b| {
         b.iter(|| one_shot(black_box(&view), &kde_cfg))
@@ -237,7 +216,7 @@ fn bench_estimator_matrix(c: &mut Criterion) {
     });
 
     // The `grid_cold` KDE shape: 120 samples of 40 two-dimensional
-    // observers (one per particle), one worker.
+    // observers (one per particle).
     let sizes40 = vec![2usize; 40];
     let data40 = sample_gaussian(&equicorrelated_cov(80, 0.4), 120, 99);
     let view40 = SampleView::new(&data40, 120, &sizes40);
@@ -267,28 +246,7 @@ fn bench_estimator_matrix(c: &mut Criterion) {
     });
 
     let (x, y, z) = cmi_fixture(1500);
-    let scan_cfg = CmiConfig {
-        threads: 1,
-        knn: KnnMode::BruteForce,
-        ..CmiConfig::default()
-    };
-    let tree_cfg = CmiConfig {
-        threads: 1,
-        knn: KnnMode::Auto,
-        ..CmiConfig::default()
-    };
-    group.bench_function("cmi_m1500/scan_one_shot", |b| {
-        b.iter(|| {
-            MeasureWorkspace::new().conditional_mutual_information(
-                black_box(&x),
-                &y,
-                &z,
-                1500,
-                (1, 1, 1),
-                &scan_cfg,
-            )
-        })
-    });
+    let cmi_cfg = CmiConfig::default();
     group.bench_function("cmi_m1500/tree_persistent", |b| {
         b.iter(|| {
             measure_ws.conditional_mutual_information(
@@ -297,19 +255,7 @@ fn bench_estimator_matrix(c: &mut Criterion) {
                 &z,
                 1500,
                 (1, 1, 1),
-                &tree_cfg,
-            )
-        })
-    });
-    group.bench_function("cmi_m1500/scan_persistent", |b| {
-        b.iter(|| {
-            measure_ws.conditional_mutual_information(
-                black_box(&x),
-                &y,
-                &z,
-                1500,
-                (1, 1, 1),
-                &scan_cfg,
+                &cmi_cfg,
             )
         })
     });

@@ -10,7 +10,7 @@
 //!   FNV-1a 64 over the canonical per-cell wire form (schema tag
 //!   `sops-cell/v1`). The key covers everything that
 //!   determines the result and excludes every result-invariant knob
-//!   (`threads` fields, [`EnsembleStorage`](crate::scenario::EnsembleStorage),
+//!   (the reduction's `threads`, [`EnsembleStorage`](crate::scenario::EnsembleStorage),
 //!   scenario descriptions), so two different sweep plans that share a
 //!   cell share one entry.
 //! * **Bit-identity** — entries store the cell's [`PipelineResult`]

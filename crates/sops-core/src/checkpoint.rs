@@ -22,9 +22,11 @@
 //! every cache entry — is unchanged.
 //!
 //! The wire form covers everything that determines results and excludes
-//! every knob that does not: all `threads` fields (results are
-//! bit-identical for any worker count), the ensemble storage policy and
-//! human-only scenario descriptions. Plans carrying a
+//! every knob that does not: the reduction's `threads` field (results
+//! are bit-identical for any worker count), the ensemble storage policy
+//! and human-only scenario descriptions. The measure configs carry no
+//! such knob; the KSG wire still writes `"knn":"auto"`, the route every
+//! key was made with. Plans carrying a
 //! [`ForceModel::Custom`] law (an opaque closure) have no wire form and
 //! are rejected with [`SweepError::Unserializable`] rather than
 //! mis-keyed.
@@ -152,8 +154,6 @@ fn scenario_wire(sc: &ScenarioSpec) -> Result<String, SweepError> {
 }
 
 fn measure_wire(m: &MeasureConfig) -> String {
-    // Every estimator `threads` field is excluded (results are
-    // bit-identical for any thread count).
     match m {
         MeasureConfig::Ksg(c) => {
             let variant = match c.variant {
@@ -161,13 +161,11 @@ fn measure_wire(m: &MeasureConfig) -> String {
                 sops_info::ksg::KsgVariant::Ksg1 => "ksg1",
                 sops_info::ksg::KsgVariant::Ksg2 => "ksg2",
             };
-            let knn = match c.knn {
-                sops_info::ksg::KnnMode::Auto => "auto",
-                sops_info::ksg::KnnMode::BruteForce => "brute_force",
-                sops_info::ksg::KnnMode::KdTree => "kd_tree",
-            };
+            // The engine routes its k-NN search itself; `"knn":"auto"`
+            // stays in the wire so every existing key and cache entry
+            // stays valid.
             format!(
-                "{{\"family\":\"ksg\",\"k\":{},\"variant\":\"{variant}\",\"knn\":\"{knn}\"}}",
+                "{{\"family\":\"ksg\",\"k\":{},\"variant\":\"{variant}\",\"knn\":\"auto\"}}",
                 c.k
             )
         }
@@ -231,9 +229,10 @@ fn cell_wire_head(scenario_wire: &str) -> [&str; 5] {
 /// cell's result — the scenario's physics (model, force law, integrator,
 /// init, horizon, samples, **seed**, equilibration criterion), its shape
 /// reduction, observer construction and evaluation schedule, and the
-/// measure selection — and nothing that doesn't (every `threads` field,
-/// the ensemble storage policy and human-only scenario descriptions are
-/// excluded).
+/// measure selection — and nothing that doesn't (the reduction's
+/// `threads` field, the ensemble storage policy and human-only scenario
+/// descriptions are excluded; a measure config names its result only,
+/// so equal selections share one key).
 ///
 /// The content-addressed cell cache ([`crate::cache::CellCache`])
 /// addresses single cells by this key, so two different sweep plans that
@@ -348,10 +347,6 @@ mod tests {
         retuned.reduce.threads = 4;
         retuned.description = "edited prose".into();
         assert_eq!(cell_key(&retuned, &plan.measures[0]).unwrap(), key);
-        assert_eq!(
-            cell_key(&sc, &plan.measures[0].with_threads(8)).unwrap(),
-            key
-        );
         // …but seed, scale, schedule, reduction mode and measure all do.
         assert_ne!(
             cell_key(&sc.clone().with_seed(99), &plan.measures[0]).unwrap(),
@@ -368,20 +363,51 @@ mod tests {
         remoded.reduce.mode = ReduceMode::Centred;
         assert_ne!(cell_key(&remoded, &plan.measures[0]).unwrap(), key);
         assert_ne!(cell_key(&sc, &plan.measures[1]).unwrap(), key);
-        // A strided wrapper changes the key, and so does its stride — but
-        // not its `threads` field.
-        let strided = |every, threads| MeasureConfig::Strided {
-            family: sops_info::StridedFamily::Ksg(KsgConfig {
-                threads,
-                ..KsgConfig::default()
-            }),
+        // A strided wrapper changes the key, and so does its stride.
+        let strided = |every| MeasureConfig::Strided {
+            family: sops_info::StridedFamily::Ksg(KsgConfig::default()),
             every,
         };
         let plain = cell_key(&sc, &MeasureConfig::Ksg(KsgConfig::default())).unwrap();
-        let strided_key = cell_key(&sc, &strided(2, 1)).unwrap();
+        let strided_key = cell_key(&sc, &strided(2)).unwrap();
         assert_ne!(strided_key, plain);
-        assert_ne!(cell_key(&sc, &strided(4, 1)).unwrap(), strided_key);
-        assert_eq!(cell_key(&sc, &strided(2, 6)).unwrap(), strided_key);
+        assert_ne!(cell_key(&sc, &strided(4)).unwrap(), strided_key);
+    }
+
+    /// Every measure name the front ends parse — each family and each
+    /// `NAME@4` form — is the config built from that family's `Default`,
+    /// so a cell named either way has one key.
+    #[test]
+    fn parsed_measures_equal_their_family_defaults_and_share_keys() {
+        use sops_info::{BinningConfig, KdeConfig, StridedFamily};
+        let sc = tiny_plan().scenarios[0].clone();
+        let strided = |family| MeasureConfig::Strided { family, every: 4 };
+        let built = [
+            ("ksg", MeasureConfig::Ksg(KsgConfig::default())),
+            ("kde", MeasureConfig::Kde(KdeConfig::default())),
+            ("binned", MeasureConfig::Binned(BinningConfig::default())),
+            ("discrete", MeasureConfig::DiscretePlugin { bins: 6 }),
+            ("gaussian", MeasureConfig::Gaussian),
+            ("ksg@4", strided(StridedFamily::Ksg(KsgConfig::default()))),
+            ("kde@4", strided(StridedFamily::Kde(KdeConfig::default()))),
+            (
+                "binned@4",
+                strided(StridedFamily::Binned(BinningConfig::default())),
+            ),
+            ("gaussian@4", strided(StridedFamily::Gaussian)),
+        ];
+        for family in MeasureConfig::FAMILIES {
+            assert!(built.iter().any(|&(name, _)| name == family), "{family}");
+        }
+        for (name, want) in built {
+            let parsed = MeasureConfig::parse(name).expect("a known measure name");
+            assert_eq!(parsed, want, "{name}");
+            assert_eq!(
+                cell_key(&sc, &parsed).unwrap(),
+                cell_key(&sc, &want).unwrap(),
+                "{name}"
+            );
+        }
     }
 
     /// Pins the cell-key schema: these hex literals were computed once

@@ -25,23 +25,17 @@ use sops_math::Vec2;
 use sops_sim::streaming::{EnsembleFrames, StreamingEnsemble};
 
 /// Configuration for ensemble transfer-entropy estimates.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransferConfig {
     /// Time lag between past and successor state (recorded steps).
     pub lag: usize,
     /// Neighbour order of the underlying CMI estimator.
     pub k: usize,
-    /// Worker threads (0 = default).
-    pub threads: usize,
 }
 
 impl Default for TransferConfig {
     fn default() -> Self {
-        TransferConfig {
-            lag: 1,
-            k: 4,
-            threads: 0,
-        }
+        TransferConfig { lag: 1, k: 4 }
     }
 }
 
@@ -97,17 +91,8 @@ pub fn particle_transfer_entropy(
         &past[a],
         EnsembleFrames::Streaming(ensemble).samples(),
         (2, 2, 2),
-        &cmi_config(cfg),
+        &CmiConfig { k: cfg.k },
     )
-}
-
-/// The Frenzel–Pompe configuration of a transfer-entropy estimate.
-fn cmi_config(cfg: &TransferConfig) -> CmiConfig {
-    CmiConfig {
-        k: cfg.k,
-        threads: cfg.threads,
-        ..CmiConfig::default()
-    }
 }
 
 /// The full pairwise transfer matrix at time `t`: entry `(a, b)` is
@@ -131,7 +116,7 @@ pub fn transfer_matrix(
     let next = centred_positions(ensemble, t + cfg.lag, &mut buf);
     let n = past.len();
     let rows = EnsembleFrames::Streaming(ensemble).samples();
-    let cmi_cfg = cmi_config(cfg);
+    let cmi_cfg = CmiConfig { k: cfg.k };
     let mut ws = MeasureWorkspace::new();
     let mut out = vec![vec![0.0; n]; n];
     for (a, row) in out.iter_mut().enumerate() {
@@ -277,8 +262,9 @@ mod tests {
     }
 
     /// An ensemble streamed at only `[t, t + lag]` gives the matrix of one
-    /// streamed at every step, bit for bit — on 1 and 4 threads, in memory
-    /// and spilled (where both steps pass through one staging buffer).
+    /// streamed at every step, bit for bit — streamed on 1 and 4 threads,
+    /// in memory and spilled (where both steps pass through one staging
+    /// buffer).
     #[test]
     fn transfer_matrix_reads_only_the_steps_it_names() {
         let spec = interacting_spec(4, 5.0, f64::INFINITY, 60);
@@ -286,11 +272,7 @@ mod tests {
         let every_step: Vec<usize> = (0..=spec.t_max).collect();
         let bits =
             |m: &[Vec<f64>]| -> Vec<u64> { m.iter().flatten().map(|v| v.to_bits()).collect() };
-        let cfg = TransferConfig {
-            lag,
-            k: 3,
-            threads: 1,
-        };
+        let cfg = TransferConfig { lag, k: 3 };
         let whole = run_streaming_ensemble(&spec, &every_step, 1, &StreamingConfig::default());
         let want = bits(&transfer_matrix(&whole, t, &cfg));
         for threads in [1usize, 4] {
@@ -299,7 +281,6 @@ mod tests {
                     max_resident_bytes: budget,
                 };
                 let named = run_streaming_ensemble(&spec, &[t, t + lag], threads, &store);
-                let cfg = TransferConfig { threads, ..cfg };
                 assert_eq!(
                     bits(&transfer_matrix(&named, t, &cfg)),
                     want,

@@ -48,12 +48,7 @@ pub fn run(opts: &RunOptions) -> Fig3Data {
     let max_steps = opts.scale(6000, 3500);
     // The three panels are independent one-thread simulations: run them
     // side by side, in panel order.
-    let threads = if opts.threads == 0 {
-        sops_par::default_threads()
-    } else {
-        opts.threads
-    };
-    let panels = sops_par::parallel_map(3, threads, |panel| {
+    let panels = sops_par::parallel_map(3, sops_par::resolve_threads(opts.threads), |panel| {
         let l = 3 - panel;
         // Gaussian (F2) law: same-type range 2, cross-type ranges
         // spread out so types separate.

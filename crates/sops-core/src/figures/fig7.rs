@@ -12,7 +12,7 @@ use crate::metrics;
 use crate::report;
 use crate::RunOptions;
 use sops_math::Vec2;
-use sops_shape::ensemble::{reduce_configurations_with, ReduceWorkspace};
+use sops_shape::ensemble::{reduce_configurations_with, ReduceConfig, ReduceWorkspace};
 use sops_sim::streaming::{run_streaming_ensemble, EnsembleFrames, StreamingConfig};
 
 /// Overlay data and the ring-dispersion comparison.
@@ -39,8 +39,13 @@ pub fn run(opts: &RunOptions) -> Fig7Data {
     let frames = EnsembleFrames::Streaming(&streamed);
     let (mut stage, mut slice) = (Vec::new(), Vec::new());
     frames.at_time_into(t_end, &mut stage, &mut slice);
-    let reduced =
-        reduce_configurations_with(&mut ReduceWorkspace::new(), &slice, &types, &sc.reduce);
+    // One step to align: the samples are the parallel axis, on the run's
+    // worker count.
+    let reduce = ReduceConfig {
+        threads: opts.threads,
+        ..sc.reduce
+    };
+    let reduced = reduce_configurations_with(&mut ReduceWorkspace::new(), &slice, &types, &reduce);
 
     let overlay: Vec<Vec2> = reduced.configs.iter().flatten().copied().collect();
     let dispersion = metrics::cross_sample_dispersion(&reduced.configs);

@@ -116,10 +116,7 @@ pub(crate) fn decomposition_series(scenario: &ScenarioSpec, threads: usize) -> D
         threads: 1,
         ..scenario.reduce
     };
-    let inner_est = KsgConfig {
-        threads: 1,
-        ..KsgConfig::default()
-    };
+    let ksg = KsgConfig::default();
     let seed = scenario.ensemble.seed;
     let mut workers: Vec<EvalWorker> = Vec::new();
     let terms: Vec<Decomposition> = eval_pass(
@@ -131,8 +128,7 @@ pub(crate) fn decomposition_series(scenario: &ScenarioSpec, threads: usize) -> D
             let reduced = reduce_configurations_with(&mut w.reduce, slice, &types, &inner_reduce);
             let observers = build_observers(&reduced, &types, type_count, scenario.observers, seed);
             let grouping = Grouping::from_labels(&observers.block_types);
-            w.measure
-                .decompose(&observers.view(), &grouping, &inner_est)
+            w.measure.decompose(&observers.view(), &grouping, &ksg)
         },
     );
     DecompositionSeries { times, terms }

@@ -536,12 +536,7 @@ where
     // No wider than the schedule: `parallel_map_with` never runs more
     // workers than steps, and a pooled runner would keep the surplus (each
     // with a `samples`-long slice buffer) for the rest of its life.
-    let threads = if threads == 0 {
-        sops_par::default_threads()
-    } else {
-        threads
-    }
-    .clamp(1, times.len().max(1));
+    let threads = sops_par::resolve_threads(threads).clamp(1, times.len().max(1));
     while workers.len() < threads {
         workers.push(EvalWorker::default());
     }
@@ -929,14 +924,13 @@ impl SweepRunner {
         let types = scenario.ensemble.model.types().to_vec();
         let type_count = scenario.ensemble.model.type_count();
         let times = scenario.eval_times();
-        // Outer parallelism over evaluation steps; inner stages
-        // sequential to avoid oversubscription.
+        // Outer parallelism over evaluation steps; the reduction inside a
+        // step runs sequential to avoid oversubscription (the estimators
+        // always run on their caller's thread).
         let inner_reduce = ReduceConfig {
             threads: 1,
             ..scenario.reduce
         };
-        let inner_measures: Vec<MeasureConfig> =
-            measures.iter().map(|m| m.with_threads(1)).collect();
         let observers_mode = scenario.observers;
         let seed = scenario.ensemble.seed;
         let per_step: Vec<(Vec<f64>, f64)> = eval_pass(
@@ -954,7 +948,7 @@ impl SweepRunner {
                 };
                 let observers = build_observers(&reduced, &types, type_count, observers_mode, seed);
                 let view = observers.view();
-                let mis: Vec<f64> = inner_measures
+                let mis: Vec<f64> = measures
                     .iter()
                     .map(|m| {
                         let estimator = w.measure.estimator_mut(m);

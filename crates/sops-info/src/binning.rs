@@ -51,7 +51,7 @@ pub enum SupportModel {
 }
 
 /// Binning estimator configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BinningConfig {
     /// Bins per coordinate.
     pub bins: usize,

@@ -17,73 +17,36 @@
 //! of `X`: `conditional_mutual_information(x_next, y_past, x_past, …)`.
 //!
 //! The estimate runs through
-//! [`crate::MeasureWorkspace::conditional_mutual_information`]. Its
-//! engine routes the joint k-NN through the same adaptive scan/kd-tree
-//! choice as the KSG engine (`CmiConfig::knn`, turning the `O(m²)` joint
-//! scan into `O(m log m)` at the low joint dimensions transfer entropy
-//! lives at), all scratch is persistent, and per-sample ψ terms are
-//! reduced in sample order — the estimate is **bit-identical for any
-//! worker count** and to the frozen sequential reference in
+//! [`crate::MeasureWorkspace::conditional_mutual_information`], on its
+//! caller's thread. Its engine routes the joint k-NN by the same rule as
+//! the KSG engine (the kd-tree descent at joint dimensions up to 16 with
+//! at least 64 samples, turning the `O(m²)` joint scan into
+//! `O(m log m)` at the low joint dimensions transfer entropy lives at;
+//! the pruned scan otherwise, with the same bits), all scratch is
+//! persistent, and per-sample ψ terms are summed in sample order — the
+//! estimate is **bit-identical** to the frozen sequential reference in
 //! `crates/sops-info/tests/workspace_measure.rs`.
 //!
 //! Note §5.2's caveat: statistics that track particles over time must use
 //! the *raw* (non-permutation-reduced) trajectories; the shape reduction
 //! deliberately destroys temporal identity.
 
-use crate::ksg::KnnMode;
-use crate::workspace::{resolve_threads, use_tree, INFO_CHUNKS};
+use crate::workspace::use_tree;
 use sops_math::special::digamma;
 use sops_math::NATS_TO_BITS;
 use sops_spatial::block_max::{knn_block_max_into, knn_block_max_tree_into, BlockPoints};
 use sops_spatial::KdTree;
 
 /// Configuration for the Frenzel–Pompe estimator.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CmiConfig {
     /// Neighbour order `k` (default 4, like the KSG default).
     pub k: usize,
-    /// Worker threads (0 = default). Results are bit-identical for any
-    /// thread count.
-    pub threads: usize,
-    /// Joint k-NN strategy (default: adaptive, like [`crate::KsgConfig`]).
-    /// Both paths return identical results.
-    pub knn: KnnMode,
 }
 
 impl Default for CmiConfig {
     fn default() -> Self {
-        CmiConfig {
-            k: 4,
-            threads: 0,
-            knn: KnnMode::default(),
-        }
-    }
-}
-
-/// Per-span scratch of the CMI engine.
-#[derive(Debug, Clone)]
-struct CmiChunk {
-    /// Per-sample ψ terms of this span, reduced in sample order.
-    psi: Vec<f64>,
-    /// Joint k-NN result buffer.
-    neigh: Vec<(usize, f64)>,
-    /// Explicit stack for the kd-tree descent.
-    stack: Vec<(u32, f64)>,
-}
-
-impl CmiChunk {
-    fn new() -> Self {
-        CmiChunk {
-            psi: Vec::new(),
-            neigh: Vec::new(),
-            stack: Vec::new(),
-        }
-    }
-
-    fn capacity_signature(&self, sig: &mut Vec<usize>) {
-        sig.push(self.psi.capacity());
-        sig.push(self.neigh.capacity());
-        sig.push(self.stack.capacity());
+        CmiConfig { k: 4 }
     }
 }
 
@@ -103,8 +66,10 @@ pub(crate) struct CmiWorkspace {
     tree_z: KdTree,
     /// Kd-tree over the joint samples (low-dimension k-NN path).
     joint_tree: KdTree,
-    /// Fixed per-span scratch.
-    chunks: Vec<CmiChunk>,
+    /// Joint k-NN result buffer.
+    neigh: Vec<(usize, f64)>,
+    /// Explicit stack for the kd-tree descent.
+    stack: Vec<(u32, f64)>,
 }
 
 impl Default for CmiWorkspace {
@@ -121,7 +86,8 @@ impl CmiWorkspace {
             offsets: Vec::new(),
             tree_z: KdTree::build(1, &[]),
             joint_tree: KdTree::build(1, &[]),
-            chunks: vec![CmiChunk::new(); INFO_CHUNKS],
+            neigh: Vec::new(),
+            stack: Vec::new(),
         }
     }
 
@@ -155,7 +121,8 @@ impl CmiWorkspace {
             offsets,
             tree_z,
             joint_tree,
-            chunks,
+            neigh,
+            stack,
         } = self;
 
         // Joint (x, y, z) samples as three blocks: the block-max metric
@@ -176,7 +143,7 @@ impl CmiWorkspace {
         // direct per-block distance tests (exact, and cheap at ensemble
         // sizes).
         tree_z.rebuild(dz, z);
-        let joint_tree = if use_tree(cfg.knn, dx + dy + dz, rows) {
+        let joint_tree = if use_tree(dx + dy + dz, rows) {
             joint_tree.rebuild(dx + dy + dz, joint);
             Some(&*joint_tree)
         } else {
@@ -184,62 +151,45 @@ impl CmiWorkspace {
         };
         let points = BlockPoints::with_offset_buf(offsets, joint, rows, &sizes);
 
-        let threads = resolve_threads(cfg.threads);
-        let nchunks = chunks.len();
-        let tree_z = &*tree_z;
         let k = cfg.k;
-        sops_par::parallel_chunks_mut(chunks, nchunks, threads, |c, bufs| {
-            let CmiChunk { psi, neigh, stack } = &mut bufs[0];
-            psi.clear();
-            let lo = c * rows / nchunks;
-            let hi = (c + 1) * rows / nchunks;
-            for i in lo..hi {
-                match joint_tree {
-                    Some(tree) => knn_block_max_tree_into(&points, tree, i, k, stack, neigh),
-                    None => knn_block_max_into(&points, i, k, neigh),
-                }
-                let eps = neigh.last().expect("CMI: kth neighbour").1;
-                // Candidates within eps in Z (inclusive) — superset of the
-                // strict conjunctive counts below; visited in tree order
-                // (the counts are order-independent integers, so no buffer
-                // and no sort).
-                let zq = &z[i * dz..(i + 1) * dz];
-                let mut c_z = 0usize;
-                let mut c_xz = 0usize;
-                let mut c_yz = 0usize;
-                let xq = &x[i * dx..(i + 1) * dx];
-                let yq = &y[i * dy..(i + 1) * dy];
-                tree_z.for_each_within(zq, eps, |j| {
-                    if j == i {
-                        return;
-                    }
-                    let zd = sops_spatial::dist_sq(&z[j * dz..(j + 1) * dz], zq).sqrt();
-                    if zd >= eps {
-                        return; // strict
-                    }
-                    c_z += 1;
-                    let xd = sops_spatial::dist_sq(&x[j * dx..(j + 1) * dx], xq).sqrt();
-                    if xd < eps {
-                        c_xz += 1;
-                    }
-                    let yd = sops_spatial::dist_sq(&y[j * dy..(j + 1) * dy], yq).sqrt();
-                    if yd < eps {
-                        c_yz += 1;
-                    }
-                });
-                psi.push(
-                    digamma((c_z + 1) as f64)
-                        - digamma((c_xz + 1) as f64)
-                        - digamma((c_yz + 1) as f64),
-                );
-            }
-        });
-        // Sample-order reduction: bit-identical for any worker count.
         let mut psi_sum = 0.0;
-        for chunk in chunks.iter() {
-            for &v in &chunk.psi {
-                psi_sum += v;
+        for i in 0..rows {
+            match joint_tree {
+                Some(tree) => knn_block_max_tree_into(&points, tree, i, k, stack, neigh),
+                None => knn_block_max_into(&points, i, k, neigh),
             }
+            let eps = neigh.last().expect("CMI: kth neighbour").1;
+            // Candidates within eps in Z (inclusive) — superset of the
+            // strict conjunctive counts below; visited in tree order (the
+            // counts are order-independent integers, so no buffer and no
+            // sort).
+            let zq = &z[i * dz..(i + 1) * dz];
+            let mut c_z = 0usize;
+            let mut c_xz = 0usize;
+            let mut c_yz = 0usize;
+            let xq = &x[i * dx..(i + 1) * dx];
+            let yq = &y[i * dy..(i + 1) * dy];
+            tree_z.for_each_within(zq, eps, |j| {
+                if j == i {
+                    return;
+                }
+                let zd = sops_spatial::dist_sq(&z[j * dz..(j + 1) * dz], zq).sqrt();
+                if zd >= eps {
+                    return; // strict
+                }
+                c_z += 1;
+                let xd = sops_spatial::dist_sq(&x[j * dx..(j + 1) * dx], xq).sqrt();
+                if xd < eps {
+                    c_xz += 1;
+                }
+                let yd = sops_spatial::dist_sq(&y[j * dy..(j + 1) * dy], yq).sqrt();
+                if yd < eps {
+                    c_yz += 1;
+                }
+            });
+            // Each sample's local term first, summed in sample order.
+            psi_sum +=
+                digamma((c_z + 1) as f64) - digamma((c_xz + 1) as f64) - digamma((c_yz + 1) as f64);
         }
         let nats = digamma(cfg.k as f64) + psi_sum / rows as f64;
         nats * NATS_TO_BITS
@@ -251,9 +201,8 @@ impl CmiWorkspace {
         let mut sig = vec![self.joint.capacity(), self.offsets.capacity()];
         sig.extend(self.tree_z.capacity_signature());
         sig.extend(self.joint_tree.capacity_signature());
-        for chunk in &self.chunks {
-            chunk.capacity_signature(&mut sig);
-        }
+        sig.push(self.neigh.capacity());
+        sig.push(self.stack.capacity());
         sig
     }
 }
@@ -394,37 +343,6 @@ mod tests {
             ws.conditional_mutual_information(&y_next, &x_past, &y_past, m, (1, 1, 1), &cfg);
         assert!(te_yx > 0.5, "driver must be detected: TE(Y→X) = {te_yx}");
         assert!(te_xy.abs() < 0.1, "no reverse flow: TE(X→Y) = {te_xy}");
-    }
-
-    #[test]
-    fn cmi_bit_identical_across_threads_and_knn_paths() {
-        let (x, y, z) = common_cause_samples(400, 5);
-        let mut ws = CmiWorkspace::new();
-        let base = ws.conditional_mutual_information(
-            &x,
-            &y,
-            &z,
-            400,
-            (1, 1, 1),
-            &CmiConfig {
-                k: 4,
-                threads: 1,
-                knn: KnnMode::BruteForce,
-            },
-        );
-        for knn in [KnnMode::BruteForce, KnnMode::KdTree, KnnMode::Auto] {
-            for threads in [1usize, 8] {
-                let got = ws.conditional_mutual_information(
-                    &x,
-                    &y,
-                    &z,
-                    400,
-                    (1, 1, 1),
-                    &CmiConfig { k: 4, threads, knn },
-                );
-                assert_eq!(got.to_bits(), base.to_bits(), "{knn:?}/t{threads}");
-            }
-        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! comparison against KSG.
 //!
 //! The estimate runs through [`crate::MeasureWorkspace`]
-//! ([`crate::MeasureConfig::Kde`]) and is **bit-identical for any worker
-//! count** to the sequential pre-workspace implementation, which computed
+//! ([`crate::MeasureConfig::Kde`]), on its caller's thread, and is
+//! **bit-identical** to the pre-workspace implementation, which computed
 //! row `i`'s log-sum-exp over its partners `j ≠ i` in ascending order,
 //! once for the joint term and once per block (frozen in
 //! `crates/sops-info/tests/workspace_measure.rs`). The engine does the
@@ -35,38 +35,28 @@
 //!   `>` did). Each sweep recomputes the exponents, so nothing is stored
 //!   per pair.
 //! * **Normalisation constants once per call**, not per (row, term).
-//! * **Spans.** Rows split into one contiguous span per worker (at most
-//!   64, the estimators' worker cap). A span shares its
-//!   in-span pairs and computes out-of-span partners one-sided, still
-//!   ascending, so the span count changes the work but never the bits;
-//!   one worker computes every pair once.
 //!
 //! Scratch is `O(m·(stride + blocks))`: the bandwidths, a column gather,
 //! and per row a maximum, an `exp` sum and a pair exponent per term.
 //! There is no `m × m` buffer, so a huge sample is a slow request, not an
 //! allocation failure. A warmed-up workspace allocates nothing per call.
 
-use crate::workspace::{resolve_threads, INFO_CHUNKS};
 use crate::SampleView;
 use sops_math::stats;
 use sops_math::NATS_TO_BITS;
 
 /// KDE configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KdeConfig {
     /// Multiplier on the Silverman rule-of-thumb bandwidth (1.0 = rule of
     /// thumb).
     pub bandwidth_factor: f64,
-    /// Worker threads (0 = default). Results are bit-identical for any
-    /// thread count.
-    pub threads: usize,
 }
 
 impl Default for KdeConfig {
     fn default() -> Self {
         KdeConfig {
             bandwidth_factor: 1.0,
-            threads: 0,
         }
     }
 }
@@ -152,41 +142,32 @@ impl KdeWorkspace {
             stride,
             bandwidths: &self.bandwidths,
             ranges: &self.ranges,
-            rows: m,
         };
         let terms = self.log_norms.len();
-        let log_norms = &self.log_norms[..];
         let log_partners = ((m - 1) as f64).ln();
-        // No more spans (and threads) than the estimators' worker cap.
-        let spans = resolve_threads(cfg.threads).min(INFO_CHUNKS).min(m);
-        sops_par::parallel_chunks_mut(&mut self.rows[..m], spans, spans, |s, rows| {
-            // `parallel_chunks_mut` gives the first `m % spans` spans one
-            // extra row.
-            let lo = s * (m / spans) + s.min(m % spans);
-            for row in rows.iter_mut() {
-                row.terms.clear();
-                row.terms.resize(terms, f64::NEG_INFINITY);
-                row.terms.resize(3 * terms, 0.0);
-            }
-            pairs.sweep(lo, rows, terms, |max, _, pair| {
-                for (m, &e) in max.iter_mut().zip(pair) {
-                    *m = m.max(e);
-                }
-            });
-            pairs.sweep(lo, rows, terms, |max, sum, pair| {
-                for ((s, &m), &e) in sum.iter_mut().zip(&*max).zip(pair) {
-                    *s += (e - m).exp();
-                }
-            });
-            for row in rows.iter_mut() {
-                let (maxes, sums, _) = row.parts(terms);
-                let log_density = |t: usize| maxes[t] + sums[t].ln() - log_partners - log_norms[t];
-                let marginals: f64 = (1..terms).map(log_density).sum();
-                row.ratio = log_density(0) - marginals;
+        let rows = &mut self.rows[..m];
+        for row in rows.iter_mut() {
+            row.terms.clear();
+            row.terms.resize(terms, f64::NEG_INFINITY);
+            row.terms.resize(3 * terms, 0.0);
+        }
+        pairs.sweep(rows, terms, |max, _, pair| {
+            for (m, &e) in max.iter_mut().zip(pair) {
+                *m = m.max(e);
             }
         });
-        // Sample-order reduction: bit-identical to the sequential fold for
-        // any worker count.
+        pairs.sweep(rows, terms, |max, sum, pair| {
+            for ((s, &m), &e) in sum.iter_mut().zip(&*max).zip(pair) {
+                *s += (e - m).exp();
+            }
+        });
+        for row in rows.iter_mut() {
+            let (maxes, sums, _) = row.parts(terms);
+            let log_density = |t: usize| maxes[t] + sums[t].ln() - log_partners - self.log_norms[t];
+            let marginals: f64 = (1..terms).map(log_density).sum();
+            row.ratio = log_density(0) - marginals;
+        }
+        // Sample-order reduction, as the sequential reference folds.
         let mut total = 0.0;
         for row in &self.rows[..m] {
             total += row.ratio;
@@ -246,7 +227,6 @@ struct Pairs<'a> {
     stride: usize,
     bandwidths: &'a [f64],
     ranges: &'a [(usize, usize)],
-    rows: usize,
 }
 
 impl Pairs<'_> {
@@ -274,43 +254,26 @@ impl Pairs<'_> {
         out[0] = joint;
     }
 
-    /// One sweep over the span of rows `lo..lo + rows.len()` of a view
-    /// with `t` terms: every row meets each of its partners in ascending
-    /// order, and `update(max, sum, pair)` takes the row's maxima and
-    /// `exp` sums with that pair's exponents. Partners outside the span
-    /// are computed one-sided; a pair inside it is computed once for
-    /// both rows.
+    /// One sweep over every row of a view with `t` terms: each pair
+    /// `(i, j)` is computed once, `j` ascending, then `i < j`, which hands
+    /// every row its partners in ascending order, and `update(max, sum,
+    /// pair)` takes both rows' maxima and `exp` sums with that pair's
+    /// exponents.
     #[inline(always)]
     fn sweep(
         &self,
-        lo: usize,
         rows: &mut [KdeRow],
         t: usize,
         update: impl Fn(&mut [f64], &mut [f64], &[f64]),
     ) {
-        let hi = lo + rows.len();
-        for (r, row) in (lo..).zip(rows.iter_mut()) {
-            let (max, sum, pair) = row.parts(t);
-            for p in 0..lo {
-                self.exponents(r, p, pair);
-                update(max, sum, pair);
-            }
-        }
-        for j in lo..hi {
-            let (head, tail) = rows.split_at_mut(j - lo);
+        for j in 0..rows.len() {
+            let (head, tail) = rows.split_at_mut(j);
             let (max_j, sum_j, pair) = tail[0].parts(t);
-            for (i, row_i) in (lo..).zip(head.iter_mut()) {
+            for (i, row_i) in head.iter_mut().enumerate() {
                 self.exponents(i, j, pair);
                 let (max_i, sum_i, _) = row_i.parts(t);
                 update(max_i, sum_i, pair);
                 update(max_j, sum_j, pair);
-            }
-        }
-        for (r, row) in (lo..).zip(rows.iter_mut()) {
-            let (max, sum, pair) = row.parts(t);
-            for p in hi..self.rows {
-                self.exponents(r, p, pair);
-                update(max, sum, pair);
             }
         }
     }
@@ -361,29 +324,6 @@ mod tests {
             &KdeConfig::default(),
         );
         assert!(strong > weak + 0.3);
-    }
-
-    #[test]
-    fn bit_identical_across_threads() {
-        let data = sample_gaussian(&equicorrelated_cov(2, 0.5), 300, 9);
-        let sizes = [1usize, 1];
-        let view = SampleView::new(&data, 300, &sizes);
-        let mut ws = KdeWorkspace::default();
-        let one = ws.multi_information(
-            &view,
-            &KdeConfig {
-                threads: 1,
-                ..KdeConfig::default()
-            },
-        );
-        let many = ws.multi_information(
-            &view,
-            &KdeConfig {
-                threads: 8,
-                ..KdeConfig::default()
-            },
-        );
-        assert_eq!(one.to_bits(), many.to_bits());
     }
 
     #[test]

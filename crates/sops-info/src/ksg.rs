@@ -64,40 +64,19 @@ pub enum KsgVariant {
     Ksg2,
 }
 
-/// How the joint-space k-NN search is performed.
-///
-/// Both paths return identical results (the tree descent computes the
-/// same block-max distances); the choice is purely a performance
-/// trade-off on the joint dimension, which [`KnnMode::Auto`] makes per
-/// term.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KnnMode {
-    /// Kd-tree descent for small joint dimensions (pairwise scalar MI),
-    /// pruned brute-force scan where trees degenerate (high-dimensional
-    /// joint spaces). The default.
-    #[default]
-    Auto,
-    /// Always the pruned brute-force scan.
-    BruteForce,
-    /// The iterative kd-tree descent whenever structurally possible
-    /// (joint dimension within the kd-tree's 255-dim limit; wider joint
-    /// spaces fall back to the scan).
-    KdTree,
-}
-
 /// KSG configuration.
-#[derive(Debug, Clone, Copy)]
+///
+/// It names the estimate only. The joint k-NN search routes itself by
+/// the term's joint dimension and sample count (a kd-tree descent for
+/// small joint spaces, the pruned scan beyond), and every route returns
+/// the same bits; the engine runs on its caller's thread.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KsgConfig {
     /// Neighbour order `k`. The paper quotes `k = 5` in §5.3 and `k = 4`
     /// in §6; results are insensitive in `k ∈ [2, 10]` (§5.3). Default 4.
     pub k: usize,
     /// Formula variant.
     pub variant: KsgVariant,
-    /// Worker threads (0 = default). Results are bit-identical for any
-    /// thread count.
-    pub threads: usize,
-    /// Joint k-NN strategy (default: adaptive).
-    pub knn: KnnMode,
 }
 
 impl Default for KsgConfig {
@@ -105,8 +84,6 @@ impl Default for KsgConfig {
         KsgConfig {
             k: 4,
             variant: KsgVariant::default(),
-            threads: 0,
-            knn: KnnMode::default(),
         }
     }
 }
@@ -130,14 +107,7 @@ mod tests {
     fn estimate_on_gaussian(cov: &Matrix, block_sizes: &[usize], variant: KsgVariant) -> f64 {
         let data = sample_gaussian(cov, M, 2024);
         let view = SampleView::new(&data, M, block_sizes);
-        multi_information(
-            &view,
-            &KsgConfig {
-                k: 4,
-                variant,
-                ..KsgConfig::default()
-            },
-        )
+        multi_information(&view, &KsgConfig { k: 4, variant })
     }
 
     #[test]
@@ -225,29 +195,6 @@ mod tests {
             (base - shifted).abs() < 1e-9,
             "uniform scaling + shift must not change the estimate: {base} vs {shifted}"
         );
-    }
-
-    #[test]
-    fn deterministic_across_thread_counts() {
-        let cov = equicorrelated_cov(3, 0.4);
-        let data = sample_gaussian(&cov, 300, 77);
-        let sizes = [1usize, 1, 1];
-        let view = SampleView::new(&data, 300, &sizes);
-        let one = multi_information(
-            &view,
-            &KsgConfig {
-                threads: 1,
-                ..KsgConfig::default()
-            },
-        );
-        let many = multi_information(
-            &view,
-            &KsgConfig {
-                threads: 8,
-                ..KsgConfig::default()
-            },
-        );
-        assert!((one - many).abs() < 1e-12);
     }
 
     #[test]
@@ -365,10 +312,7 @@ mod pairwise_tests {
         let data = sample_gaussian(&cov, 350, 23);
         let sizes = [1usize, 2, 1];
         let view = SampleView::new(&data, 350, &sizes);
-        let cfg = KsgConfig {
-            threads: 1,
-            ..KsgConfig::default()
-        };
+        let cfg = KsgConfig::default();
         let m = pairwise_mi_matrix(&view, &cfg);
         for i in 0..3 {
             for j in (i + 1)..3 {

@@ -17,14 +17,16 @@
 //! trait, so `ws.estimator_mut(&cfg).measure(&view)` is the one way to
 //! get a multi-information, and the pairwise matrix, the Eq. 5
 //! decomposition, conditional mutual information and transfer entropy
-//! are methods of the same workspace (its docs carry an example). The
-//! pipeline's evaluation workers hold one each. The other modules hold
-//! each method's configuration and documentation:
+//! are methods of the same workspace (its docs carry an example). Every
+//! engine runs on its caller's thread; the pipeline parallelizes over
+//! evaluation steps, and its evaluation workers hold one workspace each.
+//! The other modules hold each method's configuration and
+//! documentation:
 //!
 //! * [`ksg`] — the paper's exact formula (Eq. 18–20) plus the two
 //!   canonical KSG variants as ablations; the engine shares per-block
-//!   indexes, picks its joint k-NN path adaptively and is bit-identical
-//!   for any worker count;
+//!   indexes and picks its joint k-NN path adaptively, with the same
+//!   bits on every path;
 //! * [`KdeConfig`] — the kernel-density baseline the paper found "multiple
 //!   orders of magnitudes slower" with larger variance (§5.3);
 //! * [`binning`] — the James–Stein shrinkage binning baseline the paper
@@ -56,7 +58,7 @@ pub use binning::{BinningConfig, SupportModel};
 pub use conditional::CmiConfig;
 pub use decomposition::{Decomposition, Grouping};
 pub use kde::KdeConfig;
-pub use ksg::{KnnMode, KsgConfig, KsgVariant};
+pub use ksg::{KsgConfig, KsgVariant};
 pub use measure::{Estimator, MeasureConfig, MeasureWorkspace, StridedFamily};
 
 /// A borrowed view of `rows` joint samples, each a concatenation of

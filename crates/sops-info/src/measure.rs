@@ -27,9 +27,12 @@
 //!   every estimator family enjoys scratch reuse across the time steps a
 //!   worker claims.
 //!
-//! Every engine keeps two contracts: results **bit-identical for any
-//! worker count** and to the respective pre-workspace reference (frozen
-//! in `crates/sops-info/tests/workspace_info.rs` and
+//! Every engine runs on its caller's thread, and the configs name
+//! results only: no field picks a thread count or a k-NN route, so two
+//! selections that compare equal give the same bits. Every engine keeps
+//! two contracts: results **bit-identical** to the respective
+//! pre-workspace reference (frozen in
+//! `crates/sops-info/tests/workspace_info.rs` and
 //! `crates/sops-info/tests/workspace_measure.rs`), and zero steady-state
 //! allocations on a bounded workload (capacity tests, same files). The
 //! Gaussian baseline is the one exception to the allocation contract: it
@@ -75,7 +78,7 @@ pub trait Estimator {
 
 /// Which estimator the pipeline's measurement stage runs, with the
 /// method's own configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MeasureConfig {
     /// Kraskov–Stögbauer–Grassberger k-NN estimator (the paper's method
     /// and the default).
@@ -112,7 +115,7 @@ pub enum MeasureConfig {
 /// delegates to after subsampling rows. A mirror of the continuous
 /// [`MeasureConfig`] variants (the discrete plug-in is reachable via
 /// [`Binned`](StridedFamily::Binned) with [`discrete_plugin_config`]).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StridedFamily {
     /// KSG on the subsampled view.
     Ksg(KsgConfig),
@@ -164,23 +167,11 @@ impl MeasureConfig {
         })
     }
 
-    /// The same selection with the worker-thread count overridden where
-    /// the method has one (KSG, KDE; the other methods are sequential —
-    /// they run in microseconds at ensemble sizes).
-    pub fn with_threads(self, threads: usize) -> Self {
-        match self {
-            MeasureConfig::Ksg(cfg) => MeasureConfig::Ksg(KsgConfig { threads, ..cfg }),
-            MeasureConfig::Kde(cfg) => MeasureConfig::Kde(KdeConfig { threads, ..cfg }),
-            MeasureConfig::Strided { family, every } => MeasureConfig::Strided {
-                family: match family {
-                    StridedFamily::Ksg(cfg) => StridedFamily::Ksg(KsgConfig { threads, ..cfg }),
-                    StridedFamily::Kde(cfg) => StridedFamily::Kde(KdeConfig { threads, ..cfg }),
-                    other => other,
-                },
-                every,
-            },
-            other => other,
-        }
+    /// Returns the selection unchanged: no estimator has a worker count.
+    /// Kept so that existing callers still compile.
+    #[doc(hidden)]
+    pub fn with_threads(self, _threads: usize) -> Self {
+        self
     }
 
     /// Short display label (figures, benches).
@@ -501,7 +492,7 @@ impl MeasureWorkspace {
     /// pairwise matrix is their first-order ingredient and a useful
     /// diagnostic of *where* in the collective the correlation sits. Runs
     /// on the owned KSG engine: per-block count indexes are built once and
-    /// shared by every pair, and pairs run in parallel.
+    /// shared by every pair.
     ///
     /// # Panics
     ///
@@ -654,24 +645,6 @@ mod tests {
     }
 
     #[test]
-    fn with_threads_overrides_parallel_methods_only() {
-        let cfg = MeasureConfig::Ksg(KsgConfig::default()).with_threads(3);
-        assert!(matches!(
-            cfg,
-            MeasureConfig::Ksg(KsgConfig { threads: 3, .. })
-        ));
-        let cfg = MeasureConfig::Kde(KdeConfig::default()).with_threads(2);
-        assert!(matches!(
-            cfg,
-            MeasureConfig::Kde(KdeConfig { threads: 2, .. })
-        ));
-        assert!(matches!(
-            MeasureConfig::Gaussian.with_threads(5),
-            MeasureConfig::Gaussian
-        ));
-    }
-
-    #[test]
     #[should_panic(expected = "before prepare")]
     fn estimate_before_prepare_panics() {
         MeasureWorkspace::new()
@@ -764,19 +737,12 @@ mod tests {
     }
 
     #[test]
-    fn strided_labels_and_thread_override() {
+    fn strided_labels() {
         let cfg = MeasureConfig::Strided {
             family: StridedFamily::Kde(KdeConfig::default()),
             every: 4,
         };
         assert_eq!(cfg.label(), "strided_kde");
-        assert!(matches!(
-            cfg.with_threads(6),
-            MeasureConfig::Strided {
-                family: StridedFamily::Kde(KdeConfig { threads: 6, .. }),
-                every: 4,
-            }
-        ));
         assert_eq!(
             MeasureConfig::Strided {
                 family: StridedFamily::Gaussian,

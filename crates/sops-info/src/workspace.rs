@@ -23,30 +23,30 @@
 //!   blocks with m = 120–2,000), so a tree visits nearly every leaf
 //!   anyway, and the plain loop took 0.06–0.11× of the tree's time per
 //!   count there.
-//! * **Adaptive joint k-NN** — high joint dimension keeps the pruned
-//!   brute-force scan (where space partitioning degenerates, per the
-//!   `sops_spatial::block_max` docs), run over a lane-transposed SoA
-//!   tile ([`sops_spatial::block_max::ScalarLanes`]) when every block is
+//! * **Adaptive joint k-NN** — one rule, [`use_tree`], routes every
+//!   term. High joint dimension keeps the pruned brute-force scan (where
+//!   space partitioning degenerates, per the `sops_spatial::block_max`
+//!   docs), run over a lane-transposed SoA tile
+//!   ([`sops_spatial::block_max::ScalarLanes`]) when every block is
 //!   scalar; low joint dimension (pairwise scalar MI is dim-2) routes
 //!   through an iterative kd-tree descent under the block-max metric
 //!   ([`sops_spatial::block_max::knn_block_max_tree_into`]) whose leaves
 //!   are scanned as contiguous row slabs, turning each pair's `O(m²)`
-//!   scan into `O(m log m)`. All paths are bit-identical.
-//! * **Per-worker scratch, zero steady-state allocations** — samples are
-//!   partitioned into [`INFO_CHUNKS`] fixed spans; each span owns its
-//!   scratch (neighbour buffer, radii, traversal stack, per-sample ψ
-//!   terms, per-pair gather + joint tree) and is reused across calls. A
-//!   warmed-up workspace allocates nothing per call beyond its return
-//!   value (enforced by `tests/workspace_info.rs`).
-//! * **Determinism** — per-sample ψ terms are written into span slots and
-//!   reduced in sample order, so results are **bit-identical for any
-//!   worker count** and equal to the sequential reference — a stronger
-//!   contract than the old `parallel_reduce` path, which reassociated
-//!   the sum under parallelism. The pipeline's bit-identity suite rides
-//!   on this.
+//!   scan into `O(m log m)`. All routes return the same bits
+//!   (`sops_spatial::block_max` pins that they agree on any input).
+//! * **One scratch, zero steady-state allocations** — the engine runs on
+//!   its caller's thread with one set of per-sample buffers (neighbour
+//!   buffer, radii, traversal stack) and reusable gathers and joint tree.
+//!   A warmed-up workspace allocates nothing per call beyond its return
+//!   value (enforced by `tests/workspace_info.rs`). Callers parallelize
+//!   over evaluation steps, one workspace per worker.
+//! * **Determinism** — per-sample ψ terms are summed in sample order, the
+//!   order of the sequential reference frozen in
+//!   `tests/workspace_info.rs`, which the pipeline's bit-identity suite
+//!   rides on.
 
 use crate::decomposition::{Decomposition, Grouping};
-use crate::ksg::{KnnMode, KsgConfig, KsgVariant};
+use crate::ksg::{KsgConfig, KsgVariant};
 use crate::SampleView;
 use sops_math::special::digamma;
 use sops_math::{PairMatrix, NATS_TO_BITS};
@@ -56,23 +56,12 @@ use sops_spatial::block_max::{
 };
 use sops_spatial::KdTree;
 
-/// Number of fixed sample spans the estimator loop is partitioned into
-/// — and therefore the maximum useful estimator worker count.
-///
-/// The span partition only decides which scratch buffer serves which
-/// sample; the ψ reduction always runs in global sample order, so the
-/// result is bit-identical for *any* span count or thread count (unlike
-/// the force engine, whose chunk partition fixes the accumulation
-/// order). 64 spans keep many-core machines busy while per-span scratch
-/// stays tiny.
-pub(crate) const INFO_CHUNKS: usize = 64;
-
-/// Joint dimensions up to this use the kd-tree k-NN descent under
-/// [`KnnMode::Auto`]; beyond it the pruned scan wins. Measured with the
-/// `estimators` bench on correlated-Gaussian fixtures: at joint dim 10
-/// the tree is ~1.6× faster than the scan (`ksg_scaling/m500_n10`), at
-/// dim 40 it is ~1.1× slower (`ksg_scaling/m1000_n40`) — the boundary
-/// sits between, and 16 keeps both regimes on their winning path.
+/// Joint dimensions up to this take the kd-tree k-NN descent; beyond it
+/// the pruned scan wins. Measured with the `estimators` bench on
+/// correlated-Gaussian fixtures: at joint dim 10 the tree is ~1.6×
+/// faster than the scan (`ksg_scaling/m500_n10`), at dim 40 it is ~1.1×
+/// slower (`ksg_scaling/m1000_n40`) — the boundary sits between, and 16
+/// keeps both regimes on their winning path.
 const MAX_TREE_JOINT_DIM: usize = 16;
 
 /// Minimum sample count for the tree path to amortize its build.
@@ -83,24 +72,13 @@ const MIN_TREE_ROWS: usize = 64;
 /// share the tile).
 const MIN_LANES_ROWS: usize = 2 * LANES;
 
-pub(crate) fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        sops_par::default_threads()
-    } else {
-        threads
-    }
-}
-
-/// [`KdTree::build`] supports at most this many dimensions; joint spaces
-/// beyond it always take the scan, even under [`KnnMode::KdTree`].
-const KDTREE_MAX_DIM: usize = 255;
-
-pub(crate) fn use_tree(mode: KnnMode, joint_dim: usize, rows: usize) -> bool {
-    match mode {
-        KnnMode::BruteForce => false,
-        KnnMode::KdTree => joint_dim <= KDTREE_MAX_DIM,
-        KnnMode::Auto => joint_dim <= MAX_TREE_JOINT_DIM && rows >= MIN_TREE_ROWS,
-    }
+/// The k-NN route of a term with `rows` samples in a `joint_dim`-wide
+/// joint space: the kd-tree descent when the space is small enough for
+/// the tree to prune and the sample large enough to repay its build,
+/// the pruned scan otherwise. The KSG and CMI engines route every term
+/// through this one rule; the routes return the same bits.
+pub(crate) fn use_tree(joint_dim: usize, rows: usize) -> bool {
+    joint_dim <= MAX_TREE_JOINT_DIM && rows >= MIN_TREE_ROWS
 }
 
 /// Strict/inclusive range-count index over one observer block's columns:
@@ -265,12 +243,9 @@ fn count_sorted(sorted: &[f64], q: f64, radius: f64, strict: bool) -> usize {
     hi - lo
 }
 
-/// Per-span scratch: everything one worker needs to evaluate samples (or
-/// whole pairs) without touching the allocator.
-#[derive(Debug, Clone)]
-struct ChunkScratch {
-    /// Per-sample ψ terms for this span, reduced in sample order.
-    psi: Vec<f64>,
+/// Per-sample scratch of the KSG kernel.
+#[derive(Debug, Clone, Default)]
+struct KnnScratch {
     /// k-NN result buffer.
     neigh: Vec<(usize, f64)>,
     /// Per-block radii (Paper / Ksg2 variants).
@@ -279,41 +254,73 @@ struct ChunkScratch {
     dists: Vec<f64>,
     /// Explicit stack for the kd-tree descent.
     stack: Vec<(u32, f64)>,
-    /// Gathered joint columns of the pair under evaluation.
-    gather: Vec<f64>,
-    /// Prefix-offset buffer for the pair view.
-    offsets: Vec<usize>,
-    /// Joint kd-tree over `gather`.
-    tree: KdTree,
-    /// Per-pair MI values produced by this span.
-    values: Vec<f64>,
 }
 
-impl ChunkScratch {
+/// Everything one KSG term needs besides the count indexes: the joint
+/// kd-tree or scan lanes of its route, its block offsets and the
+/// per-sample k-NN scratch.
+#[derive(Debug, Clone)]
+struct TermScratch {
+    /// Joint kd-tree of the term (tree route).
+    joint_tree: KdTree,
+    /// Lane-transposed joint samples of the term (all-scalar block sets
+    /// on the scan route).
+    scan_lanes: ScalarLanes,
+    /// Prefix offsets of the term's blocks.
+    offsets: Vec<usize>,
+    knn: KnnScratch,
+}
+
+impl TermScratch {
     fn new() -> Self {
-        ChunkScratch {
-            psi: Vec::new(),
-            neigh: Vec::new(),
-            radii: Vec::new(),
-            dists: Vec::new(),
-            stack: Vec::new(),
-            gather: Vec::new(),
+        TermScratch {
+            joint_tree: KdTree::build(1, &[]),
+            scan_lanes: ScalarLanes::new(),
             offsets: Vec::new(),
-            tree: KdTree::build(1, &[]),
-            values: Vec::new(),
+            knn: KnnScratch::default(),
         }
     }
 
+    /// One KSG term in bits: the multi-information among the blocks
+    /// (`sizes`) of the row-major `rows`-sample matrix `data`, block `b`
+    /// counting in `indexes[index_map[b]]`. The term takes the route
+    /// [`use_tree`] picks for its joint dimension and sample count.
+    fn bits(
+        &mut self,
+        data: &[f64],
+        rows: usize,
+        sizes: &[usize],
+        indexes: &[CountIndex],
+        index_map: &[usize],
+        cfg: &KsgConfig,
+    ) -> f64 {
+        let stride: usize = sizes.iter().sum();
+        let TermScratch {
+            joint_tree,
+            scan_lanes,
+            offsets,
+            knn,
+        } = self;
+        let tree = if use_tree(stride, rows) {
+            joint_tree.rebuild(stride, data);
+            Some(&*joint_tree)
+        } else {
+            None
+        };
+        let points = BlockPoints::with_offset_buf(offsets, data, rows, sizes);
+        let lanes = prepare_lanes(scan_lanes, &points, tree.is_some());
+        let psi_sum = psi_sum(&points, indexes, index_map, tree, lanes, cfg, knn);
+        mi_bits(psi_sum, rows, index_map.len(), cfg.k, cfg.variant)
+    }
+
     fn capacity_signature(&self, sig: &mut Vec<usize>) {
-        sig.push(self.psi.capacity());
-        sig.push(self.neigh.capacity());
-        sig.push(self.radii.capacity());
-        sig.push(self.dists.capacity());
-        sig.push(self.stack.capacity());
-        sig.push(self.gather.capacity());
+        sig.extend(self.joint_tree.capacity_signature());
+        sig.push(self.scan_lanes.capacity_signature());
         sig.push(self.offsets.capacity());
-        sig.push(self.values.capacity());
-        sig.extend(self.tree.capacity_signature());
+        sig.push(self.knn.neigh.capacity());
+        sig.push(self.knn.radii.capacity());
+        sig.push(self.knn.dists.capacity());
+        sig.push(self.knn.stack.capacity());
     }
 }
 
@@ -331,28 +338,19 @@ pub(crate) struct InfoWorkspace {
     fine: Vec<CountIndex>,
     /// Per-coarse-block indexes (decomposition between-term).
     coarse: Vec<CountIndex>,
-    /// Joint kd-tree shared by the spans of a chunked term.
-    joint_tree: KdTree,
-    /// Lane-transposed joint samples for the SoA pruned scan (all-scalar
-    /// block sets on the brute-force path), shared by the spans of a
-    /// chunked term.
-    scan_lanes: ScalarLanes,
     /// Identity block→index maps.
     identity_map: Vec<usize>,
     coarse_map: Vec<usize>,
     /// Prefix offsets of the view's blocks (pair/group gathering).
     view_offsets: Vec<usize>,
-    /// Flattened (i, j) pair list of the MI matrix.
-    pairs: Vec<(usize, usize)>,
-    /// Fixed per-span scratch.
-    chunks: Vec<ChunkScratch>,
-    /// Decomposition gathers.
+    /// Route and k-NN scratch of the term under evaluation.
+    term: TermScratch,
+    /// Decomposition between-term gather.
     coarse_data: Vec<f64>,
     coarse_sizes: Vec<usize>,
-    coarse_offsets: Vec<usize>,
+    /// Pair and within-group gathers.
     group_data: Vec<f64>,
     group_sizes: Vec<usize>,
-    group_offsets: Vec<usize>,
 }
 
 impl Default for InfoWorkspace {
@@ -368,19 +366,14 @@ impl InfoWorkspace {
         InfoWorkspace {
             fine: Vec::new(),
             coarse: Vec::new(),
-            joint_tree: KdTree::build(1, &[]),
-            scan_lanes: ScalarLanes::new(),
             identity_map: Vec::new(),
             coarse_map: Vec::new(),
             view_offsets: Vec::new(),
-            pairs: Vec::new(),
-            chunks: vec![ChunkScratch::new(); INFO_CHUNKS],
+            term: TermScratch::new(),
             coarse_data: Vec::new(),
             coarse_sizes: Vec::new(),
-            coarse_offsets: Vec::new(),
             group_data: Vec::new(),
             group_sizes: Vec::new(),
-            group_offsets: Vec::new(),
         }
     }
 
@@ -398,46 +391,30 @@ impl InfoWorkspace {
         }
         assert_ksg_bounds(cfg, view.rows);
         let m = view.rows;
-        let stride = view.stride();
-        let threads = resolve_threads(cfg.threads);
-        let InfoWorkspace {
-            fine,
-            joint_tree,
-            scan_lanes,
-            identity_map,
-            chunks,
-            ..
-        } = self;
-        prepare_indexes(fine, view.data, m, stride, view.block_sizes);
-        identity_map.clear();
-        identity_map.extend(0..n);
-        let points = BlockPoints::new(view.data, m, view.block_sizes);
-        let tree = if use_tree(cfg.knn, stride, m) {
-            joint_tree.rebuild(stride, view.data);
-            Some(&*joint_tree)
-        } else {
-            None
-        };
-        let lanes = prepare_lanes(scan_lanes, &points, tree.is_some());
-        let psi_sum = chunked_psi_sum(
-            &points,
-            fine,
-            identity_map,
-            tree,
-            lanes,
-            cfg.k,
-            cfg.variant,
+        prepare_indexes(
+            &mut self.fine,
+            view.data,
             m,
-            chunks,
-            threads,
+            view.stride(),
+            view.block_sizes,
         );
-        mi_bits(psi_sum, m, n, cfg.k, cfg.variant)
+        self.identity_map.clear();
+        self.identity_map.extend(0..n);
+        self.term.bits(
+            view.data,
+            m,
+            view.block_sizes,
+            &self.fine,
+            &self.identity_map,
+            cfg,
+        )
     }
 
     /// Pairwise mutual-information matrix between all observer blocks:
     /// entry `(i, j)` is `I(Wᵢ; Wⱼ)` in bits, diagonal 0. Per-block
     /// indexes are built once and shared by every pair, and each pair's
-    /// joint search takes the kd-tree path (its joint dimension is small).
+    /// joint search takes the kd-tree path whenever [`use_tree`] allows
+    /// (a pair's joint dimension is small).
     pub(crate) fn pairwise_mi_matrix(
         &mut self,
         view: &SampleView<'_>,
@@ -451,89 +428,17 @@ impl InfoWorkspace {
         assert_ksg_bounds(cfg, view.rows);
         let m = view.rows;
         let stride = view.stride();
-        let threads = resolve_threads(cfg.threads);
-        let InfoWorkspace {
-            fine,
-            view_offsets,
-            pairs,
-            chunks,
-            ..
-        } = self;
-        prepare_indexes(fine, view.data, m, stride, view.block_sizes);
-        fill_prefix_offsets(view.block_sizes, view_offsets);
-        pairs.clear();
+        let sizes = view.block_sizes;
+        prepare_indexes(&mut self.fine, view.data, m, stride, sizes);
+        fill_prefix_offsets(sizes, &mut self.view_offsets);
         for i in 0..n {
             for j in (i + 1)..n {
-                pairs.push((i, j));
-            }
-        }
-        let npairs = pairs.len();
-        let nchunks = chunks.len();
-        let fine = &*fine;
-        let pairs = &*pairs;
-        let view_offsets = &*view_offsets;
-        let data = view.data;
-        let sizes = view.block_sizes;
-        sops_par::parallel_chunks_mut(chunks, nchunks, threads, |c, bufs| {
-            let scratch = &mut bufs[0];
-            scratch.values.clear();
-            let lo = c * npairs / nchunks;
-            let hi = (c + 1) * npairs / nchunks;
-            let ChunkScratch {
-                psi,
-                neigh,
-                radii,
-                dists,
-                stack,
-                gather,
-                offsets,
-                tree,
-                values,
-            } = scratch;
-            for &(bi, bj) in &pairs[lo..hi] {
-                let (oi, di) = (view_offsets[bi], sizes[bi]);
-                let (oj, dj) = (view_offsets[bj], sizes[bj]);
-                gather.clear();
-                for r in 0..m {
-                    let row = &data[r * stride..(r + 1) * stride];
-                    gather.extend_from_slice(&row[oi..oi + di]);
-                    gather.extend_from_slice(&row[oj..oj + dj]);
-                }
-                let pair_sizes = [di, dj];
-                let pair_stride = di + dj;
-                let tree_ref = if use_tree(cfg.knn, pair_stride, m) {
-                    tree.rebuild(pair_stride, gather);
-                    Some(&*tree)
-                } else {
-                    None
-                };
-                let points = BlockPoints::with_offset_buf(offsets, gather, m, &pair_sizes);
-                let map = [bi, bj];
-                term_psi_span(
-                    &points,
-                    fine,
-                    &map,
-                    tree_ref,
-                    None,
-                    cfg.k,
-                    cfg.variant,
-                    0,
-                    m,
-                    neigh,
-                    radii,
-                    dists,
-                    stack,
-                    psi,
-                );
-                let psi_sum = psi.iter().fold(0.0, |a, &v| a + v);
-                values.push(mi_bits(psi_sum, m, 2, cfg.k, cfg.variant));
-            }
-        });
-        for (c, scratch) in self.chunks.iter().enumerate() {
-            let lo = c * npairs / nchunks;
-            for (off, &v) in scratch.values.iter().enumerate() {
-                let (i, j) = self.pairs[lo + off];
-                out.set(i, j, v);
+                gather_blocks(view, &self.view_offsets, &[i, j], &mut self.group_data);
+                let pair_sizes = [sizes[i], sizes[j]];
+                let mi = self
+                    .term
+                    .bits(&self.group_data, m, &pair_sizes, &self.fine, &[i, j], cfg);
+                out.set(i, j, mi);
             }
         }
         out
@@ -554,24 +459,7 @@ impl InfoWorkspace {
 
         let m = view.rows;
         let stride = view.stride();
-        let threads = resolve_threads(cfg.threads);
-        let InfoWorkspace {
-            fine,
-            coarse,
-            joint_tree,
-            scan_lanes,
-            coarse_map,
-            view_offsets,
-            chunks,
-            coarse_data,
-            coarse_sizes,
-            coarse_offsets,
-            group_data,
-            group_sizes,
-            group_offsets,
-            ..
-        } = self;
-        fill_prefix_offsets(view.block_sizes, view_offsets);
+        fill_prefix_offsets(view.block_sizes, &mut self.view_offsets);
 
         // Between-group term: merge each group's blocks into one coarse
         // block (same row layout as the old `decompose`, gathered into a
@@ -581,48 +469,36 @@ impl InfoWorkspace {
         let between = if g < 2 {
             0.0
         } else {
-            coarse_sizes.clear();
-            coarse_sizes.extend(
+            self.coarse_sizes.clear();
+            self.coarse_sizes.extend(
                 grouping
                     .groups
                     .iter()
                     .map(|members| members.iter().map(|&b| view.block_sizes[b]).sum::<usize>()),
             );
-            coarse_data.clear();
-            for r in 0..m {
-                let row = &view.data[r * stride..(r + 1) * stride];
-                for members in &grouping.groups {
-                    for &b in members {
-                        coarse_data.extend_from_slice(
-                            &row[view_offsets[b]..view_offsets[b] + view.block_sizes[b]],
-                        );
-                    }
-                }
-            }
-            prepare_indexes(coarse, coarse_data, m, stride, coarse_sizes);
-            coarse_map.clear();
-            coarse_map.extend(0..g);
-            let tree = if use_tree(cfg.knn, stride, m) {
-                joint_tree.rebuild(stride, coarse_data);
-                Some(&*joint_tree)
-            } else {
-                None
-            };
-            let points = BlockPoints::with_offset_buf(coarse_offsets, coarse_data, m, coarse_sizes);
-            let lanes = prepare_lanes(scan_lanes, &points, tree.is_some());
-            let psi_sum = chunked_psi_sum(
-                &points,
-                coarse,
-                coarse_map,
-                tree,
-                lanes,
-                cfg.k,
-                cfg.variant,
-                m,
-                chunks,
-                threads,
+            gather_blocks(
+                view,
+                &self.view_offsets,
+                grouping.groups.iter().flatten(),
+                &mut self.coarse_data,
             );
-            mi_bits(psi_sum, m, g, cfg.k, cfg.variant)
+            prepare_indexes(
+                &mut self.coarse,
+                &self.coarse_data,
+                m,
+                stride,
+                &self.coarse_sizes,
+            );
+            self.coarse_map.clear();
+            self.coarse_map.extend(0..g);
+            self.term.bits(
+                &self.coarse_data,
+                m,
+                &self.coarse_sizes,
+                &self.coarse,
+                &self.coarse_map,
+                cfg,
+            )
         };
 
         // Within-group terms share the fine indexes built by the total.
@@ -632,39 +508,18 @@ impl InfoWorkspace {
                 within.push(0.0);
                 continue;
             }
-            group_sizes.clear();
-            group_sizes.extend(members.iter().map(|&b| view.block_sizes[b]));
-            let gstride: usize = group_sizes.iter().sum();
-            group_data.clear();
-            for r in 0..m {
-                let row = &view.data[r * stride..(r + 1) * stride];
-                for &b in members {
-                    group_data.extend_from_slice(
-                        &row[view_offsets[b]..view_offsets[b] + view.block_sizes[b]],
-                    );
-                }
-            }
-            let tree = if use_tree(cfg.knn, gstride, m) {
-                joint_tree.rebuild(gstride, group_data);
-                Some(&*joint_tree)
-            } else {
-                None
-            };
-            let points = BlockPoints::with_offset_buf(group_offsets, group_data, m, group_sizes);
-            let lanes = prepare_lanes(scan_lanes, &points, tree.is_some());
-            let psi_sum = chunked_psi_sum(
-                &points,
-                fine,
-                members,
-                tree,
-                lanes,
-                cfg.k,
-                cfg.variant,
+            self.group_sizes.clear();
+            self.group_sizes
+                .extend(members.iter().map(|&b| view.block_sizes[b]));
+            gather_blocks(view, &self.view_offsets, members, &mut self.group_data);
+            within.push(self.term.bits(
+                &self.group_data,
                 m,
-                chunks,
-                threads,
-            );
-            within.push(mi_bits(psi_sum, m, members.len(), cfg.k, cfg.variant));
+                &self.group_sizes,
+                &self.fine,
+                members,
+                cfg,
+            ));
         }
 
         Decomposition {
@@ -685,22 +540,15 @@ impl InfoWorkspace {
             self.identity_map.capacity(),
             self.coarse_map.capacity(),
             self.view_offsets.capacity(),
-            self.pairs.capacity(),
             self.coarse_data.capacity(),
             self.coarse_sizes.capacity(),
-            self.coarse_offsets.capacity(),
             self.group_data.capacity(),
             self.group_sizes.capacity(),
-            self.group_offsets.capacity(),
         ];
-        sig.extend(self.joint_tree.capacity_signature());
-        sig.push(self.scan_lanes.capacity_signature());
         for idx in self.fine.iter().chain(&self.coarse) {
             idx.capacity_signature(&mut sig);
         }
-        for chunk in &self.chunks {
-            chunk.capacity_signature(&mut sig);
-        }
+        self.term.capacity_signature(&mut sig);
         sig
     }
 }
@@ -752,6 +600,24 @@ fn prepare_indexes(
     }
 }
 
+/// Writes the columns of `blocks`, in that order, of every row of `view`
+/// into `out` (cleared first): the row-major matrix of a pair, a group or
+/// the coarse view. `offsets` are the view's block prefix offsets.
+fn gather_blocks<'b>(
+    view: &SampleView<'_>,
+    offsets: &[usize],
+    blocks: impl IntoIterator<Item = &'b usize, IntoIter: Clone>,
+    out: &mut Vec<f64>,
+) {
+    let blocks = blocks.into_iter();
+    out.clear();
+    for row in view.data.chunks_exact(view.stride()) {
+        for &b in blocks.clone() {
+            out.extend_from_slice(&row[offsets[b]..offsets[b] + view.block_sizes[b]]);
+        }
+    }
+}
+
 /// Prefix offsets of a block-size list (no trailing stride entry).
 fn fill_prefix_offsets(block_sizes: &[usize], out: &mut Vec<usize>) {
     out.clear();
@@ -762,71 +628,28 @@ fn fill_prefix_offsets(block_sizes: &[usize], out: &mut Vec<usize>) {
     }
 }
 
-/// Evaluates one KSG term over the fixed span partition, reducing the
-/// per-sample ψ terms in sample order (bit-identical for any `threads`).
-#[allow(clippy::too_many_arguments)]
-fn chunked_psi_sum(
+/// The per-sample KSG kernel over every sample of a term: joint k-NN
+/// (scan or tree descent), then the variant's per-block ψ counts, the
+/// per-sample ψ values summed in sample order. The numeric semantics are
+/// exactly those of the pre-workspace implementation.
+fn psi_sum(
     points: &BlockPoints<'_>,
     indexes: &[CountIndex],
     index_map: &[usize],
     joint_tree: Option<&KdTree>,
     lanes: Option<&ScalarLanes>,
-    k: usize,
-    variant: KsgVariant,
-    m: usize,
-    chunks: &mut [ChunkScratch],
-    threads: usize,
+    cfg: &KsgConfig,
+    knn: &mut KnnScratch,
 ) -> f64 {
-    let nchunks = chunks.len();
-    sops_par::parallel_chunks_mut(chunks, nchunks, threads, |c, bufs| {
-        let ChunkScratch {
-            psi,
-            neigh,
-            radii,
-            dists,
-            stack,
-            ..
-        } = &mut bufs[0];
-        let lo = c * m / nchunks;
-        let hi = (c + 1) * m / nchunks;
-        term_psi_span(
-            points, indexes, index_map, joint_tree, lanes, k, variant, lo, hi, neigh, radii, dists,
-            stack, psi,
-        );
-    });
+    let KnnScratch {
+        neigh,
+        radii,
+        dists,
+        stack,
+    } = knn;
+    let (n, k) = (index_map.len(), cfg.k);
     let mut sum = 0.0;
-    for chunk in chunks.iter() {
-        for &v in &chunk.psi {
-            sum += v;
-        }
-    }
-    sum
-}
-
-/// The per-sample KSG kernel for samples `lo..hi` of a term: joint k-NN
-/// (scan or tree descent), then the variant's per-block ψ counts. One ψ
-/// value per sample is pushed into `psi` (cleared first); the numeric
-/// semantics are exactly those of the pre-workspace implementation.
-#[allow(clippy::too_many_arguments)]
-fn term_psi_span(
-    points: &BlockPoints<'_>,
-    indexes: &[CountIndex],
-    index_map: &[usize],
-    joint_tree: Option<&KdTree>,
-    lanes: Option<&ScalarLanes>,
-    k: usize,
-    variant: KsgVariant,
-    lo: usize,
-    hi: usize,
-    neigh: &mut Vec<(usize, f64)>,
-    radii: &mut Vec<f64>,
-    dists: &mut Vec<f64>,
-    stack: &mut Vec<(u32, f64)>,
-    psi: &mut Vec<f64>,
-) {
-    let n = index_map.len();
-    psi.clear();
-    for i in lo..hi {
+    for i in 0..points.rows() {
         match (joint_tree, lanes) {
             (Some(tree), _) => knn_block_max_tree_into(points, tree, i, k, stack, neigh),
             (None, Some(lanes)) => knn_block_max_lanes_into(points, lanes, i, k, neigh),
@@ -834,7 +657,7 @@ fn term_psi_span(
         }
         let kth = neigh.last().expect("KSG: k-th neighbour must exist").0;
         let mut local = 0.0;
-        match variant {
+        match cfg.variant {
             KsgVariant::Paper => {
                 // Literal Eq. 20: per-block radius taken from the k-th
                 // neighbour alone, strict count, self subtracted.
@@ -897,8 +720,9 @@ fn term_psi_span(
                 }
             }
         }
-        psi.push(local);
+        sum += local;
     }
+    sum
 }
 
 /// The KSG closed form from a ψ sum — shared by every term so the
@@ -1081,38 +905,6 @@ mod tests {
     }
 
     #[test]
-    fn forced_tree_mode_falls_back_to_scan_beyond_kdtree_dim_limit() {
-        assert!(use_tree(KnnMode::KdTree, 255, 1000));
-        assert!(
-            !use_tree(KnnMode::KdTree, 256, 1000),
-            "joint spaces beyond the kd-tree dim limit must take the scan"
-        );
-        // End to end: a 300-dim joint view under forced KdTree must not
-        // panic and must match the scan.
-        let rows = 40;
-        let blocks = 300;
-        let mut rng = sops_math::SplitMix64::new(4);
-        let data: Vec<f64> = (0..rows * blocks)
-            .map(|_| rng.next_range(-1.0, 1.0))
-            .collect();
-        let sizes = vec![1usize; blocks];
-        let view = SampleView::new(&data, rows, &sizes);
-        let mut ws = InfoWorkspace::new();
-        let run = |ws: &mut InfoWorkspace, knn| {
-            ws.multi_information(
-                &view,
-                &KsgConfig {
-                    knn,
-                    ..KsgConfig::default()
-                },
-            )
-        };
-        let tree = run(&mut ws, KnnMode::KdTree);
-        let brute = run(&mut ws, KnnMode::BruteForce);
-        assert_eq!(tree.to_bits(), brute.to_bits());
-    }
-
-    #[test]
     fn workspace_reuse_across_shapes_matches_fresh() {
         let mut ws = InfoWorkspace::new();
         let cfg = KsgConfig::default();
@@ -1127,29 +919,13 @@ mod tests {
     }
 
     #[test]
-    fn auto_routes_low_dim_through_tree_and_matches_brute() {
-        let data = sample_gaussian(&equicorrelated_cov(2, 0.6), 400, 9);
-        let sizes = [1usize, 1];
-        let view = SampleView::new(&data, 400, &sizes);
-        let mut ws = InfoWorkspace::new();
-        let run = |ws: &mut InfoWorkspace, knn| {
-            ws.multi_information(
-                &view,
-                &KsgConfig {
-                    knn,
-                    ..KsgConfig::default()
-                },
-            )
-        };
-        let auto = run(&mut ws, KnnMode::Auto);
-        let brute = run(&mut ws, KnnMode::BruteForce);
-        let tree = run(&mut ws, KnnMode::KdTree);
-        assert_eq!(auto.to_bits(), brute.to_bits());
-        assert_eq!(auto.to_bits(), tree.to_bits());
-        assert!(use_tree(KnnMode::Auto, 2, 400), "dim-2 must take the tree");
-        assert!(
-            !use_tree(KnnMode::Auto, 40, 1000),
-            "high joint dimension keeps the scan"
-        );
+    fn route_rule_splits_at_joint_dim_16_and_64_rows() {
+        // The tree route needs a joint space of at most 16 dimensions and
+        // at least 64 samples; everything else takes the scan.
+        assert!(use_tree(16, 64));
+        assert!(!use_tree(17, 64), "joint dimension 17 takes the scan");
+        assert!(!use_tree(16, 63), "63 rows take the scan");
+        assert!(use_tree(2, 400), "pairwise scalar MI takes the tree");
+        assert!(!use_tree(40, 1000), "high joint dimension keeps the scan");
     }
 }

@@ -3,8 +3,10 @@
 //! mirroring `crates/sops-info/tests/workspace_info.rs`:
 //!
 //! * the migrated KDE, binning and CMI paths are **bit-identical** to
-//!   their pre-refactor reference implementations (frozen below) for
-//!   worker counts 1 and 8 and (for CMI) both joint k-NN paths;
+//!   their pre-refactor reference implementations (frozen below), CMI on
+//!   inputs on each side of its joint k-NN route rule (the kd-tree
+//!   descent at joint dimensions up to 16 with at least 64 samples, the
+//!   pruned scan otherwise);
 //! * a warmed-up `MeasureWorkspace` performs zero heap allocations across
 //!   100 mixed calls spanning every estimator family (buffer-capacity
 //!   stability).
@@ -21,19 +23,18 @@
 //! * **CMI**: the historical fold accumulated the three ψ terms directly
 //!   into the running sum (`((acc + ψ_z) − ψ_xz) − ψ_yz`); the engine
 //!   (like the KSG engine before it) computes each sample's local term
-//!   first and reduces in sample order — the association the span
-//!   partition needs for any-thread bit-identity.
+//!   first and sums in sample order.
 //!
 //! The KDE reference is the historical code verbatim (sequential path);
 //! its per-sample term was already a local value, so the engine matches
-//! it exactly for any worker count.
+//! it exactly.
 
 use proptest::prelude::*;
 use sops_info::gaussian::{equicorrelated_cov, sample_gaussian};
 use sops_info::measure::discrete_plugin_config;
 use sops_info::{
-    BinningConfig, CmiConfig, Grouping, KdeConfig, KnnMode, KsgConfig, MeasureConfig,
-    MeasureWorkspace, SampleView, SupportModel,
+    BinningConfig, CmiConfig, Grouping, KdeConfig, KsgConfig, MeasureConfig, MeasureWorkspace,
+    SampleView, SupportModel,
 };
 use sops_math::special::digamma;
 use sops_math::{stats, NATS_TO_BITS};
@@ -293,7 +294,7 @@ fn cmi_fixture(
 // ---------------------------------------------------------------------------
 
 #[test]
-fn kde_bit_identical_to_reference_threads_1_and_8() {
+fn kde_bit_identical_to_reference() {
     let mut ws = MeasureWorkspace::new();
     for (rows, sizes, seed) in [
         (180usize, vec![1usize, 1], 3u64),
@@ -304,21 +305,12 @@ fn kde_bit_identical_to_reference_threads_1_and_8() {
         let data = fixture(rows, &sizes, seed);
         let view = SampleView::new(&data, rows, &sizes);
         let want = reference_kde(&view, &KdeConfig::default());
-        for threads in [1usize, 8] {
-            let got = measure(
-                &mut ws,
-                &view,
-                &MeasureConfig::Kde(KdeConfig {
-                    threads,
-                    ..KdeConfig::default()
-                }),
-            );
-            assert_eq!(
-                got.to_bits(),
-                want.to_bits(),
-                "rows={rows} t{threads}: {got} vs {want}"
-            );
-        }
+        let got = measure(&mut ws, &view, &MeasureConfig::Kde(KdeConfig::default()));
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "rows={rows}: {got} vs {want}"
+        );
     }
 }
 
@@ -330,7 +322,6 @@ fn kde_bandwidth_factor_propagates_bit_identically() {
     for factor in [0.5, 1.0, 2.0] {
         let cfg = KdeConfig {
             bandwidth_factor: factor,
-            ..KdeConfig::default()
         };
         let want = reference_kde(&view, &cfg);
         let got = measure(
@@ -346,8 +337,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The one-pass KDE engine is bit-identical to the frozen reference
-    /// for any block layout, row count, bandwidth factor and span count,
-    /// with duplicated rows (zero exponents, ties for the maximum) and,
+    /// for any block layout, row count and bandwidth factor, with
+    /// duplicated rows (zero exponents, ties for the maximum) and,
     /// in half the cases, a constant column (the bandwidth floor).
     #[test]
     fn kde_bit_identical_to_reference_on_any_shape(
@@ -373,17 +364,13 @@ proptest! {
         let view = SampleView::new(&data, rows, &sizes);
         let cfg = KdeConfig {
             bandwidth_factor: [0.5, 1.0, 2.0][factor],
-            threads: 1,
         };
         let want = reference_kde(&view, &cfg);
-        let mut ws = MeasureWorkspace::new();
-        for threads in [1usize, 2, 8] {
-            let got = measure(&mut ws, &view, &MeasureConfig::Kde(KdeConfig { threads, ..cfg }));
-            prop_assert_eq!(
-                got.to_bits(), want.to_bits(),
-                "{} rows, blocks {:?}, t{}: {} vs {}", rows, sizes, threads, got, want
-            );
-        }
+        let got = measure(&mut MeasureWorkspace::new(), &view, &MeasureConfig::Kde(cfg));
+        prop_assert_eq!(
+            got.to_bits(), want.to_bits(),
+            "{} rows, blocks {:?}: {} vs {}", rows, sizes, got, want
+        );
     }
 }
 
@@ -398,14 +385,7 @@ fn kde_scratch_is_linear_in_rows() {
     let mut ws = MeasureWorkspace::new();
     let held = |ws: &MeasureWorkspace| ws.capacity_signature().iter().sum::<usize>();
     let before = held(&ws);
-    measure(
-        &mut ws,
-        &view,
-        &MeasureConfig::Kde(KdeConfig {
-            threads: 2,
-            ..KdeConfig::default()
-        }),
-    );
+    measure(&mut ws, &view, &MeasureConfig::Kde(KdeConfig::default()));
     let kde = held(&ws) - before;
     let bound = 8 * rows * (view.stride() + view.blocks());
     assert!(
@@ -469,65 +449,49 @@ fn binned_bit_identical_across_bin_counts() {
 }
 
 #[test]
-fn cmi_bit_identical_to_reference_threads_and_knn_paths() {
+fn cmi_bit_identical_to_reference_on_every_route() {
+    // Joint dimension 3 takes the scan at 63 rows and the tree at 64 and
+    // 300; (2, 2, 2) and (1, 2, 1) take the tree; (6, 6, 6) has joint
+    // dimension 18 and takes the scan.
     let mut ws = MeasureWorkspace::new();
     for (rows, dims, seed) in [
-        (300usize, (1usize, 1usize, 1usize), 3u64),
+        (63usize, (1usize, 1usize, 1usize), 3u64),
+        (64, (1, 1, 1), 3),
+        (300, (1, 1, 1), 3),
         (200, (2, 2, 2), 5),
         (150, (1, 2, 1), 7),
+        (100, (6, 6, 6), 9),
     ] {
         let (x, y, z) = cmi_fixture(rows, dims, seed);
         let want = reference_cmi(&x, &y, &z, rows, dims, 4);
-        for knn in [KnnMode::BruteForce, KnnMode::KdTree, KnnMode::Auto] {
-            for threads in [1usize, 8] {
-                let got = ws.conditional_mutual_information(
-                    &x,
-                    &y,
-                    &z,
-                    rows,
-                    dims,
-                    &CmiConfig { k: 4, threads, knn },
-                );
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "rows={rows} dims={dims:?} {knn:?}/t{threads}: {got} vs {want}"
-                );
-            }
-        }
+        let got = ws.conditional_mutual_information(&x, &y, &z, rows, dims, &CmiConfig { k: 4 });
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "rows={rows} dims={dims:?}: {got} vs {want}"
+        );
     }
 }
 
 #[test]
-fn cmi_quantized_data_paths_agree() {
+fn cmi_quantized_data_matches_reference_on_every_route() {
     // Duplicated joint points and massive distance ties: where
     // non-canonical k-NN tie-breaking would make scan and tree diverge.
-    let rows = 150;
-    let mut rng = sops_math::SplitMix64::new(99);
-    let x: Vec<f64> = (0..rows)
-        .map(|_| rng.next_range(-2.0, 2.0).round())
-        .collect();
-    let y: Vec<f64> = (0..rows)
-        .map(|_| rng.next_range(-2.0, 2.0).round())
-        .collect();
-    let z: Vec<f64> = (0..rows)
-        .map(|_| rng.next_range(-2.0, 2.0).round())
-        .collect();
-    let want = reference_cmi(&x, &y, &z, rows, (1, 1, 1), 4);
-    assert!(want.is_finite());
+    // 63 rows take the scan, 64 and 150 the tree.
     let mut ws = MeasureWorkspace::new();
-    for knn in [KnnMode::BruteForce, KnnMode::KdTree, KnnMode::Auto] {
-        for threads in [1usize, 8] {
-            let got = ws.conditional_mutual_information(
-                &x,
-                &y,
-                &z,
-                rows,
-                (1, 1, 1),
-                &CmiConfig { k: 4, threads, knn },
-            );
-            assert_eq!(got.to_bits(), want.to_bits(), "{knn:?}/t{threads}");
-        }
+    for rows in [63usize, 64, 150] {
+        let mut rng = sops_math::SplitMix64::new(99);
+        let mut column = || -> Vec<f64> {
+            (0..rows)
+                .map(|_| rng.next_range(-2.0, 2.0).round())
+                .collect()
+        };
+        let (x, y, z) = (column(), column(), column());
+        let want = reference_cmi(&x, &y, &z, rows, (1, 1, 1), 4);
+        assert!(want.is_finite());
+        let got =
+            ws.conditional_mutual_information(&x, &y, &z, rows, (1, 1, 1), &CmiConfig { k: 4 });
+        assert_eq!(got.to_bits(), want.to_bits(), "rows={rows}");
     }
 }
 
@@ -564,7 +528,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// KDE and binning engines are bit-identical to the frozen references
-    /// for random shapes and both worker counts.
+    /// for random shapes.
     #[test]
     fn engines_bit_identical_to_references(
         rows in 20usize..100,
@@ -582,44 +546,34 @@ proptest! {
         let want_kde = reference_kde(&view, &KdeConfig::default());
         let want_bin = reference_binned(&view, &BinningConfig::default());
         let mut ws = MeasureWorkspace::new();
-        for threads in [1usize, 8] {
-            let got = measure(
-                &mut ws,
-                &view,
-                &MeasureConfig::Kde(KdeConfig { threads, ..KdeConfig::default() }),
-            );
-            prop_assert_eq!(got.to_bits(), want_kde.to_bits(), "kde t{}", threads);
-        }
+        let got = measure(&mut ws, &view, &MeasureConfig::Kde(KdeConfig::default()));
+        prop_assert_eq!(got.to_bits(), want_kde.to_bits(), "kde");
         let got = measure(&mut ws, &view, &MeasureConfig::Binned(BinningConfig::default()));
         prop_assert_eq!(got.to_bits(), want_bin.to_bits(), "binned");
     }
 
     /// The CMI engine is bit-identical to the frozen reference for random
-    /// shapes, both k-NN paths and 1/8 workers.
+    /// shapes. Row counts straddle the tree route's minimum of 64, and
+    /// (6, 6, 6) exceeds its joint dimension of 16.
     #[test]
     fn cmi_engine_bit_identical_to_reference(
         rows in 20usize..120,
-        dim_sel in 0usize..3,
+        dim_sel in 0usize..4,
         k in 1usize..6,
         seed in 0u64..10_000,
     ) {
-        let dims = [(1usize, 1usize, 1usize), (2, 2, 2), (1, 2, 1)][dim_sel];
+        let dims = [(1usize, 1usize, 1usize), (2, 2, 2), (1, 2, 1), (6, 6, 6)][dim_sel];
         let k = k.min(rows - 1);
         let (x, y, z) = cmi_fixture(rows, dims, seed);
         let want = reference_cmi(&x, &y, &z, rows, dims, k);
-        let mut ws = MeasureWorkspace::new();
-        for knn in [KnnMode::BruteForce, KnnMode::KdTree] {
-            for threads in [1usize, 8] {
-                let got = ws.conditional_mutual_information(
-                    &x, &y, &z, rows, dims,
-                    &CmiConfig { k, threads, knn },
-                );
-                prop_assert_eq!(
-                    got.to_bits(), want.to_bits(),
-                    "{:?}/t{}: {} vs {}", knn, threads, got, want
-                );
-            }
-        }
+        let got = MeasureWorkspace::new().conditional_mutual_information(
+            &x, &y, &z, rows, dims,
+            &CmiConfig { k },
+        );
+        prop_assert_eq!(
+            got.to_bits(), want.to_bits(),
+            "rows={} dims={:?}: {} vs {}", rows, dims, got, want
+        );
     }
 }
 
@@ -639,10 +593,7 @@ fn warmed_up_measure_workspace_is_allocation_free_over_100_calls() {
     let mut ws = MeasureWorkspace::new();
     let selections = [
         MeasureConfig::Ksg(KsgConfig::default()),
-        MeasureConfig::Kde(KdeConfig {
-            threads: 8,
-            ..KdeConfig::default()
-        }),
+        MeasureConfig::Kde(KdeConfig::default()),
         MeasureConfig::Binned(BinningConfig::default()),
         MeasureConfig::DiscretePlugin { bins: 8 },
         MeasureConfig::Gaussian,
@@ -659,19 +610,7 @@ fn warmed_up_measure_workspace_is_allocation_free_over_100_calls() {
             estimator.estimate();
         }
         ws.decompose(&warm_view, &grouping, &KsgConfig::default());
-        for threads in [1usize, 8] {
-            ws.conditional_mutual_information(
-                &wx,
-                &wy,
-                &wz,
-                120,
-                (1, 1, 1),
-                &CmiConfig {
-                    threads,
-                    ..CmiConfig::default()
-                },
-            );
-        }
+        ws.conditional_mutual_information(&wx, &wy, &wz, 120, (1, 1, 1), &CmiConfig::default());
     }
     let sig = ws.capacity_signature();
     for call in 0..100u64 {
@@ -686,14 +625,7 @@ fn warmed_up_measure_workspace_is_allocation_free_over_100_calls() {
                 estimator.estimate();
             }
             1 => {
-                measure(
-                    &mut ws,
-                    &view,
-                    &MeasureConfig::Kde(KdeConfig {
-                        threads: if call % 2 == 0 { 1 } else { 8 },
-                        ..KdeConfig::default()
-                    }),
-                );
+                measure(&mut ws, &view, &MeasureConfig::Kde(KdeConfig::default()));
             }
             2 => {
                 measure(
@@ -710,10 +642,7 @@ fn warmed_up_measure_workspace_is_allocation_free_over_100_calls() {
                     &z,
                     120,
                     (1, 1, 1),
-                    &CmiConfig {
-                        threads: if call % 2 == 0 { 1 } else { 8 },
-                        ..CmiConfig::default()
-                    },
+                    &CmiConfig::default(),
                 );
             }
             4 => {

@@ -1,11 +1,17 @@
 //! Minimal scoped-thread data parallelism.
 //!
 //! The workloads in this workspace are embarrassingly parallel over an
-//! index range: `m` ensemble samples to simulate, `t_max` time steps to
-//! align and estimate, `R` random matrix draws to sweep. Rather than pull
-//! in a full work-stealing runtime, this crate provides a tiny,
-//! dependency-free parallel map built on [`std::thread::scope`] with an
-//! atomic work counter for dynamic load balancing.
+//! index range, and only the run-level loops split that range: the
+//! ensemble samples `run_streaming_ensemble` simulates, the evaluation
+//! steps a sweep reduces and estimates, the samples one step aligns to
+//! its reference, and fig 3's three panels. Every kernel below them
+//! (force sweeps, ICP, the estimators) runs on its caller's thread.
+//! Rather than pull in a full work-stealing runtime, this crate provides
+//! a tiny, dependency-free parallel map ([`parallel_map`], and
+//! [`parallel_map_with`] for per-worker scratch) built on
+//! [`std::thread::scope`] with an atomic work counter for dynamic load
+//! balancing, and [`resolve_threads`], the one reading of a `threads`
+//! argument of 0.
 //!
 //! Design points (see the Rust Performance Book & "Rust Atomics and Locks"
 //! guidance this workspace follows):
@@ -44,6 +50,17 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
+}
+
+/// The worker count a `threads` argument asks for: `threads` itself, or
+/// [`default_threads`] when it is 0 — the one reading of "0 = default"
+/// every run-level loop in the workspace shares.
+pub fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        default_threads()
+    } else {
+        threads
+    }
 }
 
 /// Applies `f` to every index in `0..len`, in parallel, collecting results
@@ -154,64 +171,6 @@ where
         .collect()
 }
 
-/// Splits `data` into disjoint mutable chunks and runs `f(chunk_index,
-/// chunk)` on each in parallel.
-///
-/// Chunks are as even as possible: the first `len % chunks` chunks get one
-/// extra element. Useful for in-place per-slice transformations (e.g.
-/// aligning each sample's particle vector).
-pub fn parallel_chunks_mut<T, F>(data: &mut [T], chunks: usize, threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let chunks = chunks.max(1);
-    let len = data.len();
-    let base = len / chunks;
-    let extra = len % chunks;
-    let threads = threads.max(1).min(chunks);
-    if threads == 1 || chunks == 1 {
-        // Sequential fast path: same deterministic partition, no thread
-        // spawn cost for callers that run at one thread.
-        let mut rest = data;
-        for c in 0..chunks {
-            let take = base + usize::from(c < extra);
-            let (head, tail) = rest.split_at_mut(take.min(rest.len()));
-            f(c, head);
-            rest = tail;
-        }
-        return;
-    }
-    let mut slices: Vec<(usize, &mut [T])> = Vec::with_capacity(chunks);
-    let mut rest = data;
-    for c in 0..chunks {
-        let take = base + usize::from(c < extra);
-        let (head, tail) = rest.split_at_mut(take.min(rest.len()));
-        slices.push((c, head));
-        rest = tail;
-    }
-    let next = AtomicUsize::new(0);
-    let panics = FirstPanic::default();
-    let cells = SliceCells::new(&mut slices);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= chunks {
-                    break;
-                }
-                // SAFETY: each index claimed once; we only take the chunk
-                // out of its slot, never alias it.
-                let (idx, chunk) = unsafe { cells.take(i) };
-                if panics.run(i, || f(idx, chunk)).is_none() {
-                    break;
-                }
-            });
-        }
-    });
-    panics.resume();
-}
-
 /// The panic of the lowest-index task that panicked in one parallel call.
 ///
 /// Which tasks panic first in time depends on the schedule, but the
@@ -285,25 +244,6 @@ impl<'a, T> SliceCells<'a, T> {
         debug_assert!(i < self.len);
         *self.ptr.add(i) = value;
     }
-
-    /// Moves the value out of slot `i` (leaving moved-from memory that must
-    /// not be touched again), used for handing `&mut` chunks to workers.
-    ///
-    /// # Safety
-    ///
-    /// `i < len`, slot `i` accessed by exactly one thread, and the caller
-    /// must ensure the original slice is not used after the scope in a way
-    /// that observes the moved-from slot. In this crate the slot type is
-    /// `(usize, &mut [T])` which is `Copy`-free but the containing `Vec` is
-    /// dropped immediately after the scope without reads.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn take(&self, i: usize) -> T
-    where
-        T: Sized,
-    {
-        debug_assert!(i < self.len);
-        std::ptr::read(self.ptr.add(i))
-    }
 }
 
 #[cfg(test)]
@@ -360,45 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn chunks_mut_partitions_fully() {
-        let mut data: Vec<u64> = vec![0; 103];
-        parallel_chunks_mut(&mut data, 7, 4, |c, chunk| {
-            for v in chunk.iter_mut() {
-                *v = c as u64 + 1;
-            }
-        });
-        assert!(data.iter().all(|&v| v > 0), "all elements touched");
-        // First 103 % 7 = 5 chunks have 15 elements, rest 14.
-        assert_eq!(data.iter().filter(|&&v| v == 1).count(), 15);
-        assert_eq!(data.iter().filter(|&&v| v == 7).count(), 14);
-    }
-
-    #[test]
-    fn chunks_mut_sequential_path_matches_parallel() {
-        let run = |threads: usize| {
-            let mut data: Vec<u64> = vec![0; 103];
-            parallel_chunks_mut(&mut data, 7, threads, |c, chunk| {
-                for v in chunk.iter_mut() {
-                    *v = c as u64 + 1;
-                }
-            });
-            data
-        };
-        assert_eq!(run(1), run(4), "partition is thread-count independent");
-    }
-
-    #[test]
-    fn chunks_mut_more_chunks_than_items() {
-        let mut data = vec![1u32; 3];
-        parallel_chunks_mut(&mut data, 10, 4, |_, chunk| {
-            for v in chunk.iter_mut() {
-                *v += 1;
-            }
-        });
-        assert_eq!(data, vec![2, 2, 2]);
-    }
-
-    #[test]
     fn stress_many_small_maps() {
         for round in 0..50 {
             let out = parallel_map(17, 8, move |i| i + round);
@@ -409,6 +310,13 @@ mod tests {
     #[test]
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
+    }
+
+    #[test]
+    fn resolve_threads_reads_zero_as_the_default() {
+        assert_eq!(resolve_threads(0), default_threads());
+        assert_eq!(resolve_threads(1), 1);
+        assert_eq!(resolve_threads(7), 7);
     }
 
     type Task<'a> = dyn Fn(usize) + Sync + 'a;
@@ -455,14 +363,6 @@ mod tests {
         assert_lowest_index_panic(|threads, task| {
             let mut workers = vec![(); threads];
             parallel_map_with(12, &mut workers, |_, i| task(i));
-        });
-    }
-
-    #[test]
-    fn chunks_mut_raises_the_lowest_index_panic() {
-        assert_lowest_index_panic(|threads, task| {
-            let mut data = vec![0u8; 12];
-            parallel_chunks_mut(&mut data, 12, threads, |c, _| task(c));
         });
     }
 

@@ -139,12 +139,7 @@ pub fn reduce_configurations_with(
     ws.reference.extend_from_slice(samples[cfg.reference]);
     crate::center(&mut ws.reference);
 
-    let threads = if cfg.threads == 0 {
-        sops_par::default_threads()
-    } else {
-        cfg.threads
-    };
-    let threads = threads.max(1).min(samples.len());
+    let threads = sops_par::resolve_threads(cfg.threads).min(samples.len());
     while ws.workers.len() < threads {
         ws.workers.push(ReduceScratch::default());
     }

@@ -343,11 +343,7 @@ pub fn run_streaming_ensemble(
 ) -> StreamingEnsemble {
     spec.validate();
     let times = normalize_times(times, spec.t_max);
-    let threads = if threads == 0 {
-        sops_par::default_threads()
-    } else {
-        threads
-    };
+    let threads = sops_par::resolve_threads(threads);
     let n = spec.model.particles();
     let k = times.len();
     let lanes = lockstep::applies(spec, threads);

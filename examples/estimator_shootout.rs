@@ -35,7 +35,6 @@ fn main() {
             MeasureConfig::Ksg(KsgConfig {
                 k: 4,
                 variant: KsgVariant::Ksg1,
-                ..KsgConfig::default()
             }),
         ),
         (
@@ -43,7 +42,6 @@ fn main() {
             MeasureConfig::Ksg(KsgConfig {
                 k: 4,
                 variant: KsgVariant::Ksg2,
-                ..KsgConfig::default()
             }),
         ),
         (
@@ -51,7 +49,6 @@ fn main() {
             MeasureConfig::Ksg(KsgConfig {
                 k: 4,
                 variant: KsgVariant::Paper,
-                ..KsgConfig::default()
             }),
         ),
         ("KDE", MeasureConfig::Kde(KdeConfig::default())),

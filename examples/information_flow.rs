@@ -34,11 +34,7 @@ fn ensemble(cutoff: f64) -> StreamingEnsemble {
 }
 
 fn main() {
-    let cfg = TransferConfig {
-        lag: 3,
-        k: 4,
-        threads: 0,
-    };
+    let cfg = TransferConfig { lag: 3, k: 4 };
 
     println!("transfer entropy across 800 runs, T(b→a) = I(Z_a(t+3); Z_b(t) | Z_a(t))\n");
 

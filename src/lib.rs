@@ -73,7 +73,7 @@ pub mod prelude {
         SweepSummary,
     };
     pub use sops_info::{
-        KnnMode, KsgConfig, KsgVariant, MeasureConfig, MeasureWorkspace, SampleView, StridedFamily,
+        KsgConfig, KsgVariant, MeasureConfig, MeasureWorkspace, SampleView, StridedFamily,
     };
     pub use sops_math::{Matrix, PairMatrix, SplitMix64, Vec2};
     pub use sops_shape::{icp_align_with, IcpConfig, IcpScratch, RigidTransform};

@@ -59,7 +59,6 @@ fn every_prelude_export_resolves() {
     // sops-info
     let ksg = KsgConfig::default();
     let _ = KsgVariant::Ksg1;
-    let _ = KnnMode::Auto;
     let data: Vec<f64> = (0..40).map(|i| (i as f64 * 0.73).sin()).collect();
     let view = SampleView::new(&data, 20, &[1, 1]);
     let mut ws = MeasureWorkspace::new();
