@@ -8,12 +8,11 @@ use sops_core::{
 };
 use sops_info::MeasureConfig;
 use sops_math::rng::derive_seed;
-use sops_math::{PairMatrix, Vec2};
+use sops_math::PairMatrix;
 use sops_sim::ensemble::EnsembleSpec;
 use sops_sim::force::{ForceModel, GaussianForce, LinearForce};
 use sops_sim::streaming::{run_streaming_ensemble, StreamingConfig};
 use sops_sim::{ForceWorkspace, IntegratorConfig, Model, Simulation};
-use sops_spatial::{CellGrid, KdTree};
 use std::hint::black_box;
 
 fn linear_model(n: usize, cutoff: f64) -> Model {
@@ -43,73 +42,6 @@ fn bench_force_paths(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("all_pairs", n), &pts, |b, pts| {
             b.iter(|| ws.net_forces_into(&direct_model, black_box(pts), &mut out))
         });
-    }
-    group.finish();
-}
-
-fn bench_force_crossover(c: &mut Criterion) {
-    // Which spatial structure should back the short-range force sweep?
-    // Both variants pay the realistic per-step cost — rebuild the index
-    // over the (moved) positions, then one neighbourhood query per
-    // particle feeding the same linear-spring kernel. The cell grid's
-    // 3×3 sweep scans O(ρ·r_c²) candidates with no traversal overhead;
-    // the kd-tree prunes empty space but pays log-depth descents and a
-    // heavier rebuild. Sweeping the cut-off at fixed density measures
-    // the crossover instead of guessing it; the README "Performance"
-    // section records which structure wins where.
-    let mut group = c.benchmark_group("force_crossover");
-    group.sample_size(20);
-    let n = 512;
-    let pts = cloud(n, (n as f64).sqrt(), 5);
-    let flat: Vec<f64> = pts.iter().flat_map(|p| [p.x, p.y]).collect();
-    let (k, r0) = (1.0, 2.0);
-    let spring = |p: Vec2, q: Vec2| -> Vec2 {
-        let d = p.dist(q);
-        if d > 0.0 {
-            (q - p) * (k * (d - r0) / d)
-        } else {
-            Vec2::ZERO
-        }
-    };
-    for &cutoff in &[1.5f64, 3.0, 6.0, 12.0] {
-        let mut grid = CellGrid::build(&pts, cutoff);
-        group.bench_with_input(
-            BenchmarkId::new("cell_grid", cutoff),
-            &cutoff,
-            |b, &cutoff| {
-                b.iter(|| {
-                    grid.rebuild(black_box(&pts), cutoff);
-                    let mut acc = Vec2::ZERO;
-                    for (i, &p) in pts.iter().enumerate() {
-                        let mut f = Vec2::ZERO;
-                        grid.for_neighbors(p, cutoff, i, |j, _| f += spring(p, pts[j]));
-                        acc += f;
-                    }
-                    acc
-                })
-            },
-        );
-        let mut tree = KdTree::build(2, &flat);
-        group.bench_with_input(
-            BenchmarkId::new("kd_tree", cutoff),
-            &cutoff,
-            |b, &cutoff| {
-                b.iter(|| {
-                    tree.rebuild(2, black_box(&flat));
-                    let mut acc = Vec2::ZERO;
-                    for (i, &p) in pts.iter().enumerate() {
-                        let mut f = Vec2::ZERO;
-                        tree.for_each_within(&flat[2 * i..2 * i + 2], cutoff, |j| {
-                            if j != i {
-                                f += spring(p, pts[j]);
-                            }
-                        });
-                        acc += f;
-                    }
-                    acc
-                })
-            },
-        );
     }
     group.finish();
 }
@@ -406,7 +338,6 @@ fn bench_sweep_cache(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_force_paths,
-    bench_force_crossover,
     bench_workspace_reuse,
     bench_force_families,
     bench_substeps_ablation,

@@ -11,7 +11,7 @@ use sops_shape::{
     IcpScratch, ReduceConfig, ReduceWorkspace, RigidTransform,
 };
 use sops_sim::streaming::{run_streaming_ensemble, EnsembleFrames, StreamingConfig};
-use sops_spatial::{brute, CellGrid, KdTree};
+use sops_spatial::{CellGrid, KdTree};
 use std::hint::black_box;
 
 fn bench_kdtree(c: &mut Criterion) {
@@ -23,40 +23,25 @@ fn bench_kdtree(c: &mut Criterion) {
             b.iter(|| KdTree::build(2, black_box(pts)))
         });
         let tree = KdTree::build(2, &pts);
-        group.bench_with_input(BenchmarkId::new("knn10", n), &tree, |b, tree| {
-            b.iter(|| tree.knn(black_box(&[0.3, -0.7]), 10))
-        });
-        // Larger k stresses the leaf-insertion structure: the bounded
-        // max-heap sift is O(log k) per accepted point where the old
-        // insertion re-sorted the whole candidate buffer.
-        group.bench_with_input(BenchmarkId::new("knn64", n), &tree, |b, tree| {
-            b.iter(|| tree.knn(black_box(&[0.3, -0.7]), 64))
-        });
         group.bench_with_input(BenchmarkId::new("count_within", n), &tree, |b, tree| {
             b.iter(|| tree.count_within(black_box(&[0.3, -0.7]), 5.0, true))
-        });
-        group.bench_with_input(BenchmarkId::new("brute_knn10", n), &pts, |b, pts| {
-            b.iter(|| brute::knn(2, black_box(pts), &[0.3, -0.7], 10))
         });
     }
     group.finish();
 }
 
 fn bench_cellgrid(c: &mut Criterion) {
+    // The warm in-place rebuild the simulator runs every substep: the
+    // grid and the cell-ordered coordinate lanes keep their buffers
+    // across calls.
     let mut group = c.benchmark_group("cellgrid");
     group.sample_size(30);
+    let mut grid = CellGrid::default();
+    let (mut xs, mut ys) = (Vec::new(), Vec::new());
     for &n in &[100usize, 1000] {
         let pts = cloud(n, 20.0, 3);
-        group.bench_with_input(BenchmarkId::new("build", n), &pts, |b, pts| {
-            b.iter(|| CellGrid::build(black_box(pts), 2.0))
-        });
-        let grid = CellGrid::build(&pts, 2.0);
-        group.bench_with_input(BenchmarkId::new("pairs_within", n), &grid, |b, grid| {
-            b.iter(|| grid.pairs_within(2.0))
-        });
-        let fpts = flat(&pts);
-        group.bench_with_input(BenchmarkId::new("brute_pairs", n), &fpts, |b, fpts| {
-            b.iter(|| brute::pairs_within(2, black_box(fpts), 2.0))
+        group.bench_with_input(BenchmarkId::new("rebuild_lanes", n), &pts, |b, pts| {
+            b.iter(|| grid.rebuild_lanes(black_box(pts), 2.0, &mut xs, &mut ys))
         });
     }
     group.finish();

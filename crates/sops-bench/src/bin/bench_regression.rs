@@ -12,8 +12,13 @@
 //! accidentally disabled fast path, a quadratic slip, a layout change
 //! that evicts the kernels from cache — while letting machine jitter
 //! through. Only the kernel groups below are compared; ablation and
-//! throughput groups (substeps, ensemble, crossover sweeps) exist to be
+//! throughput groups (substeps, ensemble, lockstep lanes) exist to be
 //! *read*, not gated.
+//!
+//! Every committed row, in every group, must have a counterpart in the
+//! fresh run: a row whose case was renamed or deleted fails the gate
+//! (exit 1, rows listed), so the change that retires a case also retires
+//! its baseline row.
 
 use std::process::ExitCode;
 
@@ -37,6 +42,12 @@ const KERNEL_GROUPS: [&str; 6] = [
 
 /// Fail only above this fresh/committed median ratio.
 const TOLERANCE: f64 = 1.5;
+
+/// Cases whose id carries a size that `--quick` shrinks (the
+/// 10⁵-particle streaming cell runs at 10⁴ particles): a committed
+/// full-run row of such a case is matched by any fresh row of the same
+/// case.
+const QUICK_SCALED: [&str; 1] = ["ensemble_scale/streaming/"];
 
 /// `(name, median_ns)` for every entry of a `BENCH_*.json` document.
 fn load_results(path: &str) -> Result<Vec<(String, f64)>, String> {
@@ -75,17 +86,34 @@ fn is_kernel_case(name: &str) -> bool {
     KERNEL_GROUPS.iter().any(|g| name.starts_with(g))
 }
 
+/// The committed rows, in every group, with no counterpart in the fresh
+/// run: the same name, or for a [`QUICK_SCALED`] case any fresh row of
+/// that case.
+fn missing_rows(committed: &[(String, f64)], fresh: &[(String, f64)]) -> Vec<String> {
+    let has_counterpart = |name: &str| {
+        fresh.iter().any(|(n, _)| n == name)
+            || QUICK_SCALED.iter().any(|case| {
+                name.starts_with(case) && fresh.iter().any(|(n, _)| n.starts_with(case))
+            })
+    };
+    committed
+        .iter()
+        .filter(|(name, _)| !has_counterpart(name))
+        .map(|(name, _)| name.clone())
+        .collect()
+}
+
 fn run(committed_path: &str, fresh_path: &str) -> Result<bool, String> {
     let committed = load_results(committed_path)?;
     let fresh = load_results(fresh_path)?;
+    let missing = missing_rows(&committed, &fresh);
+    for name in &missing {
+        println!("  MISS  {name} (committed row with no fresh counterpart)");
+    }
     let mut checked = 0usize;
     let mut failed = Vec::new();
     for (name, base_ns) in committed.iter().filter(|(n, _)| is_kernel_case(n)) {
-        // A case present in the baseline but missing from the fresh run
-        // is skipped, not failed: bench cases come and go across PRs and
-        // the baseline refresh rides the PR that renames them.
         let Some((_, fresh_ns)) = fresh.iter().find(|(n, _)| n == name) else {
-            println!("  skip  {name} (not in fresh run)");
             continue;
         };
         checked += 1;
@@ -108,15 +136,21 @@ fn run(committed_path: &str, fresh_path: &str) -> Result<bool, String> {
     }
     if failed.is_empty() {
         println!("bench-regression: {checked} kernel cases within {TOLERANCE}× of baseline");
-        Ok(true)
     } else {
         println!(
             "bench-regression: {}/{checked} kernel cases more than {TOLERANCE}× slower: {}",
             failed.len(),
             failed.join(", ")
         );
-        Ok(false)
     }
+    if !missing.is_empty() {
+        println!(
+            "bench-regression: {} committed rows missing from the fresh run: {}",
+            missing.len(),
+            missing.join(", ")
+        );
+    }
+    Ok(failed.is_empty() && missing.is_empty())
 }
 
 fn main() -> ExitCode {
@@ -156,6 +190,33 @@ mod tests {
         assert!(!is_kernel_case("ensemble/8"));
         assert!(!is_kernel_case("force_crossover/kd_tree/12"));
         assert!(!is_kernel_case("integrator_substeps/4"));
+    }
+
+    #[test]
+    fn committed_rows_without_a_fresh_counterpart_are_missing_in_every_group() {
+        let rows = |names: &[&str]| -> Vec<(String, f64)> {
+            names.iter().map(|n| (n.to_string(), 1.0)).collect()
+        };
+        let committed = rows(&[
+            "net_forces/cutoff_grid/800",
+            "kdtree/knn10/100",
+            "ensemble_scale/streaming/100000",
+            "integrator_substeps/4",
+        ]);
+        let fresh = rows(&[
+            "net_forces/cutoff_grid/800",
+            "ensemble_scale/streaming/10000",
+        ]);
+        assert_eq!(
+            missing_rows(&committed, &fresh),
+            vec!["kdtree/knn10/100", "integrator_substeps/4"],
+            "ungated rows count too; a quick-scaled case matches its downscaled row"
+        );
+        assert!(missing_rows(&committed, &committed).is_empty());
+        assert_eq!(
+            missing_rows(&rows(&["ensemble_scale/streaming/100000"]), &rows(&[])),
+            vec!["ensemble_scale/streaming/100000"]
+        );
     }
 
     #[test]

@@ -2,14 +2,19 @@
 //!
 //! Benchmarks live in `benches/`:
 //!
-//! * `substrates` — kd-tree vs brute force, cell grid, Hungarian
-//!   assignment, k-means, ICP (restart-count ablation), shape reduction
-//!   (the ICP kernel and a whole-slice reduction), parallel map scaling.
-//! * `estimators` — KSG variants (incl. the literal paper formula), k
-//!   sensitivity, KDE and shrinkage-binning baselines (§5.3 speed
-//!   comparison), Kozachenko–Leonenko entropy.
-//! * `simulation` — force evaluation paths (grid vs direct), integrator
-//!   substep ablation, full trajectory throughput.
+//! * `substrates` — kd-tree build and range count, the cell grid's warm
+//!   `rebuild_lanes`, Hungarian assignment, k-means, ICP (restart-count
+//!   ablation), shape reduction (the ICP kernel and a whole-slice
+//!   reduction), parallel map scaling.
+//! * `estimators` — KSG variants (incl. the literal paper formula),
+//!   scaling, the pairwise matrix, workspace reuse, 2-D observer blocks
+//!   and k sensitivity; KDE and shrinkage-binning baselines (§5.3 speed
+//!   comparison) through persistent and one-shot workspaces; a sweep
+//!   cell; Kozachenko–Leonenko entropy.
+//! * `simulation` — force evaluation paths (grid vs direct), workspace
+//!   reuse, force-law families, integrator substep ablation, ensemble
+//!   and lockstep-lane throughput, the 10⁵-particle streaming cell, and
+//!   the cell cache's cold, warm and coalesced paths.
 //! * `figures` — one kernel per paper figure at reduced scale
 //!   (`RunOptions::fast`).
 

@@ -4,20 +4,21 @@
 //! [`MeasureWorkspace`] is the crate's only public engine. Every
 //! estimate this crate makes runs through it:
 //!
-//! * [`Estimator`] — the two-phase `prepare(view)` / `estimate()` trait
-//!   every multi-information estimator implements. `prepare` binds a
-//!   sample view (copying it into owned scratch and building whatever
-//!   per-view indexes the method needs); `estimate` runs on the prepared
-//!   state. Adding an estimator to the workspace means implementing this
-//!   one trait.
+//! * [`Estimator`] — the two-phase `prepare(view)` / `estimate()` trait.
+//!   `prepare` binds a sample view for the whole workspace, copying it
+//!   into one owned input (the rows a strided selection keeps, when one
+//!   is selected); `estimate` runs the selected family's engine on that
+//!   input.
 //! * [`MeasureConfig`] — the closed set of estimator selections the
 //!   pipeline understands (KSG, KDE, shrinkage binning, discrete plug-in,
 //!   Gaussian, and a strided form of each continuous family), carrying
-//!   each method's own config.
+//!   each method's own config. Adding an estimator means adding a variant
+//!   here and a match arm in the workspace's one [`Estimator`]
+//!   implementation.
 //! * [`MeasureWorkspace`] — owns one persistent engine per estimator
 //!   family plus the Frenzel–Pompe CMI engine.
-//!   [`MeasureWorkspace::estimator_mut`] is the one dispatch table from a
-//!   [`MeasureConfig`] to an engine (it hands out `&mut dyn Estimator`);
+//!   [`MeasureWorkspace::estimator_mut`] selects a [`MeasureConfig`] and
+//!   hands out the workspace's estimator as `&mut dyn Estimator`;
 //!   [`MeasureWorkspace::pairwise_mi_matrix`],
 //!   [`MeasureWorkspace::decompose`] and
 //!   [`MeasureWorkspace::conditional_mutual_information`] (transfer
@@ -29,8 +30,10 @@
 //!
 //! Every engine runs on its caller's thread, and the configs name
 //! results only: no field picks a thread count or a k-NN route, so two
-//! selections that compare equal give the same bits. Every engine keeps
-//! two contracts: results **bit-identical** to the respective
+//! selections that compare equal give the same bits. No engine carries
+//! history: an estimate depends only on the prepared input and the
+//! selection, whatever ran through the workspace before. Every engine
+//! keeps two contracts: results **bit-identical** to the respective
 //! pre-workspace reference (frozen in
 //! `crates/sops-info/tests/workspace_info.rs` and
 //! `crates/sops-info/tests/workspace_measure.rs`), and zero steady-state
@@ -52,11 +55,11 @@ use sops_math::PairMatrix;
 
 /// A two-phase multi-information estimator over a [`SampleView`].
 ///
-/// `prepare` binds the view — engines copy the samples into owned scratch
-/// (so the trait needs no lifetime parameter) and build per-view indexes;
-/// `estimate` evaluates on the prepared state and may be called again
-/// without re-preparing (same result). Engines are persistent: buffers
-/// grow to the workload on first use and are reused afterwards.
+/// `prepare` binds the view — the samples are copied into owned scratch,
+/// so the trait needs no lifetime parameter; `estimate` evaluates on the
+/// prepared state and may be called again without re-preparing (same
+/// result). Engines are persistent: buffers grow to the workload on first
+/// use and are reused afterwards.
 pub trait Estimator {
     /// Binds `view` as the estimation target.
     fn prepare(&mut self, view: &SampleView<'_>);
@@ -192,210 +195,71 @@ impl MeasureConfig {
     }
 }
 
-/// An owned copy of the last prepared view — what lets the two-phase
-/// trait avoid a lifetime parameter while staying allocation-free once
-/// warm.
+/// The workspace's one [`Estimator`]: the selection
+/// [`MeasureWorkspace::estimator_mut`] last made, one prepared input and
+/// one persistent engine per family.
 #[derive(Debug, Clone, Default)]
-struct PreparedView {
+struct Engines {
+    /// The selection `prepare` subsamples under and `estimate` runs.
+    selected: MeasureConfig,
+    /// The prepared input: an owned copy of the last prepared view (only
+    /// the kept rows for a strided selection), `rows × Σ sizes` values.
     data: Vec<f64>,
     sizes: Vec<usize>,
     rows: usize,
+    ksg: InfoWorkspace,
+    kde: KdeWorkspace,
+    binned: BinnedWorkspace,
 }
 
-impl PreparedView {
-    fn set(&mut self, view: &SampleView<'_>) {
+impl Estimator for Engines {
+    /// Copies `view` into the input; a strided selection keeps rows `0,
+    /// every, 2·every, …`, so `every == 1` copies the view verbatim.
+    fn prepare(&mut self, view: &SampleView<'_>) {
+        let every = match self.selected {
+            MeasureConfig::Strided { every, .. } => every.max(1),
+            _ => 1,
+        };
+        let stride = view.stride();
         self.data.clear();
-        self.data.extend_from_slice(view.data);
-        self.sizes.clear();
-        self.sizes.extend_from_slice(view.block_sizes);
-        self.rows = view.rows;
-    }
-
-    fn view(&self) -> SampleView<'_> {
-        assert!(self.rows > 0, "Estimator: estimate() before prepare()");
-        SampleView::new(&self.data, self.rows, &self.sizes)
-    }
-
-    fn capacity_signature(&self, sig: &mut Vec<usize>) {
-        sig.push(self.data.capacity());
-        sig.push(self.sizes.capacity());
-    }
-}
-
-/// [`Estimator`] over the persistent KSG engine ([`InfoWorkspace`]).
-#[derive(Debug, Clone, Default)]
-struct KsgEstimator {
-    /// Estimator parameters (reconfigured freely between calls; the
-    /// scratch is shape-keyed, not config-keyed).
-    cfg: KsgConfig,
-    ws: InfoWorkspace,
-    input: PreparedView,
-}
-
-impl Estimator for KsgEstimator {
-    fn prepare(&mut self, view: &SampleView<'_>) {
-        self.input.set(view);
-    }
-
-    fn estimate(&mut self) -> f64 {
-        self.ws.multi_information(&self.input.view(), &self.cfg)
-    }
-}
-
-/// [`Estimator`] over the persistent KDE engine ([`KdeWorkspace`]).
-#[derive(Debug, Clone, Default)]
-struct KdeEstimator {
-    cfg: KdeConfig,
-    ws: KdeWorkspace,
-    input: PreparedView,
-}
-
-impl Estimator for KdeEstimator {
-    fn prepare(&mut self, view: &SampleView<'_>) {
-        self.input.set(view);
-    }
-
-    fn estimate(&mut self) -> f64 {
-        self.ws.multi_information(&self.input.view(), &self.cfg)
-    }
-}
-
-/// [`Estimator`] over the persistent binning engine ([`BinnedWorkspace`]).
-#[derive(Debug, Clone, Default)]
-struct BinnedEstimator {
-    cfg: BinningConfig,
-    ws: BinnedWorkspace,
-    input: PreparedView,
-}
-
-impl Estimator for BinnedEstimator {
-    fn prepare(&mut self, view: &SampleView<'_>) {
-        self.input.set(view);
-    }
-
-    fn estimate(&mut self) -> f64 {
-        self.ws.multi_information(&self.input.view(), &self.cfg)
-    }
-}
-
-/// [`Estimator`] over the closed-form Gaussian baseline
-/// ([`multi_information_gaussian`]).
-#[derive(Debug, Clone, Default)]
-struct GaussianEstimator {
-    input: PreparedView,
-}
-
-impl Estimator for GaussianEstimator {
-    fn prepare(&mut self, view: &SampleView<'_>) {
-        self.input.set(view);
-    }
-
-    fn estimate(&mut self) -> f64 {
-        multi_information_gaussian(&self.input.view())
-    }
-}
-
-/// [`Estimator`] that forwards a row-subsampled copy of the prepared
-/// view (rows `0, every, 2·every, …`) to a base family's own persistent
-/// engine — the [`MeasureConfig::Strided`] implementation.
-///
-/// Owns one engine per base family so stride scratch and base scratch
-/// both stay warm across calls; `every == 1` forwards the view verbatim
-/// and is bit-identical to the plain selection.
-#[derive(Debug, Clone)]
-struct StridedEstimator {
-    /// Row stride (`max(1)` applied at prepare time).
-    every: usize,
-    /// Base family to run on the subsampled rows.
-    family: StridedFamily,
-    scratch: Vec<f64>,
-    sizes: Vec<usize>,
-    ksg: KsgEstimator,
-    kde: KdeEstimator,
-    binned: BinnedEstimator,
-    gaussian: GaussianEstimator,
-}
-
-impl Default for StridedEstimator {
-    fn default() -> Self {
-        StridedEstimator {
-            every: 1,
-            family: StridedFamily::Ksg(KsgConfig::default()),
-            scratch: Vec::new(),
-            sizes: Vec::new(),
-            ksg: KsgEstimator::default(),
-            kde: KdeEstimator::default(),
-            binned: BinnedEstimator::default(),
-            gaussian: GaussianEstimator::default(),
-        }
-    }
-}
-
-impl StridedEstimator {
-    fn inner_mut(&mut self) -> &mut dyn Estimator {
-        match self.family {
-            StridedFamily::Ksg(cfg) => {
-                self.ksg.cfg = cfg;
-                &mut self.ksg
-            }
-            StridedFamily::Kde(cfg) => {
-                self.kde.cfg = cfg;
-                &mut self.kde
-            }
-            StridedFamily::Binned(cfg) => {
-                self.binned.cfg = cfg;
-                &mut self.binned
-            }
-            StridedFamily::Gaussian => &mut self.gaussian,
-        }
-    }
-
-    fn capacity_signature(&self, sig: &mut Vec<usize>) {
-        sig.push(self.scratch.capacity());
-        sig.push(self.sizes.capacity());
-        sig.extend(self.ksg.ws.capacity_signature());
-        self.ksg.input.capacity_signature(sig);
-        sig.extend(self.kde.ws.capacity_signature());
-        self.kde.input.capacity_signature(sig);
-        sig.extend(self.binned.ws.capacity_signature());
-        self.binned.input.capacity_signature(sig);
-        self.gaussian.input.capacity_signature(sig);
-    }
-}
-
-impl Estimator for StridedEstimator {
-    fn prepare(&mut self, view: &SampleView<'_>) {
-        let every = self.every.max(1);
-        let stride: usize = view.block_sizes.iter().sum();
-        self.scratch.clear();
-        let mut rows = 0;
+        self.rows = 0;
         for row in (0..view.rows).step_by(every) {
-            self.scratch
+            self.data
                 .extend_from_slice(&view.data[row * stride..(row + 1) * stride]);
-            rows += 1;
+            self.rows += 1;
         }
         self.sizes.clear();
         self.sizes.extend_from_slice(view.block_sizes);
-        let strided = SampleView::new(&self.scratch, rows, &self.sizes);
-        match self.family {
-            StridedFamily::Ksg(cfg) => {
-                self.ksg.cfg = cfg;
-                self.ksg.prepare(&strided);
-            }
-            StridedFamily::Kde(cfg) => {
-                self.kde.cfg = cfg;
-                self.kde.prepare(&strided);
-            }
-            StridedFamily::Binned(cfg) => {
-                self.binned.cfg = cfg;
-                self.binned.prepare(&strided);
-            }
-            StridedFamily::Gaussian => self.gaussian.prepare(&strided),
-        }
     }
 
     fn estimate(&mut self) -> f64 {
-        self.inner_mut().estimate()
+        assert!(self.rows > 0, "Estimator: estimate() before prepare()");
+        let view = SampleView::new(&self.data, self.rows, &self.sizes);
+        match self.selected {
+            MeasureConfig::Ksg(c)
+            | MeasureConfig::Strided {
+                family: StridedFamily::Ksg(c),
+                ..
+            } => self.ksg.multi_information(&view, &c),
+            MeasureConfig::Kde(c)
+            | MeasureConfig::Strided {
+                family: StridedFamily::Kde(c),
+                ..
+            } => self.kde.multi_information(&view, &c),
+            MeasureConfig::Binned(c)
+            | MeasureConfig::Strided {
+                family: StridedFamily::Binned(c),
+                ..
+            } => self.binned.multi_information(&view, &c),
+            MeasureConfig::DiscretePlugin { bins } => self
+                .binned
+                .multi_information(&view, &discrete_plugin_config(bins)),
+            MeasureConfig::Gaussian
+            | MeasureConfig::Strided {
+                family: StridedFamily::Gaussian,
+                ..
+            } => multi_information_gaussian(&view),
+        }
     }
 }
 
@@ -438,11 +302,7 @@ pub fn discrete_plugin_config(bins: usize) -> BinningConfig {
 /// for cold scratch on every call.
 #[derive(Debug, Clone, Default)]
 pub struct MeasureWorkspace {
-    ksg: KsgEstimator,
-    kde: KdeEstimator,
-    binned: BinnedEstimator,
-    gaussian: GaussianEstimator,
-    strided: StridedEstimator,
+    engines: Engines,
     cmi: CmiWorkspace,
 }
 
@@ -453,35 +313,17 @@ impl MeasureWorkspace {
         MeasureWorkspace::default()
     }
 
-    /// The engine `cfg` selects, with the engine's parameters set from
-    /// `cfg`, as a trait object — the one dispatch table from a
-    /// [`MeasureConfig`] to an engine. `DiscretePlugin` runs on the
-    /// binning engine under [`discrete_plugin_config`].
+    /// Selects `cfg` and hands out the workspace's estimator — the one
+    /// dispatch table from a [`MeasureConfig`] to an engine.
+    /// `DiscretePlugin` runs on the binning engine under
+    /// [`discrete_plugin_config`].
+    ///
+    /// `prepare` binds the view for the whole workspace, subsampled under
+    /// the selection made when it runs; `estimate` runs the current
+    /// selection on the prepared input.
     pub fn estimator_mut(&mut self, cfg: &MeasureConfig) -> &mut dyn Estimator {
-        match *cfg {
-            MeasureConfig::Ksg(c) => {
-                self.ksg.cfg = c;
-                &mut self.ksg
-            }
-            MeasureConfig::Kde(c) => {
-                self.kde.cfg = c;
-                &mut self.kde
-            }
-            MeasureConfig::Binned(c) => {
-                self.binned.cfg = c;
-                &mut self.binned
-            }
-            MeasureConfig::DiscretePlugin { bins } => {
-                self.binned.cfg = discrete_plugin_config(bins);
-                &mut self.binned
-            }
-            MeasureConfig::Gaussian => &mut self.gaussian,
-            MeasureConfig::Strided { family, every } => {
-                self.strided.family = family;
-                self.strided.every = every;
-                &mut self.strided
-            }
-        }
+        self.engines.selected = *cfg;
+        &mut self.engines
     }
 
     /// Pairwise KSG mutual-information matrix between all observer blocks
@@ -499,7 +341,7 @@ impl MeasureWorkspace {
     /// Panics if `cfg.k == 0` or `cfg.k >= view.rows` (with two or more
     /// blocks).
     pub fn pairwise_mi_matrix(&mut self, view: &SampleView<'_>, cfg: &KsgConfig) -> PairMatrix {
-        self.ksg.ws.pairwise_mi_matrix(view, cfg)
+        self.engines.ksg.pairwise_mi_matrix(view, cfg)
     }
 
     /// Every term of the Eq. 5 decomposition of `view` under `grouping`
@@ -517,7 +359,7 @@ impl MeasureWorkspace {
         grouping: &Grouping,
         cfg: &KsgConfig,
     ) -> Decomposition {
-        self.ksg.ws.decompose(view, grouping, cfg)
+        self.engines.ksg.decompose(view, grouping, cfg)
     }
 
     /// Frenzel–Pompe `I(X;Y|Z)` (bits) from `rows` joint samples (see
@@ -547,14 +389,11 @@ impl MeasureWorkspace {
     /// baseline's per-call `d × d` covariance is documented out of the
     /// contract (module docs).
     pub fn capacity_signature(&self) -> Vec<usize> {
-        let mut sig = self.ksg.ws.capacity_signature();
-        self.ksg.input.capacity_signature(&mut sig);
-        sig.extend(self.kde.ws.capacity_signature());
-        self.kde.input.capacity_signature(&mut sig);
-        sig.extend(self.binned.ws.capacity_signature());
-        self.binned.input.capacity_signature(&mut sig);
-        self.gaussian.input.capacity_signature(&mut sig);
-        self.strided.capacity_signature(&mut sig);
+        let e = &self.engines;
+        let mut sig = vec![e.data.capacity(), e.sizes.capacity()];
+        sig.extend(e.ksg.capacity_signature());
+        sig.extend(e.kde.capacity_signature());
+        sig.extend(e.binned.capacity_signature());
         sig.extend(self.cmi.capacity_signature());
         sig
     }

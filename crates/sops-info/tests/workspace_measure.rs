@@ -9,7 +9,10 @@
 //!   pruned scan otherwise);
 //! * a warmed-up `MeasureWorkspace` performs zero heap allocations across
 //!   100 mixed calls spanning every estimator family (buffer-capacity
-//!   stability).
+//!   stability);
+//! * the workspace's one prepared input and one engine per family carry
+//!   no history: interleaved selections over views of different shape
+//!   give a fresh workspace's bits.
 //!
 //! Documented deviations of the frozen references from the historical
 //! free functions — both confined to reduction order, neither observable
@@ -657,6 +660,57 @@ fn warmed_up_measure_workspace_is_allocation_free_over_100_calls() {
             sig,
             "measure workspace allocated at call {call}"
         );
+    }
+}
+
+#[test]
+fn one_engine_per_family_carries_no_history() {
+    // Every selection shares the workspace's one prepared input and its
+    // family's one engine (strided selections included, and the KSG
+    // engine with `decompose`). Interleaving the selections over two
+    // views of different shape must leave every estimate equal to a
+    // fresh workspace's, bit for bit.
+    let scalar_sizes = [1usize; 5];
+    let scalar = fixture(120, &scalar_sizes, 31);
+    let planar_sizes = [2usize; 4];
+    let planar = fixture(90, &planar_sizes, 37);
+    let views = [
+        SampleView::new(&scalar, 120, &scalar_sizes),
+        SampleView::new(&planar, 90, &planar_sizes),
+    ];
+    let grouping = Grouping::from_labels(&[0, 0, 1, 1]);
+    let names = [
+        "ksg",
+        "ksg@3",
+        "kde",
+        "kde@2",
+        "binned",
+        "binned@2",
+        "discrete",
+        "gaussian",
+        "gaussian@1",
+    ];
+    let mut ws = MeasureWorkspace::new();
+    for round in 0..2 {
+        // Forward, then backward: in the second round every selection
+        // follows a different one, on the other view.
+        let order: Vec<&str> = if round == 0 {
+            names.to_vec()
+        } else {
+            names.iter().rev().copied().collect()
+        };
+        for (i, name) in order.iter().enumerate() {
+            let cfg = MeasureConfig::parse(name).expect("known selection");
+            let view = &views[(i + round) % 2];
+            let got = measure(&mut ws, view, &cfg);
+            let want = measure(&mut MeasureWorkspace::new(), view, &cfg);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "round {round} {name}: {got} vs fresh {want}"
+            );
+        }
+        ws.decompose(&views[1], &grouping, &KsgConfig::default());
     }
 }
 

@@ -7,10 +7,11 @@
 //! (three allocations plus a full point clone) and evaluated every
 //! interacting pair twice. [`ForceWorkspace`] removes all of that:
 //!
-//! * **Buffer reuse** — the grid is [rebuilt in place](CellGrid::rebuild)
-//!   and every scratch vector (cell-sorted coordinate lanes, per-chunk
-//!   accumulators, hit batches, the force output) lives in the
-//!   workspace, so a warmed-up `step()` performs zero heap allocations.
+//! * **Buffer reuse** — the grid is
+//!   [rebuilt in place](CellGrid::rebuild_lanes) and every scratch
+//!   vector (cell-sorted coordinate lanes, per-chunk accumulators, hit
+//!   batches, the force output) lives in the workspace, so a warmed-up
+//!   `step()` performs zero heap allocations.
 //! * **SoA lanes + branchless hit compaction** — positions are gathered
 //!   into cell order as separate x/y slices during the grid rebuild
 //!   ([`CellGrid::rebuild_lanes`] fuses the scatter and the gather into
@@ -224,7 +225,7 @@ impl ForceWorkspace {
     /// and are reused afterwards.
     pub fn new() -> Self {
         ForceWorkspace {
-            grid: CellGrid::build(&[], 1.0),
+            grid: CellGrid::default(),
             sorted_x: Vec::new(),
             sorted_y: Vec::new(),
             sorted_types: Vec::new(),
@@ -460,12 +461,12 @@ fn sweep_span(
     let rbuf = hits.rbuf.as_mut_slice();
     // The sweep-entry assert the unsafe candidate kernel relies on: cell
     // bounds index `grid.order`, so every candidate index is
-    // `< grid.len()`, and the flush discipline keeps `len + row_len ≤
-    // HIT_CAP` — together these bound every unchecked access in
+    // `< grid.order().len()`, and the flush discipline keeps `len +
+    // row_len ≤ HIT_CAP` — together these bound every unchecked access in
     // `push_row`.
     assert!(
-        xs.len() >= grid.len()
-            && ys.len() >= grid.len()
+        xs.len() >= grid.order().len()
+            && ys.len() >= grid.order().len()
             && bidx.len() >= HIT_CAP
             && aidx.len() >= HIT_CAP
             && d2v.len() >= HIT_CAP,

@@ -1,34 +1,35 @@
-//! Uniform-grid neighbour lists for the simulator.
+//! The simulator's cell index.
 //!
-//! The particle simulator needs, at every step, all pairs within the
-//! cut-off radius `r_c` (paper Eq. 6). A uniform grid with cell size `r_c`
-//! turns that into an `O(n)` build plus an `O(n · density)` sweep over the
-//! 3×3 cell neighbourhood — the standard "cell list" method from molecular
-//! dynamics. For unbounded interactions (`r_c = ∞`, used by Figs. 9 and 10)
-//! the caller falls back to the all-pairs loop.
+//! The force sum of paper Eq. 6 runs over every pair within the cut-off
+//! radius `r_c`. A uniform grid with cells no smaller than `r_c` turns
+//! that into an `O(n)` rebuild plus a sweep over each cell's 3×3
+//! neighbourhood — the "cell list" method from molecular dynamics.
+//! `sops_sim::ForceWorkspace` rebuilds the grid every substep with
+//! [`CellGrid::rebuild_lanes`] and runs the half-neighbourhood sweep
+//! itself, over the cell-ordered coordinate lanes the rebuild writes; the
+//! grid holds cell ids and point ids, never positions. For unbounded
+//! interactions (`r_c = ∞`, used by Figs. 9 and 10) the simulator takes
+//! the all-pairs loop instead.
 
 use sops_math::Vec2;
 
-/// A uniform grid over 2-D points supporting radius-bounded neighbour
-/// iteration. Uses a CSR layout (offsets + packed indices) to avoid
-/// per-cell allocations.
+/// A uniform grid over 2-D points, as a CSR layout (offsets + packed
+/// point ids) that needs no per-cell allocation.
 ///
-/// The grid can be [rebuilt in place](CellGrid::rebuild) every simulation
-/// substep: all internal buffers (offsets, the packed index list, the
-/// point copy and the counting-sort cursor) are reused, so a warmed-up
-/// grid performs zero heap allocations while the particle count and cell
-/// occupancy stay within previously seen bounds.
-#[derive(Debug, Clone)]
+/// [`CellGrid::rebuild_lanes`] re-indexes the grid in place every
+/// simulation substep: all internal buffers (offsets, the packed id list,
+/// the counting-sort cursor and the per-point cell ids) are reused, so a
+/// warmed-up grid performs zero heap allocations while the particle count
+/// and cell occupancy stay within previously seen bounds. The default
+/// grid is empty and has no cells until the first rebuild.
+#[derive(Debug, Clone, Default)]
 pub struct CellGrid {
-    cell: f64,
-    origin: Vec2,
     nx: usize,
     ny: usize,
     /// CSR offsets: cell c holds indices `items[offsets[c]..offsets[c+1]]`.
     offsets: Vec<u32>,
     items: Vec<u32>,
-    points: Vec<Vec2>,
-    /// Counting-sort cursor, kept around so `rebuild` allocates nothing.
+    /// Counting-sort cursor, kept around so a rebuild allocates nothing.
     cursor: Vec<u32>,
     /// Per-point cell ids from the counting pass, reused by the scatter
     /// pass (the cell computation costs two f64 divisions per point).
@@ -36,72 +37,28 @@ pub struct CellGrid {
 }
 
 impl CellGrid {
-    /// Builds a grid with cells of size `cell_size` covering the bounding
-    /// box of `points`.
+    /// Re-indexes the grid over `points` with square cells of side
+    /// `cell_size` covering their bounding box, and writes the points'
+    /// coordinates in [`CellGrid::order`] to `xs`/`ys` in the same
+    /// counting-sort scatter pass, so the simulator's per-substep rebuild
+    /// makes one pass over the points.
     ///
-    /// `cell_size` must be ≥ the query radius used later so that the 3×3
-    /// neighbourhood sweep is exhaustive — strictly larger cells are
-    /// first-class (queries with a radius *smaller* than the cell size
-    /// stay exact, they just scan more candidates per cell);
-    /// [`CellGrid::for_neighbors`] checks the invariant in debug builds.
+    /// Point `i` lands in the cell `floor((points[i] − lo) / cell_size)`
+    /// of the bounding box's low corner `lo`, clamped to the grid; within
+    /// a cell, ids stay ascending. `cell_size` must be at least the
+    /// cut-off radius of the caller's sweep so that the 3×3 neighbourhood
+    /// is exhaustive; larger cells only add candidates.
     ///
-    /// # Panics
-    ///
-    /// Panics if `cell_size` is not finite and positive.
-    pub fn build(points: &[Vec2], cell_size: f64) -> Self {
-        let mut grid = CellGrid {
-            cell: cell_size,
-            origin: Vec2::ZERO,
-            nx: 1,
-            ny: 1,
-            offsets: Vec::new(),
-            items: Vec::new(),
-            points: Vec::new(),
-            cursor: Vec::new(),
-            cellid: Vec::new(),
-        };
-        grid.rebuild(points, cell_size);
-        grid
-    }
-
-    /// Re-indexes the grid over a new point set, reusing every internal
-    /// buffer. Semantically identical to `*self = CellGrid::build(points,
-    /// cell_size)` but allocation-free once the buffers have grown to the
-    /// workload's steady-state size — this is the per-substep entry point
-    /// of the simulator's force workspace.
+    /// Afterwards `xs[k] = points[order()[k]].x` (and likewise `ys`): each
+    /// cell's coordinates are contiguous, so a cell-pair segment of the
+    /// simulator's chunked force kernel is two slice windows the
+    /// autovectorizer can stream over. Allocation-free once every buffer,
+    /// `xs` and `ys` included, is warm.
     ///
     /// # Panics
     ///
     /// Panics if `cell_size` is not finite and positive.
-    pub fn rebuild(&mut self, points: &[Vec2], cell_size: f64) {
-        let (mut xs, mut ys) = (Vec::new(), Vec::new());
-        self.rebuild_impl::<false>(points, cell_size, &mut xs, &mut ys);
-    }
-
-    /// [`CellGrid::rebuild`] fused with the gather of the coordinates in
-    /// [`CellGrid::order`]: the counting-sort scatter pass writes the
-    /// cell-ordered `xs`/`ys`
-    /// coordinate lanes directly, so the simulator's per-substep rebuild
-    /// needs one pass over the points instead of two (the separate gather
-    /// re-reads every point through the `order()` indirection).
-    ///
-    /// Equivalent to `rebuild(points, cell_size)` followed by pushing
-    /// `points[i].x` and `points[i].y` for each `i` of `order()` — same
-    /// grid, same lanes, bit for bit — and allocation-free once all
-    /// buffers are warm. Each cell's coordinates land contiguous in
-    /// `xs`/`ys`, so a cell-pair segment of the simulator's chunked force
-    /// kernel is two slice windows the autovectorizer can stream over.
     pub fn rebuild_lanes(
-        &mut self,
-        points: &[Vec2],
-        cell_size: f64,
-        xs: &mut Vec<f64>,
-        ys: &mut Vec<f64>,
-    ) {
-        self.rebuild_impl::<true>(points, cell_size, xs, ys);
-    }
-
-    fn rebuild_impl<const GATHER: bool>(
         &mut self,
         points: &[Vec2],
         cell_size: f64,
@@ -112,23 +69,17 @@ impl CellGrid {
             cell_size.is_finite() && cell_size > 0.0,
             "CellGrid: cell size must be positive and finite"
         );
-        self.cell = cell_size;
-        self.points.clear();
-        self.points.extend_from_slice(points);
-        if GATHER {
-            // The scatter pass overwrites every slot, so warm rebuilds
-            // only need the length fixed, not a zero fill.
-            if xs.len() != points.len() {
-                xs.clear();
-                xs.resize(points.len(), 0.0);
-            }
-            if ys.len() != points.len() {
-                ys.clear();
-                ys.resize(points.len(), 0.0);
-            }
+        // The scatter pass overwrites every slot, so warm rebuilds only
+        // need the length fixed, not a zero fill.
+        if xs.len() != points.len() {
+            xs.clear();
+            xs.resize(points.len(), 0.0);
+        }
+        if ys.len() != points.len() {
+            ys.clear();
+            ys.resize(points.len(), 0.0);
         }
         if points.is_empty() {
-            self.origin = Vec2::ZERO;
             self.nx = 1;
             self.ny = 1;
             self.offsets.clear();
@@ -159,7 +110,6 @@ impl CellGrid {
         let nx = (((hi.x - lo.x) / cell_size).floor() as usize + 1).max(1);
         let ny = (((hi.y - lo.y) / cell_size).floor() as usize + 1).max(1);
         let ncells = nx * ny;
-        self.origin = lo;
         self.nx = nx;
         self.ny = ny;
 
@@ -221,25 +171,11 @@ impl CellGrid {
             let c = c as usize;
             let dst = self.cursor[c] as usize;
             self.items[dst] = i as u32;
-            if GATHER {
-                let p = points[i];
-                xs[dst] = p.x;
-                ys[dst] = p.y;
-            }
+            let p = points[i];
+            xs[dst] = p.x;
+            ys[dst] = p.y;
             self.cursor[c] += 1;
         }
-    }
-
-    /// Number of indexed points.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// `true` if no points are indexed.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
     }
 
     /// Grid shape `(nx, ny)`.
@@ -277,92 +213,13 @@ impl CellGrid {
     /// Capacities of every internal buffer, for allocation-stability
     /// assertions: a warmed-up grid rebuilt over a workload of bounded
     /// size must keep this signature constant.
-    pub fn capacity_signature(&self) -> [usize; 5] {
+    pub fn capacity_signature(&self) -> [usize; 4] {
         [
             self.offsets.capacity(),
             self.items.capacity(),
-            self.points.capacity(),
             self.cursor.capacity(),
             self.cellid.capacity(),
         ]
-    }
-
-    #[inline]
-    fn cell_coords(&self, p: Vec2) -> (usize, usize) {
-        let cx = (((p.x - self.origin.x) / self.cell) as usize).min(self.nx - 1);
-        let cy = (((p.y - self.origin.y) / self.cell) as usize).min(self.ny - 1);
-        (cx, cy)
-    }
-
-    /// Calls `f(j, dist_sq)` for every indexed point `j ≠ exclude` within
-    /// `radius` (inclusive) of `query`.
-    ///
-    /// `exclude` is typically the queried particle's own index; pass
-    /// `usize::MAX` to exclude nothing.
-    ///
-    /// Any `radius ≤ cell_size` is supported — the grid need not be built
-    /// with a cell size exactly equal to the query radius. A cut-off
-    /// *smaller* than the cell stays exact (the 3×3 sweep over-scans and
-    /// the distance test filters); only `radius > cell_size` would make
-    /// the sweep non-exhaustive, which the debug assertion rejects.
-    pub fn for_neighbors(
-        &self,
-        query: Vec2,
-        radius: f64,
-        exclude: usize,
-        mut f: impl FnMut(usize, f64),
-    ) {
-        debug_assert!(
-            radius <= self.cell * (1.0 + 1e-12),
-            "CellGrid: query radius {radius} exceeds cell size {} (the 3×3 \
-             sweep would miss neighbours; rebuild with cell_size >= radius)",
-            self.cell
-        );
-        if self.is_empty() {
-            return;
-        }
-        let r2 = radius * radius;
-        let (cx, cy) = self.cell_coords(query);
-        let x0 = cx.saturating_sub(1);
-        let x1 = (cx + 1).min(self.nx - 1);
-        let y0 = cy.saturating_sub(1);
-        let y1 = (cy + 1).min(self.ny - 1);
-        for gy in y0..=y1 {
-            for gx in x0..=x1 {
-                let c = gy * self.nx + gx;
-                let lo = self.offsets[c] as usize;
-                let hi = self.offsets[c + 1] as usize;
-                for &j in &self.items[lo..hi] {
-                    let j = j as usize;
-                    if j == exclude {
-                        continue;
-                    }
-                    let d2 = self.points[j].dist_sq(query);
-                    if d2 <= r2 {
-                        f(j, d2);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Collects all unordered pairs `(i, j)`, `i < j`, within `radius`
-    /// (inclusive), in lexicographic order.
-    ///
-    /// Convenience wrapper for tests and diagnostics; the simulator's hot
-    /// loop uses [`CellGrid::for_neighbors`] per particle instead to
-    /// accumulate asymmetric per-type forces directly.
-    pub fn pairs_within(&self, radius: f64) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for i in 0..self.len() {
-            self.for_neighbors(self.points[i], radius, i, |j, _| {
-                if i < j {
-                    out.push((i, j));
-                }
-            });
-        }
-        out.sort_unstable();
-        out
     }
 }
 
@@ -504,182 +361,105 @@ mod x86 {
 }
 
 #[cfg(test)]
-impl CellGrid {
-    /// The two-pass reference for [`CellGrid::rebuild_lanes`]: gathers
-    /// `points` into cell order as SoA coordinate lanes,
-    /// `xs[k] = points[order()[k]].x` (and likewise `ys`), with both
-    /// outputs cleared first.
-    fn gather_lanes(&self, points: &[Vec2], xs: &mut Vec<f64>, ys: &mut Vec<f64>) {
-        assert_eq!(
-            points.len(),
-            self.items.len(),
-            "CellGrid::gather_lanes: point count must match the indexed set"
-        );
-        xs.clear();
-        ys.clear();
-        xs.reserve(points.len());
-        ys.reserve(points.len());
-        for &i in &self.items {
-            let p = points[i as usize];
-            xs.push(p.x);
-            ys.push(p.y);
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brute;
     use proptest::prelude::*;
 
-    fn to_flat(points: &[Vec2]) -> Vec<f64> {
-        points.iter().flat_map(|p| [p.x, p.y]).collect()
-    }
-
-    #[test]
-    fn empty_grid() {
-        let g = CellGrid::build(&[], 1.0);
-        assert!(g.is_empty());
-        let mut called = false;
-        g.for_neighbors(Vec2::ZERO, 1.0, usize::MAX, |_, _| called = true);
-        assert!(!called);
-        assert!(g.pairs_within(1.0).is_empty());
-    }
-
-    #[test]
-    fn single_cell_all_points() {
-        let pts = vec![
-            Vec2::new(0.1, 0.1),
-            Vec2::new(0.2, 0.2),
-            Vec2::new(0.3, 0.3),
-        ];
-        let g = CellGrid::build(&pts, 10.0);
-        assert_eq!(g.shape(), (1, 1));
-        let mut found = Vec::new();
-        g.for_neighbors(pts[0], 10.0, 0, |j, _| found.push(j));
-        found.sort_unstable();
-        assert_eq!(found, vec![1, 2]);
-    }
-
-    #[test]
-    fn neighbor_search_respects_radius() {
-        let pts = vec![
-            Vec2::new(0.0, 0.0),
-            Vec2::new(0.5, 0.0),
-            Vec2::new(2.0, 0.0),
-            Vec2::new(0.0, 0.9),
-        ];
-        let g = CellGrid::build(&pts, 1.0);
-        let mut found = Vec::new();
-        g.for_neighbors(pts[0], 1.0, 0, |j, d2| found.push((j, d2)));
-        found.sort_by_key(|a| a.0);
-        assert_eq!(found.len(), 2);
-        assert_eq!(found[0].0, 1);
-        assert_eq!(found[1].0, 3);
-    }
-
-    #[test]
-    fn pairs_match_brute_on_cluster() {
-        let pts: Vec<Vec2> = (0..40)
-            .map(|i| Vec2::new((i % 7) as f64 * 0.6, (i / 7) as f64 * 0.6))
-            .collect();
-        let g = CellGrid::build(&pts, 1.25);
-        assert_eq!(
-            g.pairs_within(1.25),
-            brute::pairs_within(2, &to_flat(&pts), 1.25)
-        );
-    }
-
-    #[test]
-    fn exclusion_skips_self_not_duplicates() {
-        // Two particles at the same location: the query for particle 0 must
-        // still see particle 1.
-        let pts = vec![Vec2::new(1.0, 1.0), Vec2::new(1.0, 1.0)];
-        let g = CellGrid::build(&pts, 1.0);
-        let mut found = Vec::new();
-        g.for_neighbors(pts[0], 1.0, 0, |j, d2| found.push((j, d2)));
-        assert_eq!(found, vec![(1, 0.0)]);
-    }
-
-    #[test]
-    fn query_radius_smaller_than_cell_is_exact() {
-        // A grid built with cells much larger than the cut-off must answer
-        // small-radius queries exactly (the sweep over-scans, the distance
-        // test filters).
-        let pts: Vec<Vec2> = (0..60)
-            .map(|i| Vec2::new((i % 10) as f64 * 0.4, (i / 10) as f64 * 0.4))
-            .collect();
-        let g = CellGrid::build(&pts, 3.0);
-        let radius = 0.45;
-        assert_eq!(
-            g.pairs_within(radius),
-            brute::pairs_within(2, &to_flat(&pts), radius)
-        );
-    }
-
-    #[test]
-    fn rebuild_matches_fresh_build() {
-        let mut g = CellGrid::build(&[Vec2::ZERO], 1.0);
-        for seed in 0..4u64 {
-            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-            let mut next = || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state % 1000) as f64 / 50.0 - 10.0
-            };
-            let pts: Vec<Vec2> = (0..50 + seed as usize * 17)
-                .map(|_| Vec2::new(next(), next()))
-                .collect();
-            let cell = 1.0 + seed as f64 * 0.7;
-            g.rebuild(&pts, cell);
-            let fresh = CellGrid::build(&pts, cell);
-            assert_eq!(g.shape(), fresh.shape());
-            assert_eq!(g.order(), fresh.order());
-            assert_eq!(g.pairs_within(cell), fresh.pairs_within(cell));
-        }
-        // Shrinking back to the empty set must also work in place.
-        g.rebuild(&[], 2.0);
-        assert!(g.is_empty());
-        assert!(g.pairs_within(2.0).is_empty());
-    }
-
-    #[test]
-    fn rebuild_is_allocation_stable() {
-        let pts: Vec<Vec2> = (0..120)
-            .map(|i| Vec2::new((i % 12) as f64 * 0.9, (i / 12) as f64 * 0.9))
-            .collect();
-        let mut g = CellGrid::build(&pts, 1.5);
-        let sig = g.capacity_signature();
-        for _ in 0..50 {
-            g.rebuild(&pts, 1.5);
-            assert_eq!(g.capacity_signature(), sig, "rebuild must not allocate");
-        }
-    }
-
-    #[test]
-    fn rebuild_lanes_matches_rebuild_plus_gather() {
-        let mut state = 0x2545_F491_4F6C_DD1Du64;
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % 1000) as f64 / 50.0 - 10.0
+    /// The from-scratch reference for [`CellGrid::rebuild_lanes`]: the
+    /// grid shape and each point's cell, `floor((p − lo) / cell)` of the
+    /// bounding box's low corner `lo`, clamped to the grid.
+    fn reference_cells(points: &[Vec2], cell: f64) -> ((usize, usize), Vec<usize>) {
+        let Some(&first) = points.first() else {
+            return ((1, 1), Vec::new());
         };
-        for n in [0usize, 1, 7, 120] {
-            let pts: Vec<Vec2> = (0..n).map(|_| Vec2::new(next(), next())).collect();
-            let mut fused = CellGrid::build(&[], 1.0);
-            let (mut fx, mut fy) = (Vec::new(), Vec::new());
-            fused.rebuild_lanes(&pts, 1.3, &mut fx, &mut fy);
-            let mut two_pass = CellGrid::build(&[], 1.0);
-            two_pass.rebuild(&pts, 1.3);
-            let (mut gx, mut gy) = (Vec::new(), Vec::new());
-            two_pass.gather_lanes(&pts, &mut gx, &mut gy);
-            assert_eq!(fused.order(), two_pass.order());
-            assert_eq!(fx, gx);
-            assert_eq!(fy, gy);
+        let (mut lo, mut hi) = (first, first);
+        for &p in points {
+            lo = lo.min(p);
+            hi = hi.max(p);
         }
+        let nx = ((hi.x - lo.x) / cell).floor() as usize + 1;
+        let ny = ((hi.y - lo.y) / cell).floor() as usize + 1;
+        let cells = points
+            .iter()
+            .map(|p| {
+                let cx = (((p.x - lo.x) / cell).floor() as usize).min(nx - 1);
+                let cy = (((p.y - lo.y) / cell).floor() as usize).min(ny - 1);
+                cy * nx + cx
+            })
+            .collect();
+        ((nx, ny), cells)
+    }
+
+    /// Checks a rebuilt grid and its lanes against [`reference_cells`].
+    fn check_against_reference(
+        g: &CellGrid,
+        points: &[Vec2],
+        cell: f64,
+        xs: &[f64],
+        ys: &[f64],
+    ) -> Result<(), TestCaseError> {
+        let ((nx, ny), cells) = reference_cells(points, cell);
+        prop_assert_eq!(g.shape(), (nx, ny));
+        prop_assert_eq!(g.cells(), nx * ny);
+        let order = g.order();
+        prop_assert_eq!(order.len(), points.len());
+        // `cell_bounds` tile `0..n` in cell order; every id sits in its
+        // reference cell, ascending within the cell, so `order()` is a
+        // permutation of `0..n`.
+        let mut next = 0;
+        for c in 0..g.cells() {
+            let (a, b) = g.cell_bounds(c);
+            prop_assert_eq!(a, next, "cell {} starts past a gap or overlap", c);
+            prop_assert!(a <= b);
+            let ids = &order[a..b];
+            for &i in ids {
+                prop_assert_eq!(cells[i as usize], c, "point {} in cell {}", i, c);
+            }
+            prop_assert!(
+                ids.windows(2).all(|w| w[0] < w[1]),
+                "cell {} ids not ascending",
+                c
+            );
+            next = b;
+        }
+        prop_assert_eq!(next, points.len());
+        // The lanes are the points gathered in `order()`.
+        prop_assert_eq!(xs.len(), points.len());
+        prop_assert_eq!(ys.len(), points.len());
+        for (k, &i) in order.iter().enumerate() {
+            let p = points[i as usize];
+            prop_assert_eq!(xs[k].to_bits(), p.x.to_bits());
+            prop_assert_eq!(ys[k].to_bits(), p.y.to_bits());
+        }
+        Ok(())
+    }
+
+    /// Points from `(kind, i, j, x, y)` draws: kind 0 sits on the lattice
+    /// of cell corners (`(i, j) · cell`), kind 1 repeats the previous
+    /// point, any other kind is free in `[-20, 20)²`.
+    fn points_from(draws: &[(u8, i32, i32, f64, f64)], cell: f64) -> Vec<Vec2> {
+        let mut points: Vec<Vec2> = Vec::with_capacity(draws.len());
+        for &(kind, i, j, x, y) in draws {
+            let p = match (kind, points.last()) {
+                (0, _) => Vec2::new(f64::from(i) * cell, f64::from(j) * cell),
+                (1, Some(&prev)) => prev,
+                _ => Vec2::new(x, y),
+            };
+            points.push(p);
+        }
+        points
+    }
+
+    #[test]
+    fn empty_rebuild_leaves_one_empty_cell() {
+        let mut g = CellGrid::default();
+        assert_eq!(g.cells(), 0, "the default grid has no cells");
+        let (mut xs, mut ys) = (vec![1.0; 3], vec![2.0; 3]);
+        g.rebuild_lanes(&[Vec2::ZERO, Vec2::new(3.0, 4.0)], 1.0, &mut xs, &mut ys);
+        g.rebuild_lanes(&[], 2.0, &mut xs, &mut ys);
+        assert_eq!(g.shape(), (1, 1));
+        assert_eq!(g.cell_bounds(0), (0, 0));
+        assert!(g.order().is_empty() && xs.is_empty() && ys.is_empty());
     }
 
     #[test]
@@ -687,7 +467,7 @@ mod tests {
         let pts: Vec<Vec2> = (0..120)
             .map(|i| Vec2::new((i % 12) as f64 * 0.9, (i / 12) as f64 * 0.9))
             .collect();
-        let mut g = CellGrid::build(&pts, 1.5);
+        let mut g = CellGrid::default();
         let (mut xs, mut ys) = (Vec::new(), Vec::new());
         g.rebuild_lanes(&pts, 1.5, &mut xs, &mut ys);
         let sig = g.capacity_signature();
@@ -703,66 +483,32 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cell_order_accessors_are_consistent() {
-        let pts: Vec<Vec2> = (0..33)
-            .map(|i| Vec2::new((i % 6) as f64, (i / 6) as f64))
-            .collect();
-        let g = CellGrid::build(&pts, 1.0);
-        let mut seen = vec![false; pts.len()];
-        let mut total = 0usize;
-        for c in 0..g.cells() {
-            let (a, b) = g.cell_bounds(c);
-            assert!(a <= b && b <= g.len());
-            for &i in &g.order()[a..b] {
-                assert!(!seen[i as usize], "point {i} listed twice");
-                seen[i as usize] = true;
-                total += 1;
-            }
-        }
-        assert_eq!(total, pts.len(), "every point appears in exactly one cell");
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
+        /// One grid rebuilt in place over two point sets (0–200 points,
+        /// with duplicates, points on cell corners and negative
+        /// coordinates) matches the from-scratch reference after each
+        /// rebuild, lanes included.
         #[test]
-        fn pairs_with_radius_below_cell_match_brute(
-            coords in proptest::collection::vec((-15.0..15.0f64, -15.0..15.0f64), 1..60),
-            radius in 0.1..2.0f64,
-            slack in 1.0..4.0f64
+        fn rebuild_lanes_matches_from_scratch_reference(
+            first in proptest::collection::vec(
+                (0u8..4, -40i32..40, -40i32..40, -20.0..20.0f64, -20.0..20.0f64),
+                0..201,
+            ),
+            second in proptest::collection::vec(
+                (0u8..4, -40i32..40, -40i32..40, -20.0..20.0f64, -20.0..20.0f64),
+                0..201,
+            ),
+            cells in (0.25..6.0f64, 0.25..6.0f64),
         ) {
-            // Build with cell size >= radius (not exactly equal): queries
-            // must stay exhaustive and exact.
-            let pts: Vec<Vec2> = coords.iter().map(|&(x, y)| Vec2::new(x, y)).collect();
-            let g = CellGrid::build(&pts, radius * slack);
-            prop_assert_eq!(g.pairs_within(radius), brute::pairs_within(2, &to_flat(&pts), radius));
-        }
-
-        #[test]
-        fn pairs_match_brute(
-            coords in proptest::collection::vec((-20.0..20.0f64, -20.0..20.0f64), 1..80),
-            radius in 0.1..5.0f64
-        ) {
-            let pts: Vec<Vec2> = coords.iter().map(|&(x, y)| Vec2::new(x, y)).collect();
-            let g = CellGrid::build(&pts, radius);
-            prop_assert_eq!(g.pairs_within(radius), brute::pairs_within(2, &to_flat(&pts), radius));
-        }
-
-        #[test]
-        fn neighbors_match_brute_counts(
-            coords in proptest::collection::vec((-10.0..10.0f64, -10.0..10.0f64), 1..60),
-            radius in 0.1..3.0f64,
-            qi in 0..60usize
-        ) {
-            let pts: Vec<Vec2> = coords.iter().map(|&(x, y)| Vec2::new(x, y)).collect();
-            let qi = qi % pts.len();
-            let g = CellGrid::build(&pts, radius);
-            let mut count = 0;
-            g.for_neighbors(pts[qi], radius, qi, |_, _| count += 1);
-            // Brute count includes the query point itself (distance 0), so subtract 1.
-            let brute_count = brute::count_within_inclusive(2, &to_flat(&pts), &[pts[qi].x, pts[qi].y], radius) - 1;
-            prop_assert_eq!(count, brute_count);
+            let mut g = CellGrid::default();
+            let (mut xs, mut ys) = (Vec::new(), Vec::new());
+            for (draws, cell) in [(&first, cells.0), (&second, cells.1)] {
+                let points = points_from(draws, cell);
+                g.rebuild_lanes(&points, cell, &mut xs, &mut ys);
+                check_against_reference(&g, &points, cell, &xs, &ys)?;
+            }
         }
     }
 }

@@ -4,16 +4,21 @@
 //! Dimensions in this workspace are small (2 for particle positions, up to
 //! ~10 for coarse observer blocks), where kd-trees shine. Queries:
 //!
-//! * [`KdTree::nearest`] / [`KdTree::knn`] — nearest-neighbour queries,
-//!   e.g. the grid-regularity metrics of `sops_core::metrics`;
+//! * [`KdTree::nearest`] / [`KdTree::nearest_excluding`] — the nearest
+//!   other particle of the grid-regularity metrics in `sops_core::metrics`
+//!   (Fig. 3), and the frozen ICP correspondence reference of the
+//!   `sops-shape` tests;
 //! * [`KdTree::count_within`] — the strict range count `cᵢ` of paper
 //!   Eq. 20, the reference the KSG engine's per-block counts are tested
 //!   against;
-//! * [`KdTree::range_indices`] — neighbourhood retrieval for diagnostics.
+//! * [`KdTree::for_each_within`] — the conjunctive range counts of the
+//!   Frenzel–Pompe CMI engine; [`KdTree::range_indices`], its sorted
+//!   collect, is the frozen CMI reference of the `sops-info` tests.
 //!
-//! The tree is immutable after construction; the simulator's per-step
-//! neighbour search uses [`crate::CellGrid`] instead, which is cheaper to
-//! rebuild every step.
+//! The joint k-NN of the KSG and CMI engines descends the tree through
+//! [`crate::block_max::knn_block_max_tree_into`]. The tree is immutable
+//! between rebuilds; the simulator's per-step neighbour search uses
+//! [`crate::CellGrid`] instead, which is cheaper to rebuild every step.
 
 use crate::dist_sq;
 
@@ -264,62 +269,11 @@ impl KdTree {
                     (*right, node + 1)
                 };
                 self.nearest_rec(near, query, skip, best);
-                // `<=`, as in `knn_rec`: an equal-distance point across
-                // the split may have the smaller, canonically winning
-                // index.
+                // `<=`, not `<`: an equal-distance point across the split
+                // may have the smaller, canonically winning index (same
+                // rule as the block-max tree search).
                 if best.is_none_or(|(_, bd)| delta * delta <= bd) {
                     self.nearest_rec(far, query, skip, best);
-                }
-            }
-        }
-    }
-
-    /// The `k` nearest points to `query`, sorted by ascending squared
-    /// distance (ties broken by index).
-    pub fn knn(&self, query: &[f64], k: usize) -> Vec<(usize, f64)> {
-        let mut out = Vec::new();
-        self.knn_into(query, k, &mut out);
-        out
-    }
-
-    /// [`KdTree::knn`] into a caller-provided buffer (cleared first) —
-    /// allocation-free once the buffer has capacity `k`.
-    pub(crate) fn knn_into(&self, query: &[f64], k: usize, out: &mut Vec<(usize, f64)>) {
-        assert_eq!(query.len(), self.dim);
-        out.clear();
-        if k == 0 || self.is_empty() {
-            return;
-        }
-        // `out` doubles as the bounded max-heap (worst candidate at the
-        // root) during traversal, stored as `(index, dist_sq)`.
-        self.knn_rec(0, query, k, out);
-        out.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
-    }
-
-    fn knn_rec(&self, node: u32, query: &[f64], k: usize, heap: &mut Vec<(usize, f64)>) {
-        match &self.nodes[node as usize] {
-            Node::Leaf { start, end } => {
-                for &i in &self.order[*start as usize..*end as usize] {
-                    let i = i as usize;
-                    let d = dist_sq(self.point(i), query);
-                    heap_offer(heap, k, (i, d));
-                }
-            }
-            Node::Split { axis, value, right } => {
-                let delta = query[*axis as usize] - value;
-                let (near, far) = if delta < 0.0 {
-                    (node + 1, *right)
-                } else {
-                    (*right, node + 1)
-                };
-                self.knn_rec(near, query, k, heap);
-                // `<=`, not `<`: a far subtree at axis distance exactly
-                // equal to the current worst can still hold an
-                // equal-distance point with a smaller index, which
-                // canonically wins the tie (same rule as the block-max
-                // tree search).
-                if heap.len() < k || delta * delta <= heap[0].1 {
-                    self.knn_rec(far, query, k, heap);
                 }
             }
         }
@@ -375,16 +329,9 @@ impl KdTree {
     /// ascending index order.
     pub fn range_indices(&self, query: &[f64], radius: f64) -> Vec<usize> {
         let mut out = Vec::new();
-        self.range_indices_into(query, radius, &mut out);
-        out
-    }
-
-    /// [`KdTree::range_indices`] into a caller-provided buffer (cleared
-    /// first) — the allocation-free form persistent engines use.
-    pub(crate) fn range_indices_into(&self, query: &[f64], radius: f64, out: &mut Vec<usize>) {
-        out.clear();
         self.for_each_within(query, radius, |i| out.push(i));
         out.sort_unstable();
+        out
     }
 
     /// Visits every point within `radius` of `query` (inclusive), in
@@ -431,55 +378,6 @@ impl KdTree {
     }
 }
 
-/// Lexicographically "worse" candidate ordering for the bounded max-heap:
-/// larger squared distance first, distance ties broken by larger index.
-#[inline]
-fn heap_worse(a: (usize, f64), b: (usize, f64)) -> bool {
-    a.1 > b.1 || (a.1 == b.1 && a.0 > b.0)
-}
-
-/// Offers a candidate to a bounded max-heap (worst entry at the root) that
-/// keeps the `k` lexicographically smallest `(dist, index)` entries seen.
-///
-/// A single `O(log k)` sift replaces the full `sort_by` of the candidate
-/// buffer the old leaf insertion performed on every accepted point — the
-/// `kdtree/knn*` bench rows quantify the win.
-#[inline]
-fn heap_offer(heap: &mut Vec<(usize, f64)>, k: usize, cand: (usize, f64)) {
-    if heap.len() < k {
-        heap.push(cand);
-        let mut i = heap.len() - 1;
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if heap_worse(heap[i], heap[parent]) {
-                heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    } else if heap_worse(heap[0], cand) {
-        heap[0] = cand;
-        let mut i = 0;
-        loop {
-            let l = 2 * i + 1;
-            let r = l + 1;
-            let mut m = i;
-            if l < heap.len() && heap_worse(heap[l], heap[m]) {
-                m = l;
-            }
-            if r < heap.len() && heap_worse(heap[r], heap[m]) {
-                m = r;
-            }
-            if m == i {
-                break;
-            }
-            heap.swap(i, m);
-            i = m;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -502,7 +400,6 @@ mod tests {
         let t = KdTree::build(2, &[]);
         assert!(t.is_empty());
         assert!(t.nearest(&[0.0, 0.0]).is_none());
-        assert!(t.knn(&[0.0, 0.0], 3).is_empty());
         assert_eq!(t.count_within(&[0.0, 0.0], 1.0, true), 0);
     }
 
@@ -533,26 +430,11 @@ mod tests {
     }
 
     #[test]
-    fn knn_matches_brute_on_grid() {
-        let pts = grid_points(8);
-        let t = KdTree::build(2, &pts);
-        for k in [1, 3, 7, 64, 100] {
-            let got = t.knn(&[2.7, 3.1], k);
-            let want = brute::knn(2, &pts, &[2.7, 3.1], k);
-            assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(&want) {
-                assert!((g.1 - w.1).abs() < 1e-12, "k={k}: {g:?} vs {w:?}");
-            }
-        }
-    }
-
-    #[test]
     fn duplicate_points_counted_individually() {
         let pts = [1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
         let t = KdTree::build(2, &pts);
         assert_eq!(t.count_within(&[1.0, 1.0], 0.5, true), 3);
-        let nn = t.knn(&[1.0, 1.0], 2);
-        assert_eq!(nn.len(), 2);
+        assert_eq!(t.nearest(&[1.0, 1.0]), Some((0, 0.0)), "ties keep index 0");
     }
 
     #[test]
@@ -599,10 +481,12 @@ mod tests {
         }
         let t = KdTree::build(4, &pts);
         let q = [1.1, 0.9, 1.0, 1.0];
-        let got = t.knn(&q, 5);
-        let want = brute::knn(4, &pts, &q, 5);
-        for (g, w) in got.iter().zip(&want) {
-            assert!((g.1 - w.1).abs() < 1e-12);
+        assert_eq!(t.nearest(&q), brute::nearest(4, &pts, &q));
+        for r in [0.5, 1.0, 1.5] {
+            assert_eq!(
+                t.count_within(&q, r, true),
+                brute::count_within_strict(4, &pts, &q, r)
+            );
         }
     }
 
@@ -618,9 +502,11 @@ mod tests {
             let side = [12usize, 8, 10][round % 3];
             tree.rebuild(2, &grid_points(side));
             let fresh = KdTree::build(2, &grid_points(side));
-            for k in [1usize, 5, 17] {
-                assert_eq!(tree.knn(&[3.3, 4.1], k), fresh.knn(&[3.3, 4.1], k));
-            }
+            assert_eq!(tree.nearest(&[3.3, 4.1]), fresh.nearest(&[3.3, 4.1]));
+            assert_eq!(
+                tree.range_indices(&[3.3, 4.1], 2.0),
+                fresh.range_indices(&[3.3, 4.1], 2.0)
+            );
             assert_eq!(
                 tree.count_within(&[5.0, 5.0], 2.5, true),
                 fresh.count_within(&[5.0, 5.0], 2.5, true)
@@ -637,44 +523,6 @@ mod tests {
         assert_eq!(tree.len(), 2);
         let (i, _) = tree.nearest(&[4.0, 5.0, 6.1]).unwrap();
         assert_eq!(i, 1);
-    }
-
-    #[test]
-    fn knn_ties_resolve_to_smallest_indices() {
-        // Duplicated points force exact distance ties, including across
-        // splitting planes: the canonical result keeps the smallest
-        // indices, whatever the tree shape.
-        let mut pts = Vec::new();
-        for _ in 0..8 {
-            pts.extend_from_slice(&[1.0, 1.0]);
-        }
-        for _ in 0..8 {
-            pts.extend_from_slice(&[2.0, 2.0]);
-        }
-        let t = KdTree::build(2, &pts);
-        let got = t.knn(&[1.0, 1.0], 3);
-        assert_eq!(
-            got.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
-            vec![0, 1, 2]
-        );
-        // Query equidistant from both clusters: ties span the split.
-        let mid = t.knn(&[1.5, 1.5], 10);
-        let idx: Vec<usize> = mid.iter().map(|&(i, _)| i).collect();
-        assert_eq!(idx, (0..10).collect::<Vec<_>>(), "canonical tie set");
-    }
-
-    #[test]
-    fn knn_into_reuses_buffer() {
-        let pts = grid_points(8);
-        let t = KdTree::build(2, &pts);
-        let mut buf = Vec::new();
-        t.knn_into(&[2.7, 3.1], 7, &mut buf);
-        assert_eq!(buf, t.knn(&[2.7, 3.1], 7));
-        let cap = buf.capacity();
-        for _ in 0..10 {
-            t.knn_into(&[1.2, 5.9], 7, &mut buf);
-        }
-        assert_eq!(buf.capacity(), cap);
     }
 
     prop_compose! {
@@ -719,17 +567,6 @@ mod tests {
             let got = t.nearest(&[qx, qy]).unwrap();
             let want = brute::nearest(2, &pts, &[qx, qy]).unwrap();
             prop_assert!((got.1 - want.1).abs() < 1e-9);
-        }
-
-        #[test]
-        fn knn_matches_brute(pts in arb_points(120), qx in -60.0..60.0f64, qy in -60.0..60.0f64, k in 1..20usize) {
-            let t = KdTree::build(2, &pts);
-            let got = t.knn(&[qx, qy], k);
-            let want = brute::knn(2, &pts, &[qx, qy], k);
-            prop_assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(&want) {
-                prop_assert!((g.1 - w.1).abs() < 1e-9);
-            }
         }
 
         #[test]
