@@ -10,7 +10,12 @@
 //! and counts, per crate:
 //!
 //! * *non-test lines*: the lines before the file's first line starting
-//!   `#[cfg(test)]` (the whole file when there is none);
+//!   `#[cfg(test)]` (the whole file when there is none). A `#[cfg(test)]`
+//!   line followed by a `mod NAME;` line declares a test-only module
+//!   file: the two lines are skipped, counting goes on, and the file the
+//!   declaration names (`NAME.rs` or anything under `NAME/`, beside a
+//!   `lib.rs`, `main.rs` or `mod.rs`, else in the directory named after
+//!   the declaring file) is left out of the ledger;
 //! * *public items*: those lines matching
 //!   `^\s*pub (unsafe )?(fn|struct|enum|trait|const|static|type|mod|use) `.
 //!   `pub(crate)` items are not counted;
@@ -20,7 +25,7 @@
 //! The output is deterministic: crates in name order, then the total.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use sops_core::wire::{self, Value};
@@ -76,27 +81,81 @@ fn is_public_field(line: &str) -> bool {
     starts_like_a_name && rest[name_len..].trim_start().starts_with(':')
 }
 
-/// The counts of one source file.
-fn count_source(text: &str) -> Counts {
-    let lines: Vec<&str> = text
-        .lines()
-        .take_while(|l| !l.starts_with("#[cfg(test)]"))
-        .collect();
-    Counts {
-        lines: lines.len(),
-        items: lines.iter().filter(|l| is_public_item(l)).count(),
-        fields: lines.iter().filter(|l| is_public_field(l)).count(),
+/// The counts of one source file, and the names of the modules it
+/// declares test-only: a line starting `#[cfg(test)]` followed by a
+/// `mod NAME;` line. Such a pair is skipped; any other line starting
+/// `#[cfg(test)]` ends the count.
+fn count_source(text: &str) -> (Counts, Vec<&str>) {
+    let mut counted = Vec::new();
+    let mut test_mods = Vec::new();
+    let mut lines = text.lines();
+    while let Some(line) = lines.next() {
+        if line.starts_with("#[cfg(test)]") {
+            match lines.next().and_then(test_mod_name) {
+                Some(name) => {
+                    test_mods.push(name);
+                    continue;
+                }
+                None => break,
+            }
+        }
+        counted.push(line);
+    }
+    let counts = Counts {
+        lines: counted.len(),
+        items: counted.iter().filter(|l| is_public_item(l)).count(),
+        fields: counted.iter().filter(|l| is_public_field(l)).count(),
+    };
+    (counts, test_mods)
+}
+
+/// `NAME` of a `mod NAME;` line.
+fn test_mod_name(line: &str) -> Option<&str> {
+    let name = line.trim().strip_prefix("mod ")?.strip_suffix(';')?.trim();
+    (!name.is_empty()).then_some(name)
+}
+
+/// The directory a file's `mod NAME;` declarations resolve in: its own
+/// for `lib.rs`, `main.rs` and `mod.rs`, else the one named after it.
+fn module_dir(path: &Path) -> PathBuf {
+    let dir = path.parent().unwrap_or(Path::new(""));
+    match path.file_stem().and_then(|s| s.to_str()) {
+        None | Some("lib" | "main" | "mod") => dir.to_path_buf(),
+        Some(stem) => dir.join(stem),
     }
 }
 
-/// Adds every `.rs` file under `dir` (recursively) to `acc`.
-fn count_dir(dir: &Path, acc: &mut Counts) -> std::io::Result<()> {
+/// The summed counts of one crate's source files, as (path, text)
+/// pairs, leaving out the files of test-only modules.
+fn count_files(files: &[(PathBuf, String)]) -> Counts {
+    let mut test_only: Vec<PathBuf> = Vec::new();
+    let mut sources = Vec::with_capacity(files.len());
+    for (path, text) in files {
+        let (counts, mods) = count_source(text);
+        test_only.extend(mods.iter().map(|m| module_dir(path).join(m)));
+        sources.push((path, counts));
+    }
+    let mut acc = Counts::default();
+    for (path, counts) in sources {
+        if !test_only
+            .iter()
+            .any(|m| *path == m.with_extension("rs") || path.starts_with(m))
+        {
+            acc += counts;
+        }
+    }
+    acc
+}
+
+/// Reads every `.rs` file under `dir` (recursively) into `files`.
+fn read_dir_rs(dir: &Path, files: &mut Vec<(PathBuf, String)>) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let path = entry?.path();
         if path.is_dir() {
-            count_dir(&path, acc)?;
+            read_dir_rs(&path, files)?;
         } else if path.extension().is_some_and(|x| x == "rs") {
-            *acc += count_source(&std::fs::read_to_string(&path)?);
+            let text = std::fs::read_to_string(&path)?;
+            files.push((path, text));
         }
     }
     Ok(())
@@ -108,10 +167,9 @@ fn measure() -> std::io::Result<Ledger> {
     for entry in std::fs::read_dir("crates")? {
         let path = entry?.path();
         if let (true, Some(name)) = (path.join("src").is_dir(), path.file_name()) {
-            let counts = ledger
-                .entry(name.to_string_lossy().into_owned())
-                .or_default();
-            count_dir(&path.join("src"), counts)?;
+            let mut files = Vec::new();
+            read_dir_rs(&path.join("src"), &mut files)?;
+            ledger.insert(name.to_string_lossy().into_owned(), count_files(&files));
         }
     }
     Ok(ledger)
@@ -278,13 +336,56 @@ pub fn after_the_test_module() {}
         // anything after the test module starts. Counted fields: `field`
         // and `spaced_2`; not the `pub(crate)` field, the `const`, or a
         // name that does not start lowercase.
-        assert_eq!(count_source(src), counts(18, 7, 2));
+        assert_eq!(count_source(src), (counts(18, 7, 2), vec![]));
         // Only a `#[cfg(test)]` at the start of a line ends the count.
         assert_eq!(
             count_source("pub fn a() {}\n    #[cfg(test)]\npub fn b() {}\n"),
-            counts(3, 2, 0)
+            (counts(3, 2, 0), vec![])
         );
-        assert_eq!(count_source(""), Counts::default());
+        assert_eq!(count_source(""), (Counts::default(), vec![]));
+    }
+
+    #[test]
+    fn test_only_module_declaration_skips_two_lines_and_counts_on() {
+        let src = "\
+mod inner;
+#[cfg(test)]
+mod brute;
+pub use inner::Tree;
+pub fn dist() {}
+#[cfg(test)]
+mod tests {
+    pub fn after_tests() {}
+}
+";
+        // The declaration pair is skipped and the items below it count;
+        // the `mod tests {` block still ends the file's count.
+        assert_eq!(count_source(src), (counts(3, 2, 0), vec!["brute"]));
+        assert_eq!(
+            count_source("#[cfg(test)]\n    mod brute ;\npub fn a() {}\n"),
+            (counts(1, 1, 0), vec!["brute"])
+        );
+    }
+
+    #[test]
+    fn files_of_test_only_modules_are_left_out() {
+        let file = |path: &str, text: &str| (PathBuf::from(path), text.to_string());
+        let files = vec![
+            file("src/lib.rs", "#[cfg(test)]\nmod brute;\npub mod tree;\n"),
+            file("src/brute.rs", "pub fn scan() {}\npub fn pairs() {}\n"),
+            file(
+                "src/tree.rs",
+                "#[cfg(test)]\nmod refs;\npub fn build() {}\n",
+            ),
+            file("src/tree/refs.rs", "pub fn naive() {}\n"),
+            file("src/tree/walk.rs", "pub fn walk() {}\n"),
+        ];
+        // Counted: `pub mod tree;` from lib.rs, `pub fn build` from
+        // tree.rs and `walk.rs`; not `brute.rs` (declared test-only
+        // beside lib.rs) or `tree/refs.rs` (test-only inside tree).
+        assert_eq!(count_files(&files), counts(3, 3, 0));
+        assert_eq!(module_dir(Path::new("src/tree.rs")), Path::new("src/tree"));
+        assert_eq!(module_dir(Path::new("src/mod.rs")), Path::new("src"));
     }
 
     #[test]

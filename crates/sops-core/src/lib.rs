@@ -41,6 +41,8 @@
 //! same-ensemble requests batch into one simulation pass. The
 //! `sops-serve` crate puts an HTTP front end on the broker.
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod broker;
 pub mod cache;

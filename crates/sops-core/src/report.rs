@@ -98,7 +98,9 @@ fn json_float(v: f64) -> String {
 }
 
 /// The sweep-report JSON body: one object per grid cell carrying the
-/// scenario/measure/seed coordinates, the cell status (`"ok"`, or
+/// scenario/measure/seed coordinates (the measure as its plan-unique
+/// [`SweepCell::measure_label`](crate::scenario::SweepCell::measure_label),
+/// as in `sweep.csv`), the cell status (`"ok"`, or
 /// `"failed"` with the quarantine reason), the summary `delta_mi`
 /// (`I(t_last) − I(t_0)`) and the full per-time-step series.
 ///
@@ -138,7 +140,7 @@ pub fn sweep_json(report: &SweepReport, include_provenance: bool) -> String {
              \"equilibrated_fraction\": {}, \"times\": [{}], \"mi_bits\": [{}], \
              \"mean_icp_cost\": [{}]{provenance}}}{}",
             wire::string(&cell.scenario),
-            wire::string(cell.measure.label()),
+            wire::string(&cell.measure_label),
             cell.seed,
             json_float(r.mi.increase()),
             json_float(r.equilibrated_fraction),
@@ -499,6 +501,41 @@ mod tests {
             "name must be RFC-4180 quoted: {row}"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sweep_json_writes_the_plan_unique_measure_label() {
+        use crate::pipeline::PipelineResult;
+        use crate::scenario::{measure_labels, CellProvenance, CellStatus, SweepCell, SweepReport};
+        use sops_info::{KsgConfig, MeasureConfig};
+        let measures = [3, 5].map(|k| {
+            MeasureConfig::Ksg(KsgConfig {
+                k,
+                ..KsgConfig::default()
+            })
+        });
+        let report = SweepReport {
+            cells: measures
+                .iter()
+                .zip(measure_labels(&measures))
+                .map(|(&measure, measure_label)| SweepCell {
+                    scenario: "a".into(),
+                    measure,
+                    measure_label,
+                    seed: 1,
+                    status: CellStatus::Ok,
+                    provenance: CellProvenance::Computed,
+                    result: PipelineResult::empty(),
+                })
+                .collect(),
+        };
+        // Both selections are the KSG family; only the plan label tells
+        // the two cells apart, in `sweep.json` and in `/sweep` bodies.
+        for include_provenance in [false, true] {
+            let json = sweep_json(&report, include_provenance);
+            assert!(json.contains("\"measure\": \"ksg\", "), "{json}");
+            assert!(json.contains("\"measure\": \"ksg#2\", "), "{json}");
+        }
     }
 
     #[test]

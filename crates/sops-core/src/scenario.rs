@@ -14,8 +14,9 @@
 //!   ([`run_streaming_ensemble`]) so only the frames on the evaluation
 //!   schedule are kept,
 //! * per evaluated time step, the cross-sample view is materialized once
-//!   ([`EnsembleFrames::at_time_into`] into a per-worker buffer), the
-//!   shape reduction runs once and the observer matrix is built once,
+//!   ([`EnsembleFrames::at_time_into`], over a per-worker staging
+//!   buffer), the shape reduction runs once and the observer matrix is
+//!   built once,
 //! * every selected estimator is then fanned over that shared prepared
 //!   state through the [`sops_info::Estimator`] trait, with per-worker
 //!   [`MeasureWorkspace`]/[`ReduceWorkspace`] scratch reused across all
@@ -51,6 +52,7 @@
 //! (`tests/sweep_resume.rs`).
 
 use crate::cache::CellCache;
+use crate::checkpoint::ScenarioKeys;
 use crate::error::SweepError;
 use crate::observers::{build_observers, ObserverMode};
 use crate::pipeline::{MiSeries, PipelineResult};
@@ -59,9 +61,7 @@ use sops_math::{PairMatrix, Vec2};
 use sops_shape::ensemble::{reduce_configurations_with, ReduceConfig, ReduceMode, ReduceWorkspace};
 use sops_sim::ensemble::EnsembleSpec;
 use sops_sim::force::{ForceModel, LinearForce};
-use sops_sim::streaming::{
-    recycle_slice_vec, run_streaming_ensemble, EnsembleFrames, StreamingConfig,
-};
+use sops_sim::streaming::{run_streaming_ensemble, EnsembleFrames, StreamingConfig};
 use sops_sim::{IntegratorConfig, Model};
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -503,25 +503,26 @@ impl SweepPlan {
 /// engine plus the shape-reduction scratch, reused across the time steps
 /// (and, held in a [`SweepRunner`], the grid cells) the worker claims.
 ///
-/// `stage` and `slice` are the cross-sample view buffers: the spill
-/// staging area and the slice vector of [`EnsembleFrames::at_time_into`].
-/// Both are empty at rest (the `'static` slice vector never holds an
-/// element outside a pass — see [`recycle_slice_vec`]) but keep their
-/// capacity, so a warmed-up worker materializes views allocation-free.
+/// `stage` is the spill staging buffer of
+/// [`EnsembleFrames::at_time_into`]. It keeps its capacity, so a
+/// warmed-up worker's buffers do not grow; each step's cross-sample slice
+/// vector borrows the ensemble and `stage`, so the step allocates it
+/// afresh.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EvalWorker {
     pub(crate) measure: MeasureWorkspace,
     pub(crate) reduce: ReduceWorkspace,
     pub(crate) stage: Vec<Vec2>,
-    pub(crate) slice: Vec<&'static [Vec2]>,
 }
 
 /// Runs `f(worker, cross_sample_slice, time_index)` for every entry of
 /// `times`, parallel over evaluation steps with persistent per-worker
-/// scratch. Each worker materializes the time slice into its own reused
-/// buffers ([`EnsembleFrames::at_time_into`] via the worker's persistent
-/// `stage`/`slice`), so the steady state of the pass allocates nothing
-/// beyond `f`'s own outputs — for in-memory *and* spilled frames alike.
+/// scratch. Each step takes the worker's staging buffer, builds its
+/// cross-sample slice vector (`samples` long) over it with
+/// [`EnsembleFrames::at_time_into`], and puts the buffer back after `f`:
+/// the persistent buffers do not grow once warm, and each step allocates
+/// only its slice vector and `f`'s own outputs — for in-memory *and*
+/// spilled frames alike.
 pub(crate) fn eval_pass<T, F>(
     workers: &mut Vec<EvalWorker>,
     frames: EnsembleFrames<'_>,
@@ -534,49 +535,21 @@ where
     F: Fn(&mut EvalWorker, &[&[Vec2]], usize) -> T + Sync,
 {
     // No wider than the schedule: `parallel_map_with` never runs more
-    // workers than steps, and a pooled runner would keep the surplus (each
-    // with a `samples`-long slice buffer) for the rest of its life.
+    // workers than steps, and a pooled runner would keep the surplus for
+    // the rest of its life.
     let threads = sops_par::resolve_threads(threads).clamp(1, times.len().max(1));
     while workers.len() < threads {
         workers.push(EvalWorker::default());
     }
-    // Per-call view of the persistent workers: the view buffers borrow
-    // the ensemble during the pass, so they are taken out of the
-    // lifetime-free `EvalWorker` and restored (empty, capacity intact)
-    // when the pass ends.
-    struct PassWorker<'w> {
-        worker: &'w mut EvalWorker,
-        stage: Vec<Vec2>,
-        slice: Vec<&'static [Vec2]>,
-    }
-    let mut pass_workers: Vec<PassWorker<'_>> = workers
-        .iter_mut()
-        .take(threads)
-        .map(|worker| {
-            let stage = std::mem::take(&mut worker.stage);
-            let mut slice = std::mem::take(&mut worker.slice);
-            if slice.capacity() < frames.samples() {
-                slice.reserve_exact(frames.samples() - slice.capacity());
-            }
-            PassWorker {
-                worker,
-                stage,
-                slice,
-            }
-        })
-        .collect();
-    let out = sops_par::parallel_map_with(times.len(), &mut pass_workers, |pw, ti| {
-        let mut slice = recycle_slice_vec(std::mem::take(&mut pw.slice));
-        frames.at_time_into(times[ti], &mut pw.stage, &mut slice);
-        let result = f(pw.worker, &slice, ti);
-        pw.slice = recycle_slice_vec(slice);
+    sops_par::parallel_map_with(times.len(), &mut workers[..threads], |w, ti| {
+        let mut stage = std::mem::take(&mut w.stage);
+        let mut slice = Vec::with_capacity(frames.samples());
+        frames.at_time_into(times[ti], &mut stage, &mut slice);
+        let result = f(w, &slice, ti);
+        drop(slice);
+        w.stage = stage;
         result
-    });
-    for pw in pass_workers {
-        pw.worker.stage = pw.stage;
-        pw.worker.slice = pw.slice;
-    }
-    out
+    })
 }
 
 /// Attempts per panic-isolated unit before it is quarantined as
@@ -650,9 +623,10 @@ fn run_isolated<T>(mut f: impl FnMut() -> T) -> Result<T, String> {
 /// number of measure selections over each simulated ensemble.
 ///
 /// Holding a runner across [`SweepRunner::run`] calls reuses every
-/// worker's estimator and reduction scratch — a warmed-up runner driving
-/// a bounded workload performs no steady-state allocations in its
-/// evaluation stage (enforced by `tests/sweep_determinism.rs`).
+/// worker's estimator, reduction and staging scratch — a warmed-up runner
+/// driving a bounded workload never grows these persistent buffers
+/// (enforced by `tests/sweep_determinism.rs`); each evaluation step
+/// allocates only its cross-sample slice vector and its outputs.
 ///
 /// Every (scenario, seed) ensemble executes under panic isolation: a
 /// panicking cell is retried once, then quarantined as
@@ -675,7 +649,7 @@ impl SweepRunner {
     /// per-cell panic isolation. `Err` only for an invalid *plan*; cell
     /// failures are quarantined into the report.
     pub fn run(&mut self, plan: &SweepPlan) -> Result<SweepReport, SweepError> {
-        self.run_core(plan, None)
+        self.run_plan(plan, None)
     }
 
     /// [`SweepRunner::run`] consulting a content-addressed cell cache:
@@ -704,106 +678,94 @@ impl SweepRunner {
     ///   engine's preparation-sharing contract).
     ///
     /// `Err` for an invalid plan or one with no stable wire form
-    /// ([`SweepError::Unserializable`]); cache I/O trouble never fails
-    /// the sweep (corrupt entries are evicted and recomputed, store
-    /// failures are counted in [`CellCache::stats`] and skipped).
+    /// ([`SweepError::Unserializable`]), before any ensemble is
+    /// simulated; cache I/O trouble never fails the sweep (corrupt
+    /// entries are evicted and recomputed, store failures are counted in
+    /// [`CellCache::stats`] and skipped).
     pub fn run_with_cache(
         &mut self,
         plan: &SweepPlan,
         cache: &CellCache,
     ) -> Result<SweepReport, SweepError> {
-        self.run_core(plan, Some(cache))
+        self.run_plan(plan, Some(cache))
     }
 
-    fn run_core(
+    /// The one plan loop behind [`SweepRunner::run`] and
+    /// [`SweepRunner::run_with_cache`]. Per ensemble it serves every
+    /// cached measure, runs the missing ones (all of them without a
+    /// cache) in one [`SweepRunner::run_cells`] pass, and stores the
+    /// healthy fresh cells. A subset pass is bit-identical to the full
+    /// one by the engine's preparation-sharing contract (each step's
+    /// prepared state is measure-independent). With a cache, every cell
+    /// key is derived before the first ensemble runs, so a plan with no
+    /// wire form fails before it simulates anything; without one, no key
+    /// is derived, so a plan with a [`ForceModel::Custom`] law still runs.
+    fn run_plan(
         &mut self,
         plan: &SweepPlan,
         cache: Option<&CellCache>,
     ) -> Result<SweepReport, SweepError> {
         plan.validate()?;
         let labels = measure_labels(&plan.measures);
+        let scenarios: Vec<ScenarioSpec> = plan
+            .ensembles()
+            .map(|(base, seed)| base.clone().with_seed(seed))
+            .collect();
+        let keys: Vec<Vec<u64>> = match cache {
+            Some(_) => scenarios
+                .iter()
+                .map(|scenario| {
+                    let keys = ScenarioKeys::new(scenario)?;
+                    Ok(plan.measures.iter().map(|m| keys.cell(m)).collect())
+                })
+                .collect::<Result<_, SweepError>>()?,
+            None => Vec::new(),
+        };
         let mut cells = Vec::with_capacity(plan.cell_count());
-        for (base, seed) in plan.ensembles() {
-            let scenario = base.clone().with_seed(seed);
-            let produced = match cache {
-                Some(cache) => self.run_ensemble_cached(&scenario, seed, plan, &labels, cache)?,
-                None => {
-                    let all: Vec<usize> = (0..plan.measures.len()).collect();
-                    self.run_ensemble_cells(&scenario, seed, plan, &labels, &all)
-                }
-            };
-            cells.extend(produced);
+        for (ei, scenario) in scenarios.iter().enumerate() {
+            let cached = |mi: usize| Some((cache?, keys[ei][mi]));
+            let hits: Vec<Option<PipelineResult>> = (0..plan.measures.len())
+                .map(|mi| cached(mi).and_then(|(cache, key)| cache.lookup(key)))
+                .collect();
+            let missing: Vec<usize> = (0..hits.len()).filter(|&mi| hits[mi].is_none()).collect();
+            let mut fresh = if missing.is_empty() {
+                Vec::new()
+            } else {
+                let measures: Vec<MeasureConfig> =
+                    missing.iter().map(|&mi| plan.measures[mi]).collect();
+                let fresh_labels: Vec<String> =
+                    missing.iter().map(|&mi| labels[mi].clone()).collect();
+                self.run_cells(
+                    scenario,
+                    &measures,
+                    &fresh_labels,
+                    plan.storage,
+                    plan.threads,
+                )
+            }
+            .into_iter();
+            for (mi, hit) in hits.into_iter().enumerate() {
+                cells.push(match hit {
+                    Some(result) => SweepCell {
+                        scenario: scenario.name.clone(),
+                        measure: plan.measures[mi],
+                        measure_label: labels[mi].clone(),
+                        seed: scenario.ensemble.seed,
+                        status: CellStatus::Ok,
+                        provenance: CellProvenance::Cached,
+                        result,
+                    },
+                    None => {
+                        let cell = fresh.next().expect("one fresh cell per missing measure");
+                        if let Some((cache, key)) = cached(mi).filter(|_| cell.status.is_ok()) {
+                            cache.store(key, &cell.result);
+                        }
+                        cell
+                    }
+                });
+            }
         }
         Ok(SweepReport { cells })
-    }
-
-    /// One (scenario, seed) ensemble through the cell cache: hit cells
-    /// are served ([`CellProvenance::Cached`]), the missing subset shares
-    /// one simulation pass, and fresh healthy cells are stored back.
-    /// Subset evaluation is bit-identical to the full pass by the
-    /// engine's preparation-sharing contract (each step's prepared state
-    /// is measure-independent).
-    fn run_ensemble_cached(
-        &mut self,
-        scenario: &ScenarioSpec,
-        seed: u64,
-        plan: &SweepPlan,
-        labels: &[String],
-        cache: &CellCache,
-    ) -> Result<Vec<SweepCell>, SweepError> {
-        let mut slots: Vec<Option<SweepCell>> = Vec::with_capacity(plan.measures.len());
-        let mut keys = Vec::with_capacity(plan.measures.len());
-        let mut missing = Vec::new();
-        let scenario_keys = crate::checkpoint::ScenarioKeys::new(scenario)?;
-        for (mi, measure) in plan.measures.iter().enumerate() {
-            let key = scenario_keys.cell(measure);
-            keys.push(key);
-            match cache.lookup(key) {
-                Some(result) => slots.push(Some(SweepCell {
-                    scenario: scenario.name.clone(),
-                    measure: *measure,
-                    measure_label: labels[mi].clone(),
-                    seed,
-                    status: CellStatus::Ok,
-                    provenance: CellProvenance::Cached,
-                    result,
-                })),
-                None => {
-                    slots.push(None);
-                    missing.push(mi);
-                }
-            }
-        }
-        if !missing.is_empty() {
-            let produced = self.run_ensemble_cells(scenario, seed, plan, labels, &missing);
-            for (cell, &mi) in produced.into_iter().zip(&missing) {
-                if cell.status.is_ok() {
-                    cache.store(keys[mi], &cell.result);
-                }
-                slots[mi] = Some(cell);
-            }
-        }
-        Ok(slots
-            .into_iter()
-            .map(|c| c.expect("every measure slot is filled"))
-            .collect())
-    }
-
-    /// Simulates and evaluates one (scenario, seed) ensemble for the
-    /// plan-measure subset `selected` (indexes into `plan.measures`, in
-    /// output order). Delegates to [`SweepRunner::run_cells`].
-    fn run_ensemble_cells(
-        &mut self,
-        scenario: &ScenarioSpec,
-        seed: u64,
-        plan: &SweepPlan,
-        labels: &[String],
-        selected: &[usize],
-    ) -> Vec<SweepCell> {
-        debug_assert_eq!(scenario.ensemble.seed, seed);
-        let measures: Vec<MeasureConfig> = selected.iter().map(|&mi| plan.measures[mi]).collect();
-        let sel_labels: Vec<String> = selected.iter().map(|&mi| labels[mi].clone()).collect();
-        self.run_cells(scenario, &measures, &sel_labels, plan.storage, plan.threads)
     }
 
     /// Simulates `scenario`'s ensemble **once** under panic isolation,
@@ -813,9 +775,9 @@ impl SweepRunner {
     /// measure (provenance [`CellProvenance::Computed`], labels from
     /// `labels`, which must be parallel to `measures`). This is the
     /// plan-free ensemble entry point [`crate::broker::SweepBroker`]
-    /// batches concurrent requests through; [`SweepRunner::run`] routes
-    /// every ensemble of a plan through it too, so the two paths cannot
-    /// drift.
+    /// batches concurrent requests through; [`SweepRunner::run`] and
+    /// [`SweepRunner::run_with_cache`] route every ensemble of a plan
+    /// through it too, so the paths cannot drift.
     ///
     /// Failure containment is hierarchical: a simulation failure
     /// quarantines the whole ensemble; a one-pass evaluation failure
@@ -984,7 +946,6 @@ impl SweepRunner {
             sig.extend(w.measure.capacity_signature());
             sig.extend(w.reduce.capacity_signature());
             sig.push(w.stage.capacity());
-            sig.push(w.slice.capacity());
         }
         sig
     }

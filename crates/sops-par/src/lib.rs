@@ -7,34 +7,39 @@
 //! its reference, and fig 3's three panels. Every kernel below them
 //! (force sweeps, ICP, the estimators) runs on its caller's thread.
 //! Rather than pull in a full work-stealing runtime, this crate provides
-//! a tiny, dependency-free parallel map ([`parallel_map`], and
-//! [`parallel_map_with`] for per-worker scratch) built on
-//! [`std::thread::scope`] with an atomic work counter for dynamic load
-//! balancing, and [`resolve_threads`], the one reading of a `threads`
-//! argument of 0.
+//! one tiny, dependency-free parallel map, [`parallel_map_with`] (one
+//! persistent scratch value per worker), built on [`std::thread::scope`]
+//! with an atomic work counter for dynamic load balancing;
+//! [`parallel_map`] is that map over unit workers. [`resolve_threads`]
+//! is the one reading of a `threads` argument of 0.
 //!
 //! Design points (see the Rust Performance Book & "Rust Atomics and Locks"
 //! guidance this workspace follows):
 //!
-//! * **Determinism** — results are written into pre-allocated output slots
-//!   indexed by task id, so the output order never depends on the thread
-//!   schedule. Seed *derivation* (not shared streams) keeps stochastic
-//!   tasks reproducible; see `sops_math::rng::derive_seed`.
+//! * **Determinism** — each worker returns the `(index, value)` pairs of
+//!   the tasks it ran, and after the scope joins every value moves into
+//!   its index's output slot, so the output order never depends on the
+//!   thread schedule. No slot is written from two threads, and the crate
+//!   has no `unsafe`. Seed *derivation* (not shared streams) keeps
+//!   stochastic tasks reproducible; see `sops_math::rng::derive_seed`.
 //! * **Dynamic balancing** — workers claim indices with `fetch_add`
 //!   (relaxed ordering suffices: the counter is only a work dispenser and
-//!   `scope` join provides the final happens-before edge).
+//!   the join provides the final happens-before edge).
 //! * **Panic safety** — a panicking task aborts the call with the
 //!   original panic payload, whatever the thread count. Each task runs
-//!   under `catch_unwind`; a worker whose task panicked stops claiming,
-//!   and once the scope ends the payload of the lowest-index panicking
-//!   task is re-raised. Indices are claimed in order, so that task always
-//!   runs, and the payload is the one a sequential loop would raise, not
+//!   under `catch_unwind`; a worker whose task panicked stops claiming
+//!   and returns that task's index and payload, and after the join the
+//!   lowest-index payload is re-raised. Workers claim indices in
+//!   increasing order and stop only past the end or after their own
+//!   task panicked, so every index below a claimed one ran: the payload
+//!   is the one a sequential loop would raise, not
 //!   `std::thread::scope`'s generic "a scoped thread panicked".
+
+#![forbid(unsafe_code)]
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
 
 /// Maximum number of worker threads used by [`parallel_map`] when no
 /// explicit count is given.
@@ -66,9 +71,10 @@ pub fn resolve_threads(threads: usize) -> usize {
 /// Applies `f` to every index in `0..len`, in parallel, collecting results
 /// in index order.
 ///
-/// `f` must be `Sync` (it is shared by reference across workers) and the
-/// produced values are written into their index's slot, so the output is
-/// identical to `(0..len).map(f).collect()` regardless of scheduling.
+/// This is [`parallel_map_with`] over `threads.max(1).min(len.max(1))`
+/// unit workers, so the output is identical to
+/// `(0..len).map(f).collect()` regardless of scheduling, and a panicking
+/// task re-raises as it does there.
 ///
 /// Falls back to a sequential loop when `len` or the thread count is 1 —
 /// callers don't pay thread spawn costs for trivial work.
@@ -77,55 +83,27 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let threads = threads.max(1).min(len.max(1));
-    if threads == 1 || len <= 1 {
-        return (0..len).map(f).collect();
-    }
-
-    let mut out: Vec<Option<T>> = Vec::with_capacity(len);
-    out.resize_with(len, || None);
-    {
-        let next = AtomicUsize::new(0);
-        let panics = FirstPanic::default();
-        let out_slots = SliceCells::new(&mut out);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    // Relaxed is enough: the counter only dispenses indices;
-                    // scope join synchronizes the writes below.
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= len {
-                        break;
-                    }
-                    let Some(value) = panics.run(i, || f(i)) else {
-                        break;
-                    };
-                    // SAFETY: every index is claimed exactly once by the
-                    // fetch_add above, so no two threads write slot `i`.
-                    unsafe { out_slots.write(i, Some(value)) };
-                });
-            }
-        });
-        panics.resume();
-    }
-    out.into_iter()
-        .map(|slot| slot.expect("parallel_map: slot not filled"))
-        .collect()
+    let mut workers = vec![(); threads.max(1).min(len.max(1))];
+    parallel_map_with(len, &mut workers, |(), i| f(i))
 }
 
-/// Like [`parallel_map`] but each worker thread owns one element of
-/// `workers` — persistent per-worker state (scratch buffers, caches)
-/// reused across every index that worker claims.
+/// Applies `f` to every index in `0..len` in parallel, each worker thread
+/// owning one element of `workers` — persistent per-worker state (scratch
+/// buffers, caches) reused across every index that worker claims — and
+/// collects the results in index order.
 ///
-/// The worker count is `workers.len()`. Which worker processes which
-/// index depends on scheduling, so `f` must produce a result that does
-/// not depend on the worker's accumulated state (workspaces that only
-/// cache buffer *capacity* satisfy this); the output is written into
-/// index-ordered slots exactly like [`parallel_map`].
+/// The worker count is `workers.len()`, capped at `len`; with one worker
+/// (or at most one index) the map is a sequential loop on the caller's
+/// thread. Which worker processes which index depends on scheduling, so
+/// `f` must produce a result that does not depend on the worker's
+/// accumulated state (workspaces that only cache buffer *capacity*
+/// satisfy this); each worker keeps its `(index, value)` pairs, and the
+/// values fill their index's slot after the scope joins.
 ///
 /// # Panics
 ///
-/// Panics if `workers` is empty.
+/// Panics if `workers` is empty, and re-raises the panic of the
+/// lowest-index task that panicked.
 pub fn parallel_map_with<T, W, F>(len: usize, workers: &mut [W], f: F) -> Vec<T>
 where
     T: Send,
@@ -138,113 +116,56 @@ where
         let w = &mut workers[0];
         return (0..len).map(|i| f(w, i)).collect();
     }
-    let mut out: Vec<Option<T>> = Vec::with_capacity(len);
-    out.resize_with(len, || None);
-    {
-        let next = AtomicUsize::new(0);
-        let panics = FirstPanic::default();
-        let out_slots = SliceCells::new(&mut out);
-        let next = &next;
-        let panics = &panics;
-        let out_slots = &out_slots;
-        let f = &f;
-        std::thread::scope(|scope| {
-            for w in workers.iter_mut().take(threads) {
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= len {
-                        break;
+    let next = AtomicUsize::new(0);
+    let (next, f) = (&next, &f);
+    let per_worker: Vec<WorkerOutcome<T>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = workers
+            .iter_mut()
+            .take(threads)
+            .map(|w| {
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        // Relaxed is enough: the counter only dispenses
+                        // indices; the join synchronizes the values.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= len {
+                            return Ok(done);
+                        }
+                        match catch_unwind(AssertUnwindSafe(|| f(w, i))) {
+                            Ok(value) => done.push((i, value)),
+                            Err(payload) => return Err((i, payload)),
+                        }
                     }
-                    let Some(value) = panics.run(i, || f(w, i)) else {
-                        break;
-                    };
-                    // SAFETY: every index is claimed exactly once by the
-                    // fetch_add above, so no two threads write slot `i`.
-                    unsafe { out_slots.write(i, Some(value)) };
-                });
-            }
-        });
-        panics.resume();
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
+            .collect()
+    });
+    let (done, panics): (Vec<_>, Vec<_>) = per_worker.into_iter().partition(Result::is_ok);
+    if let Some((_, payload)) = panics
+        .into_iter()
+        .filter_map(Result::err)
+        .min_by_key(|p| p.0)
+    {
+        resume_unwind(payload);
+    }
+    let mut out: Vec<Option<T>> = std::iter::repeat_with(|| None).take(len).collect();
+    for (i, value) in done.into_iter().filter_map(Result::ok).flatten() {
+        out[i] = Some(value);
     }
     out.into_iter()
         .map(|slot| slot.expect("parallel_map_with: slot not filled"))
         .collect()
 }
 
-/// The panic of the lowest-index task that panicked in one parallel call.
-///
-/// Which tasks panic first in time depends on the schedule, but the
-/// lowest-index panicking task does not: workers claim indices in
-/// increasing order and stop only past the end or after their own task
-/// panicked, so every index below a claimed one was claimed and run.
-/// Re-raising that task's payload gives the call the panic a sequential
-/// loop would raise.
-#[derive(Default)]
-struct FirstPanic(Mutex<Option<(usize, Box<dyn Any + Send>)>>);
-
-impl FirstPanic {
-    /// Runs task `i`, returning its value, or `None` after recording its
-    /// panic — the worker must then stop claiming.
-    fn run<T>(&self, i: usize, task: impl FnOnce() -> T) -> Option<T> {
-        match catch_unwind(AssertUnwindSafe(task)) {
-            Ok(value) => Some(value),
-            Err(payload) => {
-                // Every update is one assignment, so a poisoned slot is
-                // still a valid record.
-                let mut first = self.0.lock().unwrap_or_else(PoisonError::into_inner);
-                if first.as_ref().is_none_or(|(j, _)| i < *j) {
-                    *first = Some((i, payload));
-                }
-                None
-            }
-        }
-    }
-
-    /// Re-raises the recorded panic, if any task panicked.
-    fn resume(&self) {
-        let first = self.0.lock().unwrap_or_else(PoisonError::into_inner).take();
-        if let Some((_, payload)) = first {
-            resume_unwind(payload);
-        }
-    }
-}
-
-/// Interior-mutability wrapper granting per-index write access to a slice
-/// from multiple threads.
-///
-/// Safety contract: callers must guarantee each index is accessed by at
-/// most one thread (enforced in this crate by the `fetch_add` index
-/// dispenser).
-struct SliceCells<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _marker: std::marker::PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: access discipline (unique index per thread) is upheld by callers
-// within this crate; T: Send makes moving values across threads sound.
-unsafe impl<T: Send> Sync for SliceCells<'_, T> {}
-unsafe impl<T: Send> Send for SliceCells<'_, T> {}
-
-impl<'a, T> SliceCells<'a, T> {
-    fn new(slice: &'a mut [T]) -> Self {
-        SliceCells {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Writes `value` into slot `i`, dropping the previous value.
-    ///
-    /// # Safety
-    ///
-    /// `i < len` and no other thread may access slot `i` concurrently.
-    unsafe fn write(&self, i: usize, value: T) {
-        debug_assert!(i < self.len);
-        *self.ptr.add(i) = value;
-    }
-}
+/// What one worker of [`parallel_map_with`] hands back at the join: its
+/// tasks' `(index, value)` pairs, or the index and payload of the one
+/// task of its that panicked.
+type WorkerOutcome<T> = Result<Vec<(usize, T)>, (usize, Box<dyn Any + Send>)>;
 
 #[cfg(test)]
 mod tests {

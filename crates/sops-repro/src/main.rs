@@ -124,12 +124,6 @@ fn sweep_exit_code(quarantined: bool, baseline_failed: bool) -> u8 {
     }
 }
 
-/// Measure selections delegate to the shared [`MeasureConfig::parse`]
-/// so the CLI and `sops-serve` can never drift on the accepted names.
-fn parse_measure(name: &str) -> Option<MeasureConfig> {
-    MeasureConfig::parse(name)
-}
-
 fn parse_args() -> Args {
     let mut figures: Vec<String> = Vec::new();
     let mut opts = RunOptions {
@@ -359,7 +353,7 @@ fn sweep_plan(args: &SweepArgs, registry: &ScenarioRegistry) -> Result<SweepPlan
     };
     let mut measures = Vec::with_capacity(measure_names.len());
     for name in &measure_names {
-        measures.push(parse_measure(name).ok_or_else(|| {
+        measures.push(MeasureConfig::parse(name).ok_or_else(|| {
             format!(
                 "unknown measure '{name}' (known: {})",
                 MeasureConfig::FAMILIES.join(", ")
@@ -634,28 +628,5 @@ mod tests {
         let err = parse_seed_spec("0..18446744073709551615", &mut seeds).unwrap_err();
         assert!(err.contains("too large"), "{err}");
         assert_eq!(seeds.len(), 6, "a rejected range adds nothing");
-    }
-
-    #[test]
-    fn measure_parser_accepts_strided_selections() {
-        assert!(matches!(
-            parse_measure("ksg@4"),
-            Some(MeasureConfig::Strided {
-                family: sops_info::StridedFamily::Ksg(_),
-                every: 4,
-            })
-        ));
-        assert!(matches!(
-            parse_measure("gaussian@2"),
-            Some(MeasureConfig::Strided {
-                family: sops_info::StridedFamily::Gaussian,
-                every: 2,
-            })
-        ));
-        assert!(parse_measure("ksg@0").is_none(), "stride 0 is rejected");
-        assert!(parse_measure("ksg@").is_none());
-        assert!(parse_measure("discrete@2").is_none());
-        assert!(parse_measure("bogus@3").is_none());
-        assert!(matches!(parse_measure("ksg"), Some(MeasureConfig::Ksg(_))));
     }
 }

@@ -12,22 +12,23 @@
 //! same equilibrium bookkeeping) but copies out only the frames named by
 //! the caller's retained-time list — a sweep's evaluation schedule, the
 //! few steps a figure plots, or the two steps a transfer-entropy estimate
-//! reads. Workers take the samples in consecutive groups: `F¹` ensembles
-//! on the direct pair loop step up to eight samples in lockstep, one
-//! AVX-512 lane each (the crate-private `lockstep` module), and every
-//! other ensemble steps one sample at a time. The result is
+//! reads. One parallel map takes the samples in consecutive groups: `F¹`
+//! ensembles on the direct pair loop step up to eight samples in
+//! lockstep, one AVX-512 lane each (the crate-private `lockstep` module),
+//! and every other ensemble steps one sample at a time. The result is
 //! **bit-identical** to running [`crate::Simulation::run`] per sample
 //! (seed `derive_seed(seed, s)`) and slicing its trajectories at the same
 //! times, for any worker count and either path, with peak memory
 //! `O(m · k · n)` instead of `O(m · t_max · n)`.
 //!
-//! When even the retained frames exceed a configured resident budget
-//! ([`StreamingConfig::max_resident_bytes`]), the store spills to an
-//! anonymous temporary file: each worker writes its
-//! samples' frames at fixed offsets as they are produced, and the
-//! evaluation pass reads one cross-sample time slice at a time into a
-//! reused buffer. Spilled round trips are raw `f64` bytes ([`Vec2`] is
-//! `repr(C)`), so they are bit-exact by construction.
+//! Each group keeps its retained frames in its own sample-major block,
+//! and the blocks are concatenated in group order after the map. When
+//! even the retained frames exceed a configured resident budget
+//! ([`StreamingConfig::max_resident_bytes`]), the groups instead write
+//! them to an anonymous temporary file at fixed offsets as they are
+//! produced, and the evaluation pass reads one cross-sample time slice at
+//! a time into a reused staging buffer. Spilled round trips are raw `f64`
+//! bytes ([`Vec2`] is `repr(C)`), so they are bit-exact by construction.
 //!
 //! [`EnsembleFrames`] is the read view: the cross-sample slice at a
 //! retained step and the equilibrated fraction. It is the only ensemble
@@ -236,7 +237,7 @@ impl StreamingEnsemble {
     ///
     /// In-memory stores serve slices directly; spilled stores load the
     /// time slice into `buf` (capacity reused across calls) and slice
-    /// that, so a warmed-up evaluation loop allocates nothing either way.
+    /// that, so a warmed-up staging buffer never grows.
     pub(crate) fn at_time_into<'a>(
         &'a self,
         t: usize,
@@ -321,13 +322,17 @@ fn stream_one(
 /// memory while they fit `cfg.max_resident_bytes`, spilled to an
 /// unlinked temp file otherwise.
 ///
-/// Workers take the samples in consecutive groups. An `F¹` model on the
-/// direct pair loop with at least four samples per worker is split into
-/// `max(⌈samples/8⌉, workers)` groups as even as possible, and each group
-/// steps its samples in lockstep, one AVX-512 lane per sample (a
-/// portable lane loop without AVX-512). Every other ensemble runs one
-/// sample at a time, each with a private force workspace. The workers
-/// share out whole groups; no pair sweep is split between them.
+/// One `sops_par::parallel_map` runs the samples in consecutive groups.
+/// An `F¹` model on the direct pair loop with at least four samples per
+/// worker is split into `max(⌈samples/8⌉, workers)` groups as even as
+/// possible, and each group steps its samples in lockstep, one AVX-512
+/// lane per sample (a portable lane loop without AVX-512). Every other
+/// ensemble runs one sample per group, each with a private force
+/// workspace. The workers share out whole groups; no pair sweep is split
+/// between them. A group writes its frames to the spill file, or to its
+/// own sample-major block in memory, which it returns with its
+/// equilibrium steps; the in-memory store is the blocks concatenated in
+/// group order.
 ///
 /// Bit-identity contract: for any worker count, the retained frames and
 /// the equilibrium steps equal those of sample `s`'s
@@ -352,52 +357,43 @@ pub fn run_streaming_ensemble(
     } else {
         (0..spec.samples).map(|s| (s, 1)).collect()
     };
-    // Steps group `g`, handing each retained frame to
-    // `sink(sample, frame_index, positions)`; returns the group's
-    // equilibrium steps in sample order.
-    let run_group = |g: usize, sink: &mut dyn FnMut(usize, usize, &[Vec2])| {
+    let resident = spec.samples * k * n * VEC2_BYTES;
+    let spill = (cfg!(unix) && resident > cfg.max_resident_bytes)
+        .then(|| SpillStore::create(spec.samples, k, n));
+    let per_group = sops_par::parallel_map(groups.len(), threads, |g| {
         let (first, len) = groups[g];
-        if lanes {
+        let mut block = match spill {
+            Some(_) => Vec::new(),
+            None => vec![Vec2::ZERO; len * k * n],
+        };
+        let mut keep = |s: usize, fi: usize, frame: &[Vec2]| match &spill {
+            Some(store) => store.write_frame(s, fi, frame),
+            None => {
+                let at = ((s - first) * k + fi) * n;
+                block[at..at + n].copy_from_slice(frame);
+            }
+        };
+        let steps = if lanes {
             lockstep::stream_group(spec, first, len, &times, |lane, fi, frame| {
-                sink(first + lane, fi, frame)
+                keep(first + lane, fi, frame)
             })
         } else {
             vec![stream_one(spec, first, &times, |fi, frame| {
-                sink(first, fi, frame)
+                keep(first, fi, frame)
             })]
-        }
-    };
-    let resident = spec.samples * k * n * VEC2_BYTES;
-    let spill = cfg!(unix) && resident > cfg.max_resident_bytes;
-    let (equilibrium_steps, store) = if spill {
-        let store = SpillStore::create(spec.samples, k, n);
-        let steps = sops_par::parallel_map(groups.len(), threads, |g| {
-            run_group(g, &mut |s, fi, frame| store.write_frame(s, fi, frame))
-        });
-        (steps.concat(), FrameStore::Spill(store))
-    } else {
-        let per_group = sops_par::parallel_map(groups.len(), threads, |g| {
-            let (first, len) = groups[g];
-            let mut frames = vec![Vec2::ZERO; len * k * n];
-            let steps = run_group(g, &mut |s, fi, frame| {
-                let at = ((s - first) * k + fi) * n;
-                frames[at..at + n].copy_from_slice(frame);
-            });
-            (frames, steps)
-        });
-        let mut data = Vec::with_capacity(spec.samples * k * n);
-        let mut equilibrium_steps = Vec::with_capacity(spec.samples);
-        for (frames, steps) in per_group {
-            data.extend_from_slice(&frames);
-            equilibrium_steps.extend(steps);
-        }
-        (equilibrium_steps, FrameStore::Memory(data))
+        };
+        (block, steps)
+    });
+    let (blocks, steps): (Vec<Vec<Vec2>>, Vec<Vec<Option<usize>>>) = per_group.into_iter().unzip();
+    let store = match spill {
+        Some(store) => FrameStore::Spill(store),
+        None => FrameStore::Memory(blocks.concat()),
     };
     StreamingEnsemble {
         times,
         samples: spec.samples,
         particles: n,
-        equilibrium_steps,
+        equilibrium_steps: steps.concat(),
         store,
     }
 }
@@ -441,22 +437,6 @@ impl<'e> EnsembleFrames<'e> {
         let EnsembleFrames::Streaming(s) = *self;
         s.at_time_into(t, buf, out)
     }
-}
-
-/// Recycles a cross-sample slice vector's allocation across borrow
-/// scopes: the returned vector is empty, carries a fresh lifetime, and
-/// reuses the input's pointer and capacity.
-///
-/// Evaluation loops that hold one slice vector across many
-/// [`EnsembleFrames::at_time_into`] calls need this: each call borrows
-/// the staging buffer anew, so the references stored last step must be
-/// provably gone first. Clearing alone does not end the borrow region —
-/// consuming the vector does.
-pub fn recycle_slice_vec<'a, 'b>(mut v: Vec<&'a [Vec2]>) -> Vec<&'b [Vec2]> {
-    v.clear();
-    // SAFETY: the vector is empty, so no `&'a` value survives; only the
-    // allocation (pointer + capacity) is reused under the new lifetime.
-    unsafe { std::mem::transmute::<Vec<&'a [Vec2]>, Vec<&'b [Vec2]>>(v) }
 }
 
 #[cfg(test)]
@@ -605,25 +585,18 @@ mod tests {
         let streamed = run_streaming_ensemble(&s, &[0, 4, 8, 12], 2, &cfg);
         let frames = EnsembleFrames::Streaming(&streamed);
         let mut buf: Vec<Vec2> = Vec::new();
-        let mut storage: Vec<&[Vec2]> = Vec::new();
-        let mut warm = (0usize, 0usize, 0usize, 0usize);
+        let mut warm = (0usize, 0usize);
         for round in 0..4 {
             for &t in &streamed.times {
-                let mut out = recycle_slice_vec(storage);
+                let mut out = Vec::with_capacity(streamed.samples());
                 frames.at_time_into(t, &mut buf, &mut out);
                 assert_eq!(out.len(), streamed.samples());
-                storage = recycle_slice_vec(out);
             }
-            let state = (
-                buf.capacity(),
-                buf.as_ptr() as usize,
-                storage.capacity(),
-                storage.as_ptr() as usize,
-            );
+            let state = (buf.capacity(), buf.as_ptr() as usize);
             if round == 0 {
                 warm = state;
             } else {
-                assert_eq!(state, warm, "round {round}: buffers grew or moved");
+                assert_eq!(state, warm, "round {round}: staging buffer grew or moved");
             }
         }
     }

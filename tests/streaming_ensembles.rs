@@ -223,10 +223,12 @@ proptest! {
     }
 }
 
-/// Zero-allocation steady state of the streaming evaluation loop: after
+/// Capacity-stable steady state of the streaming evaluation loop: after
 /// a warm-up pass over a spill-forced plan, repeated sweeps must not
-/// grow any internal runner buffer — the staging buffer and slice vector
-/// of the streaming view materialization included.
+/// grow any persistent runner buffer — the spill staging buffer of the
+/// streaming view materialization included. (Each step's cross-sample
+/// slice vector borrows that buffer, so it is allocated per step and is
+/// not a persistent buffer.)
 #[test]
 fn warm_streaming_runner_does_not_allocate() {
     let plan = plan(

@@ -289,6 +289,45 @@ fn panicking_simulation_quarantines_the_whole_ensemble() {
     }
 }
 
+/// A plan with no stable wire form (a custom force law) cannot be keyed,
+/// so `run_with_cache` rejects it before simulating any ensemble — the
+/// keyable first scenario included — and stores nothing, as
+/// `SweepBroker::run` does on the same plan.
+#[test]
+fn unserializable_plan_is_rejected_before_any_simulation() {
+    #[derive(Debug)]
+    struct Inert;
+    impl ForceLaw for Inert {
+        fn types(&self) -> usize {
+            2
+        }
+        fn scale(&self, _: usize, _: usize, _: f64) -> f64 {
+            0.0
+        }
+        fn preferred_distance(&self, _: usize, _: usize) -> Option<f64> {
+            None
+        }
+    }
+    let mut plan = resume_plan(1);
+    plan.scenarios[1].ensemble.model = Model::balanced(
+        8,
+        ForceModel::Custom(std::sync::Arc::new(Inert)),
+        f64::INFINITY,
+    );
+
+    let cache = fresh_cache("unserializable");
+    let err = SweepRunner::new()
+        .run_with_cache(&plan, &cache)
+        .expect_err("a custom law has no cell key");
+    assert!(matches!(err, SweepError::Unserializable(_)), "{err}");
+    assert!(cache.is_empty(), "{} cell(s) stored", cache.len());
+
+    let broker = SweepBroker::new();
+    let err = broker.run(&plan).expect_err("a custom law has no cell key");
+    assert!(matches!(err, SweepError::Unserializable(_)), "{err}");
+    assert_eq!(broker.stats().sim_passes, 0);
+}
+
 /// An *invalid* ensemble spec is no longer a quarantined panic: the plan
 /// is rejected up front with a typed `SweepError::InvalidPlan` naming
 /// the offending scenario (the PR 7 error spine, extended to the
