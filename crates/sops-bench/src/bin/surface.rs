@@ -14,8 +14,8 @@
 //!   line followed by a `mod NAME;` line declares a test-only module
 //!   file: the two lines are skipped, counting goes on, and the file the
 //!   declaration names (`NAME.rs` or anything under `NAME/`, beside a
-//!   `lib.rs`, `main.rs` or `mod.rs`, else in the directory named after
-//!   the declaring file) is left out of the ledger;
+//!   crate root or a `mod.rs`, else in the directory named after the
+//!   declaring file) is left out of the ledger;
 //! * *public items*: those lines matching
 //!   `^\s*pub (unsafe )?(fn|struct|enum|trait|const|static|type|mod|use) `.
 //!   `pub(crate)` items are not counted;
@@ -116,12 +116,14 @@ fn test_mod_name(line: &str) -> Option<&str> {
 }
 
 /// The directory a file's `mod NAME;` declarations resolve in: its own
-/// for `lib.rs`, `main.rs` and `mod.rs`, else the one named after it.
+/// for a crate root (`lib.rs`, `main.rs`, a binary under `bin/`) and for
+/// `mod.rs`, else the one named after it.
 fn module_dir(path: &Path) -> PathBuf {
     let dir = path.parent().unwrap_or(Path::new(""));
+    let binary = dir.file_name().is_some_and(|d| d == "bin");
     match path.file_stem().and_then(|s| s.to_str()) {
-        None | Some("lib" | "main" | "mod") => dir.to_path_buf(),
-        Some(stem) => dir.join(stem),
+        Some(stem) if !binary && !matches!(stem, "lib" | "main" | "mod") => dir.join(stem),
+        _ => dir.to_path_buf(),
     }
 }
 
@@ -386,6 +388,10 @@ mod tests {
         assert_eq!(count_files(&files), counts(3, 3, 0));
         assert_eq!(module_dir(Path::new("src/tree.rs")), Path::new("src/tree"));
         assert_eq!(module_dir(Path::new("src/mod.rs")), Path::new("src"));
+        assert_eq!(
+            module_dir(Path::new("src/bin/tool.rs")),
+            Path::new("src/bin")
+        );
     }
 
     #[test]

@@ -937,9 +937,10 @@ impl SweepRunner {
 
     /// Capacities of every persistent buffer of the evaluation workers —
     /// constant for a warmed-up runner driving a bounded grid (the
-    /// zero-steady-state-allocation contract; per-cell *outputs* — the
-    /// simulated ensembles and the report itself — are work products and
-    /// excluded, like every workspace in this repo).
+    /// capacity-stability contract; each step's slice vector and the
+    /// per-cell *outputs* — the simulated ensembles and the report
+    /// itself — are work products and excluded, like every workspace in
+    /// this repo).
     pub fn capacity_signature(&self) -> Vec<usize> {
         let mut sig = vec![self.workers.len()];
         for w in &self.workers {

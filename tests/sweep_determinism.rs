@@ -6,10 +6,9 @@
 //!   sharing one reduction/observer pass across measures, and one
 //!   `MeasureWorkspace` across estimator families, must not perturb any
 //!   estimate);
-//! * a warmed-up `SweepRunner` performs zero steady-state allocations in
-//!   its evaluation machinery across a 100-cell workload
-//!   (buffer-capacity stability, mirroring
-//!   `crates/sops-info/tests/workspace_measure.rs`).
+//! * a warmed-up `SweepRunner` grows none of its persistent evaluation
+//!   buffers across a 100-cell workload (buffer-capacity stability,
+//!   mirroring `crates/sops-info/tests/workspace_measure.rs`).
 
 use sops::prelude::*;
 use sops::sim::force::{ForceModel, LinearForce};

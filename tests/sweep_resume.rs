@@ -17,6 +17,9 @@
 //! * **simulation quarantine** — a panicking *simulation* quarantines
 //!   the whole ensemble with a `simulation …` reason, other ensembles
 //!   unaffected;
+//! * **unkeyable plans** — a plan with a custom force law has no cell
+//!   key, so `run_with_cache` rejects it before simulating anything and
+//!   stores nothing, as `SweepBroker::run` does;
 //! * **changed plans** — a plan with one scenario's horizon changed
 //!   computes only that scenario's cells and reuses every other one;
 //! * **corruption** — a cache entry truncated mid-token is evicted and
