@@ -43,6 +43,19 @@ fn bench_force_paths(c: &mut Criterion) {
             b.iter(|| ws.net_forces_into(&direct_model, black_box(pts), &mut out))
         });
     }
+    // `cell_sorting`'s two-type law at `cell_sorting_xl`'s density
+    // (~1.4 particles per unit²) and cut-off (3): the traffic's candidate
+    // rows (~19 and ~38 long) and its typed hit pass, which the ~2
+    // particles per cell above never reach.
+    let sorting = scenario::cell_sorting().ensemble.model.law().clone();
+    for &n in &[5_000usize, 20_000] {
+        let pts = cloud(n, 0.5 * (n as f64 / 1.4).sqrt(), 5);
+        let model = Model::balanced(n, sorting.clone(), 3.0);
+        let mut out = Vec::new();
+        group.bench_with_input(BenchmarkId::new("cutoff_grid_dense", n), &pts, |b, pts| {
+            b.iter(|| ws.net_forces_into(&model, black_box(pts), &mut out))
+        });
+    }
     group.finish();
 }
 

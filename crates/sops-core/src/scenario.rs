@@ -271,16 +271,19 @@ pub fn mixing_null() -> ScenarioSpec {
 /// reduction is O(k³) per type) and observers are per-type means, the
 /// regime where the per-particle correspondence is irrelevant.
 pub fn cell_sorting_xl() -> ScenarioSpec {
-    let mut sc = cell_sorting().with_particles(100_000).with_scale(8, 100);
-    sc.name = "cell_sorting_xl".into();
-    sc.description = "cell sorting at 10⁵ particles: the streaming-tier scale demonstrator".into();
     // Halve the cut-off: at preserved density the in-range neighbour
     // count scales with r_c², so the lab tier's r_c = 6 (which there
     // covers the whole 40-particle disc, ~40 neighbours) would mean ~160
     // neighbours per particle here. r_c = 3 restores the lab
-    // coordination number and quarters the per-step pair work.
-    let law = sc.ensemble.model.law().clone();
-    sc.ensemble.model = Model::balanced(100_000, law, 3.0);
+    // coordination number and quarters the per-step pair work. It is set
+    // on the 40-particle lab model, so the 10⁵-particle model is built
+    // once.
+    let mut lab = cell_sorting();
+    let model = &lab.ensemble.model;
+    lab.ensemble.model = Model::balanced(model.particles(), model.law().clone(), 3.0);
+    let mut sc = lab.with_particles(100_000).with_scale(8, 100);
+    sc.name = "cell_sorting_xl".into();
+    sc.description = "cell sorting at 10⁵ particles: the streaming-tier scale demonstrator".into();
     sc.eval_every = 50;
     sc.reduce.mode = ReduceMode::Centred;
     sc.observers = ObserverMode::TypeMeans { k_per_type: 4 };

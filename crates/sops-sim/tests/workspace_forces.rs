@@ -168,6 +168,83 @@ fn grid_path_bits_are_pinned() {
     }
 }
 
+/// `cell_sorting`'s two-type law: same-type preferred distance 1.2,
+/// cross-type 3.0, unit force scale.
+fn cell_sorting_law() -> ForceModel {
+    let k = PairMatrix::constant(2, 1.0);
+    let r = PairMatrix::from_full(2, &[1.2, 3.0, 3.0, 1.2]);
+    ForceModel::Linear(LinearForce::new(k, r))
+}
+
+#[test]
+fn dense_grid_path_bits_are_pinned() {
+    // `cell_sorting_xl`'s density (~1.4 particles per unit²) at its
+    // cut-off r_c = 3: ~12.5 particles per cell, so candidate rows hold
+    // ~19 (own-cell tail + east) and ~38 (south row) candidates and fill
+    // several 8-wide vectors with every tail length. Recorded before the
+    // row and hit-pass kernels went lane-wide.
+    let pinned = [
+        (4_999usize, 0x89e5_ad5f_ef14_6f38_u64),
+        (5_000, 0x945d_d9aa_d3f0_5d96),
+        (5_001, 0x06bc_a63e_77c0_4838),
+    ];
+    for (n, digest) in pinned {
+        let model = Model::balanced(n, cell_sorting_law(), 3.0);
+        let pos = cloud(n, 29.8, 17);
+        let mut out = Vec::new();
+        ForceWorkspace::new().net_forces_into(&model, &pos, &mut out);
+        assert_eq!(force_digest(&out), digest, "n = {n}: dense grid bits moved");
+    }
+}
+
+#[test]
+fn rows_longer_than_the_hit_batch_match_brute() {
+    // 4,500 particles in a 2 × 2 square at r_c = 3: one cell, so the
+    // first particles' candidate rows (up to 4,499) exceed the 4,096-hit
+    // batch and are walked in batch-sized pieces with a flush between
+    // them.
+    let n = 4_500;
+    let model = Model::balanced(n, three_type_linear(), 3.0);
+    let pos = cloud(n, 1.0, 23);
+    let mut out = Vec::new();
+    ForceWorkspace::new().net_forces_into(&model, &pos, &mut out);
+    assert_eq!(
+        force_digest(&out),
+        0x7f71_919b_a9a7_f168,
+        "over-batch rows: grid bits moved"
+    );
+    assert_forces_match(&out, &brute_forces(&model, &pos), "over-batch rows");
+}
+
+#[test]
+fn sparse_cloud_grid_stays_bounded() {
+    // 100 particles in a 20 × 20 box at r_c = 10⁻³: a grid of cut-off-
+    // sized cells would need 2·10⁴ × 2·10⁴ cells (two 1.6 GB arrays).
+    // The grid caps its cell count at 4 cells per point instead. Every
+    // odd particle sits 5·10⁻⁴ from its even twin, so 50 pairs interact
+    // across the larger cells and the forces are not all zero.
+    let n = 100;
+    let model = Model::balanced(n, ForceModel::Linear(LinearForce::uniform(1.0, 1.0)), 1e-3);
+    let mut pos = cloud(n, 10.0, 8);
+    for i in (0..n).step_by(2) {
+        pos[i + 1] = pos[i] + Vec2::new(3e-4, 4e-4);
+    }
+    let mut ws = ForceWorkspace::new();
+    let mut out = Vec::new();
+    ws.net_forces_into(&model, &pos, &mut out);
+    let slow = brute_forces(&model, &pos);
+    assert!(slow.iter().all(|f| f.norm() > 0.5), "every twin interacts");
+    assert_forces_match(&out, &slow, "sparse cloud");
+    // The grid's buffers close the capacity signature: offsets (one per
+    // cell plus one), items, cursor, cell ids.
+    let sig = ws.capacity_signature();
+    let offsets = sig[sig.len() - 4];
+    assert!(
+        offsets <= 4 * n + 1,
+        "grid offsets hold {offsets} slots for {n} points"
+    );
+}
+
 #[test]
 fn warmed_up_step_is_allocation_free_euler() {
     // Attracting collective on the grid path, default noise: after a

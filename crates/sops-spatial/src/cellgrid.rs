@@ -13,6 +13,14 @@
 
 use sops_math::Vec2;
 
+/// The most cells a rebuild makes per point. A grid of cut-off-sized
+/// cells grows as `(extent / r_c)²` whatever the point count, so a sparse
+/// cloud at a small cut-off would otherwise ask for gigabytes of offsets
+/// (100 points over a 20 × 20 box at `r_c = 10⁻³` made two 1.6 GB
+/// arrays); past this many cells per point the rebuild doubles the cell
+/// side instead (see [`CellGrid::rebuild_lanes`]).
+const MAX_CELLS_PER_POINT: usize = 4;
+
 /// A uniform grid over 2-D points, as a CSR layout (offsets + packed
 /// point ids) that needs no per-cell allocation.
 ///
@@ -38,16 +46,20 @@ pub struct CellGrid {
 
 impl CellGrid {
     /// Re-indexes the grid over `points` with square cells of side
-    /// `cell_size` covering their bounding box, and writes the points'
+    /// `cell` covering their bounding box, and writes the points'
     /// coordinates in [`CellGrid::order`] to `xs`/`ys` in the same
     /// counting-sort scatter pass, so the simulator's per-substep rebuild
     /// makes one pass over the points.
     ///
-    /// Point `i` lands in the cell `floor((points[i] − lo) / cell_size)`
-    /// of the bounding box's low corner `lo`, clamped to the grid; within
-    /// a cell, ids stay ascending. `cell_size` must be at least the
-    /// cut-off radius of the caller's sweep so that the 3×3 neighbourhood
-    /// is exhaustive; larger cells only add candidates.
+    /// The side `cell` is `cell_size`, doubled until the grid of
+    /// `⌊extent/cell⌋ + 1` cells per axis holds at most four cells per
+    /// point, so the grid's memory and sweep follow the point count, not
+    /// `(extent / cell_size)²`. Point `i` lands in the cell
+    /// `floor((points[i] − lo) / cell)` of the bounding box's low corner
+    /// `lo`, clamped to the grid; within a cell, ids stay ascending.
+    /// `cell_size` must be at least the cut-off radius of the caller's
+    /// sweep so that the 3×3 neighbourhood is exhaustive; larger cells
+    /// only add candidates.
     ///
     /// Afterwards `xs[k] = points[order()[k]].x` (and likewise `ys`): each
     /// cell's coordinates are contiguous, so a cell-pair segment of the
@@ -107,6 +119,17 @@ impl CellGrid {
             }
             (lo, hi)
         };
+        // Cells per axis at side `c`, counted in f64 so that a tiny side
+        // over a wide box cannot overflow. Doubling is exact, and the
+        // loop ends: a NaN count fails `>`, and an infinite extent reaches
+        // an infinite side, whose count is NaN.
+        let span = hi - lo;
+        let cap = (MAX_CELLS_PER_POINT * points.len()) as f64;
+        let count = |c: f64| ((span.x / c).floor() + 1.0) * ((span.y / c).floor() + 1.0);
+        let mut cell_size = cell_size;
+        while count(cell_size) > cap {
+            cell_size *= 2.0;
+        }
         let nx = (((hi.x - lo.x) / cell_size).floor() as usize + 1).max(1);
         let ny = (((hi.y - lo.y) / cell_size).floor() as usize + 1).max(1);
         let ncells = nx * ny;
@@ -367,7 +390,9 @@ mod tests {
 
     /// The from-scratch reference for [`CellGrid::rebuild_lanes`]: the
     /// grid shape and each point's cell, `floor((p − lo) / cell)` of the
-    /// bounding box's low corner `lo`, clamped to the grid.
+    /// bounding box's low corner `lo`, clamped to the grid, where the
+    /// side `cell` doubles until the grid holds at most
+    /// `MAX_CELLS_PER_POINT` cells per point.
     fn reference_cells(points: &[Vec2], cell: f64) -> ((usize, usize), Vec<usize>) {
         let Some(&first) = points.first() else {
             return ((1, 1), Vec::new());
@@ -377,8 +402,17 @@ mod tests {
             lo = lo.min(p);
             hi = hi.max(p);
         }
-        let nx = ((hi.x - lo.x) / cell).floor() as usize + 1;
-        let ny = ((hi.y - lo.y) / cell).floor() as usize + 1;
+        let shape = |c: f64| {
+            (
+                (((hi.x - lo.x) / c).floor() as usize).saturating_add(1),
+                (((hi.y - lo.y) / c).floor() as usize).saturating_add(1),
+            )
+        };
+        let mut cell = cell;
+        while shape(cell).0.saturating_mul(shape(cell).1) > MAX_CELLS_PER_POINT * points.len() {
+            cell *= 2.0;
+        }
+        let (nx, ny) = shape(cell);
         let cells = points
             .iter()
             .map(|p| {
@@ -460,6 +494,28 @@ mod tests {
         assert_eq!(g.shape(), (1, 1));
         assert_eq!(g.cell_bounds(0), (0, 0));
         assert!(g.order().is_empty() && xs.is_empty() && ys.is_empty());
+    }
+
+    #[test]
+    fn sparse_points_cap_the_cell_count() {
+        // 100 points over a 20 × 20 box: cut-off-sized cells of 10⁻³
+        // would make 4·10⁸ cells. Extreme sides and extents still end.
+        let pts: Vec<Vec2> = (0..100)
+            .map(|i| Vec2::new((i % 10) as f64 * 2.0, (i / 10) as f64 * 2.0))
+            .collect();
+        let mut g = CellGrid::default();
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
+        for cell in [1e-3, 1e-300, f64::MIN_POSITIVE] {
+            g.rebuild_lanes(&pts, cell, &mut xs, &mut ys);
+            assert!(g.cells() <= MAX_CELLS_PER_POINT * pts.len(), "{cell}");
+            check_against_reference(&g, &pts, cell, &xs, &ys).unwrap();
+        }
+        let wide = [Vec2::new(-f64::MAX, 0.0), Vec2::new(f64::MAX, 1.0)];
+        g.rebuild_lanes(&wide, 1.0, &mut xs, &mut ys);
+        assert!(g.cells() <= MAX_CELLS_PER_POINT * wide.len());
+        // A grid that fits keeps the requested side.
+        g.rebuild_lanes(&pts, 3.0, &mut xs, &mut ys);
+        assert_eq!(g.shape(), (7, 7));
     }
 
     #[test]
